@@ -280,87 +280,8 @@ func BenchmarkANNSearch(b *testing.B) {
 	}
 }
 
-// --- Hot-path micro-benchmarks (hash join, statement cache, parallel
-// eval, top-k retrieval) ---
-
-// joinBenchDB builds a two-table FK-join fixture: n parents, n children,
-// ~n/fanout children per parent.
-func joinBenchDB(n, fanout int) *sqldb.Database {
-	db := sqldb.NewDatabase("joinbench")
-	parents := sqldb.NewTable("PARENTS", sqldb.Column{Name: "ID"}, sqldb.Column{Name: "NAME"})
-	children := sqldb.NewTable("CHILDREN", sqldb.Column{Name: "PARENT_ID"}, sqldb.Column{Name: "AMOUNT"})
-	for i := 0; i < n; i++ {
-		parents.MustAppend(sqldb.Int(int64(i)), sqldb.Str(fmt.Sprintf("p%04d", i)))
-		children.MustAppend(sqldb.Int(int64((i*7)%(n/fanout))), sqldb.Int(int64(i%97)))
-	}
-	db.AddTable(parents)
-	db.AddTable(children)
-	return db
-}
-
-// BenchmarkHashJoin compares the nested-loop baseline against the hash-join
-// fast path on an equi-join dominated aggregate at suite scale.
-func BenchmarkHashJoin(b *testing.B) {
-	db := joinBenchDB(600, 10)
-	sql := "SELECT COUNT(*), SUM(AMOUNT) FROM PARENTS JOIN CHILDREN ON PARENTS.ID = CHILDREN.PARENT_ID"
-	for _, mode := range []struct {
-		name string
-		hash bool
-	}{{"nested", false}, {"hash", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			exec := sqlexec.New(db)
-			exec.SetHashJoin(mode.hash)
-			if _, err := exec.Query(sql); err != nil { // warm the plan cache
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.Query(sql); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStatementCache measures repeated Executor.Query of the same SQL
-// (the regeneration-loop / gold-evaluation / regression-suite pattern) with
-// the parsed-statement cache off and on. The fixture is parse-bound — a
-// large statement over a small table — to isolate the work the cache
-// eliminates; execution-bound statements see proportionally smaller wins.
-func BenchmarkStatementCache(b *testing.B) {
-	db := sqldb.NewDatabase("stmtbench")
-	t := sqldb.NewTable("T", sqldb.Column{Name: "A"}, sqldb.Column{Name: "B"})
-	for i := 0; i < 2; i++ {
-		t.MustAppend(sqldb.Int(int64(i)), sqldb.Str(fmt.Sprintf("v%d", i)))
-	}
-	db.AddTable(t)
-	sql := "SELECT A"
-	for i := 0; i < 40; i++ {
-		sql += fmt.Sprintf(", A*%d + CASE WHEN A > %d THEN %d ELSE -%d END AS c%d", i+1, i, i, i, i)
-	}
-	sql += " FROM T WHERE A >= 0"
-	for i := 0; i < 20; i++ {
-		sql += fmt.Sprintf(" OR B = 'v%d'", i)
-	}
-	for _, mode := range []struct {
-		name    string
-		caching bool
-	}{{"uncached", false}, {"cached", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			exec := sqlexec.New(db)
-			exec.SetStatementCaching(mode.caching)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.Query(sql); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// --- Hot-path micro-benchmarks (parallel eval, top-k retrieval); the SQL
+// engine's own A/B benchmarks live in internal/sqlexec ---
 
 // BenchmarkParallelEval runs the full GenEdit evaluation with varying worker
 // counts; outcomes (and therefore EX) are identical across counts.
@@ -415,149 +336,6 @@ func BenchmarkTopK(b *testing.B) {
 			ix.SearchVector(qv, 8)
 		}
 	})
-}
-
-// --- Compiled execution micro-benchmarks (PR 3) ---
-
-// compiledBenchModes runs a sub-benchmark per execution engine over the
-// same SQL; Query is used so the compiled and batch modes measure the
-// cached-plan serving path (parse and compile amortized away, as in the
-// k=3 loop). Statements outside the batch gate (joins, subqueries, CTEs)
-// fall back to the row path, so their "batch" numbers track "compiled".
-func compiledBenchModes(b *testing.B, db *sqldb.Database, sql string) {
-	b.Helper()
-	for _, mode := range []struct {
-		name     string
-		compiled bool
-		batch    bool
-	}{{"interpreted", false, false}, {"compiled", true, false}, {"batch", true, true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			exec := sqlexec.New(db)
-			exec.SetCompiledExec(mode.compiled)
-			exec.SetBatchExec(mode.batch)
-			if _, err := exec.Query(sql); err != nil { // warm the statement cache
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.Query(sql); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// exprBenchDB is a single table at workload width (10 columns) for
-// expression-bound scans.
-func exprBenchDB(n int) *sqldb.Database {
-	db := sqldb.NewDatabase("exprbench")
-	t := sqldb.NewTable("T",
-		sqldb.Column{Name: "A"}, sqldb.Column{Name: "B"},
-		sqldb.Column{Name: "C"}, sqldb.Column{Name: "D"},
-		sqldb.Column{Name: "E"}, sqldb.Column{Name: "F"},
-		sqldb.Column{Name: "G"}, sqldb.Column{Name: "H"},
-		sqldb.Column{Name: "AMT"}, sqldb.Column{Name: "S"})
-	for i := 0; i < n; i++ {
-		t.MustAppend(sqldb.Int(int64(i)), sqldb.Int(int64(i%97)),
-			sqldb.Float(float64(i)*0.5), sqldb.Int(int64(i%7)),
-			sqldb.Int(int64(i%11)), sqldb.Int(int64(i%13)),
-			sqldb.Int(int64(i%17)), sqldb.Int(int64(i%19)),
-			sqldb.Float(float64(i%1000)*1.25), sqldb.Str(fmt.Sprintf("name%04d", i%200)))
-	}
-	db.AddTable(t)
-	return db
-}
-
-// BenchmarkCompiledExpr measures an expression-bound scan: per-row ordinal
-// access, pre-dispatched operators and a pre-analyzed LIKE pattern versus
-// the interpreter's per-row environment allocation, name resolution and DP
-// pattern matching.
-func BenchmarkCompiledExpr(b *testing.B) {
-	db := exprBenchDB(20000)
-	sql := "SELECT A * 2 + F, CASE WHEN AMT > 50 THEN UPPER(S) ELSE S END, G % 7 + H " +
-		"FROM T WHERE F + A % 13 > 3 AND S LIKE 'name%' AND AMT >= 0"
-	compiledBenchModes(b, db, sql)
-}
-
-// BenchmarkTopNLimit measures ORDER BY with a small static LIMIT over a
-// large result: the compiled engine's bounded heap versus the full stable
-// sort.
-func BenchmarkTopNLimit(b *testing.B) {
-	db := exprBenchDB(50000)
-	sql := "SELECT A, B FROM T ORDER BY B DESC, A LIMIT 5"
-	compiledBenchModes(b, db, sql)
-}
-
-// BenchmarkPredicatePushdown measures a selective single-side WHERE over an
-// FK join: pushed below the join it shrinks the hash build/probe inputs,
-// above it the join materializes every matching pair first.
-func BenchmarkPredicatePushdown(b *testing.B) {
-	db := joinBenchDB(4000, 10)
-	sql := "SELECT COUNT(*), SUM(AMOUNT) FROM PARENTS JOIN CHILDREN ON PARENTS.ID = CHILDREN.PARENT_ID " +
-		"WHERE PARENTS.NAME = 'p0001'"
-	compiledBenchModes(b, db, sql)
-}
-
-// --- Columnar batch execution micro-benchmarks (PR 6) ---
-
-// BenchmarkBatchScanFilter measures a filtered projection scan: the batch
-// engine evaluates the predicate as typed vector kernels over columnar
-// morsels and materializes only surviving lanes, versus the row engines'
-// per-row closure dispatch.
-func BenchmarkBatchScanFilter(b *testing.B) {
-	db := exprBenchDB(50000)
-	sql := "SELECT A, B, AMT FROM T WHERE B < 24 AND AMT > 100.0"
-	compiledBenchModes(b, db, sql)
-}
-
-// BenchmarkBatchAggregate measures an ungrouped multi-aggregate over the
-// full table: the batch engine's typed column-major accumulators never box
-// a value, versus the row paths' per-row argument collection.
-func BenchmarkBatchAggregate(b *testing.B) {
-	db := exprBenchDB(50000)
-	sql := "SELECT COUNT(*), SUM(AMT), AVG(A), MIN(B), MAX(AMT) FROM T"
-	compiledBenchModes(b, db, sql)
-}
-
-// BenchmarkBatchGroupBy measures hash GROUP BY aggregation through the
-// batch pipeline (vectorized filter, sequential morsel-order grouping for
-// bit-identical float sums).
-func BenchmarkBatchGroupBy(b *testing.B) {
-	db := exprBenchDB(50000)
-	sql := "SELECT D, COUNT(*), SUM(AMT), MAX(B) FROM T WHERE A % 3 <> 0 GROUP BY D"
-	compiledBenchModes(b, db, sql)
-}
-
-// BenchmarkBatchMorselParallel runs one aggregate query at several morsel
-// worker counts. Morsels merge in deterministic order, so results are
-// identical at every count; on a single-core runner the counts should show
-// wall-clock parity (scheduler overhead is one task handoff per morsel),
-// while multi-core runners see the filter phase scale.
-func BenchmarkBatchMorselParallel(b *testing.B) {
-	db := exprBenchDB(100000)
-	sql := "SELECT COUNT(*), SUM(AMT), AVG(A) FROM T WHERE B < 48 AND F % 5 <> 2"
-	counts := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		counts = append(counts, n)
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			exec := sqlexec.New(db)
-			exec.SetMorselWorkers(workers)
-			if _, err := exec.Query(sql); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.Query(sql); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkPipelineSingleGeneration(b *testing.B) {

@@ -3,7 +3,8 @@
 # the concurrent packages, a live-daemon /metrics scrape checked against the
 # required-family manifest, a 1-iteration benchmark sweep so every benchmark
 # (and the EX metrics it reports) stays runnable, a race-covered overload
-# smoke, and a bounded kstore crash-fuzz run.
+# smoke, a bounded kstore crash-fuzz run, and a short run of the repo
+# benchmark's exhibits workload for its output checks.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -66,9 +67,10 @@ go run ./cmd/kbctl -db sports_holdings -demo-mine > /dev/null
 echo "== benchmark smoke (1 iteration each) =="
 go test -bench=. -benchtime=1x -run '^$' .
 go test -bench=. -benchtime=1x -run '^$' ./internal/bench
+go test -bench=. -benchtime=1x -run '^$' ./internal/sqlexec
 
-echo "== parallel serving benchmarks under -race (cache hit path, coalescing, shard contention, morsel scheduler) =="
-go test -race -bench 'GenerationCache|GenerationCoalescing|StatementCacheParallel|ParallelEval|BatchMorselParallel' -benchtime=1x -run '^$' .
+echo "== parallel serving benchmarks under -race (cache hit path, coalescing, shard contention) =="
+go test -race -bench 'GenerationCache|GenerationCoalescing|StatementCacheParallel|ParallelEval' -benchtime=1x -run '^$' .
 
 echo "== closed-loop load smoke (benchrunner -parallel) =="
 go run ./cmd/benchrunner -parallel 4 -requests 200 > /dev/null
@@ -112,5 +114,18 @@ KSTORE_FUZZ_ITERS=1000 go test -count=1 -run 'TestCrashFuzz|TestFaultSweepExhaus
 # rewrite.
 echo "== EX parity gate (all tables vs committed BENCH_6.json baseline) =="
 go run ./cmd/benchrunner -json /tmp/bench_parity.json -baseline BENCH_6.json > /dev/null
+
+# The repo benchmark checks its own output on every operation: served SQL
+# equals the pinned SQL, cached == uncached, and the exhibits workload's EX
+# rows equal benchmark/golden_ex.json. A short run keeps those checks in CI;
+# a -workload run exits 0 either way and reports the verdict as "correct"
+# in its last line.
+echo "== benchmark output checks (exhibits workload: per-op pinned SQL, golden EX) =="
+bench_out=$(bash benchmark/run.sh -workload exhibits -seconds 2)
+if ! echo "$bench_out" | tail -n 1 | grep -q '"correct":true'; then
+    echo "benchmark output checks: the exhibits run did not report correct=true" >&2
+    echo "$bench_out" >&2
+    exit 1
+fi
 
 echo "CI pass complete."

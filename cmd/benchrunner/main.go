@@ -69,7 +69,6 @@ import (
 	"genedit/internal/eval"
 	"genedit/internal/feedback"
 	"genedit/internal/metrics"
-	"genedit/internal/sqlexec"
 	"genedit/internal/task"
 	"genedit/internal/workload"
 )
@@ -103,14 +102,6 @@ type jsonRow struct {
 	All         float64 `json:"ex_all"`
 }
 
-// execConfig records the SQL execution-engine configuration a run used, so
-// committed baselines say which engine produced them.
-type execConfig struct {
-	BatchExec     bool `json:"batch_exec"`
-	MorselSize    int  `json:"morsel_size"`
-	MorselWorkers int  `json:"morsel_workers"`
-}
-
 // allocStat is a -benchmem-style allocation summary for one exhibit:
 // heap allocation count and megabytes allocated while regenerating it
 // (runtime.MemStats deltas, so background allocation is included — treat
@@ -127,7 +118,6 @@ type allocStat struct {
 type benchRecord struct {
 	Seed        uint64               `json:"seed"`
 	ModelSeed   uint64               `json:"model_seed"`
-	Exec        execConfig           `json:"exec"`
 	DurationsMS map[string]float64   `json:"durations_ms"`
 	AllocStats  map[string]allocStat `json:"alloc_stats"`
 	Tables      map[string][]jsonRow `json:"tables"`
@@ -158,7 +148,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "closed-loop load mode: N concurrent workers issuing Generate requests (skips table regeneration)")
 	requests := flag.Int("requests", 2000, "total requests to issue in -parallel load mode")
 	genCache := flag.Int("gencache", 4096, "generation-cache size in -parallel load mode (0 = disabled)")
-	noBatch := flag.Bool("nobatch", false, "serve -parallel load mode through the compiled row engine instead of the columnar batch engine")
 	adversarial := flag.Bool("adversarial", false, "load mode: replace the round-robin eval mix with the adversarial overload mix (hot-key skew + cache-busting uniques)")
 	hotFrac := flag.Float64("hotfrac", 0.4, "adversarial mix: fraction of requests hammering the hot key set")
 	uniqueFrac := flag.Float64("uniquefrac", 0.2, "adversarial mix: fraction of cache-busting unique requests")
@@ -213,7 +202,6 @@ func main() {
 			workers:       *parallel,
 			totalRequests: *requests,
 			genCacheSize:  *genCache,
-			batchExec:     !*noBatch,
 			adversarial:   *adversarial,
 			hotFrac:       *hotFrac,
 			uniqueFrac:    *uniqueFrac,
@@ -240,16 +228,8 @@ func main() {
 	}
 
 	record := benchRecord{
-		Seed:      *seed,
-		ModelSeed: *modelSeed,
-		// Exhibits regenerate through engines at production defaults: batch
-		// execution on, morsels at the default size, fan-out bounded by
-		// GOMAXPROCS.
-		Exec: execConfig{
-			BatchExec:     true,
-			MorselSize:    sqlexec.DefaultMorselSize,
-			MorselWorkers: runtime.GOMAXPROCS(0),
-		},
+		Seed:        *seed,
+		ModelSeed:   *modelSeed,
 		DurationsMS: make(map[string]float64),
 		AllocStats:  make(map[string]allocStat),
 		Tables:      make(map[string][]jsonRow),
@@ -402,7 +382,6 @@ type loadConfig struct {
 	workers       int
 	totalRequests int
 	genCacheSize  int
-	batchExec     bool
 	adversarial   bool
 	hotFrac       float64
 	uniqueFrac    float64
@@ -454,8 +433,7 @@ func runParallelLoad(seed, modelSeed uint64, cfg loadConfig) error {
 	// A private registry rather than the process default: the dump at the
 	// end of the run then contains exactly this run's counters.
 	reg := metrics.NewRegistry()
-	opts := []genedit.Option{genedit.WithModelSeed(modelSeed), genedit.WithBatchExec(cfg.batchExec),
-		genedit.WithMetrics(reg)}
+	opts := []genedit.Option{genedit.WithModelSeed(modelSeed), genedit.WithMetrics(reg)}
 	if cfg.annOff {
 		opts = append(opts, genedit.WithANNRetrieval(genedit.ANNRetrieval{Disable: true}))
 	}
@@ -575,17 +553,13 @@ func runParallelLoad(seed, modelSeed uint64, cfg loadConfig) error {
 		i := int(p * float64(len(all)-1))
 		return all[i]
 	}
-	engine := "columnar batch (morsel size " + fmt.Sprint(sqlexec.DefaultMorselSize) + ")"
-	if !cfg.batchExec {
-		engine = "compiled row"
-	}
 	mixName := fmt.Sprintf("%d cases round-robin", len(suite.Cases))
 	if mix != nil {
 		mixName = fmt.Sprintf("adversarial (%.0f%% hot on %s, %.0f%% cache-busting)",
 			100*cfg.hotFrac, mix.HotDatabase(), 100*cfg.uniqueFrac)
 	}
-	fmt.Printf("\nclosed-loop load: %d workers, %d requests, mix %s, %s sql engine\n",
-		cfg.workers, cfg.totalRequests, mixName, engine)
+	fmt.Printf("\nclosed-loop load: %d workers, %d requests, mix %s\n",
+		cfg.workers, cfg.totalRequests, mixName)
 	fmt.Printf("  wall clock   %s\n", elapsed.Round(time.Millisecond))
 	fmt.Printf("  throughput   %.1f gen/sec (completed requests)\n", float64(len(all))/elapsed.Seconds())
 	fmt.Printf("  latency      p50 %s   p95 %s   p99 %s   max %s\n",

@@ -30,8 +30,7 @@
 // mid-pipeline; GenerateBatch fans many requests out over a bounded worker
 // pool. Construction is configured with functional options (WithConfig,
 // WithModelSeed, WithWorkers, WithStatementCacheSize, WithTrace,
-// WithStorePath). The positional constructors NewEngine and NewSolver
-// remain as deprecated wrappers for one release.
+// WithStorePath).
 //
 // WithStorePath makes the knowledge sets durable: each database is backed
 // by a crash-safe WAL + snapshot store (internal/kstore), approved SME
@@ -45,13 +44,10 @@
 package genedit
 
 import (
-	"fmt"
-
 	"genedit/internal/eval"
 	"genedit/internal/feedback"
 	"genedit/internal/knowledge"
 	"genedit/internal/pipeline"
-	"genedit/internal/simllm"
 	"genedit/internal/sqlexec"
 	"genedit/internal/task"
 	"genedit/internal/workload"
@@ -96,35 +92,3 @@ func DefaultConfig() Config { return pipeline.DefaultConfig() }
 // NewBenchmark generates the synthetic benchmark with the given seed:
 // 93 simple / 28 moderate / 11 challenging cases over eight databases.
 func NewBenchmark(seed uint64) *Benchmark { return workload.NewSuite(seed) }
-
-// NewEngine runs the pre-processing phase for one benchmark database
-// (knowledge-set construction from query logs and documents) and returns
-// the generation pipeline over it. modelSeed seeds the simulated model's
-// deterministic draws.
-//
-// Deprecated: build a Service instead — NewService(b,
-// WithModelSeed(modelSeed), WithConfig(cfg)) caches one shared engine per
-// database (Service.Engine) and coalesces duplicate concurrent builds,
-// where every NewEngine call redoes the knowledge-set and index build.
-func NewEngine(b *Benchmark, db string, cfg Config, modelSeed uint64) (*Engine, error) {
-	database, ok := b.Databases[db]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDatabase, db)
-	}
-	kset, err := b.BuildKnowledge(db)
-	if err != nil {
-		return nil, err
-	}
-	model := simllm.New(simllm.GenEditProfile(), b.Registry, modelSeed)
-	return pipeline.New(model, kset, database, cfg), nil
-}
-
-// NewSolver builds the continuous-improvement workflow around an engine.
-// The golden cases form the regression suite gating merges.
-//
-// Deprecated: use Service.Solver, which reuses the service's shared engine
-// instead of requiring the caller to have built one positionally.
-func NewSolver(b *Benchmark, engine *Engine, modelSeed uint64, golden []*Case) *Solver {
-	model := simllm.New(simllm.GenEditProfile(), b.Registry, modelSeed)
-	return feedback.NewSolver(engine, feedback.NewRecommender(model), golden)
-}

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"genedit/internal/generr"
-	"genedit/internal/parallel"
 	"genedit/internal/sqldb"
 	"genedit/internal/sqlexec"
 	"genedit/internal/task"
@@ -194,12 +193,42 @@ func (r *Runner) PrewarmGold(cases []*task.Case) {
 // run to completion, and ForEach returns only after all dispatched work has
 // finished. Callers detect an early stop via ctx.Err().
 //
-// The implementation lives in internal/parallel so the SQL executor — which
-// this package imports — can drive morsel scheduling over the same pool
-// discipline without an import cycle; ForEach is kept here as the public
-// face the evaluation-side callers already use.
+// With workers <= 1 the loop runs strictly sequentially on the calling
+// goroutine.
 func ForEach(ctx context.Context, workers, n int, fn func(i int)) {
-	parallel.ForEach(ctx, workers, n, fn)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if ctx.Err() != nil {
+				return
+			}
+			fn(i)
+		}
+		return
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+feed:
+	for i := 0; i < n; i++ {
+		select {
+		case idx <- i:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(idx)
+	wg.Wait()
 }
 
 // forEachCase applies fn to every case, fanning out across the worker pool.

@@ -40,11 +40,6 @@ type Config struct {
 	// 0 means sqlexec.DefaultStatementCacheSize. Serving deployments with
 	// a larger hot set raise it through genedit.WithStatementCacheSize.
 	StatementCacheSize int
-	// DisableBatchExec turns off the executor's columnar batch engine, so
-	// every statement runs through the compiled row path. The batch engine
-	// is bit-identical by contract; the switch exists for debugging and for
-	// apples-to-apples performance comparisons (genedit.WithBatchExec).
-	DisableBatchExec bool
 	// ClauseEditCorrection switches the self-correction operator (8-9) from
 	// full regeneration to clause-level editing: the failing SQL is
 	// decomposed into fragments and the model proposes targeted clause
@@ -64,8 +59,8 @@ type Config struct {
 	InstructionFanout int
 	// DisableANNRetrieval forces every retrieval through the plain full
 	// scan. The ANN layer is exact by construction (top-k order-identical
-	// to the brute scan — see internal/embed), so like DisableBatchExec
-	// this switch exists for debugging and apples-to-apples comparisons.
+	// to the brute scan — see internal/embed), so this switch exists for
+	// debugging and apples-to-apples comparisons.
 	DisableANNRetrieval bool
 	// ANNMinSize / ANNProbes tune the retrieval index's partitioning
 	// threshold and unconditional probe count; 0 means the embed defaults.
@@ -192,9 +187,6 @@ func New(model llm.Model, kset *knowledge.Set, db *sqldb.Database, cfg Config) *
 	exec := sqlexec.New(db)
 	if cfg.StatementCacheSize > 0 {
 		exec.SetStatementCacheSize(cfg.StatementCacheSize)
-	}
-	if cfg.DisableBatchExec {
-		exec.SetBatchExec(false)
 	}
 	e := &Engine{
 		model: model,

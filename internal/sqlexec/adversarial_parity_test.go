@@ -1,24 +1,20 @@
-package sqlexec_test
+package sqlexec
 
 import (
 	"fmt"
 	"testing"
 
 	"genedit/internal/sqldb"
-	"genedit/internal/sqlexec"
 )
 
-// Adversarial three-engine parity for the batch executor: hand-built tables
-// and statements aimed at the seams the randomized suite only grazes —
-// empty tables (zero morsels), all-NULL and mixed-kind columns, selections
-// clustered at morsel boundaries, and error selection across morsels and
-// phases. Everything goes through assertExecParity, so the interpreter
-// remains the single source of truth.
+// Adversarial interpreter-vs-compiled parity: hand-built tables and
+// statements aimed at the seams the randomized suite only grazes — empty
+// tables, all-NULL and mixed-kind columns, sparse selections, and error
+// selection across rows and clauses. Everything goes through runBothExec,
+// so the interpreter remains the single source of truth.
 
-// batchParityDB builds a database whose table shapes are aligned against
-// parityMorselSize (7): 40 rows span 6 morsels with a ragged tail.
-func batchParityDB() *sqldb.Database {
-	db := sqldb.NewDatabase("batchparity")
+func adversarialParityDB() *sqldb.Database {
+	db := sqldb.NewDatabase("adversarial")
 
 	empty := sqldb.NewTable("EMPTY",
 		sqldb.Column{Name: "A", Type: "INTEGER"}, sqldb.Column{Name: "B", Type: "TEXT"})
@@ -57,7 +53,7 @@ func batchParityDB() *sqldb.Database {
 			mv = sqldb.Null()
 		}
 		// EARLY errors (non-numeric under arithmetic) at row 1 only; LATE
-		// errors at row 20 only — morsel 0 vs morsel 2 at size 7.
+		// errors at row 20 only.
 		ev := sqldb.Value(sqldb.Str("1"))
 		if i == 1 {
 			ev = sqldb.Str("boom")
@@ -84,10 +80,10 @@ func batchParityDB() *sqldb.Database {
 	return db
 }
 
-func TestBatchAdversarialParity(t *testing.T) {
-	db := batchParityDB()
+func TestAdversarialParity(t *testing.T) {
+	db := adversarialParityDB()
 	stmts := []string{
-		// Empty table: zero morsels, scans and aggregates.
+		// Empty table: scans and aggregates.
 		"SELECT A, B FROM EMPTY",
 		"SELECT A + 1 FROM EMPTY WHERE A > 0",
 		"SELECT COUNT(*), COUNT(A), SUM(A), MIN(B), TOTAL(A) FROM EMPTY",
@@ -102,14 +98,14 @@ func TestBatchAdversarialParity(t *testing.T) {
 		"SELECT COUNT(N), SUM(N), MIN(N), MAX(N), AVG(N), TOTAL(N) FROM T",
 		"SELECT N, COUNT(*) FROM T GROUP BY N",
 
-		// Selections clustered at morsel boundaries (size 7): first lane,
-		// last lane, and the ragged final morsel (rows 35..39).
+		// Sparse selections: every seventh row from either end, the last few
+		// rows, the first row only.
 		"SELECT I, F FROM T WHERE I % 7 = 0",
 		"SELECT I, F FROM T WHERE I % 7 = 6",
 		"SELECT I FROM T WHERE I >= 35",
 		"SELECT I FROM T WHERE I < 1",
 
-		// Kernel coverage over typed, mixed and NULL-holed columns.
+		// Operator coverage over typed, mixed and NULL-holed columns.
 		"SELECT I + 2, I - 2, I * 3, I / 2, I % 3, -I FROM T",
 		"SELECT F + 0.5, F * 2.0, F / 0.0, F % 0.0, -F FROM T",
 		"SELECT I / 0, I % 0 FROM T",
@@ -130,7 +126,7 @@ func TestBatchAdversarialParity(t *testing.T) {
 		"SELECT COUNT(B), MIN(B), MAX(B) FROM BOOLS",
 
 		// Error selection: WHERE errors beat projection errors regardless of
-		// morsel position (LATE poisons row 20, EARLY poisons row 1).
+		// row position (LATE poisons row 20, EARLY poisons row 1).
 		"SELECT EARLY + 1 FROM T WHERE LATE + 1 > 0",
 		"SELECT LATE + 1 FROM T WHERE EARLY + 1 > 0",
 		"SELECT EARLY + 1, LATE + 1 FROM T",
@@ -138,9 +134,9 @@ func TestBatchAdversarialParity(t *testing.T) {
 		"SELECT I FROM T ORDER BY LATE + 1, EARLY + 1",
 		"SELECT I, EARLY + 1 FROM T WHERE I % 7 = 1 ORDER BY LATE + 1",
 
-		// Aggregation: typed and generic accumulators, DISTINCT, HAVING and
-		// error-carrying aggregates (SUM over non-numeric strings errors in
-		// the finish; EARLY + 1 errors per-row inside the accumulator).
+		// Aggregation: every aggregate over every column kind, DISTINCT,
+		// HAVING and error-carrying aggregates (SUM over non-numeric strings
+		// errors in the finish; EARLY + 1 errors per-row while collecting).
 		"SELECT COUNT(*), COUNT(F), SUM(I), SUM(F), AVG(I), AVG(F), MIN(I), MAX(F), MIN(S), MAX(S), TOTAL(I), TOTAL(F) FROM T",
 		"SELECT COUNT(DISTINCT I), SUM(DISTINCT I), COUNT(DISTINCT S) FROM T",
 		"SELECT SUM(S) FROM T",
@@ -155,92 +151,43 @@ func TestBatchAdversarialParity(t *testing.T) {
 		"SELECT SUM(I) FROM T WHERE I > 100",
 		"SELECT MIN(I) FROM T WHERE I > 100",
 
-		// DISTINCT / ORDER BY / LIMIT tails over batch output.
+		// DISTINCT / ORDER BY / LIMIT tails.
 		"SELECT DISTINCT I % 4 FROM T ORDER BY 1 DESC",
 		"SELECT DISTINCT S, I FROM T ORDER BY S, I LIMIT 5 OFFSET 2",
 		"SELECT I, F FROM T ORDER BY F DESC, I LIMIT 4",
 		"SELECT I FROM T ORDER BY I LIMIT 100 OFFSET 38",
 	}
 	for _, sql := range stmts {
-		assertExecParity(t, db, sql)
+		runBothExec(t, db, sql)
 	}
 }
 
-// TestBatchPlanCacheAndStaleness checks the cached batch plan is reused and
-// recompiled — not silently wrong — when rows are appended after the first
-// execution.
-func TestBatchPlanCacheAndStaleness(t *testing.T) {
-	db := batchParityDB()
-	exec := sqlexec.New(db)
-	exec.SetMorselSize(parityMorselSize)
+// TestPlanCacheSeesAppendedRows checks a cached plan reads the table's
+// current rows — not a copy bound at compile time — when rows are appended
+// after the first execution.
+func TestPlanCacheSeesAppendedRows(t *testing.T) {
+	db := adversarialParityDB()
+	exec := New(db)
 	const sql = "SELECT COUNT(*), SUM(I) FROM T"
 
-	res1, err := exec.Query(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := exec.Query(sql) // cached batch plan
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1, _ := res1.Rows[0][0].AsInt(); n1 != 40 {
-		t.Fatalf("COUNT(*) = %d, want 40", n1)
-	}
-	if n2, _ := res2.Rows[0][0].AsInt(); n2 != 40 {
-		t.Fatalf("cached COUNT(*) = %d, want 40", n2)
+	for _, run := range []string{"first", "cached"} {
+		res, err := exec.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := res.Rows[0][0].AsInt(); n != 40 {
+			t.Fatalf("%s COUNT(*) = %d, want 40", run, n)
+		}
 	}
 
 	db.Table("T").MustAppend(sqldb.Int(100), sqldb.Float(1), sqldb.Str("new"),
 		sqldb.Null(), sqldb.Null(), sqldb.Str("1"), sqldb.Str("2"))
-	res3, err := exec.Query(sql)
+	res, err := exec.Query(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n3, _ := res3.Rows[0][0].AsInt(); n3 != 41 {
-		t.Fatalf("post-append COUNT(*) = %d, want 41 (stale snapshot reused)", n3)
+	if n, _ := res.Rows[0][0].AsInt(); n != 41 {
+		t.Fatalf("post-append COUNT(*) = %d, want 41 (stale rows reused)", n)
 	}
-	assertExecParity(t, db, "SELECT I, COUNT(*) FROM T GROUP BY I ORDER BY I")
-}
-
-// TestMorselParallelConsistency hammers one executor from the batch parity
-// suite with several morsel workers across repeated mixed queries; it exists
-// chiefly to give the race detector a dense interleaving of morsel tasks,
-// arena recycling and snapshot cache hits.
-func TestMorselParallelConsistency(t *testing.T) {
-	db := batchParityDB()
-	exec := sqlexec.New(db)
-	exec.SetMorselSize(3)
-	exec.SetMorselWorkers(8)
-	want := map[string]int{
-		"SELECT I FROM T WHERE I % 2 = 0":                22,
-		"SELECT I, F FROM T WHERE F > 10.0":              25,
-		"SELECT I, COUNT(*) FROM T GROUP BY I":           9,
-		"SELECT S, SUM(I) FROM T GROUP BY S ORDER BY S":  7,
-		"SELECT DISTINCT I % 4 FROM T":                   4,
-		"SELECT COUNT(*), SUM(F), MIN(S), AVG(I) FROM T": 1,
-	}
-	done := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		go func() {
-			for i := 0; i < 50; i++ {
-				for sql, rows := range want {
-					res, err := exec.Query(sql)
-					if err != nil {
-						done <- fmt.Errorf("%s: %v", sql, err)
-						return
-					}
-					if len(res.Rows) != rows {
-						done <- fmt.Errorf("%s: got %d rows, want %d", sql, len(res.Rows), rows)
-						return
-					}
-				}
-			}
-			done <- nil
-		}()
-	}
-	for w := 0; w < 8; w++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
+	runBothExec(t, db, "SELECT I, COUNT(*) FROM T GROUP BY I ORDER BY I")
 }

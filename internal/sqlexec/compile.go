@@ -420,13 +420,6 @@ func compileFuncCall(fc *sqlparse.FuncCall, cols []bindCol) (program, bool) {
 			argProg, _ = compileExpr(fc.Args[0], cols)
 		}
 		return func(env *rowEnv) (sqldb.Value, error) {
-			if env.aggs != nil {
-				// Batch group finish: the accumulator already folded this
-				// call over the group (including its error, if any).
-				if r, ok := env.aggs[fc]; ok {
-					return r.v, r.err
-				}
-			}
 			if env.group == nil {
 				return sqldb.Null(), execErrf("aggregate %s used outside an aggregation context", fc.Name)
 			}

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"genedit/internal/sqldb"
 	"genedit/internal/sqlparse"
@@ -18,41 +17,25 @@ import (
 // Executor runs queries against a database. Executors are safe for
 // concurrent use: the database is read-only during query evaluation, the
 // statement cache is internally synchronized, and compiled plans are
-// stateless. The configuration knobs (SetHashJoin, SetStatementCaching,
-// SetCompiledExec) are not synchronized — set them before sharing the
-// executor across goroutines. Compiled plans bind column ordinals against
-// table layouts, so schemas must not change under a live executor (rows may
-// be appended freely).
+// stateless. Compiled plans bind column ordinals against table layouts, so
+// schemas must not change under a live executor (rows may be appended
+// freely). The one setting, SetStatementCacheSize, is not synchronized —
+// size the cache before sharing the executor across goroutines.
 type Executor struct {
 	db    *sqldb.Database
 	stmts *stmtCache
-	// noHashJoin forces the nested-loop join; see SetHashJoin.
-	noHashJoin bool
-	// noCompiled forces the tree-walking interpreter; see SetCompiledExec.
+	// noCompiled and noHashJoin select the reference paths — the
+	// tree-walking interpreter and the nested-loop join — that the parity
+	// tests compare the compiled engine and the hash join against. Only
+	// export_test.go sets them.
 	noCompiled bool
-	// noBatch disables the vectorized batch engine; see SetBatchExec.
-	noBatch bool
-	// morselSize/morselWorkers configure batch execution; zero means the
-	// defaults (DefaultMorselSize, GOMAXPROCS at query time).
-	morselSize    int
-	morselWorkers int
-	// colMu guards colSnaps, the per-table columnar snapshot cache the batch
-	// engine scans (see columnarFor).
-	colMu    sync.RWMutex
-	colSnaps map[string]*colSnap
+	noHashJoin bool
 }
 
-// New returns an executor over db with statement caching, compiled
-// execution and the hash-join fast path enabled.
+// New returns an executor over db.
 func New(db *sqldb.Database) *Executor {
 	return &Executor{db: db, stmts: newStmtCache(DefaultStatementCacheSize)}
 }
-
-// SetCompiledExec enables or disables compiled execution (on by default).
-// Disabling selects the tree-walking interpreter, the reference path the
-// compiled engine is property-tested against (identical rows, columns and
-// error text).
-func (e *Executor) SetCompiledExec(enabled bool) { e.noCompiled = !enabled }
 
 // Result is a materialized query result.
 type Result struct {
@@ -71,65 +54,27 @@ func execErrf(format string, args ...any) error {
 	return &ExecError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// Query parses and executes sql. Parsed statements and their compiled plans
-// are cached (LRU, keyed by the raw SQL text), so the regeneration loop,
-// gold evaluation and regression suite re-execute repeated SQL without
-// re-lexing, re-parsing or re-compiling it.
+// Query parses and executes sql. Compiled plans are cached (LRU, keyed by
+// the raw SQL text), so the regeneration loop, gold evaluation and
+// regression suite re-execute repeated SQL without re-lexing, re-parsing or
+// re-compiling it.
 func (e *Executor) Query(sql string) (*Result, error) {
+	var plan *stmtPlan
 	if e.stmts != nil {
-		if cs, ok := e.stmts.get(sql); ok {
-			if e.noCompiled {
-				return e.evalStmt(cs.stmt, &scope{}, nil)
-			}
-			if cs.plan == nil {
-				cs.plan = compileStmt(e.db, cs.stmt)
-				e.stmts.setPlan(sql, cs.plan)
-			}
-			if !e.noBatch {
-				if bp := e.batchFor(sql, cs, cs.plan); bp != nil {
-					return e.runBatch(bp)
-				}
-			}
-			return e.runStmt(cs.plan, &scope{})
-		}
+		plan, _ = e.stmts.get(sql)
 	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
+	if plan == nil {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			return nil, err
+		}
+		plan = compileStmt(e.db, stmt)
+		if e.stmts != nil {
+			e.stmts.put(sql, plan)
+		}
 	}
 	if e.noCompiled {
-		if e.stmts != nil {
-			e.stmts.put(sql, stmt, nil)
-		}
-		return e.evalStmt(stmt, &scope{}, nil)
-	}
-	plan := compileStmt(e.db, stmt)
-	if e.stmts != nil {
-		e.stmts.put(sql, stmt, plan)
-	}
-	if !e.noBatch {
-		bp := compileBatch(e, plan)
-		if e.stmts != nil {
-			e.stmts.setBatch(sql, bp)
-		}
-		if bp != nil {
-			return e.runBatch(bp)
-		}
-	}
-	return e.runStmt(plan, &scope{})
-}
-
-// Exec executes a parsed statement. With compiled execution enabled the
-// statement is compiled on each call; use Query to hit the plan cache.
-func (e *Executor) Exec(stmt *sqlparse.SelectStmt) (*Result, error) {
-	if e.noCompiled {
-		return e.evalStmt(stmt, &scope{}, nil)
-	}
-	plan := compileStmt(e.db, stmt)
-	if !e.noBatch {
-		if bp := compileBatch(e, plan); bp != nil {
-			return e.runBatch(bp)
-		}
+		return e.evalStmt(plan.stmt, &scope{}, nil)
 	}
 	return e.runStmt(plan, &scope{})
 }
@@ -180,10 +125,6 @@ type rowEnv struct {
 	outer   *rowEnv     // enclosing query's row for correlated subqueries
 	windows map[*sqlparse.FuncCall][]sqldb.Value
 	idx     int // this row's index into window value slices
-	// aggs holds pre-accumulated aggregate results for the batch engine's
-	// group-finish phase: when set, compiled aggregate closures return the
-	// stored result (value or error) instead of re-scanning env.group.
-	aggs map[*sqlparse.FuncCall]aggRes
 }
 
 func (e *Executor) evalStmt(stmt *sqlparse.SelectStmt, sc *scope, outer *rowEnv) (*Result, error) {

@@ -374,7 +374,7 @@ func evalAggregate(fc *sqlparse.FuncCall, env *rowEnv, group []sqldb.Row) (sqldb
 func collectAggregateArgs(group []sqldb.Row, distinct bool,
 	eval func(sqldb.Row) (sqldb.Value, error)) ([]sqldb.Value, error) {
 
-	var vals []sqldb.Value
+	vals := make([]sqldb.Value, 0, len(group))
 	var seen map[string]bool
 	if distinct {
 		seen = make(map[string]bool)

@@ -385,8 +385,3 @@ func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []b
 	}
 	return out, true, nil
 }
-
-// SetHashJoin enables or disables the hash-join fast path (on by default).
-// Disabling forces the nested loop; parity tests and the join benchmarks use
-// it as the reference baseline.
-func (e *Executor) SetHashJoin(enabled bool) { e.noHashJoin = !enabled }

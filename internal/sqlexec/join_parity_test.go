@@ -203,7 +203,7 @@ func TestStatementCacheHitsAndParity(t *testing.T) {
 
 func TestStatementCacheLRUEviction(t *testing.T) {
 	c := newStmtCache(2)
-	put := func(sql string) { c.put(sql, nil, nil) }
+	put := func(sql string) { c.put(sql, nil) }
 	put("a")
 	put("b")
 	if _, ok := c.get("a"); !ok { // touch a: b becomes LRU

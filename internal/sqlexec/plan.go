@@ -682,8 +682,7 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 
 // finishCore applies a core's post-projection stages — DISTINCT, ORDER BY
 // (top-N when the limit folded), LIMIT/OFFSET, slab compaction — to the
-// projected rows. It is shared by runCore and the batch executor, which
-// produce outs differently but finish identically.
+// projected rows.
 func finishCore(cp *corePlan, outs []projRow, projected int) (*Result, error) {
 	if cp.distinct {
 		seen := make(map[string]bool, len(outs))

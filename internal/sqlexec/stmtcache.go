@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"genedit/internal/sqlparse"
 )
 
 // DefaultStatementCacheSize bounds the per-executor parsed-statement cache.
@@ -28,12 +26,12 @@ const (
 	minStmtShardCap    = 32
 )
 
-// stmtCache is a concurrency-safe sharded LRU of parsed statements and their
-// compiled plans, keyed by the raw SQL text. Cached ASTs and plans are
-// shared across executions; evaluation never mutates a parsed statement and
-// compiled programs are stateless closures, so reuse is safe (including
-// from concurrent eval workers). Hot-path operations (get/put/setPlan) take
-// only the owning shard's lock; a global atomic clock stamps each use so
+// stmtCache is a concurrency-safe sharded LRU of compiled plans (each
+// carrying its parsed statement), keyed by the raw SQL text. Cached plans
+// are shared across executions; evaluation never mutates a parsed statement
+// and compiled programs are stateless closures, so reuse is safe (including
+// from concurrent eval workers). Hot-path operations (get/put) take only
+// the owning shard's lock; a global atomic clock stamps each use so
 // resizing can preserve the most recently used entries across a shard-count
 // change.
 type stmtCache struct {
@@ -57,27 +55,9 @@ type stmtShard struct {
 }
 
 type stmtEntry struct {
-	sql  string
-	stmt *sqlparse.SelectStmt
-	plan *stmtPlan // nil until first compiled execution
-	// batch is the lazily-built vectorized plan riding alongside the row
-	// plan; batchTried distinguishes "not yet attempted" (false, nil) from
-	// "attempted, unsupported" (true, nil) so the support gate runs once per
-	// statement. A non-nil batch can still be recompiled when its bound
-	// snapshot goes stale — see Executor.batchFor.
-	batch      *batchPlan
-	batchTried bool
-	lastUse    uint64 // global clock stamp of the most recent get/put
-}
-
-// cachedStmt is the lock-free view of one cache entry get returns: the
-// fields are copied out under the shard lock, so callers never touch the
-// live entry.
-type cachedStmt struct {
-	stmt       *sqlparse.SelectStmt
-	plan       *stmtPlan
-	batch      *batchPlan
-	batchTried bool
+	sql     string
+	plan    *stmtPlan
+	lastUse uint64 // global clock stamp of the most recent get/put
 }
 
 // stmtShardCount picks how many stripes a capacity supports: one per
@@ -138,35 +118,34 @@ func (c *stmtCache) shardFor(sql string) *stmtShard {
 	return &c.shards[h%uint64(len(c.shards))]
 }
 
-func (c *stmtCache) get(sql string) (cachedStmt, bool) {
+func (c *stmtCache) get(sql string) (*stmtPlan, bool) {
 	sh := c.shardFor(sql)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	el, ok := sh.items[sql]
 	if !ok {
 		sh.misses++
-		return cachedStmt{}, false
+		return nil, false
 	}
 	sh.hits++
 	sh.order.MoveToFront(el)
 	ent := el.Value.(*stmtEntry)
 	ent.lastUse = c.clock.Add(1)
-	return cachedStmt{stmt: ent.stmt, plan: ent.plan, batch: ent.batch, batchTried: ent.batchTried}, true
+	return ent.plan, true
 }
 
-func (c *stmtCache) put(sql string, stmt *sqlparse.SelectStmt, plan *stmtPlan) {
+func (c *stmtCache) put(sql string, plan *stmtPlan) {
 	sh := c.shardFor(sql)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if el, ok := sh.items[sql]; ok {
 		ent := el.Value.(*stmtEntry)
-		ent.stmt = stmt
 		ent.plan = plan
 		ent.lastUse = c.clock.Add(1)
 		sh.order.MoveToFront(el)
 		return
 	}
-	ent := &stmtEntry{sql: sql, stmt: stmt, plan: plan, lastUse: c.clock.Add(1)}
+	ent := &stmtEntry{sql: sql, plan: plan, lastUse: c.clock.Add(1)}
 	sh.items[sql] = sh.order.PushFront(ent)
 	sh.evictOverCap()
 }
@@ -178,32 +157,6 @@ func (sh *stmtShard) evictOverCap() {
 		oldest := sh.order.Back()
 		sh.order.Remove(oldest)
 		delete(sh.items, oldest.Value.(*stmtEntry).sql)
-	}
-}
-
-// setPlan attaches a compiled plan to an existing entry (a cache populated
-// before compiled execution was enabled, or by a concurrent miss). It does
-// not count as a use, and is a no-op if the entry has been evicted.
-func (c *stmtCache) setPlan(sql string, plan *stmtPlan) {
-	sh := c.shardFor(sql)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[sql]; ok {
-		el.Value.(*stmtEntry).plan = plan
-	}
-}
-
-// setBatch records a batch-compilation outcome — a plan, or nil for
-// "unsupported" — marking the attempt either way. Not a use; a no-op if the
-// entry has been evicted.
-func (c *stmtCache) setBatch(sql string, batch *batchPlan) {
-	sh := c.shardFor(sql)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[sql]; ok {
-		ent := el.Value.(*stmtEntry)
-		ent.batch = batch
-		ent.batchTried = true
 	}
 }
 
@@ -241,9 +194,8 @@ func (c *stmtCache) entries() int {
 // that is exactly the global MRU set. Across multiple new shards the kept
 // set is per-shard MRU — a hash-skewed working set may retain a slightly
 // colder entry in an underfull shard over a hotter one in a full shard.
-// Hit/miss counters are preserved. Like the executor's other configuration
-// knobs it is not synchronized against concurrent Query calls — size the
-// cache before sharing the executor.
+// Hit/miss counters are preserved. It is not synchronized against
+// concurrent Query calls — size the cache before sharing the executor.
 func (c *stmtCache) setCapacity(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultStatementCacheSize
@@ -278,25 +230,12 @@ func (c *stmtCache) setCapacity(capacity int) {
 // capacity returns the current total LRU bound.
 func (c *stmtCache) capacity() int { return c.cap }
 
-// SetStatementCaching enables or disables the executor's parsed-statement
-// cache. Caching is on by default; disabling exists for benchmarks and for
-// callers that stream unbounded distinct SQL.
-func (e *Executor) SetStatementCaching(enabled bool) {
-	if enabled {
-		if e.stmts == nil {
-			e.stmts = newStmtCache(DefaultStatementCacheSize)
-		}
-		return
-	}
-	e.stmts = nil
-}
-
 // SetStatementCacheSize rebounds the parsed-statement LRU to n entries,
 // preserving the most recently used statements when shrinking. n <= 0
 // restores DefaultStatementCacheSize. Calling it on an executor whose cache
-// was disabled re-enables caching at the given size. Like the other
-// configuration knobs it is not synchronized against concurrent Query calls
-// — size the cache before sharing the executor across goroutines.
+// was disabled re-enables caching at the given size. It is not synchronized
+// against concurrent Query calls — size the cache before sharing the
+// executor across goroutines.
 func (e *Executor) SetStatementCacheSize(n int) {
 	if e.stmts == nil {
 		if n <= 0 {

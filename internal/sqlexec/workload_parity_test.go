@@ -12,72 +12,51 @@ import (
 	"genedit/internal/workload"
 )
 
-// Randomized three-engine parity over the real workload databases (seeded,
-// deterministic), in the style of join_parity_test.go: every generated
-// statement — including deliberately error-prone ones — must produce
-// identical columns, rows and error text on the interpreter, the serial
-// compiled path, and the vectorized batch path. The batch engine runs with
-// a deliberately tiny morsel size plus several workers, so morsel
-// boundaries, selection hand-off and the cross-morsel error merge are
-// exercised by every multi-row statement. The suite's gold SQL is replayed
-// the same way, so the EX tables cannot drift between engines.
+// Randomized interpreter-vs-compiled parity over the real workload
+// databases (seeded, deterministic), in the style of join_parity_test.go:
+// every generated statement — including deliberately error-prone ones —
+// must produce identical columns, rows and error text on the interpreter
+// and the compiled engine. The suite's gold SQL is replayed the same way,
+// so the EX tables cannot drift between the oracle and what serving runs.
 
 var paritySuite = workload.NewSuite(1)
-
-// parityMorselSize is intentionally tiny so even small tables span several
-// morsels in the parity suites.
-const parityMorselSize = 7
-
-// assertExecParity runs sql on all three engines and asserts full output and
-// error-text equality, with the interpreter as the reference.
-func assertExecParity(t *testing.T, db *sqldb.Database, sql string) {
-	t.Helper()
-	interp := sqlexec.New(db)
-	interp.SetCompiledExec(false)
-	compiled := sqlexec.New(db)
-	compiled.SetBatchExec(false)
-	batch := sqlexec.New(db)
-	batch.SetMorselSize(parityMorselSize)
-	batch.SetMorselWorkers(4)
-
-	ires, ierr := interp.Query(sql)
-	for _, eng := range []struct {
-		name string
-		exec *sqlexec.Executor
-	}{{"compiled", compiled}, {"batch", batch}} {
-		res, err := eng.exec.Query(sql)
-		if (err == nil) != (ierr == nil) {
-			t.Fatalf("error parity broken for %q:\n  %s: %v\n  interpreted: %v", sql, eng.name, err, ierr)
-		}
-		if err != nil {
-			if err.Error() != ierr.Error() {
-				t.Fatalf("error text drift for %q:\n  %s: %q\n  interpreted: %q", sql, eng.name, err, ierr)
-			}
-			continue
-		}
-		if fmt.Sprint(res.Columns) != fmt.Sprint(ires.Columns) {
-			t.Fatalf("column drift for %q: %s %v, interpreted %v", sql, eng.name, res.Columns, ires.Columns)
-		}
-		if len(res.Rows) != len(ires.Rows) {
-			t.Fatalf("row count drift for %q: %s %d, interpreted %d", sql, eng.name, len(res.Rows), len(ires.Rows))
-		}
-		for i := range res.Rows {
-			for j := range res.Rows[i] {
-				cv, iv := res.Rows[i][j], ires.Rows[i][j]
-				if cv.IsNull() != iv.IsNull() || (!cv.IsNull() && !cv.Equal(iv)) {
-					t.Fatalf("row %d col %d drift for %q: %s %v, interpreted %v",
-						i, j, sql, eng.name, cv.String(), iv.String())
-				}
-			}
-		}
-	}
-}
 
 // TestWorkloadGoldParity replays every gold statement of the eval suite on
 // both engines.
 func TestWorkloadGoldParity(t *testing.T) {
 	for _, c := range paritySuite.Cases {
-		assertExecParity(t, paritySuite.Databases[c.DB], c.GoldSQL)
+		sqlexec.RunBothExec(t, paritySuite.Databases[c.DB], c.GoldSQL)
+	}
+}
+
+// TestWorkloadStatementsCompile pins that serving never silently runs a
+// whole statement on the interpreter: every gold statement and every
+// knowledge-set source query of the suite compiles without the
+// statement-level fallback.
+func TestWorkloadStatementsCompile(t *testing.T) {
+	check := func(db, sql string) {
+		t.Helper()
+		fallback, err := sqlexec.StatementFallsBack(paritySuite.Databases[db], sql)
+		if err != nil {
+			t.Fatalf("%s: %q does not parse: %v", db, sql, err)
+		}
+		if fallback {
+			t.Errorf("%s: %q falls back to the interpreter", db, sql)
+		}
+	}
+	for _, c := range paritySuite.Cases {
+		check(c.DB, c.GoldSQL)
+	}
+	for db := range paritySuite.Databases {
+		kset, err := paritySuite.BuildKnowledge(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ex := range kset.Examples() {
+			if ex.SourceSQL != "" {
+				check(db, ex.SourceSQL)
+			}
+		}
 	}
 }
 
@@ -288,7 +267,7 @@ func TestRandomizedCompiledParity(t *testing.T) {
 		db := paritySuite.Databases[name]
 		g := &sqlGen{r: rand.New(rand.NewSource(int64(len(name)) * 1009)), db: db}
 		for i := 0; i < perDB; i++ {
-			assertExecParity(t, db, g.statement())
+			sqlexec.RunBothExec(t, db, g.statement())
 		}
 	}
 }

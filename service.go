@@ -143,24 +143,6 @@ func WithStatementCacheSize(n int) Option {
 	return func(s *Service) { s.stmtCacheSize = n }
 }
 
-// WithBatchExec enables or disables the columnar batch executor in every
-// engine the service builds (enabled by default). The batch engine is
-// bit-identical to the row path by contract, so the switch never changes
-// results — it exists for debugging and for apples-to-apples performance
-// comparisons against the compiled row engine.
-//
-// Concurrency: batch plans are immutable once compiled (stateless kernels
-// over a point-in-time columnar snapshot) and are shared across concurrent
-// Generate / GenerateBatch workers exactly like compiled row plans; the
-// statement cache synchronizes plan installation internally. Each query
-// fans its morsels out over up to runtime.GOMAXPROCS workers.
-func WithBatchExec(enabled bool) Option {
-	return func(s *Service) {
-		s.batchExecSet = true
-		s.batchExec = enabled
-	}
-}
-
 // ANNRetrieval tunes the partitioned retrieval index every engine builds
 // over its knowledge set (see internal/embed): a deterministic IVF-style
 // clustering searched best-partition-first with an exactness guard, so
@@ -179,9 +161,9 @@ type ANNRetrieval struct {
 }
 
 // WithANNRetrieval overrides the ANN retrieval tuning in every engine the
-// service builds (enabled with defaults otherwise). Like WithBatchExec this
-// never changes results — the ANN layer is exact by construction — so the
-// knob exists for debugging and brute-vs-ANN comparisons.
+// service builds (enabled with defaults otherwise). This never changes
+// results — the ANN layer is exact by construction — so the knob exists for
+// debugging and brute-vs-ANN comparisons.
 func WithANNRetrieval(cfg ANNRetrieval) Option {
 	return func(s *Service) {
 		s.annSet = true
@@ -333,8 +315,6 @@ type Service struct {
 	modelSeed     uint64
 	workers       int
 	stmtCacheSize int
-	batchExecSet  bool
-	batchExec     bool
 	annSet        bool
 	ann           ANNRetrieval
 	fanoutSet     bool
@@ -494,9 +474,6 @@ func (s *Service) build(db string) (*Engine, error) {
 	cfg := s.cfg
 	if s.stmtCacheSize > 0 {
 		cfg.StatementCacheSize = s.stmtCacheSize
-	}
-	if s.batchExecSet {
-		cfg.DisableBatchExec = !s.batchExec
 	}
 	if s.annSet {
 		cfg.DisableANNRetrieval = s.ann.Disable

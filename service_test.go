@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"genedit"
+	"genedit/internal/pipeline"
+	"genedit/internal/simllm"
 )
 
 func testRequests(t *testing.T, suite *genedit.Benchmark, n int) []genedit.Request {
@@ -44,11 +46,13 @@ func TestServiceGenerate(t *testing.T) {
 		t.Fatalf("OK response carries failure %v", resp.Failure)
 	}
 
-	// The service must match the deprecated positional API verbatim.
-	engine, err := genedit.NewEngine(suite, req.Database, genedit.DefaultConfig(), 42)
+	// The service must match a directly built pipeline engine verbatim.
+	kset, err := suite.BuildKnowledge(req.Database)
 	if err != nil {
 		t.Fatal(err)
 	}
+	model := simllm.New(simllm.GenEditProfile(), suite.Registry, 42)
+	engine := pipeline.New(model, kset, suite.Databases[req.Database], pipeline.DefaultConfig())
 	rec, err := engine.Generate(req.Question, req.Evidence)
 	if err != nil {
 		t.Fatal(err)
@@ -287,47 +291,5 @@ func TestFailureTaxonomy(t *testing.T) {
 	ge = &genedit.GenerationError{Kind: "exec", Msg: "no such column"}
 	if !errors.Is(ge, genedit.ErrExecFailure) {
 		t.Error("exec failure should match ErrExecFailure")
-	}
-}
-
-// TestWithBatchExec asserts the batch-executor switch is pure performance
-// surface: the same requests served with the columnar engine on (default)
-// and off produce identical SQL, status and result tables.
-func TestWithBatchExec(t *testing.T) {
-	suite := genedit.NewBenchmark(1)
-	batch := genedit.NewService(suite, genedit.WithModelSeed(42))
-	rowOnly := genedit.NewService(suite, genedit.WithModelSeed(42), genedit.WithBatchExec(false))
-
-	for _, req := range testRequests(t, suite, 4) {
-		a, err := batch.Generate(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := rowOnly.Generate(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.SQL != b.SQL || a.OK != b.OK {
-			t.Fatalf("batch/row divergence on %q: (%q, %v) vs (%q, %v)",
-				req.Question, a.SQL, a.OK, b.SQL, b.OK)
-		}
-		ra, rb := a.Record.Result, b.Record.Result
-		if (ra == nil) != (rb == nil) {
-			t.Fatalf("result presence diverges on %q", req.Question)
-		}
-		if ra == nil {
-			continue
-		}
-		if len(ra.Rows) != len(rb.Rows) {
-			t.Fatalf("row count diverges on %q: %d vs %d", req.Question, len(ra.Rows), len(rb.Rows))
-		}
-		for i := range ra.Rows {
-			for j := range ra.Rows[i] {
-				va, vb := ra.Rows[i][j], rb.Rows[i][j]
-				if va.IsNull() != vb.IsNull() || (!va.IsNull() && !va.Equal(vb)) {
-					t.Fatalf("cell [%d][%d] diverges on %q: %v vs %v", i, j, req.Question, va, vb)
-				}
-			}
-		}
 	}
 }
