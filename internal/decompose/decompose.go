@@ -130,22 +130,19 @@ func RewriteToCTE(stmt *sqlparse.SelectStmt) (*sqlparse.SelectStmt, error) {
 }
 
 // Decompose splits a statement into fragments: per-clause sub-statements for
-// every CTE and for the final select. The input is deep-copied first.
+// every CTE and for the final select. The statement is only read: every
+// fragment is printed from it, none keeps a reference into it.
 func Decompose(stmt *sqlparse.SelectStmt) ([]Fragment, error) {
-	copied, err := sqlparse.Parse(sqlparse.Print(stmt))
-	if err != nil {
-		return nil, fmt.Errorf("decompose: re-parse failed: %w", err)
-	}
 	var frags []Fragment
-	for _, cte := range copied.With {
+	for _, cte := range stmt.With {
 		frags = append(frags, decomposeUnit(cte.Name, cte.Select)...)
 	}
 	final := &sqlparse.SelectStmt{
-		Core:     copied.Core,
-		Compound: copied.Compound,
-		OrderBy:  copied.OrderBy,
-		Limit:    copied.Limit,
-		Offset:   copied.Offset,
+		Core:     stmt.Core,
+		Compound: stmt.Compound,
+		OrderBy:  stmt.OrderBy,
+		Limit:    stmt.Limit,
+		Offset:   stmt.Offset,
 	}
 	frags = append(frags, decomposeUnit("", final)...)
 	return frags, nil

@@ -6,7 +6,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"genedit/internal/decompose"
@@ -163,7 +163,7 @@ type Engine struct {
 	// fullExs are the deduplicated full-query example candidates (the
 	// "w/o Decomposition" ablation path), with their ranking vectors
 	// precomputed so per-Generate scoring is a dot product per candidate.
-	fullExs []fullExCand
+	fullExs []*fullExCand
 	// Vectors precomputed at index-build time so per-Generate re-ranking
 	// does not re-embed unchanged knowledge items. Read-only after
 	// buildIndices (WithKnowledge rebuilds them with the indices).
@@ -239,7 +239,7 @@ func (e *Engine) buildIndices() {
 		if text == "" {
 			text = ex.SourceSQL
 		}
-		e.fullExs = append(e.fullExs, fullExCand{
+		e.fullExs = append(e.fullExs, &fullExCand{
 			id:  fmt.Sprintf("full-%03d", len(e.fullExs)+1),
 			nl:  ex.SourceQuestion,
 			sql: ex.SourceSQL,
@@ -675,70 +675,97 @@ func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.Retri
 			candidates = append(candidates, ex)
 		}
 	}
-	scored := make([]llm.RetrievedExample, 0, len(candidates))
-	for _, ex := range candidates {
-		// A fragment is relevant when its own text matches the query or
-		// when the question of the query it was decomposed from does —
-		// sub-statements of similar historical questions are the reusable
-		// unit §3.2 is built around.
-		exVec := e.exIndex.Vector(ex.ID)
-		if exVec == nil {
-			exVec = embed.Text(ex.Text())
-		}
-		score := embed.Cosine(qv, exVec)
-		if ex.SourceQuestion != "" {
-			sv, ok := e.srcQVecs[ex.SourceQuestion]
-			if !ok {
-				sv = embed.Text(ex.SourceQuestion)
+	return selectTop(candidates, e.cfg.TopExamples,
+		func(ex *knowledge.Example) string { return ex.ID },
+		func(ex *knowledge.Example) float64 {
+			// A fragment is relevant when its own text matches the query or
+			// when the question of the query it was decomposed from does —
+			// sub-statements of similar historical questions are the reusable
+			// unit §3.2 is built around.
+			exVec := e.exIndex.Vector(ex.ID)
+			if exVec == nil {
+				exVec = embed.Text(ex.Text())
 			}
-			if s := 0.92 * embed.Cosine(qv, sv); s > score {
-				score = s
+			score := embed.Cosine(qv, exVec)
+			if ex.SourceQuestion != "" {
+				sv, ok := e.srcQVecs[ex.SourceQuestion]
+				if !ok {
+					sv = embed.Text(ex.SourceQuestion)
+				}
+				if s := 0.92 * embed.Cosine(qv, sv); s > score {
+					score = s
+				}
 			}
-		}
-		scored = append(scored, llm.RetrievedExample{
-			ID: ex.ID, NL: ex.NL, Pseudo: ex.Pseudo, SQL: ex.SQL,
-			Clause: ex.Clause, Terms: ex.Terms,
-			Score: score,
+			return score
+		},
+		func(ex *knowledge.Example, score float64) llm.RetrievedExample {
+			return llm.RetrievedExample{
+				ID: ex.ID, NL: ex.NL, Pseudo: ex.Pseudo, SQL: ex.SQL,
+				Clause: ex.Clause, Terms: ex.Terms,
+				Score: score,
+			}
 		})
+}
+
+// selectTop is the ranking step the three selectors share: score every
+// candidate, keep the k best under the retrieval order (score descending,
+// then ID ascending; IDs are unique, so the order is total and the result
+// does not depend on how it is found) and build the prompt entry of those k
+// only. Candidate sets grow with the knowledge set while k stays a
+// handful, so the ranking works on (pointer, score) pairs and never sorts
+// more than k of them.
+func selectTop[C, R any](candidates []*C, k int, id func(*C) string,
+	score func(*C) float64, build func(*C, float64) R) []R {
+
+	k = min(k, len(candidates))
+	if k <= 0 {
+		return []R{}
 	}
-	sortHits := func(s []llm.RetrievedExample) {
-		sort.SliceStable(s, func(i, j int) bool {
-			if s[i].Score != s[j].Score {
-				return s[i].Score > s[j].Score
-			}
-			return s[i].ID < s[j].ID
-		})
+	type scoredCand struct {
+		c     *C
+		score float64
 	}
-	sortHits(scored)
-	if len(scored) > e.cfg.TopExamples {
-		scored = scored[:e.cfg.TopExamples]
+	before := func(a, b scoredCand) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case a.score < b.score:
+			return 1
+		}
+		return strings.Compare(id(a.c), id(b.c))
 	}
-	return scored
+	scored := make([]scoredCand, len(candidates))
+	for i, c := range candidates {
+		scored[i] = scoredCand{c: c, score: score(c)}
+	}
+	top := scored[:k]
+	slices.SortFunc(top, before)
+	for _, sc := range scored[k:] {
+		if before(sc, top[k-1]) >= 0 {
+			continue
+		}
+		// sc displaces the current kth: shift the tail down one place.
+		at, _ := slices.BinarySearchFunc(top, sc, before)
+		copy(top[at+1:], top[at:k-1])
+		top[at] = sc
+	}
+	out := make([]R, k)
+	for i, sc := range top {
+		out[i] = build(sc.c, sc.score)
+	}
+	return out
 }
 
 // selectFullExamples regroups decomposed fragments into whole-query
 // examples (the traditional representation, used by the "w/o Decomposition"
 // ablation).
 func (e *Engine) selectFullExamples(qv embed.Vector) []llm.RetrievedExample {
-	scored := make([]llm.RetrievedExample, 0, len(e.fullExs))
-	for _, fe := range e.fullExs {
-		scored = append(scored, llm.RetrievedExample{
-			ID:      fe.id,
-			NL:      fe.nl,
-			FullSQL: fe.sql,
-			Score:   embed.Cosine(qv, fe.vec),
+	return selectTop(e.fullExs, e.cfg.TopExamples,
+		func(fe *fullExCand) string { return fe.id },
+		func(fe *fullExCand) float64 { return embed.Cosine(qv, fe.vec) },
+		func(fe *fullExCand, score float64) llm.RetrievedExample {
+			return llm.RetrievedExample{ID: fe.id, NL: fe.nl, FullSQL: fe.sql, Score: score}
 		})
-	}
-	sort.SliceStable(scored, func(i, j int) bool {
-		if scored[i].Score != scored[j].Score {
-			return scored[i].Score > scored[j].Score
-		}
-		return scored[i].ID < scored[j].ID
-	})
-	if len(scored) > e.cfg.TopExamples {
-		scored = scored[:e.cfg.TopExamples]
-	}
-	return scored
 }
 
 // selectInstructions implements operator 4: candidates from intents plus
@@ -763,6 +790,9 @@ func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, example
 			candidates = append(candidates, ins)
 		}
 	}
+	if len(candidates) == 0 {
+		return nil
+	}
 	exVecs := make([]embed.Vector, len(examples))
 	for i, ex := range examples {
 		v, ok := e.exPairVecs[ex.ID]
@@ -773,38 +803,31 @@ func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, example
 	}
 	directiveBoost := e.directiveBoost()
 
-	var scored []llm.RetrievedInstruction
-	for _, ins := range candidates {
-		insVec := e.insIndex.Vector(ins.ID)
-		if insVec == nil {
-			insVec = embed.Text(ins.Text + " " + ins.SQLHint)
-		}
-		score := embed.Cosine(qv, insVec)
-		if !e.cfg.DisableContextExpansion && len(exVecs) > 0 {
-			maxEx := 0.0
-			for _, ev := range exVecs {
-				if c := embed.Cosine(ev, insVec); c > maxEx {
-					maxEx = c
-				}
+	return selectTop(candidates, e.cfg.TopInstructions,
+		func(ins *knowledge.Instruction) string { return ins.ID },
+		func(ins *knowledge.Instruction) float64 {
+			insVec := e.insIndex.Vector(ins.ID)
+			if insVec == nil {
+				insVec = embed.Text(ins.Text + " " + ins.SQLHint)
 			}
-			score += e.cfg.ExpansionWeight * maxEx
-		}
-		score += directiveBoost(ins)
-		scored = append(scored, llm.RetrievedInstruction{
-			ID: ins.ID, Text: ins.Text, SQLHint: ins.SQLHint, Terms: ins.Terms,
-			Score: score,
+			score := embed.Cosine(qv, insVec)
+			if !e.cfg.DisableContextExpansion && len(exVecs) > 0 {
+				maxEx := 0.0
+				for _, ev := range exVecs {
+					if c := embed.Cosine(ev, insVec); c > maxEx {
+						maxEx = c
+					}
+				}
+				score += e.cfg.ExpansionWeight * maxEx
+			}
+			return score + directiveBoost(ins)
+		},
+		func(ins *knowledge.Instruction, score float64) llm.RetrievedInstruction {
+			return llm.RetrievedInstruction{
+				ID: ins.ID, Text: ins.Text, SQLHint: ins.SQLHint, Terms: ins.Terms,
+				Score: score,
+			}
 		})
-	}
-	sort.SliceStable(scored, func(i, j int) bool {
-		if scored[i].Score != scored[j].Score {
-			return scored[i].Score > scored[j].Score
-		}
-		return scored[i].ID < scored[j].ID
-	})
-	if len(scored) > e.cfg.TopInstructions {
-		scored = scored[:e.cfg.TopInstructions]
-	}
-	return scored
 }
 
 // directiveBoost applies knowledge-set retrieval directives: instructions

@@ -20,11 +20,14 @@ func (m *Model) Plan(ctx *llm.Context) (llm.Plan, error) {
 	if c == nil {
 		return m.fallbackPlan(ctx), nil
 	}
-	frags, err := decompose.DecomposeSQL(c.GoldSQL)
+	frags, err := m.goldFragments(c)
 	if err != nil {
 		return llm.Plan{}, fmt.Errorf("planning: %w", err)
 	}
 	wholeAnchor, _ := m.wholeQueryAnchor(ctx, c)
+	// exVecs[i] embeds ctx.Examples[i].SQL, filled in by fragmentAnchor the
+	// first time a fragment of the example's clause kind asks for it.
+	exVecs := make([]embed.Vector, len(ctx.Examples))
 	var plan llm.Plan
 	for _, frag := range frags {
 		step := llm.PlanStep{
@@ -33,7 +36,7 @@ func (m *Model) Plan(ctx *llm.Context) (llm.Plan, error) {
 			Clause:      string(frag.Clause),
 			Distinct:    frag.Distinct,
 		}
-		if anchored, anchorSQL := m.fragmentAnchor(ctx, frag); wholeAnchor || anchored {
+		if anchored, anchorSQL := m.fragmentAnchor(ctx, exVecs, frag); wholeAnchor || anchored {
 			step.Pseudo = frag.Pseudo()
 			step.SQL = frag.SQL
 			if anchorSQL != frag.SQL {
@@ -48,18 +51,27 @@ func (m *Model) Plan(ctx *llm.Context) (llm.Plan, error) {
 // fragmentAnchor finds the most similar retrieved decomposed example of the
 // same clause kind; the step is anchored when similarity clears the
 // threshold. The anchoring example's SQL is returned so generation can model
-// insufficient adaptation.
-func (m *Model) fragmentAnchor(ctx *llm.Context, frag decompose.Fragment) (bool, string) {
+// insufficient adaptation. The fragment is embedded once and each example
+// once per plan (exVecs, parallel to ctx.Examples), not once per pair; the
+// similarity stays Cosine(example, fragment), operands in that order.
+func (m *Model) fragmentAnchor(ctx *llm.Context, exVecs []embed.Vector, frag decompose.Fragment) (bool, string) {
 	bestSim := 0.0
 	bestSQL := ""
-	for _, ex := range ctx.Examples {
+	var fragVec embed.Vector
+	for i, ex := range ctx.Examples {
 		if ex.FullSQL != "" {
 			continue
 		}
 		if ex.Clause != string(frag.Clause) {
 			continue
 		}
-		if sim := embed.Similarity(ex.SQL, frag.SQL); sim > bestSim {
+		if exVecs[i] == nil {
+			exVecs[i] = embed.Text(ex.SQL)
+		}
+		if fragVec == nil {
+			fragVec = embed.Text(frag.SQL)
+		}
+		if sim := embed.Cosine(exVecs[i], fragVec); sim > bestSim {
 			bestSim = sim
 			bestSQL = ex.SQL
 		}
@@ -157,7 +169,7 @@ func (m *Model) GenerateSQL(ctx *llm.Context, plan llm.Plan) (string, error) {
 		return m.maybeSlip(wholeAnchorSQL, c, attempt), nil
 	}
 
-	frags, err := decompose.DecomposeSQL(c.GoldSQL)
+	frags, err := m.goldFragments(c)
 	if err != nil {
 		return "", fmt.Errorf("generation: %w", err)
 	}
@@ -306,7 +318,7 @@ func (m *Model) EditClauses(ctx *llm.Context, plan llm.Plan, fragments []llm.Cla
 			}
 		}
 	}
-	goldFrags, err := decompose.DecomposeSQL(c.GoldSQL)
+	goldFrags, err := m.goldFragments(c)
 	if err != nil {
 		return nil, nil
 	}

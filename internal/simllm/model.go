@@ -2,9 +2,12 @@ package simllm
 
 import (
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
+	"genedit/internal/decompose"
 	"genedit/internal/embed"
 	"genedit/internal/llm"
 	"genedit/internal/schema"
@@ -17,6 +20,16 @@ type Model struct {
 	profile Profile
 	reg     *task.Registry
 	seed    uint64
+
+	// gold holds each registered case's decomposed gold SQL, keyed by
+	// *task.Case (values are goldDecomposition). See goldFragments.
+	gold sync.Map
+}
+
+// goldDecomposition is the outcome of decomposing one case's gold SQL.
+type goldDecomposition struct {
+	frags []decompose.Fragment
+	err   error
 }
 
 // New returns a model with the given capability profile, task registry (its
@@ -62,6 +75,23 @@ func (m *Model) lookup(question string) *task.Case {
 		return nil
 	}
 	return m.reg.Lookup(question)
+}
+
+// goldFragments returns the decomposition of a registered case's gold SQL:
+// the model's latent picture of the query, which planning, generation and
+// clause editing all start from. It depends on nothing but the case, so it
+// is computed once per case for the model's lifetime (the registry bounds
+// the entries; concurrent first callers may both decompose, one result is
+// kept). Every call returns its own slice, because GenerateSQL rewrites
+// fragments in place.
+func (m *Model) goldFragments(c *task.Case) ([]decompose.Fragment, error) {
+	v, ok := m.gold.Load(c)
+	if !ok {
+		frags, err := decompose.DecomposeSQL(c.GoldSQL)
+		v, _ = m.gold.LoadOrStore(c, goldDecomposition{frags: frags, err: err})
+	}
+	g := v.(goldDecomposition)
+	return slices.Clone(g.frags), g.err
 }
 
 // Reformulate implements inference operator 1: rewrite the query into the

@@ -1,7 +1,9 @@
 package simllm
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"genedit/internal/decompose"
@@ -354,4 +356,56 @@ func TestFeedbackOperatorsEndToEnd(t *testing.T) {
 	if !foundTermDraft {
 		t.Error("no instruction draft carries the 'our' term")
 	}
+}
+
+// TestGoldFragmentsAreNotShared pins the memo's contract: the decomposition
+// is computed once, yet no two calls share a slice — GenerateSQL rewrites
+// its fragments in place, and must not rewrite the next caller's.
+func TestGoldFragmentsAreNotShared(t *testing.T) {
+	m, suite := testModelAndSuite(t)
+	for _, c := range suite.Cases {
+		want, err := decompose.DecomposeSQL(c.GoldSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := m.goldFragments(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, want) {
+			t.Fatalf("%s: memoised fragments differ from DecomposeSQL", c.ID)
+		}
+		for i := range first {
+			first[i].SQL = "clobbered"
+			first[i].Distinct = !first[i].Distinct
+		}
+		second, err := m.goldFragments(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(second, want) {
+			t.Errorf("%s: a caller's edits reached the next caller: %+v", c.ID, second)
+		}
+	}
+}
+
+// TestGoldFragmentsConcurrentFirstUse has many goroutines ask for the same
+// cold cases at once (run under -race).
+func TestGoldFragmentsConcurrentFirstUse(t *testing.T) {
+	m, suite := testModelAndSuite(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, c := range suite.Cases {
+				frags, err := m.goldFragments(c)
+				if err != nil || len(frags) != c.Steps {
+					t.Errorf("%s: %d fragments, %v; want %d", c.ID, len(frags), err, c.Steps)
+				}
+				frags[0].SQL = "clobbered"
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -189,3 +189,32 @@ func BenchmarkGroupBy(b *testing.B) {
 	sql := "SELECT D, COUNT(*), SUM(AMT), MAX(B) FROM T WHERE A % 3 <> 0 GROUP BY D"
 	compiledBenchModes(b, db, sql)
 }
+
+// BenchmarkDateKernels measures the per-row date work of the paper's
+// quarter-bucketing queries, kernel against oracle: parseDate over the
+// stored shapes, and TO_CHAR(d, 'YYYY"Q"Q').
+func BenchmarkDateKernels(b *testing.B) {
+	dates := []string{"2024-05", "2023-11-30", "2024-02-29 08:15:00"}
+	const format = `YYYY"Q"Q`
+	var (
+		parts dateParts
+		text  string
+	)
+	for _, bench := range []struct {
+		name string
+		run  func(s string)
+	}{
+		{"parse/loose", func(s string) { parts, _ = parseDateLoose(s) }},
+		{"parse/kernel", func(s string) { parts, _ = parseDate(s) }},
+		{"to_char/fmt", func(s string) { text, _ = oracleToChar(s, format) }},
+		{"to_char/kernel", func(s string) { text, _ = toChar(s, format) }},
+	} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bench.run(dates[i%len(dates)])
+			}
+		})
+	}
+	_, _ = parts, text
+}

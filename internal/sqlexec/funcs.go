@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"genedit/internal/sqldb"
@@ -277,8 +278,63 @@ type dateParts struct {
 }
 
 // parseDate accepts "YYYY-MM-DD", "YYYY-MM-DD hh:mm:ss" and "YYYY-MM" forms,
-// the formats the synthetic datasets store dates in.
+// the formats the synthetic datasets store dates in. It runs once per row per
+// date function, so those canonical shapes are read by parseDateCanonical
+// without allocating; every other input — padding, signs, trailing junk,
+// out-of-range fields — is parseDateLoose's to accept or reject.
 func parseDate(s string) (dateParts, error) {
+	if d, ok := parseDateCanonical(s); ok {
+		return d, nil
+	}
+	return parseDateLoose(s)
+}
+
+// parseDateCanonical reads "YYYY-MM" or "YYYY-MM-DD", all ASCII digits, at
+// the start of s and followed by nothing or by a space (the time of day).
+// It accepts only strings parseDateLoose reads to the same date, and reports
+// false for anything else, including canonical shapes with a month or day
+// out of range, so the loose parser stays the one place errors are worded.
+func parseDateCanonical(s string) (dateParts, bool) {
+	if len(s) < 7 || s[4] != '-' {
+		return dateParts{}, false
+	}
+	century, ok1 := twoDigits(s[0], s[1])
+	years, ok2 := twoDigits(s[2], s[3])
+	month, ok3 := twoDigits(s[5], s[6])
+	if !ok1 || !ok2 || !ok3 || month < 1 || month > 12 {
+		return dateParts{}, false
+	}
+	d := dateParts{year: century*100 + years, month: month, day: 1}
+	rest := s[7:]
+	if len(rest) >= 3 && rest[0] == '-' {
+		day, ok := twoDigits(rest[1], rest[2])
+		if !ok || day < 1 || day > 31 {
+			return dateParts{}, false
+		}
+		d.day = day
+		rest = rest[3:]
+	}
+	if len(rest) > 0 && rest[0] != ' ' {
+		return dateParts{}, false
+	}
+	return d, true
+}
+
+func twoDigits(a, b byte) (int, bool) {
+	a -= '0'
+	b -= '0'
+	if a > 9 || b > 9 {
+		return 0, false
+	}
+	return int(a)*10 + int(b), true
+}
+
+// parseDateLoose defines which strings are dates: surrounding white space
+// and anything after the first space are dropped, the rest is two or three
+// "-"-separated fields each read as fmt's %d reads it (leading space and a
+// sign allowed, reading stops at the first non-digit), the year field is
+// exactly 4 bytes, and month and day are range-checked.
+func parseDateLoose(s string) (dateParts, error) {
 	s = strings.TrimSpace(s)
 	if i := strings.IndexByte(s, ' '); i >= 0 {
 		s = s[:i]
@@ -315,20 +371,23 @@ func toChar(dateStr, format string) (string, error) {
 		return "", err
 	}
 	var sb strings.Builder
+	// No token renders wider than it is written (a year is at most 9999),
+	// so the output fits in one allocation of len(format).
+	sb.Grow(len(format))
 	i := 0
 	for i < len(format) {
 		switch {
 		case strings.HasPrefix(format[i:], "YYYY"):
-			fmt.Fprintf(&sb, "%04d", d.year)
+			writeZeroPadded(&sb, d.year, 4)
 			i += 4
 		case strings.HasPrefix(format[i:], "MM"):
-			fmt.Fprintf(&sb, "%02d", d.month)
+			writeZeroPadded(&sb, d.month, 2)
 			i += 2
 		case strings.HasPrefix(format[i:], "DD"):
-			fmt.Fprintf(&sb, "%02d", d.day)
+			writeZeroPadded(&sb, d.day, 2)
 			i += 2
 		case format[i] == 'Q':
-			fmt.Fprintf(&sb, "%d", (d.month-1)/3+1)
+			writeZeroPadded(&sb, (d.month-1)/3+1, 1)
 			i++
 		case format[i] == '"':
 			end := strings.IndexByte(format[i+1:], '"')
@@ -343,6 +402,18 @@ func toChar(dateStr, format string) (string, error) {
 		}
 	}
 	return sb.String(), nil
+}
+
+// writeZeroPadded writes v zero-padded to width digits, as fmt's %0<width>d
+// renders a value that is not negative. No date part is: a "-" before the
+// year would have split off an empty first field.
+func writeZeroPadded(sb *strings.Builder, v, width int) {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(v), 10)
+	for n := len(digits); n < width; n++ {
+		sb.WriteByte('0')
+	}
+	sb.Write(digits)
 }
 
 // evalAggregate computes a non-windowed aggregate over a group of rows.
