@@ -1,9 +1,9 @@
 package embed
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -17,7 +17,7 @@ import (
 // any member can reach. A partition is skipped only when that bound is
 // strictly below the current kth-best score, so the scanned set is always a
 // superset of the true top-k and the returned hits — scored by the very same
-// score() the brute scan uses — are order-identical (score and ID tie-break)
+// CosineBatch the brute scan uses — are order-identical (score and ID tie-break)
 // to SearchVectorBrute. On adversarial queries the guard degrades gracefully
 // into a full sweep: an automatic brute-force fallback, never a wrong answer.
 
@@ -40,8 +40,11 @@ const (
 
 // boundEps pads every cone bound so floating-point rounding in the bound
 // arithmetic can only cause an extra scan, never a wrongly skipped
-// partition. Scores themselves come from score() and are never padded.
+// partition. Scores themselves come from CosineBatch and are never padded.
 const boundEps = 1e-9
+
+// maxStackPartitions sizes searchANN's on-stack partition ranking.
+const maxStackPartitions = 128
 
 // kmeansMaxIters bounds the Lloyd refinement so builds are fast and
 // reproducible; assignments usually stabilize in far fewer rounds.
@@ -178,7 +181,7 @@ func (ix *Index) Build() {
 	// Deterministic seeding: stride over the ID-sorted nonzero items, so the
 	// build depends only on index contents, not insertion order.
 	byID := append([]int(nil), nonzero...)
-	sort.Slice(byID, func(a, b int) bool { return ix.ids[byID[a]] < ix.ids[byID[b]] })
+	slices.SortFunc(byID, func(a, b int) int { return cmp.Compare(ix.ids[a], ix.ids[b]) })
 	centroids := make([]Vector, nlist)
 	for j := 0; j < nlist; j++ {
 		seed := byID[(j*len(byID))/nlist]
@@ -269,17 +272,6 @@ func nearestCentroid(u Vector, centroids []Vector) int {
 	return best
 }
 
-func dot(a, b Vector) float64 {
-	if len(a) != len(b) {
-		return 0
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 func dotClamped(a, b Vector) float64 {
 	d := dot(a, b)
 	if d > 1 {
@@ -357,50 +349,68 @@ func (ix *Index) searchANN(q Vector, qNorm2 float64, k int) ([]Hit, int, int, bo
 		j     int
 		bound float64
 	}
-	order := make([]ranked, 0, len(a.centroids))
-	for j, c := range a.centroids {
-		if len(a.members[j]) == 0 {
-			continue
+	// The ranking lives on the stack up to maxStackPartitions partitions
+	// (indexes of ~16k items); past that append moves it to the heap.
+	var orderBuf [maxStackPartitions]ranked
+	order := orderBuf[:0]
+	var dots [scanChunk]float64
+	for lo := 0; lo < len(a.centroids); lo += scanChunk {
+		hi := min(lo+scanChunk, len(a.centroids))
+		DotBatch(q, a.centroids[lo:hi], dots[:hi-lo])
+		for j := lo; j < hi; j++ {
+			if len(a.members[j]) == 0 {
+				continue
+			}
+			d := dots[j-lo] * invQ
+			if d > 1 {
+				d = 1
+			} else if d < -1 {
+				d = -1
+			}
+			b := 1.0
+			if d < a.cosR[j] {
+				b = d*a.cosR[j] + math.Sqrt(1-d*d)*a.sinR[j]
+			}
+			order = append(order, ranked{j: j, bound: b + boundEps})
 		}
-		d := dot(q, c) * invQ
-		if d > 1 {
-			d = 1
-		} else if d < -1 {
-			d = -1
-		}
-		b := 1.0
-		if d < a.cosR[j] {
-			b = d*a.cosR[j] + math.Sqrt(1-d*d)*a.sinR[j]
-		}
-		order = append(order, ranked{j: j, bound: b + boundEps})
 	}
-	sort.Slice(order, func(x, y int) bool {
-		if order[x].bound != order[y].bound {
-			return order[x].bound > order[y].bound
+	slices.SortFunc(order, func(x, y ranked) int {
+		if x.bound != y.bound {
+			if x.bound > y.bound {
+				return -1
+			}
+			return 1
 		}
-		return order[x].j < order[y].j
+		return cmp.Compare(x.j, y.j)
 	})
 
 	scanned := 0
-	h := make(hitHeap, 0, k+1)
-	scanItem := func(i int) {
-		scanned++
-		hit := Hit{ID: ix.ids[i], Score: ix.score(q, qNorm2, i)}
-		if len(h) < k {
-			heap.Push(&h, hit)
-			return
-		}
-		if hit.Score > h[0].Score || (hit.Score == h[0].Score && hit.ID < h[0].ID) {
-			h[0] = hit
-			heap.Fix(&h, 0)
+	top := newTopHits(k)
+	var (
+		vecs   [scanChunk]Vector
+		norms2 [scanChunk]float64
+		scores [scanChunk]float64
+	)
+	// scan scores the vectors at the given positions, a chunk at a time,
+	// through the same CosineBatch the plain scan uses.
+	scan := func(positions []int) {
+		scanned += len(positions)
+		for len(positions) > 0 {
+			n := min(scanChunk, len(positions))
+			for c, i := range positions[:n] {
+				vecs[c], norms2[c] = ix.vecs[i], ix.norms2[i]
+			}
+			CosineBatch(q, qNorm2, vecs[:n], norms2[:n], scores[:n])
+			for c, i := range positions[:n] {
+				top.offer(Hit{ID: ix.ids[i], Score: scores[c]})
+			}
+			positions = positions[n:]
 		}
 	}
 
 	// Zero vectors score 0 against every query; they are cheap permanent
 	// candidates so ties at score 0 resolve by ID exactly as in brute.
-	for _, i := range a.zeros {
-		scanItem(i)
-	}
+	scan(a.zeros)
 
 	probed := 0
 	for rank, r := range order {
@@ -408,14 +418,12 @@ func (ix *Index) searchANN(q Vector, qNorm2 float64, k int) ([]Hit, int, int, bo
 		// the sweep: everything after it is bounded at least as low. Skipping
 		// demands a STRICT bound shortfall — a partition whose bound ties the
 		// kth score could hold an equal-score member with a smaller ID.
-		if rank >= a.probes && len(h) == k && r.bound < h[0].Score {
+		if rank >= a.probes && top.full() && r.bound < top.worst().Score {
 			break
 		}
-		for _, i := range a.members[r.j] {
-			scanItem(i)
-		}
+		scan(a.members[r.j])
 		probed++
 	}
 
-	return sortHits(h), scanned, probed, probed == len(order)
+	return top.sorted(), scanned, probed, probed == len(order)
 }

@@ -6,9 +6,9 @@
 package embed
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 	"unicode"
 )
@@ -213,6 +213,77 @@ func Cosine(a, b Vector) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
+// Norm2 returns the squared L2 norm of v accumulated in index order: the
+// bits Cosine computes for either operand and Index caches per item.
+func Norm2(v Vector) float64 {
+	var n2 float64
+	for _, x := range v {
+		n2 += x * x
+	}
+	return n2
+}
+
+// DotBatch writes the dot product of q with each of vecs into out (which
+// must be at least as long as vecs); a vector whose length differs from q's
+// gets 0. Four candidates advance together, but every sum still accumulates
+// its own products in index order, so out[i] has exactly the bits of the
+// one-vector loop — interleaving only lets the four dependent add chains
+// overlap in the pipeline instead of running back to back.
+func DotBatch(q Vector, vecs []Vector, out []float64) {
+	out = out[:len(vecs)]
+	n := len(q)
+	i := 0
+	for ; i+4 <= len(vecs); i += 4 {
+		v0, v1, v2, v3 := vecs[i], vecs[i+1], vecs[i+2], vecs[i+3]
+		if len(v0) != n || len(v1) != n || len(v2) != n || len(v3) != n {
+			for j, v := range vecs[i : i+4] {
+				out[i+j] = dot(q, v)
+			}
+			continue
+		}
+		var s0, s1, s2, s3 float64
+		for j, x := range q {
+			s0 += x * v0[j]
+			s1 += x * v1[j]
+			s2 += x * v2[j]
+			s3 += x * v3[j]
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(vecs); i++ {
+		out[i] = dot(q, vecs[i])
+	}
+}
+
+// dot is DotBatch's one-vector form.
+func dot(a, b Vector) float64 {
+	if len(a) != len(b) {
+		return 0
+	}
+	var s float64
+	for i, x := range a {
+		s += x * b[i]
+	}
+	return s
+}
+
+// CosineBatch writes Cosine(q, vecs[i]) into out[i], bit for bit, given the
+// squared norms Cosine would otherwise re-accumulate per call: qNorm2 =
+// Norm2(q) and norms2[i] = Norm2(vecs[i]). It is the one scoring routine of
+// the retrieval path — the index scans and the pipeline's re-rankers all
+// score through it.
+func CosineBatch(q Vector, qNorm2 float64, vecs []Vector, norms2, out []float64) {
+	DotBatch(q, vecs, out)
+	qLen := math.Sqrt(qNorm2)
+	for i, v := range vecs {
+		if len(v) != len(q) || len(v) == 0 || qNorm2 == 0 || norms2[i] == 0 {
+			out[i] = 0
+			continue
+		}
+		out[i] /= qLen * math.Sqrt(norms2[i])
+	}
+}
+
 // Similarity embeds both texts and returns their cosine similarity.
 func Similarity(a, b string) float64 {
 	return Cosine(Text(a), Text(b))
@@ -267,11 +338,7 @@ func (ix *Index) Add(id, text string) {
 // AddVector inserts or replaces an item with a caller-supplied embedding of
 // any length or scale; the squared norm is computed here.
 func (ix *Index) AddVector(id string, vec Vector) {
-	var n2 float64
-	for _, x := range vec {
-		n2 += x * x
-	}
-	ix.insert(id, vec, n2)
+	ix.insert(id, vec, Norm2(vec))
 }
 
 func (ix *Index) insert(id string, vec Vector, n2 float64) {
@@ -292,14 +359,19 @@ func (ix *Index) insert(id string, vec Vector, n2 float64) {
 // Len reports the number of items indexed.
 func (ix *Index) Len() int { return len(ix.ids) }
 
-// Vector returns the stored embedding for an ID, or nil when absent. The
-// returned slice is the index's own storage — callers must not mutate it.
-func (ix *Index) Vector(id string) Vector {
-	if p, ok := ix.pos[id]; ok {
-		return ix.vecs[p]
-	}
-	return nil
+// Pos returns the position of an ID: its insertion rank, the index the
+// At accessors and position-addressed tables built beside the index use.
+func (ix *Index) Pos(id string) (int, bool) {
+	p, ok := ix.pos[id]
+	return p, ok
 }
+
+// VectorAt returns the embedding stored at a position. The slice is the
+// index's own storage — callers must not mutate it.
+func (ix *Index) VectorAt(p int) Vector { return ix.vecs[p] }
+
+// Norm2At returns the cached squared norm of the vector at a position.
+func (ix *Index) Norm2At(p int) float64 { return ix.norms2[p] }
 
 // Search returns the top-k items most similar to the query text, highest
 // score first with ties broken by ID for determinism.
@@ -307,39 +379,79 @@ func (ix *Index) Search(query string, k int) []Hit {
 	return ix.SearchVector(Text(query), k)
 }
 
-// score reproduces Cosine(q, ix.vecs[i]) exactly, with the query norm
-// computed once by the caller and the candidate norm read from the cache.
-func (ix *Index) score(q Vector, qNorm2 float64, i int) float64 {
-	v := ix.vecs[i]
-	if len(q) != len(v) || len(v) == 0 || qNorm2 == 0 || ix.norms2[i] == 0 {
-		return 0
+// compareHits is the public result order: score descending, ID ascending on
+// ties. IDs are unique within an index, so the order is total.
+func compareHits(a, b Hit) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
 	}
-	var dot float64
-	for j := range q {
-		dot += q[j] * v[j]
-	}
-	return dot / (math.Sqrt(qNorm2) * math.Sqrt(ix.norms2[i]))
+	return cmp.Compare(a.ID, b.ID)
 }
 
-// hitHeap is a bounded min-heap: the worst retained hit (lowest score,
-// largest ID on ties) sits at the root so it can be evicted in O(log k).
-type hitHeap []Hit
+// topHits keeps the k best hits offered to it in a binary min-heap under
+// compareHits: the worst retained hit sits at h[0], so a full heap rejects
+// most candidates with one comparison and replaces its root in O(log k).
+type topHits struct {
+	h []Hit
+	k int
+}
 
-func (h hitHeap) Len() int      { return len(h) }
-func (h hitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h hitHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
+func newTopHits(k int) topHits { return topHits{h: make([]Hit, 0, k), k: k} }
+
+func (t *topHits) full() bool { return len(t.h) == t.k }
+
+// worst is the kth-best hit so far; valid once the heap is non-empty.
+func (t *topHits) worst() Hit { return t.h[0] }
+
+func (t *topHits) offer(hit Hit) {
+	h := t.h
+	if len(h) < t.k {
+		h = append(h, hit)
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if compareHits(h[i], h[parent]) <= 0 {
+				break
+			}
+			h[i], h[parent] = h[parent], h[i]
+			i = parent
+		}
+		t.h = h
+		return
 	}
-	return h[i].ID > h[j].ID
+	if compareHits(hit, h[0]) >= 0 {
+		return
+	}
+	h[0] = hit
+	for i := 0; ; {
+		worst := i
+		if l := 2*i + 1; l < len(h) && compareHits(h[l], h[worst]) > 0 {
+			worst = l
+		}
+		if r := 2*i + 2; r < len(h) && compareHits(h[r], h[worst]) > 0 {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
-func (h *hitHeap) Push(x any) { *h = append(*h, x.(Hit)) }
-func (h *hitHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+
+// sorted orders the retained hits into the public result order, in place.
+func (t *topHits) sorted() []Hit {
+	slices.SortFunc(t.h, compareHits)
+	return t.h
 }
+
+// scanChunk is how many candidates the index scans score per CosineBatch
+// call: their scores (and, for scattered positions, vector headers and
+// norms) sit in fixed-size stack buffers, so a search allocates nothing per
+// candidate.
+const scanChunk = 64
 
 // SearchVector is Search with a precomputed query vector. For small k it
 // keeps a bounded heap of the best candidates instead of sorting the whole
@@ -358,63 +470,35 @@ func (ix *Index) SearchVector(q Vector, k int) []Hit {
 		ix.stats.record(start, 0, 0, false, false)
 		return []Hit{}
 	}
-	var qNorm2 float64
-	for _, x := range q {
-		qNorm2 += x * x
-	}
+	qNorm2 := Norm2(q)
 	if ix.ann != nil && qNorm2 != 0 {
 		hits, scanned, probed, full := ix.searchANN(q, qNorm2, k)
 		ix.stats.record(start, scanned, probed, true, full)
 		return hits
 	}
-	h := make(hitHeap, 0, k+1)
-	for i, id := range ix.ids {
-		hit := Hit{ID: id, Score: ix.score(q, qNorm2, i)}
-		if len(h) < k {
-			heap.Push(&h, hit)
-			continue
-		}
-		// Keep hit only if it beats the current worst.
-		if hit.Score > h[0].Score || (hit.Score == h[0].Score && hit.ID < h[0].ID) {
-			h[0] = hit
-			heap.Fix(&h, 0)
+	top := newTopHits(k)
+	var scores [scanChunk]float64
+	for lo := 0; lo < len(ix.ids); lo += scanChunk {
+		hi := min(lo+scanChunk, len(ix.ids))
+		CosineBatch(q, qNorm2, ix.vecs[lo:hi], ix.norms2[lo:hi], scores[:hi-lo])
+		for i := lo; i < hi; i++ {
+			top.offer(Hit{ID: ix.ids[i], Score: scores[i-lo]})
 		}
 	}
-	hits := sortHits(h)
 	ix.stats.record(start, len(ix.ids), 0, false, false)
-	return hits
-}
-
-// sortHits orders heap contents into the public result order: score
-// descending, ID ascending on ties.
-func sortHits(h hitHeap) []Hit {
-	hits := []Hit(h)
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Score != hits[b].Score {
-			return hits[a].Score > hits[b].Score
-		}
-		return hits[a].ID < hits[b].ID
-	})
-	return hits
+	return top.sorted()
 }
 
 // SearchVectorBrute is the full-sort reference implementation of
 // SearchVector; parity tests and benchmarks compare against it.
 func (ix *Index) SearchVectorBrute(q Vector, k int) []Hit {
-	var qNorm2 float64
-	for _, x := range q {
-		qNorm2 += x * x
-	}
-	hits := make([]Hit, 0, len(ix.ids))
+	scores := make([]float64, len(ix.ids))
+	CosineBatch(q, Norm2(q), ix.vecs, ix.norms2, scores)
+	hits := make([]Hit, len(ix.ids))
 	for i, id := range ix.ids {
-		hits = append(hits, Hit{ID: id, Score: ix.score(q, qNorm2, i)})
+		hits[i] = Hit{ID: id, Score: scores[i]}
 	}
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Score != hits[b].Score {
-			return hits[a].Score > hits[b].Score
-		}
-		return hits[a].ID < hits[b].ID
-	})
+	slices.SortFunc(hits, compareHits)
 	if k >= 0 && len(hits) > k {
 		hits = hits[:k]
 	}

@@ -6,7 +6,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"genedit/internal/decompose"
@@ -160,17 +159,15 @@ type Engine struct {
 	// knowledge set once at index-build time (the set is immutable while
 	// served, and Intents() deep-copies on every call).
 	intentOpts []llm.IntentOption
+	// The retrieval tables (retrieval.go): everything operators 3-4 read
+	// about a knowledge item, laid out by the item's position in its
+	// retrieval index. Read-only after buildIndices.
+	byIntent map[string]*intentPostings
+	ex       exampleTable
+	ins      instructionTable
 	// fullExs are the deduplicated full-query example candidates (the
-	// "w/o Decomposition" ablation path), with their ranking vectors
-	// precomputed so per-Generate scoring is a dot product per candidate.
+	// "w/o Decomposition" ablation path) with their ranking vectors.
 	fullExs []*fullExCand
-	// Vectors precomputed at index-build time so per-Generate re-ranking
-	// does not re-embed unchanged knowledge items. Read-only after
-	// buildIndices (WithKnowledge rebuilds them with the indices).
-	dirVecs     []embed.Vector          // directive texts
-	insTextVecs map[string]embed.Vector // instruction Text alone (directive boost)
-	srcQVecs    map[string]embed.Vector // example SourceQuestion texts
-	exPairVecs  map[string]embed.Vector // example NL+SQL (context expansion)
 }
 
 // New builds an engine. The knowledge set is indexed for retrieval once.
@@ -196,76 +193,8 @@ func New(model llm.Model, kset *knowledge.Set, db *sqldb.Database, cfg Config) *
 		exec:  exec,
 		cfg:   cfg,
 	}
-	e.buildIndices()
+	e.buildIndices(nil)
 	return e
-}
-
-func (e *Engine) buildIndices() {
-	e.exIndex = embed.NewIndex()
-	e.srcQVecs = make(map[string]embed.Vector)
-	e.exPairVecs = make(map[string]embed.Vector)
-	for _, ex := range e.kset.Examples() {
-		e.exIndex.Add(ex.ID, ex.Text())
-		if ex.SourceQuestion != "" {
-			if _, ok := e.srcQVecs[ex.SourceQuestion]; !ok {
-				e.srcQVecs[ex.SourceQuestion] = embed.Text(ex.SourceQuestion)
-			}
-		}
-		e.exPairVecs[ex.ID] = embed.Text(ex.NL + " " + ex.SQL)
-	}
-	e.insIndex = embed.NewIndex()
-	e.insTextVecs = make(map[string]embed.Vector)
-	for _, ins := range e.kset.Instructions() {
-		e.insIndex.Add(ins.ID, ins.RetrievalText())
-		e.insTextVecs[ins.ID] = embed.Text(ins.Text)
-	}
-	directives := e.kset.Directives()
-	e.dirVecs = make([]embed.Vector, len(directives))
-	for i, d := range directives {
-		e.dirVecs[i] = embed.Text(d)
-	}
-	e.intentOpts = nil
-	for _, it := range e.kset.Intents() {
-		e.intentOpts = append(e.intentOpts, llm.IntentOption{ID: it.ID, Name: it.Name, Description: it.Description})
-	}
-	e.fullExs = nil
-	seenSQL := make(map[string]bool)
-	for _, ex := range e.kset.Examples() {
-		if ex.SourceSQL == "" || seenSQL[ex.SourceSQL] {
-			continue
-		}
-		seenSQL[ex.SourceSQL] = true
-		text := ex.SourceQuestion
-		if text == "" {
-			text = ex.SourceSQL
-		}
-		e.fullExs = append(e.fullExs, &fullExCand{
-			id:  fmt.Sprintf("full-%03d", len(e.fullExs)+1),
-			nl:  ex.SourceQuestion,
-			sql: ex.SourceSQL,
-			vec: embed.Text(text),
-		})
-	}
-
-	// Seal the retrieval indices: partition them for sub-linear search while
-	// the engine is still private to this goroutine. Engines are immutable
-	// once served, so approval hot-swaps re-enter here via WithKnowledge and
-	// always publish a freshly partitioned — never stale — index.
-	if !e.cfg.DisableANNRetrieval {
-		annCfg := embed.ANNConfig{MinSize: e.cfg.ANNMinSize, Probes: e.cfg.ANNProbes}
-		e.exIndex.EnableANN(annCfg)
-		e.insIndex.EnableANN(annCfg)
-	}
-	e.exIndex.Build()
-	e.insIndex.Build()
-}
-
-// fullExCand is one precomputed full-query example candidate.
-type fullExCand struct {
-	id  string
-	nl  string
-	sql string
-	vec embed.Vector
 }
 
 // KnowledgeSet returns the engine's live knowledge set.
@@ -296,13 +225,16 @@ func (e *Engine) Database() *sqldb.Database { return e.db }
 func (e *Engine) Schema() *schema.Schema { return e.sch }
 
 // WithKnowledge returns a new engine over a different knowledge set (the
-// staging environment of §4.2.1), sharing model, database and config.
+// staging environment of §4.2.1), sharing model, database and config. An
+// edit touches one or two items, so the new engine embeds only what changed:
+// every item whose embedded texts equal those of this engine's item of the
+// same ID shares this engine's immutable vectors.
 func (e *Engine) WithKnowledge(kset *knowledge.Set) *Engine {
 	out := &Engine{
 		model: e.model, kset: kset, db: e.db, sch: e.sch,
 		exec: e.exec, cfg: e.cfg,
 	}
-	out.buildIndices()
+	out.buildIndices(e)
 	return out
 }
 
@@ -647,207 +579,4 @@ func isSyntaxError(err error) bool {
 		return true
 	}
 	return strings.Contains(err.Error(), "syntax error")
-}
-
-// selectExamples implements operator 3. Candidates come from the classified
-// intents plus a global query-similarity search; all candidates are
-// re-ranked by cosine similarity with the reformulated query (whose
-// precomputed embedding qv is threaded in by Generate). When decomposition
-// is ablated the knowledge set's fragments are regrouped into traditional
-// full-query examples.
-func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.RetrievedExample {
-	if e.cfg.DisableDecomposition {
-		return e.selectFullExamples(qv)
-	}
-	seen := make(map[string]bool)
-	var candidates []*knowledge.Example
-	for _, id := range intentIDs {
-		for _, ex := range e.kset.ExamplesByIntent(id) {
-			if !seen[ex.ID] {
-				seen[ex.ID] = true
-				candidates = append(candidates, ex)
-			}
-		}
-	}
-	for _, hit := range e.exIndex.SearchVector(qv, e.cfg.ExampleFanout) {
-		if ex := e.kset.Example(hit.ID); ex != nil && !seen[ex.ID] {
-			seen[ex.ID] = true
-			candidates = append(candidates, ex)
-		}
-	}
-	return selectTop(candidates, e.cfg.TopExamples,
-		func(ex *knowledge.Example) string { return ex.ID },
-		func(ex *knowledge.Example) float64 {
-			// A fragment is relevant when its own text matches the query or
-			// when the question of the query it was decomposed from does —
-			// sub-statements of similar historical questions are the reusable
-			// unit §3.2 is built around.
-			exVec := e.exIndex.Vector(ex.ID)
-			if exVec == nil {
-				exVec = embed.Text(ex.Text())
-			}
-			score := embed.Cosine(qv, exVec)
-			if ex.SourceQuestion != "" {
-				sv, ok := e.srcQVecs[ex.SourceQuestion]
-				if !ok {
-					sv = embed.Text(ex.SourceQuestion)
-				}
-				if s := 0.92 * embed.Cosine(qv, sv); s > score {
-					score = s
-				}
-			}
-			return score
-		},
-		func(ex *knowledge.Example, score float64) llm.RetrievedExample {
-			return llm.RetrievedExample{
-				ID: ex.ID, NL: ex.NL, Pseudo: ex.Pseudo, SQL: ex.SQL,
-				Clause: ex.Clause, Terms: ex.Terms,
-				Score: score,
-			}
-		})
-}
-
-// selectTop is the ranking step the three selectors share: score every
-// candidate, keep the k best under the retrieval order (score descending,
-// then ID ascending; IDs are unique, so the order is total and the result
-// does not depend on how it is found) and build the prompt entry of those k
-// only. Candidate sets grow with the knowledge set while k stays a
-// handful, so the ranking works on (pointer, score) pairs and never sorts
-// more than k of them.
-func selectTop[C, R any](candidates []*C, k int, id func(*C) string,
-	score func(*C) float64, build func(*C, float64) R) []R {
-
-	k = min(k, len(candidates))
-	if k <= 0 {
-		return []R{}
-	}
-	type scoredCand struct {
-		c     *C
-		score float64
-	}
-	before := func(a, b scoredCand) int {
-		switch {
-		case a.score > b.score:
-			return -1
-		case a.score < b.score:
-			return 1
-		}
-		return strings.Compare(id(a.c), id(b.c))
-	}
-	scored := make([]scoredCand, len(candidates))
-	for i, c := range candidates {
-		scored[i] = scoredCand{c: c, score: score(c)}
-	}
-	top := scored[:k]
-	slices.SortFunc(top, before)
-	for _, sc := range scored[k:] {
-		if before(sc, top[k-1]) >= 0 {
-			continue
-		}
-		// sc displaces the current kth: shift the tail down one place.
-		at, _ := slices.BinarySearchFunc(top, sc, before)
-		copy(top[at+1:], top[at:k-1])
-		top[at] = sc
-	}
-	out := make([]R, k)
-	for i, sc := range top {
-		out[i] = build(sc.c, sc.score)
-	}
-	return out
-}
-
-// selectFullExamples regroups decomposed fragments into whole-query
-// examples (the traditional representation, used by the "w/o Decomposition"
-// ablation).
-func (e *Engine) selectFullExamples(qv embed.Vector) []llm.RetrievedExample {
-	return selectTop(e.fullExs, e.cfg.TopExamples,
-		func(fe *fullExCand) string { return fe.id },
-		func(fe *fullExCand) float64 { return embed.Cosine(qv, fe.vec) },
-		func(fe *fullExCand, score float64) llm.RetrievedExample {
-			return llm.RetrievedExample{ID: fe.id, NL: fe.nl, FullSQL: fe.sql, Score: score}
-		})
-}
-
-// selectInstructions implements operator 4: candidates from intents plus
-// global search, re-ranked by similarity to the query AND to the already-
-// selected examples — the context expansion the paper's compounding
-// operators are named for. qv is the precomputed embedding of the
-// reformulated query.
-func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, examples []llm.RetrievedExample) []llm.RetrievedInstruction {
-	seen := make(map[string]bool)
-	var candidates []*knowledge.Instruction
-	for _, id := range intentIDs {
-		for _, ins := range e.kset.InstructionsByIntent(id) {
-			if !seen[ins.ID] {
-				seen[ins.ID] = true
-				candidates = append(candidates, ins)
-			}
-		}
-	}
-	for _, hit := range e.insIndex.SearchVector(qv, e.cfg.InstructionFanout) {
-		if ins := e.kset.Instruction(hit.ID); ins != nil && !seen[ins.ID] {
-			seen[ins.ID] = true
-			candidates = append(candidates, ins)
-		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	exVecs := make([]embed.Vector, len(examples))
-	for i, ex := range examples {
-		v, ok := e.exPairVecs[ex.ID]
-		if !ok { // regrouped full-query examples are not knowledge items
-			v = embed.Text(ex.NL + " " + ex.SQL)
-		}
-		exVecs[i] = v
-	}
-	directiveBoost := e.directiveBoost()
-
-	return selectTop(candidates, e.cfg.TopInstructions,
-		func(ins *knowledge.Instruction) string { return ins.ID },
-		func(ins *knowledge.Instruction) float64 {
-			insVec := e.insIndex.Vector(ins.ID)
-			if insVec == nil {
-				insVec = embed.Text(ins.Text + " " + ins.SQLHint)
-			}
-			score := embed.Cosine(qv, insVec)
-			if !e.cfg.DisableContextExpansion && len(exVecs) > 0 {
-				maxEx := 0.0
-				for _, ev := range exVecs {
-					if c := embed.Cosine(ev, insVec); c > maxEx {
-						maxEx = c
-					}
-				}
-				score += e.cfg.ExpansionWeight * maxEx
-			}
-			return score + directiveBoost(ins)
-		},
-		func(ins *knowledge.Instruction, score float64) llm.RetrievedInstruction {
-			return llm.RetrievedInstruction{
-				ID: ins.ID, Text: ins.Text, SQLHint: ins.SQLHint, Terms: ins.Terms,
-				Score: score,
-			}
-		})
-}
-
-// directiveBoost applies knowledge-set retrieval directives: instructions
-// matching a directive's vocabulary get a small ranking boost. Directive
-// and instruction-text vectors come from the caches buildIndices filled.
-func (e *Engine) directiveBoost() func(*knowledge.Instruction) float64 {
-	if len(e.dirVecs) == 0 {
-		return func(*knowledge.Instruction) float64 { return 0 }
-	}
-	return func(ins *knowledge.Instruction) float64 {
-		iv, ok := e.insTextVecs[ins.ID]
-		if !ok {
-			iv = embed.Text(ins.Text)
-		}
-		best := 0.0
-		for _, dv := range e.dirVecs {
-			if c := embed.Cosine(dv, iv); c > best {
-				best = c
-			}
-		}
-		return 0.1 * best
-	}
 }

@@ -1,0 +1,519 @@
+package pipeline
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
+
+	"genedit/internal/embed"
+	"genedit/internal/knowledge"
+	"genedit/internal/llm"
+)
+
+// Operators 3-4 (example and instruction selection) are position-addressed:
+// buildIndices lays the knowledge set out once as dense tables indexed by an
+// item's position in its retrieval index — the insertion order of
+// kset.Examples() / kset.Instructions(), which is also the order embed.Index
+// numbers its vectors in — and a request works on positions only. The embed
+// index's own id → position map is the one string-keyed lookup left, used
+// for the few dozen hits of the global search.
+
+// intentPostings lists the positions of the examples and instructions filed
+// under one intent: what Set.ExamplesByIntent / InstructionsByIntent would
+// find by walking the whole set. An item naming the intent twice is listed
+// twice; candidate collection skips positions it has already marked.
+type intentPostings struct {
+	examples     []int
+	instructions []int
+}
+
+// exampleTable holds what example selection and context expansion read
+// about each example. The example text vectors themselves stay in exIndex.
+type exampleTable struct {
+	items []*knowledge.Example // live set entries
+	// srcSlot is the slot of each example's SourceQuestion in srcVecs, -1
+	// when it has none. Fragments decomposed from one query share a slot,
+	// so a request scores each distinct question once.
+	srcSlot  []int
+	srcVecs  []embed.Vector
+	srcNorm2 []float64
+	// pairVecs embed NL+" "+SQL, the text context expansion compares
+	// instructions with.
+	pairVecs  []embed.Vector
+	pairNorm2 []float64
+}
+
+// instructionTable is the instruction-side counterpart. The retrieval-text
+// vectors stay in insIndex.
+type instructionTable struct {
+	items []*knowledge.Instruction // live set entries
+	// textVecs embed Text alone, the side of the directive boost that
+	// belongs to the instruction.
+	textVecs  []embed.Vector
+	textNorm2 []float64
+	// boost is 0.1 · max over directives of Cosine(directive, Text): it
+	// does not depend on the query, so it is computed here once.
+	boost []float64
+}
+
+// fullExCand is one precomputed full-query example candidate.
+type fullExCand struct {
+	id    string
+	nl    string
+	sql   string
+	vec   embed.Vector
+	norm2 float64
+}
+
+// embedText returns the embedding of text with its squared norm.
+func embedText(text string) (embed.Vector, float64) {
+	v := embed.Text(text)
+	return v, embed.Norm2(v)
+}
+
+// buildIndices derives every per-engine retrieval structure from the
+// knowledge set. With a parent engine (WithKnowledge), an item whose ID the
+// parent also holds and whose embedded text is unchanged reuses the parent's
+// vector — engines are immutable, so sharing is safe — and only the rest is
+// embedded.
+func (e *Engine) buildIndices(parent *Engine) {
+	e.byIntent = make(map[string]*intentPostings)
+	postings := func(intentID string) *intentPostings {
+		p := e.byIntent[intentID]
+		if p == nil {
+			p = &intentPostings{}
+			e.byIntent[intentID] = p
+		}
+		return p
+	}
+
+	e.exIndex = embed.NewIndex()
+	e.ex = exampleTable{}
+	e.fullExs = nil
+	srcSlotOf := make(map[string]int)
+	seenSQL := make(map[string]bool)
+	for _, listed := range e.kset.Examples() {
+		// The tables are addressed by index position, which is the listing
+		// rank as long as no ID is listed twice (a restored set is not
+		// checked for that); a repeat names the same live item.
+		if _, repeat := e.exIndex.Pos(listed.ID); repeat {
+			continue
+		}
+		ex := e.kset.Example(listed.ID)
+		p := len(e.ex.items)
+		e.ex.items = append(e.ex.items, ex)
+
+		var prev *knowledge.Example
+		pp := -1
+		if parent != nil {
+			if at, ok := parent.exIndex.Pos(ex.ID); ok {
+				prev, pp = parent.ex.items[at], at
+			}
+		}
+
+		if prev != nil && prev.NL == ex.NL && prev.Pseudo == ex.Pseudo {
+			e.exIndex.AddVector(ex.ID, parent.exIndex.VectorAt(pp))
+		} else {
+			e.exIndex.Add(ex.ID, ex.Text())
+		}
+
+		slot := -1
+		if ex.SourceQuestion != "" {
+			var known bool
+			if slot, known = srcSlotOf[ex.SourceQuestion]; !known {
+				slot = len(e.ex.srcVecs)
+				srcSlotOf[ex.SourceQuestion] = slot
+				var v embed.Vector
+				var n2 float64
+				if prev != nil && prev.SourceQuestion == ex.SourceQuestion {
+					ps := parent.ex.srcSlot[pp]
+					v, n2 = parent.ex.srcVecs[ps], parent.ex.srcNorm2[ps]
+				} else {
+					v, n2 = embedText(ex.SourceQuestion)
+				}
+				e.ex.srcVecs = append(e.ex.srcVecs, v)
+				e.ex.srcNorm2 = append(e.ex.srcNorm2, n2)
+			}
+		}
+		e.ex.srcSlot = append(e.ex.srcSlot, slot)
+
+		var pv embed.Vector
+		var pn2 float64
+		if prev != nil && prev.NL == ex.NL && prev.SQL == ex.SQL {
+			pv, pn2 = parent.ex.pairVecs[pp], parent.ex.pairNorm2[pp]
+		} else {
+			pv, pn2 = embedText(ex.NL + " " + ex.SQL)
+		}
+		e.ex.pairVecs = append(e.ex.pairVecs, pv)
+		e.ex.pairNorm2 = append(e.ex.pairNorm2, pn2)
+
+		for _, intentID := range ex.IntentIDs {
+			post := postings(intentID)
+			post.examples = append(post.examples, p)
+		}
+
+		if ex.SourceSQL != "" && !seenSQL[ex.SourceSQL] {
+			seenSQL[ex.SourceSQL] = true
+			fe := &fullExCand{
+				id:  fmt.Sprintf("full-%03d", len(e.fullExs)+1),
+				nl:  ex.SourceQuestion,
+				sql: ex.SourceSQL,
+			}
+			if slot >= 0 { // ranked by its question, which the slot already embeds
+				fe.vec, fe.norm2 = e.ex.srcVecs[slot], e.ex.srcNorm2[slot]
+			} else {
+				fe.vec, fe.norm2 = embedText(ex.SourceSQL)
+			}
+			e.fullExs = append(e.fullExs, fe)
+		}
+	}
+
+	e.insIndex = embed.NewIndex()
+	e.ins = instructionTable{}
+	for _, listed := range e.kset.Instructions() {
+		if _, repeat := e.insIndex.Pos(listed.ID); repeat {
+			continue
+		}
+		ins := e.kset.Instruction(listed.ID)
+		p := len(e.ins.items)
+		e.ins.items = append(e.ins.items, ins)
+
+		var prev *knowledge.Instruction
+		pp := -1
+		if parent != nil {
+			if at, ok := parent.insIndex.Pos(ins.ID); ok {
+				prev, pp = parent.ins.items[at], at
+			}
+		}
+
+		sameText := prev != nil && prev.Text == ins.Text
+		if sameText && prev.SQLHint == ins.SQLHint {
+			e.insIndex.AddVector(ins.ID, parent.insIndex.VectorAt(pp))
+		} else {
+			e.insIndex.Add(ins.ID, ins.RetrievalText())
+		}
+
+		var tv embed.Vector
+		var tn2 float64
+		if sameText {
+			tv, tn2 = parent.ins.textVecs[pp], parent.ins.textNorm2[pp]
+		} else {
+			tv, tn2 = embedText(ins.Text)
+		}
+		e.ins.textVecs = append(e.ins.textVecs, tv)
+		e.ins.textNorm2 = append(e.ins.textNorm2, tn2)
+
+		for _, intentID := range ins.IntentIDs {
+			post := postings(intentID)
+			post.instructions = append(post.instructions, p)
+		}
+	}
+
+	// Retrieval directives: instructions matching a directive's vocabulary
+	// get a small ranking boost.
+	e.ins.boost = make([]float64, len(e.ins.items))
+	cosines := make([]float64, len(e.ins.items))
+	for _, d := range e.kset.Directives() {
+		dv, dn2 := embedText(d)
+		embed.CosineBatch(dv, dn2, e.ins.textVecs, e.ins.textNorm2, cosines)
+		for i, c := range cosines {
+			if c > e.ins.boost[i] {
+				e.ins.boost[i] = c
+			}
+		}
+	}
+	for i := range e.ins.boost {
+		e.ins.boost[i] *= 0.1
+	}
+
+	e.intentOpts = nil
+	for _, it := range e.kset.Intents() {
+		e.intentOpts = append(e.intentOpts, llm.IntentOption{ID: it.ID, Name: it.Name, Description: it.Description})
+	}
+
+	// Seal the retrieval indices: partition them for sub-linear search while
+	// the engine is still private to this goroutine. Engines are immutable
+	// once served, so approval hot-swaps re-enter here via WithKnowledge and
+	// always publish a freshly partitioned — never stale — index.
+	if !e.cfg.DisableANNRetrieval {
+		annCfg := embed.ANNConfig{MinSize: e.cfg.ANNMinSize, Probes: e.cfg.ANNProbes}
+		e.exIndex.EnableANN(annCfg)
+		e.insIndex.EnableANN(annCfg)
+	}
+	e.exIndex.Build()
+	e.insIndex.Build()
+}
+
+// scoredPos is one candidate of a selector: its table position and score.
+type scoredPos struct {
+	pos   int
+	score float64
+}
+
+// selScratch is the per-request working memory of the selectors. It is
+// pooled, so what a request allocates does not grow with the knowledge set;
+// a scratch belongs to one selector call at a time.
+type selScratch struct {
+	mark   []bool // by position: already a candidate
+	cands  []int  // candidate positions, in discovery order
+	vecs   []embed.Vector
+	norms2 []float64
+	scores []float64
+	ranked []scoredPos
+
+	slotAt     []int // by source-question slot: 1 + its place in slots, 0 when unseen
+	slots      []int
+	slotScores []float64
+
+	ctxVecs   []embed.Vector // the selected examples, for context expansion
+	ctxNorms2 []float64
+	ctxScores []float64
+}
+
+var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}
+
+// release returns the scratch to the pool without the vector headers it
+// gathered, so a pooled scratch never keeps a retired engine's vectors alive.
+func (s *selScratch) release() {
+	clear(s.vecs[:cap(s.vecs)])
+	clear(s.ctxVecs[:cap(s.ctxVecs)])
+	selScratchPool.Put(s)
+}
+
+// sized returns buf with length n, reallocating only when it is too small.
+// The contents are unspecified.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// begin starts candidate collection over a table of n items.
+func (s *selScratch) begin(n int) {
+	s.mark = sized(s.mark, n)
+	clear(s.mark)
+	s.cands = s.cands[:0]
+}
+
+// add makes the positions candidates, skipping those that already are.
+func (s *selScratch) add(positions ...int) {
+	for _, p := range positions {
+		if !s.mark[p] {
+			s.mark[p] = true
+			s.cands = append(s.cands, p)
+		}
+	}
+}
+
+// cosines scores the index vectors at the candidate positions against the
+// query into s.scores: Cosine(qv, vector), bit for bit.
+func (s *selScratch) cosines(qv embed.Vector, qNorm2 float64, ix *embed.Index) {
+	n := len(s.cands)
+	s.vecs, s.norms2, s.scores = sized(s.vecs, n), sized(s.norms2, n), sized(s.scores, n)
+	for i, p := range s.cands {
+		s.vecs[i], s.norms2[i] = ix.VectorAt(p), ix.Norm2At(p)
+	}
+	embed.CosineBatch(qv, qNorm2, s.vecs, s.norms2, s.scores)
+}
+
+// selectExamples implements operator 3. Candidates come from the classified
+// intents plus a global query-similarity search; all candidates are
+// re-ranked by cosine similarity with the reformulated query (whose
+// precomputed embedding qv is threaded in by Generate). When decomposition
+// is ablated the knowledge set's fragments are regrouped into traditional
+// full-query examples.
+func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.RetrievedExample {
+	if e.cfg.DisableDecomposition {
+		return e.selectFullExamples(qv)
+	}
+	s := selScratchPool.Get().(*selScratch)
+	defer s.release()
+
+	s.begin(len(e.ex.items))
+	for _, id := range intentIDs {
+		if post := e.byIntent[id]; post != nil {
+			s.add(post.examples...)
+		}
+	}
+	for _, hit := range e.exIndex.SearchVector(qv, e.cfg.ExampleFanout) {
+		if p, ok := e.exIndex.Pos(hit.ID); ok {
+			s.add(p)
+		}
+	}
+
+	qNorm2 := embed.Norm2(qv)
+	s.cosines(qv, qNorm2, e.exIndex)
+
+	// A fragment is relevant when its own text matches the query or when the
+	// question of the query it was decomposed from does — sub-statements of
+	// similar historical questions are the reusable unit §3.2 is built
+	// around. Each distinct source question among the candidates is scored
+	// once, not once per fragment.
+	s.slotAt = sized(s.slotAt, len(e.ex.srcVecs))
+	clear(s.slotAt)
+	s.slots = s.slots[:0]
+	for _, p := range s.cands {
+		if slot := e.ex.srcSlot[p]; slot >= 0 && s.slotAt[slot] == 0 {
+			s.slots = append(s.slots, slot)
+			s.slotAt[slot] = len(s.slots)
+		}
+	}
+	// s.scores is computed, so the gather buffers are free again.
+	s.vecs, s.norms2 = sized(s.vecs, len(s.slots)), sized(s.norms2, len(s.slots))
+	s.slotScores = sized(s.slotScores, len(s.slots))
+	for i, slot := range s.slots {
+		s.vecs[i], s.norms2[i] = e.ex.srcVecs[slot], e.ex.srcNorm2[slot]
+	}
+	embed.CosineBatch(qv, qNorm2, s.vecs, s.norms2, s.slotScores)
+
+	s.ranked = sized(s.ranked, len(s.cands))
+	for i, p := range s.cands {
+		score := s.scores[i]
+		if slot := e.ex.srcSlot[p]; slot >= 0 {
+			if viaSource := 0.92 * s.slotScores[s.slotAt[slot]-1]; viaSource > score {
+				score = viaSource
+			}
+		}
+		s.ranked[i] = scoredPos{pos: p, score: score}
+	}
+	top := selectTop(s.ranked, e.cfg.TopExamples, func(p int) string { return e.ex.items[p].ID })
+	out := make([]llm.RetrievedExample, len(top))
+	for i, sp := range top {
+		ex := e.ex.items[sp.pos]
+		out[i] = llm.RetrievedExample{
+			ID: ex.ID, NL: ex.NL, Pseudo: ex.Pseudo, SQL: ex.SQL,
+			Clause: ex.Clause, Terms: ex.Terms,
+			Score: sp.score,
+		}
+	}
+	return out
+}
+
+// selectTop is the ranking step the three selectors share: it reorders
+// ranked so that its first min(k, len) entries are the best under the
+// retrieval order (score descending, then ID ascending; IDs are unique, so
+// the order is total and the result does not depend on how the candidates
+// were found) and returns that prefix. Candidate sets grow with the
+// knowledge set while k stays a handful, so it never sorts more than k
+// entries: a sorted window of the k best so far takes the rest one by one.
+func selectTop(ranked []scoredPos, k int, id func(pos int) string) []scoredPos {
+	k = min(k, len(ranked))
+	if k <= 0 {
+		return ranked[:0]
+	}
+	before := func(a, b scoredPos) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case a.score < b.score:
+			return 1
+		}
+		return strings.Compare(id(a.pos), id(b.pos))
+	}
+	top := ranked[:k]
+	slices.SortFunc(top, before)
+	for _, sp := range ranked[k:] {
+		if before(sp, top[k-1]) >= 0 {
+			continue
+		}
+		// sp displaces the current kth: shift the tail down one place.
+		at, _ := slices.BinarySearchFunc(top, sp, before)
+		copy(top[at+1:], top[at:k-1])
+		top[at] = sp
+	}
+	return top
+}
+
+// selectFullExamples regroups decomposed fragments into whole-query
+// examples (the traditional representation, used by the "w/o Decomposition"
+// ablation).
+func (e *Engine) selectFullExamples(qv embed.Vector) []llm.RetrievedExample {
+	s := selScratchPool.Get().(*selScratch)
+	defer s.release()
+
+	n := len(e.fullExs)
+	s.vecs, s.norms2, s.scores = sized(s.vecs, n), sized(s.norms2, n), sized(s.scores, n)
+	for i, fe := range e.fullExs {
+		s.vecs[i], s.norms2[i] = fe.vec, fe.norm2
+	}
+	embed.CosineBatch(qv, embed.Norm2(qv), s.vecs, s.norms2, s.scores)
+	s.ranked = sized(s.ranked, n)
+	for i, score := range s.scores {
+		s.ranked[i] = scoredPos{pos: i, score: score}
+	}
+	top := selectTop(s.ranked, e.cfg.TopExamples, func(p int) string { return e.fullExs[p].id })
+	out := make([]llm.RetrievedExample, len(top))
+	for i, sp := range top {
+		fe := e.fullExs[sp.pos]
+		out[i] = llm.RetrievedExample{ID: fe.id, NL: fe.nl, FullSQL: fe.sql, Score: sp.score}
+	}
+	return out
+}
+
+// selectInstructions implements operator 4: candidates from intents plus
+// global search, re-ranked by similarity to the query AND to the already-
+// selected examples — the context expansion the paper's compounding
+// operators are named for. qv is the precomputed embedding of the
+// reformulated query.
+func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, examples []llm.RetrievedExample) []llm.RetrievedInstruction {
+	s := selScratchPool.Get().(*selScratch)
+	defer s.release()
+
+	s.begin(len(e.ins.items))
+	for _, id := range intentIDs {
+		if post := e.byIntent[id]; post != nil {
+			s.add(post.instructions...)
+		}
+	}
+	for _, hit := range e.insIndex.SearchVector(qv, e.cfg.InstructionFanout) {
+		if p, ok := e.insIndex.Pos(hit.ID); ok {
+			s.add(p)
+		}
+	}
+	if len(s.cands) == 0 {
+		return nil
+	}
+
+	s.cosines(qv, embed.Norm2(qv), e.insIndex)
+
+	if !e.cfg.DisableContextExpansion && len(examples) > 0 {
+		n := len(examples)
+		s.ctxVecs, s.ctxNorms2, s.ctxScores = sized(s.ctxVecs, n), sized(s.ctxNorms2, n), sized(s.ctxScores, n)
+		for i, ex := range examples {
+			if p, ok := e.exIndex.Pos(ex.ID); ok {
+				s.ctxVecs[i], s.ctxNorms2[i] = e.ex.pairVecs[p], e.ex.pairNorm2[p]
+			} else { // regrouped full-query examples are not knowledge items
+				s.ctxVecs[i], s.ctxNorms2[i] = embedText(ex.NL + " " + ex.SQL)
+			}
+		}
+		for i := range s.cands {
+			// The instruction plays the query: Cosine is symmetric bit for
+			// bit, and this way one batch covers all selected examples.
+			embed.CosineBatch(s.vecs[i], s.norms2[i], s.ctxVecs, s.ctxNorms2, s.ctxScores)
+			maxEx := 0.0
+			for _, c := range s.ctxScores {
+				if c > maxEx {
+					maxEx = c
+				}
+			}
+			s.scores[i] += e.cfg.ExpansionWeight * maxEx
+		}
+	}
+
+	s.ranked = sized(s.ranked, len(s.cands))
+	for i, p := range s.cands {
+		s.ranked[i] = scoredPos{pos: p, score: s.scores[i] + e.ins.boost[p]}
+	}
+	top := selectTop(s.ranked, e.cfg.TopInstructions, func(p int) string { return e.ins.items[p].ID })
+	out := make([]llm.RetrievedInstruction, len(top))
+	for i, sp := range top {
+		ins := e.ins.items[sp.pos]
+		out[i] = llm.RetrievedInstruction{
+			ID: ins.ID, Text: ins.Text, SQLHint: ins.SQLHint, Terms: ins.Terms,
+			Score: sp.score,
+		}
+	}
+	return out
+}
