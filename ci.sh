@@ -5,8 +5,8 @@
 # (and the EX metrics it reports) stays runnable, a race-covered overload
 # smoke, a bounded kstore crash-fuzz run, a bounded differential fuzz of the
 # SQL date kernels and of the retrieval dot kernel, and short runs of the repo
-# benchmark's exhibits and serve_scaled workloads for their output checks and
-# their allocation budgets.
+# benchmark's exhibits, serve_scaled and serve_cold workloads for their output
+# checks and their allocation budgets.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -27,7 +27,7 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (concurrent packages: service facade incl. generation-cache stress, daemon incl. feedback + miner endpoints, admission control, generation cache, parallel runner, shared executors, ANN retrieval index, knowledge store, solver, failure miner, simulated model's gold-fragment memo) =="
+echo "== go test -race (concurrent packages: service facade incl. generation-cache stress, daemon incl. feedback + miner endpoints, admission control, generation cache, parallel runner, shared executors and their pooled per-query scratch, ANN retrieval index and the process-wide embedding memo, knowledge store, solver, failure miner, simulated model's gold-fragment memo) =="
 go test -race . ./cmd/geneditd ./internal/admission ./internal/eval ./internal/gencache ./internal/metrics ./internal/sqlexec ./internal/pipeline ./internal/embed ./internal/kstore ./internal/feedback ./internal/miner ./internal/simllm
 
 echo "== ANN exactness gate (top-k order-identical to brute force across the seeded sweep) =="
@@ -144,15 +144,21 @@ go run ./cmd/benchrunner -json /tmp/bench_parity.json -baseline BENCH_7.json > /
 # deliberate change, run the command three times, take the largest value, add
 # the bound and say why in CHANGES.md.
 #
-#   exhibits allocs_per_op (bound 5%): PR 14 read 816, 818, 819 (PR 13: 847,
-#   850, 853; before it 4,424). A change that puts per-row or per-request
-#   allocation back on the miss path fails.
-#   serve_scaled alloc_kb_per_op (bound 7%): PR 14 read 93.7, 93.7, 93.8; its
-#   parent read 245.9, most of it scratch sized by the 40x knowledge set. A
-#   change that puts a per-candidate map or a per-request copy of the
-#   candidate set back on the scaled read path fails.
-exhibits_allocs_budget=860
-serve_scaled_alloc_kb_budget=100.4
+#   exhibits allocs_per_op (bound 5%): PR 15 read 446.5, 447.2, 448.9 (PR 14:
+#   816, 818, 819; PR 13: 847, 850, 853; before it 4,424). A change that puts
+#   per-row or per-request allocation back on the miss path fails.
+#   serve_scaled alloc_kb_per_op (bound 7%): PR 15 read 37.9, 38.0, 38.1 (PR
+#   14: 93.7, 93.7, 93.8; its parent 245.9, most of it scratch sized by the
+#   40x knowledge set). A change that puts a per-candidate map or a
+#   per-request copy of the candidate set back on the scaled read path fails.
+#   serve_cold alloc_kb_per_op (bound 7%): PR 15 read 33.0, 33.0, 33.0; its
+#   parent read 88.0, a third of it vectors of texts embedded on the previous
+#   request too and a third executor intermediates. A change that embeds a
+#   knowledge-set text per request again, or takes a query's intermediates
+#   from the heap instead of its scratch, fails.
+exhibits_allocs_budget=471
+serve_scaled_alloc_kb_budget=40.8
+serve_cold_alloc_kb_budget=35.3
 
 # benchmark_budget <workload> <metric> <budget>
 benchmark_budget() {
@@ -182,5 +188,8 @@ benchmark_budget exhibits allocs_per_op "$exhibits_allocs_budget"
 
 echo "== benchmark output checks (serve_scaled workload: per-op pinned SQL at 40x knowledge, allocated-bytes budget) =="
 benchmark_budget serve_scaled alloc_kb_per_op "$serve_scaled_alloc_kb_budget"
+
+echo "== benchmark output checks (serve_cold workload: per-op pinned SQL, allocated-bytes budget of a generation-cache miss) =="
+benchmark_budget serve_cold alloc_kb_per_op "$serve_cold_alloc_kb_budget"
 
 echo "CI pass complete."

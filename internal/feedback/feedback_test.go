@@ -1,12 +1,16 @@
 package feedback
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"genedit/internal/eval"
 	"genedit/internal/knowledge"
 	"genedit/internal/pipeline"
 	"genedit/internal/simllm"
+	"genedit/internal/sqlexec"
 	"genedit/internal/task"
 	"genedit/internal/workload"
 )
@@ -273,5 +277,113 @@ func TestAcceptanceExperimentShape(t *testing.T) {
 	}
 	if stats.MergedChanges == 0 {
 		t.Error("no changes merged")
+	}
+}
+
+// referenceGate is the regression gate as it ran before the solver kept one
+// executor: each pass opens its own executor and executes every case's gold
+// SQL itself. The production gate must reach the same verdicts and text.
+func referenceGate(t *testing.T, s *Solver, edits []knowledge.Edit) (before, after map[string]bool) {
+	t.Helper()
+	live := s.Engine()
+	staged, err := live.KnowledgeSet().Stage(edits, "sme", "fb-ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := func(engine *pipeline.Engine) map[string]bool {
+		exec := sqlexec.New(engine.Database())
+		out := map[string]bool{}
+		for _, c := range s.golden {
+			rec, err := engine.Generate(c.Question, c.Evidence)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gold, err := exec.Query(c.GoldSQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pred, err := exec.Query(rec.FinalSQL)
+			out[c.ID] = err == nil && eval.ResultsEqual(gold, pred)
+		}
+		return out
+	}
+	return pass(live), pass(live.WithKnowledge(staged))
+}
+
+// TestRegressionGateExecutesGoldOncePerGate: a gate over G golden cases
+// looks G gold statements and 2G predictions up in the solver's executor —
+// not 2G gold statements on two cold executors — the next gate finds every
+// gold statement compiled, and verdicts and detail text are those of the
+// two-executor gate for a passing and for a rejected edit.
+func TestRegressionGateExecutesGoldOncePerGate(t *testing.T) {
+	solver, suite := testSolver(t, false)
+	solver.golden = nil
+	for _, c := range suite.Cases {
+		if c.DB == "sports_holdings" {
+			solver.golden = append(solver.golden, c)
+		}
+	}
+	g := uint64(len(solver.golden))
+
+	// A harmful edit: the first instruction whose deletion the reference
+	// gate rejects.
+	var harmful []knowledge.Edit
+	for _, ins := range solver.Engine().KnowledgeSet().Instructions() {
+		edit := []knowledge.Edit{{Op: knowledge.EditDelete, Kind: knowledge.InstructionEntity, ID: ins.ID}}
+		before, after := referenceGate(t, solver, edit)
+		for id, ok := range before {
+			if ok && !after[id] {
+				harmful = edit
+			}
+		}
+		if harmful != nil {
+			break
+		}
+	}
+	if harmful == nil {
+		t.Fatal("no instruction's deletion regresses a golden case: the rejection path is not exercised")
+	}
+	harmless := []knowledge.Edit{{Op: knowledge.EditInsert, Kind: knowledge.InstructionEntity,
+		Instruction: &knowledge.Instruction{ID: "ins-gate-test", Text: "Prefer explicit column lists over SELECT *."}}}
+
+	for i, edits := range [][]knowledge.Edit{harmful, harmless} {
+		before, after := referenceGate(t, solver, edits)
+		var regressed []string
+		improved := 0
+		for id, ok := range before {
+			if ok && !after[id] {
+				regressed = append(regressed, id)
+			}
+			if !ok && after[id] {
+				improved++
+			}
+		}
+		h0, m0 := solver.exec.StatementCacheStats()
+		passed, detail, err := solver.regressionTest(context.Background(), edits, "fb-gate", "sme")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h1, m1 := solver.exec.StatementCacheStats()
+		if lookups := (h1 + m1) - (h0 + m0); lookups != 3*g {
+			t.Errorf("gate %d looked %d statements up, want %d (one gold and two predictions per case)", i, lookups, 3*g)
+		}
+		if i > 0 && m1-m0 > g {
+			t.Errorf("gate %d compiled %d statements; the gold SQL was compiled by the first gate", i, m1-m0)
+		}
+		if passed != (len(regressed) == 0) {
+			t.Errorf("gate %d passed = %v, reference regressions %v", i, passed, regressed)
+		}
+		// With several regressions the listed order is a map's; the count
+		// prefix is still pinned.
+		want := fmt.Sprintf("no regressions; %d golden case(s) improved", improved)
+		if len(regressed) > 0 {
+			want = fmt.Sprintf("regressions on %d golden case(s): ", len(regressed))
+			if len(regressed) == 1 {
+				want += fmt.Sprint(regressed)
+			}
+		}
+		if !strings.HasPrefix(detail, want) || (len(regressed) <= 1 && detail != want) {
+			t.Errorf("gate %d detail = %q, want %q", i, detail, want)
+		}
 	}
 }

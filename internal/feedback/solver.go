@@ -27,6 +27,11 @@ import (
 type Solver struct {
 	recommender *Recommender
 	golden      []*task.Case
+	// exec runs the regression gate's gold and predicted SQL. One executor
+	// for the solver's lifetime (merges never change the database), so a
+	// gate compiles each statement at most once and later gates find the
+	// gold SQL already in its statement cache.
+	exec *sqlexec.Executor
 
 	mu     sync.Mutex
 	engine *pipeline.Engine
@@ -42,7 +47,7 @@ type Solver struct {
 // NewSolver builds a solver around a live engine. The golden cases are the
 // regression suite replayed before merges.
 func NewSolver(engine *pipeline.Engine, recommender *Recommender, golden []*task.Case) *Solver {
-	return &Solver{engine: engine, recommender: recommender, golden: golden}
+	return &Solver{engine: engine, recommender: recommender, golden: golden, exec: sqlexec.New(engine.Database())}
 }
 
 // SetMergeHook installs fn to run on every approved merge with the new
@@ -241,11 +246,14 @@ func (s *Solver) regressionTest(ctx context.Context, edits []knowledge.Edit, fee
 	if err != nil {
 		return false, "", err
 	}
-	before, err := s.runGolden(ctx, live)
+	// Each case's gold SQL executes once per gate: the live pass fills
+	// golds, the staged pass compares against the same results.
+	golds := make([]*sqlexec.Result, len(s.golden))
+	before, err := s.runGolden(ctx, live, golds)
 	if err != nil {
 		return false, "", err
 	}
-	after, err := s.runGolden(ctx, live.WithKnowledge(staged))
+	after, err := s.runGolden(ctx, live.WithKnowledge(staged), golds)
 	if err != nil {
 		return false, "", err
 	}
@@ -267,12 +275,14 @@ func (s *Solver) regressionTest(ctx context.Context, edits []knowledge.Edit, fee
 	return true, fmt.Sprintf("no regressions; %d golden case(s) improved", improved), nil
 }
 
-// runGolden evaluates the golden suite, returning per-case correctness.
-// Cancellation is checked between cases and inside each generation.
-func (s *Solver) runGolden(ctx context.Context, engine *pipeline.Engine) (map[string]bool, error) {
-	exec := sqlexec.New(engine.Database())
+// runGolden evaluates the golden suite on one engine, returning per-case
+// correctness. golds, parallel to the suite, holds the gold results: a nil
+// entry is executed (and stored) at the point the case is reached, so a
+// failing gold statement surfaces exactly where it did when every pass ran
+// it. Cancellation is checked between cases and inside each generation.
+func (s *Solver) runGolden(ctx context.Context, engine *pipeline.Engine, golds []*sqlexec.Result) (map[string]bool, error) {
 	out := make(map[string]bool, len(s.golden))
-	for _, c := range s.golden {
+	for i, c := range s.golden {
 		if err := generr.FromContext(ctx); err != nil {
 			return nil, err
 		}
@@ -280,16 +290,19 @@ func (s *Solver) runGolden(ctx context.Context, engine *pipeline.Engine) (map[st
 		if err != nil {
 			return nil, err
 		}
-		gold, err := exec.Query(c.GoldSQL)
-		if err != nil {
-			return nil, fmt.Errorf("golden case %s: gold SQL failed: %w", c.ID, err)
+		if golds[i] == nil {
+			gold, err := s.exec.Query(c.GoldSQL)
+			if err != nil {
+				return nil, fmt.Errorf("golden case %s: gold SQL failed: %w", c.ID, err)
+			}
+			golds[i] = gold
 		}
-		pred, err := exec.Query(rec.FinalSQL)
+		pred, err := s.exec.Query(rec.FinalSQL)
 		if err != nil {
 			out[c.ID] = false
 			continue
 		}
-		out[c.ID] = eval.ResultsEqual(gold, pred)
+		out[c.ID] = eval.ResultsEqual(golds[i], pred)
 	}
 	return out, nil
 }

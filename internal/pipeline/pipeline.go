@@ -300,10 +300,11 @@ func (e *Engine) GenerateContext(ctx context.Context, question, evidence string)
 		Directives: e.kset.Directives(),
 	}
 
-	// The reformulated query is embedded exactly once; the same vector
-	// drives example retrieval, example re-ranking and instruction
-	// re-ranking (operators 3-4), which previously each re-embedded it.
-	qv := embed.Text(reformulated)
+	// The reformulated query is embedded exactly once per request: intent
+	// classification asked the process-wide memo for it a moment ago, and
+	// the same vector drives example retrieval, example re-ranking and
+	// instruction re-ranking (operators 3-4).
+	qv := embed.Memo(reformulated).Vec
 
 	// Operator 3: example selection (intent retrieval + query re-ranking).
 	// When examples are ablated (Table 2 "w/o Examples"), selection still

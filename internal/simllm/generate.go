@@ -27,7 +27,7 @@ func (m *Model) Plan(ctx *llm.Context) (llm.Plan, error) {
 	wholeAnchor, _ := m.wholeQueryAnchor(ctx, c)
 	// exVecs[i] embeds ctx.Examples[i].SQL, filled in by fragmentAnchor the
 	// first time a fragment of the example's clause kind asks for it.
-	exVecs := make([]embed.Vector, len(ctx.Examples))
+	exVecs := make([]embed.Embedded, len(ctx.Examples))
 	var plan llm.Plan
 	for _, frag := range frags {
 		step := llm.PlanStep{
@@ -51,13 +51,15 @@ func (m *Model) Plan(ctx *llm.Context) (llm.Plan, error) {
 // fragmentAnchor finds the most similar retrieved decomposed example of the
 // same clause kind; the step is anchored when similarity clears the
 // threshold. The anchoring example's SQL is returned so generation can model
-// insufficient adaptation. The fragment is embedded once and each example
-// once per plan (exVecs, parallel to ctx.Examples), not once per pair; the
+// insufficient adaptation. Example SQL and gold-fragment SQL are knowledge-
+// set and registry strings, so their vectors come from the process-wide
+// memo — looked up once per plan for each example (exVecs, parallel to
+// ctx.Examples) and once for the fragment, not once per pair; the
 // similarity stays Cosine(example, fragment), operands in that order.
-func (m *Model) fragmentAnchor(ctx *llm.Context, exVecs []embed.Vector, frag decompose.Fragment) (bool, string) {
+func (m *Model) fragmentAnchor(ctx *llm.Context, exVecs []embed.Embedded, frag decompose.Fragment) (bool, string) {
 	bestSim := 0.0
 	bestSQL := ""
-	var fragVec embed.Vector
+	var fragVec embed.Embedded
 	for i, ex := range ctx.Examples {
 		if ex.FullSQL != "" {
 			continue
@@ -65,13 +67,13 @@ func (m *Model) fragmentAnchor(ctx *llm.Context, exVecs []embed.Vector, frag dec
 		if ex.Clause != string(frag.Clause) {
 			continue
 		}
-		if exVecs[i] == nil {
-			exVecs[i] = embed.Text(ex.SQL)
+		if exVecs[i].Vec == nil {
+			exVecs[i] = embed.Memo(ex.SQL)
 		}
-		if fragVec == nil {
-			fragVec = embed.Text(frag.SQL)
+		if fragVec.Vec == nil {
+			fragVec = embed.Memo(frag.SQL)
 		}
-		if sim := embed.Cosine(exVecs[i], fragVec); sim > bestSim {
+		if sim := exVecs[i].Cosine(fragVec); sim > bestSim {
 			bestSim = sim
 			bestSQL = ex.SQL
 		}
@@ -90,7 +92,7 @@ func (m *Model) wholeQueryAnchor(ctx *llm.Context, c *task.Case) (bool, string) 
 		if ex.FullSQL == "" {
 			continue
 		}
-		if embed.Similarity(ex.FullSQL, c.GoldSQL) >= m.profile.WholeQueryAnchorThreshold {
+		if embed.Memo(ex.FullSQL).Cosine(embed.Memo(c.GoldSQL)) >= m.profile.WholeQueryAnchorThreshold {
 			return true, ex.FullSQL
 		}
 	}

@@ -121,9 +121,12 @@ func (m *Model) ClassifyIntents(question string, options []llm.IntentOption) ([]
 	}
 	bestByEmbed := ""
 	bestScore := -1.0
-	qv := embed.Text(question)
+	// The question is the request's reformulated query, which the pipeline
+	// embeds through the same memo right after this call; the option texts
+	// are the knowledge set's intents, the same on every request.
+	qv := embed.Memo(question)
 	for _, opt := range options {
-		score := embed.Cosine(qv, embed.Text(opt.Name+" "+opt.Description))
+		score := qv.Cosine(embed.Memo(opt.Name + " " + opt.Description))
 		if score > bestScore {
 			bestScore = score
 			bestByEmbed = opt.ID
@@ -182,7 +185,7 @@ func (m *Model) LinkSchema(question string, full *schema.Schema, ctx *llm.Contex
 // linkByEmbedding selects columns whose names overlap the question, the
 // fallback used for unregistered (interactive) questions.
 func (m *Model) linkByEmbedding(question string, full *schema.Schema) []schema.Element {
-	qv := embed.Text(question)
+	qv := embed.Memo(question)
 	type scored struct {
 		el    schema.Element
 		score float64
@@ -193,7 +196,7 @@ func (m *Model) linkByEmbedding(question string, full *schema.Schema) []schema.E
 			text := t.Name + " " + c.Name + " " + c.Description
 			all = append(all, scored{
 				el:    schema.Element{Table: t.Name, Column: c.Name},
-				score: embed.Cosine(qv, embed.Text(text)),
+				score: qv.Cosine(embed.Memo(text)),
 			})
 		}
 	}

@@ -18,8 +18,21 @@ func AppendLengthPrefixed(dst []byte, s string) []byte {
 }
 
 // AppendValueKey appends the length-prefixed grouping key of v (see
-// Value.Key) to dst.
+// Value.Key) to dst. Integers and strings — what GROUP BY and DISTINCT keys
+// are made of — are written piecewise, so no Key string is built for them.
 func AppendValueKey(dst []byte, v Value) []byte {
+	switch v.K {
+	case KindInt:
+		var num [20]byte
+		digits := strconv.AppendInt(num[:0], v.I, 10)
+		dst = strconv.AppendInt(dst, int64(1+len(digits)), 10)
+		dst = append(dst, '|', '#')
+		return append(dst, digits...)
+	case KindString:
+		dst = strconv.AppendInt(dst, int64(1+len(v.S)), 10)
+		dst = append(dst, '|', 's')
+		return append(dst, v.S...)
+	}
 	return AppendLengthPrefixed(dst, v.Key())
 }
 

@@ -1,6 +1,10 @@
 package sqldb
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestCompositeKeyInjective(t *testing.T) {
 	// Pairs of rows that alias under naive delimiter-joined Key() encodings
@@ -58,5 +62,29 @@ func TestAppendCompositeKeyMatchesCompositeKey(t *testing.T) {
 	pre := AppendCompositeKey([]byte("x"), Row{Str("a")})
 	if string(pre) != "x"+CompositeKey(Row{Str("a")}) {
 		t.Errorf("AppendCompositeKey did not extend dst: %q", pre)
+	}
+}
+
+// AppendValueKey writes integers and strings piecewise; the bytes must stay
+// those of the length-prefixed Key() it is defined as, and those two kinds
+// must not allocate.
+func TestAppendValueKeyMatchesKey(t *testing.T) {
+	vals := []Value{
+		Null(), Bool(true), Bool(false),
+		Int(0), Int(-1), Int(7), Int(1234567890), Int(math.MaxInt64), Int(math.MinInt64),
+		Float(0), Float(3), Float(-2.5), Float(1e300), Float(math.Inf(1)), Float(math.NaN()),
+		Str(""), Str("a"), Str("1|x"), Str("a\x1fb"), Str(strings.Repeat("k", 300)),
+	}
+	for _, v := range vals {
+		want := string(AppendLengthPrefixed([]byte("p"), v.Key()))
+		if got := string(AppendValueKey([]byte("p"), v)); got != want {
+			t.Errorf("AppendValueKey(%v) = %q, want %q", v, got, want)
+		}
+	}
+	buf := make([]byte, 0, 512)
+	for _, v := range []Value{Int(math.MinInt64), Str("organisation")} {
+		if n := testing.AllocsPerRun(100, func() { buf = AppendValueKey(buf[:0], v) }); n != 0 {
+			t.Errorf("AppendValueKey(%v) allocates %v times, want 0", v, n)
+		}
 	}
 }

@@ -265,14 +265,63 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 		}
 		xp, xc := compileExpr(x.X, cols)
 		items := make([]program, len(x.List))
-		allConst := xc
+		listConst := true
 		for i, item := range x.List {
 			var ic bool
 			items[i], ic = compileExpr(item, cols)
-			allConst = allConst && ic
+			listConst = listConst && ic
 		}
 		not := x.Not
-		return foldConst(func(env *rowEnv) (sqldb.Value, error) {
+		// The interpreter evaluates X, stops on a NULL X, then evaluates
+		// every list item (its errors surface) before the membership
+		// verdict; both forms below keep that order.
+		verdict := func(xv sqldb.Value, candidates []sqldb.Value) sqldb.Value {
+			sawNull := false
+			for _, c := range candidates {
+				if c.IsNull() {
+					sawNull = true
+					continue
+				}
+				if xv.Equal(c) {
+					return sqldb.Bool(!not)
+				}
+			}
+			if sawNull {
+				return sqldb.Null()
+			}
+			return sqldb.Bool(not)
+		}
+		if listConst {
+			// A constant list is evaluated once, here, up to its first
+			// error — which a row raises only after its X evaluated clean
+			// and non-NULL, exactly where the interpreter reaches it.
+			candidates := make([]sqldb.Value, 0, len(items))
+			var listErr error
+			for _, p := range items {
+				v, err := p(nil)
+				if err != nil {
+					listErr = err
+					break
+				}
+				candidates = append(candidates, v)
+			}
+			return foldConst(func(env *rowEnv) (sqldb.Value, error) {
+				xv, err := xp(env)
+				if err != nil {
+					return sqldb.Null(), err
+				}
+				if xv.IsNull() {
+					return sqldb.Null(), nil
+				}
+				if listErr != nil {
+					return sqldb.Null(), listErr
+				}
+				return verdict(xv, candidates), nil
+			}, xc)
+		}
+		// A list with a non-constant item is never constant, so env (and
+		// its scratch) is there.
+		return func(env *rowEnv) (sqldb.Value, error) {
 			xv, err := xp(env)
 			if err != nil {
 				return sqldb.Null(), err
@@ -280,11 +329,10 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 			if xv.IsNull() {
 				return sqldb.Null(), nil
 			}
-			sawNull := false
-			matched := false
-			// Mirror the interpreter: every list item is evaluated (its
-			// errors surface) before the membership verdict.
-			candidates := make([]sqldb.Value, len(items))
+			scr := env.sc.scr
+			mark := scr.vals.mark()
+			defer scr.vals.release(mark)
+			candidates := scr.vals.take(len(items))
 			for i, p := range items {
 				v, err := p(env)
 				if err != nil {
@@ -292,24 +340,8 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 				}
 				candidates[i] = v
 			}
-			for _, c := range candidates {
-				if c.IsNull() {
-					sawNull = true
-					continue
-				}
-				if xv.Equal(c) {
-					matched = true
-					break
-				}
-			}
-			if matched {
-				return sqldb.Bool(!not), nil
-			}
-			if sawNull {
-				return sqldb.Null(), nil
-			}
-			return sqldb.Bool(not), nil
-		}, allConst)
+			return verdict(xv, candidates), nil
+		}, false
 
 	case *sqlparse.BetweenExpr:
 		xp, xc := compileExpr(x.X, cols)
@@ -436,14 +468,10 @@ func compileFuncCall(fc *sqlparse.FuncCall, cols []bindCol) (program, bool) {
 			// reused across the group's rows — not one per row as the
 			// interpreter allocates.
 			child := &rowEnv{exec: env.exec, sc: env.sc, cols: env.cols, outer: env.outer}
-			vals, err := collectAggregateArgs(env.group, fc.Distinct, func(row sqldb.Row) (sqldb.Value, error) {
+			return aggregateOver(env.sc.scr, fc.Name, env.group, fc.Distinct, func(row sqldb.Row) (sqldb.Value, error) {
 				child.row = row
 				return argProg(child)
 			})
-			if err != nil {
-				return sqldb.Null(), err
-			}
-			return finishAggregate(fc.Name, vals)
 		}, false
 	}
 	args := make([]program, len(fc.Args))

@@ -73,16 +73,22 @@ func (e *Executor) Query(sql string) (*Result, error) {
 			e.stmts.put(sql, plan)
 		}
 	}
+	// Intermediates that die inside this call come from a pooled scratch
+	// (pool.go); the Result never references it.
+	scr := getScratch()
+	defer putScratch(scr)
 	if e.noCompiled {
-		return e.evalStmt(plan.stmt, &scope{}, nil)
+		return e.evalStmt(plan.stmt, &scr.root, nil)
 	}
-	return e.runStmt(plan, &scope{})
+	return e.runStmt(plan, &scr.root)
 }
 
-// scope carries CTE visibility; scopes chain lexically.
+// scope carries CTE visibility and the Query's scratch; scopes chain
+// lexically.
 type scope struct {
 	parent *scope
 	ctes   map[string]*namedRelation
+	scr    *queryScratch
 }
 
 type namedRelation struct {
@@ -100,7 +106,7 @@ func (s *scope) lookup(name string) *namedRelation {
 }
 
 func (s *scope) child() *scope {
-	return &scope{parent: s, ctes: make(map[string]*namedRelation)}
+	return &scope{parent: s, ctes: make(map[string]*namedRelation), scr: s.scr}
 }
 
 // bindCol is one addressable column of an intermediate relation.
@@ -176,6 +182,13 @@ func (e *Executor) evalStmt(stmt *sqlparse.SelectStmt, sc *scope, outer *rowEnv)
 // rows, aliases and aggregates).
 func (e *Executor) evalCoreFull(core *sqlparse.SelectCore, sc *scope, outer *rowEnv,
 	orderBy []sqlparse.OrderItem, limit, offset sqlparse.Expr) (*Result, error) {
+
+	// The interpreter allocates its own intermediates on the heap; what it
+	// shares with the compiled engine (hash join, aggregate arguments) takes
+	// scratch, released here so a correlated subquery run once per outer
+	// row does not accumulate it.
+	mark := sc.scr.mark()
+	defer sc.scr.release(mark)
 
 	rel, err := e.evalFrom(core.From, sc, outer)
 	if err != nil {

@@ -32,6 +32,10 @@ func (e *Executor) SetStatementCaching(enabled bool) {
 // because workload imports it).
 var RunBothExec = runBothExec
 
+// CheckResultSurvives hands the scratch-lifetime check (scratch_test.go) to
+// the external test package, which runs it over the workload's gold SQL.
+var CheckResultSurvives = checkResultSurvives
+
 // StatementFallsBack reports whether sql, compiled against db, would run
 // whole on the interpreter instead of the compiled engine.
 func StatementFallsBack(db *sqldb.Database, sql string) (bool, error) {

@@ -428,24 +428,35 @@ func evalAggregate(fc *sqlparse.FuncCall, env *rowEnv, group []sqldb.Row) (sqldb
 	if len(fc.Args) != 1 {
 		return sqldb.Null(), execErrf("aggregate %s expects exactly 1 argument", fc.Name)
 	}
-	vals, err := collectAggregateArgs(group, fc.Distinct, func(row sqldb.Row) (sqldb.Value, error) {
+	return aggregateOver(env.sc.scr, fc.Name, group, fc.Distinct, func(row sqldb.Row) (sqldb.Value, error) {
 		child := &rowEnv{exec: env.exec, sc: env.sc, cols: env.cols, row: row, outer: env.outer}
 		return evalExpr(fc.Args[0], child)
 	})
+}
+
+// aggregateOver collects an aggregate's argument values over a group into a
+// scratch buffer and reduces them. The buffer is released before returning:
+// finishAggregate's result is a value, never a view of its input. Both
+// execution paths share it (differing only in how the per-row value is
+// produced), so NULL and DISTINCT semantics cannot diverge.
+func aggregateOver(scr *queryScratch, name string, group []sqldb.Row, distinct bool,
+	eval func(sqldb.Row) (sqldb.Value, error)) (sqldb.Value, error) {
+
+	mark := scr.vals.mark()
+	defer scr.vals.release(mark)
+	vals, err := collectAggregateArgs(scr.vals.take(len(group))[:0], group, distinct, eval)
 	if err != nil {
 		return sqldb.Null(), err
 	}
-	return finishAggregate(fc.Name, vals)
+	return finishAggregate(name, vals)
 }
 
-// collectAggregateArgs accumulates an aggregate's non-NULL argument values
-// over a group, deduplicating by Value.Key() when distinct. Both execution
-// paths share it (differing only in how the per-row value is produced), so
-// NULL and DISTINCT semantics cannot diverge.
-func collectAggregateArgs(group []sqldb.Row, distinct bool,
+// collectAggregateArgs appends an aggregate's non-NULL argument values over
+// a group to vals (empty, with room for one value per row), deduplicating
+// by Value.Key() when distinct.
+func collectAggregateArgs(vals []sqldb.Value, group []sqldb.Row, distinct bool,
 	eval func(sqldb.Row) (sqldb.Value, error)) ([]sqldb.Value, error) {
 
-	vals := make([]sqldb.Value, 0, len(group))
 	var seen map[string]bool
 	if distinct {
 		seen = make(map[string]bool)

@@ -178,23 +178,26 @@ func mergeKeyClass(a, b int) int {
 	}
 }
 
-// canonicalKey renders v so that two values within the same class share a
-// key iff sqldb.Compare orders them equal. NULL has no key (never matches).
-func canonicalKey(v sqldb.Value, class int) string {
+// appendCanonicalKey appends the length-prefixed canonical rendering of v:
+// two values within the same class share it iff sqldb.Compare orders them
+// equal. NULL has no key (never matches). Numbers are formatted into a
+// stack buffer, so building a key allocates nothing.
+func appendCanonicalKey(dst []byte, v sqldb.Value, class int) []byte {
 	switch class {
 	case classNumeric:
 		f, _ := v.AsFloat()
 		if f == 0 {
 			f = 0 // fold -0 into +0: Compare orders them equal
 		}
-		return strconv.FormatFloat(f, 'g', -1, 64)
+		var num [32]byte
+		return sqldb.AppendLengthPrefixed(dst, string(strconv.AppendFloat(num[:0], f, 'g', -1, 64)))
 	case classBool:
 		if v.B {
-			return "1"
+			return sqldb.AppendLengthPrefixed(dst, "1")
 		}
-		return "0"
+		return sqldb.AppendLengthPrefixed(dst, "0")
 	default:
-		return v.String()
+		return sqldb.AppendLengthPrefixed(dst, v.String())
 	}
 }
 
@@ -204,17 +207,16 @@ func canonicalKey(v sqldb.Value, class int) string {
 // an evaluation error in a later key conjunct is detected (and triggers the
 // nested-loop fallback) exactly as the nested loop, which does not
 // short-circuit AND on NULL, would have surfaced it. hasNull reports
-// whether any row carried a NULL key.
+// whether any row carried a NULL key. keys and its slots are scratch.
 func (e *Executor) joinKeys(rows []sqldb.Row, cols []bindCol, exprs []sqlparse.Expr,
-	sc *scope, outer *rowEnv) (keys [][]sqldb.Value, classes []int, hasNull bool, err error) {
+	sc *scope, outer *rowEnv) (keys []sqldb.Row, classes []int, hasNull bool, err error) {
 
-	keys = make([][]sqldb.Value, len(rows))
+	keys = sc.scr.rows.take(len(rows))
 	classes = make([]int, len(exprs))
 	env := &rowEnv{exec: e, sc: sc, cols: cols, outer: outer}
-	// One backing array feeds every row's key slots: n·width slots in a
-	// single allocation instead of one per row. Slots of NULL-keyed rows go
-	// unused, which costs nothing.
-	backing := make([]sqldb.Value, len(rows)*len(exprs))
+	// One backing array feeds every row's key slots. Slots of NULL-keyed
+	// rows go unused, which costs nothing.
+	backing := sc.scr.vals.take(len(rows) * len(exprs))
 	for i, row := range rows {
 		env.row = row
 		vals := backing[i*len(exprs) : (i+1)*len(exprs) : (i+1)*len(exprs)]
@@ -234,7 +236,7 @@ func (e *Executor) joinKeys(rows []sqldb.Row, cols []bindCol, exprs []sqlparse.E
 		if rowNull {
 			hasNull = true
 		} else {
-			keys[i] = vals
+			keys[i] = sqldb.Row(vals)
 		}
 	}
 	return keys, classes, hasNull, nil
@@ -285,64 +287,124 @@ func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []b
 	// delimiter would let key components containing the delimiter byte alias
 	// across columns ("a\x1f"+"b" vs "a"+"\x1fb") and fabricate matches the
 	// nested loop never produces. One pooled scratch buffer serves every
-	// build and probe key; only the interned string escapes.
+	// build and probe key; only the strings the bucket map interns escape.
 	kbp := getKeyBuf()
 	kb := *kbp
 	defer func() {
 		*kbp = kb
 		putKeyBuf(kbp)
 	}()
-	bucketKey := func(vals []sqldb.Value) string {
+
+	// Each distinct key of the smaller input is a bucket; the matches of a
+	// left row are the right rows of its bucket, chained in input order
+	// (head[b] is the bucket's first right row, next[ri] the one after ri,
+	// -1 ends a chain), so emission order is identical to the nested loop
+	// (left-major, right rows in input order). Buckets, chains and the
+	// joined relation's row headers are scratch.
+	scr := sc.scr
+	buckets := scr.takeIDs()
+	leftBucket := scr.ints.take(len(left.rows))
+	next := scr.ints.take(len(right.rows))
+	head := scr.ints.take(min(len(left.rows), len(right.rows)))[:0]
+	pairs := scr.ints.take(cap(head))[:0] // right rows per bucket
+	// bucketOf is the bucket of a key: -1 for a key the smaller input does
+	// not hold, a new bucket when it is the smaller input asking.
+	bucketOf := func(vals sqldb.Row, smaller bool) int {
 		kb = kb[:0]
 		for i, v := range vals {
-			kb = sqldb.AppendLengthPrefixed(kb, canonicalKey(v, classes[i]))
+			kb = appendCanonicalKey(kb, v, classes[i])
 		}
-		return string(kb)
+		b, ok := buckets[string(kb)]
+		if !ok {
+			if !smaller {
+				return -1
+			}
+			b = len(head)
+			buckets[string(kb)] = b
+			head = append(head, -1)
+			pairs = append(pairs, 0)
+		}
+		return b
 	}
-
-	// Build on the smaller side, probe with the larger; matches are
-	// accumulated per left row so emission order is identical to the nested
-	// loop (left-major, right rows in input order).
-	matchesPerLeft := make([][]int, len(left.rows))
-	buildLeft := len(left.rows) <= len(right.rows)
-	if buildLeft {
-		buckets := make(map[string][]int, len(left.rows))
+	assignLeft := func(smaller bool) {
 		for li, vals := range leftKeys {
+			leftBucket[li] = -1
 			if vals != nil {
-				k := bucketKey(vals)
-				buckets[k] = append(buckets[k], li)
+				leftBucket[li] = bucketOf(vals, smaller)
 			}
 		}
-		for ri, vals := range rightKeys {
-			if vals == nil {
+	}
+	chainRight := func(smaller bool) { // back to front, so each chain runs in input order
+		for ri := len(rightKeys) - 1; ri >= 0; ri-- {
+			if rightKeys[ri] == nil {
 				continue
 			}
-			for _, li := range buckets[bucketKey(vals)] {
-				matchesPerLeft[li] = append(matchesPerLeft[li], ri)
-			}
-		}
-	} else {
-		buckets := make(map[string][]int, len(right.rows))
-		for ri, vals := range rightKeys {
-			if vals != nil {
-				k := bucketKey(vals)
-				buckets[k] = append(buckets[k], ri)
-			}
-		}
-		for li, vals := range leftKeys {
-			if vals != nil {
-				matchesPerLeft[li] = buckets[bucketKey(vals)]
+			if b := bucketOf(rightKeys[ri], smaller); b >= 0 {
+				next[ri] = head[b]
+				head[b] = ri
+				pairs[b]++
 			}
 		}
 	}
+	if len(left.rows) <= len(right.rows) {
+		assignLeft(true)
+		chainRight(false)
+	} else {
+		chainRight(true)
+		assignLeft(false)
+	}
+	scr.putIDs(buckets)
 
-	out := relation{cols: cols}
-	rightMatched := make([]bool, len(right.rows))
+	leftOuter := j.Kind == sqlparse.LeftJoin || j.Kind == sqlparse.FullJoin
+	rightOuter := j.Kind == sqlparse.RightJoin || j.Kind == sqlparse.FullJoin
+	// The most rows the join can emit: every candidate pair, plus the
+	// NULL-extended rows of the outer sides.
+	most := 0
+	for _, b := range leftBucket {
+		if b >= 0 {
+			most += pairs[b]
+		}
+	}
+	if leftOuter {
+		most += len(left.rows)
+	}
+	var rightMatched []bool
+	if rightOuter {
+		most += len(right.rows)
+		rightMatched = make([]bool, len(right.rows))
+	}
+
+	// Joined rows are slab memory (never reused once emitted): a later
+	// clause may copy their values into the Result. A pair the residual
+	// rejects was never emitted, so its row serves the next pair. joined
+	// lays out a, pad NULLs, then b — a matched pair, or one side with the
+	// other NULL-extended.
+	var slab rowSlab
+	slab.expect(most * (len(left.cols) + len(right.cols)))
+	var spare sqldb.Row
+	joined := func(a sqldb.Row, pad int, b sqldb.Row) sqldb.Row {
+		n := len(a) + pad + len(b)
+		row := spare
+		spare = nil
+		if row == nil || len(row) != n {
+			row = slab.take(n)
+		}
+		copy(row, a)
+		clear(row[len(a) : len(a)+pad])
+		copy(row[len(a)+pad:], b)
+		return row
+	}
+
+	out := relation{cols: cols, rows: scr.rows.take(most)[:0]}
 	env := &rowEnv{exec: e, sc: sc, cols: cols, outer: outer}
 	for li, lr := range left.rows {
 		leftMatched := false
-		for _, ri := range matchesPerLeft[li] {
-			combined := append(append(make(sqldb.Row, 0, len(lr)+len(right.rows[ri])), lr...), right.rows[ri]...)
+		ri := -1
+		if b := leftBucket[li]; b >= 0 {
+			ri = head[b]
+		}
+		for ; ri >= 0; ri = next[ri] {
+			combined := joined(lr, 0, right.rows[ri])
 			ok := true
 			env.row = combined
 			for _, rexpr := range residual {
@@ -363,24 +425,24 @@ func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []b
 				}
 			}
 			if !ok {
+				spare = combined
 				continue
 			}
 			leftMatched = true
-			rightMatched[ri] = true
+			if rightMatched != nil {
+				rightMatched[ri] = true
+			}
 			out.rows = append(out.rows, combined)
 		}
-		if !leftMatched && (j.Kind == sqlparse.LeftJoin || j.Kind == sqlparse.FullJoin) {
-			row := append(append(make(sqldb.Row, 0, len(lr)+len(right.cols)), lr...), make(sqldb.Row, len(right.cols))...)
-			out.rows = append(out.rows, row)
+		if !leftMatched && leftOuter {
+			out.rows = append(out.rows, joined(lr, len(right.cols), nil))
 		}
 	}
-	if j.Kind == sqlparse.RightJoin || j.Kind == sqlparse.FullJoin {
+	if rightOuter {
 		for ri, rr := range right.rows {
-			if rightMatched[ri] {
-				continue
+			if !rightMatched[ri] {
+				out.rows = append(out.rows, joined(nil, len(left.cols), rr))
 			}
-			row := append(make(sqldb.Row, len(left.cols), len(left.cols)+len(rr)), rr...)
-			out.rows = append(out.rows, row)
 		}
 	}
 	return out, true, nil

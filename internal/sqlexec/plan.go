@@ -562,6 +562,14 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 	if cp.fallback {
 		return e.evalCoreFull(cp.src, sc, nil, cp.srcOrderBy, cp.srcLimit, cp.srcOffset)
 	}
+	// Everything the core takes from the Query's scratch — survivors, the
+	// group partition, join intermediates under runFrom — is dead once the
+	// projected rows exist; those are slab memory and the only thing the
+	// Result keeps.
+	scr := sc.scr
+	mark := scr.mark()
+	defer scr.release(mark)
+
 	rel, err := e.runFrom(cp.from, sc)
 	if err != nil {
 		return nil, err
@@ -570,7 +578,7 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 	env := &rowEnv{exec: e, sc: sc, cols: rel.cols}
 
 	if len(cp.where) > 0 {
-		var kept []sqldb.Row
+		kept := scr.rows.take(len(rel.rows))[:0]
 		for _, row := range rel.rows {
 			env.row = row
 			keep := true
@@ -593,12 +601,18 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 
 	// Output rows are carved out of slab chunks: they escape into the
 	// Result, so they are never pooled, but chunking cuts the two
-	// allocations per projected row down to a few per query. projected
-	// counts projection calls so the survivors can be compacted off the
-	// slab when DISTINCT/top-N discard most of them (see below).
+	// allocations per projected row down to one per query — the number of
+	// projection calls is known before the first (begin), so the slab's
+	// first chunk and outs are made at their final size. projected counts
+	// projection calls so the survivors can be compacted off the slab when
+	// DISTINCT/top-N discard most of them (see below).
 	var slab rowSlab
 	var outs []projRow
 	projected := 0
+	begin := func(n int) {
+		slab.expect(n * (len(cp.projs) + len(cp.orderBy)))
+		outs = make([]projRow, 0, n)
+	}
 	project := func() error {
 		projected++
 		row := slab.take(len(cp.projs))
@@ -645,23 +659,21 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 		// HAVING over every group first, projection second — the
 		// interpreter builds all group environments (evaluating HAVING)
 		// before its projection loop, and error order must match.
-		var kept [][]sqldb.Row
-		for _, g := range groups {
-			if g == nil {
-				g = []sqldb.Row{}
-			}
-			setGroup(g)
-			if cp.having != nil {
+		kept := groups
+		if cp.having != nil {
+			kept = scr.groups.take(len(groups))[:0]
+			for _, g := range groups {
+				setGroup(g)
 				v, err := cp.having(env)
 				if err != nil {
 					return nil, err
 				}
-				if !truthy(v) {
-					continue
+				if truthy(v) {
+					kept = append(kept, g)
 				}
 			}
-			kept = append(kept, g)
 		}
+		begin(len(kept))
 		for _, g := range kept {
 			setGroup(g)
 			if err := project(); err != nil {
@@ -669,6 +681,7 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 			}
 		}
 	} else {
+		begin(len(rel.rows))
 		for _, row := range rel.rows {
 			env.row = row
 			if err := project(); err != nil {
@@ -712,8 +725,11 @@ func finishCore(cp *corePlan, outs []projRow, projected int) (*Result, error) {
 	}
 
 	res := &Result{Columns: cp.outCols}
-	for _, o := range outs {
-		res.Rows = append(res.Rows, o.row)
+	if len(outs) > 0 {
+		res.Rows = make([]sqldb.Row, len(outs))
+		for i, o := range outs {
+			res.Rows[i] = o.row
+		}
 	}
 	res, err := applyFolded(res, cp.limit, cp.offset)
 	if err != nil {
@@ -747,15 +763,26 @@ func compactResultRows(res *Result, projected, width int) {
 
 // runGroupBy partitions the relation by the compiled GROUP BY programs
 // using length-prefixed composite keys, preserving first-occurrence order.
+// The partition lives in the Query's scratch: one pass gives every row its
+// group's id (ids in first-occurrence order, through the scratch's key map)
+// and every group its row count, a second cuts one backing array into
+// exact-capacity groups and deals the rows into them in input order.
 func (e *Executor) runGroupBy(cp *corePlan, rel relation, env *rowEnv) ([][]sqldb.Row, error) {
+	scr := env.sc.scr
 	if len(cp.groupBy) == 0 {
-		return [][]sqldb.Row{rel.rows}, nil
+		groups := scr.groups.take(1)
+		groups[0] = rel.rows
+		if groups[0] == nil {
+			groups[0] = []sqldb.Row{} // an empty group must still read as aggregation context
+		}
+		return groups, nil
 	}
-	var order []string
-	groups := make(map[string][]sqldb.Row)
+	gids := scr.ints.take(len(rel.rows))
+	counts := scr.ints.take(len(rel.rows))[:0]
+	ids := scr.takeIDs()
 	kbp := getKeyBuf()
 	kb := *kbp
-	for _, row := range rel.rows {
+	for i, row := range rel.rows {
 		env.row = row
 		kb = kb[:0]
 		for _, p := range cp.groupBy {
@@ -767,19 +794,30 @@ func (e *Executor) runGroupBy(cp *corePlan, rel relation, env *rowEnv) ([][]sqld
 			}
 			kb = sqldb.AppendValueKey(kb, v)
 		}
-		key := string(kb)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
+		gid, ok := ids[string(kb)]
+		if !ok {
+			gid = len(counts)
+			ids[string(kb)] = gid
+			counts = append(counts, 0)
 		}
-		groups[key] = append(groups[key], row)
+		gids[i] = gid
+		counts[gid]++
 	}
 	*kbp = kb
 	putKeyBuf(kbp)
-	out := make([][]sqldb.Row, 0, len(order))
-	for _, key := range order {
-		out = append(out, groups[key])
+	scr.putIDs(ids)
+
+	backing := scr.rows.take(len(rel.rows))
+	groups := scr.groups.take(len(counts))
+	off := 0
+	for g, n := range counts {
+		groups[g] = backing[off : off : off+n]
+		off += n
 	}
-	return out, nil
+	for i, row := range rel.rows {
+		groups[gids[i]] = append(groups[gids[i]], row)
+	}
+	return groups, nil
 }
 
 // topN reports the bounded-heap size for ORDER BY when a clean static
@@ -917,7 +955,7 @@ func (e *Executor) runLeaf(fp *fromPlan, sc *scope) (relation, error) {
 	}
 	if len(lp.filters) > 0 {
 		env := &rowEnv{exec: e, sc: sc, cols: fp.cols}
-		var kept []sqldb.Row
+		kept := sc.scr.rows.take(len(rows))[:0]
 		for _, row := range rows {
 			env.row = row
 			keep := true

@@ -29,6 +29,22 @@ func TestWorkloadGoldParity(t *testing.T) {
 	}
 }
 
+// TestGoldResultsSurviveLaterQueries runs the scratch-lifetime check over
+// every gold statement: its Result must be unchanged after the database's
+// next gold statements ran on the same executor.
+func TestGoldResultsSurviveLaterQueries(t *testing.T) {
+	byDB := map[string][]string{}
+	for _, c := range paritySuite.Cases {
+		byDB[c.DB] = append(byDB[c.DB], c.GoldSQL)
+	}
+	for db, stmts := range byDB {
+		for i, sql := range stmts {
+			churn := []string{stmts[(i+1)%len(stmts)], stmts[(i+2)%len(stmts)], stmts[(i+3)%len(stmts)]}
+			sqlexec.CheckResultSurvives(t, paritySuite.Databases[db], sql, churn)
+		}
+	}
+}
+
 // TestWorkloadStatementsCompile pins that serving never silently runs a
 // whole statement on the interpreter: every gold statement and every
 // knowledge-set source query of the suite compiles without the

@@ -24,7 +24,10 @@ func NewLexer(src string) *Lexer {
 // EOF token.
 func Lex(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	// One allocation instead of append's seven or so: the workload's gold
+	// SQL runs 3.7-6.6 bytes per token (median 5.2), so len/4 covers nine
+	// statements in ten outright and the densest with one growth step.
+	toks := make([]Token, 0, len(src)/4+2)
 	for {
 		tok, err := lx.Next()
 		if err != nil {

@@ -325,6 +325,13 @@ type Service struct {
 	storePath     string
 	storeFS       kstore.FS
 
+	// model is the service's one simulated model, built once from the
+	// GenEdit profile, the suite's registry and modelSeed. It is immutable
+	// and deterministic, so every engine and every solver's recommender
+	// share it — and with it its memo of decomposed gold SQL, which a model
+	// built per Solver call would start cold each SME cycle.
+	model *simllm.Model
+
 	// gencache is nil when the generation cache is disabled.
 	gencache *gencache.Cache
 
@@ -382,6 +389,7 @@ func NewService(b *Benchmark, opts ...Option) *Service {
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.model = simllm.New(simllm.GenEditProfile(), s.suite.Registry, s.modelSeed)
 	if s.genCacheSize > 0 {
 		s.gencache = gencache.New(s.genCacheSize)
 	}
@@ -484,8 +492,7 @@ func (s *Service) build(db string) (*Engine, error) {
 		cfg.ExampleFanout = s.exFanout
 		cfg.InstructionFanout = s.insFanout
 	}
-	model := simllm.New(simllm.GenEditProfile(), s.suite.Registry, s.modelSeed)
-	return pipeline.New(model, kset, s.suite.Databases[db], cfg), nil
+	return pipeline.New(s.model, kset, s.suite.Databases[db], cfg), nil
 }
 
 // buildKnowledge resolves the knowledge set for one database: straight from
@@ -897,8 +904,7 @@ func (s *Service) Solver(ctx context.Context, db string, golden []*Case) (*Solve
 	if err != nil {
 		return nil, err
 	}
-	model := simllm.New(simllm.GenEditProfile(), s.suite.Registry, s.modelSeed)
-	solver := feedback.NewSolver(engine, feedback.NewRecommender(model), golden)
+	solver := feedback.NewSolver(engine, feedback.NewRecommender(s.model), golden)
 	solver.SetMergeHook(func(next *Engine) error {
 		if st := s.store(db); st != nil {
 			if err := st.Commit(next.KnowledgeSet()); err != nil {
