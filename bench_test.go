@@ -1,11 +1,8 @@
-// Benchmarks regenerating every quantitative exhibit of the paper, plus
-// substrate micro-benchmarks. Execution accuracy is attached to each run as
-// a custom "EX%" metric so `go test -bench` reproduces the tables' numbers:
+// Substrate and serving micro-benchmarks. The paper's tables are regenerated
+// and gated bit for bit by cmd/benchrunner -baseline, and end-to-end serving
+// is measured by the repo benchmark (benchmark/); these isolate one layer:
 //
-//	go test -bench=Table1 -benchmem      # paper Table 1, row by row
-//	go test -bench=Table2 -benchmem      # paper Table 2, row by row
-//	go test -bench=Edits                 # §4.2.3 acceptance metrics
-//	go test -bench=Improvement           # continuous-improvement loop
+//	go test -bench=. -run '^$' .
 package genedit_test
 
 import (
@@ -20,7 +17,6 @@ import (
 	"genedit/internal/decompose"
 	"genedit/internal/embed"
 	"genedit/internal/eval"
-	"genedit/internal/feedback"
 	"genedit/internal/pipeline"
 	"genedit/internal/sqldb"
 	"genedit/internal/sqlexec"
@@ -37,127 +33,6 @@ const (
 // benchSuite is shared across benchmarks; workload generation is itself
 // measured separately in BenchmarkSuiteGeneration.
 var benchSuite = workload.NewSuite(benchWorkloadSeed)
-
-// reportEX attaches per-difficulty execution accuracy as benchmark metrics.
-func reportEX(b *testing.B, rep *eval.Report) {
-	b.Helper()
-	b.ReportMetric(rep.EX(task.Simple), "EX-simple%")
-	b.ReportMetric(rep.EX(task.Moderate), "EX-moderate%")
-	b.ReportMetric(rep.EX(task.Challenging), "EX-challenging%")
-	b.ReportMetric(rep.EX(""), "EX-all%")
-}
-
-// runSystem evaluates one system over the full eval set b.N times.
-func runSystem(b *testing.B, sys eval.System) {
-	b.Helper()
-	runner := eval.NewRunner(benchSuite.Databases)
-	var rep *eval.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := runner.Run(sys, benchSuite.Cases)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep = r
-	}
-	b.StopTimer()
-	reportEX(b, rep)
-}
-
-// --- Table 1: GenEdit vs the five baselines ---
-
-func BenchmarkTable1_GenEdit(b *testing.B) {
-	sys, err := bench.NewGenEditSystem("GenEdit", benchSuite, pipeline.DefaultConfig(), benchModelSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runSystem(b, sys)
-}
-
-func benchmarkBaseline(b *testing.B, name string) {
-	for _, sys := range bench.AllBaselines(benchSuite, benchModelSeed) {
-		if sys.Name() == name {
-			runSystem(b, sys)
-			return
-		}
-	}
-	b.Fatalf("baseline %s not found", name)
-}
-
-func BenchmarkTable1_CHESS(b *testing.B)   { benchmarkBaseline(b, "CHESS") }
-func BenchmarkTable1_MACSQL(b *testing.B)  { benchmarkBaseline(b, "MAC-SQL") }
-func BenchmarkTable1_TASQL(b *testing.B)   { benchmarkBaseline(b, "TA-SQL") }
-func BenchmarkTable1_DAILSQL(b *testing.B) { benchmarkBaseline(b, "DAIL-SQL") }
-func BenchmarkTable1_C3SQL(b *testing.B)   { benchmarkBaseline(b, "C3-SQL") }
-
-// --- Table 2: operator ablations ---
-
-func benchmarkAblation(b *testing.B, name string) {
-	for _, ab := range append(bench.Table2Ablations(), bench.ExtraAblations()...) {
-		if ab.Name != name {
-			continue
-		}
-		sys, err := bench.NewGenEditSystem(ab.Name, benchSuite, ab.Cfg, benchModelSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runSystem(b, sys)
-		return
-	}
-	b.Fatalf("ablation %s not found", name)
-}
-
-func BenchmarkTable2_Full(b *testing.B)            { benchmarkAblation(b, "GenEdit") }
-func BenchmarkTable2_NoSchemaLinking(b *testing.B) { benchmarkAblation(b, "w/o Schema Linking") }
-func BenchmarkTable2_NoInstructions(b *testing.B)  { benchmarkAblation(b, "w/o Instructions") }
-func BenchmarkTable2_NoExamples(b *testing.B)      { benchmarkAblation(b, "w/o Examples") }
-func BenchmarkTable2_NoPseudoSQL(b *testing.B)     { benchmarkAblation(b, "w/o Pseudo-SQL") }
-func BenchmarkTable2_NoDecomposition(b *testing.B) { benchmarkAblation(b, "w/o Decomposition") }
-
-// --- Design-choice ablations (beyond the paper's Table 2) ---
-
-func BenchmarkAblation_NoContextExpansion(b *testing.B) {
-	benchmarkAblation(b, "w/o Context Expansion")
-}
-func BenchmarkAblation_NoPlanning(b *testing.B)       { benchmarkAblation(b, "w/o Planning") }
-func BenchmarkAblation_NoSelfCorrection(b *testing.B) { benchmarkAblation(b, "w/o Self-Correction") }
-func BenchmarkAblation_OneAttempt(b *testing.B)       { benchmarkAblation(b, "k=1 retry") }
-
-// --- §4.2.3: edits-recommendation acceptance ---
-
-func BenchmarkEditsAcceptance(b *testing.B) {
-	var stats *feedback.AcceptanceStats
-	for i := 0; i < b.N; i++ {
-		s, err := feedback.RunAcceptanceExperiment(benchSuite, benchModelSeed, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats = s
-	}
-	b.StopTimer()
-	if stats.Sessions > 0 {
-		b.ReportMetric(100*float64(stats.AcceptedAsIs)/float64(stats.Sessions), "accepted-as-is%")
-		b.ReportMetric(100*float64(stats.AcceptedAfterIter)/float64(stats.Sessions), "accepted-after-iter%")
-	}
-}
-
-// --- Continuous improvement (§4 / demo) ---
-
-func BenchmarkContinuousImprovement(b *testing.B) {
-	var res *feedback.ImprovementResult
-	for i := 0; i < b.N; i++ {
-		r, err := feedback.RunImprovementExperiment(benchSuite, benchModelSeed, 3, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	b.StopTimer()
-	if len(res.Rounds) > 0 {
-		b.ReportMetric(res.Rounds[0].EX, "EX-round0%")
-		b.ReportMetric(res.Rounds[len(res.Rounds)-1].EX, "EX-final%")
-	}
-}
 
 // --- Substrate micro-benchmarks ---
 
@@ -301,14 +176,14 @@ func BenchmarkParallelEval(b *testing.B) {
 			var rep *eval.Report
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := runner.Run(sys, benchSuite.Cases)
+				r, err := runner.RunContext(context.Background(), sys, benchSuite.Cases)
 				if err != nil {
 					b.Fatal(err)
 				}
 				rep = r
 			}
 			b.StopTimer()
-			reportEX(b, rep)
+			b.ReportMetric(rep.EX(""), "EX-all%")
 		})
 	}
 }
@@ -347,7 +222,7 @@ func BenchmarkPipelineSingleGeneration(b *testing.B) {
 	engine := sys.Engine(c.DB)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Generate(c.Question, c.Evidence); err != nil {
+		if _, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence); err != nil {
 			b.Fatal(err)
 		}
 	}

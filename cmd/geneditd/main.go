@@ -472,24 +472,9 @@ func main() {
 	admitBurst := flag.Float64("admitburst", 0, "per-database token-bucket burst capacity (0 = max(1, admitrate))")
 	maxInflight := flag.Int("maxinflight", 0, "max concurrently executing generations (0 = unbounded)")
 	maxQueue := flag.Int("maxqueue", 64, "max requests queued for an execution slot before shedding with 503")
-	ann := flag.Bool("ann", true, "partitioned ANN retrieval index (exact: results identical to the full scan; disable for brute-vs-ANN comparisons)")
-	annMinSize := flag.Int("annminsize", 0, "min knowledge-index size before ANN partitioning kicks in (0 = default)")
-	annProbes := flag.Int("annprobes", 0, "ANN partitions scanned before the exactness guard takes over (0 = default)")
-	exFanout := flag.Int("exfanout", 0, "example-retrieval fan-out; candidates pulled per query before re-ranking (0 = default 24; non-default values can change generated SQL)")
-	insFanout := flag.Int("insfanout", 0, "instruction-retrieval fan-out (0 = default 16; non-default values can change generated SQL)")
 	flag.Parse()
 
 	opts := []genedit.Option{genedit.WithModelSeed(*modelSeed)}
-	if !*ann || *annMinSize > 0 || *annProbes > 0 {
-		opts = append(opts, genedit.WithANNRetrieval(genedit.ANNRetrieval{
-			Disable: !*ann,
-			MinSize: *annMinSize,
-			Probes:  *annProbes,
-		}))
-	}
-	if *exFanout > 0 || *insFanout > 0 {
-		opts = append(opts, genedit.WithRetrievalFanout(*exFanout, *insFanout))
-	}
 	if *admitRate > 0 || *maxInflight > 0 {
 		opts = append(opts, genedit.WithAdmission(genedit.AdmissionConfig{
 			RatePerSec:    *admitRate,

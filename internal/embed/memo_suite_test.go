@@ -1,6 +1,7 @@
 package embed_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -115,7 +116,7 @@ func TestModelOutputsIndependentOfMemoState(t *testing.T) {
 			if c.DB != db {
 				continue
 			}
-			rec, err := engine.Generate(c.Question, c.Evidence)
+			rec, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,7 +35,7 @@ func (s *ctxSystem) GenerateContext(ctx context.Context, c *task.Case) (string, 
 func TestRunContextMatchesRun(t *testing.T) {
 	sys := &stubSystem{name: "stub"}
 	r, cases := runnerFixture(40)
-	want, err := r.Run(sys, cases)
+	want, err := r.RunContext(context.Background(), sys, cases)
 	if err != nil {
 		t.Fatal(err)
 	}

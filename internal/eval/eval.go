@@ -18,7 +18,7 @@ import (
 )
 
 // System is anything that turns a benchmark case into SQL: the GenEdit
-// pipeline, a baseline, or an ablated variant. Runner.Run calls Generate
+// pipeline, a baseline, or an ablated variant. Runner.RunContext calls Generate
 // from multiple goroutines (bounded by SetWorkers), so implementations must
 // be safe for concurrent use; a System with per-call mutable state must
 // synchronize it or be run with SetWorkers(1).
@@ -84,9 +84,9 @@ func rowKey(r sqldb.Row) string {
 }
 
 // Runner evaluates systems over a fixed case set, caching gold results. A
-// Runner fans Run out across a bounded worker pool (see SetWorkers); the
-// gold cache is guarded internally, and the substrate Run drives — the
-// executors (read-only database, synchronized statement cache), the
+// Runner fans RunContext out across a bounded worker pool (see SetWorkers);
+// the gold cache is guarded internally, and the substrate RunContext drives —
+// the executors (read-only database, synchronized statement cache), the
 // simulated model (pure functions of its seed) and the knowledge-set read
 // paths — is concurrency-safe, so outcomes are deterministic and
 // input-ordered regardless of worker count.
@@ -114,11 +114,11 @@ func NewRunner(dbs map[string]*sqldb.Database) *Runner {
 	return r
 }
 
-// SetWorkers bounds the worker pool Run fans cases out across. Values below
-// 1 are clamped to 1 (strictly sequential) rather than accepted — a
+// SetWorkers bounds the worker pool RunContext fans cases out across. Values
+// below 1 are clamped to 1 (strictly sequential) rather than accepted — a
 // non-positive pool would otherwise deadlock the dispatch channel. Workers
 // reports the effective value. SetWorkers is a setup-time knob: it is not
-// synchronized against an in-flight Run, so configure the pool before
+// synchronized against an in-flight RunContext, so configure the pool before
 // sharing the runner across goroutines.
 func (r *Runner) SetWorkers(n int) {
 	if n < 1 {
@@ -172,11 +172,11 @@ func (r *Runner) Evaluate(c *task.Case, predicted string) (bool, error) {
 }
 
 // PrewarmGold executes and caches the gold results for the cases, fanning
-// out across the worker pool. Run populates the cache lazily (each case is
-// dispatched to exactly one worker, so golds are never computed twice
-// within a run); PrewarmGold is for callers that want to front-load the
+// out across the worker pool. RunContext populates the cache lazily (each
+// case is dispatched to exactly one worker, so golds are never computed
+// twice within a run); PrewarmGold is for callers that want to front-load the
 // gold execution cost — e.g. before timing a system. Gold failures are
-// deliberately not reported here: Run surfaces them per-case with
+// deliberately not reported here: RunContext surfaces them per-case with
 // sequential-identical error selection.
 func (r *Runner) PrewarmGold(cases []*task.Case) {
 	r.forEachCase(context.Background(), cases, func(i int, c *task.Case) {
@@ -188,7 +188,7 @@ func (r *Runner) PrewarmGold(cases []*task.Case) {
 
 // ForEach runs fn(i) for every i in [0, n), fanned out across at most
 // workers goroutines (clamped to [1, n]). It is the bounded worker-pool
-// primitive behind Runner.Run and genedit.Service.GenerateBatch. Once ctx is
+// primitive behind Runner.RunContext and genedit.Service.GenerateBatch. Once ctx is
 // done no further indices are dispatched; indices already handed to a worker
 // run to completion, and ForEach returns only after all dispatched work has
 // finished. Callers detect an early stop via ctx.Err().
@@ -236,17 +236,11 @@ func (r *Runner) forEachCase(ctx context.Context, cases []*task.Case, fn func(i 
 	ForEach(ctx, r.workers, len(cases), func(i int) { fn(i, cases[i]) })
 }
 
-// Run evaluates a system over the cases with no deadline. Results are
-// input-ordered and identical to a sequential run; on evaluation failure the
-// error reported is the one a sequential run would have hit first.
-func (r *Runner) Run(sys System, cases []*task.Case) (*Report, error) {
-	return r.RunContext(context.Background(), sys, cases)
-}
-
-// RunContext evaluates a system over the cases, honoring ctx: once ctx is
+// RunContext evaluates a system over the cases. Results are input-ordered
+// and identical to a sequential run; on evaluation failure the error
+// reported is the one a sequential run would have hit first. Once ctx is
 // done no further cases are dispatched (and a ContextSystem aborts
-// mid-case), and the run returns an error matching generr.ErrCanceled. A
-// run that completes before cancellation reports exactly what Run would.
+// mid-case), and the run returns an error matching generr.ErrCanceled.
 func (r *Runner) RunContext(ctx context.Context, sys System, cases []*task.Case) (*Report, error) {
 	csys, _ := sys.(ContextSystem)
 	outcomes := make([]Outcome, len(cases))

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -113,7 +114,7 @@ func TestRunnerScoresSystems(t *testing.T) {
 		"c2": "SELECT COUNT(X) FROM T", // correct
 		"c3": "SELECT MIN(X) FROM T",   // wrong
 	}}
-	rep, err := runner.Run(sys, cases)
+	rep, err := runner.RunContext(context.Background(), sys, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestRunnerTreatsBrokenSQLAsIncorrect(t *testing.T) {
 	sys := &fixedSystem{name: "broken", sql: map[string]string{
 		"c1": "SELEC nope", "c2": "SELECT * FROM MISSING", "c3": "",
 	}}
-	rep, err := runner.Run(sys, cases)
+	rep, err := runner.RunContext(context.Background(), sys, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +154,8 @@ func TestFormatTableAndRank(t *testing.T) {
 		"c1": "SELECT SUM(X) FROM T", "c2": "SELECT COUNT(*) FROM T", "c3": "SELECT MAX(X) FROM T",
 	}}
 	bad := &fixedSystem{name: "bad", sql: map[string]string{}}
-	repGood, _ := runner.Run(good, cases)
-	repBad, _ := runner.Run(bad, cases)
+	repGood, _ := runner.RunContext(context.Background(), good, cases)
+	repBad, _ := runner.RunContext(context.Background(), bad, cases)
 	table := FormatTable("title", []*Report{repBad, repGood})
 	if !strings.Contains(table, "title") || !strings.Contains(table, "good") {
 		t.Errorf("table rendering broken:\n%s", table)
@@ -223,7 +224,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 
 	seqRunner, _ := runnerFixture(0)
 	seqRunner.SetWorkers(1)
-	seq, err := seqRunner.Run(sys, cases)
+	seq, err := seqRunner.RunContext(context.Background(), sys, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		parRunner, _ := runnerFixture(0)
 		parRunner.SetWorkers(workers)
-		par, err := parRunner.Run(sys, cases)
+		par, err := parRunner.RunContext(context.Background(), sys, cases)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +257,7 @@ func TestRunParallelSharedGoldCache(t *testing.T) {
 	sys := &stubSystem{name: "stub"}
 	r, cases := runnerFixture(40)
 	r.SetWorkers(8)
-	rep, err := r.Run(sys, cases)
+	rep, err := r.RunContext(context.Background(), sys, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestRunParallelSharedGoldCache(t *testing.T) {
 		t.Fatalf("got %d outcomes", len(rep.Outcomes))
 	}
 	// Second run hits the warm cache and must agree.
-	rep2, err := r.Run(sys, cases)
+	rep2, err := r.RunContext(context.Background(), sys, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestRunReportsLowestIndexGoldError(t *testing.T) {
 	cases[7].GoldSQL = "SELECT broken FROM nowhere"
 	cases[13].GoldSQL = "SELECT broken FROM nowhere"
 	r.SetWorkers(4)
-	_, err := r.Run(sys, cases)
+	_, err := r.RunContext(context.Background(), sys, cases)
 	if err == nil {
 		t.Fatal("expected gold failure")
 	}
@@ -296,7 +297,7 @@ func TestSetWorkersClamps(t *testing.T) {
 	if r.workers != 1 {
 		t.Errorf("workers = %d, want 1", r.workers)
 	}
-	rep, err := r.Run(&stubSystem{name: "s"}, cases)
+	rep, err := r.RunContext(context.Background(), &stubSystem{name: "s"}, cases)
 	if err != nil || len(rep.Outcomes) != 3 {
 		t.Fatalf("sequential fallback broken: %v, %d outcomes", err, len(rep.Outcomes))
 	}

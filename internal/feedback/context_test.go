@@ -22,7 +22,7 @@ func TestOpenContextCanceled(t *testing.T) {
 func TestSubmitContextCanceled(t *testing.T) {
 	solver, suite := testSolver(t, true)
 	c := ourCase(t, suite)
-	sess, err := solver.Open(c.Question, "")
+	sess, err := solver.OpenContext(context.Background(), c.Question, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSubmitContextCanceled(t *testing.T) {
 	}
 
 	// The same submission succeeds once the context is live again.
-	res, err := sess.Submit()
+	res, err := sess.SubmitContext(context.Background())
 	if err != nil {
 		t.Fatalf("Submit after canceled attempt: %v", err)
 	}

@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -119,12 +120,12 @@ func goldenSubset(suite *workload.Suite, perDB int) map[string][]*task.Case {
 }
 
 // evaluate scores the harness's current engines over the eval set.
-func (h *experimentHarness) evaluate(cases []*task.Case) (float64, map[string]bool, error) {
+func (h *experimentHarness) evaluate(ctx context.Context, cases []*task.Case) (float64, map[string]bool, error) {
 	correct := make(map[string]bool, len(cases))
 	n := 0
 	for _, c := range cases {
 		solver := h.solvers[c.DB]
-		rec, err := solver.Engine().Generate(c.Question, c.Evidence)
+		rec, err := solver.Engine().GenerateContext(ctx, c.Question, c.Evidence)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -145,12 +146,13 @@ func (h *experimentHarness) evaluate(cases []*task.Case) (float64, map[string]bo
 // to maxIter times; sessions resolve as accepted-as-is (first staging fixes
 // the query), accepted-after-iteration, or abandoned.
 func RunAcceptanceExperiment(suite *workload.Suite, seed uint64, maxIter int) (*AcceptanceStats, error) {
+	ctx := context.Background()
 	golden := goldenSubset(suite, 4)
 	h, err := newHarness(suite, seed, false, golden)
 	if err != nil {
 		return nil, err
 	}
-	_, correct, err := h.evaluate(suite.Cases)
+	_, correct, err := h.evaluate(ctx, suite.Cases)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +163,7 @@ func RunAcceptanceExperiment(suite *workload.Suite, seed uint64, maxIter int) (*
 			continue
 		}
 		solver := h.solvers[c.DB]
-		sess, err := solver.Open(c.Question, c.Evidence)
+		sess, err := solver.OpenContext(ctx, c.Question, c.Evidence)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +182,7 @@ func RunAcceptanceExperiment(suite *workload.Suite, seed uint64, maxIter int) (*
 			manualUsed = manualUsed || manual
 			sess.Stage(staged...)
 			stats.TotalEditsStaged += len(staged)
-			regen, err := sess.Regenerate()
+			regen, err := sess.RegenerateContext(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -194,7 +196,7 @@ func RunAcceptanceExperiment(suite *workload.Suite, seed uint64, maxIter int) (*
 				} else {
 					stats.AcceptedAfterIter++
 				}
-				res, err := sess.Submit()
+				res, err := sess.SubmitContext(ctx)
 				if err != nil {
 					return nil, err
 				}
@@ -221,6 +223,7 @@ func RunAcceptanceExperiment(suite *workload.Suite, seed uint64, maxIter int) (*
 // feedback solver, merging approved edits. EX climbs as the knowledge set
 // absorbs the feedback.
 func RunImprovementExperiment(suite *workload.Suite, seed uint64, rounds, sessionsPerRound int) (*ImprovementResult, error) {
+	ctx := context.Background()
 	golden := goldenSubset(suite, 4)
 	h, err := newHarness(suite, seed, true, golden)
 	if err != nil {
@@ -229,7 +232,7 @@ func RunImprovementExperiment(suite *workload.Suite, seed uint64, rounds, sessio
 
 	result := &ImprovementResult{}
 	for round := 0; round <= rounds; round++ {
-		ex, correct, err := h.evaluate(suite.Cases)
+		ex, correct, err := h.evaluate(ctx, suite.Cases)
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +252,7 @@ func RunImprovementExperiment(suite *workload.Suite, seed uint64, rounds, sessio
 				continue
 			}
 			solver := h.solvers[c.DB]
-			sess, err := solver.Open(c.Question, c.Evidence)
+			sess, err := solver.OpenContext(ctx, c.Question, c.Evidence)
 			if err != nil {
 				return nil, err
 			}
@@ -259,7 +262,7 @@ func RunImprovementExperiment(suite *workload.Suite, seed uint64, rounds, sessio
 			}
 			staged, _ := h.sme.ReviewEdits(c, recd.Edits)
 			sess.Stage(staged...)
-			regen, err := sess.Regenerate()
+			regen, err := sess.RegenerateContext(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -271,7 +274,7 @@ func RunImprovementExperiment(suite *workload.Suite, seed uint64, rounds, sessio
 				continue // SME abandons; nothing merged
 			}
 			rr.Fixed++
-			res, err := sess.Submit()
+			res, err := sess.SubmitContext(ctx)
 			if err != nil {
 				return nil, err
 			}

@@ -54,7 +54,7 @@ func ourCase(t *testing.T, suite *workload.Suite) *task.Case {
 func TestRecommenderProducesEditsForTermFeedback(t *testing.T) {
 	solver, suite := testSolver(t, true) // degraded: no instructions
 	c := ourCase(t, suite)
-	sess, err := solver.Open(c.Question, c.Evidence)
+	sess, err := solver.OpenContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestStageRegenerateFixesJargonCase(t *testing.T) {
 	c := ourCase(t, suite)
 	// No evidence: the degraded engine has neither an instruction nor a
 	// benchmark hint defining "our", so the term gate must fire.
-	sess, err := solver.Open(c.Question, "")
+	sess, err := solver.OpenContext(context.Background(), c.Question, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestStageRegenerateFixesJargonCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Stage(rec.Edits...)
-	regen, err := sess.Regenerate()
+	regen, err := sess.RegenerateContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestStageRegenerateFixesJargonCase(t *testing.T) {
 func TestSubmitRegressionAndApprove(t *testing.T) {
 	solver, suite := testSolver(t, true)
 	c := ourCase(t, suite)
-	sess, err := solver.Open(c.Question, c.Evidence)
+	sess, err := solver.OpenContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSubmitRegressionAndApprove(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Stage(rec.Edits...)
-	res, err := sess.Submit()
+	res, err := sess.SubmitContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSubmitRegressionAndApprove(t *testing.T) {
 		t.Error("merged edits are not attributed to the feedback session in history")
 	}
 	// The fix persists in the live engine now.
-	after, err := solver.Engine().Generate(c.Question, c.Evidence)
+	after, err := solver.Engine().GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,11 @@ func TestApproveUnknownChangeFails(t *testing.T) {
 func TestSubmitWithoutStagedEditsFails(t *testing.T) {
 	solver, suite := testSolver(t, false)
 	c := ourCase(t, suite)
-	sess, err := solver.Open(c.Question, c.Evidence)
+	sess, err := solver.OpenContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Submit(); err == nil {
+	if _, err := sess.SubmitContext(context.Background()); err == nil {
 		t.Error("submit with nothing staged should fail")
 	}
 }
@@ -195,7 +195,7 @@ func TestSubmitWithoutStagedEditsFails(t *testing.T) {
 func TestRegressionGateBlocksHarmfulEdit(t *testing.T) {
 	solver, suite := testSolver(t, false)
 	c := ourCase(t, suite)
-	sess, err := solver.Open(c.Question, c.Evidence)
+	sess, err := solver.OpenContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestRegressionGateBlocksHarmfulEdit(t *testing.T) {
 		t.Fatal("full KB should define 'our'")
 	}
 	sess.Stage(knowledge.Edit{Op: knowledge.EditDelete, Kind: knowledge.InstructionEntity, ID: def.ID})
-	res, err := sess.Submit()
+	res, err := sess.SubmitContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func referenceGate(t *testing.T, s *Solver, edits []knowledge.Edit) (before, aft
 		exec := sqlexec.New(engine.Database())
 		out := map[string]bool{}
 		for _, c := range s.golden {
-			rec, err := engine.Generate(c.Question, c.Evidence)
+			rec, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 			if err != nil {
 				t.Fatal(err)
 			}

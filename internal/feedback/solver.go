@@ -91,12 +91,6 @@ type Session struct {
 	LastRecommendation *Recommendation
 }
 
-// Open generates the initial SQL for a question and starts a session with
-// no deadline.
-func (s *Solver) Open(question, evidence string) (*Session, error) {
-	return s.OpenContext(context.Background(), question, evidence)
-}
-
 // OpenContext generates the initial SQL for a question and starts a session.
 // Cancellation propagates into the generation pipeline; a canceled ctx
 // returns an error matching generr.ErrCanceled.
@@ -139,14 +133,9 @@ func (sess *Session) Stage(edits ...knowledge.Edit) {
 // ClearStaged drops all staged edits.
 func (sess *Session) ClearStaged() { sess.Staged = nil }
 
-// Regenerate re-runs generation in a staging environment: the live
-// knowledge set plus the staged edits.
-func (sess *Session) Regenerate() (*pipeline.Record, error) {
-	return sess.RegenerateContext(context.Background())
-}
-
-// RegenerateContext is Regenerate with cancellation: the staged-engine
-// generation aborts mid-pipeline once ctx is done.
+// RegenerateContext re-runs generation in a staging environment: the live
+// knowledge set plus the staged edits. The staged-engine generation aborts
+// mid-pipeline once ctx is done.
 func (sess *Session) RegenerateContext(ctx context.Context) (*pipeline.Record, error) {
 	live := sess.solver.Engine()
 	staged, err := live.KnowledgeSet().Stage(sess.Staged, "sme", sess.FeedbackID)
@@ -184,15 +173,11 @@ type SubmitResult struct {
 	Pending *PendingChange
 }
 
-// Submit closes the session's iteration loop: the staged edits run through
-// the regression suite; on pass, a pending change is queued for approval.
-func (sess *Session) Submit() (*SubmitResult, error) {
-	return sess.SubmitContext(context.Background())
-}
-
-// SubmitContext is Submit with cancellation: the golden-suite regression
-// replay checks ctx between cases and aborts mid-generation once ctx is
-// done, returning an error matching generr.ErrCanceled.
+// SubmitContext closes the session's iteration loop: the staged edits run
+// through the regression suite; on pass, a pending change is queued for
+// approval. The golden-suite replay checks ctx between cases and aborts
+// mid-generation once ctx is done, returning an error matching
+// generr.ErrCanceled.
 func (sess *Session) SubmitContext(ctx context.Context) (*SubmitResult, error) {
 	if len(sess.Staged) == 0 {
 		return nil, fmt.Errorf("nothing staged to submit")

@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -13,7 +14,7 @@ func submitOurCase(t *testing.T, solver *Solver) *PendingChange {
 	t.Helper()
 	_, suite := testSolver(t, true) // only for the case lookup below
 	c := ourCase(t, suite)
-	sess, err := solver.Open(c.Question, c.Evidence)
+	sess, err := solver.OpenContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,10 +23,10 @@ func submitOurCase(t *testing.T, solver *Solver) *PendingChange {
 		t.Fatal(err)
 	}
 	sess.Stage(rec.Edits...)
-	if _, err := sess.Regenerate(); err != nil {
+	if _, err := sess.RegenerateContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Submit()
+	res, err := sess.SubmitContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

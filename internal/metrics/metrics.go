@@ -116,9 +116,9 @@ var (
 )
 
 // Default returns the process-global registry — the default sink for every
-// Service and the registry geneditd exposes on /metrics. Long-lived
-// processes (the daemon, benchrunner) hold one Service, so the global is
-// unambiguous; tests that assert exact counter values should pass their own
+// Service and the registry geneditd exposes on /metrics. The long-lived
+// process, the daemon, holds one Service, so the global is unambiguous;
+// tests that assert exact counter values should pass their own
 // NewRegistry to stay isolated.
 func Default() *Registry {
 	defaultOnce.Do(func() { defaultReg = NewRegistry() })

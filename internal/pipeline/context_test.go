@@ -46,7 +46,7 @@ func TestGenerateContextMatchesGenerate(t *testing.T) {
 	engine, suite := testEngine(t, DefaultConfig())
 	c := caseByID(t, suite, "sports_holdings-s-list-1")
 
-	plain, err := engine.Generate(c.Question, c.Evidence)
+	plain, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -71,7 +72,7 @@ func failingVariant(t testing.TB, gold string) string {
 // plan the correction operators receive.
 func repairContext(t testing.TB, e *Engine, question, evidence string) (llm.Context, llm.Plan) {
 	t.Helper()
-	rec, err := e.Generate(question, evidence)
+	rec, err := e.GenerateContext(context.Background(), question, evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func execFailingEngines(tb testing.TB) (regen, edit *Engine, c *task.Case) {
 			}},
 		}
 		suite.Registry.Add(cand)
-		rec, err := regen.Generate(cand.Question, "")
+		rec, err := regen.GenerateContext(context.Background(), cand.Question, "")
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -196,14 +197,14 @@ func execFailingEngines(tb testing.TB) (regen, edit *Engine, c *task.Case) {
 
 func TestClauseEditCorrectionConvergesWhereRegenerationRepeats(t *testing.T) {
 	regen, edit, c := execFailingEngines(t)
-	rec, err := regen.Generate(c.Question, "")
+	rec, err := regen.GenerateContext(context.Background(), c.Question, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.OK {
 		t.Fatal("regeneration unexpectedly fixed the deterministic decoy failure")
 	}
-	rec, err = edit.Generate(c.Question, "")
+	rec, err = edit.GenerateContext(context.Background(), c.Question, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func benchmarkCorrectionLoop(b *testing.B, e *Engine, question string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := e.Generate(question, "")
+		rec, err := e.GenerateContext(context.Background(), question, "")
 		if err != nil {
 			b.Fatal(err)
 		}

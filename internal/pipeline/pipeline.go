@@ -33,8 +33,6 @@ type Config struct {
 	// ExpansionWeight blends example-context similarity into instruction
 	// re-ranking (context expansion, §3.1.1).
 	ExpansionWeight float64
-	// SemanticCheck enables the model-based empty-result regeneration.
-	SemanticCheck bool
 	// StatementCacheSize bounds the executor's parsed-statement LRU;
 	// 0 means sqlexec.DefaultStatementCacheSize. Serving deployments with
 	// a larger hot set raise it through genedit.WithStatementCacheSize.
@@ -48,23 +46,6 @@ type Config struct {
 	// correction loop produces, so it is opt-in to keep the baseline EX
 	// tables bit-identical.
 	ClauseEditCorrection bool
-
-	// ExampleFanout / InstructionFanout are the retrieval fan-outs of the
-	// example and instruction selectors: how many candidates the global
-	// similarity search pulls from the index before intent filtering and
-	// re-ranking. <= 0 means the defaults (DefaultExampleFanout /
-	// DefaultInstructionFanout), which reproduce the paper configuration.
-	ExampleFanout     int
-	InstructionFanout int
-	// DisableANNRetrieval forces every retrieval through the plain full
-	// scan. The ANN layer is exact by construction (top-k order-identical
-	// to the brute scan — see internal/embed), so this switch exists for
-	// debugging and apples-to-apples comparisons.
-	DisableANNRetrieval bool
-	// ANNMinSize / ANNProbes tune the retrieval index's partitioning
-	// threshold and unconditional probe count; 0 means the embed defaults.
-	ANNMinSize int
-	ANNProbes  int
 
 	// Table 2 ablations.
 	DisableSchemaLinking bool
@@ -80,22 +61,33 @@ type Config struct {
 	DisableReformulation    bool
 }
 
-// Default retrieval fan-outs (the historical hard-coded values).
+// Retrieval fan-outs of the example and instruction selectors: how many
+// candidates the global similarity search pulls from the index before intent
+// filtering and re-ranking (the paper configuration).
 const (
 	DefaultExampleFanout     = 24
 	DefaultInstructionFanout = 16
 )
 
+// retrieval is how an engine's selectors search their indexes: the fan-outs
+// and the ANN partitioning. Every engine New builds uses defaultRetrieval, so
+// the ANN layer engages by index size alone (embed.DefaultANNMinSize); it is
+// exact, top-k order-identical to the full scan, so it never changes a
+// result. Tests reach other settings through newEngine.
+type retrieval struct {
+	exFanout, insFanout int
+	ann                 embed.ANNConfig
+}
+
+var defaultRetrieval = retrieval{exFanout: DefaultExampleFanout, insFanout: DefaultInstructionFanout}
+
 // DefaultConfig returns the production configuration.
 func DefaultConfig() Config {
 	return Config{
-		MaxAttempts:       3,
-		TopExamples:       12,
-		TopInstructions:   6,
-		ExpansionWeight:   0.45,
-		SemanticCheck:     true,
-		ExampleFanout:     DefaultExampleFanout,
-		InstructionFanout: DefaultInstructionFanout,
+		MaxAttempts:     3,
+		TopExamples:     12,
+		TopInstructions: 6,
+		ExpansionWeight: 0.45,
 	}
 }
 
@@ -137,14 +129,14 @@ func (r *Record) Prompt() string {
 // Engine is the GenEdit generation pipeline bound to one database and one
 // knowledge set.
 //
-// Concurrency contract: an Engine is safe for concurrent Generate /
-// GenerateContext calls. All per-engine state — the knowledge set, schema
-// profile, retrieval indices and precomputed vectors — is read-only after
-// construction; the executor synchronizes its statement cache internally;
-// and the model is required to be concurrency-safe (the simulated model is
-// a pure function of its seed). Mutating operations (WithKnowledge) return
-// a new Engine rather than changing a shared one, so a served engine is
-// immutable for its lifetime.
+// Concurrency contract: an Engine is safe for concurrent GenerateContext
+// calls. All per-engine state — the knowledge set, schema profile, retrieval
+// indices and precomputed vectors — is read-only after construction; the
+// executor synchronizes its statement cache internally; and the model is
+// required to be concurrency-safe (the simulated model is a pure function of
+// its seed). Mutating operations (WithKnowledge) return a new Engine rather
+// than changing a shared one, so a served engine is immutable for its
+// lifetime.
 type Engine struct {
 	model llm.Model
 	kset  *knowledge.Set
@@ -152,6 +144,7 @@ type Engine struct {
 	sch   *schema.Schema
 	exec  *sqlexec.Executor
 	cfg   Config
+	ret   retrieval
 
 	exIndex  *embed.Index
 	insIndex *embed.Index
@@ -172,14 +165,13 @@ type Engine struct {
 
 // New builds an engine. The knowledge set is indexed for retrieval once.
 func New(model llm.Model, kset *knowledge.Set, db *sqldb.Database, cfg Config) *Engine {
+	return newEngine(model, kset, db, cfg, defaultRetrieval)
+}
+
+// newEngine is New with the retrieval setup given explicitly.
+func newEngine(model llm.Model, kset *knowledge.Set, db *sqldb.Database, cfg Config, ret retrieval) *Engine {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
-	}
-	if cfg.ExampleFanout <= 0 {
-		cfg.ExampleFanout = DefaultExampleFanout
-	}
-	if cfg.InstructionFanout <= 0 {
-		cfg.InstructionFanout = DefaultInstructionFanout
 	}
 	exec := sqlexec.New(db)
 	if cfg.StatementCacheSize > 0 {
@@ -192,6 +184,7 @@ func New(model llm.Model, kset *knowledge.Set, db *sqldb.Database, cfg Config) *
 		sch:   schema.FromDatabase(db, schema.DefaultTopValues),
 		exec:  exec,
 		cfg:   cfg,
+		ret:   ret,
 	}
 	e.buildIndices(nil)
 	return e
@@ -210,7 +203,7 @@ type RetrievalStats struct {
 }
 
 // RetrievalStats snapshots the engine's retrieval counters. Safe to call
-// concurrently with Generate.
+// concurrently with GenerateContext.
 func (e *Engine) RetrievalStats() RetrievalStats {
 	return RetrievalStats{
 		Examples:     e.exIndex.Stats(),
@@ -232,25 +225,19 @@ func (e *Engine) Schema() *schema.Schema { return e.sch }
 func (e *Engine) WithKnowledge(kset *knowledge.Set) *Engine {
 	out := &Engine{
 		model: e.model, kset: kset, db: e.db, sch: e.sch,
-		exec: e.exec, cfg: e.cfg,
+		exec: e.exec, cfg: e.cfg, ret: e.ret,
 	}
 	out.buildIndices(e)
 	return out
 }
 
-// Generate runs the full inference pipeline for one question with no
-// deadline. The evidence string is the benchmark-provided external knowledge
-// (may be empty).
-func (e *Engine) Generate(question, evidence string) (*Record, error) {
-	return e.GenerateContext(context.Background(), question, evidence)
-}
-
-// GenerateContext runs the full inference pipeline for one question.
-// Cancellation is checked between operators and between self-correction
-// attempts, so a canceled or expired ctx aborts promptly mid-pipeline with
-// an error matching generr.ErrCanceled (and the underlying ctx.Err()). A
-// trace hook attached via WithTrace receives per-operator timings when the
-// call returns. The ctx carries deadline and trace only — it never changes
+// GenerateContext runs the full inference pipeline for one question. The
+// evidence string is the benchmark-provided external knowledge (may be
+// empty). Cancellation is checked between operators and between
+// self-correction attempts, so a canceled or expired ctx aborts promptly
+// mid-pipeline with an error matching generr.ErrCanceled (and the underlying
+// ctx.Err()). A trace hook attached via WithTrace receives per-operator
+// timings when the call returns. The ctx carries deadline and trace only — it never changes
 // what SQL a completed call produces.
 func (e *Engine) GenerateContext(ctx context.Context, question, evidence string) (*Record, error) {
 	tr := newTraceRecorder(ctx, question, e.db.Name)
@@ -430,7 +417,7 @@ func (e *Engine) generateWithCorrection(genctx context.Context, rec *Record, ctx
 		att := Attempt{SQL: sql}
 		res, execErr := e.exec.Query(sql)
 		switch {
-		case execErr == nil && (len(res.Rows) > 0 || !e.cfg.SemanticCheck):
+		case execErr == nil && len(res.Rows) > 0:
 			att.Kind = "ok"
 			att.Rows = len(res.Rows)
 		case execErr == nil:

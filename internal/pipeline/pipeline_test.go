@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func caseByID(t *testing.T, suite *workload.Suite, id string) *task.Case {
 func TestGenerateFillsRecord(t *testing.T) {
 	engine, suite := testEngine(t, DefaultConfig())
 	c := caseByID(t, suite, "sports_holdings-s-list-1")
-	rec, err := engine.Generate(c.Question, c.Evidence)
+	rec, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestAblationSwitchesShapeContext(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableInstructions = true
 	engine, _ := testEngine(t, cfg)
-	rec, err := engine.Generate(c.Question, c.Evidence)
+	rec, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestAblationSwitchesShapeContext(t *testing.T) {
 	cfg = DefaultConfig()
 	cfg.DisableExamples = true
 	engine, _ = testEngine(t, cfg)
-	rec, err = engine.Generate(c.Question, c.Evidence)
+	rec, err = engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestAblationSwitchesShapeContext(t *testing.T) {
 	cfg = DefaultConfig()
 	cfg.DisablePseudoSQL = true
 	engine, _ = testEngine(t, cfg)
-	rec, err = engine.Generate(c.Question, c.Evidence)
+	rec, err = engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestAblationSwitchesShapeContext(t *testing.T) {
 	cfg = DefaultConfig()
 	cfg.DisableSchemaLinking = true
 	engine, _ = testEngine(t, cfg)
-	rec, err = engine.Generate(c.Question, c.Evidence)
+	rec, err = engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestAblationSwitchesShapeContext(t *testing.T) {
 	cfg = DefaultConfig()
 	cfg.DisablePlanning = true
 	engine, _ = testEngine(t, cfg)
-	rec, err = engine.Generate(c.Question, c.Evidence)
+	rec, err = engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFullSQLExamplesWhenDecompositionAblated(t *testing.T) {
 	cfg.DisableDecomposition = true
 	engine, suite := testEngine(t, cfg)
 	c := caseByID(t, suite, "sports_holdings-m-pivot")
-	rec, err := engine.Generate(c.Question, c.Evidence)
+	rec, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestSelfCorrectionRetriesOnError(t *testing.T) {
 		if c.DB != "sports_holdings" {
 			continue
 		}
-		rec, err := engine.Generate(c.Question, c.Evidence)
+		rec, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,11 +185,11 @@ func TestSelfCorrectionRetriesOnError(t *testing.T) {
 func TestGenerationDeterministic(t *testing.T) {
 	engine, suite := testEngine(t, DefaultConfig())
 	c := caseByID(t, suite, "sports_holdings-c-qoq")
-	a, err := engine.Generate(c.Question, c.Evidence)
+	a, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := engine.Generate(c.Question, c.Evidence)
+	b, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestWithKnowledgeSwapsRetrieval(t *testing.T) {
 
 	empty := knowledge.NewSet()
 	bare := engine.WithKnowledge(empty)
-	rec, err := bare.Generate(c.Question, c.Evidence)
+	rec, err := bare.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestWithKnowledgeSwapsRetrieval(t *testing.T) {
 		t.Error("empty knowledge set still produced retrieved items")
 	}
 	// The original engine is untouched.
-	rec2, err := engine.Generate(c.Question, c.Evidence)
+	rec2, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +255,14 @@ func TestContextExpansionBoostsCoSelectedInstructions(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TopInstructions = 3
 	engine := New(model, kset, suite.Databases["sports_holdings"], cfg)
-	recWith, err := engine.Generate("widgets gizmo analysis", "")
+	recWith, err := engine.GenerateContext(context.Background(), "widgets gizmo analysis", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg.DisableContextExpansion = true
 	engineNo := New(model, kset, suite.Databases["sports_holdings"], cfg)
-	recWithout, err := engineNo.Generate("widgets gizmo analysis", "")
+	recWithout, err := engineNo.GenerateContext(context.Background(), "widgets gizmo analysis", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestDirectivesAppearInContext(t *testing.T) {
 	kset.AddDirective("prefer quarterly pivot examples", "sme", "fb-1")
 	engine2 := engine.WithKnowledge(kset)
 	c := caseByID(t, suite, "sports_holdings-m-pivot")
-	rec, err := engine2.Generate(c.Question, c.Evidence)
+	rec, err := engine2.GenerateContext(context.Background(), c.Question, c.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}

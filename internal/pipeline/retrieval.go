@@ -236,11 +236,8 @@ func (e *Engine) buildIndices(parent *Engine) {
 	// the engine is still private to this goroutine. Engines are immutable
 	// once served, so approval hot-swaps re-enter here via WithKnowledge and
 	// always publish a freshly partitioned — never stale — index.
-	if !e.cfg.DisableANNRetrieval {
-		annCfg := embed.ANNConfig{MinSize: e.cfg.ANNMinSize, Probes: e.cfg.ANNProbes}
-		e.exIndex.EnableANN(annCfg)
-		e.insIndex.EnableANN(annCfg)
-	}
+	e.exIndex.EnableANN(e.ret.ann)
+	e.insIndex.EnableANN(e.ret.ann)
 	e.exIndex.Build()
 	e.insIndex.Build()
 }
@@ -321,9 +318,9 @@ func (s *selScratch) cosines(qv embed.Vector, qNorm2 float64, ix *embed.Index) {
 // selectExamples implements operator 3. Candidates come from the classified
 // intents plus a global query-similarity search; all candidates are
 // re-ranked by cosine similarity with the reformulated query (whose
-// precomputed embedding qv is threaded in by Generate). When decomposition
-// is ablated the knowledge set's fragments are regrouped into traditional
-// full-query examples.
+// precomputed embedding qv is threaded in by GenerateContext). When
+// decomposition is ablated the knowledge set's fragments are regrouped into
+// traditional full-query examples.
 func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.RetrievedExample {
 	if e.cfg.DisableDecomposition {
 		return e.selectFullExamples(qv)
@@ -337,7 +334,7 @@ func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.Retri
 			s.add(post.examples...)
 		}
 	}
-	for _, hit := range e.exIndex.SearchVector(qv, e.cfg.ExampleFanout) {
+	for _, hit := range e.exIndex.SearchVector(qv, e.ret.exFanout) {
 		if p, ok := e.exIndex.Pos(hit.ID); ok {
 			s.add(p)
 		}
@@ -467,7 +464,7 @@ func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, example
 			s.add(post.instructions...)
 		}
 	}
-	for _, hit := range e.insIndex.SearchVector(qv, e.cfg.InstructionFanout) {
+	for _, hit := range e.insIndex.SearchVector(qv, e.ret.insFanout) {
 		if p, ok := e.insIndex.Pos(hit.ID); ok {
 			s.add(p)
 		}

@@ -107,7 +107,7 @@ func referenceSelectExamples(e *Engine, qv embed.Vector, intentIDs []string) []l
 			}
 		}
 	}
-	for _, hit := range e.exIndex.SearchVector(qv, e.cfg.ExampleFanout) {
+	for _, hit := range e.exIndex.SearchVector(qv, e.ret.exFanout) {
 		if ex := e.kset.Example(hit.ID); ex != nil && !seen[ex.ID] {
 			seen[ex.ID] = true
 			candidates = append(candidates, ex)
@@ -147,7 +147,7 @@ func referenceSelectInstructions(e *Engine, qv embed.Vector, intentIDs []string,
 			}
 		}
 	}
-	for _, hit := range e.insIndex.SearchVector(qv, e.cfg.InstructionFanout) {
+	for _, hit := range e.insIndex.SearchVector(qv, e.ret.insFanout) {
 		if ins := e.kset.Instruction(hit.ID); ins != nil && !seen[ins.ID] {
 			seen[ins.ID] = true
 			candidates = append(candidates, ins)
@@ -388,10 +388,8 @@ func TestSelectionMatchesReferenceHandBuilt(t *testing.T) {
 	}
 	for name, kset := range sets {
 		for _, annMinSize := range []int{0, 1} {
-			cfg := DefaultConfig()
-			cfg.ANNMinSize = annMinSize
-			cfg.ExampleFanout, cfg.InstructionFanout = 2, 2
-			base := New(model, kset, db, cfg)
+			ret := retrieval{exFanout: 2, insFanout: 2, ann: embed.ANNConfig{MinSize: annMinSize}}
+			base := newEngine(model, kset, db, DefaultConfig(), ret)
 			compared := 0
 			for _, q := range queries {
 				label := fmt.Sprintf("%s/ann_min_size=%d/%q%v", name, annMinSize, q.text, q.intentIDs)

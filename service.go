@@ -143,50 +143,6 @@ func WithStatementCacheSize(n int) Option {
 	return func(s *Service) { s.stmtCacheSize = n }
 }
 
-// ANNRetrieval tunes the partitioned retrieval index every engine builds
-// over its knowledge set (see internal/embed): a deterministic IVF-style
-// clustering searched best-partition-first with an exactness guard, so
-// top-k results are always order-identical to the brute-force scan.
-type ANNRetrieval struct {
-	// Disable forces every retrieval through the plain full scan.
-	Disable bool
-	// MinSize is the minimum index size before partitioning kicks in
-	// (0 = embed.DefaultANNMinSize). Small knowledge sets stay on the scan
-	// path, where partitioning overhead exceeds the savings.
-	MinSize int
-	// Probes is the number of best-ranked partitions scanned before the
-	// exactness guard decides whether more are needed
-	// (0 = embed.DefaultANNProbes).
-	Probes int
-}
-
-// WithANNRetrieval overrides the ANN retrieval tuning in every engine the
-// service builds (enabled with defaults otherwise). This never changes
-// results — the ANN layer is exact by construction — so the knob exists for
-// debugging and brute-vs-ANN comparisons.
-func WithANNRetrieval(cfg ANNRetrieval) Option {
-	return func(s *Service) {
-		s.annSet = true
-		s.ann = cfg
-	}
-}
-
-// WithRetrievalFanout overrides the example / instruction retrieval
-// fan-outs — how many candidates each selector pulls from its index before
-// intent filtering and re-ranking. Values <= 0 keep the defaults
-// (pipeline.DefaultExampleFanout / pipeline.DefaultInstructionFanout, the
-// paper configuration). Raising the fan-outs trades retrieval latency for
-// re-ranking quality headroom on large knowledge sets; lowering them is an
-// ablation knob. Fan-outs change which candidates reach the re-ranker, so —
-// unlike WithANNRetrieval — non-default values can change generated SQL.
-func WithRetrievalFanout(examples, instructions int) Option {
-	return func(s *Service) {
-		s.fanoutSet = true
-		s.exFanout = examples
-		s.insFanout = instructions
-	}
-}
-
 // WithGenerationCache enables the versioned generation cache: a bounded LRU
 // of completed Records keyed by (database, knowledge version, normalized
 // question, evidence), with singleflight coalescing so concurrent identical
@@ -249,22 +205,10 @@ func WithAdmission(cfg AdmissionConfig) Option {
 	return func(s *Service) { s.admCfg = &cfg }
 }
 
-// Handler serves one generation request; it is the unit the service's
+// handler serves one generation request; it is the unit the service's
 // middleware stack composes. The innermost handler runs the pipeline; the
-// built-in stack wraps it as admit → coalesce → generate.
-type Handler func(ctx context.Context, req Request) (*Response, error)
-
-// Middleware wraps a Handler with a cross-cutting concern (admission,
-// caching, custom instrumentation).
-type Middleware func(Handler) Handler
-
-// WithMiddleware installs custom middleware outside the built-in stack:
-// user middleware sees every request before admission control does (and
-// after it on the way out). Middleware runs in the order given, first
-// outermost. Handlers must be safe for concurrent use.
-func WithMiddleware(mw ...Middleware) Option {
-	return func(s *Service) { s.userMW = append(s.userMW, mw...) }
-}
+// stack wraps it as admit → coalesce → generate.
+type handler func(ctx context.Context, req Request) (*Response, error)
 
 // WithTrace installs a service-level per-request trace hook: fn receives
 // per-operator timings for every Generate / GenerateBatch request. A hook
@@ -315,11 +259,6 @@ type Service struct {
 	modelSeed     uint64
 	workers       int
 	stmtCacheSize int
-	annSet        bool
-	ann           ANNRetrieval
-	fanoutSet     bool
-	exFanout      int
-	insFanout     int
 	genCacheSize  int
 	trace         TraceFunc
 	storePath     string
@@ -335,12 +274,11 @@ type Service struct {
 	// gencache is nil when the generation cache is disabled.
 	gencache *gencache.Cache
 
-	// Admission control (nil when WithAdmission is absent), the composed
-	// request chain, and any user-supplied middleware.
+	// Admission control (nil when WithAdmission is absent) and the composed
+	// request chain.
 	admCfg    *AdmissionConfig
 	admission *admission.Controller
-	userMW    []Middleware
-	serve     Handler
+	serve     handler
 
 	// Metrics (see metrics.go): the registry sink (metrics.Default() unless
 	// WithMetrics overrode it), the resolved instrument set, and the
@@ -403,13 +341,8 @@ func NewService(b *Benchmark, opts ...Option) *Service {
 	}
 	s.initMetrics()
 	// The request path is a middleware stack composed once at construction:
-	// user middleware → admit → coalesce → generate.
-	s.serve = s.generateHandler()
-	s.serve = s.coalesceMiddleware(s.serve)
-	s.serve = s.admitMiddleware(s.serve)
-	for i := len(s.userMW) - 1; i >= 0; i-- {
-		s.serve = s.userMW[i](s.serve)
-	}
+	// admit → coalesce → generate.
+	s.serve = s.admitMiddleware(s.coalesceMiddleware(s.generateHandler()))
 	return s
 }
 
@@ -482,15 +415,6 @@ func (s *Service) build(db string) (*Engine, error) {
 	cfg := s.cfg
 	if s.stmtCacheSize > 0 {
 		cfg.StatementCacheSize = s.stmtCacheSize
-	}
-	if s.annSet {
-		cfg.DisableANNRetrieval = s.ann.Disable
-		cfg.ANNMinSize = s.ann.MinSize
-		cfg.ANNProbes = s.ann.Probes
-	}
-	if s.fanoutSet {
-		cfg.ExampleFanout = s.exFanout
-		cfg.InstructionFanout = s.insFanout
 	}
 	return pipeline.New(s.model, kset, s.suite.Databases[db], cfg), nil
 }
@@ -682,7 +606,7 @@ func (s *Service) Generate(ctx context.Context, req Request) (*Response, error) 
 
 // generateHandler is the innermost layer of the middleware stack: resolve
 // the tenant's shared engine and run the pipeline.
-func (s *Service) generateHandler() Handler {
+func (s *Service) generateHandler() handler {
 	return func(ctx context.Context, req Request) (*Response, error) {
 		engine, err := s.Engine(ctx, req.Database)
 		if err != nil {
@@ -703,7 +627,7 @@ func (s *Service) generateHandler() Handler {
 // from the versioned LRU and coalesce concurrent identical requests onto
 // one pipeline run. A pass-through when the cache is disabled; traced
 // requests bypass (their contract is timings of an actual run).
-func (s *Service) coalesceMiddleware(next Handler) Handler {
+func (s *Service) coalesceMiddleware(next handler) handler {
 	if s.gencache == nil {
 		return next
 	}
@@ -756,7 +680,7 @@ func (s *Service) respond(req Request, rec *Record, cached bool) *Response {
 // and the bounded deadline-aware queue. A pass-through when WithAdmission
 // is absent. On shed it degrades onto a stale cached answer when allowed
 // and available, else returns the typed overload error.
-func (s *Service) admitMiddleware(next Handler) Handler {
+func (s *Service) admitMiddleware(next handler) handler {
 	if s.admission == nil {
 		return next
 	}

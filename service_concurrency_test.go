@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"genedit"
+	"genedit/internal/embed"
 	"genedit/internal/feedback"
+	"genedit/internal/workload"
 )
 
 // TestGenerationCacheDisabledMatchesEnabled: with the cache off the service
@@ -119,10 +121,35 @@ func TestCoalescedGenerateSharesOneRecord(t *testing.T) {
 // Approve-driven engine hot-swaps and a final Close, run under -race in CI.
 // It asserts the version-keyed cache contract: a question answered (and
 // cached) before a swap is re-generated against the new knowledge version
-// after it — post-swap requests never see pre-swap records.
+// after it — post-swap requests never see pre-swap records. It runs on
+// either side of the ANN partitioning threshold, which index size alone
+// decides: the standard suite's indexes stay on the full scan, and 10x
+// query-log knowledge puts them past it, so there the swap re-partitions
+// indexes that searches are walking mid-load.
 func TestConcurrentGenerateHotSwapClose(t *testing.T) {
+	t.Run("standard", func(t *testing.T) {
+		searches, ann := hotSwapUnderLoad(t, genedit.NewBenchmark(1))
+		t.Logf("%d searches, %d ANN-partitioned", searches, ann)
+		if searches == 0 || ann != 0 {
+			t.Errorf("standard suite: want full-scan searches only, got %d of %d ANN-partitioned", ann, searches)
+		}
+	})
+	t.Run("knowledge_x10", func(t *testing.T) {
+		searches, ann := hotSwapUnderLoad(t, workload.NewScaledSuite(1, workload.ScaleConfig{DBFactor: 1, KnowledgeFactor: 10}))
+		t.Logf("%d searches, %d ANN-partitioned", searches, ann)
+		if ann == 0 {
+			t.Errorf("10x knowledge: none of %d searches went through the ANN partitions", searches)
+		}
+	})
+}
+
+// hotSwapUnderLoad runs the stress test on one suite and returns how many
+// retrieval searches the serving engines ran, and how many of those went
+// through the ANN partitions. An approval swaps in an engine with fresh
+// counters, so the pre-swap engine's are read just before the approval and
+// added to the final engine's.
+func hotSwapUnderLoad(t *testing.T, suite *genedit.Benchmark) (searches, annSearches uint64) {
 	ctx := context.Background()
-	suite := genedit.NewBenchmark(1)
 	svc := genedit.NewService(suite,
 		genedit.WithModelSeed(42),
 		genedit.WithGenerationCache(512),
@@ -169,6 +196,7 @@ func TestConcurrentGenerateHotSwapClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	sme := feedback.NewSimulatedSME(7)
+	var retrieved genedit.RetrievalStats
 	swapped := false
 	for _, c := range swapCases {
 		pre, err := svc.Generate(ctx, genedit.Request{Database: storeDB, Question: c.Question, Evidence: c.Evidence})
@@ -207,6 +235,7 @@ func TestConcurrentGenerateHotSwapClose(t *testing.T) {
 		if !res.Passed {
 			continue
 		}
+		retrieved = svc.RetrievalStats()[storeDB]
 		if err := solver.Approve(res.Pending, "reviewer"); err != nil {
 			t.Fatal(err)
 		}
@@ -254,4 +283,11 @@ func TestConcurrentGenerateHotSwapClose(t *testing.T) {
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("stress run recorded no cache traffic: %+v", st)
 	}
+
+	final := svc.RetrievalStats()[storeDB]
+	for _, s := range []embed.SearchStats{retrieved.Examples, retrieved.Instructions, final.Examples, final.Instructions} {
+		searches += s.Searches
+		annSearches += s.ANNSearches
+	}
+	return searches, annSearches
 }

@@ -192,6 +192,9 @@ func TestAdmissionOverloadParity(t *testing.T) {
 		t.Fatal("service shed everything: token budget should admit some load")
 	}
 	st := svc.AdmissionStats()
+	if st.RateLimited == 0 {
+		t.Fatalf("the token budget was never exhausted: no request was rate-limited (stats %+v)", st)
+	}
 	if int(st.Admitted) != successes {
 		t.Fatalf("Admitted=%d != successes=%d", st.Admitted, successes)
 	}

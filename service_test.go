@@ -53,7 +53,7 @@ func TestServiceGenerate(t *testing.T) {
 	}
 	model := simllm.New(simllm.GenEditProfile(), suite.Registry, 42)
 	engine := pipeline.New(model, kset, suite.Databases[req.Database], pipeline.DefaultConfig())
-	rec, err := engine.Generate(req.Question, req.Evidence)
+	rec, err := engine.GenerateContext(context.Background(), req.Question, req.Evidence)
 	if err != nil {
 		t.Fatal(err)
 	}
