@@ -61,6 +61,8 @@ type Baseline struct {
 type logExample struct {
 	question string
 	sql      string
+	// vec embeds the masked question, once, when the baseline is built.
+	vec embed.Embedded
 }
 
 // New constructs a baseline over a suite.
@@ -78,7 +80,10 @@ func New(name string, profile simllm.Profile, sh shape, suite *workload.Suite, s
 	}
 	for dbName, in := range suite.KB {
 		for _, entry := range in.Logs {
-			b.logs[dbName] = append(b.logs[dbName], logExample{question: entry.Question, sql: entry.SQL})
+			b.logs[dbName] = append(b.logs[dbName], logExample{
+				question: entry.Question, sql: entry.SQL,
+				vec: embed.Embed(maskLiterals(entry.Question)),
+			})
 		}
 	}
 	return b
@@ -173,14 +178,14 @@ func (b *Baseline) Generate(c *task.Case) (string, error) {
 // deterministic embedding).
 func (b *Baseline) selectFewShot(db, question string, k int) []llm.RetrievedExample {
 	logs := b.logs[db]
-	qv := embed.Text(maskLiterals(question))
+	qv := embed.Embed(maskLiterals(question))
 	type scored struct {
 		ex    logExample
 		score float64
 	}
 	items := make([]scored, 0, len(logs))
 	for _, le := range logs {
-		items = append(items, scored{ex: le, score: embed.Cosine(qv, embed.Text(maskLiterals(le.question)))})
+		items = append(items, scored{ex: le, score: qv.Cosine(le.vec)})
 	}
 	// Selection sort for the top k keeps this dependency-free and stable.
 	var out []llm.RetrievedExample

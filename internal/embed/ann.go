@@ -115,7 +115,7 @@ type annPartitions struct {
 	cosR      []float64 // cos of each partition's widest member angle
 	sinR      []float64
 	assign    []int // per-position partition (-1 = zero vector)
-	zeros     []int // zero-norm positions; always candidates, score 0
+	zeros     []int // zero-norm (or non-finite) positions; always candidates
 }
 
 // EnableANN arms the partitioned layer with the given tuning; the next
@@ -148,20 +148,17 @@ func (ix *Index) Build() {
 		return
 	}
 
-	// Unit-normalize once; zero vectors score 0 against everything and live
-	// outside the partitioning.
+	// Unit-normalize once, in sparse form: a unit shares its vector's
+	// indexes and scales only the stored values. Zero vectors score 0 against
+	// everything and live outside the partitioning.
 	n := len(ix.ids)
-	units := make([]Vector, n)
+	units := make([]Embedded, n)
 	var nonzero, zeros []int
 	for i := 0; i < n; i++ {
-		if ix.norms2[i] == 0 || len(ix.vecs[i]) == 0 {
+		u, ok := ix.unit(i)
+		if !ok {
 			zeros = append(zeros, i)
 			continue
-		}
-		inv := 1 / math.Sqrt(ix.norms2[i])
-		u := make(Vector, len(ix.vecs[i]))
-		for j, x := range ix.vecs[i] {
-			u[j] = x * inv
 		}
 		units[i] = u
 		nonzero = append(nonzero, i)
@@ -185,7 +182,7 @@ func (ix *Index) Build() {
 	centroids := make([]Vector, nlist)
 	for j := 0; j < nlist; j++ {
 		seed := byID[(j*len(byID))/nlist]
-		centroids[j] = append(Vector(nil), units[seed]...)
+		centroids[j] = units[seed].AppendDense(nil)
 	}
 
 	assign := make([]int, n)
@@ -195,7 +192,7 @@ func (ix *Index) Build() {
 	for iter := 0; iter < kmeansMaxIters; iter++ {
 		changed := false
 		for _, p := range nonzero {
-			best := nearestCentroid(units[p], centroids)
+			best := nearestCentroid(&units[p], centroids)
 			if assign[p] != best {
 				assign[p] = best
 				changed = true
@@ -208,14 +205,18 @@ func (ix *Index) Build() {
 		// empty keeps its previous centroid (it simply attracts no one).
 		sums := make([]Vector, nlist)
 		counts := make([]int, nlist)
+		// Each sum adds its members' stored components in member order;
+		// the components a unit does not store would add +0 to a sum that
+		// started at +0, which changes nothing (see Embedded).
 		for _, p := range nonzero {
 			j := assign[p]
+			u := &units[p]
 			if sums[j] == nil {
-				sums[j] = make(Vector, len(units[p]))
+				sums[j] = make(Vector, u.n)
 			}
 			s := sums[j]
-			for d, x := range units[p] {
-				s[d] += x
+			for k, d := range u.idx {
+				s[d] += u.val[k]
 			}
 			counts[j]++
 		}
@@ -245,9 +246,26 @@ func (ix *Index) Build() {
 	for _, p := range nonzero {
 		j := assign[p]
 		a.members[j] = append(a.members[j], p)
-		a.widen(j, dotClamped(units[p], centroids[j]))
+		a.widen(j, dotClamped(&units[p], centroids[j]))
 	}
 	ix.ann = a
+}
+
+// unit returns the vector at position p scaled to unit length, sharing its
+// indexes, or false when it has no direction to partition by: a zero vector,
+// or one whose squared norm is not finite. Such vectors are scanned by every
+// search instead, so no bound arithmetic ever sees a NaN.
+func (ix *Index) unit(p int) (Embedded, bool) {
+	e := &ix.vecs[p]
+	if e.Norm2 == 0 || e.n == 0 || !finite(e.Norm2) {
+		return Embedded{}, false
+	}
+	inv := 1 / math.Sqrt(e.Norm2)
+	val := make([]float64, len(e.idx))
+	for k, x := range e.val[:len(e.idx)] {
+		val[k] = x * inv
+	}
+	return Embedded{idx: e.idx, val: val, n: e.n}, true
 }
 
 // widen grows partition j's cone to include a member at cosine d from the
@@ -261,10 +279,12 @@ func (a *annPartitions) widen(j int, d float64) {
 
 // nearestCentroid returns the centroid with the largest dot product against
 // the unit vector u (ties break to the lowest partition, for determinism).
-func nearestCentroid(u Vector, centroids []Vector) int {
+// The products gather u's stored components; centroids are normalized sums
+// of finite units, so they are finite and the gather is exact.
+func nearestCentroid(u *Embedded, centroids []Vector) int {
 	best, bestDot := 0, math.Inf(-1)
 	for j, c := range centroids {
-		d := dot(u, c)
+		d := dotSparse(c, true, u)
 		if d > bestDot {
 			best, bestDot = j, d
 		}
@@ -272,8 +292,8 @@ func nearestCentroid(u Vector, centroids []Vector) int {
 	return best
 }
 
-func dotClamped(a, b Vector) float64 {
-	d := dot(a, b)
+func dotClamped(u *Embedded, c Vector) float64 {
+	d := dotSparse(c, true, u)
 	if d > 1 {
 		return 1
 	}
@@ -309,20 +329,16 @@ func (ix *Index) annAbsorb(p int, replaced bool) {
 	} else {
 		a.assign = append(a.assign, -1)
 	}
-	if ix.norms2[p] == 0 || len(ix.vecs[p]) == 0 {
+	u, ok := ix.unit(p)
+	if !ok {
 		a.assign[p] = -1
 		a.zeros = append(a.zeros, p)
 		return
 	}
-	inv := 1 / math.Sqrt(ix.norms2[p])
-	u := make(Vector, len(ix.vecs[p]))
-	for d, x := range ix.vecs[p] {
-		u[d] = x * inv
-	}
-	j := nearestCentroid(u, a.centroids)
+	j := nearestCentroid(&u, a.centroids)
 	a.assign[p] = j
 	a.members[j] = append(a.members[j], p)
-	a.widen(j, dotClamped(u, a.centroids[j]))
+	a.widen(j, dotClamped(&u, a.centroids[j]))
 }
 
 func removePos(list []int, p int) []int {
@@ -386,21 +402,14 @@ func (ix *Index) searchANN(q Vector, qNorm2 float64, k int) ([]Hit, int, int, bo
 
 	scanned := 0
 	top := newTopHits(k)
-	var (
-		vecs   [scanChunk]Vector
-		norms2 [scanChunk]float64
-		scores [scanChunk]float64
-	)
+	var scores [scanChunk]float64
 	// scan scores the vectors at the given positions, a chunk at a time,
-	// through the same CosineBatch the plain scan uses.
+	// with the same per-vector step the plain scan's CosineBatch takes.
 	scan := func(positions []int) {
 		scanned += len(positions)
 		for len(positions) > 0 {
 			n := min(scanChunk, len(positions))
-			for c, i := range positions[:n] {
-				vecs[c], norms2[c] = ix.vecs[i], ix.norms2[i]
-			}
-			CosineBatch(q, qNorm2, vecs[:n], norms2[:n], scores[:n])
+			CosineGather(q, qNorm2, ix.vecs, positions[:n], scores[:n])
 			for c, i := range positions[:n] {
 				top.offer(Hit{ID: ix.ids[i], Score: scores[c]})
 			}

@@ -87,7 +87,7 @@ func TestANNParitySweep(t *testing.T) {
 			}
 			queries = append(queries, make(Vector, annTestDim)) // zero query
 			if n > 0 {
-				stored := ix.vecs[rng.Intn(n)]
+				stored := ix.vecs[rng.Intn(n)].AppendDense(nil)
 				queries = append(queries, stored)
 				neg := append(Vector(nil), stored...)
 				for i := range neg {
@@ -231,17 +231,16 @@ func TestAddNormMatchesGeneralPath(t *testing.T) {
 		fast.Add(id, s)
 		general.AddVector(id, Text(s))
 		// The cached norms must agree bitwise, not just approximately.
-		if fast.norms2[i] != general.norms2[i] {
+		if fast.vecs[i].Norm2 != general.vecs[i].Norm2 {
 			t.Fatalf("text %q: fast-path norm %v != general-path norm %v",
-				s, fast.norms2[i], general.norms2[i])
+				s, fast.vecs[i].Norm2, general.vecs[i].Norm2)
 		}
-		v, n2 := textAndNorm(s)
 		var want float64
-		for _, x := range v {
+		for _, x := range Text(s) {
 			want += x * x
 		}
-		if n2 != want {
-			t.Fatalf("text %q: textAndNorm norm %v != recomputed %v", s, n2, want)
+		if n2 := Embed(s).Norm2; n2 != want {
+			t.Fatalf("text %q: Embed norm %v != recomputed %v", s, n2, want)
 		}
 	}
 	q := Text("revenue per organisation")

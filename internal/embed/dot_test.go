@@ -21,6 +21,9 @@ func oneVectorDot(q, v Vector) float64 {
 	return s
 }
 
+// sparseOf is v in sparse form with Norm2(v), as AddVector stores it.
+func sparseOf(v Vector) Embedded { return sparse(v, Norm2(v)) }
+
 // sameFloat is equality on bits. Two NaNs count as equal whatever their
 // payload: which operand's payload a NaN·NaN product inherits is the
 // instruction's operand order, which the language does not fix.
@@ -52,17 +55,71 @@ func checkDotBatch(t *testing.T, q Vector, vecs []Vector) {
 		}
 	}
 
-	norms2 := make([]float64, len(vecs))
-	for i, v := range vecs {
-		norms2[i] = Norm2(v)
-	}
 	scores := make([]float64, len(vecs))
-	CosineBatch(q, Norm2(q), vecs, norms2, scores)
 	for i, v := range vecs {
-		if want := Cosine(q, v); !sameFloat(scores[i], want) {
-			t.Errorf("vector %d of %d (len %d, query len %d): CosineBatch %v (%#x), Cosine %v (%#x)",
-				i, len(vecs), len(v), len(q), scores[i], math.Float64bits(scores[i]), want, math.Float64bits(want))
+		scores[i] = Cosine(q, v)
+	}
+	checkSparse(t, q, vecs, scores)
+}
+
+// checkSparse scores every vector in sparse form — gathered against the
+// dense query, merged against the query stored sparse in both operand
+// orders, and through CosineBatch, CosineGather and Embedded.Cosine — and
+// holds each result to the one-vector loop or to cosines[i] = Cosine(q,
+// vecs[i]).
+func checkSparse(t *testing.T, q Vector, vecs []Vector, cosines []float64) {
+	t.Helper()
+	same := func(what string, i int, got, want float64) {
+		t.Helper()
+		if !sameFloat(got, want) {
+			t.Errorf("vector %d of %d (len %d, query len %d): %s %v (%#x), dense %v (%#x)",
+				i, len(vecs), len(vecs[i]), len(q), what, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
+	}
+	// The gather is exact whenever no query component is infinite or NaN,
+	// even where the squared norm overflows; CosineBatch only asks the
+	// cheaper question of the norm.
+	qFinite := true
+	for _, x := range q {
+		qFinite = qFinite && finite(x)
+	}
+	sq := sparseOf(q)
+	stored := make([]Embedded, len(vecs))
+	for i, v := range vecs {
+		stored[i] = sparseOf(v)
+		e := &stored[i]
+		back := e.AppendDense(Vector{7})[1:]
+		if len(back) != len(v) {
+			t.Fatalf("vector %d: %d components densify to %d", i, len(v), len(back))
+		}
+		for j := range v {
+			if !sameFloat(back[j], v[j]) && !(v[j] == 0 && back[j] == 0) {
+				t.Fatalf("vector %d dim %d: stored %v, densified %v", i, j, v[j], back[j])
+			}
+		}
+		want := oneVectorDot(q, v)
+		same("gather", i, dotSparse(q, qFinite, e), want)
+		same("dense fallback", i, dotSparse(q, false, e), want)
+		same("merge", i, sq.dot(e), want)
+		same("merge, operands swapped", i, e.dot(&sq), oneVectorDot(v, q))
+		same("Embedded.Cosine", i, sq.Cosine(*e), cosines[i])
+		same("Embedded.Cosine, operands swapped", i, e.Cosine(sq), Cosine(v, q))
+	}
+
+	out := make([]float64, len(vecs))
+	CosineBatch(q, Norm2(q), stored, out)
+	for i := range vecs {
+		same("CosineBatch", i, out[i], cosines[i])
+	}
+	// CosineGather over the positions in reverse, each listed twice.
+	var at []int
+	for i := len(vecs) - 1; i >= 0; i-- {
+		at = append(at, i, i)
+	}
+	out = make([]float64, len(at))
+	CosineGather(q, Norm2(q), stored, at, out)
+	for k, i := range at {
+		same("CosineGather", i, out[k], cosines[i])
 	}
 }
 
@@ -136,9 +193,9 @@ func TestDotBatchMatchesOneVectorLoop(t *testing.T) {
 }
 
 // FuzzDotBatch decodes its input as a query and up to nine vectors of raw
-// float64 bit patterns (so NaN payloads, infinities and subnormals all
+// float64 bit patterns (so NaN payloads, infinities, subnormals and −0 all
 // occur), some deliberately of the wrong length, and holds DotBatch and
-// CosineBatch to checkDotBatch's standard.
+// every sparse kernel to checkDotBatch's standard.
 //
 // Layout: byte 0 = vector count (mod 10), byte 1 = dimension (mod 24),
 // byte 2 = bit set of vectors that get one element more; then 8 bytes per
@@ -215,12 +272,17 @@ func TestSearchVectorAllocs(t *testing.T) {
 var dotSink float64
 
 // BenchmarkDotBatch scores the same vectors one at a time and four at a
-// time, from a set that fits in cache and from one that does not.
+// time, dense and sparse, from a set that fits in cache and from one that
+// does not. Each vector has 18–30 non-zero components, what a Text vector
+// fills, so the dense legs multiply some 170 zeros per vector and the sparse
+// legs gather only the rest. The sparse legs are cosines, as the retrieval
+// path computes them: one vector at a time, and CosineBatch's four-wide
+// gather.
 func BenchmarkDotBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	vector := func() Vector {
 		v := make(Vector, Dim)
-		for j := range v {
+		for _, j := range rng.Perm(Dim)[:18+rng.Intn(13)] {
 			v[j] = rng.NormFloat64()
 		}
 		return v
@@ -230,12 +292,14 @@ func BenchmarkDotBatch(b *testing.B) {
 		name  string
 		count int
 	}{
-		{"in_cache", 16},       // 24 KB
-		{"streaming", 1 << 15}, // 48 MB
+		{"in_cache", 16},       // 24 KB dense
+		{"streaming", 1 << 15}, // 48 MB dense
 	} {
 		vecs := make([]Vector, set.count)
+		stored := make([]Embedded, set.count)
 		for i := range vecs {
 			vecs[i] = vector()
+			stored[i] = sparseOf(vecs[i])
 		}
 		out := make([]float64, len(vecs))
 		perVector := func(b *testing.B) {
@@ -255,6 +319,26 @@ func BenchmarkDotBatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				DotBatch(q, vecs, out)
+				dotSink += out[0]
+			}
+			perVector(b)
+		})
+		qNorm2 := Norm2(q)
+		b.Run(set.name+"/sparse-1-wide", func(b *testing.B) {
+			b.ReportAllocs()
+			qLen := math.Sqrt(qNorm2)
+			for i := 0; i < b.N; i++ {
+				for j := range stored {
+					out[j] = cosineSparse(q, qNorm2, qLen, &stored[j])
+				}
+				dotSink += out[0]
+			}
+			perVector(b)
+		})
+		b.Run(set.name+"/sparse-4-wide", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				CosineBatch(q, qNorm2, stored, out)
 				dotSink += out[0]
 			}
 			perVector(b)

@@ -69,17 +69,28 @@ func lowerAlnum(r rune) (byte, bool) {
 // (unigram w0, bigram w0_w1, unigram w1, ...), so the accumulated — and
 // then normalized — vectors are bit-identical to the reference.
 func Text(s string) Vector {
-	v, _ := textAndNorm(s)
+	v := make(Vector, Dim)
+	embedInto(v, s)
 	return v
 }
 
-// textAndNorm is Text plus the squared L2 norm of the returned vector,
-// accumulated inside the normalization pass in index order — the same
-// operations, in the same order, as a separate `for _, x := range v { n2 +=
-// x*x }` loop over the result, so callers caching the norm (Index.Add) get a
-// value bitwise identical to recomputing it.
-func textAndNorm(s string) (Vector, float64) {
-	v := make(Vector, Dim)
+// Embed returns Text(s) in sparse form with its squared norm, without
+// going through the process-wide memo: for texts embedded once, such as a
+// knowledge set's items when an engine is built. The dense vector is
+// accumulated on the stack, so the two slices of the result are all it
+// allocates.
+func Embed(s string) Embedded {
+	var buf [Dim]float64
+	n2 := embedInto(buf[:], s)
+	return sparse(buf[:], n2)
+}
+
+// embedInto accumulates the embedding of s into v, which must be Dim long
+// and zero, and normalizes it. It returns the squared L2 norm of the
+// result, accumulated inside the normalization pass in index order — the
+// same operations, in the same order, as Norm2 over the result, so a cached
+// norm is bitwise identical to recomputing it.
+func embedInto(v Vector, s string) float64 {
 	add := func(sum uint64, weight float64) {
 		bucket := int(sum % Dim)
 		sign := 1.0
@@ -128,8 +139,7 @@ func textAndNorm(s string) (Vector, float64) {
 		}
 	}
 	endWord()
-	n2 := normalizeInPlace(v)
-	return v, n2
+	return normalizeInPlace(v)
 }
 
 // Tokenize lower-cases and splits text into alphanumeric word tokens.
@@ -156,10 +166,10 @@ func Tokenize(s string) []string {
 }
 
 // normalizeInPlace scales v to unit length in place (zero vectors are left
-// unchanged), with the same operations — and therefore bit pattern — as
-// Normalize. It returns the squared norm of the *scaled* vector, accumulated
-// in index order over the stored values, so the caller can cache it without
-// a second pass (0 for zero vectors, matching what that pass would compute).
+// unchanged). It returns the squared norm of the *scaled* vector,
+// accumulated in index order over the stored values, so the caller can cache
+// it without a second pass (0 for zero vectors, matching what that pass
+// would compute).
 func normalizeInPlace(v Vector) float64 {
 	var norm float64
 	for _, x := range v {
@@ -175,24 +185,6 @@ func normalizeInPlace(v Vector) float64 {
 		n2 += v[i] * v[i]
 	}
 	return n2
-}
-
-// Normalize returns the vector scaled to unit length (zero vectors pass
-// through unchanged).
-func (v Vector) Normalize() Vector {
-	var norm float64
-	for _, x := range v {
-		norm += x * x
-	}
-	if norm == 0 {
-		return v
-	}
-	norm = math.Sqrt(norm)
-	out := make(Vector, len(v))
-	for i, x := range v {
-		out[i] = x / norm
-	}
-	return out
 }
 
 // Cosine returns the cosine similarity of two vectors (0 when either is
@@ -228,7 +220,8 @@ func Norm2(v Vector) float64 {
 // gets 0. Four candidates advance together, but every sum still accumulates
 // its own products in index order, so out[i] has exactly the bits of the
 // one-vector loop — interleaving only lets the four dependent add chains
-// overlap in the pipeline instead of running back to back.
+// overlap in the pipeline instead of running back to back. The ANN layer
+// ranks its centroids, the one dense thing an index keeps, through it.
 func DotBatch(q Vector, vecs []Vector, out []float64) {
 	out = out[:len(vecs)]
 	n := len(q)
@@ -267,53 +260,30 @@ func dot(a, b Vector) float64 {
 	return s
 }
 
-// CosineBatch writes Cosine(q, vecs[i]) into out[i], bit for bit, given the
-// squared norms Cosine would otherwise re-accumulate per call: qNorm2 =
-// Norm2(q) and norms2[i] = Norm2(vecs[i]). It is the one scoring routine of
-// the retrieval path — the index scans and the pipeline's re-rankers all
-// score through it.
-func CosineBatch(q Vector, qNorm2 float64, vecs []Vector, norms2, out []float64) {
-	DotBatch(q, vecs, out)
-	qLen := math.Sqrt(qNorm2)
-	for i, v := range vecs {
-		if len(v) != len(q) || len(v) == 0 || qNorm2 == 0 || norms2[i] == 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] /= qLen * math.Sqrt(norms2[i])
-	}
-}
-
-// Similarity embeds both texts and returns their cosine similarity.
-func Similarity(a, b string) float64 {
-	return Cosine(Text(a), Text(b))
-}
-
 // Hit is one retrieval result.
 type Hit struct {
 	ID    string
 	Score float64
 }
 
-// Index is a cosine top-k index. Squared norms are cached at insertion (Text
-// vectors are already L2-normalized, so each is ~1), which lets search
-// compute one dot product per candidate instead of a full cosine, and a
-// bounded heap replaces the full sort when k is small. Scores are bitwise
-// identical to Cosine: the same accumulation order, with only the
-// per-candidate recomputation of both norms hoisted out.
+// Index is a cosine top-k index. Vectors are stored sparse with their
+// squared norms (Text vectors are already L2-normalized, so each is ~1),
+// which lets search gather one dot product per candidate instead of a full
+// cosine, and a bounded heap replaces the full sort when k is small. Scores
+// are bitwise identical to Cosine over the dense vectors (see Embedded).
 //
 // By default every search scans all items. EnableANN + Build add a
 // partitioned IVF layer on top (see ann.go) whose results stay
 // order-identical to SearchVectorBrute while scanning sub-linearly many
 // candidates on clustered data.
 //
-// Concurrency: mutation (Add, AddVector, EnableANN, Build) must not overlap
-// search; any number of Search/SearchVector calls may then run concurrently.
+// Concurrency: mutation (Add, AddVector, AddEmbedded, EnableANN, Build)
+// must not overlap search; any number of Search/SearchVector calls may then
+// run concurrently.
 type Index struct {
-	ids    []string
-	vecs   []Vector
-	norms2 []float64 // cached squared L2 norms of vecs
-	pos    map[string]int
+	ids  []string
+	vecs []Embedded
+	pos  map[string]int
 
 	annCfg    ANNConfig
 	annWanted bool
@@ -326,52 +296,44 @@ func NewIndex() *Index {
 	return &Index{pos: make(map[string]int)}
 }
 
-// Add inserts or replaces an item by ID. Text vectors arrive L2-normalized
-// with their squared norm computed during normalization, so no extra pass
-// over the vector runs here (AddVector keeps the general path for arbitrary
-// vectors).
-func (ix *Index) Add(id, text string) {
-	vec, n2 := textAndNorm(text)
-	ix.insert(id, vec, n2)
-}
+// Add inserts or replaces an item by ID, embedding its text.
+func (ix *Index) Add(id, text string) { ix.AddEmbedded(id, Embed(text)) }
 
 // AddVector inserts or replaces an item with a caller-supplied embedding of
-// any length or scale; the squared norm is computed here.
+// any length (up to 256) or scale; it is stored sparse.
 func (ix *Index) AddVector(id string, vec Vector) {
-	ix.insert(id, vec, Norm2(vec))
+	ix.AddEmbedded(id, sparse(vec, Norm2(vec)))
 }
 
-func (ix *Index) insert(id string, vec Vector, n2 float64) {
+// AddEmbedded inserts or replaces an item with an embedding already in
+// sparse form — one this or another index holds, for instance. Embeddings
+// are immutable, so indexes may share them.
+func (ix *Index) AddEmbedded(id string, e Embedded) {
 	if p, ok := ix.pos[id]; ok {
-		ix.vecs[p] = vec
-		ix.norms2[p] = n2
+		ix.vecs[p] = e
 		ix.annAbsorb(p, true)
 		return
 	}
 	p := len(ix.ids)
 	ix.pos[id] = p
 	ix.ids = append(ix.ids, id)
-	ix.vecs = append(ix.vecs, vec)
-	ix.norms2 = append(ix.norms2, n2)
+	ix.vecs = append(ix.vecs, e)
 	ix.annAbsorb(p, false)
 }
 
 // Len reports the number of items indexed.
 func (ix *Index) Len() int { return len(ix.ids) }
 
-// Pos returns the position of an ID: its insertion rank, the index the
-// At accessors and position-addressed tables built beside the index use.
+// Pos returns the position of an ID: its insertion rank, the index into
+// Vectors and into the position-addressed tables built beside the index.
 func (ix *Index) Pos(id string) (int, bool) {
 	p, ok := ix.pos[id]
 	return p, ok
 }
 
-// VectorAt returns the embedding stored at a position. The slice is the
+// Vectors returns the stored embeddings by position. The slice is the
 // index's own storage — callers must not mutate it.
-func (ix *Index) VectorAt(p int) Vector { return ix.vecs[p] }
-
-// Norm2At returns the cached squared norm of the vector at a position.
-func (ix *Index) Norm2At(p int) float64 { return ix.norms2[p] }
+func (ix *Index) Vectors() []Embedded { return ix.vecs }
 
 // Search returns the top-k items most similar to the query text, highest
 // score first with ties broken by ID for determinism.
@@ -448,9 +410,8 @@ func (t *topHits) sorted() []Hit {
 }
 
 // scanChunk is how many candidates the index scans score per CosineBatch
-// call: their scores (and, for scattered positions, vector headers and
-// norms) sit in fixed-size stack buffers, so a search allocates nothing per
-// candidate.
+// or CosineGather call: their scores sit in a fixed-size stack buffer, so a
+// search allocates nothing per candidate.
 const scanChunk = 64
 
 // SearchVector is Search with a precomputed query vector. For small k it
@@ -480,7 +441,7 @@ func (ix *Index) SearchVector(q Vector, k int) []Hit {
 	var scores [scanChunk]float64
 	for lo := 0; lo < len(ix.ids); lo += scanChunk {
 		hi := min(lo+scanChunk, len(ix.ids))
-		CosineBatch(q, qNorm2, ix.vecs[lo:hi], ix.norms2[lo:hi], scores[:hi-lo])
+		CosineBatch(q, qNorm2, ix.vecs[lo:hi], scores[:hi-lo])
 		for i := lo; i < hi; i++ {
 			top.offer(Hit{ID: ix.ids[i], Score: scores[i-lo]})
 		}
@@ -493,7 +454,7 @@ func (ix *Index) SearchVector(q Vector, k int) []Hit {
 // SearchVector; parity tests and benchmarks compare against it.
 func (ix *Index) SearchVectorBrute(q Vector, k int) []Hit {
 	scores := make([]float64, len(ix.ids))
-	CosineBatch(q, Norm2(q), ix.vecs, ix.norms2, scores)
+	CosineBatch(q, Norm2(q), ix.vecs, scores)
 	hits := make([]Hit, len(ix.ids))
 	for i, id := range ix.ids {
 		hits[i] = Hit{ID: id, Score: scores[i]}

@@ -34,7 +34,7 @@ func TestTextDeterministic(t *testing.T) {
 
 func TestSelfSimilarityIsOne(t *testing.T) {
 	s := "total revenue for canadian organizations in Q2 2023"
-	if sim := Similarity(s, s); math.Abs(sim-1.0) > 1e-9 {
+	if sim := Cosine(Text(s), Text(s)); math.Abs(sim-1.0) > 1e-9 {
 		t.Errorf("self similarity = %v, want 1.0", sim)
 	}
 }
@@ -43,15 +43,15 @@ func TestRelatedTextsScoreHigherThanUnrelated(t *testing.T) {
 	query := "revenue per viewer for sports organizations"
 	related := "sum of revenue divided by viewers per organization"
 	unrelated := "patient diagnosis codes by hospital ward"
-	if Similarity(query, related) <= Similarity(query, unrelated) {
-		t.Errorf("related text (%v) should outscore unrelated (%v)",
-			Similarity(query, related), Similarity(query, unrelated))
+	rel, unrel := Cosine(Text(query), Text(related)), Cosine(Text(query), Text(unrelated))
+	if rel <= unrel {
+		t.Errorf("related text (%v) should outscore unrelated (%v)", rel, unrel)
 	}
 }
 
 func TestCosineBounds(t *testing.T) {
 	f := func(a, b string) bool {
-		sim := Similarity(a, b)
+		sim := Cosine(Text(a), Text(b))
 		return sim >= -1.0000001 && sim <= 1.0000001
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -218,7 +218,8 @@ func TestTextMatchesHashFNVReference(t *testing.T) {
 				add(w+"_"+words[i+1], 0.6)
 			}
 		}
-		return v.Normalize()
+		normalizeInPlace(v)
+		return v
 	}
 	f := func(s string) bool {
 		got, want := Text(s), ref(s)

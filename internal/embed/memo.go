@@ -1,33 +1,17 @@
 package embed
 
-import (
-	"math"
-	"sync"
-)
-
-// Embedded is a text's embedding with its squared norm: what Text returns
-// and what Norm2 computes over it, kept together so a score against it is
-// one dot product.
-type Embedded struct {
-	Vec   Vector
-	Norm2 float64
-}
-
-// Cosine returns Cosine(a.Vec, b.Vec), bit for bit, reading both squared
-// norms instead of re-accumulating them (CosineBatch's one-pair form).
-func (a Embedded) Cosine(b Embedded) float64 {
-	if len(a.Vec) != len(b.Vec) || len(a.Vec) == 0 || a.Norm2 == 0 || b.Norm2 == 0 {
-		return 0
-	}
-	return dot(a.Vec, b.Vec) / (math.Sqrt(a.Norm2) * math.Sqrt(b.Norm2))
-}
+import "sync"
 
 // memoCap bounds the process-wide memo. Distinct texts a whole run of each
-// benchmark workload asks of it at seed 1: serve_cold 593, edit_loop 593,
-// serve_scaled 725 (32 tenants at 40x knowledge — only the examples a
-// request retrieves are embedded through the memo, not the knowledge set),
-// exhibits 805. 4096 holds five times the largest; full, at Dim float64s
-// plus key and map slot per entry, that is about 7 MB.
+// benchmark workload asks of it at seed 1: serve_cold 593, serve_scaled 725
+// (32 tenants at 40x knowledge — only the examples a request retrieves are
+// embedded through the memo, not the knowledge set), exhibits 885 (with the
+// "w/o Decomposition" row's regrouped full-query examples), edit_loop 953
+// (with the item texts the feedback operator compares an SME's feedback
+// with). 4096 holds four times the largest. An entry stores about 25
+// components — 240 bytes of indexes and values after size-class rounding —
+// plus its key and a map slot holding the 64-byte Embedded, so a full memo
+// is about 1.6 MB.
 const memoCap = 4096
 
 // shared is the one memo of the process. A vector is a function of its text
@@ -36,11 +20,12 @@ const memoCap = 4096
 // twelve).
 var shared = newMemo(memoCap)
 
-// Memo returns Text(s) and its squared norm from the process-wide memo,
-// embedding s on first use. The vector is shared by every caller and must
-// not be written. Use it for texts that recur — knowledge-set SQL, intent
-// descriptions, schema descriptions, a request's question across operators;
-// the memo is bounded, so one-off texts only cost the entries they displace.
+// Memo returns Embed(s) — Text(s) in sparse form with its squared norm —
+// from the process-wide memo, embedding s on first use. The embedding is
+// shared by every caller. Use it for texts that recur — knowledge-set SQL,
+// intent descriptions, schema descriptions, a request's question across
+// operators; the memo is bounded, so one-off texts only cost the entries
+// they displace.
 func Memo(s string) Embedded { return shared.get(s) }
 
 // memo is a bounded, concurrency-safe map from text to its embedding. It
@@ -81,13 +66,12 @@ func (m *memo) get(s string) Embedded {
 	}
 	// Embed outside the lock. Two first callers of one text may both get
 	// here; the first insert wins and both return its vector.
-	v, n2 := textAndNorm(s)
+	e = Embed(s)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e, ok := m.cur[s]; ok {
 		return e
 	}
-	e = Embedded{Vec: v, Norm2: n2}
 	m.insert(s, e)
 	return e
 }

@@ -55,9 +55,10 @@ func memoTexts(t *testing.T, suite *workload.Suite) []string {
 	return out
 }
 
-// TestMemoBitIdenticalOverSuites checks the memo against Text and Norm2 on
-// every knowledge-set, gold-fragment, intent and question string of the
-// standard suite and of the 40x-knowledge suite — cold, then warm.
+// TestMemoBitIdenticalOverSuites checks the memo's sparse entries against
+// Text and Norm2 on every knowledge-set, gold-fragment, intent and question
+// string of the standard suite and of the 40x-knowledge suite — cold, then
+// warm: densified, each gives Text's bits, and its norm is Norm2's.
 func TestMemoBitIdenticalOverSuites(t *testing.T) {
 	defer embed.ResetMemo(0)()
 	suites := map[string]*workload.Suite{
@@ -69,10 +70,13 @@ func TestMemoBitIdenticalOverSuites(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			for _, s := range texts {
 				e := embed.Memo(s)
-				want := embed.Text(s)
+				want, got := embed.Text(s), e.AppendDense(nil)
+				if len(got) != len(want) {
+					t.Fatalf("%s pass %d: %q densifies to %d dims, Text gives %d", name, pass, s, len(got), len(want))
+				}
 				for i := range want {
-					if math.Float64bits(e.Vec[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s pass %d: %q dim %d = %v, Text gives %v", name, pass, s, i, e.Vec[i], want[i])
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s pass %d: %q dim %d = %v, Text gives %v", name, pass, s, i, got[i], want[i])
 					}
 				}
 				if math.Float64bits(e.Norm2) != math.Float64bits(embed.Norm2(want)) {

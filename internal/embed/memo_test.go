@@ -10,13 +10,13 @@ import (
 // sameEmbedding fails unless e is, bit for bit, what Text and Norm2 give.
 func sameEmbedding(t *testing.T, s string, e Embedded) {
 	t.Helper()
-	want := Text(s)
-	if len(e.Vec) != len(want) {
-		t.Fatalf("%q: memo vector has %d dims, want %d", s, len(e.Vec), len(want))
+	want, got := Text(s), e.AppendDense(nil)
+	if len(got) != len(want) {
+		t.Fatalf("%q: memo vector has %d dims, want %d", s, len(got), len(want))
 	}
 	for i := range want {
-		if math.Float64bits(e.Vec[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%q: dim %d = %v, Text gives %v", s, i, e.Vec[i], want[i])
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%q: dim %d = %v, Text gives %v", s, i, got[i], want[i])
 		}
 	}
 	if math.Float64bits(e.Norm2) != math.Float64bits(Norm2(want)) {
@@ -35,7 +35,7 @@ func TestMemoReturnsTextBits(t *testing.T) {
 func TestMemoSharesOneVector(t *testing.T) {
 	m := newMemo(8)
 	a, b := m.get("quarterly revenue"), m.get("quarterly revenue")
-	if &a.Vec[0] != &b.Vec[0] {
+	if &a.val[0] != &b.val[0] {
 		t.Error("two lookups of one text returned different vectors")
 	}
 }
@@ -57,7 +57,7 @@ func TestMemoBounded(t *testing.T) {
 			t.Fatalf("after %d inserts the memo holds %d entries, capacity %d", i+1, n, capacity)
 		}
 	}
-	if again := m.get(hot); &again.Vec[0] != &first.Vec[0] {
+	if again := m.get(hot); &again.val[0] != &first.val[0] {
 		t.Error("a text asked for every generation was evicted")
 	}
 	sameEmbedding(t, "one-off text 0", m.get("one-off text 0")) // long evicted
@@ -81,10 +81,10 @@ func TestMemoConcurrent(t *testing.T) {
 			for round := 0; round < 20; round++ {
 				for i := range texts {
 					j := (i*7 + g*13 + round) % len(texts)
-					e := m.get(texts[j])
+					got := m.get(texts[j]).AppendDense(nil)
 					for d := range want[j] {
-						if e.Vec[d] != want[j][d] {
-							t.Errorf("goroutine %d: %q dim %d = %v, want %v", g, texts[j], d, e.Vec[d], want[j][d])
+						if got[d] != want[j][d] {
+							t.Errorf("goroutine %d: %q dim %d = %v, want %v", g, texts[j], d, got[d], want[j][d])
 							return
 						}
 					}
@@ -111,7 +111,7 @@ func TestEmbeddedCosineMatchesCosine(t *testing.T) {
 			}
 		}
 	}
-	short := Embedded{Vec: Vector{1, 0}, Norm2: 1}
+	short := sparseOf(Vector{1, 0})
 	if got := short.Cosine(Memo("revenue")); got != 0 {
 		t.Errorf("mismatched lengths score %v, want 0", got)
 	}

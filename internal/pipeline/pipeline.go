@@ -159,8 +159,9 @@ type Engine struct {
 	ex       exampleTable
 	ins      instructionTable
 	// fullExs are the deduplicated full-query example candidates (the
-	// "w/o Decomposition" ablation path) with their ranking vectors.
-	fullExs []*fullExCand
+	// "w/o Decomposition" ablation path), fullVecs their ranking vectors.
+	fullExs  []*fullExCand
+	fullVecs []embed.Embedded
 }
 
 // New builds an engine. The knowledge set is indexed for retrieval once.
@@ -290,8 +291,10 @@ func (e *Engine) GenerateContext(ctx context.Context, question, evidence string)
 	// The reformulated query is embedded exactly once per request: intent
 	// classification asked the process-wide memo for it a moment ago, and
 	// the same vector drives example retrieval, example re-ranking and
-	// instruction re-ranking (operators 3-4).
-	qv := embed.Memo(reformulated).Vec
+	// instruction re-ranking (operators 3-4). It is the one dense vector a
+	// request scores with, scattered onto the stack.
+	var qbuf [embed.Dim]float64
+	qv := embed.Memo(reformulated).AppendDense(qbuf[:0])
 
 	// Operator 3: example selection (intent retrieval + query re-ranking).
 	// When examples are ablated (Table 2 "w/o Examples"), selection still

@@ -35,13 +35,11 @@ type exampleTable struct {
 	// srcSlot is the slot of each example's SourceQuestion in srcVecs, -1
 	// when it has none. Fragments decomposed from one query share a slot,
 	// so a request scores each distinct question once.
-	srcSlot  []int
-	srcVecs  []embed.Vector
-	srcNorm2 []float64
+	srcSlot []int
+	srcVecs []embed.Embedded
 	// pairVecs embed NL+" "+SQL, the text context expansion compares
 	// instructions with.
-	pairVecs  []embed.Vector
-	pairNorm2 []float64
+	pairVecs []embed.Embedded
 }
 
 // instructionTable is the instruction-side counterpart. The retrieval-text
@@ -50,26 +48,18 @@ type instructionTable struct {
 	items []*knowledge.Instruction // live set entries
 	// textVecs embed Text alone, the side of the directive boost that
 	// belongs to the instruction.
-	textVecs  []embed.Vector
-	textNorm2 []float64
+	textVecs []embed.Embedded
 	// boost is 0.1 · max over directives of Cosine(directive, Text): it
 	// does not depend on the query, so it is computed here once.
 	boost []float64
 }
 
-// fullExCand is one precomputed full-query example candidate.
+// fullExCand is one precomputed full-query example candidate; its ranking
+// vector is the entry of Engine.fullVecs at the same position.
 type fullExCand struct {
-	id    string
-	nl    string
-	sql   string
-	vec   embed.Vector
-	norm2 float64
-}
-
-// embedText returns the embedding of text with its squared norm.
-func embedText(text string) (embed.Vector, float64) {
-	v := embed.Text(text)
-	return v, embed.Norm2(v)
+	id  string
+	nl  string
+	sql string
 }
 
 // buildIndices derives every per-engine retrieval structure from the
@@ -90,7 +80,7 @@ func (e *Engine) buildIndices(parent *Engine) {
 
 	e.exIndex = embed.NewIndex()
 	e.ex = exampleTable{}
-	e.fullExs = nil
+	e.fullExs, e.fullVecs = nil, nil
 	srcSlotOf := make(map[string]int)
 	seenSQL := make(map[string]bool)
 	for _, listed := range e.kset.Examples() {
@@ -113,7 +103,7 @@ func (e *Engine) buildIndices(parent *Engine) {
 		}
 
 		if prev != nil && prev.NL == ex.NL && prev.Pseudo == ex.Pseudo {
-			e.exIndex.AddVector(ex.ID, parent.exIndex.VectorAt(pp))
+			e.exIndex.AddEmbedded(ex.ID, parent.exIndex.Vectors()[pp])
 		} else {
 			e.exIndex.Add(ex.ID, ex.Text())
 		}
@@ -124,29 +114,24 @@ func (e *Engine) buildIndices(parent *Engine) {
 			if slot, known = srcSlotOf[ex.SourceQuestion]; !known {
 				slot = len(e.ex.srcVecs)
 				srcSlotOf[ex.SourceQuestion] = slot
-				var v embed.Vector
-				var n2 float64
+				var v embed.Embedded
 				if prev != nil && prev.SourceQuestion == ex.SourceQuestion {
-					ps := parent.ex.srcSlot[pp]
-					v, n2 = parent.ex.srcVecs[ps], parent.ex.srcNorm2[ps]
+					v = parent.ex.srcVecs[parent.ex.srcSlot[pp]]
 				} else {
-					v, n2 = embedText(ex.SourceQuestion)
+					v = embed.Embed(ex.SourceQuestion)
 				}
 				e.ex.srcVecs = append(e.ex.srcVecs, v)
-				e.ex.srcNorm2 = append(e.ex.srcNorm2, n2)
 			}
 		}
 		e.ex.srcSlot = append(e.ex.srcSlot, slot)
 
-		var pv embed.Vector
-		var pn2 float64
+		var pv embed.Embedded
 		if prev != nil && prev.NL == ex.NL && prev.SQL == ex.SQL {
-			pv, pn2 = parent.ex.pairVecs[pp], parent.ex.pairNorm2[pp]
+			pv = parent.ex.pairVecs[pp]
 		} else {
-			pv, pn2 = embedText(ex.NL + " " + ex.SQL)
+			pv = embed.Embed(ex.NL + " " + ex.SQL)
 		}
 		e.ex.pairVecs = append(e.ex.pairVecs, pv)
-		e.ex.pairNorm2 = append(e.ex.pairNorm2, pn2)
 
 		for _, intentID := range ex.IntentIDs {
 			post := postings(intentID)
@@ -155,17 +140,16 @@ func (e *Engine) buildIndices(parent *Engine) {
 
 		if ex.SourceSQL != "" && !seenSQL[ex.SourceSQL] {
 			seenSQL[ex.SourceSQL] = true
-			fe := &fullExCand{
+			e.fullExs = append(e.fullExs, &fullExCand{
 				id:  fmt.Sprintf("full-%03d", len(e.fullExs)+1),
 				nl:  ex.SourceQuestion,
 				sql: ex.SourceSQL,
-			}
+			})
 			if slot >= 0 { // ranked by its question, which the slot already embeds
-				fe.vec, fe.norm2 = e.ex.srcVecs[slot], e.ex.srcNorm2[slot]
+				e.fullVecs = append(e.fullVecs, e.ex.srcVecs[slot])
 			} else {
-				fe.vec, fe.norm2 = embedText(ex.SourceSQL)
+				e.fullVecs = append(e.fullVecs, embed.Embed(ex.SourceSQL))
 			}
-			e.fullExs = append(e.fullExs, fe)
 		}
 	}
 
@@ -189,20 +173,18 @@ func (e *Engine) buildIndices(parent *Engine) {
 
 		sameText := prev != nil && prev.Text == ins.Text
 		if sameText && prev.SQLHint == ins.SQLHint {
-			e.insIndex.AddVector(ins.ID, parent.insIndex.VectorAt(pp))
+			e.insIndex.AddEmbedded(ins.ID, parent.insIndex.Vectors()[pp])
 		} else {
 			e.insIndex.Add(ins.ID, ins.RetrievalText())
 		}
 
-		var tv embed.Vector
-		var tn2 float64
+		var tv embed.Embedded
 		if sameText {
-			tv, tn2 = parent.ins.textVecs[pp], parent.ins.textNorm2[pp]
+			tv = parent.ins.textVecs[pp]
 		} else {
-			tv, tn2 = embedText(ins.Text)
+			tv = embed.Embed(ins.Text)
 		}
 		e.ins.textVecs = append(e.ins.textVecs, tv)
-		e.ins.textNorm2 = append(e.ins.textNorm2, tn2)
 
 		for _, intentID := range ins.IntentIDs {
 			post := postings(intentID)
@@ -213,12 +195,10 @@ func (e *Engine) buildIndices(parent *Engine) {
 	// Retrieval directives: instructions matching a directive's vocabulary
 	// get a small ranking boost.
 	e.ins.boost = make([]float64, len(e.ins.items))
-	cosines := make([]float64, len(e.ins.items))
 	for _, d := range e.kset.Directives() {
-		dv, dn2 := embedText(d)
-		embed.CosineBatch(dv, dn2, e.ins.textVecs, e.ins.textNorm2, cosines)
-		for i, c := range cosines {
-			if c > e.ins.boost[i] {
+		dv := embed.Embed(d)
+		for i, tv := range e.ins.textVecs {
+			if c := dv.Cosine(tv); c > e.ins.boost[i] {
 				e.ins.boost[i] = c
 			}
 		}
@@ -250,12 +230,12 @@ type scoredPos struct {
 
 // selScratch is the per-request working memory of the selectors. It is
 // pooled, so what a request allocates does not grow with the knowledge set;
-// a scratch belongs to one selector call at a time.
+// a scratch belongs to one selector call at a time. It holds positions and
+// scores only, never a vector, so a pooled scratch keeps no retired
+// engine's storage alive.
 type selScratch struct {
 	mark   []bool // by position: already a candidate
 	cands  []int  // candidate positions, in discovery order
-	vecs   []embed.Vector
-	norms2 []float64
 	scores []float64
 	ranked []scoredPos
 
@@ -263,20 +243,13 @@ type selScratch struct {
 	slots      []int
 	slotScores []float64
 
-	ctxVecs   []embed.Vector // the selected examples, for context expansion
-	ctxNorms2 []float64
+	// Context expansion: each candidate's best cosine with a selected
+	// example so far, and its cosines with the current one.
+	expand    []float64
 	ctxScores []float64
 }
 
 var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}
-
-// release returns the scratch to the pool without the vector headers it
-// gathered, so a pooled scratch never keeps a retired engine's vectors alive.
-func (s *selScratch) release() {
-	clear(s.vecs[:cap(s.vecs)])
-	clear(s.ctxVecs[:cap(s.ctxVecs)])
-	selScratchPool.Put(s)
-}
 
 // sized returns buf with length n, reallocating only when it is too small.
 // The contents are unspecified.
@@ -307,12 +280,8 @@ func (s *selScratch) add(positions ...int) {
 // cosines scores the index vectors at the candidate positions against the
 // query into s.scores: Cosine(qv, vector), bit for bit.
 func (s *selScratch) cosines(qv embed.Vector, qNorm2 float64, ix *embed.Index) {
-	n := len(s.cands)
-	s.vecs, s.norms2, s.scores = sized(s.vecs, n), sized(s.norms2, n), sized(s.scores, n)
-	for i, p := range s.cands {
-		s.vecs[i], s.norms2[i] = ix.VectorAt(p), ix.Norm2At(p)
-	}
-	embed.CosineBatch(qv, qNorm2, s.vecs, s.norms2, s.scores)
+	s.scores = sized(s.scores, len(s.cands))
+	embed.CosineGather(qv, qNorm2, ix.Vectors(), s.cands, s.scores)
 }
 
 // selectExamples implements operator 3. Candidates come from the classified
@@ -326,7 +295,7 @@ func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.Retri
 		return e.selectFullExamples(qv)
 	}
 	s := selScratchPool.Get().(*selScratch)
-	defer s.release()
+	defer selScratchPool.Put(s)
 
 	s.begin(len(e.ex.items))
 	for _, id := range intentIDs {
@@ -357,13 +326,8 @@ func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.Retri
 			s.slotAt[slot] = len(s.slots)
 		}
 	}
-	// s.scores is computed, so the gather buffers are free again.
-	s.vecs, s.norms2 = sized(s.vecs, len(s.slots)), sized(s.norms2, len(s.slots))
 	s.slotScores = sized(s.slotScores, len(s.slots))
-	for i, slot := range s.slots {
-		s.vecs[i], s.norms2[i] = e.ex.srcVecs[slot], e.ex.srcNorm2[slot]
-	}
-	embed.CosineBatch(qv, qNorm2, s.vecs, s.norms2, s.slotScores)
+	embed.CosineGather(qv, qNorm2, e.ex.srcVecs, s.slots, s.slotScores)
 
 	s.ranked = sized(s.ranked, len(s.cands))
 	for i, p := range s.cands {
@@ -428,14 +392,11 @@ func selectTop(ranked []scoredPos, k int, id func(pos int) string) []scoredPos {
 // ablation).
 func (e *Engine) selectFullExamples(qv embed.Vector) []llm.RetrievedExample {
 	s := selScratchPool.Get().(*selScratch)
-	defer s.release()
+	defer selScratchPool.Put(s)
 
 	n := len(e.fullExs)
-	s.vecs, s.norms2, s.scores = sized(s.vecs, n), sized(s.norms2, n), sized(s.scores, n)
-	for i, fe := range e.fullExs {
-		s.vecs[i], s.norms2[i] = fe.vec, fe.norm2
-	}
-	embed.CosineBatch(qv, embed.Norm2(qv), s.vecs, s.norms2, s.scores)
+	s.scores = sized(s.scores, n)
+	embed.CosineBatch(qv, embed.Norm2(qv), e.fullVecs, s.scores)
 	s.ranked = sized(s.ranked, n)
 	for i, score := range s.scores {
 		s.ranked[i] = scoredPos{pos: i, score: score}
@@ -456,7 +417,7 @@ func (e *Engine) selectFullExamples(qv embed.Vector) []llm.RetrievedExample {
 // reformulated query.
 func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, examples []llm.RetrievedExample) []llm.RetrievedInstruction {
 	s := selScratchPool.Get().(*selScratch)
-	defer s.release()
+	defer selScratchPool.Put(s)
 
 	s.begin(len(e.ins.items))
 	for _, id := range intentIDs {
@@ -476,26 +437,31 @@ func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, example
 	s.cosines(qv, embed.Norm2(qv), e.insIndex)
 
 	if !e.cfg.DisableContextExpansion && len(examples) > 0 {
-		n := len(examples)
-		s.ctxVecs, s.ctxNorms2, s.ctxScores = sized(s.ctxVecs, n), sized(s.ctxNorms2, n), sized(s.ctxScores, n)
-		for i, ex := range examples {
+		// Each selected example plays the query: it is scattered dense once
+		// and every candidate's cosine with it gathers the instruction's
+		// stored components (Cosine is symmetric bit for bit). A candidate
+		// keeps its best cosine over the examples; a maximum does not
+		// depend on the order it is taken in.
+		n := len(s.cands)
+		s.expand, s.ctxScores = sized(s.expand, n), sized(s.ctxScores, n)
+		clear(s.expand)
+		var buf [embed.Dim]float64
+		for _, ex := range examples {
+			var ev embed.Embedded
 			if p, ok := e.exIndex.Pos(ex.ID); ok {
-				s.ctxVecs[i], s.ctxNorms2[i] = e.ex.pairVecs[p], e.ex.pairNorm2[p]
+				ev = e.ex.pairVecs[p]
 			} else { // regrouped full-query examples are not knowledge items
-				s.ctxVecs[i], s.ctxNorms2[i] = embedText(ex.NL + " " + ex.SQL)
+				ev = embed.Memo(ex.NL + " " + ex.SQL)
+			}
+			embed.CosineGather(ev.AppendDense(buf[:0]), ev.Norm2, e.insIndex.Vectors(), s.cands, s.ctxScores)
+			for i, c := range s.ctxScores {
+				if c > s.expand[i] {
+					s.expand[i] = c
+				}
 			}
 		}
 		for i := range s.cands {
-			// The instruction plays the query: Cosine is symmetric bit for
-			// bit, and this way one batch covers all selected examples.
-			embed.CosineBatch(s.vecs[i], s.norms2[i], s.ctxVecs, s.ctxNorms2, s.ctxScores)
-			maxEx := 0.0
-			for _, c := range s.ctxScores {
-				if c > maxEx {
-					maxEx = c
-				}
-			}
-			s.scores[i] += e.cfg.ExpansionWeight * maxEx
+			s.scores[i] += e.cfg.ExpansionWeight * s.expand[i]
 		}
 	}
 

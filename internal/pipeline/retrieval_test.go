@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -35,9 +36,11 @@ func sameSelections(got, want selections) error {
 	return nil
 }
 
-// sameBacking reports whether two vectors are one array.
-func sameBacking(a, b embed.Vector) bool {
-	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+// sameBacking reports whether two embeddings store their values in one
+// array: the second is the first, shared, not embedded again.
+func sameBacking(a, b embed.Embedded) bool {
+	va, vb := reflect.ValueOf(a).FieldByName("val"), reflect.ValueOf(b).FieldByName("val")
+	return va.Len() > 0 && va.Len() == vb.Len() && va.Pointer() == vb.Pointer()
 }
 
 // TestWithKnowledgeCarriesVectors: after each kind of edit the staged engine
@@ -125,7 +128,7 @@ func TestWithKnowledgeCarriesVectors(t *testing.T) {
 				}
 				old := parent.ex.items[pp]
 				if old.NL == ex.NL && old.Pseudo == ex.Pseudo {
-					count(sameBacking(carried.exIndex.VectorAt(p), parent.exIndex.VectorAt(pp)))
+					count(sameBacking(carried.exIndex.Vectors()[p], parent.exIndex.Vectors()[pp]))
 				}
 				if old.NL == ex.NL && old.SQL == ex.SQL {
 					count(sameBacking(carried.ex.pairVecs[p], parent.ex.pairVecs[pp]))
@@ -144,7 +147,7 @@ func TestWithKnowledgeCarriesVectors(t *testing.T) {
 					count(sameBacking(carried.ins.textVecs[p], parent.ins.textVecs[pp]))
 				}
 				if old.Text == ins.Text && old.SQLHint == ins.SQLHint {
-					count(sameBacking(carried.insIndex.VectorAt(p), parent.insIndex.VectorAt(pp)))
+					count(sameBacking(carried.insIndex.Vectors()[p], parent.insIndex.Vectors()[pp]))
 				}
 			}
 			if embedded != 0 || shared == 0 {

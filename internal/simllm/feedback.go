@@ -19,6 +19,10 @@ func (m *Model) GenerateTargets(req *llm.FeedbackRequest) ([]llm.FeedbackTarget,
 		fbSet[t] = true
 	}
 
+	// The feedback is embedded once; the item texts are knowledge-set texts,
+	// so they come from the process-wide memo.
+	fbVec := embed.Embed(req.UserFeedback)
+
 	// Instructions whose terms or text the feedback mentions.
 	for _, ins := range req.Instructions {
 		reason := ""
@@ -28,7 +32,7 @@ func (m *Model) GenerateTargets(req *llm.FeedbackRequest) ([]llm.FeedbackTarget,
 				break
 			}
 		}
-		if reason == "" && embed.Similarity(req.UserFeedback, ins.Text) > 0.30 {
+		if reason == "" && fbVec.Cosine(embed.Memo(ins.Text)) > 0.30 {
 			reason = "the feedback overlaps this instruction's guidance"
 		}
 		if reason != "" {
@@ -38,7 +42,7 @@ func (m *Model) GenerateTargets(req *llm.FeedbackRequest) ([]llm.FeedbackTarget,
 
 	// Examples whose description or SQL the feedback overlaps.
 	for _, ex := range req.Examples {
-		if embed.Similarity(req.UserFeedback, ex.NL+" "+ex.SQL) > 0.30 {
+		if fbVec.Cosine(embed.Memo(ex.NL+" "+ex.SQL)) > 0.30 {
 			targets = append(targets, llm.FeedbackTarget{
 				Kind: "example", ID: ex.ID,
 				Why: "the feedback concerns the behaviour this example teaches",

@@ -26,8 +26,14 @@ func (m *Model) Plan(ctx *llm.Context) (llm.Plan, error) {
 	}
 	wholeAnchor, _ := m.wholeQueryAnchor(ctx, c)
 	// exVecs[i] embeds ctx.Examples[i].SQL, filled in by fragmentAnchor the
-	// first time a fragment of the example's clause kind asks for it.
-	exVecs := make([]embed.Embedded, len(ctx.Examples))
+	// first time a fragment of the example's clause kind asks for it. A
+	// pipeline's selection (TopExamples, 12 by default) fits on the stack.
+	var exBuf [16]embed.Embedded
+	exVecs := exBuf[:]
+	if len(ctx.Examples) > len(exBuf) {
+		exVecs = make([]embed.Embedded, len(ctx.Examples))
+	}
+	exVecs = exVecs[:len(ctx.Examples)]
 	var plan llm.Plan
 	for _, frag := range frags {
 		step := llm.PlanStep{
@@ -67,10 +73,10 @@ func (m *Model) fragmentAnchor(ctx *llm.Context, exVecs []embed.Embedded, frag d
 		if ex.Clause != string(frag.Clause) {
 			continue
 		}
-		if exVecs[i].Vec == nil {
+		if exVecs[i].Len() == 0 {
 			exVecs[i] = embed.Memo(ex.SQL)
 		}
-		if fragVec.Vec == nil {
+		if fragVec.Len() == 0 {
 			fragVec = embed.Memo(frag.SQL)
 		}
 		if sim := exVecs[i].Cosine(fragVec); sim > bestSim {
