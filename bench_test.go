@@ -83,6 +83,8 @@ func BenchmarkDecomposeCompose(b *testing.B) {
 	}
 }
 
+// BenchmarkEmbedAndSearch embeds a question and scores it against every
+// example of a knowledge set: the query side of one retrieval pass.
 func BenchmarkEmbedAndSearch(b *testing.B) {
 	ix := embed.NewIndex()
 	kset, err := benchSuite.BuildKnowledge("sports_holdings")
@@ -92,70 +94,16 @@ func BenchmarkEmbedAndSearch(b *testing.B) {
 	for _, ex := range kset.Examples() {
 		ix.Add(ex.ID, ex.Text())
 	}
+	scores := make([]float64, ix.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Search("quarter over quarter revenue per viewer for our organisations", 8)
+		qv := embed.Text("quarter over quarter revenue per viewer for our organisations")
+		ix.Scores(qv, embed.Norm2(qv), scores)
 	}
 }
 
-// BenchmarkANNSearch compares exact brute-force retrieval against the
-// partitioned ANN index over real knowledge-set vectors at growing
-// knowledge scales (KnowledgeFactor 1/10/100 of the sports_holdings query
-// log). The ANN contract is exactness, so the hit lists are asserted
-// identical before timing; the candidates/search metric shows the
-// sub-linear scan the partition bound buys.
-func BenchmarkANNSearch(b *testing.B) {
-	for _, factor := range []int{1, 10, 100} {
-		b.Run(fmt.Sprintf("kx%d", factor), func(b *testing.B) {
-			s := workload.NewScaledSuite(benchWorkloadSeed,
-				workload.ScaleConfig{DBFactor: 1, KnowledgeFactor: factor})
-			kset, err := s.BuildKnowledge("sports_holdings")
-			if err != nil {
-				b.Fatal(err)
-			}
-			brute := embed.NewIndex()
-			ann := embed.NewIndex()
-			ann.EnableANN(embed.ANNConfig{MinSize: 1})
-			for _, ex := range kset.Examples() {
-				brute.Add(ex.ID, ex.Text())
-				ann.Add(ex.ID, ex.Text())
-			}
-			ann.Build()
-			qv := embed.Text("quarter over quarter revenue per viewer for our organisations")
-			want := brute.SearchVectorBrute(qv, 8)
-			got := ann.SearchVector(qv, 8)
-			if len(want) != len(got) {
-				b.Fatalf("ANN returned %d hits, brute force %d", len(got), len(want))
-			}
-			for i := range want {
-				if want[i].ID != got[i].ID || want[i].Score != got[i].Score {
-					b.Fatalf("ANN hit %d = %+v, brute force = %+v", i, got[i], want[i])
-				}
-			}
-			b.Run("brute", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					brute.SearchVectorBrute(qv, 8)
-				}
-			})
-			b.Run("ann", func(b *testing.B) {
-				b.ReportAllocs()
-				before := ann.Stats()
-				for i := 0; i < b.N; i++ {
-					ann.SearchVector(qv, 8)
-				}
-				st := ann.Stats()
-				if n := st.ANNSearches - before.ANNSearches; n > 0 {
-					b.ReportMetric(float64(st.CandidatesScanned-before.CandidatesScanned)/float64(n),
-						"candidates/search")
-				}
-			})
-		})
-	}
-}
-
-// --- Hot-path micro-benchmarks (parallel eval, top-k retrieval); the SQL
+// --- Hot-path micro-benchmarks (parallel eval); the SQL
 // engine's own A/B benchmarks live in internal/sqlexec ---
 
 // BenchmarkParallelEval runs the full GenEdit evaluation with varying worker
@@ -186,31 +134,6 @@ func BenchmarkParallelEval(b *testing.B) {
 			b.ReportMetric(rep.EX(""), "EX-all%")
 		})
 	}
-}
-
-// BenchmarkTopK compares the full-sort reference against the bounded-heap
-// top-k on a knowledge-set-scale index.
-func BenchmarkTopK(b *testing.B) {
-	ix := embed.NewIndex()
-	words := []string{"revenue", "viewer", "organisation", "quarter", "canada", "sports",
-		"total", "margin", "cost", "views", "holding", "fiscal"}
-	for i := 0; i < 2000; i++ {
-		text := words[i%len(words)] + " " + words[(i*3+1)%len(words)] + " " + words[(i*7+2)%len(words)]
-		ix.Add(fmt.Sprintf("item-%04d", i), text)
-	}
-	qv := embed.Text("quarter over quarter revenue per viewer for our organisations")
-	b.Run("sort", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ix.SearchVectorBrute(qv, 8)
-		}
-	})
-	b.Run("heap", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ix.SearchVector(qv, 8)
-		}
-	})
 }
 
 func BenchmarkPipelineSingleGeneration(b *testing.B) {

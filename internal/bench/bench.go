@@ -136,7 +136,7 @@ func ExtraAblations() []Ablation {
 		{Name: "GenEdit", Cfg: base},
 		mk("w/o Context Expansion", func(c *pipeline.Config) { c.DisableContextExpansion = true }),
 		mk("w/o Planning", func(c *pipeline.Config) { c.DisablePlanning = true }),
-		mk("w/o Self-Correction", func(c *pipeline.Config) { c.DisableSelfCorrection = true }),
+		mk("w/o Self-Correction", func(c *pipeline.Config) { c.MaxAttempts = 1 }),
 		mk("k=1 retry", func(c *pipeline.Config) { c.MaxAttempts = 1 }),
 		mk("k=2 retries", func(c *pipeline.Config) { c.MaxAttempts = 2 }),
 	}

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// oneVectorDot is the loop DotBatch must reproduce per candidate: one sum,
-// products added in index order; 0 for a length mismatch.
+// oneVectorDot is the loop every kernel must reproduce per candidate: one
+// sum, products added in index order; 0 for a length mismatch.
 func oneVectorDot(q, v Vector) float64 {
 	if len(q) != len(v) {
 		return 0
@@ -31,30 +31,10 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// checkDotBatch compares DotBatch with the one-vector loop, and the score
-// CosineBatch derives from it with Cosine, on every vector.
+// checkDotBatch holds every sparse kernel to the one-vector loop and to
+// Cosine, on every vector (see checkSparse).
 func checkDotBatch(t *testing.T, q Vector, vecs []Vector) {
 	t.Helper()
-	// out is longer than vecs and pre-filled: DotBatch must write exactly
-	// len(vecs) results.
-	const canary = 12345.678
-	out := make([]float64, len(vecs)+2)
-	for i := range out {
-		out[i] = canary
-	}
-	DotBatch(q, vecs, out)
-	for i, v := range vecs {
-		if want := oneVectorDot(q, v); !sameFloat(out[i], want) {
-			t.Errorf("vector %d of %d (len %d, query len %d): DotBatch %v (%#x), one-vector loop %v (%#x)",
-				i, len(vecs), len(v), len(q), out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
-		}
-	}
-	for i := len(vecs); i < len(out); i++ {
-		if out[i] != canary {
-			t.Errorf("DotBatch wrote past its %d vectors (out[%d] = %v)", len(vecs), i, out[i])
-		}
-	}
-
 	scores := make([]float64, len(vecs))
 	for i, v := range vecs {
 		scores[i] = Cosine(q, v)
@@ -106,10 +86,21 @@ func checkSparse(t *testing.T, q Vector, vecs []Vector, cosines []float64) {
 		same("Embedded.Cosine, operands swapped", i, e.Cosine(sq), Cosine(v, q))
 	}
 
-	out := make([]float64, len(vecs))
+	// out is longer than vecs and pre-filled: CosineBatch must write
+	// exactly len(vecs) results.
+	const canary = 12345.678
+	out := make([]float64, len(vecs)+2)
+	for i := range out {
+		out[i] = canary
+	}
 	CosineBatch(q, Norm2(q), stored, out)
 	for i := range vecs {
 		same("CosineBatch", i, out[i], cosines[i])
+	}
+	for i := len(vecs); i < len(out); i++ {
+		if out[i] != canary {
+			t.Errorf("CosineBatch wrote past its %d vectors (out[%d] = %v)", len(vecs), i, out[i])
+		}
 	}
 	// CosineGather over the positions in reverse, each listed twice.
 	var at []int
@@ -194,8 +185,8 @@ func TestDotBatchMatchesOneVectorLoop(t *testing.T) {
 
 // FuzzDotBatch decodes its input as a query and up to nine vectors of raw
 // float64 bit patterns (so NaN payloads, infinities, subnormals and −0 all
-// occur), some deliberately of the wrong length, and holds DotBatch and
-// every sparse kernel to checkDotBatch's standard.
+// occur), some deliberately of the wrong length, and holds every sparse
+// kernel to checkDotBatch's standard.
 //
 // Layout: byte 0 = vector count (mod 10), byte 1 = dimension (mod 24),
 // byte 2 = bit set of vectors that get one element more; then 8 bytes per
@@ -238,46 +229,32 @@ func FuzzDotBatch(f *testing.F) {
 	})
 }
 
-// TestSearchVectorAllocs: a search allocates its result and nothing per
-// candidate or per retained hit — no boxing into a heap interface, no
-// reflection-based swapper — on the plain scan and through the ANN
-// partitions alike, so the count does not depend on k.
-func TestSearchVectorAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pool := fuzzPool(rng, 40)
-	build := func(ann bool) *Index {
+// TestIndexScoresAllocatesNothing: a search fills the caller's array and
+// allocates nothing per candidate, whatever the size of the index.
+func TestIndexScoresAllocatesNothing(t *testing.T) {
+	for _, n := range []int{0, 3, 600} {
 		ix := NewIndex()
-		for i := 0; i < 600; i++ {
-			ix.AddVector(fmt.Sprintf("item-%04d", i), fuzzVector(rng, pool))
+		for i := 0; i < n; i++ {
+			ix.Add(fmt.Sprintf("item-%04d", i), fmt.Sprintf("top %d stores by total net sales in district %d", i, i%7))
 		}
-		if ann {
-			ix.EnableANN(ANNConfig{})
-		}
-		ix.Build()
-		return ix
-	}
-	q := fuzzVector(rng, pool)
-	for name, ix := range map[string]*Index{"scan": build(false), "ann": build(true)} {
-		if name == "ann" && ix.ann == nil {
-			t.Fatal("the ANN index did not partition")
-		}
-		for _, k := range []int{1, 8, 24, 200} {
-			if got := testing.AllocsPerRun(100, func() { ix.SearchVector(q, k) }); got != 1 {
-				t.Errorf("%s path, k=%d: %v allocations per search, want 1 (the hits)", name, k, got)
-			}
+		q := Text("net sales per district")
+		qNorm2 := Norm2(q)
+		out := make([]float64, n)
+		if got := testing.AllocsPerRun(100, func() { ix.Scores(q, qNorm2, out) }); got != 0 {
+			t.Errorf("%d items: %v allocations per search, want 0", n, got)
 		}
 	}
 }
 
 var dotSink float64
 
-// BenchmarkDotBatch scores the same vectors one at a time and four at a
-// time, dense and sparse, from a set that fits in cache and from one that
-// does not. Each vector has 18–30 non-zero components, what a Text vector
-// fills, so the dense legs multiply some 170 zeros per vector and the sparse
-// legs gather only the rest. The sparse legs are cosines, as the retrieval
-// path computes them: one vector at a time, and CosineBatch's four-wide
-// gather.
+// BenchmarkDotBatch scores the same vectors dense, one at a time, and
+// sparse, one at a time and four at a time, from a set that fits in cache
+// and from one that does not. Each vector has 18–30 non-zero components,
+// what a Text vector fills, so the dense leg multiplies some 170 zeros per
+// vector and the sparse legs gather only the rest. The sparse legs are
+// cosines, as the retrieval path computes them: one vector at a time, and
+// CosineBatch's four-wide gather.
 func BenchmarkDotBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	vector := func() Vector {
@@ -311,14 +288,6 @@ func BenchmarkDotBatch(b *testing.B) {
 				for j, v := range vecs {
 					out[j] = oneVectorDot(q, v)
 				}
-				dotSink += out[0]
-			}
-			perVector(b)
-		})
-		b.Run(set.name+"/4-wide", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				DotBatch(q, vecs, out)
 				dotSink += out[0]
 			}
 			perVector(b)

@@ -6,10 +6,8 @@
 package embed
 
 import (
-	"cmp"
 	"math"
-	"slices"
-	"time"
+	"sync/atomic"
 	"unicode"
 )
 
@@ -215,40 +213,8 @@ func Norm2(v Vector) float64 {
 	return n2
 }
 
-// DotBatch writes the dot product of q with each of vecs into out (which
-// must be at least as long as vecs); a vector whose length differs from q's
-// gets 0. Four candidates advance together, but every sum still accumulates
-// its own products in index order, so out[i] has exactly the bits of the
-// one-vector loop — interleaving only lets the four dependent add chains
-// overlap in the pipeline instead of running back to back. The ANN layer
-// ranks its centroids, the one dense thing an index keeps, through it.
-func DotBatch(q Vector, vecs []Vector, out []float64) {
-	out = out[:len(vecs)]
-	n := len(q)
-	i := 0
-	for ; i+4 <= len(vecs); i += 4 {
-		v0, v1, v2, v3 := vecs[i], vecs[i+1], vecs[i+2], vecs[i+3]
-		if len(v0) != n || len(v1) != n || len(v2) != n || len(v3) != n {
-			for j, v := range vecs[i : i+4] {
-				out[i+j] = dot(q, v)
-			}
-			continue
-		}
-		var s0, s1, s2, s3 float64
-		for j, x := range q {
-			s0 += x * v0[j]
-			s1 += x * v1[j]
-			s2 += x * v2[j]
-			s3 += x * v3[j]
-		}
-		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-	}
-	for ; i < len(vecs); i++ {
-		out[i] = dot(q, vecs[i])
-	}
-}
-
-// dot is DotBatch's one-vector form.
+// dot is the dense dot product (0 on a length mismatch), summed in index
+// order: the loop every sparse kernel reproduces bit for bit.
 func dot(a, b Vector) float64 {
 	if len(a) != len(b) {
 		return 0
@@ -260,35 +226,21 @@ func dot(a, b Vector) float64 {
 	return s
 }
 
-// Hit is one retrieval result.
-type Hit struct {
-	ID    string
-	Score float64
-}
-
-// Index is a cosine top-k index. Vectors are stored sparse with their
-// squared norms (Text vectors are already L2-normalized, so each is ~1),
-// which lets search gather one dot product per candidate instead of a full
-// cosine, and a bounded heap replaces the full sort when k is small. Scores
-// are bitwise identical to Cosine over the dense vectors (see Embedded).
+// Index is the storage of one retrieval index: each item's embedding,
+// stored sparse with its squared norm (Text vectors are already
+// L2-normalized, so each is ~1), at the position its ID was first added.
+// Scores is its one read path: a single pass that scores every item against
+// a query, bitwise identical to Cosine over the dense vectors (see
+// Embedded). The pipeline's selectors rank their global fan-out and re-rank
+// their candidates from that one array, so an index is scored once per
+// request.
 //
-// By default every search scans all items. EnableANN + Build add a
-// partitioned IVF layer on top (see ann.go) whose results stay
-// order-identical to SearchVectorBrute while scanning sub-linearly many
-// candidates on clustered data.
-//
-// Concurrency: mutation (Add, AddVector, AddEmbedded, EnableANN, Build)
-// must not overlap search; any number of Search/SearchVector calls may then
-// run concurrently.
+// Concurrency: mutation (Add, AddVector, AddEmbedded) must not overlap
+// Scores; any number of Scores calls may then run concurrently.
 type Index struct {
-	ids  []string
-	vecs []Embedded
-	pos  map[string]int
-
-	annCfg    ANNConfig
-	annWanted bool
-	ann       *annPartitions // nil until Build partitions the index
-	stats     searchCounters
+	vecs  []Embedded
+	pos   map[string]int
+	stats searchCounters
 }
 
 // NewIndex returns an empty index.
@@ -311,21 +263,18 @@ func (ix *Index) AddVector(id string, vec Vector) {
 func (ix *Index) AddEmbedded(id string, e Embedded) {
 	if p, ok := ix.pos[id]; ok {
 		ix.vecs[p] = e
-		ix.annAbsorb(p, true)
 		return
 	}
-	p := len(ix.ids)
-	ix.pos[id] = p
-	ix.ids = append(ix.ids, id)
+	ix.pos[id] = len(ix.vecs)
 	ix.vecs = append(ix.vecs, e)
-	ix.annAbsorb(p, false)
 }
 
 // Len reports the number of items indexed.
-func (ix *Index) Len() int { return len(ix.ids) }
+func (ix *Index) Len() int { return len(ix.vecs) }
 
 // Pos returns the position of an ID: its insertion rank, the index into
-// Vectors and into the position-addressed tables built beside the index.
+// Vectors and Scores and into the position-addressed tables built beside
+// the index.
 func (ix *Index) Pos(id string) (int, bool) {
 	p, ok := ix.pos[id]
 	return p, ok
@@ -335,133 +284,44 @@ func (ix *Index) Pos(id string) (int, bool) {
 // index's own storage — callers must not mutate it.
 func (ix *Index) Vectors() []Embedded { return ix.vecs }
 
-// Search returns the top-k items most similar to the query text, highest
-// score first with ties broken by ID for determinism.
-func (ix *Index) Search(query string, k int) []Hit {
-	return ix.SearchVector(Text(query), k)
+// Scores writes Cosine(q, v) into out[p] for the item v at every position
+// p, bit for bit, given qNorm2 = Norm2(q); out must be at least Len() long.
+// It is one CosineBatch over Vectors, and it counts one search of Len()
+// candidates in the index's counters.
+func (ix *Index) Scores(q Vector, qNorm2 float64, out []float64) {
+	CosineBatch(q, qNorm2, ix.vecs, out[:len(ix.vecs)])
+	ix.stats.searches.Add(1)
+	ix.stats.scanned.Add(uint64(len(ix.vecs)))
 }
 
-// compareHits is the public result order: score descending, ID ascending on
-// ties. IDs are unique within an index, so the order is total.
-func compareHits(a, b Hit) int {
-	if a.Score != b.Score {
-		if a.Score > b.Score {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Compare(a.ID, b.ID)
+// SearchStats is a snapshot of an index's retrieval counters.
+type SearchStats struct {
+	// Searches counts Scores calls.
+	Searches uint64
+	// ANNSearches is always 0. It, PartitionsProbed and FullSweeps counted
+	// the work of a partitioned (IVF) layer the index no longer has; they
+	// stay because the repo benchmark's layer report reads them.
+	ANNSearches uint64
+	// CandidatesScanned is the total number of stored vectors scored:
+	// Searches × Len() while the index does not change.
+	CandidatesScanned uint64
+	// PartitionsProbed is always 0 (see ANNSearches).
+	PartitionsProbed uint64
+	// FullSweeps is always 0 (see ANNSearches).
+	FullSweeps uint64
 }
 
-// topHits keeps the k best hits offered to it in a binary min-heap under
-// compareHits: the worst retained hit sits at h[0], so a full heap rejects
-// most candidates with one comparison and replaces its root in O(log k).
-type topHits struct {
-	h []Hit
-	k int
+// searchCounters is the atomic backing store for SearchStats.
+type searchCounters struct {
+	searches atomic.Uint64
+	scanned  atomic.Uint64
 }
 
-func newTopHits(k int) topHits { return topHits{h: make([]Hit, 0, k), k: k} }
-
-func (t *topHits) full() bool { return len(t.h) == t.k }
-
-// worst is the kth-best hit so far; valid once the heap is non-empty.
-func (t *topHits) worst() Hit { return t.h[0] }
-
-func (t *topHits) offer(hit Hit) {
-	h := t.h
-	if len(h) < t.k {
-		h = append(h, hit)
-		for i := len(h) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if compareHits(h[i], h[parent]) <= 0 {
-				break
-			}
-			h[i], h[parent] = h[parent], h[i]
-			i = parent
-		}
-		t.h = h
-		return
+// Stats returns a snapshot of the index's retrieval counters. Safe to call
+// concurrently with Scores.
+func (ix *Index) Stats() SearchStats {
+	return SearchStats{
+		Searches:          ix.stats.searches.Load(),
+		CandidatesScanned: ix.stats.scanned.Load(),
 	}
-	if compareHits(hit, h[0]) >= 0 {
-		return
-	}
-	h[0] = hit
-	for i := 0; ; {
-		worst := i
-		if l := 2*i + 1; l < len(h) && compareHits(h[l], h[worst]) > 0 {
-			worst = l
-		}
-		if r := 2*i + 2; r < len(h) && compareHits(h[r], h[worst]) > 0 {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h[i], h[worst] = h[worst], h[i]
-		i = worst
-	}
-}
-
-// sorted orders the retained hits into the public result order, in place.
-func (t *topHits) sorted() []Hit {
-	slices.SortFunc(t.h, compareHits)
-	return t.h
-}
-
-// scanChunk is how many candidates the index scans score per CosineBatch
-// or CosineGather call: their scores sit in a fixed-size stack buffer, so a
-// search allocates nothing per candidate.
-const scanChunk = 64
-
-// SearchVector is Search with a precomputed query vector. For small k it
-// keeps a bounded heap of the best candidates instead of sorting the whole
-// index; results are identical to the full sort (IDs are unique, so the
-// score-then-ID order is total). When an ANN partitioning is built (see
-// ann.go) the sweep is restricted to partitions whose cone bound can still
-// reach the top-k — with results provably identical to the full scan.
-func (ix *Index) SearchVector(q Vector, k int) []Hit {
-	start := time.Now()
-	if k < 0 || k >= len(ix.ids) {
-		hits := ix.SearchVectorBrute(q, k)
-		ix.stats.record(start, len(ix.ids), 0, false, false)
-		return hits
-	}
-	if k == 0 {
-		ix.stats.record(start, 0, 0, false, false)
-		return []Hit{}
-	}
-	qNorm2 := Norm2(q)
-	if ix.ann != nil && qNorm2 != 0 {
-		hits, scanned, probed, full := ix.searchANN(q, qNorm2, k)
-		ix.stats.record(start, scanned, probed, true, full)
-		return hits
-	}
-	top := newTopHits(k)
-	var scores [scanChunk]float64
-	for lo := 0; lo < len(ix.ids); lo += scanChunk {
-		hi := min(lo+scanChunk, len(ix.ids))
-		CosineBatch(q, qNorm2, ix.vecs[lo:hi], scores[:hi-lo])
-		for i := lo; i < hi; i++ {
-			top.offer(Hit{ID: ix.ids[i], Score: scores[i-lo]})
-		}
-	}
-	ix.stats.record(start, len(ix.ids), 0, false, false)
-	return top.sorted()
-}
-
-// SearchVectorBrute is the full-sort reference implementation of
-// SearchVector; parity tests and benchmarks compare against it.
-func (ix *Index) SearchVectorBrute(q Vector, k int) []Hit {
-	scores := make([]float64, len(ix.ids))
-	CosineBatch(q, Norm2(q), ix.vecs, scores)
-	hits := make([]Hit, len(ix.ids))
-	for i, id := range ix.ids {
-		hits[i] = Hit{ID: id, Score: scores[i]}
-	}
-	slices.SortFunc(hits, compareHits)
-	if k >= 0 && len(hits) > k {
-		hits = hits[:k]
-	}
-	return hits
 }

@@ -82,20 +82,27 @@ func TestNormalizeUnitLength(t *testing.T) {
 	}
 }
 
+// scoresOf is Index.Scores of a query text, by position.
+func scoresOf(ix *Index, query string) []float64 {
+	qv := Text(query)
+	out := make([]float64, ix.Len())
+	ix.Scores(qv, Norm2(qv), out)
+	return out
+}
+
+// TestIndexSearchRanksExactMatchFirst: of the scores a search reads, the
+// item whose text is the query scores highest.
 func TestIndexSearchRanksExactMatchFirst(t *testing.T) {
 	ix := NewIndex()
 	ix.Add("a", "count employees by department")
 	ix.Add("b", "total revenue per region last year")
 	ix.Add("c", "average salary of engineers")
-	hits := ix.Search("total revenue per region last year", 2)
-	if len(hits) != 2 {
-		t.Fatalf("got %d hits, want 2", len(hits))
-	}
-	if hits[0].ID != "b" {
-		t.Errorf("top hit = %s, want b", hits[0].ID)
-	}
-	if hits[0].Score < hits[1].Score {
-		t.Error("hits not sorted by score")
+	scores := scoresOf(ix, "total revenue per region last year")
+	best, _ := ix.Pos("b")
+	for p, s := range scores {
+		if p != best && s >= scores[best] {
+			t.Errorf("position %d scores %v, not below the exact match's %v", p, s, scores[best])
+		}
 	}
 }
 
@@ -106,92 +113,133 @@ func TestIndexReplace(t *testing.T) {
 	if ix.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 after replace", ix.Len())
 	}
-	hits := ix.Search("gamma delta", 1)
-	if hits[0].Score < 0.9 {
-		t.Errorf("replaced vector not searchable: score %v", hits[0].Score)
+	if p, ok := ix.Pos("x"); !ok || p != 0 {
+		t.Fatalf("Pos(x) = %d, %v after replace, want 0, true", p, ok)
+	}
+	if score := scoresOf(ix, "gamma delta")[0]; score < 0.9 {
+		t.Errorf("replaced vector not scored: score %v", score)
 	}
 }
 
-func TestIndexKBounds(t *testing.T) {
+// TestSearchScoresMatchCosineExactly: Index.Scores writes, at every
+// position, the bits of Cosine over the dense vectors — so retrieval (and
+// therefore EX metrics) cannot drift. The inputs include duplicate texts
+// under different IDs (their scores must tie exactly, so the selectors'
+// ID tie-break decides), an item that embeds to the zero vector, scaled and
+// zero caller-supplied vectors, a replaced ID, and the zero query. Scores
+// writes exactly Len() results and counts one search of Len() candidates.
+func TestSearchScoresMatchCosineExactly(t *testing.T) {
 	ix := NewIndex()
-	ix.Add("a", "one")
-	ix.Add("b", "two")
-	if got := len(ix.Search("one", 10)); got != 2 {
-		t.Errorf("k larger than index returned %d hits, want 2", got)
+	dense := map[string]Vector{}
+	add := func(id, text string) {
+		ix.Add(id, text)
+		dense[id] = Text(text)
 	}
-	if got := len(ix.Search("one", 0)); got != 0 {
-		t.Errorf("k=0 returned %d hits, want 0", got)
-	}
-	if got := len(ix.Search("one", -1)); got != 2 {
-		t.Errorf("k=-1 (all) returned %d hits, want 2", got)
-	}
-}
-
-func TestIndexTieBreakDeterministic(t *testing.T) {
-	ix := NewIndex()
-	ix.Add("z", "identical text")
-	ix.Add("a", "identical text")
-	hits := ix.Search("identical text", 2)
-	if hits[0].ID != "a" || hits[1].ID != "z" {
-		t.Errorf("tie break not by ID: %v", hits)
-	}
-}
-
-func TestSearchHeapMatchesBruteSort(t *testing.T) {
-	// The bounded-heap top-k must return exactly the same IDs, order and
-	// scores as the full-sort reference, including score ties broken by ID.
-	ix := NewIndex()
+	add("a", "total revenue by organisation")
+	add("b", "viewers per quarter in canada")
+	add("c", "sports holdings financial performance")
 	words := []string{"revenue", "viewer", "organisation", "quarter", "canada", "sports", "total", "sum"}
 	for i := 0; i < 300; i++ {
-		text := words[i%len(words)] + " " + words[(i*3+1)%len(words)] + " " + words[(i*7+2)%len(words)]
-		ix.Add(fmt.Sprintf("item-%03d", i), text)
+		add(fmt.Sprintf("item-%03d", i), words[i%len(words)]+" "+words[(i*3+1)%len(words)]+" "+words[(i*7+2)%len(words)])
 	}
-	// Duplicate texts under different IDs force exact score ties.
-	ix.Add("tie-b", "identical tie text")
-	ix.Add("tie-a", "identical tie text")
-	ix.Add("tie-c", "identical tie text")
+	add("tie-b", "identical tie text")
+	add("tie-a", "identical tie text")
+	add("empty", "  ")
+	add("b", "quarter over quarter viewers") // replaced in place
+	scaled := Text("revenue per viewer")
+	for i := range scaled {
+		scaled[i] *= 3.5
+	}
+	ix.AddVector("scaled", scaled)
+	dense["scaled"] = scaled
+	ix.AddVector("zero", make(Vector, Dim))
+	dense["zero"] = make(Vector, Dim)
+	if ix.Len() != len(dense) {
+		t.Fatalf("Len = %d, want %d", ix.Len(), len(dense))
+	}
 
-	queries := []string{
-		"revenue per viewer", "identical tie text", "canada quarter total",
-		"completely unrelated words xyzzy", "",
-	}
-	for _, q := range queries {
+	const canary = 12345.678
+	for _, q := range []string{"revenue per viewer for sports organisations", "identical tie text", "canada quarter total", "xyzzy", ""} {
 		qv := Text(q)
-		for _, k := range []int{0, 1, 3, 8, 50, 302, 500, -1} {
-			heapHits := ix.SearchVector(qv, k)
-			bruteHits := ix.SearchVectorBrute(qv, k)
-			if len(heapHits) != len(bruteHits) {
-				t.Fatalf("q=%q k=%d: heap %d hits, brute %d", q, k, len(heapHits), len(bruteHits))
+		before := ix.Stats()
+		out := make([]float64, ix.Len()+2)
+		out[ix.Len()], out[ix.Len()+1] = canary, canary
+		ix.Scores(qv, Norm2(qv), out)
+		for id, v := range dense {
+			p, _ := ix.Pos(id)
+			if want := Cosine(qv, v); math.Float64bits(out[p]) != math.Float64bits(want) {
+				t.Errorf("q=%q: score for %s = %v, want exact Cosine %v", q, id, out[p], want)
 			}
-			for i := range heapHits {
-				if heapHits[i].ID != bruteHits[i].ID || heapHits[i].Score != bruteHits[i].Score {
-					t.Fatalf("q=%q k=%d hit %d: heap %+v, brute %+v",
-						q, k, i, heapHits[i], bruteHits[i])
-				}
-			}
+		}
+		if out[ix.Len()] != canary || out[ix.Len()+1] != canary {
+			t.Errorf("q=%q: Scores wrote past its %d items", q, ix.Len())
+		}
+		ta, _ := ix.Pos("tie-a")
+		tb, _ := ix.Pos("tie-b")
+		if math.Float64bits(out[ta]) != math.Float64bits(out[tb]) {
+			t.Errorf("q=%q: identical texts score %v and %v", q, out[ta], out[tb])
+		}
+		after := ix.Stats()
+		if after.Searches-before.Searches != 1 || after.CandidatesScanned-before.CandidatesScanned != uint64(ix.Len()) {
+			t.Errorf("q=%q: counted %d searches of %d candidates, want 1 of %d", q,
+				after.Searches-before.Searches, after.CandidatesScanned-before.CandidatesScanned, ix.Len())
+		}
+		if after.ANNSearches != 0 || after.PartitionsProbed != 0 || after.FullSweeps != 0 {
+			t.Errorf("q=%q: partition counters moved: %+v", q, after)
 		}
 	}
 }
 
-func TestSearchScoresMatchCosineExactly(t *testing.T) {
-	// The cached-norm dot-product scoring must be bitwise identical to
-	// Cosine so retrieval (and therefore EX metrics) cannot drift.
-	ix := NewIndex()
-	texts := map[string]string{
-		"a": "total revenue by organisation",
-		"b": "viewers per quarter in canada",
-		"c": "sports holdings financial performance",
+// TestAddNormMatchesGeneralPath guards the Add fast path (Text vectors
+// arrive with their norm precomputed): the cached squared norm — and
+// therefore every score — must be bitwise identical to the general
+// recompute-the-norm path.
+func TestAddNormMatchesGeneralPath(t *testing.T) {
+	texts := []string{
+		"total revenue per store in Canada for 2023",
+		"QoQFP per sports organisation",
+		"",
+		"    ",
+		"UPPER lower MiXeD 123 tokens tokens tokens",
 	}
-	for id, text := range texts {
-		ix.Add(id, text)
-	}
-	q := "revenue per viewer for sports organisations"
-	qv := Text(q)
-	for _, hit := range ix.SearchVector(qv, -1) {
-		want := Cosine(qv, Text(texts[hit.ID]))
-		if hit.Score != want {
-			t.Errorf("score for %s = %v, want exact Cosine %v", hit.ID, hit.Score, want)
+	fast, general := NewIndex(), NewIndex()
+	for i, s := range texts {
+		id := fmt.Sprintf("t-%d", i)
+		fast.Add(id, s)
+		general.AddVector(id, Text(s))
+		// The cached norms must agree bitwise, not just approximately.
+		if fast.vecs[i].Norm2 != general.vecs[i].Norm2 {
+			t.Fatalf("text %q: fast-path norm %v != general-path norm %v",
+				s, fast.vecs[i].Norm2, general.vecs[i].Norm2)
 		}
+		var want float64
+		for _, x := range Text(s) {
+			want += x * x
+		}
+		if n2 := Embed(s).Norm2; n2 != want {
+			t.Fatalf("text %q: Embed norm %v != recomputed %v", s, n2, want)
+		}
+	}
+	const q = "revenue per organisation"
+	got, want := scoresOf(fast, q), scoresOf(general, q)
+	for p := range got {
+		if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+			t.Errorf("position %d: fast-path score %v, general-path score %v", p, got[p], want[p])
+		}
+	}
+}
+
+// BenchmarkIndexAdd guards the Add fast path: embedding plus insertion with
+// the norm fused into normalization (no second pass over the vector).
+func BenchmarkIndexAdd(b *testing.B) {
+	texts := make([]string, 64)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("top %d stores by total net sales in district %d for 2023", i, i%7)
+	}
+	b.ReportAllocs()
+	ix := NewIndex()
+	for i := 0; i < b.N; i++ {
+		ix.Add(fmt.Sprintf("id-%d", i), texts[i%len(texts)])
 	}
 }
 

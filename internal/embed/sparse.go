@@ -160,8 +160,10 @@ func gatherFrom(q Vector, e *Embedded, k int, s float64) float64 {
 
 // CosineBatch writes Cosine(q, v) into out[i] for the dense v that vecs[i]
 // stores, bit for bit, given qNorm2 = Norm2(q). It is the one scoring
-// routine of the retrieval path — the index scans and the pipeline's
-// re-rankers all score through it or through CosineGather.
+// routine of the retrieval path — Index.Scores and the pipeline's
+// re-rankers all score through it or through CosineGather, which share
+// cosineFour and cosineSparse, so a score's bits do not depend on which of
+// the two computed it.
 func CosineBatch(q Vector, qNorm2 float64, vecs []Embedded, out []float64) {
 	out = out[:len(vecs)]
 	qLen := math.Sqrt(qNorm2)

@@ -89,7 +89,6 @@ func TestTraceReportsOperatorTimings(t *testing.T) {
 
 func TestTraceSkipsAblatedOperators(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DisableReformulation = true
 	cfg.DisableInstructions = true
 	cfg.DisablePlanning = true
 	engine, suite := testEngine(t, cfg)
@@ -102,7 +101,7 @@ func TestTraceSkipsAblatedOperators(t *testing.T) {
 	}
 	for _, op := range got.Ops {
 		switch op.Op {
-		case "reformulation", "instruction_selection", "planning":
+		case "instruction_selection", "planning":
 			t.Errorf("ablated operator %q appears in trace", op.Op)
 		}
 	}

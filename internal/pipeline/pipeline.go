@@ -57,8 +57,6 @@ type Config struct {
 	// Additional design-choice ablations.
 	DisableContextExpansion bool
 	DisablePlanning         bool
-	DisableSelfCorrection   bool
-	DisableReformulation    bool
 }
 
 // Retrieval fan-outs of the example and instruction selectors: how many
@@ -70,13 +68,10 @@ const (
 )
 
 // retrieval is how an engine's selectors search their indexes: the fan-outs
-// and the ANN partitioning. Every engine New builds uses defaultRetrieval, so
-// the ANN layer engages by index size alone (embed.DefaultANNMinSize); it is
-// exact, top-k order-identical to the full scan, so it never changes a
-// result. Tests reach other settings through newEngine.
+// of the global search. Every engine New builds uses defaultRetrieval; tests
+// reach other settings through newEngine.
 type retrieval struct {
 	exFanout, insFanout int
-	ann                 embed.ANNConfig
 }
 
 var defaultRetrieval = retrieval{exFanout: DefaultExampleFanout, insFanout: DefaultInstructionFanout}
@@ -250,15 +245,11 @@ func (e *Engine) GenerateContext(ctx context.Context, question, evidence string)
 	}
 
 	// Operator 1: query reformulation.
-	reformulated := question
-	if !e.cfg.DisableReformulation {
-		done := tr.step("reformulation")
-		var err error
-		reformulated, err = e.model.Reformulate(question)
-		done()
-		if err != nil {
-			return nil, fmt.Errorf("reformulation: %w", err)
-		}
+	done := tr.step("reformulation")
+	reformulated, err := e.model.Reformulate(question)
+	done()
+	if err != nil {
+		return nil, fmt.Errorf("reformulation: %w", err)
 	}
 	rec.Reformulated = reformulated
 	if err := generr.FromContext(ctx); err != nil {
@@ -266,7 +257,7 @@ func (e *Engine) GenerateContext(ctx context.Context, question, evidence string)
 	}
 
 	// Operator 2: intent classification.
-	done := tr.step("intent_classification")
+	done = tr.step("intent_classification")
 	intentIDs, err := e.model.ClassifyIntents(reformulated, e.intentOpts)
 	done()
 	if err != nil {
@@ -453,7 +444,7 @@ func (e *Engine) generateWithCorrection(genctx context.Context, rec *Record, ctx
 			}
 			emptyRetried = true
 		}
-		if e.cfg.DisableSelfCorrection || attempt+1 >= e.cfg.MaxAttempts {
+		if attempt+1 >= e.cfg.MaxAttempts {
 			break
 		}
 		feedback := att.Err

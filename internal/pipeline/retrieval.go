@@ -15,9 +15,12 @@ import (
 // buildIndices lays the knowledge set out once as dense tables indexed by an
 // item's position in its retrieval index — the insertion order of
 // kset.Examples() / kset.Instructions(), which is also the order embed.Index
-// numbers its vectors in — and a request works on positions only. The embed
-// index's own id → position map is the one string-keyed lookup left, used
-// for the few dozen hits of the global search.
+// numbers its vectors in — and a request works on positions only. A selector
+// scores its whole index once (embed.Index.Scores): the global search takes
+// its fan-out from that array and the re-rank reads its candidates' scores
+// from it. The embed index's own id → position map is the one string-keyed
+// lookup left, used to find a selected example's vectors for context
+// expansion.
 
 // intentPostings lists the positions of the examples and instructions filed
 // under one intent: what Set.ExamplesByIntent / InstructionsByIntent would
@@ -211,15 +214,6 @@ func (e *Engine) buildIndices(parent *Engine) {
 	for _, it := range e.kset.Intents() {
 		e.intentOpts = append(e.intentOpts, llm.IntentOption{ID: it.ID, Name: it.Name, Description: it.Description})
 	}
-
-	// Seal the retrieval indices: partition them for sub-linear search while
-	// the engine is still private to this goroutine. Engines are immutable
-	// once served, so approval hot-swaps re-enter here via WithKnowledge and
-	// always publish a freshly partitioned — never stale — index.
-	e.exIndex.EnableANN(e.ret.ann)
-	e.insIndex.EnableANN(e.ret.ann)
-	e.exIndex.Build()
-	e.insIndex.Build()
 }
 
 // scoredPos is one candidate of a selector: its table position and score.
@@ -234,9 +228,9 @@ type scoredPos struct {
 // scores only, never a vector, so a pooled scratch keeps no retired
 // engine's storage alive.
 type selScratch struct {
-	mark   []bool // by position: already a candidate
-	cands  []int  // candidate positions, in discovery order
-	scores []float64
+	mark   []bool    // by position: already a candidate
+	cands  []int     // candidate positions, in discovery order
+	scores []float64 // by position: the item's cosine with the query
 	ranked []scoredPos
 
 	slotAt     []int // by source-question slot: 1 + its place in slots, 0 when unseen
@@ -277,19 +271,30 @@ func (s *selScratch) add(positions ...int) {
 	}
 }
 
-// cosines scores the index vectors at the candidate positions against the
-// query into s.scores: Cosine(qv, vector), bit for bit.
-func (s *selScratch) cosines(qv embed.Vector, qNorm2 float64, ix *embed.Index) {
-	s.scores = sized(s.scores, len(s.cands))
-	embed.CosineGather(qv, qNorm2, ix.Vectors(), s.cands, s.scores)
+// search scores every item of ix against the query into s.scores, by
+// position — the selector's one scoring pass — and makes the fanout best of
+// them candidates: the global similarity search. selectTop ranks in the
+// retrieval order (score descending, ID ascending), so the fan-out is the
+// exact top-k of the index.
+func (s *selScratch) search(qv embed.Vector, qNorm2 float64, ix *embed.Index, fanout int, id func(pos int) string) {
+	n := ix.Len()
+	s.scores = sized(s.scores, n)
+	ix.Scores(qv, qNorm2, s.scores)
+	s.ranked = sized(s.ranked, n)
+	for p, score := range s.scores {
+		s.ranked[p] = scoredPos{pos: p, score: score}
+	}
+	for _, sp := range selectTop(s.ranked, fanout, id) {
+		s.add(sp.pos)
+	}
 }
 
 // selectExamples implements operator 3. Candidates come from the classified
 // intents plus a global query-similarity search; all candidates are
 // re-ranked by cosine similarity with the reformulated query (whose
-// precomputed embedding qv is threaded in by GenerateContext). When
-// decomposition is ablated the knowledge set's fragments are regrouped into
-// traditional full-query examples.
+// precomputed embedding qv is threaded in by GenerateContext), read from the
+// pass the search made. When decomposition is ablated the knowledge set's
+// fragments are regrouped into traditional full-query examples.
 func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.RetrievedExample {
 	if e.cfg.DisableDecomposition {
 		return e.selectFullExamples(qv)
@@ -297,20 +302,15 @@ func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.Retri
 	s := selScratchPool.Get().(*selScratch)
 	defer selScratchPool.Put(s)
 
+	id := func(p int) string { return e.ex.items[p].ID }
 	s.begin(len(e.ex.items))
-	for _, id := range intentIDs {
-		if post := e.byIntent[id]; post != nil {
+	for _, intentID := range intentIDs {
+		if post := e.byIntent[intentID]; post != nil {
 			s.add(post.examples...)
 		}
 	}
-	for _, hit := range e.exIndex.SearchVector(qv, e.ret.exFanout) {
-		if p, ok := e.exIndex.Pos(hit.ID); ok {
-			s.add(p)
-		}
-	}
-
 	qNorm2 := embed.Norm2(qv)
-	s.cosines(qv, qNorm2, e.exIndex)
+	s.search(qv, qNorm2, e.exIndex, e.ret.exFanout, id)
 
 	// A fragment is relevant when its own text matches the query or when the
 	// question of the query it was decomposed from does — sub-statements of
@@ -331,7 +331,7 @@ func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.Retri
 
 	s.ranked = sized(s.ranked, len(s.cands))
 	for i, p := range s.cands {
-		score := s.scores[i]
+		score := s.scores[p]
 		if slot := e.ex.srcSlot[p]; slot >= 0 {
 			if viaSource := 0.92 * s.slotScores[s.slotAt[slot]-1]; viaSource > score {
 				score = viaSource
@@ -339,7 +339,7 @@ func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.Retri
 		}
 		s.ranked[i] = scoredPos{pos: p, score: score}
 	}
-	top := selectTop(s.ranked, e.cfg.TopExamples, func(p int) string { return e.ex.items[p].ID })
+	top := selectTop(s.ranked, e.cfg.TopExamples, id)
 	out := make([]llm.RetrievedExample, len(top))
 	for i, sp := range top {
 		ex := e.ex.items[sp.pos]
@@ -411,32 +411,28 @@ func (e *Engine) selectFullExamples(qv embed.Vector) []llm.RetrievedExample {
 }
 
 // selectInstructions implements operator 4: candidates from intents plus
-// global search, re-ranked by similarity to the query AND to the already-
-// selected examples — the context expansion the paper's compounding
-// operators are named for. qv is the precomputed embedding of the
-// reformulated query.
+// global search, re-ranked by similarity to the query (read from the pass
+// the search made) AND to the already-selected examples — the context
+// expansion the paper's compounding operators are named for. qv is the
+// precomputed embedding of the reformulated query.
 func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, examples []llm.RetrievedExample) []llm.RetrievedInstruction {
 	s := selScratchPool.Get().(*selScratch)
 	defer selScratchPool.Put(s)
 
+	id := func(p int) string { return e.ins.items[p].ID }
 	s.begin(len(e.ins.items))
-	for _, id := range intentIDs {
-		if post := e.byIntent[id]; post != nil {
+	for _, intentID := range intentIDs {
+		if post := e.byIntent[intentID]; post != nil {
 			s.add(post.instructions...)
 		}
 	}
-	for _, hit := range e.insIndex.SearchVector(qv, e.ret.insFanout) {
-		if p, ok := e.insIndex.Pos(hit.ID); ok {
-			s.add(p)
-		}
-	}
+	s.search(qv, embed.Norm2(qv), e.insIndex, e.ret.insFanout, id)
 	if len(s.cands) == 0 {
 		return nil
 	}
 
-	s.cosines(qv, embed.Norm2(qv), e.insIndex)
-
-	if !e.cfg.DisableContextExpansion && len(examples) > 0 {
+	expanding := !e.cfg.DisableContextExpansion && len(examples) > 0
+	if expanding {
 		// Each selected example plays the query: it is scattered dense once
 		// and every candidate's cosine with it gathers the instruction's
 		// stored components (Cosine is symmetric bit for bit). A candidate
@@ -460,16 +456,17 @@ func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, example
 				}
 			}
 		}
-		for i := range s.cands {
-			s.scores[i] += e.cfg.ExpansionWeight * s.expand[i]
-		}
 	}
 
 	s.ranked = sized(s.ranked, len(s.cands))
 	for i, p := range s.cands {
-		s.ranked[i] = scoredPos{pos: p, score: s.scores[i] + e.ins.boost[p]}
+		score := s.scores[p]
+		if expanding {
+			score += e.cfg.ExpansionWeight * s.expand[i]
+		}
+		s.ranked[i] = scoredPos{pos: p, score: score + e.ins.boost[p]}
 	}
-	top := selectTop(s.ranked, e.cfg.TopInstructions, func(p int) string { return e.ins.items[p].ID })
+	top := selectTop(s.ranked, e.cfg.TopInstructions, id)
 	out := make([]llm.RetrievedInstruction, len(top))
 	for i, sp := range top {
 		ins := e.ins.items[sp.pos]

@@ -201,24 +201,30 @@ func scaledEngine(tb testing.TB, knowledgeFactor int) (*Engine, []selectorQuery)
 	return e, selectorQueries(tb, suite, model, e, db)
 }
 
-// TestSelectExamplesAllocsIndependentOfKnowledge: a request allocates its
-// search hits and its result, whatever the size of the knowledge set; the
-// candidate marks, scores and ranking live in pooled scratch.
+// TestSelectExamplesAllocsIndependentOfKnowledge: a selector request
+// allocates its result and nothing else, whatever the size of the knowledge
+// set; the candidate marks, the scores of the one pass over the index and
+// the ranking live in pooled scratch. selectInstructions is held to the same.
 func TestSelectExamplesAllocsIndependentOfKnowledge(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop its contents")
 	}
-	allocs := func(knowledgeFactor int) float64 {
+	type counts struct{ examples, instructions float64 }
+	allocs := func(knowledgeFactor int) counts {
 		e, queries := scaledEngine(t, knowledgeFactor)
 		q := queries[0]
-		return testing.AllocsPerRun(200, func() { e.selectExamples(q.qv, q.intentIDs) })
+		examples := e.selectExamples(q.qv, q.intentIDs)
+		return counts{
+			examples:     testing.AllocsPerRun(200, func() { e.selectExamples(q.qv, q.intentIDs) }),
+			instructions: testing.AllocsPerRun(200, func() { e.selectInstructions(q.qv, q.intentIDs, examples) }),
+		}
 	}
 	small, large := allocs(1), allocs(40)
 	if small != large {
-		t.Errorf("selectExamples allocates %v times per call at 1x knowledge and %v at 40x", small, large)
+		t.Errorf("allocations per call at 1x knowledge %+v, at 40x %+v", small, large)
 	}
-	if small > 2 {
-		t.Errorf("selectExamples allocates %v times per call, want the hits and the result", small)
+	if small.examples > 1 || small.instructions > 1 {
+		t.Errorf("allocations per call %+v, want 1 each (the result)", small)
 	}
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"sync"
@@ -21,7 +22,9 @@ import (
 // the position-addressed selectors must match: same IDs, same order, same
 // Score bits. Where the old bodies read a vector the engine had cached, the
 // reference embeds the item's text itself (refVec), so it also checks the
-// engine's tables against the texts they claim to embed.
+// engine's tables against the texts they claim to embed; and where they
+// asked the index for its global top-k, referenceSearch scores and sorts the
+// whole set itself.
 
 var (
 	refVecMu sync.Mutex
@@ -69,6 +72,31 @@ func referenceSort[T any](s []T, score func(T) float64, id func(T) string) {
 	})
 }
 
+// referenceSearch is the global similarity search: every listed item scored
+// by a dense embed.Cosine against the text it is indexed by, fully sorted
+// (score descending, ID ascending) and cut at k. An ID listed twice is
+// scored once.
+func referenceSearch(qv embed.Vector, k int, ids []string, text func(id string) string) []string {
+	type hit struct {
+		id    string
+		score float64
+	}
+	seen := make(map[string]bool)
+	var hits []hit
+	for _, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			hits = append(hits, hit{id: id, score: embed.Cosine(qv, refVec(text(id)))})
+		}
+	}
+	referenceSort(hits, func(h hit) float64 { return h.score }, func(h hit) string { return h.id })
+	out := make([]string, 0, k)
+	for _, h := range hits[:min(k, len(hits))] {
+		out = append(out, h.id)
+	}
+	return out
+}
+
 // fullExText is the text a full-query candidate is ranked by: its question,
 // or its SQL when the log recorded none.
 func fullExText(fe *fullExCand) string {
@@ -107,8 +135,13 @@ func referenceSelectExamples(e *Engine, qv embed.Vector, intentIDs []string) []l
 			}
 		}
 	}
-	for _, hit := range e.exIndex.SearchVector(qv, e.ret.exFanout) {
-		if ex := e.kset.Example(hit.ID); ex != nil && !seen[ex.ID] {
+	var listed []string
+	for _, ex := range e.kset.Examples() {
+		listed = append(listed, ex.ID)
+	}
+	exampleText := func(id string) string { return e.kset.Example(id).Text() }
+	for _, id := range referenceSearch(qv, e.ret.exFanout, listed, exampleText) {
+		if ex := e.kset.Example(id); !seen[ex.ID] {
 			seen[ex.ID] = true
 			candidates = append(candidates, ex)
 		}
@@ -147,8 +180,13 @@ func referenceSelectInstructions(e *Engine, qv embed.Vector, intentIDs []string,
 			}
 		}
 	}
-	for _, hit := range e.insIndex.SearchVector(qv, e.ret.insFanout) {
-		if ins := e.kset.Instruction(hit.ID); ins != nil && !seen[ins.ID] {
+	var listed []string
+	for _, ins := range e.kset.Instructions() {
+		listed = append(listed, ins.ID)
+	}
+	instructionText := func(id string) string { return e.kset.Instruction(id).RetrievalText() }
+	for _, id := range referenceSearch(qv, e.ret.insFanout, listed, instructionText) {
+		if ins := e.kset.Instruction(id); !seen[ins.ID] {
 			seen[ins.ID] = true
 			candidates = append(candidates, ins)
 		}
@@ -279,8 +317,7 @@ func suiteEngines(tb testing.TB, suite *workload.Suite, model *simllm.Model) map
 
 // TestSelectionMatchesReference runs every case question of the standard
 // suite, and of a suite with 40x query-log knowledge (candidate sets in the
-// thousands, indexes past the ANN threshold), through the three selectors
-// and their references.
+// hundreds), through the three selectors and their references.
 func TestSelectionMatchesReference(t *testing.T) {
 	suites := map[string]*workload.Suite{
 		"standard":      workload.NewSuite(1),
@@ -359,8 +396,9 @@ func handBuiltSet(t *testing.T, directives ...string) *knowledge.Set {
 
 // TestSelectionMatchesReferenceHandBuilt is TestSelectionMatchesReference
 // over handBuiltSet, without and with directives (the boost the engine
-// computed at build time against the boost recomputed per request), on the
-// plain scan and with both indexes forced through the ANN partitions.
+// computed at build time against the boost recomputed per request), with a
+// global fan-out of 2, which leaves some items to the intent postings alone,
+// and with the production fan-outs, which reach every item.
 func TestSelectionMatchesReferenceHandBuilt(t *testing.T) {
 	suite := workload.NewSuite(1)
 	model := simllm.New(simllm.GenEditProfile(), suite.Registry, 42)
@@ -387,12 +425,11 @@ func TestSelectionMatchesReferenceHandBuilt(t *testing.T) {
 		"repeated_listing": knowledge.FromState(repeated),
 	}
 	for name, kset := range sets {
-		for _, annMinSize := range []int{0, 1} {
-			ret := retrieval{exFanout: 2, insFanout: 2, ann: embed.ANNConfig{MinSize: annMinSize}}
+		for _, ret := range []retrieval{{exFanout: 2, insFanout: 2}, defaultRetrieval} {
 			base := newEngine(model, kset, db, DefaultConfig(), ret)
 			compared := 0
 			for _, q := range queries {
-				label := fmt.Sprintf("%s/ann_min_size=%d/%q%v", name, annMinSize, q.text, q.intentIDs)
+				label := fmt.Sprintf("%s/fanout=%d,%d/%q%v", name, ret.exFanout, ret.insFanout, q.text, q.intentIDs)
 				compared += compareSelectors(t, base, label, embed.Text(q.text), q.intentIDs)
 			}
 			if compared == 0 {
@@ -411,8 +448,10 @@ func TestSelectionMatchesReferenceHandBuilt(t *testing.T) {
 	}
 }
 
-// TestSelectTopEdges covers what the suites cannot: no candidates at all,
-// and ties on score broken by ID whatever order the candidates arrive in.
+// TestSelectTopEdges covers what the suites cannot: no candidates at all, a
+// k of zero, below zero or beyond the candidates, ties on score broken by
+// ID whatever order the candidates arrive in, and — over a larger set full
+// of exact ties — every k against a full stable sort.
 func TestSelectTopEdges(t *testing.T) {
 	ids := []string{"d", "b", "e", "a", "c", "f"}
 	scores := []float64{1, 2, 1, 1, 2, 0.5}
@@ -431,12 +470,36 @@ func TestSelectTopEdges(t *testing.T) {
 		t.Errorf("no candidates: got %v, want nothing", got)
 	}
 	order := []int{0, 1, 2, 3, 4, 5}
-	for k, want := range [][]string{{}, {"b"}, {"b", "c"}, {"b", "c", "a"}, {"b", "c", "a", "d"}} {
+	all := []string{"b", "c", "a", "d", "e", "f"}
+	for k, want := range map[int][]string{
+		-1: {}, 0: {}, 1: {"b"}, 2: {"b", "c"}, 3: {"b", "c", "a"}, 4: {"b", "c", "a", "d"},
+		6: all, 10: all,
+	} {
 		for rot := range order {
 			rotated := append(append([]int(nil), order[rot:]...), order[:rot]...)
 			if got := pick(rotated, k); !reflect.DeepEqual(got, want) {
 				t.Errorf("k=%d rotation %d: got %v, want %v", k, rot, got, want)
 			}
+		}
+	}
+
+	// 300 candidates over a handful of score levels, in a shuffled order.
+	rng := rand.New(rand.NewSource(13))
+	levels := []float64{0.9, 0.5, 0.5 + 1e-16, 0, math.Copysign(0, -1), -0.25}
+	n := 300
+	many := make([]scoredPos, n)
+	manyIDs := make([]string, n)
+	for i, p := range rng.Perm(n) {
+		many[i] = scoredPos{pos: p, score: levels[rng.Intn(len(levels))]}
+		manyIDs[p] = fmt.Sprintf("item-%03d", (p*37)%n)
+	}
+	id := func(p int) string { return manyIDs[p] }
+	want := append([]scoredPos(nil), many...)
+	referenceSort(want, func(sp scoredPos) float64 { return sp.score }, func(sp scoredPos) string { return id(sp.pos) })
+	for _, k := range []int{0, 1, 3, 8, 50, n - 1, n, n + 200} {
+		got := selectTop(append([]scoredPos(nil), many...), k, id)
+		if !reflect.DeepEqual(got, want[:min(k, n)]) {
+			t.Errorf("%d candidates, k=%d: selectTop differs from the full sort", n, k)
 		}
 	}
 }

@@ -81,7 +81,10 @@ func TestArenaGrowthKeepsEarlierSlices(t *testing.T) {
 }
 
 func TestScratchDropsOversizedArenas(t *testing.T) {
-	s := getScratch()
+	// A fresh scratch, not one from the pool: a pooled one may still hold an
+	// earlier query's arenas and key map, which the checks below would see.
+	s := new(queryScratch)
+	s.root = scope{scr: s}
 	s.rows.take(scratchRetainSlots + 1)
 	s.ints.take(arenaMinSlots)
 	big := make(map[string]int)

@@ -19,9 +19,8 @@ import (
 //     knowledge sets — DBFactor 100 is the 100x database/case suite.
 //   - KnowledgeFactor multiplies each database's query log with parameter
 //     variants (different regions, months, thresholds, limits), growing the
-//     per-engine example index — the scale at which sub-linear retrieval is
-//     measurable. KnowledgeFactor ~10 pushes an index past the default ANN
-//     partitioning threshold.
+//     per-engine example index — the scale at which the cost of retrieval,
+//     which scores every indexed example once per request, is measurable.
 type ScaleConfig struct {
 	DBFactor        int
 	KnowledgeFactor int

@@ -204,31 +204,20 @@ func (s *Service) initMetrics() {
 	}
 
 	// Knowledge retrieval (always on: every engine keeps per-index search
-	// counters — see embed.SearchStats). Candidates-scanned versus searches
-	// is the sub-linearity evidence for the ANN layer; full sweeps count its
-	// exactness guard degenerating to brute force.
+	// counters — see embed.SearchStats). A selector request scores its whole
+	// index once, so candidates scanned over searches is the index size.
 	retrSearches := reg.Counter("genedit_retrieval_searches_total",
-		"Top-k retrieval searches per database and index (examples/instructions), by path: ann (partitioned sweep) or scan (full scan).", "db", "index", "path")
+		"Retrieval searches per database and index (examples/instructions): one scoring pass over the index per selector request.", "db", "index")
 	retrScanned := reg.Counter("genedit_retrieval_candidates_scanned_total",
-		"Stored vectors scored during retrieval; sub-linear growth relative to searches x index size is the ANN win.", "db", "index")
-	retrProbed := reg.Counter("genedit_retrieval_partitions_probed_total",
-		"Partitions scanned by ANN searches (probe floor plus exactness-guard extensions).", "db", "index")
-	retrSweeps := reg.Counter("genedit_retrieval_full_sweeps_total",
-		"ANN searches whose exactness guard swept every partition (automatic brute-force fallback).", "db", "index")
-	retrSeconds := reg.Gauge("genedit_retrieval_seconds_total",
-		"Cumulative wall time spent inside retrieval searches.", "db", "index")
+		"Stored vectors scored during retrieval: searches x index size.", "db", "index")
 	reg.OnScrape(func() {
 		for db, rs := range s.RetrievalStats() {
 			for index, st := range map[string]embed.SearchStats{
 				"examples":     rs.Examples,
 				"instructions": rs.Instructions,
 			} {
-				retrSearches.With(db, index, "ann").Set(st.ANNSearches)
-				retrSearches.With(db, index, "scan").Set(st.Searches - st.ANNSearches)
+				retrSearches.With(db, index).Set(st.Searches)
 				retrScanned.With(db, index).Set(st.CandidatesScanned)
-				retrProbed.With(db, index).Set(st.PartitionsProbed)
-				retrSweeps.With(db, index).Set(st.FullSweeps)
-				retrSeconds.With(db, index).Set(float64(st.SearchNanos) / 1e9)
 			}
 		}
 	})

@@ -121,34 +121,24 @@ func TestCoalescedGenerateSharesOneRecord(t *testing.T) {
 // Approve-driven engine hot-swaps and a final Close, run under -race in CI.
 // It asserts the version-keyed cache contract: a question answered (and
 // cached) before a swap is re-generated against the new knowledge version
-// after it — post-swap requests never see pre-swap records. It runs on
-// either side of the ANN partitioning threshold, which index size alone
-// decides: the standard suite's indexes stay on the full scan, and 10x
-// query-log knowledge puts them past it, so there the swap re-partitions
-// indexes that searches are walking mid-load.
+// after it — post-swap requests never see pre-swap records. It runs on the
+// standard suite and on 10x query-log knowledge, and on both it checks that
+// every retrieval search scored its whole index exactly once.
 func TestConcurrentGenerateHotSwapClose(t *testing.T) {
 	t.Run("standard", func(t *testing.T) {
-		searches, ann := hotSwapUnderLoad(t, genedit.NewBenchmark(1))
-		t.Logf("%d searches, %d ANN-partitioned", searches, ann)
-		if searches == 0 || ann != 0 {
-			t.Errorf("standard suite: want full-scan searches only, got %d of %d ANN-partitioned", ann, searches)
-		}
+		hotSwapUnderLoad(t, genedit.NewBenchmark(1))
 	})
 	t.Run("knowledge_x10", func(t *testing.T) {
-		searches, ann := hotSwapUnderLoad(t, workload.NewScaledSuite(1, workload.ScaleConfig{DBFactor: 1, KnowledgeFactor: 10}))
-		t.Logf("%d searches, %d ANN-partitioned", searches, ann)
-		if ann == 0 {
-			t.Errorf("10x knowledge: none of %d searches went through the ANN partitions", searches)
-		}
+		hotSwapUnderLoad(t, workload.NewScaledSuite(1, workload.ScaleConfig{DBFactor: 1, KnowledgeFactor: 10}))
 	})
 }
 
-// hotSwapUnderLoad runs the stress test on one suite and returns how many
-// retrieval searches the serving engines ran, and how many of those went
-// through the ANN partitions. An approval swaps in an engine with fresh
-// counters, so the pre-swap engine's are read just before the approval and
-// added to the final engine's.
-func hotSwapUnderLoad(t *testing.T, suite *genedit.Benchmark) (searches, annSearches uint64) {
+// hotSwapUnderLoad runs the stress test on one suite. Once the load has
+// stopped it reads the retrieval counters of the engine served before the
+// approval and of the one served after it: each index must have been
+// searched, and every search scores the whole index, so CandidatesScanned
+// must equal Searches × the index size.
+func hotSwapUnderLoad(t *testing.T, suite *genedit.Benchmark) {
 	ctx := context.Background()
 	svc := genedit.NewService(suite,
 		genedit.WithModelSeed(42),
@@ -196,7 +186,7 @@ func hotSwapUnderLoad(t *testing.T, suite *genedit.Benchmark) (searches, annSear
 		t.Fatal(err)
 	}
 	sme := feedback.NewSimulatedSME(7)
-	var retrieved genedit.RetrievalStats
+	var preSwap *genedit.Engine
 	swapped := false
 	for _, c := range swapCases {
 		pre, err := svc.Generate(ctx, genedit.Request{Database: storeDB, Question: c.Question, Evidence: c.Evidence})
@@ -235,7 +225,9 @@ func hotSwapUnderLoad(t *testing.T, suite *genedit.Benchmark) (searches, annSear
 		if !res.Passed {
 			continue
 		}
-		retrieved = svc.RetrievalStats()[storeDB]
+		if preSwap, err = svc.Engine(ctx, storeDB); err != nil {
+			t.Fatal(err)
+		}
 		if err := solver.Approve(res.Pending, "reviewer"); err != nil {
 			t.Fatal(err)
 		}
@@ -284,10 +276,27 @@ func hotSwapUnderLoad(t *testing.T, suite *genedit.Benchmark) (searches, annSear
 		t.Errorf("stress run recorded no cache traffic: %+v", st)
 	}
 
-	final := svc.RetrievalStats()[storeDB]
-	for _, s := range []embed.SearchStats{retrieved.Examples, retrieved.Instructions, final.Examples, final.Instructions} {
-		searches += s.Searches
-		annSearches += s.ANNSearches
+	postSwap, err := svc.Engine(ctx, storeDB)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return searches, annSearches
+	if postSwap == preSwap {
+		t.Fatal("the approval did not swap the served engine")
+	}
+	for name, e := range map[string]*genedit.Engine{"pre-swap": preSwap, "post-swap": postSwap} {
+		kset, rs := e.KnowledgeSet(), e.RetrievalStats()
+		for index, c := range map[string]struct {
+			st   embed.SearchStats
+			size int
+		}{
+			"examples":     {rs.Examples, len(kset.Examples())},
+			"instructions": {rs.Instructions, len(kset.Instructions())},
+		} {
+			t.Logf("%s engine, %s index of %d: %d searches, %d candidates", name, index, c.size, c.st.Searches, c.st.CandidatesScanned)
+			if c.st.Searches == 0 || c.st.CandidatesScanned != c.st.Searches*uint64(c.size) {
+				t.Errorf("%s engine, %s index of %d: %d searches scored %d candidates, want a positive number of searches scoring the whole index each",
+					name, index, c.size, c.st.Searches, c.st.CandidatesScanned)
+			}
+		}
+	}
 }
