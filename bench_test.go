@@ -83,8 +83,9 @@ func BenchmarkDecomposeCompose(b *testing.B) {
 	}
 }
 
-// BenchmarkEmbedAndSearch embeds a question and scores it against every
-// example of a knowledge set: the query side of one retrieval pass.
+// BenchmarkEmbedAndSearch embeds a question and scores it against the
+// examples of a knowledge set, each distinct example text once: the query
+// side of one retrieval pass.
 func BenchmarkEmbedAndSearch(b *testing.B) {
 	ix := embed.NewIndex()
 	kset, err := benchSuite.BuildKnowledge("sports_holdings")
@@ -94,7 +95,7 @@ func BenchmarkEmbedAndSearch(b *testing.B) {
 	for _, ex := range kset.Examples() {
 		ix.Add(ex.ID, ex.Text())
 	}
-	scores := make([]float64, ix.Len())
+	scores := make([]float64, ix.Slots())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -79,9 +79,9 @@ go test -race -bench 'GenerationCache|GenerationCoalescing|StatementCacheParalle
 # The stress-scale contract: TestConcurrentGenerateHotSwapClose serves the
 # standard suite and a 10x-knowledge suite while an approval hot-swaps the
 # engine mid-load, and checks that every retrieval search of the engines
-# before and after the swap scored its whole index exactly once. The -race
-# pass above runs them too; they rerun uncached here so the gate reads as
-# one unit.
+# before and after the swap scored each distinct text of its index exactly
+# once. The -race pass above runs them too; they rerun uncached here so the
+# gate reads as one unit.
 echo "== overload and stress-scale gates under -race (tiny token budget, hot-swap under load) =="
 go test -race -count=1 -run 'TestAdmissionOverloadParity|TestConcurrentGenerateHotSwapClose|TestDaemonGracefulShutdownUnderLoad' . ./cmd/geneditd
 
@@ -153,6 +153,11 @@ go run ./cmd/benchrunner -json /tmp/bench_parity.json -baseline BENCH_7.json > /
 # list): exhibits allocs_per_op read 438.5, 440.2, 440.2; serve_scaled
 # alloc_kb_per_op 36.72, 36.77, 36.78; serve_cold alloc_kb_per_op 31.81,
 # 31.79, 31.79.
+#
+# Checked again when the retrieval index came to store each distinct text
+# once: exhibits allocs_per_op read 440.96, 440.61, 439.57; serve_scaled
+# alloc_kb_per_op 36.76, 36.73, 36.78; serve_cold alloc_kb_per_op 31.79,
+# 31.80, 31.77. The rule gives the same three budgets, so they stand.
 exhibits_allocs_budget=463
 serve_scaled_alloc_kb_budget=39.4
 serve_cold_alloc_kb_budget=34.1

@@ -21,7 +21,7 @@ func oneVectorDot(q, v Vector) float64 {
 	return s
 }
 
-// sparseOf is v in sparse form with Norm2(v), as AddVector stores it.
+// sparseOf is v in sparse form with Norm2(v).
 func sparseOf(v Vector) Embedded { return sparse(v, Norm2(v)) }
 
 // sameFloat is equality on bits. Two NaNs count as equal whatever their

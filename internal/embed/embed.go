@@ -7,6 +7,7 @@ package embed
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"unicode"
 )
@@ -226,68 +227,150 @@ func dot(a, b Vector) float64 {
 	return s
 }
 
-// Index is the storage of one retrieval index: each item's embedding,
-// stored sparse with its squared norm (Text vectors are already
-// L2-normalized, so each is ~1), at the position its ID was first added.
-// Scores is its one read path: a single pass that scores every item against
-// a query, bitwise identical to Cosine over the dense vectors (see
-// Embedded). The pipeline's selectors rank their global fan-out and re-rank
-// their candidates from that one array, so an index is scored once per
-// request.
+// Index is the storage of one retrieval index, content-addressed: each
+// distinct text is embedded once, into one vector slot, and each item — at
+// the position its ID was first added — points at the slot of its text.
+// Vectors are stored sparse with their squared norms (Text vectors are
+// already L2-normalized, so each is ~1). A query log repeats its analyses,
+// so the fragments decomposed from it repeat too: at 40x knowledge a
+// tenant's 957 examples hold 111 distinct texts. Scores is the index's one
+// read path: a single pass that scores every slot against a query, bitwise
+// identical to Cosine over the dense vectors (see Embedded); an item's
+// score is its slot's. Equal texts embed to equal bits, so sharing a slot
+// cannot change a score. The pipeline's selectors rank their global fan-out
+// and re-rank their candidates from that one array, so an index is scored
+// once per request.
 //
-// Concurrency: mutation (Add, AddVector, AddEmbedded) must not overlap
-// Scores; any number of Scores calls may then run concurrently.
+// Concurrency: mutation (Add, AddShared) must not overlap Scores; any
+// number of Scores calls may then run concurrently.
 type Index struct {
-	vecs  []Embedded
-	pos   map[string]int
-	stats searchCounters
+	vecs   []Embedded     // by slot
+	texts  []string       // by slot: the text embedded there
+	byText map[string]int // text → slot
+	slot   []int          // by position: the item's slot
+	pos    map[string]int // ID → position
+	stats  searchCounters
 }
 
 // NewIndex returns an empty index.
-func NewIndex() *Index {
-	return &Index{pos: make(map[string]int)}
+func NewIndex() *Index { return NewIndexSized(0, 0) }
+
+// NewIndexSized returns an empty index with room for the given numbers of
+// items and distinct texts, so that filling it does not grow its tables
+// step by step.
+func NewIndexSized(items, texts int) *Index {
+	return &Index{
+		vecs:   make([]Embedded, 0, texts),
+		texts:  make([]string, 0, texts),
+		byText: make(map[string]int, texts),
+		slot:   make([]int, 0, items),
+		pos:    make(map[string]int, items),
+	}
 }
 
-// Add inserts or replaces an item by ID, embedding its text.
-func (ix *Index) Add(id, text string) { ix.AddEmbedded(id, Embed(text)) }
-
-// AddVector inserts or replaces an item with a caller-supplied embedding of
-// any length (up to 256) or scale; it is stored sparse.
-func (ix *Index) AddVector(id string, vec Vector) {
-	ix.AddEmbedded(id, sparse(vec, Norm2(vec)))
+// Add inserts or replaces an item by ID. Its text is embedded only if no
+// item of the index has that text already; otherwise the item shares that
+// item's slot.
+func (ix *Index) Add(id, text string) {
+	s, ok := ix.byText[text]
+	if !ok {
+		s = ix.newSlot(Embed(text), text)
+	}
+	ix.put(id, s)
 }
 
-// AddEmbedded inserts or replaces an item with an embedding already in
-// sparse form — one this or another index holds, for instance. Embeddings
-// are immutable, so indexes may share them.
-func (ix *Index) AddEmbedded(id string, e Embedded) {
-	if p, ok := ix.pos[id]; ok {
-		ix.vecs[p] = e
+// AddShared inserts or replaces an item by ID with the text and embedding
+// of the item at position p of another index — the one an engine is
+// rebuilt from, for instance. Nothing is embedded: the item takes the slot
+// of its text if ix has one and shares from's stored vector otherwise.
+// Embeddings are immutable, so indexes may share them.
+func (ix *Index) AddShared(id string, from *Index, p int) {
+	fs := from.slot[p]
+	text := from.texts[fs]
+	s, ok := ix.byText[text]
+	if !ok {
+		s = ix.newSlot(from.vecs[fs], text)
+	}
+	ix.put(id, s)
+}
+
+// newSlot stores e, the embedding of text, as a new slot.
+func (ix *Index) newSlot(e Embedded, text string) int {
+	s := len(ix.vecs)
+	ix.vecs = append(ix.vecs, e)
+	ix.texts = append(ix.texts, text)
+	ix.byText[text] = s
+	return s
+}
+
+// put points item id at slot s, adding the item if the ID is new. A
+// replaced item leaves its old slot to the items still sharing it, and the
+// slot goes once none is left.
+func (ix *Index) put(id string, s int) {
+	p, ok := ix.pos[id]
+	if !ok {
+		ix.pos[id] = len(ix.slot)
+		ix.slot = append(ix.slot, s)
 		return
 	}
-	ix.pos[id] = len(ix.vecs)
-	ix.vecs = append(ix.vecs, e)
+	old := ix.slot[p]
+	if old == s {
+		return
+	}
+	ix.slot[p] = s
+	ix.release(old)
+}
+
+// release removes slot s if no item points at it any more, moving the last
+// slot into its place so that Scores scores no vector that no item reads.
+// It walks every position: replacing an item is rare, building an index
+// never does it.
+func (ix *Index) release(s int) {
+	if slices.Contains(ix.slot, s) {
+		return
+	}
+	delete(ix.byText, ix.texts[s])
+	last := len(ix.vecs) - 1
+	if s != last {
+		ix.byText[ix.texts[last]] = s
+		ix.vecs[s], ix.texts[s] = ix.vecs[last], ix.texts[last]
+		for p, at := range ix.slot {
+			if at == last {
+				ix.slot[p] = s
+			}
+		}
+	}
+	ix.vecs[last], ix.texts[last] = Embedded{}, ""
+	ix.vecs, ix.texts = ix.vecs[:last], ix.texts[:last]
 }
 
 // Len reports the number of items indexed.
-func (ix *Index) Len() int { return len(ix.vecs) }
+func (ix *Index) Len() int { return len(ix.slot) }
+
+// Slots reports the number of distinct vectors stored: the length of
+// Vectors and of what Scores writes.
+func (ix *Index) Slots() int { return len(ix.vecs) }
 
 // Pos returns the position of an ID: its insertion rank, the index into
-// Vectors and Scores and into the position-addressed tables built beside
-// the index.
+// the position-addressed tables built beside the index.
 func (ix *Index) Pos(id string) (int, bool) {
 	p, ok := ix.pos[id]
 	return p, ok
 }
 
-// Vectors returns the stored embeddings by position. The slice is the
-// index's own storage — callers must not mutate it.
+// Slot returns the vector slot of the item at position p: the index into
+// Vectors and Scores.
+func (ix *Index) Slot(p int) int { return ix.slot[p] }
+
+// Vectors returns the stored embeddings by slot. The slice is the index's
+// own storage — callers must not mutate it.
 func (ix *Index) Vectors() []Embedded { return ix.vecs }
 
-// Scores writes Cosine(q, v) into out[p] for the item v at every position
-// p, bit for bit, given qNorm2 = Norm2(q); out must be at least Len() long.
-// It is one CosineBatch over Vectors, and it counts one search of Len()
-// candidates in the index's counters.
+// Scores writes Cosine(q, v) into out[s] for the vector v of every slot s,
+// bit for bit, given qNorm2 = Norm2(q); out must be at least Slots() long,
+// and the item at position p scores out[Slot(p)]. It is one CosineBatch
+// over Vectors, and it counts one search of Slots() candidates in the
+// index's counters.
 func (ix *Index) Scores(q Vector, qNorm2 float64, out []float64) {
 	CosineBatch(q, qNorm2, ix.vecs, out[:len(ix.vecs)])
 	ix.stats.searches.Add(1)
@@ -302,8 +385,8 @@ type SearchStats struct {
 	// the work of a partitioned (IVF) layer the index no longer has; they
 	// stay because the repo benchmark's layer report reads them.
 	ANNSearches uint64
-	// CandidatesScanned is the total number of stored vectors scored:
-	// Searches × Len() while the index does not change.
+	// CandidatesScanned is the total number of distinct stored vectors
+	// scored: Searches × Slots() while the index does not change.
 	CandidatesScanned uint64
 	// PartitionsProbed is always 0 (see ANNSearches).
 	PartitionsProbed uint64

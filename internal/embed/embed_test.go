@@ -82,11 +82,16 @@ func TestNormalizeUnitLength(t *testing.T) {
 	}
 }
 
-// scoresOf is Index.Scores of a query text, by position.
+// scoresOf is Index.Scores of a query text, read by position through each
+// item's slot.
 func scoresOf(ix *Index, query string) []float64 {
 	qv := Text(query)
+	bySlot := make([]float64, ix.Slots())
+	ix.Scores(qv, Norm2(qv), bySlot)
 	out := make([]float64, ix.Len())
-	ix.Scores(qv, Norm2(qv), out)
+	for p := range out {
+		out[p] = bySlot[ix.Slot(p)]
+	}
 	return out
 }
 
@@ -121,13 +126,156 @@ func TestIndexReplace(t *testing.T) {
 	}
 }
 
-// TestSearchScoresMatchCosineExactly: Index.Scores writes, at every
-// position, the bits of Cosine over the dense vectors — so retrieval (and
-// therefore EX metrics) cannot drift. The inputs include duplicate texts
-// under different IDs (their scores must tie exactly, so the selectors'
-// ID tie-break decides), an item that embeds to the zero vector, scaled and
-// zero caller-supplied vectors, a replaced ID, and the zero query. Scores
-// writes exactly Len() results and counts one search of Len() candidates.
+// vectorKeys numbers the texts addVector addresses its slots by.
+var vectorKeys int
+
+// addVector inserts or replaces an item with an embedding of any length (up
+// to 256) or scale, stored sparse with its recomputed squared norm, in a
+// slot of its own: the key it is addressed by is no text Add is given.
+func addVector(ix *Index, id string, vec Vector) {
+	vectorKeys++
+	ix.put(id, ix.newSlot(sparse(vec, Norm2(vec)), fmt.Sprintf("\x00vector %d", vectorKeys)))
+}
+
+// checkIndex holds every item of ix to the dense vector it should score
+// with: its score through its slot is Cosine's bits for several queries,
+// no two slots are addressed by one text, and no slot is left that no item
+// points at.
+func checkIndex(t *testing.T, label string, ix *Index, dense map[string]Vector) {
+	t.Helper()
+	if ix.Len() != len(dense) {
+		t.Fatalf("%s: Len = %d, want %d", label, ix.Len(), len(dense))
+	}
+	used := make([]bool, ix.Slots())
+	for p := 0; p < ix.Len(); p++ {
+		used[ix.Slot(p)] = true
+	}
+	for s, u := range used {
+		if !u {
+			t.Errorf("%s: slot %d of %d is scored but no item points at it", label, s, ix.Slots())
+		}
+	}
+	for text, s := range ix.byText {
+		if ix.texts[s] != text {
+			t.Errorf("%s: text %q addresses slot %d, which holds %q", label, text, s, ix.texts[s])
+		}
+	}
+	for _, q := range []string{"alpha beta", "gamma delta revenue", "revenue per viewer", ""} {
+		scores := scoresOf(ix, q)
+		qv := Text(q)
+		for id, v := range dense {
+			p, _ := ix.Pos(id)
+			if want := Cosine(qv, v); math.Float64bits(scores[p]) != math.Float64bits(want) {
+				t.Errorf("%s: q=%q: %s scores %v, want %v", label, q, id, scores[p], want)
+			}
+		}
+	}
+}
+
+// TestIndexSharesSlotsByText: items with equal texts share one slot,
+// embedded once, whichever way they arrive — Add, or AddShared from an
+// index that holds the text in a slot of another number. Slots are
+// addressed by text, not by vector: an equal vector stored under another
+// key gets a slot of its own.
+func TestIndexSharesSlotsByText(t *testing.T) {
+	ix := NewIndex()
+	dense := map[string]Vector{}
+	for i, text := range []string{"alpha beta", "gamma delta", "alpha beta", "alpha beta", "gamma delta", ""} {
+		id := fmt.Sprintf("t-%d", i)
+		ix.Add(id, text)
+		dense[id] = Text(text)
+	}
+	addVector(ix, "v", Text("alpha beta"))
+	dense["v"] = Text("alpha beta")
+	if ix.Slots() != 4 {
+		t.Fatalf("Slots = %d, want 4: three distinct texts and one vector stored by addVector", ix.Slots())
+	}
+	for _, same := range [][2]string{{"t-0", "t-2"}, {"t-0", "t-3"}, {"t-1", "t-4"}} {
+		a, _ := ix.Pos(same[0])
+		b, _ := ix.Pos(same[1])
+		if ix.Slot(a) != ix.Slot(b) {
+			t.Errorf("%s and %s have equal texts but slots %d and %d", same[0], same[1], ix.Slot(a), ix.Slot(b))
+		}
+	}
+	checkIndex(t, "built by Add", ix, dense)
+
+	// A second index that already holds "gamma delta" in its slot 0 takes
+	// the other items from ix without embedding anything.
+	child := NewIndex()
+	child.Add("c-0", "gamma delta")
+	childDense := map[string]Vector{"c-0": Text("gamma delta")}
+	for id := range dense {
+		p, _ := ix.Pos(id)
+		child.AddShared(id, ix, p)
+		childDense[id] = dense[id]
+	}
+	if child.Slots() != 4 {
+		t.Errorf("child Slots = %d, want 4", child.Slots())
+	}
+	for id := range dense {
+		p, _ := ix.Pos(id)
+		cp, _ := child.Pos(id)
+		pv, cv := ix.Vectors()[ix.Slot(p)], child.Vectors()[child.Slot(cp)]
+		if text := ix.texts[ix.Slot(p)]; text != "gamma delta" && len(pv.val) > 0 && &pv.val[0] != &cv.val[0] {
+			t.Errorf("%s: AddShared embedded the vector again instead of sharing it", id)
+		}
+	}
+	checkIndex(t, "built by AddShared", child, childDense)
+}
+
+// TestIndexReplaceKeepsSharedSlots: replacing an item whose slot other
+// items share moves that item alone — to the slot of its new text, or to a
+// new one — and leaves the others' scores unchanged; replacing the last
+// item of a slot removes the slot, so Scores never scores a vector no item
+// reads.
+func TestIndexReplaceKeepsSharedSlots(t *testing.T) {
+	ix := NewIndex()
+	dense := map[string]Vector{}
+	add := func(id, text string) {
+		ix.Add(id, text)
+		dense[id] = Text(text)
+	}
+	add("a", "alpha beta")
+	add("b", "alpha beta")
+	add("c", "alpha beta")
+	add("d", "gamma delta")
+	add("e", "revenue per viewer")
+	checkIndex(t, "initial", ix, dense)
+
+	steps := []struct {
+		label     string
+		do        func()
+		wantSlots int
+	}{
+		{"shared member to a new text", func() { add("b", "quarterly totals") }, 4},
+		{"shared member to an existing text", func() { add("c", "gamma delta") }, 4},
+		{"sole member to an existing text", func() { add("b", "revenue per viewer") }, 3},
+		{"sole member to a new text", func() { add("a", "canada only") }, 3},
+		{"unchanged text", func() { add("d", "gamma delta") }, 3},
+		{"shared member to a vector", func() {
+			addVector(ix, "c", Text("alpha beta"))
+			dense["c"] = Text("alpha beta")
+		}, 4},
+		{"vector back to a text", func() { add("c", "gamma delta") }, 3},
+		{"every member moved away", func() { add("d", "canada only"); add("c", "canada only") }, 2},
+	}
+	for _, st := range steps {
+		st.do()
+		if ix.Slots() != st.wantSlots {
+			t.Errorf("%s: Slots = %d, want %d", st.label, ix.Slots(), st.wantSlots)
+		}
+		checkIndex(t, st.label, ix, dense)
+	}
+}
+
+// TestSearchScoresMatchCosineExactly: Index.Scores writes, for every
+// item's slot, the bits of Cosine over the item's dense vector — so
+// retrieval (and therefore EX metrics) cannot drift. The inputs include
+// duplicate texts under different IDs (their scores must tie exactly, so
+// the selectors' ID tie-break decides), an item that embeds to the zero
+// vector, scaled and zero vectors stored by addVector, a replaced ID, and the
+// zero query. Scores writes exactly Slots() results and counts one search
+// of Slots() candidates.
 func TestSearchScoresMatchCosineExactly(t *testing.T) {
 	ix := NewIndex()
 	dense := map[string]Vector{}
@@ -150,9 +298,9 @@ func TestSearchScoresMatchCosineExactly(t *testing.T) {
 	for i := range scaled {
 		scaled[i] *= 3.5
 	}
-	ix.AddVector("scaled", scaled)
+	addVector(ix, "scaled", scaled)
 	dense["scaled"] = scaled
-	ix.AddVector("zero", make(Vector, Dim))
+	addVector(ix, "zero", make(Vector, Dim))
 	dense["zero"] = make(Vector, Dim)
 	if ix.Len() != len(dense) {
 		t.Fatalf("Len = %d, want %d", ix.Len(), len(dense))
@@ -162,27 +310,30 @@ func TestSearchScoresMatchCosineExactly(t *testing.T) {
 	for _, q := range []string{"revenue per viewer for sports organisations", "identical tie text", "canada quarter total", "xyzzy", ""} {
 		qv := Text(q)
 		before := ix.Stats()
-		out := make([]float64, ix.Len()+2)
-		out[ix.Len()], out[ix.Len()+1] = canary, canary
+		n := ix.Slots()
+		out := make([]float64, n+2)
+		out[n], out[n+1] = canary, canary
 		ix.Scores(qv, Norm2(qv), out)
 		for id, v := range dense {
 			p, _ := ix.Pos(id)
-			if want := Cosine(qv, v); math.Float64bits(out[p]) != math.Float64bits(want) {
-				t.Errorf("q=%q: score for %s = %v, want exact Cosine %v", q, id, out[p], want)
+			got := out[ix.Slot(p)]
+			if want := Cosine(qv, v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("q=%q: score for %s = %v, want exact Cosine %v", q, id, got, want)
 			}
 		}
-		if out[ix.Len()] != canary || out[ix.Len()+1] != canary {
-			t.Errorf("q=%q: Scores wrote past its %d items", q, ix.Len())
+		if out[n] != canary || out[n+1] != canary {
+			t.Errorf("q=%q: Scores wrote past its %d slots", q, n)
 		}
+		scores := scoresOf(ix, q)
 		ta, _ := ix.Pos("tie-a")
 		tb, _ := ix.Pos("tie-b")
-		if math.Float64bits(out[ta]) != math.Float64bits(out[tb]) {
-			t.Errorf("q=%q: identical texts score %v and %v", q, out[ta], out[tb])
+		if math.Float64bits(scores[ta]) != math.Float64bits(scores[tb]) {
+			t.Errorf("q=%q: identical texts score %v and %v", q, scores[ta], scores[tb])
 		}
 		after := ix.Stats()
-		if after.Searches-before.Searches != 1 || after.CandidatesScanned-before.CandidatesScanned != uint64(ix.Len()) {
-			t.Errorf("q=%q: counted %d searches of %d candidates, want 1 of %d", q,
-				after.Searches-before.Searches, after.CandidatesScanned-before.CandidatesScanned, ix.Len())
+		if after.Searches-before.Searches != 2 || after.CandidatesScanned-before.CandidatesScanned != 2*uint64(n) {
+			t.Errorf("q=%q: counted %d searches of %d candidates, want 2 of %d each", q,
+				after.Searches-before.Searches, after.CandidatesScanned-before.CandidatesScanned, n)
 		}
 		if after.ANNSearches != 0 || after.PartitionsProbed != 0 || after.FullSweeps != 0 {
 			t.Errorf("q=%q: partition counters moved: %+v", q, after)
@@ -206,11 +357,11 @@ func TestAddNormMatchesGeneralPath(t *testing.T) {
 	for i, s := range texts {
 		id := fmt.Sprintf("t-%d", i)
 		fast.Add(id, s)
-		general.AddVector(id, Text(s))
+		addVector(general, id, Text(s))
 		// The cached norms must agree bitwise, not just approximately.
-		if fast.vecs[i].Norm2 != general.vecs[i].Norm2 {
-			t.Fatalf("text %q: fast-path norm %v != general-path norm %v",
-				s, fast.vecs[i].Norm2, general.vecs[i].Norm2)
+		fv, gv := fast.vecs[fast.Slot(i)], general.vecs[general.Slot(i)]
+		if fv.Norm2 != gv.Norm2 {
+			t.Fatalf("text %q: fast-path norm %v != general-path norm %v", s, fv.Norm2, gv.Norm2)
 		}
 		var want float64
 		for _, x := range Text(s) {

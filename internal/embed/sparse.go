@@ -9,7 +9,7 @@ import (
 // Embedded is an embedding stored sparse: the non-zero components of a
 // dense vector as ascending (index, value) pairs, the length of that dense
 // vector, and its squared norm. A Text vector fills 18–30 of its Dim
-// buckets, so this is what every stored vector is — index items, the
+// buckets, so this is what every stored vector is — index slots, the
 // pipeline's retrieval tables, memo entries — and a score against it
 // gathers a couple of dozen query components instead of multiplying Dim.
 //

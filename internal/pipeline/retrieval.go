@@ -15,12 +15,13 @@ import (
 // buildIndices lays the knowledge set out once as dense tables indexed by an
 // item's position in its retrieval index — the insertion order of
 // kset.Examples() / kset.Instructions(), which is also the order embed.Index
-// numbers its vectors in — and a request works on positions only. A selector
-// scores its whole index once (embed.Index.Scores): the global search takes
-// its fan-out from that array and the re-rank reads its candidates' scores
-// from it. The embed index's own id → position map is the one string-keyed
-// lookup left, used to find a selected example's vectors for context
-// expansion.
+// numbers its items in — and a request works on positions only. The index
+// is content-addressed: items with equal texts share one vector slot. A
+// selector scores each slot of its index once (embed.Index.Scores): the
+// global search takes its fan-out from that array and the re-rank reads
+// each candidate's score from its slot's entry. The embed index's own id →
+// position map is the one string-keyed lookup left, used to find a selected
+// example's vectors for context expansion.
 
 // intentPostings lists the positions of the examples and instructions filed
 // under one intent: what Set.ExamplesByIntent / InstructionsByIntent would
@@ -66,10 +67,10 @@ type fullExCand struct {
 }
 
 // buildIndices derives every per-engine retrieval structure from the
-// knowledge set. With a parent engine (WithKnowledge), an item whose ID the
-// parent also holds and whose embedded text is unchanged reuses the parent's
-// vector — engines are immutable, so sharing is safe — and only the rest is
-// embedded.
+// knowledge set. Each index embeds each distinct text once. With a parent
+// engine (WithKnowledge), an item whose ID the parent also holds and whose
+// embedded text is unchanged reuses the parent's vector — engines are
+// immutable, so sharing is safe — and only the rest is embedded.
 func (e *Engine) buildIndices(parent *Engine) {
 	e.byIntent = make(map[string]*intentPostings)
 	postings := func(intentID string) *intentPostings {
@@ -81,12 +82,17 @@ func (e *Engine) buildIndices(parent *Engine) {
 		return p
 	}
 
-	e.exIndex = embed.NewIndex()
+	listedEx := e.kset.Examples()
+	var parentEx, parentIns *embed.Index
+	if parent != nil {
+		parentEx, parentIns = parent.exIndex, parent.insIndex
+	}
+	e.exIndex = newIndex(len(listedEx), parentEx)
 	e.ex = exampleTable{}
 	e.fullExs, e.fullVecs = nil, nil
 	srcSlotOf := make(map[string]int)
 	seenSQL := make(map[string]bool)
-	for _, listed := range e.kset.Examples() {
+	for _, listed := range listedEx {
 		// The tables are addressed by index position, which is the listing
 		// rank as long as no ID is listed twice (a restored set is not
 		// checked for that); a repeat names the same live item.
@@ -106,7 +112,7 @@ func (e *Engine) buildIndices(parent *Engine) {
 		}
 
 		if prev != nil && prev.NL == ex.NL && prev.Pseudo == ex.Pseudo {
-			e.exIndex.AddEmbedded(ex.ID, parent.exIndex.Vectors()[pp])
+			e.exIndex.AddShared(ex.ID, parent.exIndex, pp)
 		} else {
 			e.exIndex.Add(ex.ID, ex.Text())
 		}
@@ -156,9 +162,10 @@ func (e *Engine) buildIndices(parent *Engine) {
 		}
 	}
 
-	e.insIndex = embed.NewIndex()
+	listedIns := e.kset.Instructions()
+	e.insIndex = newIndex(len(listedIns), parentIns)
 	e.ins = instructionTable{}
-	for _, listed := range e.kset.Instructions() {
+	for _, listed := range listedIns {
 		if _, repeat := e.insIndex.Pos(listed.ID); repeat {
 			continue
 		}
@@ -176,7 +183,7 @@ func (e *Engine) buildIndices(parent *Engine) {
 
 		sameText := prev != nil && prev.Text == ins.Text
 		if sameText && prev.SQLHint == ins.SQLHint {
-			e.insIndex.AddEmbedded(ins.ID, parent.insIndex.Vectors()[pp])
+			e.insIndex.AddShared(ins.ID, parent.insIndex, pp)
 		} else {
 			e.insIndex.Add(ins.ID, ins.RetrievalText())
 		}
@@ -216,6 +223,18 @@ func (e *Engine) buildIndices(parent *Engine) {
 	}
 }
 
+// newIndex returns an empty retrieval index with room for n items. Rebuilt
+// from a parent index after an edit, it will hold about as many distinct
+// texts as the parent, plus the few an edit adds; a fresh build leaves that
+// number to grow.
+func newIndex(n int, parent *embed.Index) *embed.Index {
+	if parent == nil {
+		return embed.NewIndexSized(n, 0)
+	}
+	texts := parent.Slots()
+	return embed.NewIndexSized(n, texts+texts/8+1)
+}
+
 // scoredPos is one candidate of a selector: its table position and score.
 type scoredPos struct {
 	pos   int
@@ -230,15 +249,14 @@ type scoredPos struct {
 type selScratch struct {
 	mark   []bool    // by position: already a candidate
 	cands  []int     // candidate positions, in discovery order
-	scores []float64 // by position: the item's cosine with the query
+	scores []float64 // by vector slot: the slot's cosine with the query
 	ranked []scoredPos
 
-	slotAt     []int // by source-question slot: 1 + its place in slots, 0 when unseen
-	slots      []int
-	slotScores []float64
+	srcScores []float64 // by source-question slot: the question's cosine with the query
 
-	// Context expansion: each candidate's best cosine with a selected
-	// example so far, and its cosines with the current one.
+	// Context expansion: each candidate's vector slot, its best cosine with
+	// a selected example so far, and its cosines with the current one.
+	candSlots []int
 	expand    []float64
 	ctxScores []float64
 }
@@ -271,18 +289,17 @@ func (s *selScratch) add(positions ...int) {
 	}
 }
 
-// search scores every item of ix against the query into s.scores, by
-// position — the selector's one scoring pass — and makes the fanout best of
-// them candidates: the global similarity search. selectTop ranks in the
-// retrieval order (score descending, ID ascending), so the fan-out is the
-// exact top-k of the index.
+// search scores every vector slot of ix against the query into s.scores —
+// the selector's one scoring pass — and makes the fanout best items
+// candidates: the global similarity search. Each item scores its slot's
+// entry. selectTop ranks in the retrieval order (score descending, ID
+// ascending), so the fan-out is the exact top-k of the index.
 func (s *selScratch) search(qv embed.Vector, qNorm2 float64, ix *embed.Index, fanout int, id func(pos int) string) {
-	n := ix.Len()
-	s.scores = sized(s.scores, n)
+	s.scores = sized(s.scores, ix.Slots())
 	ix.Scores(qv, qNorm2, s.scores)
-	s.ranked = sized(s.ranked, n)
-	for p, score := range s.scores {
-		s.ranked[p] = scoredPos{pos: p, score: score}
+	s.ranked = sized(s.ranked, ix.Len())
+	for p := range s.ranked {
+		s.ranked[p] = scoredPos{pos: p, score: s.scores[ix.Slot(p)]}
 	}
 	for _, sp := range selectTop(s.ranked, fanout, id) {
 		s.add(sp.pos)
@@ -315,25 +332,16 @@ func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.Retri
 	// A fragment is relevant when its own text matches the query or when the
 	// question of the query it was decomposed from does — sub-statements of
 	// similar historical questions are the reusable unit §3.2 is built
-	// around. Each distinct source question among the candidates is scored
-	// once, not once per fragment.
-	s.slotAt = sized(s.slotAt, len(e.ex.srcVecs))
-	clear(s.slotAt)
-	s.slots = s.slots[:0]
-	for _, p := range s.cands {
-		if slot := e.ex.srcSlot[p]; slot >= 0 && s.slotAt[slot] == 0 {
-			s.slots = append(s.slots, slot)
-			s.slotAt[slot] = len(s.slots)
-		}
-	}
-	s.slotScores = sized(s.slotScores, len(s.slots))
-	embed.CosineGather(qv, qNorm2, e.ex.srcVecs, s.slots, s.slotScores)
+	// around. Each distinct source question is scored once, not once per
+	// fragment.
+	s.srcScores = sized(s.srcScores, len(e.ex.srcVecs))
+	embed.CosineBatch(qv, qNorm2, e.ex.srcVecs, s.srcScores)
 
 	s.ranked = sized(s.ranked, len(s.cands))
 	for i, p := range s.cands {
-		score := s.scores[p]
+		score := s.scores[e.exIndex.Slot(p)]
 		if slot := e.ex.srcSlot[p]; slot >= 0 {
-			if viaSource := 0.92 * s.slotScores[s.slotAt[slot]-1]; viaSource > score {
+			if viaSource := 0.92 * s.srcScores[slot]; viaSource > score {
 				score = viaSource
 			}
 		}
@@ -358,12 +366,39 @@ func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.Retri
 // the order is total and the result does not depend on how the candidates
 // were found) and returns that prefix. Candidate sets grow with the
 // knowledge set while k stays a handful, so it never sorts more than k
-// entries: a sorted window of the k best so far takes the rest one by one.
+// entries: a sorted window of the k best so far takes the rest one by one
+// (windowTop).
+//
+// Items that share a vector slot tie, so a large knowledge set has many
+// ties, and each costs the window an ID comparison. Past 2k candidates a
+// float-only pass first finds the k-th best score t (kthScore) and keeps
+// only the entries scoring at least t. Every entry of the true top k scores
+// at least t, and the order is total, so the window returns the same
+// prefix in the same order from what is left.
 func selectTop(ranked []scoredPos, k int, id func(pos int) string) []scoredPos {
 	k = min(k, len(ranked))
 	if k <= 0 {
 		return ranked[:0]
 	}
+	if len(ranked) > 2*k {
+		if t, ok := kthScore(ranked, k); ok {
+			n := 0
+			for _, sp := range ranked {
+				if sp.score >= t {
+					ranked[n] = sp
+					n++
+				}
+			}
+			ranked = ranked[:n]
+		}
+	}
+	return windowTop(ranked, k, id)
+}
+
+// windowTop is selectTop's ranking for 1 ≤ k ≤ len(ranked), without the
+// pre-pass: a sorted window of the k best so far takes the entries one by
+// one.
+func windowTop(ranked []scoredPos, k int, id func(pos int) string) []scoredPos {
 	before := func(a, b scoredPos) int {
 		switch {
 		case a.score > b.score:
@@ -385,6 +420,47 @@ func selectTop(ranked []scoredPos, k int, id func(pos int) string) []scoredPos {
 		top[at] = sp
 	}
 	return top
+}
+
+// kthWindow bounds the k kthScore serves: its window lives on the stack.
+const kthWindow = 64
+
+// kthScore returns the k-th largest score in ranked, counting
+// multiplicity, for 1 ≤ k ≤ len(ranked). It keeps the k best scores seen so
+// far in a descending window, compared as floats only. ok is false when k
+// exceeds the window or a score is NaN: the retrieval order treats NaN as
+// a tie, which no threshold can express.
+func kthScore(ranked []scoredPos, k int) (t float64, ok bool) {
+	if k > kthWindow {
+		return 0, false
+	}
+	var buf [kthWindow]float64
+	w := buf[:k]
+	for i, sp := range ranked[:k] {
+		if sp.score != sp.score {
+			return 0, false
+		}
+		w[i] = sp.score
+	}
+	slices.Sort(w)
+	slices.Reverse(w)
+	t = w[k-1]
+	for _, sp := range ranked[k:] {
+		x := sp.score
+		if !(x > t) {
+			if x != x {
+				return 0, false
+			}
+			continue
+		}
+		i := k - 1
+		for ; i > 0 && x > w[i-1]; i-- {
+			w[i] = w[i-1]
+		}
+		w[i] = x
+		t = w[k-1]
+	}
+	return t, true
 }
 
 // selectFullExamples regroups decomposed fragments into whole-query
@@ -439,7 +515,10 @@ func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, example
 		// keeps its best cosine over the examples; a maximum does not
 		// depend on the order it is taken in.
 		n := len(s.cands)
-		s.expand, s.ctxScores = sized(s.expand, n), sized(s.ctxScores, n)
+		s.candSlots, s.expand, s.ctxScores = sized(s.candSlots, n), sized(s.expand, n), sized(s.ctxScores, n)
+		for i, p := range s.cands {
+			s.candSlots[i] = e.insIndex.Slot(p)
+		}
 		clear(s.expand)
 		var buf [embed.Dim]float64
 		for _, ex := range examples {
@@ -449,7 +528,7 @@ func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, example
 			} else { // regrouped full-query examples are not knowledge items
 				ev = embed.Memo(ex.NL + " " + ex.SQL)
 			}
-			embed.CosineGather(ev.AppendDense(buf[:0]), ev.Norm2, e.insIndex.Vectors(), s.cands, s.ctxScores)
+			embed.CosineGather(ev.AppendDense(buf[:0]), ev.Norm2, e.insIndex.Vectors(), s.candSlots, s.ctxScores)
 			for i, c := range s.ctxScores {
 				if c > s.expand[i] {
 					s.expand[i] = c
@@ -460,7 +539,7 @@ func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, example
 
 	s.ranked = sized(s.ranked, len(s.cands))
 	for i, p := range s.cands {
-		score := s.scores[p]
+		score := s.scores[e.insIndex.Slot(p)]
 		if expanding {
 			score += e.cfg.ExpansionWeight * s.expand[i]
 		}

@@ -45,8 +45,11 @@ func sameBacking(a, b embed.Embedded) bool {
 
 // TestWithKnowledgeCarriesVectors: after each kind of edit the staged engine
 // selects exactly what an engine built from scratch over the same set
-// selects, and every item the edit left alone shares the parent's vectors
-// instead of being embedded again.
+// selects, every item the edit left alone shares the parent's vectors
+// instead of being embedded again, and each index holds one vector slot per
+// distinct text, as a fresh build does. The edits include an update and a
+// delete of one member of a group of examples that share a text, and so a
+// vector slot.
 func TestWithKnowledgeCarriesVectors(t *testing.T) {
 	const db = "sports_holdings"
 	suite := workload.NewSuite(1)
@@ -58,6 +61,20 @@ func TestWithKnowledgeCarriesVectors(t *testing.T) {
 	parent := New(model, kset, suite.Databases[db], DefaultConfig())
 	queries := selectorQueries(t, suite, model, parent, db)
 	firstEx, firstIns := kset.Examples()[0], kset.Instructions()[0]
+	var grouped *knowledge.Example // an example whose text another example shares
+	texts := make(map[string]int)
+	for _, ex := range kset.Examples() {
+		texts[ex.Text()]++
+	}
+	for _, ex := range kset.Examples() {
+		if texts[ex.Text()] > 1 {
+			grouped = ex
+			break
+		}
+	}
+	if grouped == nil {
+		t.Fatalf("no two examples of %s share a text", db)
+	}
 
 	edits := map[string]func(*knowledge.Set) error{
 		"insert example": func(s *knowledge.Set) error {
@@ -78,6 +95,12 @@ func TestWithKnowledgeCarriesVectors(t *testing.T) {
 			return s.UpdateExample(&ex, "t", "")
 		},
 		"delete example": func(s *knowledge.Set) error { return s.DeleteExample(firstEx.ID, "t", "") },
+		"update shared-text example": func(s *knowledge.Set) error {
+			ex := *grouped
+			ex.Pseudo += " -- checked"
+			return s.UpdateExample(&ex, "t", "")
+		},
+		"delete shared-text example": func(s *knowledge.Set) error { return s.DeleteExample(grouped.ID, "t", "") },
 		"insert instruction": func(s *knowledge.Set) error {
 			return s.InsertInstruction(&knowledge.Instruction{
 				ID: "ins-new", IntentIDs: firstIns.IntentIDs, Text: "report revenue in Canadian dollars",
@@ -112,6 +135,12 @@ func TestWithKnowledgeCarriesVectors(t *testing.T) {
 					t.Fatalf("%s: carried-over engine differs from a fresh build: %v", q.label, err)
 				}
 			}
+			if got, want := carried.exIndex.Slots(), distinct(staged.Examples(), (*knowledge.Example).Text); got != want {
+				t.Errorf("carried example index holds %d vector slots, want one per distinct text, %d", got, want)
+			}
+			if got, want := carried.insIndex.Slots(), distinct(staged.Instructions(), (*knowledge.Instruction).RetrievalText); got != want {
+				t.Errorf("carried instruction index holds %d vector slots, want one per distinct text, %d", got, want)
+			}
 
 			shared, embedded := 0, 0
 			count := func(same bool) {
@@ -128,7 +157,7 @@ func TestWithKnowledgeCarriesVectors(t *testing.T) {
 				}
 				old := parent.ex.items[pp]
 				if old.NL == ex.NL && old.Pseudo == ex.Pseudo {
-					count(sameBacking(carried.exIndex.Vectors()[p], parent.exIndex.Vectors()[pp]))
+					count(sameBacking(vectorAt(carried.exIndex, p), vectorAt(parent.exIndex, pp)))
 				}
 				if old.NL == ex.NL && old.SQL == ex.SQL {
 					count(sameBacking(carried.ex.pairVecs[p], parent.ex.pairVecs[pp]))
@@ -147,7 +176,7 @@ func TestWithKnowledgeCarriesVectors(t *testing.T) {
 					count(sameBacking(carried.ins.textVecs[p], parent.ins.textVecs[pp]))
 				}
 				if old.Text == ins.Text && old.SQLHint == ins.SQLHint {
-					count(sameBacking(carried.insIndex.Vectors()[p], parent.insIndex.Vectors()[pp]))
+					count(sameBacking(vectorAt(carried.insIndex, p), vectorAt(parent.insIndex, pp)))
 				}
 			}
 			if embedded != 0 || shared == 0 {
@@ -155,6 +184,18 @@ func TestWithKnowledgeCarriesVectors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// vectorAt is the stored vector of the item at position p.
+func vectorAt(ix *embed.Index, p int) embed.Embedded { return ix.Vectors()[ix.Slot(p)] }
+
+// distinct counts the distinct texts of a listing.
+func distinct[T any](items []T, text func(T) string) int {
+	seen := make(map[string]bool)
+	for _, it := range items {
+		seen[text(it)] = true
+	}
+	return len(seen)
 }
 
 // TestSelectorsConcurrent: goroutines sharing one engine (and the scratch

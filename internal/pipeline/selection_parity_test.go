@@ -1,10 +1,12 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -242,11 +244,11 @@ func sameSelection[T any](got, want []T, score func(T) float64) error {
 
 // compareSelectors runs one query through the three selectors and their
 // references, at the production cut-offs and at cut-offs of 0, 1 and more
-// than there are candidates, with and without decomposition. It returns how
-// many entries it compared.
-func compareSelectors(t *testing.T, base *Engine, label string, qv embed.Vector, intentIDs []string) int {
+// than there are candidates, with decomposition and without it (the "w/o
+// Decomposition" leg, which regroups fragments into full-query examples).
+// It returns how many entries it compared in each leg.
+func compareSelectors(t *testing.T, base *Engine, label string, qv embed.Vector, intentIDs []string) (decomposed, fullQueryLeg int) {
 	t.Helper()
-	compared := 0
 	for _, cut := range []struct{ examples, instructions int }{
 		{base.cfg.TopExamples, base.cfg.TopInstructions},
 		{0, 0}, {1, 1}, {1 << 20, 1 << 20},
@@ -267,10 +269,14 @@ func compareSelectors(t *testing.T, base *Engine, label string, qv embed.Vector,
 				func(x llm.RetrievedInstruction) float64 { return x.Score }); err != nil {
 				t.Fatalf("%s instructions (top %d, full-query %v): %v", label, cut.instructions, fullQuery, err)
 			}
-			compared += len(examples) + len(instructions)
+			if fullQuery {
+				fullQueryLeg += len(examples) + len(instructions)
+			} else {
+				decomposed += len(examples) + len(instructions)
+			}
 		}
 	}
-	return compared
+	return decomposed, fullQueryLeg
 }
 
 // selectorQuery is what operators 3-4 receive for one case question.
@@ -317,23 +323,28 @@ func suiteEngines(tb testing.TB, suite *workload.Suite, model *simllm.Model) map
 
 // TestSelectionMatchesReference runs every case question of the standard
 // suite, and of a suite with 40x query-log knowledge (candidate sets in the
-// hundreds), through the three selectors and their references.
+// hundreds, nine items to a distinct text), at workload seeds 1 and 7,
+// through the three selectors and their references, with decomposition and
+// without.
 func TestSelectionMatchesReference(t *testing.T) {
 	suites := map[string]*workload.Suite{
-		"standard":      workload.NewSuite(1),
-		"knowledge_x40": workload.NewScaledSuite(1, workload.ScaleConfig{DBFactor: 1, KnowledgeFactor: 40}),
+		"standard":            workload.NewSuite(1),
+		"standard_seed7":      workload.NewSuite(7),
+		"knowledge_x40":       workload.NewScaledSuite(1, workload.ScaleConfig{DBFactor: 1, KnowledgeFactor: 40}),
+		"knowledge_x40_seed7": workload.NewScaledSuite(7, workload.ScaleConfig{DBFactor: 1, KnowledgeFactor: 40}),
 	}
 	for name, suite := range suites {
 		t.Run(name, func(t *testing.T) {
 			model := simllm.New(simllm.GenEditProfile(), suite.Registry, 42)
-			compared := 0
+			decomposed, fullQuery := 0, 0
 			for db, base := range suiteEngines(t, suite, model) {
 				for _, q := range selectorQueries(t, suite, model, base, db) {
-					compared += compareSelectors(t, base, q.label, q.qv, q.intentIDs)
+					d, f := compareSelectors(t, base, q.label, q.qv, q.intentIDs)
+					decomposed, fullQuery = decomposed+d, fullQuery+f
 				}
 			}
-			if compared == 0 {
-				t.Fatal("nothing was selected, so nothing was compared")
+			if decomposed == 0 || fullQuery == 0 {
+				t.Fatalf("compared %d entries with decomposition and %d without: a leg selected nothing", decomposed, fullQuery)
 			}
 		})
 	}
@@ -343,7 +354,11 @@ func TestSelectionMatchesReference(t *testing.T) {
 // example filed under two intents, an intent named twice by one item,
 // fragments sharing a source question, an example without one, an example
 // whose text embeds to the zero vector, an instruction no intent lists, and
-// (optionally) retrieval directives.
+// (optionally) retrieval directives. Some items share a text, and so a
+// vector slot: examples with the text of ex-both under another source
+// question and under none; two examples with one text and one source
+// question, whose tie the ID order breaks across a third example's ID; and
+// an instruction with the text of ins-rpv.
 func handBuiltSet(t *testing.T, directives ...string) *knowledge.Set {
 	t.Helper()
 	kset := knowledge.NewSet()
@@ -370,6 +385,22 @@ func handBuiltSet(t *testing.T, directives ...string) *knowledge.Set {
 		{ID: "ex-empty", IntentIDs: []string{"revenue"}, SQL: "1", Clause: "projection"},
 		{ID: "ex-unfiled", NL: "viewers in canada last year", Pseudo: "WHERE COUNTRY = 'Canada'",
 			SQL: "COUNTRY = 'Canada'", Clause: "where", SourceQuestion: "How many viewers in Canada?"},
+		{ID: "ex-both-again", IntentIDs: []string{"audience"},
+			NL: "revenue per viewer by organisation", Pseudo: "SUM(REVENUE) / SUM(VIEWERS)",
+			SQL: "SUM(REVENUE) / SUM(VIEWERS)", Clause: "projection",
+			SourceSQL: "SELECT ORG, SUM(REVENUE) / SUM(VIEWERS) FROM F GROUP BY ORG", SourceQuestion: "Which organisation earns most per viewer?"},
+		{ID: "ex-both-bare", IntentIDs: []string{"revenue"},
+			NL: "revenue per viewer by organisation", Pseudo: "SUM(REVENUE) / SUM(VIEWERS)",
+			SQL: "SUM(REVENUE) / SUM(VIEWERS)", Clause: "projection"},
+		{ID: "ex-tie-c", IntentIDs: []string{"audience"},
+			NL: "viewers per organisation", Pseudo: "SUM(VIEWERS) GROUP BY ORG", SQL: "SUM(VIEWERS)", Clause: "projection",
+			SourceSQL: "SELECT ORG, SUM(VIEWERS) FROM F GROUP BY ORG", SourceQuestion: "How many viewers does each organisation have?"},
+		{ID: "ex-tie-b", IntentIDs: []string{"audience"},
+			NL: "organisations by viewers", Pseudo: "ORDER BY SUM(VIEWERS) DESC", SQL: "SUM(VIEWERS) DESC", Clause: "order_by",
+			SourceSQL: "SELECT ORG FROM F GROUP BY ORG ORDER BY SUM(VIEWERS) DESC", SourceQuestion: "Which organisations have the most viewers?"},
+		{ID: "ex-tie-a", IntentIDs: []string{"revenue", "audience"},
+			NL: "viewers per organisation", Pseudo: "SUM(VIEWERS) GROUP BY ORG", SQL: "SUM(VIEWERS)", Clause: "projection",
+			SourceSQL: "SELECT ORG, SUM(VIEWERS) FROM F GROUP BY ORG", SourceQuestion: "How many viewers does each organisation have?"},
 	}
 	for _, ex := range examples {
 		if err := kset.InsertExample(ex, "t", ""); err != nil {
@@ -382,6 +413,8 @@ func handBuiltSet(t *testing.T, directives ...string) *knowledge.Set {
 		{ID: "ins-quarter", IntentIDs: []string{"audience"}, Text: "quarters are calendar quarters"},
 		{ID: "ins-global", Text: "revenue per viewer is reported per organisation, never per team"},
 		{ID: "ins-empty", IntentIDs: []string{"revenue"}},
+		{ID: "ins-rpv-copy", IntentIDs: []string{"audience"},
+			Text: "RPV means revenue per viewer", SQLHint: "SUM(REVENUE) / NULLIF(SUM(VIEWERS), 0)"},
 	}
 	for _, ins := range instructions {
 		if err := kset.InsertInstruction(ins, "t", ""); err != nil {
@@ -413,6 +446,8 @@ func TestSelectionMatchesReferenceHandBuilt(t *testing.T) {
 		{"RPV by organisation never per team", nil},
 		{"calendar quarters", []string{"no-such-intent"}},
 		{"", []string{"revenue"}},
+		{"how many viewers does each organisation have", []string{"audience"}},
+		{"viewers per organisation", nil},
 	}
 	// A restored state is not checked for an ID listed twice; the walk the
 	// reference does meets the item twice and keeps it once.
@@ -430,13 +465,31 @@ func TestSelectionMatchesReferenceHandBuilt(t *testing.T) {
 			compared := 0
 			for _, q := range queries {
 				label := fmt.Sprintf("%s/fanout=%d,%d/%q%v", name, ret.exFanout, ret.insFanout, q.text, q.intentIDs)
-				compared += compareSelectors(t, base, label, embed.Text(q.text), q.intentIDs)
+				d, f := compareSelectors(t, base, label, embed.Text(q.text), q.intentIDs)
+				compared += d + f
 			}
 			if compared == 0 {
 				t.Fatalf("%s: nothing was selected, so nothing was compared", name)
 			}
 		}
 	}
+	// Shared vector slots must exist and decide a tie, or the shared-text
+	// items prove nothing.
+	shared := New(model, sets["no_directives"], db, DefaultConfig())
+	if shared.exIndex.Slots() >= shared.exIndex.Len() || shared.insIndex.Slots() >= shared.insIndex.Len() {
+		t.Errorf("no shared vector slots: examples %d slots for %d items, instructions %d for %d",
+			shared.exIndex.Slots(), shared.exIndex.Len(), shared.insIndex.Slots(), shared.insIndex.Len())
+	}
+	var tied []string
+	for _, ex := range shared.selectExamples(embed.Text("viewers per organisation"), nil) {
+		if ex.ID == "ex-tie-a" || ex.ID == "ex-tie-c" {
+			tied = append(tied, ex.ID)
+		}
+	}
+	if !reflect.DeepEqual(tied, []string{"ex-tie-a", "ex-tie-c"}) {
+		t.Errorf("the same-text pair was selected as %v, want both, in ID order", tied)
+	}
+
 	// The directives must actually reach a score, or the case proves nothing.
 	boosted := New(model, sets["directives"], db, DefaultConfig())
 	nonzero := false
@@ -500,6 +553,166 @@ func TestSelectTopEdges(t *testing.T) {
 		got := selectTop(append([]scoredPos(nil), many...), k, id)
 		if !reflect.DeepEqual(got, want[:min(k, n)]) {
 			t.Errorf("%d candidates, k=%d: selectTop differs from the full sort", n, k)
+		}
+	}
+
+	// The float-only pre-pass (more than 2k candidates, k within its
+	// window) against the full sort: a tie group straddling the k-th score,
+	// every score equal, -0 and +0 as the k-th score, k past the window,
+	// and just 2k candidates, where the window ranks alone.
+	negZero := math.Copysign(0, -1)
+	shapes := map[string]struct {
+		scores []float64
+		ks     []int
+	}{
+		"tie straddles the kth": {levelled(40, []float64{0.9, 0.9, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.2}), []int{1, 2, 3, 4, 5, 9}},
+		"all equal":             {levelled(50, []float64{0.5}), []int{1, 7, 24}},
+		"signed zeros":          {levelled(60, []float64{0.1, 0, negZero, negZero, 0, -0.1}), []int{1, 5, 10, 20, 29}},
+		"k past the window":     {levelled(3*(kthWindow+1), []float64{0.3, 0.2, 0.2, 0.1}), []int{kthWindow, kthWindow + 1}},
+		"2k candidates":         {levelled(48, []float64{0.4, 0.3, 0.3}), []int{24, 23, 25}},
+	}
+	for name, sh := range shapes {
+		ranked := make([]scoredPos, len(sh.scores))
+		shapeIDs := make([]string, len(sh.scores))
+		for i, p := range rng.Perm(len(sh.scores)) {
+			ranked[i] = scoredPos{pos: p, score: sh.scores[p]}
+			shapeIDs[p] = fmt.Sprintf("id-%03d", (p*29)%len(sh.scores))
+		}
+		id := func(p int) string { return shapeIDs[p] }
+		want := sortedByRetrievalOrder(ranked, id)
+		for _, k := range sh.ks {
+			if got := selectTop(append([]scoredPos(nil), ranked...), k, id); !sameBits(got, want[:min(k, len(want))]) {
+				t.Errorf("%s, k=%d: selectTop %v, full sort %v", name, k, got, want[:min(k, len(want))])
+			}
+		}
+	}
+
+	// A NaN score turns the pre-pass off: the retrieval order treats NaN as
+	// a tie, so the result is the window's on the same input. The NaN entry
+	// has the smallest ID, so the window keeps it, where a threshold would
+	// have dropped it.
+	withNaN := make([]scoredPos, 100)
+	for i := range withNaN {
+		withNaN[i] = scoredPos{pos: i, score: float64(i%7) / 7}
+	}
+	withNaN[63].score = math.NaN()
+	nanID := func(p int) string {
+		if p == 63 {
+			return "a-nan"
+		}
+		return fmt.Sprintf("id-%03d", p)
+	}
+	for _, k := range []int{1, 5, 12} {
+		got := selectTop(append([]scoredPos(nil), withNaN...), k, nanID)
+		want := windowTop(append([]scoredPos(nil), withNaN...), k, nanID)
+		if !sameBits(got, want) || !slices.ContainsFunc(got, func(sp scoredPos) bool { return sp.pos == 63 }) {
+			t.Errorf("NaN among the scores, k=%d: selectTop %v, the window alone %v (with the NaN entry)", k, got, want)
+		}
+	}
+}
+
+// levelled is n scores cycling through the given levels.
+func levelled(n int, levels []float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = levels[i%len(levels)]
+	}
+	return out
+}
+
+// sortedByRetrievalOrder is a fully sorted copy of ranked under the
+// retrieval order: score descending, then ID ascending.
+func sortedByRetrievalOrder(ranked []scoredPos, id func(int) string) []scoredPos {
+	out := slices.Clone(ranked)
+	slices.SortFunc(out, func(a, b scoredPos) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(id(a.pos), id(b.pos))
+	})
+	return out
+}
+
+// sameBits reports whether two rankings hold the same positions in the
+// same order with the same score bits (DeepEqual would let -0 pass for +0
+// and fail NaN against itself).
+func sameBits(a, b []scoredPos) bool {
+	return slices.EqualFunc(a, b, func(x, y scoredPos) bool {
+		return x.pos == y.pos && math.Float64bits(x.score) == math.Float64bits(y.score)
+	})
+}
+
+// TestKthScore: the pre-pass's threshold is the k-th largest score counting
+// multiplicity, and it declines a NaN or a k past its window.
+func TestKthScore(t *testing.T) {
+	ranked := func(scores ...float64) []scoredPos {
+		out := make([]scoredPos, len(scores))
+		for i, x := range scores {
+			out[i] = scoredPos{pos: i, score: x}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		scores []float64
+		k      int
+		want   float64
+	}{
+		{[]float64{0.1, 0.9, 0.5, 0.9, 0.3}, 1, 0.9},
+		{[]float64{0.1, 0.9, 0.5, 0.9, 0.3}, 2, 0.9},
+		{[]float64{0.1, 0.9, 0.5, 0.9, 0.3}, 3, 0.5},
+		{[]float64{0.1, 0.9, 0.5, 0.9, 0.3}, 5, 0.1},
+		{[]float64{-1, -2, -3}, 2, -2},
+	} {
+		if got, ok := kthScore(ranked(c.scores...), c.k); !ok || got != c.want {
+			t.Errorf("kthScore(%v, %d) = %v, %v; want %v, true", c.scores, c.k, got, ok, c.want)
+		}
+	}
+	if _, ok := kthScore(ranked(0.5, math.NaN(), 0.1), 1); ok {
+		t.Error("kthScore took a NaN score")
+	}
+	if _, ok := kthScore(ranked(math.NaN(), 0.5, 0.1), 1); ok {
+		t.Error("kthScore took a NaN score inside its first window")
+	}
+	if _, ok := kthScore(ranked(levelled(2*kthWindow+3, []float64{1, 2})...), kthWindow+1); ok {
+		t.Error("kthScore took a k past its window")
+	}
+}
+
+// TestSelectTopMatchesFullSort: over random candidate sets — sizes on both
+// sides of 2k, k on both sides of the pre-pass's window, scores drawn from
+// few levels (ties, ±0) or from many — selectTop returns the prefix of a
+// full sort in the retrieval order, positions and score bits.
+func TestSelectTopMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	negZero := math.Copysign(0, -1)
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(300)
+		var levels []float64
+		switch trial % 3 {
+		case 0:
+			levels = []float64{0.75, 0.5, 0, negZero, -0.5}
+		case 1:
+			levels = []float64{0.3}
+		default:
+			for range 1 + rng.Intn(200) {
+				levels = append(levels, rng.Float64()*2-1)
+			}
+		}
+		ranked := make([]scoredPos, n)
+		ids := make([]string, n)
+		for i, p := range rng.Perm(n) {
+			ranked[i] = scoredPos{pos: p, score: levels[rng.Intn(len(levels))]}
+			ids[p] = fmt.Sprintf("id-%04d", rng.Intn(10000)*1000+p) // unique, in no particular order
+		}
+		id := func(p int) string { return ids[p] }
+		want := sortedByRetrievalOrder(ranked, id)
+		k := rng.Intn(kthWindow + 20)
+		if trial%5 == 0 {
+			k = rng.Intn(n + 2)
+		}
+		got := selectTop(slices.Clone(ranked), k, id)
+		if !sameBits(got, want[:max(0, min(k, n))]) {
+			t.Fatalf("trial %d: %d candidates, k=%d: selectTop %v, full sort %v", trial, n, k, got, want[:max(0, min(k, n))])
 		}
 	}
 }

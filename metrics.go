@@ -204,12 +204,13 @@ func (s *Service) initMetrics() {
 	}
 
 	// Knowledge retrieval (always on: every engine keeps per-index search
-	// counters — see embed.SearchStats). A selector request scores its whole
-	// index once, so candidates scanned over searches is the index size.
+	// counters — see embed.SearchStats). A selector request scores each
+	// distinct vector of its index once, so candidates scanned over searches
+	// is the number of distinct texts the index holds.
 	retrSearches := reg.Counter("genedit_retrieval_searches_total",
 		"Retrieval searches per database and index (examples/instructions): one scoring pass over the index per selector request.", "db", "index")
 	retrScanned := reg.Counter("genedit_retrieval_candidates_scanned_total",
-		"Stored vectors scored during retrieval: searches x index size.", "db", "index")
+		"Distinct stored vectors scored during retrieval: searches x distinct texts in the index.", "db", "index")
 	reg.OnScrape(func() {
 		for db, rs := range s.RetrievalStats() {
 			for index, st := range map[string]embed.SearchStats{
