@@ -4,7 +4,7 @@
 // database.
 //
 //	geneditd -addr :8080
-//	geneditd -addr :8080 -prewarm -workers 8 -timeout 10s -stmtcache 2048
+//	geneditd -addr :8080 -prewarm -workers 8 -timeout 10s
 //	geneditd -addr :8080 -store /var/lib/genedit   durable knowledge sets
 //
 // Endpoints:
@@ -458,7 +458,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	modelSeed := flag.Uint64("modelseed", 42, "simulated-model seed")
 	workers := flag.Int("workers", 0, "batch worker pool (0 = GOMAXPROCS)")
-	stmtCache := flag.Int("stmtcache", 0, "per-engine parsed-statement LRU size (0 = default 512)")
 	genCache := flag.Int("gencache", 1024, "generation-cache size: completed records cached per (database, knowledge version, question); 0 disables")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (0 = none)")
 	prewarm := flag.Bool("prewarm", false, "build all engines at startup (in the background; /readyz turns 200 when done) instead of lazily")
@@ -484,16 +483,13 @@ func main() {
 		}))
 	}
 	if *minerIvl > 0 {
-		opts = append(opts, genedit.WithMiner(genedit.MinerConfig{}))
+		opts = append(opts, genedit.WithMiner())
 	}
 	if *store != "" {
 		opts = append(opts, genedit.WithStorePath(*store))
 	}
 	if *workers > 0 {
 		opts = append(opts, genedit.WithWorkers(*workers))
-	}
-	if *stmtCache > 0 {
-		opts = append(opts, genedit.WithStatementCacheSize(*stmtCache))
 	}
 	if *genCache > 0 {
 		opts = append(opts, genedit.WithGenerationCache(*genCache))

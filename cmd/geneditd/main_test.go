@@ -176,7 +176,7 @@ func TestMinerEndpoints(t *testing.T) {
 	svc := genedit.NewService(suite, testOpts(
 		genedit.WithModelSeed(42),
 		genedit.WithGenerationCache(256),
-		genedit.WithMiner(genedit.MinerConfig{}))...)
+		genedit.WithMiner())...)
 	t.Cleanup(func() { svc.Close() })
 	srv := httptest.NewServer(newMux(svc, suite, muxConfig{perReq: 30 * time.Second}))
 	t.Cleanup(srv.Close)

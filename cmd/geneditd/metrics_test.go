@@ -57,9 +57,10 @@ func getMetrics(t *testing.T, base string) map[string]float64 {
 
 // TestMetricsEndToEnd drives a durable, cache- and admission-enabled daemon
 // through the full serving repertoire — generate, cache hit, feedback
-// approve (a WAL commit), and a rate-limit shed — then asserts GET /metrics
-// parses as text exposition with every counter moved accordingly, and that
-// GET /v1/stats (derived from the same registry snapshot) agrees with it.
+// approve (a WAL commit), a stale serve and a rate-limit shed — then
+// asserts GET /metrics parses as text exposition with every counter moved
+// accordingly, and that GET /v1/stats (derived from the same registry
+// snapshot) agrees with it.
 func TestMetricsEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	suite := genedit.NewBenchmark(1)
@@ -68,13 +69,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 		genedit.WithStorePath(dir),
 		genedit.WithGenerationCache(64),
 		// A big burst that never refills: the scripted flow fits inside it,
-		// and draining the remainder produces a deterministic 429 at the
-		// end. Stale-serving is disabled so the shed is visible as a 429
-		// rather than a degraded 200.
+		// and draining the remainder sheds deterministically at the end.
 		genedit.WithAdmission(genedit.AdmissionConfig{
-			RatePerSec:        0.0001,
-			Burst:             40,
-			DisableStaleServe: true,
+			RatePerSec: 0.0001,
+			Burst:      40,
 		}),
 	)...)
 	t.Cleanup(func() { svc.Close() })
@@ -147,20 +145,25 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Drain the remaining burst until the bucket sheds a 429.
-	got429 := false
-	for i := 0; i < 60 && !got429; i++ {
-		hresp, _ := postJSON(t, srv.URL+"/v1/generate", string(genBody))
-		switch hresp.StatusCode {
-		case 200:
-		case 429:
-			got429 = true
-		default:
-			t.Fatalf("drain request %d = %d, want 200 or 429", i, hresp.StatusCode)
+	// Drain the remaining burst until the bucket sheds. The question is
+	// cached, so the shed degrades onto the cached answer: a stale 200.
+	stales := 0
+	for i := 0; i < 60 && stales == 0; i++ {
+		hresp, hraw := postJSON(t, srv.URL+"/v1/generate", string(genBody))
+		if hresp.StatusCode != 200 {
+			t.Fatalf("drain request %d = %d, want 200: %s", i, hresp.StatusCode, hraw)
+		}
+		if decode[generateResponse](t, hraw).Stale {
+			stales++
 		}
 	}
-	if !got429 {
-		t.Fatal("token bucket never shed a 429")
+	if stales == 0 {
+		t.Fatal("token bucket never shed")
+	}
+	// A never-asked question has no cached answer to fall back on: 429.
+	coldBody, _ := json.Marshal(generateRequest{Database: failing.DB, Question: failing.Question + " (never asked)", Evidence: failing.Evidence})
+	if hresp, hraw := postJSON(t, srv.URL+"/v1/generate", string(coldBody)); hresp.StatusCode != 429 {
+		t.Fatalf("shed never-asked question = %d, want 429: %s", hresp.StatusCode, hraw)
 	}
 
 	m := getMetrics(t, srv.URL)
@@ -178,8 +181,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if v := series(fmt.Sprintf(`genedit_requests_total{db="%s",outcome="rate_limited"}`, fbDB)); v < 1 {
 		t.Errorf("rate_limited requests = %g, want >= 1", v)
 	}
-	if v := series(fmt.Sprintf(`genedit_request_duration_seconds_count{db="%s"}`, fbDB)); v != okReqs {
-		t.Errorf("latency observations = %g, want %g (one per ok request)", v, okReqs)
+	if v := series(fmt.Sprintf(`genedit_requests_total{db="%s",outcome="stale"}`, fbDB)); v != float64(stales) {
+		t.Errorf("stale requests = %g, want %d", v, stales)
+	}
+	if v := series(fmt.Sprintf(`genedit_request_duration_seconds_count{db="%s"}`, fbDB)); v != okReqs+float64(stales) {
+		t.Errorf("latency observations = %g, want %g (one per ok or stale request)", v, okReqs+float64(stales))
 	}
 	if v := series("genedit_gencache_hits_total"); v < 1 {
 		t.Errorf("cache hits = %g, want >= 1", v)

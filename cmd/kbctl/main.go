@@ -205,7 +205,7 @@ func runMineDemo(db string, seed uint64) error {
 	svc := genedit.NewService(suite,
 		genedit.WithModelSeed(42),
 		genedit.WithGenerationCache(256),
-		genedit.WithMiner(genedit.MinerConfig{}))
+		genedit.WithMiner())
 	defer svc.Close()
 	ctx := context.Background()
 

@@ -23,10 +23,7 @@ func main() {
 
 	// The service is configured with functional options instead of
 	// positional arguments; every knob has a production default.
-	svc := genedit.NewService(suite,
-		genedit.WithModelSeed(42),
-		genedit.WithStatementCacheSize(1024),
-	)
+	svc := genedit.NewService(suite, genedit.WithModelSeed(42))
 
 	// Requests carry a context: deadlines and cancellation propagate into
 	// the pipeline between operators and regeneration attempts.

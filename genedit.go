@@ -28,9 +28,10 @@
 //
 // The Service is safe for concurrent use and honors context deadlines
 // mid-pipeline; GenerateBatch fans many requests out over a bounded worker
-// pool. Construction is configured with functional options (WithConfig,
-// WithModelSeed, WithWorkers, WithStatementCacheSize, WithTrace,
-// WithStorePath).
+// pool. Construction is configured with functional options: WithModelSeed,
+// WithWorkers, WithGenerationCache, WithAdmission, WithMiner, WithTrace,
+// WithOperatorSampling, WithMetrics, WithStorePath and WithStoreFS. Every
+// engine runs the one production pipeline configuration.
 //
 // WithStorePath makes the knowledge sets durable: each database is backed
 // by a crash-safe WAL + snapshot store (internal/kstore), approved SME
@@ -39,8 +40,8 @@
 // DESIGN.md, "Knowledge persistence & online feedback".
 //
 // See DESIGN.md for the system inventory (including the "Service layer"
-// section) and EXPERIMENTS.md for the paper-vs-measured record of every
-// table the harness regenerates.
+// section) and BENCH_7.json for the measured record of every table the
+// harness regenerates.
 package genedit
 
 import (
@@ -56,9 +57,6 @@ import (
 // Re-exported core types. The aliases keep the public API surface in one
 // place while the implementation lives in internal packages.
 type (
-	// Config controls the pipeline, including the Table 2 ablation
-	// switches.
-	Config = pipeline.Config
 	// Engine is the generation pipeline bound to one database and
 	// knowledge set.
 	Engine = pipeline.Engine
@@ -84,10 +82,6 @@ type (
 	// Report aggregates evaluation outcomes for one system.
 	Report = eval.Report
 )
-
-// DefaultConfig returns the production pipeline configuration (k=3
-// regeneration attempts, context expansion on, all operators enabled).
-func DefaultConfig() Config { return pipeline.DefaultConfig() }
 
 // NewBenchmark generates the synthetic benchmark with the given seed:
 // 93 simple / 28 moderate / 11 challenging cases over eight databases.

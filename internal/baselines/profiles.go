@@ -9,8 +9,8 @@ import (
 // Profiles for the five comparison systems. The numbers were calibrated so
 // the reproduced Table 1 matches the paper's shape: CHESS leads overall,
 // GenEdit wins Simple, MAC-SQL > TA-SQL > DAIL-SQL > C3-SQL, with
-// challenging accuracy decaying for the weaker zero-shot systems (see
-// EXPERIMENTS.md for the paper-vs-measured record).
+// challenging accuracy decaying for the weaker zero-shot systems (the
+// measured tables are in BENCH_7.json).
 
 // CHESSProfile models a strong retrieval-augmented pipeline with good
 // schema selection and generous revision.

@@ -91,7 +91,7 @@ func TestTable2ReproducesPaperShape(t *testing.T) {
 
 	// Removing schema linking collapses Challenging (the paper also reports
 	// a small Moderate improvement; in this reproduction the Moderate shift
-	// is within one-case noise — see EXPERIMENTS.md deviations).
+	// is within one-case noise).
 	if byName["w/o Schema Linking"].EX(task.Challenging) >= base.EX(task.Challenging) {
 		t.Error("w/o Schema Linking should collapse Challenging")
 	}

@@ -29,8 +29,6 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"strconv"
-	"strings"
 	"sync"
 
 	"genedit/internal/generr"
@@ -46,13 +44,13 @@ type Cache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recently used; values are *entry
-	items   map[string]*list.Element
-	flights map[string]*flight
-	// families maps a versionless request key to the newest cached element
-	// for that (database, question, evidence) across knowledge versions —
-	// the stale-serve index. Admission sheds consult it to degrade
-	// gracefully: a previous version's answer beats a 503.
-	families map[string]*list.Element
+	items   map[entryKey]*list.Element
+	flights map[entryKey]*flight
+	// families maps a request's versionless identity to the newest cached
+	// element for that (database, question, evidence) across knowledge
+	// versions — the stale-serve index. Admission sheds consult it to
+	// degrade gracefully: a previous version's answer beats a 503.
+	families map[family]*list.Element
 
 	hits        uint64 // LRU lookups that found a completed record
 	misses      uint64 // lookups that started a new generation (flight leaders)
@@ -61,12 +59,8 @@ type Cache struct {
 }
 
 type entry struct {
-	key string
+	key entryKey
 	rec *pipeline.Record
-	// family and version are set for version-aware insertions (DoVersioned)
-	// and power the stale-serve index; family == "" for plain Do entries.
-	family  string
-	version int
 }
 
 // flight is one in-progress generation; waiters block on done.
@@ -74,9 +68,6 @@ type flight struct {
 	done chan struct{}
 	rec  *pipeline.Record
 	err  error
-	// family/version tag the record for the stale index when it caches.
-	family  string
-	version int
 }
 
 // New returns a cache bounded to capacity records. Capacity must be
@@ -89,16 +80,15 @@ func New(capacity int) *Cache {
 	return &Cache{
 		cap:      capacity,
 		order:    list.New(),
-		items:    make(map[string]*list.Element, capacity),
-		flights:  make(map[string]*flight),
-		families: make(map[string]*list.Element),
+		items:    make(map[entryKey]*list.Element, capacity),
+		flights:  make(map[entryKey]*flight),
+		families: make(map[family]*list.Element),
 	}
 }
 
-// RequestKey is the structured form of one request's cache identity. ID is
-// the exact-version cache key (what Do keys flights and entries on); Family
-// drops the version, naming the request across knowledge versions — the
-// stale-serve lookup key.
+// RequestKey is one request's cache identity as the caller knows it. The
+// question is normalized (NormalizeQuestion) so trivially re-spelled
+// duplicates of a hot question share an entry; evidence is taken verbatim.
 type RequestKey struct {
 	Database string
 	Version  int
@@ -106,42 +96,22 @@ type RequestKey struct {
 	Evidence string
 }
 
-// ID returns the full, version-qualified cache key.
-func (k RequestKey) ID() string {
-	return Key(k.Database, k.Version, k.Question, k.Evidence)
+// family names a request across knowledge versions, the stale-serve lookup
+// key; entryKey adds the version, naming one cache entry. Both are comparable
+// structs of the components, so no spelling of one tuple can alias
+// another and a lookup builds no string beyond the normalized question.
+type family struct {
+	database, question, evidence string
 }
 
-// Family returns the versionless key identifying this request across
-// knowledge versions.
-func (k RequestKey) Family() string {
-	q := NormalizeQuestion(k.Question)
-	var b strings.Builder
-	b.Grow(len(k.Database) + len(q) + len(k.Evidence) + 16)
-	writeLenPrefixed(&b, k.Database)
-	writeLenPrefixed(&b, q)
-	writeLenPrefixed(&b, k.Evidence)
-	return b.String()
+type entryKey struct {
+	family
+	version int
 }
 
-func writeLenPrefixed(b *strings.Builder, s string) {
-	b.WriteString(strconv.Itoa(len(s)))
-	b.WriteByte('|')
-	b.WriteString(s)
-}
-
-// Key builds the cache key for one request. The question is normalized
-// (lower-cased, whitespace runs collapsed) so trivially re-spelled duplicates
-// of a hot question share an entry; evidence is taken verbatim. Components
-// are length-prefixed so no spelling of one tuple can alias another.
-func Key(database string, version int, question, evidence string) string {
-	q := NormalizeQuestion(question)
-	var b strings.Builder
-	b.Grow(len(database) + len(q) + len(evidence) + 24)
-	writeLenPrefixed(&b, database)
-	writeLenPrefixed(&b, strconv.Itoa(version))
-	writeLenPrefixed(&b, q)
-	writeLenPrefixed(&b, evidence)
-	return b.String()
+// entryKey normalizes the question once.
+func (k RequestKey) entryKey() entryKey {
+	return entryKey{family{k.Database, NormalizeQuestion(k.Question), k.Evidence}, k.Version}
 }
 
 // NormalizeQuestion lower-cases a question and collapses runs of whitespace
@@ -157,10 +127,13 @@ func NormalizeQuestion(q string) string {
 	return task.QuestionKey(q)
 }
 
-// Do returns the cached record for key, joins an in-flight generation for
-// it, or — as the flight leader — runs generate and publishes the result.
-// The cached bool reports whether the record came from the cache or a
-// shared flight rather than this caller's own generate run.
+// DoVersioned returns the cached record for key, joins an in-flight
+// generation for it, or — as the flight leader — runs generate and
+// publishes the result. The cached bool reports whether the record came
+// from the cache or a shared flight rather than this caller's own generate
+// run. A cached record is registered in the stale-serve family index under
+// its knowledge version, making it eligible for PeekStale after the
+// version moves on.
 //
 // Error contract: a leader's error is returned to the leader and to every
 // waiter that joined its flight, and nothing is cached. The exception is a
@@ -168,29 +141,21 @@ func NormalizeQuestion(q string) string {
 // retry (one becomes the next leader) instead of inheriting a cancellation
 // that was never theirs. A waiter whose own ctx expires stops waiting and
 // returns its cancellation; the flight keeps running for the others.
-func (c *Cache) Do(ctx context.Context, key string, generate func() (*pipeline.Record, error)) (*pipeline.Record, bool, error) {
-	return c.do(ctx, key, "", 0, generate)
+func (c *Cache) DoVersioned(ctx context.Context, k RequestKey, generate func() (*pipeline.Record, error)) (*pipeline.Record, bool, error) {
+	return c.do(ctx, k.entryKey(), generate)
 }
 
-// DoVersioned is Do with the structured key: identical semantics, plus the
-// cached record is registered in the stale-serve family index under its
-// knowledge version, making it eligible for PeekStale after the version
-// moves on.
-func (c *Cache) DoVersioned(ctx context.Context, key RequestKey, generate func() (*pipeline.Record, error)) (*pipeline.Record, bool, error) {
-	return c.do(ctx, key.ID(), key.Family(), key.Version, generate)
-}
-
-func (c *Cache) do(ctx context.Context, key, family string, version int, generate func() (*pipeline.Record, error)) (*pipeline.Record, bool, error) {
+func (c *Cache) do(ctx context.Context, k entryKey, generate func() (*pipeline.Record, error)) (*pipeline.Record, bool, error) {
 	for {
 		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
+		if el, ok := c.items[k]; ok {
 			c.hits++
 			c.order.MoveToFront(el)
 			rec := el.Value.(*entry).rec
 			c.mu.Unlock()
 			return rec, true, nil
 		}
-		if f, ok := c.flights[key]; ok {
+		if f, ok := c.flights[k]; ok {
 			c.coalesced++
 			c.mu.Unlock()
 			select {
@@ -215,8 +180,8 @@ func (c *Cache) do(ctx context.Context, key, family string, version int, generat
 			}
 		}
 		c.misses++
-		f := &flight{done: make(chan struct{}), family: family, version: version}
-		c.flights[key] = f
+		f := &flight{done: make(chan struct{})}
+		c.flights[k] = f
 		c.mu.Unlock()
 
 		// The flight must resolve even if generate panics (e.g. recovered
@@ -228,23 +193,23 @@ func (c *Cache) do(ctx context.Context, key, family string, version int, generat
 				if f.err == nil && f.rec == nil {
 					f.err = errors.New("gencache: generation panicked")
 				}
-				c.finishFlight(key, f)
+				c.finishFlight(k, f)
 			}
 		}()
 		f.rec, f.err = generate()
 		completed = true
-		c.finishFlight(key, f)
+		c.finishFlight(k, f)
 		return f.rec, false, f.err
 	}
 }
 
 // finishFlight retires a flight, caching successful records, and wakes its
 // waiters.
-func (c *Cache) finishFlight(key string, f *flight) {
+func (c *Cache) finishFlight(k entryKey, f *flight) {
 	c.mu.Lock()
-	delete(c.flights, key)
+	delete(c.flights, k)
 	if f.err == nil && f.rec != nil {
-		c.insertLocked(key, f.family, f.version, f.rec)
+		c.insertLocked(k, f.rec)
 	}
 	c.mu.Unlock()
 	close(f.done)
@@ -254,39 +219,30 @@ func (c *Cache) finishFlight(key string, f *flight) {
 // maintaining the family index: a family always points at its newest-version
 // cached element, and an evicted element's family pointer is cleared so the
 // index never outlives the LRU entries it references.
-func (c *Cache) insertLocked(key, family string, version int, rec *pipeline.Record) {
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
-		e.rec = rec
+func (c *Cache) insertLocked(k entryKey, rec *pipeline.Record) {
+	el, ok := c.items[k]
+	if ok {
+		el.Value.(*entry).rec = rec
 		c.order.MoveToFront(el)
-		c.indexFamilyLocked(el, e)
-		return
+	} else {
+		el = c.order.PushFront(&entry{key: k, rec: rec})
+		c.items[k] = el
 	}
-	el := c.order.PushFront(&entry{key: key, rec: rec, family: family, version: version})
-	c.items[key] = el
-	c.indexFamilyLocked(el, el.Value.(*entry))
+	// Versions only move forward, so an older version overtaking a newer
+	// one only happens in odd interleavings; the guard keeps the index
+	// monotonic regardless.
+	if cur, ok := c.families[k.family]; !ok || cur.Value.(*entry).key.version <= k.version {
+		c.families[k.family] = el
+	}
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		e := oldest.Value.(*entry)
-		delete(c.items, e.key)
-		if e.family != "" && c.families[e.family] == oldest {
-			delete(c.families, e.family)
+		old := oldest.Value.(*entry).key
+		delete(c.items, old)
+		if c.families[old.family] == oldest {
+			delete(c.families, old.family)
 		}
 	}
-}
-
-// indexFamilyLocked points e's family at el unless a strictly newer version
-// is already indexed (versions only move forward, so this only triggers in
-// odd interleavings; the guard keeps the index monotonic regardless).
-func (c *Cache) indexFamilyLocked(el *list.Element, e *entry) {
-	if e.family == "" {
-		return
-	}
-	if cur, ok := c.families[e.family]; ok && cur.Value.(*entry).version > e.version {
-		return
-	}
-	c.families[e.family] = el
 }
 
 // PeekStale returns the newest cached record for the request's family,
@@ -296,16 +252,17 @@ func (c *Cache) indexFamilyLocked(el *list.Element, e *entry) {
 // the entry is promoted in the LRU (hot questions keep their stale answer
 // alive through an overload), and StaleServed is incremented.
 func (c *Cache) PeekStale(key RequestKey) (*pipeline.Record, int, bool) {
+	fam := key.entryKey().family
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.families[key.Family()]
+	el, ok := c.families[fam]
 	if !ok {
 		return nil, 0, false
 	}
 	e := el.Value.(*entry)
 	c.order.MoveToFront(el)
 	c.staleServed++
-	return e.rec, e.version, true
+	return e.rec, e.key.version, true
 }
 
 // FailedRecords returns the cached records whose final SQL failed, newest
@@ -329,10 +286,11 @@ func (c *Cache) FailedRecords() []*pipeline.Record {
 // Peek returns the completed record cached under key without joining or
 // starting a flight and without promoting the entry in the LRU — a pure
 // read for inspection paths (the failure miner's staleness check).
-func (c *Cache) Peek(key string) (*pipeline.Record, bool) {
+func (c *Cache) Peek(key RequestKey) (*pipeline.Record, bool) {
+	k := key.entryKey()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[k]; ok {
 		return el.Value.(*entry).rec, true
 	}
 	return nil, false
@@ -355,7 +313,8 @@ type Stats struct {
 	Capacity int `json:"capacity"`
 }
 
-// Stats reports the cache's counters. Safe to call concurrently with Do.
+// Stats reports the cache's counters. Safe to call concurrently with
+// DoVersioned.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,36 +17,52 @@ func record(sql string) *pipeline.Record {
 	return &pipeline.Record{FinalSQL: sql, OK: true}
 }
 
+// rk is the request key of question q at version 1 of database "db".
+func rk(q string) RequestKey { return RequestKey{Database: "db", Version: 1, Question: q} }
+
+// TestKeyComponentsDoNotAlias: distinct tuples must be distinct entries
+// however the components are spelled around one another.
 func TestKeyComponentsDoNotAlias(t *testing.T) {
-	// Distinct tuples must produce distinct keys however the components are
-	// spelled around the separators.
-	keys := map[string]string{}
-	add := func(db string, ver int, q, ev string) {
-		k := Key(db, ver, q, ev)
-		id := fmt.Sprintf("(%q,%d,%q,%q)", db, ver, q, ev)
-		if prev, ok := keys[k]; ok {
-			t.Errorf("key collision: %s and %s -> %q", prev, id, k)
-		}
-		keys[k] = id
+	keys := []RequestKey{
+		{"db", 1, "q", ""},
+		{"db", 1, "", "q"},
+		{"db1", 1, "q", ""},
+		{"db", 11, "q", ""},
+		{"db", 1, "q 1", ""},
+		{"d", 1, "bq", ""},
+		{"db", 1, "q", "e"},
+		{"db", 1, "q e", ""},
+		{"db|1", 1, "q", ""},
+		{"db", 1, "1|q", ""},
 	}
-	add("db", 1, "q", "")
-	add("db", 1, "", "q")
-	add("db1", 1, "q", "")
-	add("db", 11, "q", "")
-	add("db", 1, "q 1", "")
-	add("d", 1, "bq", "")
-	add("db", 1, "q", "e")
-	add("db", 1, "q e", "")
+	c := New(len(keys))
+	ctx := context.Background()
+	for i, k := range keys {
+		sql := fmt.Sprintf("SELECT %d", i)
+		rec, cached, err := c.DoVersioned(ctx, k, func() (*pipeline.Record, error) { return record(sql), nil })
+		if err != nil || cached || rec.FinalSQL != sql {
+			t.Errorf("%+v aliased an earlier key: rec=%v cached=%v err=%v", k, rec, cached, err)
+		}
+	}
+	for i, k := range keys {
+		if rec, ok := c.Peek(k); !ok || rec.FinalSQL != fmt.Sprintf("SELECT %d", i) {
+			t.Errorf("%+v: Peek = (%v, %v), want its own record", k, rec, ok)
+		}
+	}
 }
 
 func TestKeyNormalizesQuestion(t *testing.T) {
-	a := Key("db", 3, "  Top   5 ORGS\tby revenue ", "ev")
-	b := Key("db", 3, "top 5 orgs by revenue", "ev")
-	if a != b {
-		t.Errorf("normalized questions should share a key:\n%q\n%q", a, b)
+	c := New(8)
+	ctx := context.Background()
+	gen := func() (*pipeline.Record, error) { return record("SELECT 1"), nil }
+	k := RequestKey{Database: "db", Version: 3, Question: "  Top   5 ORGS\tby revenue ", Evidence: "ev"}
+	c.DoVersioned(ctx, k, gen)
+	if _, cached, _ := c.DoVersioned(ctx, RequestKey{Database: "db", Version: 3, Question: "top 5 orgs by revenue", Evidence: "ev"}, gen); !cached {
+		t.Error("normalized questions should share an entry")
 	}
-	if Key("db", 3, "top 5 orgs", "ev") == Key("db", 4, "top 5 orgs", "ev") {
-		t.Error("different knowledge versions must not share a key")
+	k.Version = 4
+	if _, cached, _ := c.DoVersioned(ctx, k, gen); cached {
+		t.Error("different knowledge versions must not share an entry")
 	}
 }
 
@@ -59,11 +74,11 @@ func TestDoCachesAndHits(t *testing.T) {
 		return record("SELECT 1"), nil
 	}
 	ctx := context.Background()
-	rec1, cached, err := c.Do(ctx, "k", gen)
+	rec1, cached, err := c.DoVersioned(ctx, rk("k"), gen)
 	if err != nil || cached || calls != 1 {
 		t.Fatalf("first Do: rec=%v cached=%v err=%v calls=%d", rec1, cached, err, calls)
 	}
-	rec2, cached, err := c.Do(ctx, "k", gen)
+	rec2, cached, err := c.DoVersioned(ctx, rk("k"), gen)
 	if err != nil || !cached || calls != 1 {
 		t.Fatalf("second Do: cached=%v err=%v calls=%d", cached, err, calls)
 	}
@@ -88,13 +103,13 @@ func TestDoDoesNotCacheErrors(t *testing.T) {
 		return record("ok"), nil
 	}
 	ctx := context.Background()
-	if _, _, err := c.Do(ctx, "k", gen); !errors.Is(err, boom) {
+	if _, _, err := c.DoVersioned(ctx, rk("k"), gen); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("error result was cached: %+v", st)
 	}
-	rec, cached, err := c.Do(ctx, "k", gen)
+	rec, cached, err := c.DoVersioned(ctx, rk("k"), gen)
 	if err != nil || cached || rec.FinalSQL != "ok" || calls != 2 {
 		t.Fatalf("retry after error: rec=%v cached=%v err=%v calls=%d", rec, cached, err, calls)
 	}
@@ -106,14 +121,14 @@ func TestLRUEviction(t *testing.T) {
 	gen := func(sql string) func() (*pipeline.Record, error) {
 		return func() (*pipeline.Record, error) { return record(sql), nil }
 	}
-	c.Do(ctx, "a", gen("a"))
-	c.Do(ctx, "b", gen("b"))
-	c.Do(ctx, "a", gen("a")) // refresh a
-	c.Do(ctx, "c", gen("c")) // evicts b
-	if _, cached, _ := c.Do(ctx, "a", gen("a2")); !cached {
+	c.DoVersioned(ctx, rk("a"), gen("a"))
+	c.DoVersioned(ctx, rk("b"), gen("b"))
+	c.DoVersioned(ctx, rk("a"), gen("a")) // refresh a
+	c.DoVersioned(ctx, rk("c"), gen("c")) // evicts b
+	if _, cached, _ := c.DoVersioned(ctx, rk("a"), gen("a2")); !cached {
 		t.Error("a should have survived (recently used)")
 	}
-	if rec, cached, _ := c.Do(ctx, "b", gen("b2")); cached || rec.FinalSQL != "b2" {
+	if rec, cached, _ := c.DoVersioned(ctx, rk("b"), gen("b2")); cached || rec.FinalSQL != "b2" {
 		t.Errorf("b should have been evicted; cached=%v rec=%v", cached, rec)
 	}
 }
@@ -133,7 +148,7 @@ func TestCoalescingSharesOneGeneration(t *testing.T) {
 
 	leaderDone := make(chan *pipeline.Record, 1)
 	go func() {
-		rec, _, _ := c.Do(ctx, "k", gen)
+		rec, _, _ := c.DoVersioned(ctx, rk("k"), gen)
 		leaderDone <- rec
 	}()
 	<-started
@@ -145,7 +160,7 @@ func TestCoalescingSharesOneGeneration(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rec, cached, err := c.Do(ctx, "k", func() (*pipeline.Record, error) {
+			rec, cached, err := c.DoVersioned(ctx, rk("k"), func() (*pipeline.Record, error) {
 				t.Error("waiter ran its own generation")
 				return nil, errors.New("unreachable")
 			})
@@ -192,14 +207,14 @@ func TestWaiterCancellationLeavesFlightRunning(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		c.Do(context.Background(), "k", gen)
+		c.DoVersioned(context.Background(), rk("k"), gen)
 	}()
 	<-started
 
 	wctx, cancel := context.WithCancel(context.Background())
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(wctx, "k", nil) // nil generate: must never run
+		_, _, err := c.DoVersioned(wctx, rk("k"), nil) // nil generate: must never run
 		waiterErr <- err
 	}()
 	for {
@@ -215,7 +230,7 @@ func TestWaiterCancellationLeavesFlightRunning(t *testing.T) {
 	close(release)
 	<-leaderDone
 	// The flight still completed and cached its record.
-	rec, cached, err := c.Do(context.Background(), "k", nil)
+	rec, cached, err := c.DoVersioned(context.Background(), rk("k"), nil)
 	if err != nil || !cached || rec.FinalSQL != "late" {
 		t.Fatalf("flight result lost: rec=%v cached=%v err=%v", rec, cached, err)
 	}
@@ -230,12 +245,12 @@ func TestCanceledLeaderDoesNotPoisonWaiters(t *testing.T) {
 		<-release
 		return nil, generr.Canceled(context.Canceled)
 	}
-	go c.Do(context.Background(), "k", leaderGen)
+	go c.DoVersioned(context.Background(), rk("k"), leaderGen)
 	<-started
 
 	waiterDone := make(chan *pipeline.Record, 1)
 	go func() {
-		rec, _, err := c.Do(context.Background(), "k", func() (*pipeline.Record, error) {
+		rec, _, err := c.DoVersioned(context.Background(), rk("k"), func() (*pipeline.Record, error) {
 			return record("retried"), nil
 		})
 		if err != nil {
@@ -267,7 +282,7 @@ func TestDoConcurrentMixedKeys(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", i%16)
-				rec, _, err := c.Do(context.Background(), key, func() (*pipeline.Record, error) {
+				rec, _, err := c.DoVersioned(context.Background(), rk(key), func() (*pipeline.Record, error) {
 					calls.Add(1)
 					return record("sql-" + key), nil
 				})
@@ -301,9 +316,6 @@ func TestNormalizeQuestion(t *testing.T) {
 		if got := NormalizeQuestion(in); got != want {
 			t.Errorf("NormalizeQuestion(%q) = %q, want %q", in, got, want)
 		}
-	}
-	if !strings.Contains(Key("db", 1, "A  B", ""), "a b") {
-		t.Error("key should embed the normalized question")
 	}
 }
 

@@ -31,33 +31,20 @@ import (
 	"genedit/internal/pipeline"
 )
 
-// Config tunes one database's miner.
-type Config struct {
-	// MinRecurrence is the cluster size below which a failure pattern is
-	// considered noise rather than a recurring gap. Defaults to 2.
-	MinRecurrence int
-	// MaxCandidatesPerRound bounds how many candidate changes one round may
+// Mining limits, one setting for every database.
+const (
+	// minRecurrence is the cluster size below which a failure pattern is
+	// considered noise rather than a recurring gap.
+	minRecurrence = 2
+	// maxCandidatesPerRound bounds how many candidate changes one round may
 	// submit (each submission replays the golden suite, so rounds are
-	// metered). Defaults to 4.
-	MaxCandidatesPerRound int
-	// MaxRefinements bounds how often the miner re-submits a refined
+	// metered).
+	maxCandidatesPerRound = 4
+	// maxRefinements bounds how often the miner re-submits a refined
 	// instruction for a question that stays failing although already
-	// covered by mined knowledge. Defaults to 2.
-	MaxRefinements int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinRecurrence <= 0 {
-		c.MinRecurrence = 2
-	}
-	if c.MaxCandidatesPerRound <= 0 {
-		c.MaxCandidatesPerRound = 4
-	}
-	if c.MaxRefinements <= 0 {
-		c.MaxRefinements = 2
-	}
-	return c
-}
+	// covered by mined knowledge.
+	maxRefinements = 2
+)
 
 // Editor is the provenance tag mined edits carry through staging, merge
 // events and the WAL — the audit trail's way to tell auto-mined knowledge
@@ -70,7 +57,7 @@ type Stats struct {
 	Rounds int `json:"rounds"`
 	// Scanned counts failed records examined across all rounds.
 	Scanned int `json:"scanned"`
-	// Clusters counts recurring clusters (size >= MinRecurrence) seen.
+	// Clusters counts recurring clusters (size >= minRecurrence) seen.
 	Clusters int `json:"clusters"`
 	// Candidates counts candidate changes submitted to the regression gate.
 	Candidates int `json:"candidates"`
@@ -101,7 +88,6 @@ type Cluster struct {
 // round holds the mutex only around state updates, not around the gated
 // submission (which replays the golden suite).
 type Miner struct {
-	cfg    Config
 	solver *feedback.Solver
 
 	mu sync.Mutex
@@ -116,9 +102,8 @@ type Miner struct {
 // New builds a miner over one database's feedback solver. The solver owns
 // the live engine and the regression gate; the miner is strictly a client
 // of that path — it holds no write access to the knowledge set.
-func New(solver *feedback.Solver, cfg Config) *Miner {
+func New(solver *feedback.Solver) *Miner {
 	return &Miner{
-		cfg:      cfg.withDefaults(),
 		solver:   solver,
 		rejected: make(map[string]bool),
 		refined:  make(map[string]int),
@@ -157,7 +142,7 @@ func (m *Miner) Round(ctx context.Context, failed []*pipeline.Record) (RoundRepo
 
 	var candidates []candidate
 	for _, cl := range clusters {
-		if len(cl.Records) < m.cfg.MinRecurrence {
+		if len(cl.Records) < minRecurrence {
 			rep.Unactionable++
 			continue
 		}
@@ -175,8 +160,8 @@ func (m *Miner) Round(ctx context.Context, failed []*pipeline.Record) (RoundRepo
 		}
 		candidates = append(candidates, cand)
 	}
-	if len(candidates) > m.cfg.MaxCandidatesPerRound {
-		candidates = candidates[:m.cfg.MaxCandidatesPerRound]
+	if len(candidates) > maxCandidatesPerRound {
+		candidates = candidates[:maxCandidatesPerRound]
 	}
 
 	for _, cand := range candidates {
@@ -339,7 +324,7 @@ func (m *Miner) distill(ctx context.Context, cl *Cluster, minedIDs map[string]bo
 			m.mu.Lock()
 			round = m.refined[q] + 1
 			m.mu.Unlock()
-			if round > m.cfg.MaxRefinements {
+			if round > maxRefinements {
 				continue
 			}
 			refinedQuestions = append(refinedQuestions, q)

@@ -81,17 +81,6 @@ func TestAcronymTerms(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.MinRecurrence != 2 || c.MaxCandidatesPerRound != 4 || c.MaxRefinements != 2 {
-		t.Errorf("defaults = %+v", c)
-	}
-	c = Config{MinRecurrence: 5}.withDefaults()
-	if c.MinRecurrence != 5 {
-		t.Error("explicit MinRecurrence overridden")
-	}
-}
-
 func TestCandidateIDDeterministic(t *testing.T) {
 	cl := &Cluster{Key: "exec|/projection,/from|T"}
 	edits := []struct{ q string }{{"q1"}, {"q2"}}

@@ -133,12 +133,3 @@ func TestRecordFailureClassification(t *testing.T) {
 		t.Fatalf("failure = %v, want exec classification", f)
 	}
 }
-
-func TestStatementCacheSizeConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StatementCacheSize = 64
-	engine, _ := testEngine(t, cfg)
-	if got := engine.exec.StatementCacheSize(); got != 64 {
-		t.Fatalf("engine statement cache size = %d, want 64", got)
-	}
-}

@@ -26,17 +26,6 @@ type Config struct {
 	// MaxAttempts is k, the regeneration budget (§3: "up to k times",
 	// k=3 in Fig. 1).
 	MaxAttempts int
-	// TopExamples caps selected examples.
-	TopExamples int
-	// TopInstructions caps selected instructions.
-	TopInstructions int
-	// ExpansionWeight blends example-context similarity into instruction
-	// re-ranking (context expansion, §3.1.1).
-	ExpansionWeight float64
-	// StatementCacheSize bounds the executor's parsed-statement LRU;
-	// 0 means sqlexec.DefaultStatementCacheSize. Serving deployments with
-	// a larger hot set raise it through genedit.WithStatementCacheSize.
-	StatementCacheSize int
 	// ClauseEditCorrection switches the self-correction operator (8-9) from
 	// full regeneration to clause-level editing: the failing SQL is
 	// decomposed into fragments and the model proposes targeted clause
@@ -67,23 +56,29 @@ const (
 	DefaultInstructionFanout = 16
 )
 
-// retrieval is how an engine's selectors search their indexes: the fan-outs
-// of the global search. Every engine New builds uses defaultRetrieval; tests
-// reach other settings through newEngine.
+// retrieval is how an engine's selectors search and cut their indexes: the
+// fan-outs of the global search, how many examples and instructions a
+// request keeps, and the weight context expansion (§3.1.1) gives
+// example-context similarity when re-ranking instructions. Every engine New
+// builds uses defaultRetrieval; tests reach other settings through
+// newEngine.
 type retrieval struct {
-	exFanout, insFanout int
+	exFanout, insFanout          int
+	topExamples, topInstructions int
+	expansionWeight              float64
 }
 
-var defaultRetrieval = retrieval{exFanout: DefaultExampleFanout, insFanout: DefaultInstructionFanout}
+var defaultRetrieval = retrieval{
+	exFanout:        DefaultExampleFanout,
+	insFanout:       DefaultInstructionFanout,
+	topExamples:     12,
+	topInstructions: 6,
+	expansionWeight: 0.45,
+}
 
 // DefaultConfig returns the production configuration.
 func DefaultConfig() Config {
-	return Config{
-		MaxAttempts:     3,
-		TopExamples:     12,
-		TopInstructions: 6,
-		ExpansionWeight: 0.45,
-	}
+	return Config{MaxAttempts: 3}
 }
 
 // Attempt records one generation attempt and its execution feedback.
@@ -169,16 +164,12 @@ func newEngine(model llm.Model, kset *knowledge.Set, db *sqldb.Database, cfg Con
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
 	}
-	exec := sqlexec.New(db)
-	if cfg.StatementCacheSize > 0 {
-		exec.SetStatementCacheSize(cfg.StatementCacheSize)
-	}
 	e := &Engine{
 		model: model,
 		kset:  kset,
 		db:    db,
 		sch:   schema.FromDatabase(db, schema.DefaultTopValues),
-		exec:  exec,
+		exec:  sqlexec.New(db),
 		cfg:   cfg,
 		ret:   ret,
 	}

@@ -253,15 +253,16 @@ func TestContextExpansionBoostsCoSelectedInstructions(t *testing.T) {
 	}
 
 	cfg := DefaultConfig()
-	cfg.TopInstructions = 3
-	engine := New(model, kset, suite.Databases["sports_holdings"], cfg)
+	ret := defaultRetrieval
+	ret.topInstructions = 3
+	engine := newEngine(model, kset, suite.Databases["sports_holdings"], cfg, ret)
 	recWith, err := engine.GenerateContext(context.Background(), "widgets gizmo analysis", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg.DisableContextExpansion = true
-	engineNo := New(model, kset, suite.Databases["sports_holdings"], cfg)
+	engineNo := newEngine(model, kset, suite.Databases["sports_holdings"], cfg, ret)
 	recWithout, err := engineNo.GenerateContext(context.Background(), "widgets gizmo analysis", "")
 	if err != nil {
 		t.Fatal(err)

@@ -347,7 +347,7 @@ func (e *Engine) selectExamples(qv embed.Vector, intentIDs []string) []llm.Retri
 		}
 		s.ranked[i] = scoredPos{pos: p, score: score}
 	}
-	top := selectTop(s.ranked, e.cfg.TopExamples, id)
+	top := selectTop(s.ranked, e.ret.topExamples, id)
 	out := make([]llm.RetrievedExample, len(top))
 	for i, sp := range top {
 		ex := e.ex.items[sp.pos]
@@ -477,7 +477,7 @@ func (e *Engine) selectFullExamples(qv embed.Vector) []llm.RetrievedExample {
 	for i, score := range s.scores {
 		s.ranked[i] = scoredPos{pos: i, score: score}
 	}
-	top := selectTop(s.ranked, e.cfg.TopExamples, func(p int) string { return e.fullExs[p].id })
+	top := selectTop(s.ranked, e.ret.topExamples, func(p int) string { return e.fullExs[p].id })
 	out := make([]llm.RetrievedExample, len(top))
 	for i, sp := range top {
 		fe := e.fullExs[sp.pos]
@@ -541,11 +541,11 @@ func (e *Engine) selectInstructions(qv embed.Vector, intentIDs []string, example
 	for i, p := range s.cands {
 		score := s.scores[e.insIndex.Slot(p)]
 		if expanding {
-			score += e.cfg.ExpansionWeight * s.expand[i]
+			score += e.ret.expansionWeight * s.expand[i]
 		}
 		s.ranked[i] = scoredPos{pos: p, score: score + e.ins.boost[p]}
 	}
-	top := selectTop(s.ranked, e.cfg.TopInstructions, id)
+	top := selectTop(s.ranked, e.ret.topInstructions, id)
 	out := make([]llm.RetrievedInstruction, len(top))
 	for i, sp := range top {
 		ins := e.ins.items[sp.pos]

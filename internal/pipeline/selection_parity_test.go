@@ -122,8 +122,8 @@ func referenceSelectExamples(e *Engine, qv embed.Vector, intentIDs []string) []l
 		referenceSort(scored,
 			func(x llm.RetrievedExample) float64 { return x.Score },
 			func(x llm.RetrievedExample) string { return x.ID })
-		if len(scored) > e.cfg.TopExamples {
-			scored = scored[:e.cfg.TopExamples]
+		if len(scored) > e.ret.topExamples {
+			scored = scored[:e.ret.topExamples]
 		}
 		return scored
 	}
@@ -165,8 +165,8 @@ func referenceSelectExamples(e *Engine, qv embed.Vector, intentIDs []string) []l
 	referenceSort(scored,
 		func(x llm.RetrievedExample) float64 { return x.Score },
 		func(x llm.RetrievedExample) string { return x.ID })
-	if len(scored) > e.cfg.TopExamples {
-		scored = scored[:e.cfg.TopExamples]
+	if len(scored) > e.ret.topExamples {
+		scored = scored[:e.ret.topExamples]
 	}
 	return scored
 }
@@ -210,7 +210,7 @@ func referenceSelectInstructions(e *Engine, qv embed.Vector, intentIDs []string,
 					maxEx = c
 				}
 			}
-			score += e.cfg.ExpansionWeight * maxEx
+			score += e.ret.expansionWeight * maxEx
 		}
 		score += directiveBoost(ins)
 		scored = append(scored, llm.RetrievedInstruction{
@@ -221,8 +221,8 @@ func referenceSelectInstructions(e *Engine, qv embed.Vector, intentIDs []string,
 	referenceSort(scored,
 		func(x llm.RetrievedInstruction) float64 { return x.Score },
 		func(x llm.RetrievedInstruction) string { return x.ID })
-	if len(scored) > e.cfg.TopInstructions {
-		scored = scored[:e.cfg.TopInstructions]
+	if len(scored) > e.ret.topInstructions {
+		scored = scored[:e.ret.topInstructions]
 	}
 	return scored
 }
@@ -250,13 +250,13 @@ func sameSelection[T any](got, want []T, score func(T) float64) error {
 func compareSelectors(t *testing.T, base *Engine, label string, qv embed.Vector, intentIDs []string) (decomposed, fullQueryLeg int) {
 	t.Helper()
 	for _, cut := range []struct{ examples, instructions int }{
-		{base.cfg.TopExamples, base.cfg.TopInstructions},
+		{base.ret.topExamples, base.ret.topInstructions},
 		{0, 0}, {1, 1}, {1 << 20, 1 << 20},
 	} {
 		for _, fullQuery := range []bool{false, true} {
-			e := *base // engines hold no locks: a shallow copy with its own cfg is safe
-			e.cfg.TopExamples = cut.examples
-			e.cfg.TopInstructions = cut.instructions
+			e := *base // engines hold no locks: a shallow copy with its own settings is safe
+			e.ret.topExamples = cut.examples
+			e.ret.topInstructions = cut.instructions
 			e.cfg.DisableDecomposition = fullQuery
 
 			examples := e.selectExamples(qv, intentIDs)
@@ -460,7 +460,9 @@ func TestSelectionMatchesReferenceHandBuilt(t *testing.T) {
 		"repeated_listing": knowledge.FromState(repeated),
 	}
 	for name, kset := range sets {
-		for _, ret := range []retrieval{{exFanout: 2, insFanout: 2}, defaultRetrieval} {
+		narrow := defaultRetrieval
+		narrow.exFanout, narrow.insFanout = 2, 2
+		for _, ret := range []retrieval{narrow, defaultRetrieval} {
 			base := newEngine(model, kset, db, DefaultConfig(), ret)
 			compared := 0
 			for _, q := range queries {

@@ -27,7 +27,7 @@ func (m *Model) Plan(ctx *llm.Context) (llm.Plan, error) {
 	wholeAnchor, _ := m.wholeQueryAnchor(ctx, c)
 	// exVecs[i] embeds ctx.Examples[i].SQL, filled in by fragmentAnchor the
 	// first time a fragment of the example's clause kind asks for it. A
-	// pipeline's selection (TopExamples, 12 by default) fits on the stack.
+	// pipeline's selection (at most 12 examples) fits on the stack.
 	var exBuf [16]embed.Embedded
 	exVecs := exBuf[:]
 	if len(ctx.Examples) > len(exBuf) {

@@ -16,8 +16,8 @@ import "genedit/internal/task"
 
 // Profile is a model/system capability profile. One profile exists per
 // compared system (GenEdit and each Table 1 baseline); the numbers were
-// calibrated so the reproduced tables match the paper's shape (see
-// EXPERIMENTS.md).
+// calibrated so the reproduced tables match the paper's shape (the
+// measured tables are in BENCH_7.json).
 type Profile struct {
 	// Name identifies the system; it salts every deterministic draw.
 	Name string

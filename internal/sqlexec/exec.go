@@ -19,8 +19,7 @@ import (
 // statement cache is internally synchronized, and compiled plans are
 // stateless. Compiled plans bind column ordinals against table layouts, so
 // schemas must not change under a live executor (rows may be appended
-// freely). The one setting, SetStatementCacheSize, is not synchronized —
-// size the cache before sharing the executor across goroutines.
+// freely).
 type Executor struct {
 	db    *sqldb.Database
 	stmts *stmtCache
@@ -34,7 +33,7 @@ type Executor struct {
 
 // New returns an executor over db.
 func New(db *sqldb.Database) *Executor {
-	return &Executor{db: db, stmts: newStmtCache(DefaultStatementCacheSize)}
+	return &Executor{db: db, stmts: newStmtCache()}
 }
 
 // Result is a materialized query result.

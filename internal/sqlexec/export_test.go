@@ -18,12 +18,12 @@ func (e *Executor) SetCompiledExec(enabled bool) { e.noCompiled = !enabled }
 func (e *Executor) SetHashJoin(enabled bool) { e.noHashJoin = !enabled }
 
 // SetStatementCaching(false) drops the plan cache, so every Query parses and
-// compiles; SetStatementCaching(true) restores a default-sized one.
+// compiles; SetStatementCaching(true) restores an empty one.
 func (e *Executor) SetStatementCaching(enabled bool) {
 	if !enabled {
 		e.stmts = nil
 	} else if e.stmts == nil {
-		e.stmts = newStmtCache(DefaultStatementCacheSize)
+		e.stmts = newStmtCache()
 	}
 }
 

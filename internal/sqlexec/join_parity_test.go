@@ -201,26 +201,6 @@ func TestStatementCacheHitsAndParity(t *testing.T) {
 	}
 }
 
-func TestStatementCacheLRUEviction(t *testing.T) {
-	c := newStmtCache(2)
-	put := func(sql string) { c.put(sql, nil) }
-	put("a")
-	put("b")
-	if _, ok := c.get("a"); !ok { // touch a: b becomes LRU
-		t.Fatal("a should be cached")
-	}
-	put("c") // evicts b
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a should survive eviction")
-	}
-	if _, ok := c.get("c"); !ok {
-		t.Error("c should be cached")
-	}
-}
-
 func TestHashJoinParityDelimiterInjection(t *testing.T) {
 	// Multi-column string keys containing the encoding delimiter must not
 	// alias across columns ("a\x1f"+"b" vs "a"+"\x1fb").

@@ -189,7 +189,7 @@ func (s *Service) initMetrics() {
 		"rejected":     reg.Counter("genedit_miner_rejected_total", "Mined candidates the regression gate refused.", "db"),
 		"unactionable": reg.Counter("genedit_miner_unactionable_total", "Clusters the miner declined to distill.", "db"),
 	}
-	if s.minerCfg != nil {
+	if s.minerOn {
 		reg.OnScrape(func() {
 			for db, ms := range s.MinerStats() {
 				minerFams["rounds"].With(db).Set(uint64(ms.Rounds))

@@ -16,8 +16,6 @@ import (
 
 // Miner re-exports for the serving layer and tools.
 type (
-	// MinerConfig tunes a database's background failure miner.
-	MinerConfig = miner.Config
 	// MinerStats is one database miner's counter snapshot.
 	MinerStats = miner.Stats
 	// MinerRoundReport summarizes one mining round.
@@ -37,15 +35,11 @@ type minerState = miner.Miner
 // generations are retained (a bounded ring plus whatever the generation
 // cache holds) and MineRound clusters them, distills candidate
 // instructions, and pushes each candidate through the same regression
-// gate → approve → persist → hot-swap path SME edits take. The zero
-// MinerConfig selects the defaults. The miner is strictly opt-in: without
-// this option the service never retains failed records beyond the cache and
-// MineRound errors, so default serving behavior is unchanged.
-func WithMiner(cfg MinerConfig) Option {
-	return func(s *Service) {
-		s.minerCfg = &cfg
-	}
-}
+// gate → approve → persist → hot-swap path SME edits take. The miner is
+// strictly opt-in: without this option the service never retains failed
+// records beyond the cache and MineRound errors, so default serving
+// behavior is unchanged.
+func WithMiner() Option { return func(s *Service) { s.minerOn = true } }
 
 // FailureStats counts one database's failed generations by class. Counters
 // accumulate over the service's lifetime regardless of whether the miner is
@@ -88,7 +82,7 @@ func (s *Service) noteFailure(db string, rec *pipeline.Record) {
 	default:
 		d.stats.Exec++
 	}
-	if s.minerCfg == nil {
+	if !s.minerOn {
 		return
 	}
 	if len(d.ring) >= failureRingCap {
@@ -136,7 +130,7 @@ func (s *Service) FailureStats() map[string]FailureStats {
 // candidate is persisted (when durable) and hot-swapped exactly like an SME
 // merge — and refuses to splice if another writer committed first.
 func (s *Service) minerFor(ctx context.Context, db string) (*miner.Miner, error) {
-	if s.minerCfg == nil {
+	if !s.minerOn {
 		return nil, fmt.Errorf("genedit: miner is not enabled (WithMiner)")
 	}
 	s.failMu.Lock()
@@ -157,7 +151,7 @@ func (s *Service) minerFor(ctx context.Context, db string) (*miner.Miner, error)
 	if s.miners == nil {
 		s.miners = make(map[string]*miner.Miner)
 	}
-	m = miner.New(solver, *s.minerCfg)
+	m = miner.New(solver)
 	s.miners[db] = m
 	return m, nil
 }
@@ -225,7 +219,9 @@ func (s *Service) MineRound(ctx context.Context, db string) (MinerRoundReport, e
 			version := engine.KnowledgeSet().Version()
 			failed = failed[:0]
 			for _, rec := range drained {
-				cur, ok := s.gencache.Peek(gencache.Key(db, version, rec.Question, rec.Evidence))
+				cur, ok := s.gencache.Peek(gencache.RequestKey{
+					Database: db, Version: version, Question: rec.Question, Evidence: rec.Evidence,
+				})
 				if ok && cur.OK {
 					continue
 				}
@@ -237,7 +233,7 @@ func (s *Service) MineRound(ctx context.Context, db string) (MinerRoundReport, e
 }
 
 // MinerEnabled reports whether WithMiner configured this service.
-func (s *Service) MinerEnabled() bool { return s.minerCfg != nil }
+func (s *Service) MinerEnabled() bool { return s.minerOn }
 
 // MinerStats reports the per-database miner counters (databases whose miner
 // has been exercised at least once).
@@ -276,7 +272,7 @@ func RunMinerConvergence(seed, modelSeed uint64, rounds int) ([]MinerConvergence
 	svc := NewService(suite,
 		WithModelSeed(modelSeed),
 		WithGenerationCache(failureRingCap),
-		WithMiner(MinerConfig{}))
+		WithMiner())
 	defer svc.Close()
 	ctx := context.Background()
 

@@ -40,7 +40,7 @@ func TestMinerConvergenceRaisesEX(t *testing.T) {
 
 func TestMinerProvenanceAndAudit(t *testing.T) {
 	suite, injected := workload.NewMinerSuite(1)
-	svc := NewService(suite, WithGenerationCache(64), WithMiner(MinerConfig{}))
+	svc := NewService(suite, WithGenerationCache(64), WithMiner())
 	defer svc.Close()
 	ctx := context.Background()
 

@@ -117,10 +117,6 @@ type Response struct {
 // Option configures a Service.
 type Option func(*Service)
 
-// WithConfig sets the pipeline configuration for every engine the service
-// builds (default DefaultConfig).
-func WithConfig(cfg Config) Option { return func(s *Service) { s.cfg = cfg } }
-
 // WithModelSeed seeds the simulated model's deterministic draws (default 42,
 // the seed every committed exhibit uses).
 func WithModelSeed(seed uint64) Option { return func(s *Service) { s.modelSeed = seed } }
@@ -134,13 +130,6 @@ func WithWorkers(n int) Option {
 		}
 		s.workers = n
 	}
-}
-
-// WithStatementCacheSize bounds each engine's parsed-statement LRU (default
-// sqlexec.DefaultStatementCacheSize = 512). Serving deployments whose hot
-// SQL set exceeds the default raise it here.
-func WithStatementCacheSize(n int) Option {
-	return func(s *Service) { s.stmtCacheSize = n }
 }
 
 // WithGenerationCache enables the versioned generation cache: a bounded LRU
@@ -165,37 +154,19 @@ func WithGenerationCache(size int) Option {
 }
 
 // AdmissionConfig bounds the serving path (WithAdmission): per-tenant
-// token-bucket rate limiting and a bounded, deadline-aware request queue in
-// front of the generation pipeline.
-type AdmissionConfig struct {
-	// RatePerSec is each tenant's (database's) token refill rate — one
-	// token per request. <= 0 disables rate limiting.
-	RatePerSec float64
-	// Burst is each tenant's bucket capacity (defaults to
-	// max(1, RatePerSec)).
-	Burst float64
-	// MaxConcurrent bounds concurrently executing generations; <= 0
-	// disables the concurrency gate.
-	MaxConcurrent int
-	// MaxQueue bounds requests waiting for a slot; arrivals beyond it are
-	// shed with ErrOverloaded. <= 0 means no queue: a full house sheds
-	// instantly.
-	MaxQueue int
-	// DisableStaleServe turns off graceful degradation. By default a shed
-	// request is answered with the newest cached record for its question
-	// from ANY knowledge version when one exists (Response.Stale), on the
-	// theory that a slightly stale answer beats a 429/503 for read
-	// traffic. Requires WithGenerationCache to have an effect.
-	DisableStaleServe bool
-}
+// token-bucket rate limiting (RatePerSec, Burst) and a bounded,
+// deadline-aware request queue (MaxConcurrent, MaxQueue) in front of the
+// generation pipeline.
+type AdmissionConfig = admission.Config
 
 // WithAdmission puts admission control on the serving path: every Generate
 // (and each GenerateBatch item) must pass a per-tenant token bucket and a
 // bounded, deadline-aware queue before any pipeline work runs. Shed
 // requests fail fast with ErrRateLimited / ErrOverloaded (both carrying a
 // Retry-After hint via generr.RetryAfterHint) — or, when the generation
-// cache holds an answer for the question from a previous knowledge version,
-// degrade gracefully onto it (Response.Stale).
+// cache holds an answer for the question from any knowledge version,
+// degrade gracefully onto the newest one (Response.Stale): a slightly stale
+// answer beats a 429/503 for read traffic.
 //
 // Deadline awareness: a request whose context deadline cannot be met given
 // the current queue depth and the observed service-time average is shed at
@@ -254,15 +225,13 @@ func WithStoreFS(fs kstore.FS) Option { return func(s *Service) { s.storeFS = fs
 // engine into the registry atomically (swapEngine), so a request sees
 // either the old or the new knowledge version, never a half-rebuilt one.
 type Service struct {
-	suite         *Benchmark
-	cfg           Config
-	modelSeed     uint64
-	workers       int
-	stmtCacheSize int
-	genCacheSize  int
-	trace         TraceFunc
-	storePath     string
-	storeFS       kstore.FS
+	suite        *Benchmark
+	modelSeed    uint64
+	workers      int
+	genCacheSize int
+	trace        TraceFunc
+	storePath    string
+	storeFS      kstore.FS
 
 	// model is the service's one simulated model, built once from the
 	// GenEdit profile, the suite's registry and modelSeed. It is immutable
@@ -294,11 +263,11 @@ type Service struct {
 	stores map[string]*kstore.Store
 	closed bool
 
-	// Background failure mining (see miner.go). minerCfg is nil unless
-	// WithMiner enabled it; failures accumulates per-db failure counters
-	// (always) and retained failed records (miner only); miners holds the
-	// lazily built per-db miner.
-	minerCfg *MinerConfig
+	// Background failure mining (see miner.go). minerOn is set by
+	// WithMiner; failures accumulates per-db failure counters (always) and
+	// retained failed records (miner only); miners holds the lazily built
+	// per-db miner.
+	minerOn  bool
 	failMu   sync.Mutex
 	failures map[string]*dbFailures
 	miners   map[string]*minerState
@@ -318,7 +287,6 @@ type enginePromise struct {
 func NewService(b *Benchmark, opts ...Option) *Service {
 	s := &Service{
 		suite:     b,
-		cfg:       DefaultConfig(),
 		modelSeed: 42,
 		workers:   runtime.GOMAXPROCS(0),
 		engines:   make(map[string]*enginePromise),
@@ -332,12 +300,7 @@ func NewService(b *Benchmark, opts ...Option) *Service {
 		s.gencache = gencache.New(s.genCacheSize)
 	}
 	if s.admCfg != nil {
-		s.admission = admission.New(admission.Config{
-			RatePerSec:    s.admCfg.RatePerSec,
-			Burst:         s.admCfg.Burst,
-			MaxConcurrent: s.admCfg.MaxConcurrent,
-			MaxQueue:      s.admCfg.MaxQueue,
-		})
+		s.admission = admission.New(*s.admCfg)
 	}
 	s.initMetrics()
 	// The request path is a middleware stack composed once at construction:
@@ -412,11 +375,7 @@ func (s *Service) build(db string) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.cfg
-	if s.stmtCacheSize > 0 {
-		cfg.StatementCacheSize = s.stmtCacheSize
-	}
-	return pipeline.New(s.model, kset, s.suite.Databases[db], cfg), nil
+	return pipeline.New(s.model, kset, s.suite.Databases[db], pipeline.DefaultConfig()), nil
 }
 
 // buildKnowledge resolves the knowledge set for one database: straight from
@@ -678,8 +637,8 @@ func (s *Service) respond(req Request, rec *Record, cached bool) *Response {
 
 // admitMiddleware is the overload-defense layer: per-tenant token buckets
 // and the bounded deadline-aware queue. A pass-through when WithAdmission
-// is absent. On shed it degrades onto a stale cached answer when allowed
-// and available, else returns the typed overload error.
+// is absent. On shed it degrades onto a stale cached answer when one is
+// available, else returns the typed overload error.
 func (s *Service) admitMiddleware(next handler) handler {
 	if s.admission == nil {
 		return next
@@ -703,10 +662,10 @@ func (s *Service) admitMiddleware(next handler) handler {
 
 // staleResponse looks up the newest cached record for the request's
 // question across knowledge versions — the graceful-degradation answer for
-// a shed request. ok is false when stale serving is disabled, the cache is
-// off, or the question has never completed.
+// a shed request. ok is false when the cache is off or the question has
+// never completed.
 func (s *Service) staleResponse(req Request) (*Response, bool) {
-	if s.gencache == nil || (s.admCfg != nil && s.admCfg.DisableStaleServe) {
+	if s.gencache == nil {
 		return nil, false
 	}
 	rec, version, ok := s.gencache.PeekStale(gencache.RequestKey{
