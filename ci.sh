@@ -159,13 +159,19 @@ go run ./cmd/benchrunner -json /tmp/bench_parity.json -baseline BENCH_7.json > /
 # alloc_kb_per_op 36.76, 36.73, 36.78; serve_cold alloc_kb_per_op 31.79,
 # 31.80, 31.77. The rule gives the same three budgets, so they stand.
 #
+# Checked again when predicate pushdown and the top-N heap were deleted:
+# exhibits allocs_per_op read 438.15, 438.34, 440.13, so the rule gives 462
+# (from 463); serve_scaled alloc_kb_per_op 36.79, 36.79, 36.76; serve_cold
+# alloc_kb_per_op 31.81, 31.83, 31.82; serve_hot allocs_per_op 5.7963,
+# 5.7963, 5.7962. The other three budgets stand.
+#
 #   serve_hot allocs_per_op (bound 5%): read 5.7962, 5.7963, 5.7963 when
 #   the generation cache came to key its entries with comparable structs
 #   built from one normalized question (its parent read 10.7285, 10.7285,
 #   10.7284: the hit path built two length-prefixed key strings and
 #   normalized the question twice). A change that builds a key string, or
 #   allocates anything else per request, on the cache-hit path fails.
-exhibits_allocs_budget=463
+exhibits_allocs_budget=462
 serve_scaled_alloc_kb_budget=39.4
 serve_cold_alloc_kb_budget=34.1
 serve_hot_allocs_budget=6.09

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"genedit"
@@ -365,10 +366,12 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 	mux.HandleFunc("GET /v1/knowledge/{db}", func(w http.ResponseWriter, r *http.Request) {
 		n := 20
 		if q := r.URL.Query().Get("n"); q != "" {
-			if _, err := fmt.Sscanf(q, "%d", &n); err != nil || n < 0 {
+			v, err := strconv.Atoi(q)
+			if err != nil || v < 0 {
 				writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
 				return
 			}
+			n = v
 		}
 		lastN := n
 		if n == 0 {

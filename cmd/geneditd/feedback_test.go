@@ -242,7 +242,9 @@ func TestFeedbackEndpointErrors(t *testing.T) {
 }
 
 // TestKnowledgeEndpoint covers the inspection surface on a plain in-memory
-// daemon: counts are populated and the ?n= bound works.
+// daemon: counts are populated, the ?n= bound works, and an n that is not
+// a whole non-negative decimal is a 400 — never a prefix read as a number,
+// and never 0, which would ask for the full audit log.
 func TestKnowledgeEndpoint(t *testing.T) {
 	srv := newTestServer(t, 30*time.Second)
 	resp, raw := getURL(t, srv.URL+"/v1/knowledge/"+fbDB+"?n=5")
@@ -262,8 +264,27 @@ func TestKnowledgeEndpoint(t *testing.T) {
 	if got.HistoryLen <= 5 {
 		t.Errorf("history_len = %d, want the full log length", got.HistoryLen)
 	}
-	resp, _ = getURL(t, srv.URL+"/v1/knowledge/"+fbDB+"?n=bogus")
-	if resp.StatusCode != 400 {
-		t.Errorf("bad n = %d, want 400", resp.StatusCode)
+	for _, tc := range []struct {
+		n       string
+		status  int
+		history int
+	}{
+		{"3", 200, 3},
+		{"bogus", 400, 0},
+		{"5abc", 400, 0},
+		{"3.5", 400, 0},
+		{"0x10", 400, 0},
+		{"-1", 400, 0},
+	} {
+		resp, raw := getURL(t, srv.URL+"/v1/knowledge/"+fbDB+"?n="+tc.n)
+		if resp.StatusCode != tc.status {
+			t.Errorf("n=%s: status %d, want %d", tc.n, resp.StatusCode, tc.status)
+			continue
+		}
+		if tc.status == 200 {
+			if got := decode[knowledgeResponse](t, raw); len(got.History) != tc.history {
+				t.Errorf("n=%s: history tail = %d events, want %d", tc.n, len(got.History), tc.history)
+			}
+		}
 	}
 }

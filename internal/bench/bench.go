@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"genedit/internal/eval"
-	"genedit/internal/knowledge"
 	"genedit/internal/pipeline"
 	"genedit/internal/simllm"
 	"genedit/internal/task"
@@ -62,11 +61,6 @@ func (g *GenEditSystem) GenerateContext(ctx context.Context, c *task.Case) (stri
 
 // Engine exposes the per-database engine (used by the feedback experiments).
 func (g *GenEditSystem) Engine(db string) *pipeline.Engine { return g.engines[db] }
-
-// ReplaceKnowledge swaps one database's knowledge set (staging / merge).
-func (g *GenEditSystem) ReplaceKnowledge(db string, kset *knowledge.Set) {
-	g.engines[db] = g.engines[db].WithKnowledge(kset)
-}
 
 // Table1 reproduces the paper's Table 1: GenEdit vs the five baselines on
 // the full eval set. Report order matches the paper's rows.

@@ -26,14 +26,6 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-func fnvAdd(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // lowerAlnum lower-cases one rune and reports whether the result is a kept
 // token rune ([a-z0-9]). Every kept rune is a single ASCII byte, which is
 // what lets Text hash tokens incrementally without building strings.

@@ -221,6 +221,11 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int)) {
 	}
 feed:
 	for i := 0; i < n; i++ {
+		// select picks at random among ready cases, so a done ctx alone
+		// would not stop a send to an idle worker.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case idx <- i:
 		case <-ctx.Done():

@@ -130,9 +130,6 @@ func (sess *Session) Stage(edits ...knowledge.Edit) {
 	sess.Staged = append(sess.Staged, edits...)
 }
 
-// ClearStaged drops all staged edits.
-func (sess *Session) ClearStaged() { sess.Staged = nil }
-
 // RegenerateContext re-runs generation in a staging environment: the live
 // knowledge set plus the staged edits. The staged-engine generation aborts
 // mid-pipeline once ctx is done.

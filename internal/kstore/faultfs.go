@@ -103,13 +103,6 @@ func (f *FaultFS) Injected() int64 {
 	return f.injected
 }
 
-// Crashed reports whether a FaultCrash has fired.
-func (f *FaultFS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // begin accounts one operation and returns the fault to apply, if any.
 func (f *FaultFS) begin(what string) (Fault, error) {
 	f.mu.Lock()

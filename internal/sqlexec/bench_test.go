@@ -149,25 +149,6 @@ func BenchmarkCompiledExpr(b *testing.B) {
 	compiledBenchModes(b, db, sql)
 }
 
-// BenchmarkTopNLimit measures ORDER BY with a small static LIMIT over a
-// large result: the compiled engine's bounded heap versus the full stable
-// sort.
-func BenchmarkTopNLimit(b *testing.B) {
-	db := exprBenchDB(50000)
-	sql := "SELECT A, B FROM T ORDER BY B DESC, A LIMIT 5"
-	compiledBenchModes(b, db, sql)
-}
-
-// BenchmarkPredicatePushdown measures a selective single-side WHERE over an
-// FK join: pushed below the join it shrinks the hash build/probe inputs,
-// above it the join materializes every matching pair first.
-func BenchmarkPredicatePushdown(b *testing.B) {
-	db := joinBenchDB(4000, 10)
-	sql := "SELECT COUNT(*), SUM(AMOUNT) FROM PARENTS JOIN CHILDREN ON PARENTS.ID = CHILDREN.PARENT_ID " +
-		"WHERE PARENTS.NAME = 'p0001'"
-	compiledBenchModes(b, db, sql)
-}
-
 // BenchmarkScanFilter measures a selective filtered projection scan.
 func BenchmarkScanFilter(b *testing.B) {
 	db := exprBenchDB(50000)

@@ -584,93 +584,6 @@ func compileCase(ce *sqlparse.CaseExpr, cols []bindCol) (program, bool) {
 	}, allConst)
 }
 
-// exprTotal reports whether evaluating e can never return an error, for any
-// input row. It is deliberately conservative: only operators whose value
-// semantics are total (comparisons, boolean logic, concatenation, LIKE,
-// BETWEEN, IS NULL, and arity-checked string functions) qualify; arithmetic,
-// CAST, numeric/date functions and subqueries can all fail on data. The
-// predicate-pushdown pass relies on this to reorder evaluation without
-// changing which error (if any) a query surfaces.
-func exprTotal(e sqlparse.Expr, cols []bindCol) bool {
-	switch x := e.(type) {
-	case *sqlparse.NumberLit:
-		_, err := parseNumber(x.Text)
-		return err == nil
-	case *sqlparse.StringLit, *sqlparse.NullLit, *sqlparse.BoolLit:
-		return true
-	case *sqlparse.ColumnRef:
-		return bindColumn(x, cols) >= 0
-	case *sqlparse.Unary:
-		// "-" can fail on non-numeric strings; "+" and NOT cannot.
-		return (x.Op == "+" || x.Op == "NOT") && exprTotal(x.X, cols)
-	case *sqlparse.Binary:
-		switch x.Op {
-		case "=", "<>", "<", "<=", ">", ">=", "||", "AND", "OR":
-			return exprTotal(x.L, cols) && exprTotal(x.R, cols)
-		}
-		return false // arithmetic errors on non-numeric operands
-	case *sqlparse.CaseExpr:
-		if x.Operand != nil && !exprTotal(x.Operand, cols) {
-			return false
-		}
-		for _, w := range x.Whens {
-			if !exprTotal(w.Cond, cols) || !exprTotal(w.Then, cols) {
-				return false
-			}
-		}
-		return x.Else == nil || exprTotal(x.Else, cols)
-	case *sqlparse.InExpr:
-		if x.Select != nil || !exprTotal(x.X, cols) {
-			return false
-		}
-		for _, item := range x.List {
-			if !exprTotal(item, cols) {
-				return false
-			}
-		}
-		return true
-	case *sqlparse.BetweenExpr:
-		return exprTotal(x.X, cols) && exprTotal(x.Lo, cols) && exprTotal(x.Hi, cols)
-	case *sqlparse.LikeExpr:
-		return exprTotal(x.X, cols) && exprTotal(x.Pattern, cols)
-	case *sqlparse.IsNullExpr:
-		return exprTotal(x.X, cols)
-	case *sqlparse.FuncCall:
-		if x.Over != nil || isAggregateName(x.Name) || x.Star || x.Distinct {
-			return false
-		}
-		switch x.Name {
-		case "UPPER", "LOWER", "TRIM", "LENGTH", "LEN":
-			if len(x.Args) != 1 {
-				return false
-			}
-		case "NULLIF":
-			if len(x.Args) != 2 {
-				return false
-			}
-		case "REPLACE":
-			if len(x.Args) != 3 {
-				return false
-			}
-		case "SUBSTR", "SUBSTRING":
-			if len(x.Args) != 2 && len(x.Args) != 3 {
-				return false
-			}
-		case "COALESCE", "IFNULL", "CONCAT":
-			// any arity
-		default:
-			return false
-		}
-		for _, a := range x.Args {
-			if !exprTotal(a, cols) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // staticInt folds a LIMIT/OFFSET expression to an integer. Both execution
 // paths use it (the interpreter at apply time, the compiler at plan time),
 // so non-constant and non-integer limits are rejected identically.

@@ -260,9 +260,9 @@ func TestLimitOffsetFolding(t *testing.T) {
 	}
 }
 
-// TestTopNOrderByParity exercises the bounded-heap ORDER BY + LIMIT path
-// against the interpreter's full stable sort, including duplicate keys
-// (where stability is observable), NULL keys, DESC, and OFFSET.
+// TestTopNOrderByParity checks ORDER BY + LIMIT/OFFSET against the
+// interpreter, including duplicate keys (where stability is observable),
+// NULL keys, DESC, and limits at, below and past the result size.
 func TestTopNOrderByParity(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	db := sqldb.NewDatabase("topn")
@@ -290,27 +290,13 @@ func TestTopNOrderByParity(t *testing.T) {
 	} {
 		runBothExec(t, db, sql)
 	}
-	// White-box: the heap must actually engage for a small static LIMIT.
-	stmt, err := sqlparse.Parse("SELECT K FROM T ORDER BY K LIMIT 7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := compileStmt(db, stmt)
-	if sp.fallback || sp.core.fallback {
-		t.Fatal("ORDER BY + LIMIT statement should compile without fallback")
-	}
-	if n, ok := sp.core.topN(500); !ok || n != 7 {
-		t.Errorf("topN(500) = %d, %v; want 7, true", n, ok)
-	}
-	if _, ok := sp.core.topN(5); ok {
-		t.Error("topN should disengage when the limit covers the whole result")
-	}
 }
 
-// TestPredicatePushdownParity drives single-side WHERE conjuncts across all
-// join kinds, including null-accepting predicates (IS NULL) that are only
-// safe to push to the preserved side, and non-total conjuncts that must
-// disable pushdown entirely.
+// TestPredicatePushdownParity checks WHERE over joins against the
+// interpreter: single-side conjuncts across all join kinds, null-accepting
+// predicates (IS NULL) that see an outer join's synthesized NULL rows,
+// erroring conjuncts, and ON expressions that can error on rows the WHERE
+// would later drop.
 func TestPredicatePushdownParity(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	db := parityDB(r, 40, 40, 10, 0.15)
@@ -321,31 +307,30 @@ func TestPredicatePushdownParity(t *testing.T) {
 			"SELECT LV, RV FROM L %s R ON L.K = R.K WHERE R.GRP = 'g2' ORDER BY LV, RV", kind))
 		runBothExec(t, db, fmt.Sprintf(
 			"SELECT LV, RV FROM L %s R ON L.K = R.K WHERE L.GRP = 'g1' AND R.GRP <> 'g0'", kind))
-		// Null-accepting predicates on each side: divergence here means a
-		// predicate was pushed to a null-supplying input.
+		// Null-accepting predicates on each side: they must see the rows an
+		// outer join synthesizes for its null-supplying input.
 		runBothExec(t, db, fmt.Sprintf(
 			"SELECT COUNT(*) FROM L %s R ON L.K = R.K WHERE L.K IS NULL", kind))
 		runBothExec(t, db, fmt.Sprintf(
 			"SELECT COUNT(*) FROM L %s R ON L.K = R.K WHERE R.K IS NULL", kind))
 		runBothExec(t, db, fmt.Sprintf(
 			"SELECT COUNT(*) FROM L %s R ON L.K = R.K WHERE R.RV IS NULL OR R.GRP = 'g1'", kind))
-		// Mixed-side conjunct stays above the join.
+		// A conjunct over both sides.
 		runBothExec(t, db, fmt.Sprintf(
 			"SELECT COUNT(*) FROM L %s R ON L.K = R.K WHERE L.GRP = R.GRP AND L.LV < 20", kind))
-		// A non-total conjunct (arithmetic can error) disables pushdown; an
-		// erroring one must error identically.
+		// Conjuncts that can error (arithmetic, CAST) must error
+		// identically.
 		runBothExec(t, db, fmt.Sprintf(
 			"SELECT COUNT(*) FROM L %s R ON L.K = R.K WHERE L.LV + 0 >= 0 AND R.GRP = 'g1'", kind))
 		runBothExec(t, db, fmt.Sprintf(
 			"SELECT COUNT(*) FROM L %s R ON L.K = R.K WHERE CAST(L.GRP AS INTEGER) > 0", kind))
 	}
-	// Three-way join: conjuncts push through nested join nodes.
+	// Three-way join: conjuncts over the leaves of nested join nodes.
 	runBothExec(t, db,
 		"SELECT COUNT(*) FROM L JOIN R ON L.K = R.K JOIN L AS L2 ON R.K = L2.K WHERE L2.GRP = 'g1' AND L.GRP = 'g0'")
 
-	// A join whose ON expression can error must disable pushdown: the
-	// interpreter evaluates ON for rows the WHERE filter would later
-	// remove, so filtering them out pre-join would suppress the error.
+	// A join whose ON expression can error: the interpreter evaluates ON
+	// for rows the WHERE filter later removes, so the error must surface.
 	errDB := sqldb.NewDatabase("onerr")
 	a := sqldb.NewTable("A", sqldb.Column{Name: "S"}, sqldb.Column{Name: "N"})
 	a.MustAppend(sqldb.Str("drop"), sqldb.Str("abc"))
@@ -356,42 +341,6 @@ func TestPredicatePushdownParity(t *testing.T) {
 	errDB.AddTable(bt)
 	runBothExec(t, errDB, "SELECT A.S FROM A JOIN B ON A.N + B.M = 2 WHERE A.S = 'keep'")
 	runBothExec(t, errDB, "SELECT A.S FROM A JOIN B ON CAST(A.N AS INTEGER) = B.M WHERE A.S = 'keep'")
-	stmtOn, err := sqlparse.Parse("SELECT A.S FROM A JOIN B ON A.N + B.M = 2 WHERE A.S = 'keep'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spOn := compileStmt(errDB, stmtOn)
-	if n := len(spOn.core.from.join.left.leaf.filters); n != 0 {
-		t.Errorf("non-total ON expression must disable pushdown; leaf got %d filters", n)
-	}
-
-	// White-box: inner-join single-side conjuncts land on the leaves.
-	stmt, err := sqlparse.Parse("SELECT LV FROM L JOIN R ON L.K = R.K WHERE L.GRP = 'g1' AND R.GRP = 'g2'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := compileStmt(db, stmt)
-	if sp.fallback || sp.core.fallback {
-		t.Fatal("pushdown statement should compile without fallback")
-	}
-	if len(sp.core.where) != 0 {
-		t.Errorf("inner join: %d conjuncts left above the join, want 0", len(sp.core.where))
-	}
-	left, right := sp.core.from.join.left.leaf, sp.core.from.join.right.leaf
-	if len(left.filters) != 1 || len(right.filters) != 1 {
-		t.Errorf("leaf filters = %d/%d, want 1/1", len(left.filters), len(right.filters))
-	}
-	// LEFT JOIN: only the preserved (left) side may receive predicates.
-	stmt, err = sqlparse.Parse("SELECT LV FROM L LEFT JOIN R ON L.K = R.K WHERE L.GRP = 'g1' AND R.GRP = 'g2'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp = compileStmt(db, stmt)
-	left, right = sp.core.from.join.left.leaf, sp.core.from.join.right.leaf
-	if len(left.filters) != 1 || len(right.filters) != 0 || len(sp.core.where) != 1 {
-		t.Errorf("left join pushdown = %d/%d leaf filters, %d residual; want 1/0 leaf, 1 residual",
-			len(left.filters), len(right.filters), len(sp.core.where))
-	}
 }
 
 // TestCompiledEngagesOnWorkloadShapes pins the compiler's coverage: the
@@ -410,28 +359,7 @@ func TestCompiledEngagesOnWorkloadShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", sql, err)
 		}
-		sp := compileStmt(db, stmt)
-		var check func(sp *stmtPlan) bool
-		check = func(sp *stmtPlan) bool {
-			if sp.fallback {
-				return false
-			}
-			for _, c := range sp.ctes {
-				if !check(c.sub) {
-					return false
-				}
-			}
-			if sp.core.fallback {
-				return false
-			}
-			for _, p := range sp.compound {
-				if p.core.fallback {
-					return false
-				}
-			}
-			return true
-		}
-		if !check(sp) {
+		if fbs := stmtFallbacks(compileStmt(db, stmt), nil); len(fbs) > 0 {
 			t.Errorf("workload shape fell back to the interpreter: %s", sql)
 		}
 	}

@@ -466,8 +466,8 @@ func resolveOrderTargets(orderBy []sqlparse.OrderItem, items []sqlparse.SelectIt
 // compareOrderKeys orders two hidden ORDER BY key rows under the ORDER BY
 // items (descending items invert), returning 0 when every key compares
 // equal; callers layer their own stability rule on top. Shared by the
-// interpreter's stable sort, the compiled sort and the top-N heap, so
-// ordering semantics cannot diverge between paths.
+// interpreter's stable sort and the compiled one, so ordering semantics
+// cannot diverge between paths.
 func compareOrderKeys(a, b sqldb.Row, orderBy []sqlparse.OrderItem) int {
 	for k, item := range orderBy {
 		c := sqldb.CompareForSort(a[k], b[k])
@@ -661,7 +661,7 @@ func (e *Executor) evalJoin(j *sqlparse.JoinExpr, sc *scope, outer *rowEnv) (rel
 }
 
 // joinRelations joins two already-materialized inputs; the compiled planner
-// calls it directly after applying pushed-down predicates to the leaves.
+// calls it directly on the inputs runFrom materialized.
 func (e *Executor) joinRelations(j *sqlparse.JoinExpr, left, right relation, cols []bindCol,
 	sc *scope, outer *rowEnv) (relation, error) {
 

@@ -36,12 +36,59 @@ var RunBothExec = runBothExec
 // the external test package, which runs it over the workload's gold SQL.
 var CheckResultSurvives = checkResultSurvives
 
-// StatementFallsBack reports whether sql, compiled against db, would run
-// whole on the interpreter instead of the compiled engine.
-func StatementFallsBack(db *sqldb.Database, sql string) (bool, error) {
+// Fallback is one part of a compiled statement that runs on the
+// interpreter instead of the compiled engine.
+type Fallback struct {
+	Core   bool // one select core; false means a whole statement
+	Window bool // the core has a window call in its projection or ORDER BY
+}
+
+// StatementFallsBack lists the parts of sql, compiled against db, that run
+// on the interpreter: whole statements and single cores, found by walking
+// CTE subplans, derived-table leaves and compound arms. Subqueries inside
+// expressions are not listed; the interpreter always evaluates them.
+func StatementFallsBack(db *sqldb.Database, sql string) ([]Fallback, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	return compileStmt(db, stmt).fallback, nil
+	return stmtFallbacks(compileStmt(db, stmt), nil), nil
+}
+
+func stmtFallbacks(sp *stmtPlan, out []Fallback) []Fallback {
+	if sp.fallback {
+		return append(out, Fallback{})
+	}
+	for _, c := range sp.ctes {
+		out = stmtFallbacks(c.sub, out)
+	}
+	out = coreFallbacks(sp.core, out)
+	for _, part := range sp.compound {
+		out = coreFallbacks(part.core, out)
+	}
+	return out
+}
+
+func coreFallbacks(cp *corePlan, out []Fallback) []Fallback {
+	if !cp.fallback {
+		return fromFallbacks(cp.from, out)
+	}
+	window := false
+	for _, item := range cp.src.Items {
+		window = window || hasWindowCall(item.Expr)
+	}
+	for _, o := range cp.srcOrderBy {
+		window = window || hasWindowCall(o.Expr)
+	}
+	return append(out, Fallback{Core: true, Window: window})
+}
+
+func fromFallbacks(fp *fromPlan, out []Fallback) []Fallback {
+	switch {
+	case fp.join != nil:
+		return fromFallbacks(fp.join.right, fromFallbacks(fp.join.left, out))
+	case fp.leaf.sub != nil:
+		return stmtFallbacks(fp.leaf.sub, out)
+	}
+	return out
 }

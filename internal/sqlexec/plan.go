@@ -10,15 +10,11 @@ import (
 
 // Statement plans: the compile-once layer above the expression programs in
 // compile.go. A plan binds every clause of a statement against statically
-// known relation layouts (base tables, CTEs, derived tables) and adds three
-// plan-level optimizations the interpreter does not perform:
-//
-//   - predicate pushdown: WHERE conjuncts that are provably error-free and
-//     bind entirely to one preserved-side join input are evaluated before
-//     the join, shrinking hash build/probe inputs;
-//   - hash DISTINCT and GROUP BY keyed by length-prefixed composite keys;
-//   - top-N ORDER BY: with a static LIMIT, a bounded heap replaces the full
-//     sort.
+// known relation layouts (base tables, CTEs, derived tables) and runs the
+// clauses in the interpreter's order — WHERE after the join, a stable sort
+// before LIMIT — adding one plan-level optimization the interpreter does
+// not perform: hash DISTINCT and GROUP BY keyed by length-prefixed
+// composite keys.
 //
 // Anything the compiler cannot bind statically — window functions in the
 // projection, star expansion over unknown layouts, unknown tables, ORDER BY
@@ -68,7 +64,7 @@ type corePlan struct {
 	fallback            bool
 
 	from       *fromPlan
-	where      []program // conjuncts not claimed by pushdown, in source order
+	where      program // nil without a WHERE clause
 	items      []sqlparse.SelectItem
 	outCols    []string
 	aggregated bool
@@ -90,11 +86,10 @@ type fromPlan struct {
 }
 
 type leafPlan struct {
-	noFrom  bool
-	table   string    // base table name ("" when CTE or derived)
-	cte     string    // CTE name ("" when not a CTE)
-	sub     *stmtPlan // derived table
-	filters []program // pushed-down predicates over this leaf's columns
+	noFrom bool
+	table  string    // base table name ("" when CTE or derived)
+	cte    string    // CTE name ("" when not a CTE)
+	sub    *stmtPlan // derived table
 }
 
 type joinPlan struct {
@@ -145,12 +140,9 @@ func compileStmtScoped(db *sqldb.Database, stmt *sqlparse.SelectStmt, ss *static
 			cols := subCols
 			colsOK := subOK
 			if len(cte.Columns) > 0 {
-				if subOK && len(cte.Columns) != len(subCols) {
-					// Declared arity mismatch: the interpreter raises it only
-					// after evaluating the CTE's select, so fall back.
-					sp.fallback = true
-					return sp, nil, false
-				}
+				// A declared arity that does not match the select's is
+				// raised by runStmt after the CTE's select has run, where
+				// the interpreter raises it.
 				cols = cte.Columns
 				colsOK = true
 			}
@@ -248,7 +240,9 @@ func compileCore(db *sqldb.Database, core *sqlparse.SelectCore, ss *staticScope,
 		}
 	}
 
-	compileWhere(cp, core.Where, from)
+	if core.Where != nil {
+		cp.where, _ = compileExpr(core.Where, from.cols)
+	}
 
 	for _, ge := range core.GroupBy {
 		p, _ := compileExpr(ge, from.cols)
@@ -280,130 +274,6 @@ func hasWindowCall(e sqlparse.Expr) bool {
 		}
 	})
 	return found
-}
-
-// compileWhere lowers the WHERE clause, attempting predicate pushdown when
-// the FROM clause is a join. Pushdown only engages when *every* conjunct is
-// total (exprTotal): under three-valued logic the kept row set of an AND
-// chain is order-independent, and with no conjunct able to error,
-// evaluating some of them early (on rows the interpreter never filters) or
-// skipping them (on rows a pushed predicate already rejected) is
-// unobservable. Every join ON expression in the tree must be total as well:
-// leaf filters remove rows before the join evaluates ON, so an ON
-// expression that can error on a filtered-out row would otherwise lose the
-// error the interpreter raises. Conjuncts are pushed only to
-// preserved-side inputs — the null-supplying side of an outer join sees
-// synthesized NULL rows the pre-join input does not, where a
-// null-accepting predicate could diverge.
-func compileWhere(cp *corePlan, where sqlparse.Expr, from *fromPlan) {
-	if where == nil {
-		return
-	}
-	conjs := splitConjuncts(where, nil)
-	pushdown := from.join != nil && joinOnTotal(from)
-	if pushdown {
-		for _, conj := range conjs {
-			if !exprTotal(conj, from.cols) {
-				pushdown = false
-				break
-			}
-		}
-	}
-	if !pushdown {
-		p, _ := compileExpr(where, from.cols)
-		cp.where = []program{p}
-		return
-	}
-	leaves := collectLeaves(from, true, 0, nil)
-	for _, conj := range conjs {
-		if leaf := pushTarget(conj, from.cols, leaves); leaf != nil {
-			p, _ := compileExpr(conj, leaf.cols)
-			leaf.leaf.filters = append(leaf.leaf.filters, p)
-			continue
-		}
-		p, _ := compileExpr(conj, from.cols)
-		cp.where = append(cp.where, p)
-	}
-}
-
-// joinOnTotal reports whether every ON expression in the join tree is
-// total (evaluated against that join node's combined layout); only then is
-// filtering an input before the join unable to suppress an ON error.
-func joinOnTotal(fp *fromPlan) bool {
-	if fp.leaf != nil {
-		return true
-	}
-	if on := fp.join.src.On; on != nil && !exprTotal(on, fp.cols) {
-		return false
-	}
-	return joinOnTotal(fp.join.left) && joinOnTotal(fp.join.right)
-}
-
-// leafRange is one scan leaf of a join tree with its ordinal range in the
-// combined column layout and whether predicates may be pushed to it.
-type leafRange struct {
-	leaf       *leafPlan
-	cols       []bindCol
-	start, end int
-	pushable   bool
-}
-
-func collectLeaves(fp *fromPlan, pushable bool, start int, acc []leafRange) []leafRange {
-	if fp.leaf != nil {
-		return append(acc, leafRange{
-			leaf: fp.leaf, cols: fp.cols,
-			start: start, end: start + len(fp.cols), pushable: pushable,
-		})
-	}
-	leftPush, rightPush := pushable, pushable
-	switch fp.join.src.Kind {
-	case sqlparse.LeftJoin:
-		rightPush = false
-	case sqlparse.RightJoin:
-		leftPush = false
-	case sqlparse.FullJoin:
-		leftPush, rightPush = false, false
-	}
-	acc = collectLeaves(fp.join.left, leftPush, start, acc)
-	return collectLeaves(fp.join.right, rightPush, start+len(fp.join.left.cols), acc)
-}
-
-// pushTarget returns the leaf a conjunct may be pushed to: every column
-// reference must resolve (first-match against the combined layout, exactly
-// as evaluation would) into the same pushable leaf's ordinal range. Within
-// one leaf the combined-layout first match and the leaf-local first match
-// are the same column, so recompiling against the leaf's own layout is
-// sound. Constant-only conjuncts stay above the join.
-func pushTarget(conj sqlparse.Expr, cols []bindCol, leaves []leafRange) *leafRange {
-	target := -1
-	ok := true
-	sqlparse.WalkExprs(conj, func(x sqlparse.Expr) {
-		cr, isRef := x.(*sqlparse.ColumnRef)
-		if !isRef || !ok {
-			return
-		}
-		ord := bindColumn(cr, cols)
-		if ord < 0 {
-			ok = false
-			return
-		}
-		li := -1
-		for i := range leaves {
-			if ord >= leaves[i].start && ord < leaves[i].end {
-				li = i
-				break
-			}
-		}
-		if li < 0 || (target >= 0 && target != li) {
-			ok = false
-			return
-		}
-		target = li
-	})
-	if !ok || target < 0 || !leaves[target].pushable {
-		return nil
-	}
-	return &leaves[target]
 }
 
 // compileFrom lowers a FROM clause into a scan/join tree with statically
@@ -577,22 +447,15 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 
 	env := &rowEnv{exec: e, sc: sc, cols: rel.cols}
 
-	if len(cp.where) > 0 {
+	if cp.where != nil {
 		kept := scr.rows.take(len(rel.rows))[:0]
 		for _, row := range rel.rows {
 			env.row = row
-			keep := true
-			for _, p := range cp.where {
-				v, err := p(env)
-				if err != nil {
-					return nil, err
-				}
-				if !truthy(v) {
-					keep = false
-					break
-				}
+			v, err := cp.where(env)
+			if err != nil {
+				return nil, err
 			}
-			if keep {
+			if truthy(v) {
 				kept = append(kept, row)
 			}
 		}
@@ -605,7 +468,7 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 	// projection calls is known before the first (begin), so the slab's
 	// first chunk and outs are made at their final size. projected counts
 	// projection calls so the survivors can be compacted off the slab when
-	// DISTINCT/top-N discard most of them (see below).
+	// DISTINCT or LIMIT/OFFSET discard most of them (see below).
 	var slab rowSlab
 	var outs []projRow
 	projected := 0
@@ -693,9 +556,9 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 	return finishCore(cp, outs, projected)
 }
 
-// finishCore applies a core's post-projection stages — DISTINCT, ORDER BY
-// (top-N when the limit folded), LIMIT/OFFSET, slab compaction — to the
-// projected rows.
+// finishCore applies a core's post-projection stages — DISTINCT, the
+// stable ORDER BY sort, LIMIT/OFFSET, slab compaction — to the projected
+// rows.
 func finishCore(cp *corePlan, outs []projRow, projected int) (*Result, error) {
 	if cp.distinct {
 		seen := make(map[string]bool, len(outs))
@@ -715,13 +578,9 @@ func finishCore(cp *corePlan, outs []projRow, projected int) (*Result, error) {
 	}
 
 	if len(cp.orderBy) > 0 {
-		if n, ok := cp.topN(len(outs)); ok {
-			outs = topNProjRows(outs, cp.orderBy, n)
-		} else {
-			sort.SliceStable(outs, func(i, j int) bool {
-				return compareOrderKeys(outs[i].keys, outs[j].keys, cp.orderBy) < 0
-			})
-		}
+		sort.SliceStable(outs, func(i, j int) bool {
+			return compareOrderKeys(outs[i].keys, outs[j].keys, cp.orderBy) < 0
+		})
 	}
 
 	res := &Result{Columns: cp.outCols}
@@ -740,7 +599,7 @@ func finishCore(cp *corePlan, outs []projRow, projected int) (*Result, error) {
 }
 
 // compactResultRows copies a small surviving row set into fresh backing
-// storage when DISTINCT, top-N or LIMIT/OFFSET discarded most of the
+// storage when DISTINCT or LIMIT/OFFSET discarded most of the
 // projected rows. It runs after the final truncation so it sees the true
 // survivor count. Without it a handful of retained rows would pin every
 // mostly-dead rowSlab chunk they were carved from — plus the full
@@ -820,99 +679,7 @@ func (e *Executor) runGroupBy(cp *corePlan, rel relation, env *rowEnv) ([][]sqld
 	return groups, nil
 }
 
-// topN reports the bounded-heap size for ORDER BY when a clean static
-// LIMIT (plus OFFSET) needs fewer rows than the full result; otherwise the
-// full stable sort runs (which is also where folded LIMIT/OFFSET errors
-// must still surface, afterwards).
-func (cp *corePlan) topN(total int) (int, bool) {
-	if cp.limit == nil || cp.limit.err != nil {
-		return 0, false
-	}
-	n := cp.limit.n
-	if n < 0 {
-		n = 0
-	}
-	if n >= int64(total) {
-		return 0, false
-	}
-	if cp.offset != nil {
-		if cp.offset.err != nil {
-			return 0, false
-		}
-		off := cp.offset.n
-		if off < 0 {
-			off = 0
-		}
-		if off >= int64(total) || n+off >= int64(total) {
-			return 0, false
-		}
-		n += off
-	}
-	return int(n), true
-}
-
-// topNProjRows returns the first n rows of the stable ORDER BY sort of
-// rows without sorting the whole slice. A bounded max-heap retains the
-// current best n rows; ties break by original index, which makes the order
-// total and its smallest-n prefix exactly the stable sort's prefix.
-func topNProjRows(rows []projRow, orderBy []sqlparse.OrderItem, n int) []projRow {
-	if n <= 0 {
-		return nil
-	}
-	// less is the total sort order: ORDER BY keys, then input position.
-	less := func(i, j int) bool {
-		if c := compareOrderKeys(rows[i].keys, rows[j].keys, orderBy); c != 0 {
-			return c < 0
-		}
-		return i < j
-	}
-	// h is a max-heap of row indices: h[0] is the worst row retained.
-	h := make([]int, 0, n)
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			largest := i
-			if l < len(h) && less(h[largest], h[l]) {
-				largest = l
-			}
-			if r < len(h) && less(h[largest], h[r]) {
-				largest = r
-			}
-			if largest == i {
-				return
-			}
-			h[i], h[largest] = h[largest], h[i]
-			i = largest
-		}
-	}
-	for i := range rows {
-		if len(h) < n {
-			h = append(h, i)
-			for c := len(h) - 1; c > 0; {
-				p := (c - 1) / 2
-				if !less(h[p], h[c]) {
-					break
-				}
-				h[p], h[c] = h[c], h[p]
-				c = p
-			}
-			continue
-		}
-		if less(i, h[0]) {
-			h[0] = i
-			siftDown(0)
-		}
-	}
-	sort.Slice(h, func(a, b int) bool { return less(h[a], h[b]) })
-	out := make([]projRow, len(h))
-	for i, ri := range h {
-		out[i] = rows[ri]
-	}
-	return out
-}
-
-// runFrom materializes a compiled FROM tree, applying pushed-down
-// predicates at the leaves before any join builds its hash table.
+// runFrom materializes a compiled FROM tree.
 func (e *Executor) runFrom(fp *fromPlan, sc *scope) (relation, error) {
 	if fp.leaf != nil {
 		return e.runLeaf(fp, sc)
@@ -952,28 +719,6 @@ func (e *Executor) runLeaf(fp *fromPlan, sc *scope) (relation, error) {
 			return relation{}, execErrf("unknown table %q", lp.table)
 		}
 		rows = tbl.Rows
-	}
-	if len(lp.filters) > 0 {
-		env := &rowEnv{exec: e, sc: sc, cols: fp.cols}
-		kept := sc.scr.rows.take(len(rows))[:0]
-		for _, row := range rows {
-			env.row = row
-			keep := true
-			for _, p := range lp.filters {
-				v, err := p(env)
-				if err != nil {
-					return relation{}, err // unreachable: pushed predicates are total
-				}
-				if !truthy(v) {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				kept = append(kept, row)
-			}
-		}
-		rows = kept
 	}
 	return relation{cols: fp.cols, rows: rows}, nil
 }

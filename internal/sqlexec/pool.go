@@ -14,15 +14,15 @@ import (
 //     itself never escapes — only the interned string does — so pooling is
 //     safe and removes one grow-to-size allocation per hashing site per
 //     query.
-//   - queryScratch holds the intermediates of one Query call: WHERE and
-//     pushed-down-filter survivors (runCore, runLeaf), the GROUP BY
-//     partition — group ids, counts, the key-to-group map and the row
-//     backing cut into groups (runGroupBy) — the HAVING survivors, aggregate
-//     argument buffers (collectAggregateArgs, both engines), hash-join key
-//     slots, match chains and the joined relation's row headers (joinKeys,
-//     hashJoin), and the candidates of a non-constant IN list. One scratch
-//     is taken from scratchPool when Query starts, reaches every clause
-//     through the scope chain, and goes back when Query returns.
+//   - queryScratch holds the intermediates of one Query call: WHERE
+//     survivors (runCore), the GROUP BY partition — group ids, counts, the
+//     key-to-group map and the row backing cut into groups (runGroupBy) —
+//     the HAVING survivors, aggregate argument buffers
+//     (collectAggregateArgs, both engines), hash-join key slots, match
+//     chains and the joined relation's row headers (joinKeys, hashJoin),
+//     and the candidates of a non-constant IN list. One scratch is taken
+//     from scratchPool when Query starts, reaches every clause through the
+//     scope chain, and goes back when Query returns.
 //   - rowSlab chunk-allocates the value slots of projected output rows and
 //     of joined rows. Rows DO escape (into Results and, through the
 //     generation cache, into long-lived Records), so they are never pooled

@@ -170,9 +170,9 @@ func checkResultSurvives(t *testing.T, db *sqldb.Database, sql string, churn []s
 }
 
 // scratchChurn exercises every scratch user over the adversarial database:
-// WHERE and pushed-down survivors, GROUP BY partition and HAVING, aggregate
-// buffers, hash-join keys, chains and joined rows (all four kinds, with a
-// residual), and a non-constant IN list.
+// WHERE survivors, GROUP BY partition and HAVING, aggregate buffers,
+// hash-join keys, chains and joined rows (all four kinds, with a residual),
+// and a non-constant IN list.
 var scratchChurn = []string{
 	"SELECT a.I, b.S, COUNT(*), SUM(b.F) FROM T a JOIN T b ON a.I = b.I WHERE a.F > 1.0 AND b.S IS NOT NULL GROUP BY a.I, b.S HAVING COUNT(*) > 1 ORDER BY 3 DESC",
 	"SELECT a.I, b.I FROM T a LEFT JOIN BOOLS b ON a.I = b.I AND b.I > 3",
