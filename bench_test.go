@@ -87,7 +87,7 @@ func BenchmarkDecomposeCompose(b *testing.B) {
 // examples of a knowledge set, each distinct example text once: the query
 // side of one retrieval pass.
 func BenchmarkEmbedAndSearch(b *testing.B) {
-	ix := embed.NewIndex()
+	ix := embed.NewIndexSized(0, 0)
 	kset, err := benchSuite.BuildKnowledge("sports_holdings")
 	if err != nil {
 		b.Fatal(err)
@@ -143,10 +143,9 @@ func BenchmarkPipelineSingleGeneration(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := benchSuite.CasesByDifficulty(task.Challenging)[0]
-	engine := sys.Engine(c.DB)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.GenerateContext(context.Background(), c.Question, c.Evidence); err != nil {
+		if _, err := sys.GenerateContext(context.Background(), c); err != nil {
 			b.Fatal(err)
 		}
 	}

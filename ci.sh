@@ -4,7 +4,9 @@
 # required-family manifest, a 1-iteration benchmark sweep so every benchmark
 # stays runnable, the overload and stress-scale gates under -race, a bounded
 # kstore crash-fuzz run, a bounded differential fuzz of the SQL date kernels
-# and of the retrieval dot kernel, the EX-parity gate, and short runs of the
+# and of the retrieval dot kernel, the EX-parity gate, the production-reach
+# gate (scripts/reach.sh: every non-test function is reached by a fixed sweep
+# of the five programs or allowlisted with a reason), and short runs of the
 # repo benchmark's exhibits, serve_scaled, serve_cold and serve_hot workloads
 # for their output checks and their allocation budgets.
 set -euo pipefail
@@ -113,6 +115,14 @@ go test -run '^$' -fuzz FuzzDotBatch -fuzztime 10s ./internal/embed
 # benchmark/golden_ex.json is its copy.)
 echo "== EX parity gate (all tables vs committed BENCH_7.json baseline) =="
 go run ./cmd/benchrunner -json /tmp/bench_parity.json -baseline BENCH_7.json > /dev/null
+
+# Each non-test function must be reached by production traffic — the five
+# programs built with coverage and driven through a fixed sweep — or be named
+# in scripts/reach_allowlist.txt with its reason (DESIGN.md, "Production
+# reach"). A new function no program calls fails here, and so does an entry
+# whose function is gone.
+echo "== production reach (coverage of a fixed sweep of the five programs vs the allowlist) =="
+bash scripts/reach.sh
 
 # The repo benchmark checks its own output on every operation: served SQL
 # equals the pinned SQL, cached == uncached, and the exhibits workload's EX

@@ -9,7 +9,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -212,8 +211,7 @@ type knowledgeResponse struct {
 func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(context.Context) (context.Context, context.CancelFunc)) {
 	mux.HandleFunc("POST /v1/feedback/open", func(w http.ResponseWriter, r *http.Request) {
 		var req feedbackOpenRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if req.Database == "" || req.Question == "" {
@@ -250,8 +248,7 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 			return
 		}
 		var req regenerateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if req.Feedback == "" {
@@ -322,8 +319,7 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 			return
 		}
 		var req approveRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if req.Approver == "" {

@@ -27,7 +27,8 @@
 // Engines are built lazily per database (coalesced across concurrent
 // requests) unless -prewarm front-loads them. -timeout bounds each request;
 // a deadline that expires mid-pipeline returns 504 with the cancellation
-// error. -trace logs per-operator timings for every request.
+// error. -trace logs per-operator timings for every request. A JSON body
+// over 1 MiB gets 413.
 //
 // Overload behavior: -admitrate / -admitburst put a per-database token
 // bucket in front of generation (shed requests get 429 + Retry-After);
@@ -222,6 +223,31 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// maxBodyBytes bounds a request body. The largest legitimate body, a batch
+// of questions, is a few kilobytes; without a bound one client could make
+// the daemon buffer any amount of data.
+const maxBodyBytes = 1 << 20
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow client cannot hold a connection open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
+// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v. On
+// failure it answers 413 for an oversized body, else 400, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+		return false
+	}
+	writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	return false
+}
+
 // writeServiceError maps a service error to its HTTP status and, for shed
 // requests (429/503), attaches the admission controller's Retry-After hint
 // so well-behaved clients back off for exactly as long as the token bucket
@@ -400,8 +426,7 @@ func newMux(svc *genedit.Service, suite *genedit.Benchmark, cfg muxConfig) *http
 
 	mux.HandleFunc("POST /v1/generate", func(w http.ResponseWriter, r *http.Request) {
 		var req generateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if req.Database == "" || req.Question == "" {
@@ -421,8 +446,7 @@ func newMux(svc *genedit.Service, suite *genedit.Benchmark, cfg muxConfig) *http
 
 	mux.HandleFunc("POST /v1/generate/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req batchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if len(req.Requests) == 0 {
@@ -529,7 +553,7 @@ func main() {
 			*admitRate, *admitBurst, *maxInflight, *maxQueue)
 	}
 
-	server := &http.Server{Addr: *addr, Handler: newMux(svc, suite, muxConfig{
+	server := &http.Server{Addr: *addr, ReadHeaderTimeout: readHeaderTimeout, Handler: newMux(svc, suite, muxConfig{
 		perReq:      *timeout,
 		maxSessions: *maxSessions,
 		ready:       ready,

@@ -107,6 +107,24 @@ func TestGenerateBadRequest(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413 sends each JSON route a well-formed body just over
+// maxBodyBytes: the daemon must stop reading at the bound and answer 413,
+// whatever the body would otherwise have got.
+func TestOversizedBodyIs413(t *testing.T) {
+	srv := newTestServer(t, time.Second)
+	pad := strings.Repeat("x", maxBodyBytes)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/generate", `{"database":"nope","question":"` + pad + `"}`},
+		{"/v1/generate/batch", `{"requests":[],"pad":"` + pad + `"}`},
+		{"/v1/feedback/open", `{"database":"nope","question":"` + pad + `"}`},
+	} {
+		resp, raw := postJSON(t, srv.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d, want 413; body %.200s", tc.path, len(tc.body), resp.StatusCode, raw)
+		}
+	}
+}
+
 func TestBatchEndpoint(t *testing.T) {
 	srv := newTestServer(t, 30*time.Second)
 	suite := genedit.NewBenchmark(1)

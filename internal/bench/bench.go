@@ -59,9 +59,6 @@ func (g *GenEditSystem) GenerateContext(ctx context.Context, c *task.Case) (stri
 	return rec.FinalSQL, nil
 }
 
-// Engine exposes the per-database engine (used by the feedback experiments).
-func (g *GenEditSystem) Engine(db string) *pipeline.Engine { return g.engines[db] }
-
 // Table1 reproduces the paper's Table 1: GenEdit vs the five baselines on
 // the full eval set. Report order matches the paper's rows.
 func Table1(suite *workload.Suite, seed uint64) ([]*eval.Report, error) {

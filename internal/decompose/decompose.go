@@ -1,9 +1,13 @@
-// Package decompose implements §3.2 of the paper: SQL queries are rewritten
-// into CTE form, decomposed into sub-statements (one fragment per clause of
-// each CTE and of the final select), and re-composed from fragments. The
-// fragments carry pseudo-SQL ("… FROM SPORTS_FINANCIALS …") and generated
-// natural-language descriptions; they are the representation stored in the
-// knowledge set and referenced by CoT plan steps.
+// Package decompose implements §3.2 of the paper: SQL queries are
+// decomposed into sub-statements (one fragment per clause of each CTE and of
+// the final select) and re-composed from fragments. The fragments carry
+// pseudo-SQL ("… FROM SPORTS_FINANCIALS …") and generated natural-language
+// descriptions; they are the representation stored in the knowledge set and
+// referenced by CoT plan steps.
+//
+// The paper's first step, rewriting each query to use CTEs, is not applied:
+// query-log SQL is decomposed as written, so a FROM-clause subquery stays
+// inside its FROM fragment rather than becoming a CTE unit of its own.
 package decompose
 
 import (
@@ -79,54 +83,6 @@ func (f Fragment) Pseudo() string {
 // Key returns a stable identity for the fragment within a query.
 func (f Fragment) Key() string {
 	return f.Unit + "/" + string(f.Clause)
-}
-
-// RewriteToCTE hoists FROM-clause subqueries into named CTEs, producing the
-// "rewrite the queries to use CTEs" normalization of §3.2.1. The statement
-// is deep-copied; the input is never mutated.
-func RewriteToCTE(stmt *sqlparse.SelectStmt) (*sqlparse.SelectStmt, error) {
-	copied, err := sqlparse.Parse(sqlparse.Print(stmt))
-	if err != nil {
-		return nil, fmt.Errorf("rewrite: re-parse failed: %w", err)
-	}
-	used := make(map[string]bool)
-	for _, cte := range copied.With {
-		used[strings.ToUpper(cte.Name)] = true
-	}
-	counter := 0
-	var hoist func(t sqlparse.TableExpr) sqlparse.TableExpr
-	hoist = func(t sqlparse.TableExpr) sqlparse.TableExpr {
-		switch x := t.(type) {
-		case *sqlparse.SubqueryTable:
-			name := x.Alias
-			if name == "" || used[strings.ToUpper(name)] {
-				for {
-					counter++
-					name = fmt.Sprintf("SUBQ_%d", counter)
-					if !used[strings.ToUpper(name)] {
-						break
-					}
-				}
-			}
-			used[strings.ToUpper(name)] = true
-			copied.With = append(copied.With, sqlparse.CTE{Name: name, Select: x.Select})
-			alias := x.Alias
-			if alias == "" {
-				alias = name
-			}
-			return &sqlparse.TableName{Name: name, Alias: alias}
-		case *sqlparse.JoinExpr:
-			x.Left = hoist(x.Left)
-			x.Right = hoist(x.Right)
-			return x
-		default:
-			return t
-		}
-	}
-	if copied.Core.From != nil {
-		copied.Core.From = hoist(copied.Core.From)
-	}
-	return copied, nil
 }
 
 // Decompose splits a statement into fragments: per-clause sub-statements for
@@ -232,21 +188,6 @@ func decomposeUnit(unit string, sel *sqlparse.SelectStmt) []Fragment {
 		})
 	}
 	return frags
-}
-
-// Compose reassembles fragments into a runnable statement. Units appear in
-// first-occurrence order; the final (unnamed) unit becomes the outer select.
-// Compose is the inverse of Decompose up to canonical formatting.
-func Compose(frags []Fragment) (*sqlparse.SelectStmt, error) {
-	sql, err := ComposeSQL(frags)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, fmt.Errorf("compose: assembled SQL does not parse: %w", err)
-	}
-	return stmt, nil
 }
 
 // ComposeSQL reassembles fragments into SQL text.

@@ -83,9 +83,14 @@ func TestComposeDecomposeRoundTrip(t *testing.T) {
 			t.Errorf("decompose %q: %v", src, err)
 			continue
 		}
-		stmt, err := Compose(frags)
+		sql, err := ComposeSQL(frags)
 		if err != nil {
 			t.Errorf("compose %q: %v", src, err)
+			continue
+		}
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Errorf("composed SQL of %q does not parse: %v", src, err)
 			continue
 		}
 		orig, err := sqlparse.Parse(src)
@@ -107,7 +112,11 @@ func TestDecomposeCompoundFallsBackToWhole(t *testing.T) {
 	if len(frags) != 1 || frags[0].Clause != ClauseWhole {
 		t.Fatalf("compound select should decompose to one whole fragment, got %v", keysOf(frags))
 	}
-	stmt, err := Compose(frags)
+	sql, err := ComposeSQL(frags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,67 +125,25 @@ func TestDecomposeCompoundFallsBackToWhole(t *testing.T) {
 	}
 }
 
-func TestRewriteToCTE(t *testing.T) {
-	stmt, err := sqlparse.Parse(
-		"SELECT s.D, s.N FROM (SELECT DEPT AS D, COUNT(*) AS N FROM EMP GROUP BY DEPT) AS s WHERE s.N > 1")
+// Query-log SQL is decomposed as written: a FROM-clause subquery is not
+// hoisted into a CTE unit, it stays inside its FROM fragment.
+func TestFromSubqueryStaysInFromFragment(t *testing.T) {
+	src := "SELECT s.D, s.N FROM (SELECT DEPT AS D, COUNT(*) AS N FROM EMP GROUP BY DEPT) AS s WHERE s.N > 1"
+	frags, err := DecomposeSQL(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewritten, err := RewriteToCTE(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rewritten.With) != 1 {
-		t.Fatalf("rewrite produced %d CTEs, want 1", len(rewritten.With))
-	}
-	if rewritten.With[0].Name != "s" {
-		t.Errorf("CTE name = %q, want subquery alias s", rewritten.With[0].Name)
-	}
-	if _, ok := rewritten.Core.From.(*sqlparse.TableName); !ok {
-		t.Errorf("FROM should be a table reference after rewrite, got %T", rewritten.Core.From)
-	}
-}
-
-func TestRewriteToCTEInsideJoin(t *testing.T) {
-	stmt, err := sqlparse.Parse(
-		"SELECT * FROM A JOIN (SELECT X FROM B) sub ON A.X = sub.X")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rewritten, err := RewriteToCTE(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rewritten.With) != 1 {
-		t.Fatalf("rewrite produced %d CTEs, want 1", len(rewritten.With))
-	}
-	printed := sqlparse.Print(rewritten)
-	if strings.Contains(printed, "JOIN (SELECT") {
-		t.Errorf("join subquery not hoisted: %s", printed)
-	}
-}
-
-func TestRewriteToCTEAvoidsNameCollisions(t *testing.T) {
-	stmt, err := sqlparse.Parse(
-		"WITH sub AS (SELECT 1 AS X) SELECT * FROM (SELECT X FROM sub) sub2, (SELECT 2 AS Y) " +
-			"WHERE 1 = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rewritten, err := RewriteToCTE(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make(map[string]bool)
-	for _, cte := range rewritten.With {
-		upper := strings.ToUpper(cte.Name)
-		if names[upper] {
-			t.Fatalf("duplicate CTE name %q after rewrite", cte.Name)
+	from := ""
+	for _, f := range frags {
+		if f.Unit != "" {
+			t.Errorf("fragment %s: want only final-select units, the subquery is not a CTE", f.Key())
 		}
-		names[upper] = true
+		if f.Clause == ClauseFrom {
+			from = f.SQL
+		}
 	}
-	if len(rewritten.With) != 3 {
-		t.Errorf("want 3 CTEs after hoisting, got %d", len(rewritten.With))
+	if !strings.Contains(from, "GROUP BY DEPT") {
+		t.Errorf("FROM fragment %q lost its subquery", from)
 	}
 }
 

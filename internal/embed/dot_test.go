@@ -233,7 +233,7 @@ func FuzzDotBatch(f *testing.F) {
 // allocates nothing per candidate, whatever the size of the index.
 func TestIndexScoresAllocatesNothing(t *testing.T) {
 	for _, n := range []int{0, 3, 600} {
-		ix := NewIndex()
+		ix := NewIndexSized(0, 0)
 		for i := 0; i < n; i++ {
 			ix.Add(fmt.Sprintf("item-%04d", i), fmt.Sprintf("top %d stores by total net sales in district %d", i, i%7))
 		}

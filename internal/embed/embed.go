@@ -244,9 +244,6 @@ type Index struct {
 	stats  searchCounters
 }
 
-// NewIndex returns an empty index.
-func NewIndex() *Index { return NewIndexSized(0, 0) }
-
 // NewIndexSized returns an empty index with room for the given numbers of
 // items and distinct texts, so that filling it does not grow its tables
 // step by step.

@@ -98,7 +98,7 @@ func scoresOf(ix *Index, query string) []float64 {
 // TestIndexSearchRanksExactMatchFirst: of the scores a search reads, the
 // item whose text is the query scores highest.
 func TestIndexSearchRanksExactMatchFirst(t *testing.T) {
-	ix := NewIndex()
+	ix := NewIndexSized(0, 0)
 	ix.Add("a", "count employees by department")
 	ix.Add("b", "total revenue per region last year")
 	ix.Add("c", "average salary of engineers")
@@ -112,7 +112,7 @@ func TestIndexSearchRanksExactMatchFirst(t *testing.T) {
 }
 
 func TestIndexReplace(t *testing.T) {
-	ix := NewIndex()
+	ix := NewIndexSized(0, 0)
 	ix.Add("x", "alpha beta")
 	ix.Add("x", "gamma delta")
 	if ix.Len() != 1 {
@@ -178,7 +178,7 @@ func checkIndex(t *testing.T, label string, ix *Index, dense map[string]Vector) 
 // addressed by text, not by vector: an equal vector stored under another
 // key gets a slot of its own.
 func TestIndexSharesSlotsByText(t *testing.T) {
-	ix := NewIndex()
+	ix := NewIndexSized(0, 0)
 	dense := map[string]Vector{}
 	for i, text := range []string{"alpha beta", "gamma delta", "alpha beta", "alpha beta", "gamma delta", ""} {
 		id := fmt.Sprintf("t-%d", i)
@@ -201,7 +201,7 @@ func TestIndexSharesSlotsByText(t *testing.T) {
 
 	// A second index that already holds "gamma delta" in its slot 0 takes
 	// the other items from ix without embedding anything.
-	child := NewIndex()
+	child := NewIndexSized(0, 0)
 	child.Add("c-0", "gamma delta")
 	childDense := map[string]Vector{"c-0": Text("gamma delta")}
 	for id := range dense {
@@ -229,7 +229,7 @@ func TestIndexSharesSlotsByText(t *testing.T) {
 // item of a slot removes the slot, so Scores never scores a vector no item
 // reads.
 func TestIndexReplaceKeepsSharedSlots(t *testing.T) {
-	ix := NewIndex()
+	ix := NewIndexSized(0, 0)
 	dense := map[string]Vector{}
 	add := func(id, text string) {
 		ix.Add(id, text)
@@ -277,7 +277,7 @@ func TestIndexReplaceKeepsSharedSlots(t *testing.T) {
 // zero query. Scores writes exactly Slots() results and counts one search
 // of Slots() candidates.
 func TestSearchScoresMatchCosineExactly(t *testing.T) {
-	ix := NewIndex()
+	ix := NewIndexSized(0, 0)
 	dense := map[string]Vector{}
 	add := func(id, text string) {
 		ix.Add(id, text)
@@ -353,7 +353,7 @@ func TestAddNormMatchesGeneralPath(t *testing.T) {
 		"    ",
 		"UPPER lower MiXeD 123 tokens tokens tokens",
 	}
-	fast, general := NewIndex(), NewIndex()
+	fast, general := NewIndexSized(0, 0), NewIndexSized(0, 0)
 	for i, s := range texts {
 		id := fmt.Sprintf("t-%d", i)
 		fast.Add(id, s)
@@ -388,7 +388,7 @@ func BenchmarkIndexAdd(b *testing.B) {
 		texts[i] = fmt.Sprintf("top %d stores by total net sales in district %d for 2023", i, i%7)
 	}
 	b.ReportAllocs()
-	ix := NewIndex()
+	ix := NewIndexSized(0, 0)
 	for i := 0; i < b.N; i++ {
 		ix.Add(fmt.Sprintf("id-%d", i), texts[i%len(texts)])
 	}

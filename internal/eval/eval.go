@@ -52,8 +52,10 @@ type Report struct {
 }
 
 // ResultsEqual implements the EX comparison: results are equal when they
-// have the same columns count and the same multiset of rows (order-
-// insensitive, matching BIRD's set-style comparison).
+// have the same column count and the same multiset of rows, in any order.
+// BIRD's evaluator compares set(rows) instead, so it also equates results
+// that differ only in how often a row repeats. On NewSuite(1) no verdict of
+// GenEdit or of its ablations differs between the two.
 func ResultsEqual(a, b *sqlexec.Result) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -306,20 +308,6 @@ func (rep *Report) EX(d task.Difficulty) float64 {
 		return 0
 	}
 	return 100 * float64(correct) / float64(total)
-}
-
-// Failures lists the incorrect outcomes, optionally filtered by difficulty.
-func (rep *Report) Failures(d task.Difficulty) []Outcome {
-	var out []Outcome
-	for _, o := range rep.Outcomes {
-		if d != "" && o.Case.Difficulty != d {
-			continue
-		}
-		if !o.Correct {
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 // Row renders the report as a benchmark table row (Simple, Moderate,

@@ -331,16 +331,3 @@ func (s *Solver) Approve(p *PendingChange, approver string) error {
 	s.pending = append(s.pending[:found], s.pending[found+1:]...)
 	return nil
 }
-
-// Reject drops a pending change without merging.
-func (s *Solver) Reject(p *PendingChange) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, q := range s.pending {
-		if q == p {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("change %s is not pending", p.FeedbackID)
-}

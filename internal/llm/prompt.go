@@ -107,17 +107,3 @@ func RenderPlanJSON(plan *Plan) string {
 	}
 	return string(data)
 }
-
-// ParsePlanJSON decodes a serialized plan (used by tests and the kbctl
-// inspection tool).
-func ParsePlanJSON(data string) (*Plan, error) {
-	var pj planJSON
-	if err := json.Unmarshal([]byte(data), &pj); err != nil {
-		return nil, err
-	}
-	plan := &Plan{}
-	for _, s := range pj.Steps {
-		plan.Steps = append(plan.Steps, PlanStep{Description: s.Description, Pseudo: s.PseudoSQL})
-	}
-	return plan, nil
-}

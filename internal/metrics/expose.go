@@ -55,35 +55,6 @@ func (h *HistSample) Count() uint64 {
 	return n
 }
 
-// Quantile returns an estimate of quantile q (0 < q ≤ 1) from the bucket
-// counts: the upper bound of the bucket containing the q-th observation.
-// Returns 0 for an empty histogram and +Inf when the quantile lands in the
-// overflow bucket.
-func (f *FamilySnapshot) Quantile(s *Sample, q float64) float64 {
-	if s.Hist == nil {
-		return 0
-	}
-	total := s.Hist.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range s.Hist.BucketCounts {
-		cum += c
-		if cum >= rank {
-			if i < len(f.Buckets) {
-				return f.Buckets[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
 // Family returns the named family snapshot, or nil.
 func (s *Snapshot) Family(name string) *FamilySnapshot {
 	for i := range s.Families {
@@ -125,44 +96,12 @@ func (s *Snapshot) GaugeValue(name string, labelValues ...string) float64 {
 	return 0
 }
 
-// SumCounter sums a counter family across all series whose label values
-// match the given selector: a selector entry of "" matches any value at
-// that position.
-func (s *Snapshot) SumCounter(name string, selector ...string) uint64 {
-	f := s.Family(name)
-	if f == nil {
-		return 0
-	}
-	var total uint64
-	for i := range f.Series {
-		if matchesSelector(f.Series[i].LabelValues, selector) {
-			total += f.Series[i].Count
-		}
-	}
-	return total
-}
-
 func equalValues(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func matchesSelector(values, selector []string) bool {
-	if len(selector) == 0 {
-		return true
-	}
-	if len(values) != len(selector) {
-		return false
-	}
-	for i := range selector {
-		if selector[i] != "" && selector[i] != values[i] {
 			return false
 		}
 	}

@@ -260,17 +260,9 @@ func (c *Counter) Inc() {
 	c.n.Add(1)
 }
 
-// Add adds delta.
-func (c *Counter) Add(delta uint64) {
-	if c == nil {
-		return
-	}
-	c.n.Add(delta)
-}
-
 // Set overwrites the counter's value. It exists for scrape-time bridges
 // from subsystems that keep their own monotonic counters (the generation
-// cache, admission control); hot paths use Inc/Add.
+// cache, admission control); hot paths use Inc.
 func (c *Counter) Set(v uint64) {
 	if c == nil {
 		return
@@ -295,19 +287,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds delta (CAS loop; safe under concurrent Add/Set).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
 }
 
 // Value returns the current value (0 on nil).

@@ -180,9 +180,6 @@ func newEngine(model llm.Model, kset *knowledge.Set, db *sqldb.Database, cfg Con
 // KnowledgeSet returns the engine's live knowledge set.
 func (e *Engine) KnowledgeSet() *knowledge.Set { return e.kset }
 
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // RetrievalStats aggregates the two retrieval indices' search counters.
 type RetrievalStats struct {
 	Examples     embed.SearchStats
@@ -200,9 +197,6 @@ func (e *Engine) RetrievalStats() RetrievalStats {
 
 // Database returns the bound database.
 func (e *Engine) Database() *sqldb.Database { return e.db }
-
-// Schema returns the profiled schema.
-func (e *Engine) Schema() *schema.Schema { return e.sch }
 
 // WithKnowledge returns a new engine over a different knowledge set (the
 // staging environment of §4.2.1), sharing model, database and config. An

@@ -173,7 +173,7 @@ func TestSelfCorrectionRetriesOnError(t *testing.T) {
 				t.Errorf("case %s retried after a successful attempt", c.ID)
 			}
 		}
-		if len(rec.Attempts) > engine.Config().MaxAttempts+1 {
+		if len(rec.Attempts) > DefaultConfig().MaxAttempts+1 {
 			t.Errorf("case %s exceeded the attempt budget: %d", c.ID, len(rec.Attempts))
 		}
 	}

@@ -49,9 +49,8 @@ func traceFrom(ctx context.Context) TraceFunc {
 	return fn
 }
 
-// HasTrace reports whether ctx already carries a trace hook. The service
-// layer uses it to let a per-request hook take precedence over the
-// service-level one.
+// HasTrace reports whether ctx carries a trace hook. The service layer uses
+// it to send traced requests past the generation cache.
 func HasTrace(ctx context.Context) bool { return traceFrom(ctx) != nil }
 
 // traceRecorder accumulates operator timings for one Generate call. A nil

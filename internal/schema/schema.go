@@ -5,7 +5,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"genedit/internal/sqldb"
@@ -22,15 +21,6 @@ type Element struct {
 }
 
 func (e Element) String() string { return e.Table + "." + e.Column }
-
-// ParseElement parses "TABLE.COLUMN" into an Element.
-func ParseElement(s string) (Element, error) {
-	i := strings.IndexByte(s, '.')
-	if i <= 0 || i == len(s)-1 {
-		return Element{}, fmt.Errorf("schema element %q is not TABLE.COLUMN", s)
-	}
-	return Element{Table: s[:i], Column: s[i+1:]}, nil
-}
 
 // Column is a prompt-facing column description.
 type Column struct {
@@ -70,17 +60,6 @@ func FromDatabase(db *sqldb.Database, topK int) *Schema {
 	return s
 }
 
-// Elements lists every column of the schema.
-func (s *Schema) Elements() []Element {
-	var out []Element
-	for _, t := range s.Tables {
-		for _, c := range t.Columns {
-			out = append(out, Element{Table: t.Name, Column: c.Name})
-		}
-	}
-	return out
-}
-
 // HasElement reports whether the schema contains the element
 // (case-insensitive).
 func (s *Schema) HasElement(e Element) bool {
@@ -95,16 +74,6 @@ func (s *Schema) HasElement(e Element) bool {
 		}
 	}
 	return false
-}
-
-// Table returns the named table description, or nil.
-func (s *Schema) Table(name string) *Table {
-	for i := range s.Tables {
-		if strings.EqualFold(s.Tables[i].Name, name) {
-			return &s.Tables[i]
-		}
-	}
-	return nil
 }
 
 // Subset returns a schema containing only the given elements (whole tables
@@ -168,17 +137,4 @@ func (s *Schema) DDL() string {
 		sb.WriteString(");\n")
 	}
 	return sb.String()
-}
-
-// SortedElements returns the schema's elements sorted lexically; useful for
-// deterministic iteration in tests and ranking.
-func (s *Schema) SortedElements() []Element {
-	els := s.Elements()
-	sort.Slice(els, func(i, j int) bool {
-		if els[i].Table != els[j].Table {
-			return els[i].Table < els[j].Table
-		}
-		return els[i].Column < els[j].Column
-	})
-	return els
 }

@@ -25,10 +25,10 @@ func fixtureDB() *sqldb.Database {
 
 func TestFromDatabaseProfilesTopValues(t *testing.T) {
 	s := FromDatabase(fixtureDB(), 5)
-	tbl := s.Table("orders")
-	if tbl == nil {
-		t.Fatal("ORDERS table missing from schema")
+	if len(s.Tables) != 2 || s.Tables[0].Name != "ORDERS" {
+		t.Fatalf("tables = %+v, want ORDERS then USERS", s.Tables)
 	}
+	tbl := &s.Tables[0]
 	region := tbl.Columns[1]
 	if region.Name != "REGION" || len(region.TopValues) != 2 || region.TopValues[0] != "east" {
 		t.Errorf("REGION profile = %+v, want east first", region)
@@ -37,27 +37,14 @@ func TestFromDatabaseProfilesTopValues(t *testing.T) {
 
 func TestElementsAndHasElement(t *testing.T) {
 	s := FromDatabase(fixtureDB(), 0)
-	els := s.Elements()
-	if len(els) != 3 {
-		t.Fatalf("Elements = %d, want 3", len(els))
+	if n := s.ColumnCount(); n != 3 {
+		t.Fatalf("ColumnCount = %d, want 3", n)
 	}
 	if !s.HasElement(Element{Table: "orders", Column: "region"}) {
 		t.Error("HasElement should be case-insensitive")
 	}
 	if s.HasElement(Element{Table: "ORDERS", Column: "MISSING"}) {
 		t.Error("HasElement found a missing column")
-	}
-}
-
-func TestParseElement(t *testing.T) {
-	e, err := ParseElement("ORDERS.REGION")
-	if err != nil || e.Table != "ORDERS" || e.Column != "REGION" {
-		t.Errorf("ParseElement = %+v, %v", e, err)
-	}
-	for _, bad := range []string{"", "X", ".X", "X."} {
-		if _, err := ParseElement(bad); err == nil {
-			t.Errorf("ParseElement(%q) should fail", bad)
-		}
 	}
 }
 
@@ -87,16 +74,6 @@ func TestDDLRendering(t *testing.T) {
 	} {
 		if !strings.Contains(ddl, want) {
 			t.Errorf("DDL missing %q:\n%s", want, ddl)
-		}
-	}
-}
-
-func TestSortedElementsDeterministic(t *testing.T) {
-	s := FromDatabase(fixtureDB(), 0)
-	els := s.SortedElements()
-	for i := 1; i < len(els); i++ {
-		if els[i-1].String() > els[i].String() {
-			t.Errorf("elements not sorted: %v before %v", els[i-1], els[i])
 		}
 	}
 }

@@ -38,9 +38,6 @@ func New(profile Profile, reg *task.Registry, seed uint64) *Model {
 	return &Model{profile: profile, reg: reg, seed: seed}
 }
 
-// Profile returns the model's capability profile.
-func (m *Model) Profile() Profile { return m.profile }
-
 // draw produces a deterministic pseudo-uniform value in [0, 1) keyed by the
 // model seed, system name and the given aspect parts. The raw FNV-1a sum is
 // passed through a splitmix64-style finalizer: FNV's trailing bytes only
@@ -160,12 +157,8 @@ func (m *Model) LinkSchema(question string, full *schema.Schema, ctx *llm.Contex
 	if c == nil {
 		return m.linkByEmbedding(question, full), nil
 	}
-	needed := c.Needed
-	if len(needed) == 0 {
-		needed = neededElements(c.GoldSQL, full)
-	}
 	var linked []schema.Element
-	for _, el := range needed {
+	for _, el := range c.Needed {
 		if m.draw(c.ID, "linkmiss", el.String()) < m.profile.LinkMissRate {
 			continue // the re-ranker filtered out a needed column
 		}
@@ -216,35 +209,6 @@ func (m *Model) linkByEmbedding(question string, full *schema.Schema) []schema.E
 		out = append(out, best.el)
 	}
 	return out
-}
-
-// neededElements scans gold SQL for the schema columns it references.
-func neededElements(sql string, s *schema.Schema) []schema.Element {
-	upper := " " + strings.ToUpper(nonWordToSpace(sql)) + " "
-	var out []schema.Element
-	for _, t := range s.Tables {
-		if !strings.Contains(upper, " "+strings.ToUpper(t.Name)+" ") {
-			continue
-		}
-		for _, c := range t.Columns {
-			if strings.Contains(upper, " "+strings.ToUpper(c.Name)+" ") {
-				out = append(out, schema.Element{Table: t.Name, Column: c.Name})
-			}
-		}
-	}
-	return out
-}
-
-func nonWordToSpace(s string) string {
-	out := []byte(s)
-	for i := 0; i < len(out); i++ {
-		c := out[i]
-		isWord := c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-		if !isWord {
-			out[i] = ' '
-		}
-	}
-	return string(out)
 }
 
 // hasLinkedElement reports whether ctx's linked elements include the column.

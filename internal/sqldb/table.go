@@ -18,13 +18,6 @@ type Column struct {
 // Row is one tuple of values.
 type Row []Value
 
-// Clone returns a copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
 // Table is an in-memory relation.
 type Table struct {
 	Name    string
@@ -135,15 +128,6 @@ func (d *Database) Tables() []*Table {
 	out := make([]*Table, 0, len(d.order))
 	for _, key := range d.order {
 		out = append(out, d.tables[key])
-	}
-	return out
-}
-
-// TableNames returns table names in registration order.
-func (d *Database) TableNames() []string {
-	out := make([]string, 0, len(d.order))
-	for _, key := range d.order {
-		out = append(out, d.tables[key].Name)
 	}
 	return out
 }

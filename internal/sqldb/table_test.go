@@ -88,9 +88,9 @@ func TestDatabaseRegistry(t *testing.T) {
 	if db.Table("nope") != nil {
 		t.Error("missing table should be nil")
 	}
-	names := db.TableNames()
-	if len(names) != 2 || names[0] != "ORDERS" || names[1] != "USERS" {
-		t.Errorf("TableNames = %v, want registration order", names)
+	tables := db.Tables()
+	if len(tables) != 2 || tables[0].Name != "ORDERS" || tables[1].Name != "USERS" {
+		t.Errorf("Tables = %v, want registration order", tables)
 	}
 
 	// Replacement keeps order, swaps contents.
@@ -101,14 +101,5 @@ func TestDatabaseRegistry(t *testing.T) {
 	}
 	if db.Table("ORDERS") != replacement {
 		t.Error("replacement did not take effect")
-	}
-}
-
-func TestRowClone(t *testing.T) {
-	r := Row{Int(1), Str("x")}
-	c := r.Clone()
-	c[0] = Int(2)
-	if r[0].I != 1 {
-		t.Error("Clone shares backing storage")
 	}
 }

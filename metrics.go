@@ -36,8 +36,8 @@ func WithMetrics(reg *metrics.Registry) Option {
 // request reports timings of an actual pipeline run, so traced requests
 // bypass the cache and are not inserted into it. A sampled request
 // therefore always pays full pipeline cost. Requests already traced via
-// WithTrace or WithTraceContext feed the same histograms at no extra cost
-// (they bypass the cache anyway).
+// WithTrace feed the same histograms at no extra cost (they bypass the cache
+// anyway).
 func WithOperatorSampling(n int) Option {
 	return func(s *Service) { s.opSampleEvery = n }
 }
@@ -265,15 +265,11 @@ func outcomeOf(resp *Response, err error) string {
 	}
 }
 
-// maybeTraceContext decides a request's trace hook. Precedence: a hook
-// already on ctx (WithTraceContext) wins untouched; a service-level
+// maybeTraceContext decides a request's trace hook. A service-level
 // WithTrace hook is wrapped so the operator histograms ride along for free
 // (the request bypasses the cache either way); otherwise every
 // opSampleEvery-th request is sampled into the histograms.
 func (s *Service) maybeTraceContext(ctx context.Context) context.Context {
-	if pipeline.HasTrace(ctx) {
-		return ctx
-	}
 	if s.trace != nil {
 		user := s.trace
 		return pipeline.WithTrace(ctx, func(tr *Trace) {

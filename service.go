@@ -53,7 +53,7 @@ var (
 // failed; see Response.Failure.
 type GenerationError = pipeline.GenerationError
 
-// Trace types for the per-request timing hook (WithTrace / WithTraceContext).
+// Trace types for the per-request timing hook (WithTrace).
 type (
 	// Trace is one request's per-operator timing report.
 	Trace = pipeline.Trace
@@ -62,12 +62,6 @@ type (
 	// TraceFunc observes a request's Trace; it must be concurrency-safe.
 	TraceFunc = pipeline.TraceFunc
 )
-
-// WithTraceContext attaches a per-request trace hook to ctx, overriding any
-// service-level WithTrace hook for that request.
-func WithTraceContext(ctx context.Context, fn TraceFunc) context.Context {
-	return pipeline.WithTrace(ctx, fn)
-}
 
 // Request is one generation job for Service.Generate / GenerateBatch.
 type Request struct {
@@ -182,9 +176,8 @@ func WithAdmission(cfg AdmissionConfig) Option {
 type handler func(ctx context.Context, req Request) (*Response, error)
 
 // WithTrace installs a service-level per-request trace hook: fn receives
-// per-operator timings for every Generate / GenerateBatch request. A hook
-// attached to a request's ctx via WithTraceContext takes precedence for
-// that request. fn must be safe for concurrent use.
+// per-operator timings for every Generate / GenerateBatch request. fn must
+// be safe for concurrent use.
 func WithTrace(fn TraceFunc) Option { return func(s *Service) { s.trace = fn } }
 
 // WithStorePath makes the service durable: each database's knowledge set is
@@ -528,8 +521,9 @@ func (s *Service) Prewarm(ctx context.Context, dbs ...string) error {
 // version, normalized question, evidence) key has a completed Record is
 // served from the cache, and concurrent identical requests coalesce onto
 // one pipeline run; Response.Cached reports which path served the request.
-// Requests carrying a trace hook (WithTrace or WithTraceContext) bypass the
-// cache — the hook's contract is per-operator timings of an actual run.
+// Traced requests (a WithTrace hook, or one WithOperatorSampling picks)
+// bypass the cache — the hook's contract is per-operator timings of an
+// actual run.
 func (s *Service) Generate(ctx context.Context, req Request) (*Response, error) {
 	start := time.Now()
 	if err := generr.FromContext(ctx); err != nil {

@@ -249,19 +249,6 @@ func TestServiceTrace(t *testing.T) {
 	if tr.Total <= 0 {
 		t.Errorf("trace total = %v, want > 0", tr.Total)
 	}
-
-	// A per-request hook attached to the ctx overrides the service hook.
-	perReq := 0
-	ctx := genedit.WithTraceContext(context.Background(), func(*genedit.Trace) { perReq++ })
-	if _, err := svc.Generate(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	if perReq != 1 {
-		t.Fatalf("per-request hook fired %d times, want 1", perReq)
-	}
-	if len(traces) != 1 {
-		t.Fatalf("service hook fired for a request with its own hook (total %d)", len(traces))
-	}
 }
 
 func TestServicePrewarm(t *testing.T) {
