@@ -7,8 +7,8 @@
 # and of the retrieval dot kernel, the EX-parity gate, the production-reach
 # gate (scripts/reach.sh: every non-test function is reached by a fixed sweep
 # of the five programs or allowlisted with a reason), and short runs of the
-# repo benchmark's exhibits, serve_scaled, serve_cold and serve_hot workloads
-# for their output checks and their allocation budgets.
+# repo benchmark's exhibits, serve_scaled, serve_cold, serve_hot and edit_loop
+# workloads for their output checks and their allocation budgets.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -29,8 +29,8 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (concurrent packages: service facade incl. generation-cache stress, daemon incl. feedback + miner endpoints, admission control, generation cache, parallel runner, shared executors and their pooled per-query scratch, retrieval index counters and the pooled selector scratch, the process-wide embedding memo, knowledge store, solver, failure miner, simulated model's gold-fragment memo) =="
-go test -race . ./cmd/geneditd ./internal/admission ./internal/eval ./internal/gencache ./internal/metrics ./internal/sqlexec ./internal/pipeline ./internal/embed ./internal/kstore ./internal/feedback ./internal/miner ./internal/simllm
+echo "== go test -race (concurrent packages: service facade incl. generation-cache stress, daemon incl. feedback + miner endpoints, admission control, generation cache, parallel runner, shared executors and their pooled per-query scratch, retrieval index counters and the pooled selector scratch, the process-wide embedding memo, knowledge sets read while their clones change, knowledge store, solver, failure miner, simulated model's gold-fragment memo) =="
+go test -race . ./cmd/geneditd ./internal/admission ./internal/eval ./internal/gencache ./internal/metrics ./internal/sqlexec ./internal/pipeline ./internal/embed ./internal/knowledge ./internal/kstore ./internal/feedback ./internal/miner ./internal/simllm
 
 echo "== metrics scrape smoke (daemon /readyz + /metrics vs required-family manifest) =="
 metrics_store=$(mktemp -d)
@@ -181,10 +181,17 @@ bash scripts/reach.sh
 #   10.7284: the hit path built two length-prefixed key strings and
 #   normalized the question twice). A change that builds a key string, or
 #   allocates anything else per request, on the cache-hit path fails.
+#
+#   edit_loop allocs_per_op (bound 5%): read 7405.2, 7387.4, 7381.9 when
+#   the knowledge set came to share its entities (its parent read 8775.7,
+#   8791.7, 8786.3: staging, each merge, every retained checkpoint and each
+#   compaction deep-copied the whole set). A change that copies entities on
+#   the SME write path again fails.
 exhibits_allocs_budget=462
 serve_scaled_alloc_kb_budget=39.4
 serve_cold_alloc_kb_budget=34.1
 serve_hot_allocs_budget=6.09
+edit_loop_allocs_budget=7776
 
 # benchmark_budget <workload> <metric> <budget>
 benchmark_budget() {
@@ -220,5 +227,8 @@ benchmark_budget serve_cold alloc_kb_per_op "$serve_cold_alloc_kb_budget"
 
 echo "== benchmark output checks (serve_hot workload: per-op pinned SQL, allocation budget of a generation-cache hit) =="
 benchmark_budget serve_hot allocs_per_op "$serve_hot_allocs_budget"
+
+echo "== benchmark output checks (edit_loop workload: pinned SQL, merged/rejected script counts, durable ≡ in-memory, allocation budget of the SME feedback cycle) =="
+benchmark_budget edit_loop allocs_per_op "$edit_loop_allocs_budget"
 
 echo "CI pass complete."

@@ -40,7 +40,7 @@ type feedbackHub struct {
 }
 
 // fbSession is one SME exchange. Its mutex serializes the session's own
-// lifecycle (regenerate/submit/approve); different sessions proceed
+// lifecycle (regenerate/submit/approve/delete); different sessions proceed
 // concurrently, and the solver underneath is itself concurrency-safe.
 type fbSession struct {
 	mu      sync.Mutex
@@ -48,7 +48,9 @@ type fbSession struct {
 	db      string
 	sess    *feedback.Session
 	pending *feedback.PendingChange
-	done    bool
+	// done is set, under mu, once the session is approved or deleted; a
+	// request that found the session before its eviction then gets 409.
+	done bool
 }
 
 func newFeedbackHub(svc *genedit.Service, suite *genedit.Benchmark, maxSessions int) *feedbackHub {
@@ -117,8 +119,9 @@ func (h *feedbackHub) session(id string) *fbSession {
 	return h.sessions[id]
 }
 
-// evict removes a finished session from the registry so the map does not
-// grow with every approval (later requests for the ID get 404).
+// evict removes a finished session — approved or deleted — from the
+// registry, freeing its place under -maxsessions (later requests for the
+// ID get 404).
 func (h *feedbackHub) evict(id string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -177,6 +180,13 @@ type approveResponse struct {
 	KnowledgeVersion int  `json:"knowledge_version"`
 	PersistedSeq     int  `json:"persisted_seq"`
 	Persisted        bool `json:"persisted"`
+}
+
+type deleteResponse struct {
+	ID string `json:"id"`
+	// Withdrawn reports that the session's passing submission, still
+	// awaiting approval, was dropped from the solver's pending list.
+	Withdrawn bool `json:"withdrawn"`
 }
 
 type knowledgeEventJSON struct {
@@ -260,7 +270,7 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 		fs.mu.Lock()
 		defer fs.mu.Unlock()
 		if fs.done {
-			writeError(w, http.StatusConflict, "session already approved")
+			writeError(w, http.StatusConflict, "session already closed")
 			return
 		}
 		rec, err := fs.sess.Feedback(req.Feedback)
@@ -296,7 +306,7 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 		fs.mu.Lock()
 		defer fs.mu.Unlock()
 		if fs.done {
-			writeError(w, http.StatusConflict, "session already approved")
+			writeError(w, http.StatusConflict, "session already closed")
 			return
 		}
 		res, err := fs.sess.SubmitContext(ctx)
@@ -330,7 +340,7 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 		fs.mu.Lock()
 		defer fs.mu.Unlock()
 		if fs.done {
-			writeError(w, http.StatusConflict, "session already approved")
+			writeError(w, http.StatusConflict, "session already closed")
 			return
 		}
 		if fs.pending == nil {
@@ -357,6 +367,31 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 			ID: fs.id, KnowledgeVersion: info.Version,
 			PersistedSeq: info.PersistedSeq, Persisted: info.Persisted,
 		})
+	})
+
+	// DELETE abandons a session: it is closed, evicted (freeing its place
+	// under -maxsessions) and its pending change, if any, is withdrawn.
+	mux.HandleFunc("DELETE /v1/feedback/{id}", func(w http.ResponseWriter, r *http.Request) {
+		fs := h.session(r.PathValue("id"))
+		if fs == nil {
+			writeError(w, http.StatusNotFound, "unknown feedback session")
+			return
+		}
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		if fs.done {
+			writeError(w, http.StatusNotFound, "unknown feedback session")
+			return
+		}
+		solver, err := h.solverFor(r.Context(), fs.db)
+		if err != nil {
+			writeServiceError(w, err)
+			return
+		}
+		fs.done = true
+		h.evict(fs.id)
+		solver.Withdraw(fs.pending) // a nil pending change is not pending: a no-op
+		writeJSON(w, http.StatusOK, deleteResponse{ID: fs.id, Withdrawn: fs.pending != nil})
 	})
 
 	mux.HandleFunc("GET /v1/knowledge/{db}", func(w http.ResponseWriter, r *http.Request) {

@@ -16,6 +16,7 @@
 //	POST /v1/feedback/{id}/regenerate   critique -> staged edits -> regenerate
 //	POST /v1/feedback/{id}/submit       regression-test the staged edits
 //	POST /v1/feedback/{id}/approve      merge (persist + hot-swap the engine)
+//	DELETE /v1/feedback/{id}            abandon a session, withdrawing its pending change
 //	GET  /v1/knowledge/{db}             knowledge version, counts, change history
 //	GET  /v1/miner/{db}                 failure counters + miner stats for one database
 //	POST /v1/miner/{db}/mine            run one mining round now (requires -miner)

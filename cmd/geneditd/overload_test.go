@@ -125,9 +125,37 @@ func TestDaemonMaxSessionsCap(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first open: status %d; body %s", resp.StatusCode, raw)
 	}
+	var first feedbackOpenResponse
+	if err := json.Unmarshal(raw, &first); err != nil {
+		t.Fatal(err)
+	}
 	resp, raw = postJSON(t, srv.URL+"/v1/feedback/open", string(body))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second open with -maxsessions 1: status %d, want 429; body %s", resp.StatusCode, raw)
+	}
+
+	// Abandoning the first session frees its place.
+	del := func() int {
+		req, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/feedback/"+first.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := del(); code != http.StatusOK {
+		t.Fatalf("delete of the open session: status %d, want 200", code)
+	}
+	if code := del(); code != http.StatusNotFound {
+		t.Fatalf("second delete of the session: status %d, want 404", code)
+	}
+	resp, raw = postJSON(t, srv.URL+"/v1/feedback/open", string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("open after the delete: status %d, want 200; body %s", resp.StatusCode, raw)
 	}
 }
 

@@ -3,6 +3,7 @@ package feedback
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"genedit/internal/eval"
@@ -73,6 +74,14 @@ func (s *Solver) Pending() []*PendingChange {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*PendingChange(nil), s.pending...)
+}
+
+// Withdraw drops a pending change without merging it — its session was
+// abandoned. A change that is not pending is ignored.
+func (s *Solver) Withdraw(p *PendingChange) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pending = slices.DeleteFunc(s.pending, func(q *PendingChange) bool { return q == p })
 }
 
 // Session is one interactive feedback exchange on one question.

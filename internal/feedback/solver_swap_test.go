@@ -1,7 +1,9 @@
 package feedback
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -39,17 +41,26 @@ func submitOurCase(t *testing.T, solver *Solver) *PendingChange {
 // TestApproveDoesNotMutateServedSet pins the engine-swap safety contract:
 // the knowledge set reachable from the pre-approval engine is bit-for-bit
 // untouched by a merge — in-flight generations read a stable snapshot.
+// The set is compared as JSON: the merged set shares its entities, so a
+// write through one would show on both sides of a State comparison.
 func TestApproveDoesNotMutateServedSet(t *testing.T) {
 	solver, _ := testSolver(t, true)
 	pending := submitOurCase(t, solver)
 
 	oldEngine := solver.Engine()
 	before := oldEngine.KnowledgeSet().State()
+	beforeJSON, err := json.Marshal(before)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := solver.Approve(pending, "reviewer"); err != nil {
 		t.Fatal(err)
 	}
-	after := oldEngine.KnowledgeSet().State()
-	if !reflect.DeepEqual(before, after) {
+	afterJSON, err := json.Marshal(oldEngine.KnowledgeSet().State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(beforeJSON, afterJSON) {
 		t.Error("approve mutated the knowledge set of the previously served engine")
 	}
 	if solver.Engine() == oldEngine {
@@ -100,5 +111,24 @@ func TestMergeHookRunsAndCanVeto(t *testing.T) {
 	}
 	if len(solver.Pending()) != 0 {
 		t.Error("approved change should leave the pending queue")
+	}
+}
+
+// TestWithdrawDropsPendingChange: a withdrawn change leaves the pending
+// list and can no longer be approved; the served engine stays as it was.
+func TestWithdrawDropsPendingChange(t *testing.T) {
+	solver, _ := testSolver(t, true)
+	pending := submitOurCase(t, solver)
+	engine := solver.Engine()
+	solver.Withdraw(pending)
+	solver.Withdraw(pending) // no longer pending: ignored
+	if got := len(solver.Pending()); got != 0 {
+		t.Fatalf("pending after withdraw = %d, want 0", got)
+	}
+	if err := solver.Approve(pending, "reviewer"); err == nil {
+		t.Error("approving a withdrawn change should fail")
+	}
+	if solver.Engine() != engine {
+		t.Error("withdraw must not swap the engine")
 	}
 }

@@ -1,6 +1,9 @@
 package knowledge
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the persistence surface of the knowledge set: full-fidelity
 // change events (replayed one at a time by ApplyEvent — the write-ahead-log
@@ -17,7 +20,8 @@ import "fmt"
 // them. Events must be applied in order: ev.Seq must be exactly
 // LastSeq()+1, so gaps in a recovered log are detected rather than papered
 // over. Unlike the mutators, ApplyEvent never re-stamps provenance or
-// assigns IDs — the event payload is authoritative.
+// assigns IDs — the event payload is authoritative, and the set holds the
+// payload itself (see Set for the ownership rule).
 func (s *Set) ApplyEvent(ev ChangeEvent) error {
 	if ev.Seq != s.nextSeq+1 {
 		return fmt.Errorf("replay gap: event seq %d after seq %d", ev.Seq, s.nextSeq)
@@ -42,9 +46,8 @@ func (s *Set) applyEventMutation(ev ChangeEvent) error {
 			if _, exists := s.examples[ev.Example.ID]; exists {
 				return fmt.Errorf("example %s already exists", ev.Example.ID)
 			}
-			c := ev.Example.clone()
-			s.examples[c.ID] = c
-			s.exampleIDs = append(s.exampleIDs, c.ID)
+			s.examples[ev.Example.ID] = ev.Example
+			s.exampleIDs = append(s.exampleIDs, ev.Example.ID)
 			return nil
 		case InstructionEntity:
 			if ev.Instruction == nil {
@@ -53,19 +56,17 @@ func (s *Set) applyEventMutation(ev ChangeEvent) error {
 			if _, exists := s.instructions[ev.Instruction.ID]; exists {
 				return fmt.Errorf("instruction %s already exists", ev.Instruction.ID)
 			}
-			c := ev.Instruction.clone()
-			s.instructions[c.ID] = c
-			s.instrIDs = append(s.instrIDs, c.ID)
+			s.instructions[ev.Instruction.ID] = ev.Instruction
+			s.instrIDs = append(s.instrIDs, ev.Instruction.ID)
 			return nil
 		case IntentEntity:
 			if ev.Intent == nil {
 				return fmt.Errorf("insert event has no intent payload")
 			}
-			c := ev.Intent.clone()
-			if _, ok := s.intents[c.ID]; !ok {
-				s.intentIDs = append(s.intentIDs, c.ID)
+			if _, ok := s.intents[ev.Intent.ID]; !ok {
+				s.intentIDs = append(s.intentIDs, ev.Intent.ID)
 			}
-			s.intents[c.ID] = c
+			s.intents[ev.Intent.ID] = ev.Intent
 			return nil
 		case DirectiveEntity:
 			s.directives = append(s.directives, ev.Directive)
@@ -80,7 +81,7 @@ func (s *Set) applyEventMutation(ev ChangeEvent) error {
 			if _, exists := s.examples[ev.Example.ID]; !exists {
 				return fmt.Errorf("example %s does not exist", ev.Example.ID)
 			}
-			s.examples[ev.Example.ID] = ev.Example.clone()
+			s.examples[ev.Example.ID] = ev.Example
 			return nil
 		case InstructionEntity:
 			if ev.Instruction == nil {
@@ -89,7 +90,7 @@ func (s *Set) applyEventMutation(ev ChangeEvent) error {
 			if _, exists := s.instructions[ev.Instruction.ID]; !exists {
 				return fmt.Errorf("instruction %s does not exist", ev.Instruction.ID)
 			}
-			s.instructions[ev.Instruction.ID] = ev.Instruction.clone()
+			s.instructions[ev.Instruction.ID] = ev.Instruction
 			return nil
 		}
 	case OpDelete:
@@ -118,7 +119,7 @@ func (s *Set) applyEventMutation(ev ChangeEvent) error {
 			ID:      ev.CheckpointID,
 			Name:    ev.CheckpointName,
 			Version: s.version,
-			snap:    s.snapshot(),
+			Content: s.content(),
 		})
 		// IDs are assigned monotonically, so the event's ID is also the
 		// counter state after the original operation.
@@ -128,7 +129,7 @@ func (s *Set) applyEventMutation(ev ChangeEvent) error {
 	case OpRevert:
 		for i := range s.checkpoints {
 			if s.checkpoints[i].ID == ev.CheckpointID {
-				s.restore(s.checkpoints[i].snap)
+				s.restore(s.checkpoints[i].Content)
 				return nil
 			}
 		}
@@ -154,75 +155,38 @@ func (s *Set) Replay(events []ChangeEvent) error {
 // insertion-ordered, so FromState(State()) reproduces retrieval-index
 // iteration order (and therefore generation output) exactly.
 type State struct {
-	Version          int               `json:"version"`
-	NextSeq          int               `json:"next_seq"`
-	NextCheckpointID int               `json:"next_checkpoint_id,omitempty"`
-	Examples         []*Example        `json:"examples,omitempty"`
-	Instructions     []*Instruction    `json:"instructions,omitempty"`
-	Intents          []*Intent         `json:"intents,omitempty"`
-	Directives       []string          `json:"directives,omitempty"`
-	History          []ChangeEvent     `json:"history,omitempty"`
-	Checkpoints      []CheckpointState `json:"checkpoints,omitempty"`
+	Version          int `json:"version"`
+	NextSeq          int `json:"next_seq"`
+	NextCheckpointID int `json:"next_checkpoint_id,omitempty"`
+	Content
+	History     []ChangeEvent `json:"history,omitempty"`
+	Checkpoints []Checkpoint  `json:"checkpoints,omitempty"`
 }
 
-// CheckpointState is the serializable form of one checkpoint, content
-// included (checkpoints must survive restarts for revert to keep working).
-type CheckpointState struct {
-	ID           int            `json:"id"`
-	Name         string         `json:"name"`
-	Version      int            `json:"version"`
-	Examples     []*Example     `json:"examples,omitempty"`
-	Instructions []*Instruction `json:"instructions,omitempty"`
-	Intents      []*Intent      `json:"intents,omitempty"`
-	Directives   []string       `json:"directives,omitempty"`
-}
-
-// State captures the set as a deep-copied State value.
+// State captures the set as a State value that shares the set's entities,
+// events and checkpoints.
 func (s *Set) State() *State {
-	st := &State{
+	return &State{
 		Version:          s.version,
 		NextSeq:          s.nextSeq,
 		NextCheckpointID: s.nextCheckpointID,
-		Directives:       append([]string(nil), s.directives...),
-		History:          append([]ChangeEvent(nil), s.history...),
+		Content:          s.content(),
+		History:          slices.Clip(s.history),
+		Checkpoints:      slices.Clip(s.checkpoints),
 	}
-	sn := s.snapshot()
-	st.Examples = sn.examples
-	st.Instructions = sn.instructions
-	st.Intents = sn.intents
-	for _, cp := range s.checkpoints {
-		cs := CheckpointState{ID: cp.ID, Name: cp.Name, Version: cp.Version, Directives: append([]string(nil), cp.snap.directives...)}
-		c := cp.snap.clone()
-		cs.Examples = c.examples
-		cs.Instructions = c.instructions
-		cs.Intents = c.intents
-		st.Checkpoints = append(st.Checkpoints, cs)
-	}
-	return st
 }
 
-// FromState reconstructs a Set from its serialized form. The input is
-// deep-copied, so the State can be reused or mutated afterwards.
+// FromState reconstructs a Set from its serialized form. The set takes
+// over st's entities, events and checkpoints, so st must not be written
+// afterwards.
 func FromState(st *State) *Set {
-	s := NewSet()
-	s.restore(&snapshot{
-		examples:     st.Examples,
-		instructions: st.Instructions,
-		intents:      st.Intents,
-		directives:   st.Directives,
-	})
-	s.version = st.Version
-	s.nextSeq = st.NextSeq
-	s.nextCheckpointID = st.NextCheckpointID
-	s.history = append([]ChangeEvent(nil), st.History...)
-	for _, cs := range st.Checkpoints {
-		sn := (&snapshot{
-			examples:     cs.Examples,
-			instructions: cs.Instructions,
-			intents:      cs.Intents,
-			directives:   cs.Directives,
-		}).clone()
-		s.checkpoints = append(s.checkpoints, Checkpoint{ID: cs.ID, Name: cs.Name, Version: cs.Version, snap: sn})
+	s := &Set{
+		version:          st.Version,
+		nextSeq:          st.NextSeq,
+		nextCheckpointID: st.NextCheckpointID,
+		history:          slices.Clip(st.History),
+		checkpoints:      slices.Clip(st.Checkpoints),
 	}
+	s.restore(st.Content)
 	return s
 }

@@ -6,6 +6,8 @@ package knowledge
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -52,15 +54,6 @@ type Example struct {
 // Text renders the example for embedding and ranking.
 func (e *Example) Text() string { return e.NL + " " + e.Pseudo }
 
-// clone deep-copies the example, including its slice fields, so the copy
-// shares no mutable state with the original.
-func (e *Example) clone() *Example {
-	c := *e
-	c.IntentIDs = append([]string(nil), e.IntentIDs...)
-	c.Terms = append([]string(nil), e.Terms...)
-	return &c
-}
-
 // Instruction is a natural-language generation guideline, optionally with an
 // expected SQL sub-expression (§3.2.2).
 type Instruction struct {
@@ -79,14 +72,6 @@ type Instruction struct {
 // matches either phrasing or SQL shape.
 func (i *Instruction) RetrievalText() string { return i.Text + " " + i.SQLHint }
 
-// clone deep-copies the instruction, including its slice fields.
-func (i *Instruction) clone() *Instruction {
-	c := *i
-	c.IntentIDs = append([]string(nil), i.IntentIDs...)
-	c.Terms = append([]string(nil), i.Terms...)
-	return &c
-}
-
 // Intent is a mined user intent grouping examples, instructions and schema
 // elements (§2.1).
 type Intent struct {
@@ -95,13 +80,6 @@ type Intent struct {
 	Description string `json:"description,omitempty"`
 	// Elements are schema columns considered relevant to the intent.
 	Elements []schema.Element `json:"elements,omitempty"`
-}
-
-// clone deep-copies the intent, including its element list.
-func (in *Intent) clone() *Intent {
-	c := *in
-	c.Elements = append([]schema.Element(nil), in.Elements...)
-	return &c
 }
 
 // ChangeOp enumerates audit-history operations.
@@ -143,8 +121,8 @@ type ChangeEvent struct {
 
 	// Payloads: exactly one is set for mutating ops (the entity content as
 	// written, provenance included); all nil/zero for deletes, whose
-	// EntityID suffices. Payload pointers are private snapshots taken at
-	// log time — they never alias live set entries.
+	// EntityID suffices. A payload is the very entity the set holds: by the
+	// ownership rule (see Set) it is never written after it is logged.
 	Example     *Example     `json:"example,omitempty"`
 	Instruction *Instruction `json:"instruction,omitempty"`
 	Intent      *Intent      `json:"intent,omitempty"`
@@ -154,34 +132,46 @@ type ChangeEvent struct {
 	CheckpointName string `json:"checkpoint_name,omitempty"`
 }
 
-// Checkpoint is a named, restorable snapshot of the set.
-type Checkpoint struct {
-	ID      int
-	Name    string
-	Version int
-	snap    *snapshot
+// Content is the set's content in insertion order: what a checkpoint holds
+// and the content half of a serialized State. Its entities are shared with
+// the set, never copied (see Set).
+type Content struct {
+	Examples     []*Example     `json:"examples,omitempty"`
+	Instructions []*Instruction `json:"instructions,omitempty"`
+	Intents      []*Intent      `json:"intents,omitempty"`
+	Directives   []string       `json:"directives,omitempty"`
 }
 
-type snapshot struct {
-	examples     []*Example
-	instructions []*Instruction
-	intents      []*Intent
-	directives   []string
+// Checkpoint is a named, restorable snapshot of the set's content. It is
+// also the checkpoint record of a serialized State: checkpoints must
+// survive restarts for revert to keep working.
+type Checkpoint struct {
+	ID      int    `json:"id"`
+	Name    string `json:"name"`
+	Version int    `json:"version"`
+	Content
 }
 
 // Set is the knowledge set: the paper's materialized view.
 //
+// Ownership: an *Example, *Instruction or *Intent is never written after
+// the set logs it, and neither is a logged ChangeEvent or a Checkpoint. An
+// update replaces the entity's pointer; it does not write through it. The
+// set, its event payloads, its checkpoints, its clones and every result of
+// an accessor therefore share entities, and no path copies one. Callers
+// keep the rule too: a pointer handed to a mutator belongs to the set from
+// then on, and an entity read from the set is copied before it is changed
+// and handed to UpdateExample or UpdateInstruction.
+//
 // Concurrency contract: a Set is NOT internally synchronized. A Set that is
 // reachable from a live pipeline.Engine must be treated as read-only — the
 // engine's retrieval indices are built from it once, and concurrent
-// Generate calls read it without locks. All mutation flows (feedback
-// merges, reverts) therefore work on a CloneFull/Clone and re-serve the
+// Generate calls read it without locks. All mutation flows (staging,
+// feedback merges, reverts) therefore work on a CloneFull and re-serve the
 // result via Engine.WithKnowledge, never mutating a served set in place.
-// The bulk accessors (Examples, Instructions, Intents, History,
-// Checkpoints, Directives) return defensive copies so inspection surfaces
-// (daemon endpoints, persistence) can hold results across engine swaps.
-// The by-ID lookups (Example, Instruction, Intent) return live pointers
-// for the engine's hot path and must not be written through.
+// Results of the accessors stay valid across later mutation of the set or
+// its clones: the slices they return are fresh or capped at their length,
+// so a later append reallocates instead of writing into them.
 type Set struct {
 	examples     map[string]*Example
 	instructions map[string]*Instruction
@@ -226,23 +216,15 @@ func (s *Set) AddIntent(in *Intent) {
 	s.intents[in.ID] = in
 	s.log(ChangeEvent{
 		Op: OpInsert, Kind: IntentEntity, EntityID: in.ID,
-		Summary: "intent " + in.Name, Editor: "preprocessing", Intent: in.clone(),
+		Summary: "intent " + in.Name, Editor: "preprocessing", Intent: in,
 	})
 }
 
 // Intent returns the intent by ID, or nil.
 func (s *Set) Intent(id string) *Intent { return s.intents[id] }
 
-// Intents returns all intents in insertion order. The returned structs are
-// defensive copies (Elements share backing arrays but are never mutated in
-// place once built).
-func (s *Set) Intents() []*Intent {
-	out := make([]*Intent, 0, len(s.intentIDs))
-	for _, id := range s.intentIDs {
-		out = append(out, s.intents[id].clone())
-	}
-	return out
-}
+// Intents returns all intents in insertion order.
+func (s *Set) Intents() []*Intent { return inOrder(s.intentIDs, s.intents) }
 
 // --- examples ---
 
@@ -262,7 +244,7 @@ func (s *Set) InsertExample(e *Example, editor, feedbackID string) error {
 	s.log(ChangeEvent{
 		Op: OpInsert, Kind: ExampleEntity, EntityID: e.ID,
 		Summary: summarize(e.NL), Editor: editor, FeedbackID: feedbackID,
-		Example: e.clone(),
+		Example: e,
 	})
 	return nil
 }
@@ -279,7 +261,7 @@ func (s *Set) UpdateExample(e *Example, editor, feedbackID string) error {
 	s.log(ChangeEvent{
 		Op: OpUpdate, Kind: ExampleEntity, EntityID: e.ID,
 		Summary: summarize(e.NL), Editor: editor, FeedbackID: feedbackID,
-		Example: e.clone(),
+		Example: e,
 	})
 	return nil
 }
@@ -301,16 +283,8 @@ func (s *Set) DeleteExample(id, editor, feedbackID string) error {
 // Example returns the example by ID, or nil.
 func (s *Set) Example(id string) *Example { return s.examples[id] }
 
-// Examples returns all examples in insertion order. The returned structs
-// are defensive copies: inspection endpoints can hold them while another
-// goroutine stages a rebuild, and writes through them never reach the set.
-func (s *Set) Examples() []*Example {
-	out := make([]*Example, 0, len(s.exampleIDs))
-	for _, id := range s.exampleIDs {
-		out = append(out, s.examples[id].clone())
-	}
-	return out
-}
+// Examples returns all examples in insertion order.
+func (s *Set) Examples() []*Example { return inOrder(s.exampleIDs, s.examples) }
 
 // ExamplesByIntent returns examples associated with the intent.
 func (s *Set) ExamplesByIntent(intentID string) []*Example {
@@ -345,7 +319,7 @@ func (s *Set) InsertInstruction(in *Instruction, editor, feedbackID string) erro
 	s.log(ChangeEvent{
 		Op: OpInsert, Kind: InstructionEntity, EntityID: in.ID,
 		Summary: summarize(in.Text), Editor: editor, FeedbackID: feedbackID,
-		Instruction: in.clone(),
+		Instruction: in,
 	})
 	return nil
 }
@@ -362,7 +336,7 @@ func (s *Set) UpdateInstruction(in *Instruction, editor, feedbackID string) erro
 	s.log(ChangeEvent{
 		Op: OpUpdate, Kind: InstructionEntity, EntityID: in.ID,
 		Summary: summarize(in.Text), Editor: editor, FeedbackID: feedbackID,
-		Instruction: in.clone(),
+		Instruction: in,
 	})
 	return nil
 }
@@ -384,15 +358,8 @@ func (s *Set) DeleteInstruction(id, editor, feedbackID string) error {
 // Instruction returns the instruction by ID, or nil.
 func (s *Set) Instruction(id string) *Instruction { return s.instructions[id] }
 
-// Instructions returns all instructions in insertion order. The returned
-// structs are defensive copies, like Examples.
-func (s *Set) Instructions() []*Instruction {
-	out := make([]*Instruction, 0, len(s.instrIDs))
-	for _, id := range s.instrIDs {
-		out = append(out, s.instructions[id].clone())
-	}
-	return out
-}
+// Instructions returns all instructions in insertion order.
+func (s *Set) Instructions() []*Instruction { return inOrder(s.instrIDs, s.instructions) }
 
 // InstructionsByIntent returns instructions associated with the intent.
 func (s *Set) InstructionsByIntent(intentID string) []*Instruction {
@@ -437,11 +404,9 @@ func (s *Set) AddDirective(text, editor, feedbackID string) {
 }
 
 // Directives returns the retrieval directives in insertion order.
-func (s *Set) Directives() []string {
-	return append([]string(nil), s.directives...)
-}
+func (s *Set) Directives() []string { return slices.Clip(s.directives) }
 
-// --- history, checkpoints, clone ---
+// --- history, checkpoints, clones ---
 
 // log stamps Seq and Version onto the event and appends it to the history.
 // All mutators funnel through here, so the history is a complete, replayable
@@ -454,17 +419,12 @@ func (s *Set) log(ev ChangeEvent) {
 	s.history = append(s.history, ev)
 }
 
-// History returns the audit log, oldest first. The returned slice is a
-// defensive copy: callers (daemon inspection endpoints, persistence) may
-// hold it across engine rebuilds without racing the set. Event payload
-// pointers are immutable log-time snapshots and are safe to share.
-func (s *Set) History() []ChangeEvent {
-	return append([]ChangeEvent(nil), s.history...)
-}
+// History returns the audit log, oldest first.
+func (s *Set) History() []ChangeEvent { return slices.Clip(s.history) }
 
 // HistorySince returns the audit events with Seq strictly greater than seq,
 // oldest first — the tail a write-ahead log needs to persist after a commit
-// at seq. The result is a defensive copy.
+// at seq.
 func (s *Set) HistorySince(seq int) []ChangeEvent {
 	// Seqs are contiguous from 1, so the tail starts at index seq.
 	if seq < 0 {
@@ -473,18 +433,18 @@ func (s *Set) HistorySince(seq int) []ChangeEvent {
 	if seq >= len(s.history) {
 		return nil
 	}
-	return append([]ChangeEvent(nil), s.history[seq:]...)
+	return slices.Clip(s.history[seq:])
 }
 
 // LastSeq reports the sequence number of the most recent history event (0
 // for a fresh set).
 func (s *Set) LastSeq() int { return s.nextSeq }
 
-// MaxCheckpoints bounds the revert window: each checkpoint holds a full
-// content snapshot and long-lived sets checkpoint on every merge, so the
-// list would otherwise grow without bound (inflating every CloneFull and
-// every serialized State). Older checkpoints are dropped as new ones are
-// recorded; their history events remain, but Revert to them fails.
+// MaxCheckpoints bounds the revert window: each checkpoint lists the whole
+// content and long-lived sets checkpoint on every merge, so the list would
+// otherwise grow without bound (inflating every serialized State). Older
+// checkpoints are dropped as new ones are recorded; their history events
+// remain, but Revert to them fails.
 const MaxCheckpoints = 32
 
 // Checkpoint records a named snapshot and returns its ID. Only the newest
@@ -495,7 +455,7 @@ func (s *Set) Checkpoint(name string) int {
 		ID:      s.nextCheckpointID,
 		Name:    name,
 		Version: s.version,
-		snap:    s.snapshot(),
+		Content: s.content(),
 	}
 	s.checkpoints = append(s.checkpoints, cp)
 	s.pruneCheckpoints()
@@ -508,9 +468,7 @@ func (s *Set) Checkpoint(name string) int {
 }
 
 // Checkpoints lists recorded checkpoints, oldest first.
-func (s *Set) Checkpoints() []Checkpoint {
-	return append([]Checkpoint(nil), s.checkpoints...)
-}
+func (s *Set) Checkpoints() []Checkpoint { return slices.Clip(s.checkpoints) }
 
 // pruneCheckpoints enforces MaxCheckpoints after every checkpoint append.
 // It runs identically in Checkpoint() and in ApplyEvent's replay of a
@@ -520,7 +478,7 @@ func (s *Set) pruneCheckpoints() {
 	if len(s.checkpoints) <= MaxCheckpoints {
 		return
 	}
-	s.checkpoints = append([]Checkpoint(nil), s.checkpoints[len(s.checkpoints)-MaxCheckpoints:]...)
+	s.checkpoints = s.checkpoints[len(s.checkpoints)-MaxCheckpoints:]
 }
 
 // Revert restores the set's contents to a checkpoint. History and
@@ -537,7 +495,7 @@ func (s *Set) Revert(checkpointID int) error {
 	if cp == nil {
 		return fmt.Errorf("checkpoint %d does not exist", checkpointID)
 	}
-	s.restore(cp.snap)
+	s.restore(cp.Content)
 	s.log(ChangeEvent{
 		Op: OpRevert, Kind: DirectiveEntity,
 		EntityID: fmt.Sprintf("cp-%d", cp.ID), Summary: "revert to " + cp.Name,
@@ -546,87 +504,47 @@ func (s *Set) Revert(checkpointID int) error {
 	return nil
 }
 
-func (s *Set) snapshot() *snapshot {
-	sn := &snapshot{directives: append([]string(nil), s.directives...)}
-	for _, id := range s.exampleIDs {
-		sn.examples = append(sn.examples, s.examples[id].clone())
+// content lists the set's content in insertion order.
+func (s *Set) content() Content {
+	return Content{
+		Examples:     s.Examples(),
+		Instructions: s.Instructions(),
+		Intents:      s.Intents(),
+		Directives:   slices.Clip(s.directives),
 	}
-	for _, id := range s.instrIDs {
-		sn.instructions = append(sn.instructions, s.instructions[id].clone())
-	}
-	for _, id := range s.intentIDs {
-		sn.intents = append(sn.intents, s.intents[id].clone())
-	}
-	return sn
 }
 
-func (s *Set) restore(sn *snapshot) {
-	s.examples = make(map[string]*Example, len(sn.examples))
-	s.exampleIDs = s.exampleIDs[:0]
-	for _, e := range sn.examples {
-		c := e.clone()
-		s.examples[c.ID] = c
-		s.exampleIDs = append(s.exampleIDs, c.ID)
-	}
-	s.instructions = make(map[string]*Instruction, len(sn.instructions))
-	s.instrIDs = s.instrIDs[:0]
-	for _, in := range sn.instructions {
-		c := in.clone()
-		s.instructions[c.ID] = c
-		s.instrIDs = append(s.instrIDs, c.ID)
-	}
-	s.intents = make(map[string]*Intent, len(sn.intents))
-	s.intentIDs = s.intentIDs[:0]
-	for _, in := range sn.intents {
-		c := in.clone()
-		s.intents[c.ID] = c
-		s.intentIDs = append(s.intentIDs, c.ID)
-	}
-	s.directives = append([]string(nil), sn.directives...)
+// restore makes c the set's content. The set shares c's entities and
+// directives but owns its maps and ID-order slices, which the mutators
+// change in place.
+func (s *Set) restore(c Content) {
+	s.examples, s.exampleIDs = byID(c.Examples, func(e *Example) string { return e.ID })
+	s.instructions, s.instrIDs = byID(c.Instructions, func(in *Instruction) string { return in.ID })
+	s.intents, s.intentIDs = byID(c.Intents, func(in *Intent) string { return in.ID })
+	s.directives = slices.Clip(c.Directives)
 }
 
-// Clone deep-copies the set's contents into a fresh set with empty history.
-// Clones are the staging environments of §4.2.1: edits are applied to a
-// clone, regenerated against, and only merged into the live set on approval.
-func (s *Set) Clone() *Set {
-	out := NewSet()
-	out.restore(s.snapshot())
-	out.version = s.version
-	return out
-}
-
-// CloneFull deep-copies the entire set — contents, version, sequence
-// counter, audit history and checkpoints (with their snapshots). Merge
-// flows use it to build the next served generation of the knowledge set
-// without mutating the currently served (read-only) one: apply edits to the
-// full clone, rebuild indices via Engine.WithKnowledge, hot-swap.
+// CloneFull copies the set — contents, version, sequence counter, audit
+// history and checkpoints — sharing every entity, event and checkpoint
+// with the original (see Set). Staging and merge flows use it to build the
+// next generation of the knowledge set without mutating the served
+// (read-only) one: apply edits to the clone, rebuild indices via
+// Engine.WithKnowledge, hot-swap.
 func (s *Set) CloneFull() *Set {
-	out := NewSet()
-	out.restore(s.snapshot())
-	out.version = s.version
-	out.nextSeq = s.nextSeq
-	out.nextCheckpointID = s.nextCheckpointID
-	out.history = append([]ChangeEvent(nil), s.history...)
-	out.checkpoints = make([]Checkpoint, len(s.checkpoints))
-	for i, cp := range s.checkpoints {
-		out.checkpoints[i] = Checkpoint{ID: cp.ID, Name: cp.Name, Version: cp.Version, snap: cp.snap.clone()}
+	return &Set{
+		examples:         maps.Clone(s.examples),
+		instructions:     maps.Clone(s.instructions),
+		intents:          maps.Clone(s.intents),
+		exampleIDs:       slices.Clone(s.exampleIDs),
+		instrIDs:         slices.Clone(s.instrIDs),
+		intentIDs:        slices.Clone(s.intentIDs),
+		directives:       slices.Clip(s.directives),
+		version:          s.version,
+		history:          slices.Clip(s.history),
+		checkpoints:      slices.Clip(s.checkpoints),
+		nextSeq:          s.nextSeq,
+		nextCheckpointID: s.nextCheckpointID,
 	}
-	return out
-}
-
-// clone deep-copies a checkpoint snapshot.
-func (sn *snapshot) clone() *snapshot {
-	out := &snapshot{directives: append([]string(nil), sn.directives...)}
-	for _, e := range sn.examples {
-		out.examples = append(out.examples, e.clone())
-	}
-	for _, in := range sn.instructions {
-		out.instructions = append(out.instructions, in.clone())
-	}
-	for _, it := range sn.intents {
-		out.intents = append(out.intents, it.clone())
-	}
-	return out
 }
 
 // --- edits (shared with the feedback module) ---
@@ -732,7 +650,7 @@ func (s *Set) Apply(edit Edit, editor, feedbackID string) error {
 // Stage clones the set and applies the edits to the clone, returning the
 // staging environment. The live set is untouched.
 func (s *Set) Stage(edits []Edit, editor, feedbackID string) (*Set, error) {
-	staged := s.Clone()
+	staged := s.CloneFull()
 	for _, e := range edits {
 		if err := staged.Apply(e, editor, feedbackID); err != nil {
 			return nil, fmt.Errorf("staging %s: %w", e.Describe(), err)
@@ -742,6 +660,29 @@ func (s *Set) Stage(edits []Edit, editor, feedbackID string) (*Set, error) {
 }
 
 // --- helpers ---
+
+// inOrder lists the entities of m in the order of ids (nil when empty).
+func inOrder[T any](ids []string, m map[string]*T) []*T {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]*T, len(ids))
+	for i, id := range ids {
+		out[i] = m[id]
+	}
+	return out
+}
+
+// byID indexes items by ID and lists their IDs in order.
+func byID[T any](items []*T, id func(*T) string) (map[string]*T, []string) {
+	m := make(map[string]*T, len(items))
+	ids := make([]string, len(items))
+	for i, it := range items {
+		ids[i] = id(it)
+		m[ids[i]] = it
+	}
+	return m, ids
+}
 
 func removeID(ids []string, id string) []string {
 	out := ids[:0]

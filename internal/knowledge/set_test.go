@@ -1,7 +1,10 @@
 package knowledge
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -158,19 +161,31 @@ func TestCheckpointAndRevert(t *testing.T) {
 
 func TestCloneIsolation(t *testing.T) {
 	s := seedSet(t)
-	c := s.Clone()
+	c := s.CloneFull()
 	if err := c.DeleteExample("ex-001", "sme", ""); err != nil {
 		t.Fatal(err)
 	}
-	c.Example("ins-no")
 	if s.Example("ex-001") == nil {
 		t.Error("mutating clone affected original")
 	}
-	// Mutating a fetched entity on the clone must not leak either.
-	c2 := s.Clone()
-	c2.Instruction("ins-001").Text = "changed"
-	if s.Instruction("ins-001").Text == "changed" {
-		t.Error("clone shares instruction pointers with original")
+
+	// Clones share the original's directives, history and checkpoints; an
+	// append on one clone must not write into another's.
+	for _, d := range []string{"a", "b", "c"} {
+		s.AddDirective(d, "sme", "")
+		s.Checkpoint(d)
+	}
+	a, b := s.CloneFull(), s.CloneFull()
+	for _, c := range []struct {
+		set  *Set
+		name string
+	}{{a, "only a"}, {b, "only b"}} {
+		c.set.Checkpoint(c.name)
+		c.set.AddDirective(c.name, "sme", "")
+	}
+	dirs, hist, cps := a.Directives(), a.History(), a.Checkpoints()
+	if dirs[len(dirs)-1] != "only a" || hist[len(hist)-1].Directive != "only a" || cps[len(cps)-1].Name != "only a" {
+		t.Error("one clone's append overwrote another's")
 	}
 }
 
@@ -232,5 +247,121 @@ func TestStatsAndTermsIndex(t *testing.T) {
 	terms := s.TermsIndex()
 	if len(terms) != 1 || terms[0] != "QoQFP" {
 		t.Errorf("TermsIndex = %v", terms)
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestLoggedStateIsNeverWritten pins the ownership rule: once logged, an
+// event, a checkpoint and the entities they hold are never written, so a
+// captured History() or Checkpoints() result, and the same prefix read
+// later, stay byte-identical through every mutator, an update of an
+// already-logged ID and a revert — on the set and on a clone of it.
+func TestLoggedStateIsNeverWritten(t *testing.T) {
+	s := seedSet(t)
+	baseline := s.Checkpoint("baseline")
+	hist, cps := s.History(), s.Checkpoints()
+	histJSON, cpsJSON := mustJSON(t, hist), mustJSON(t, cps)
+
+	clone := s.CloneFull()
+	for _, set := range []*Set{s, clone} {
+		mutateAll(t, set)
+		up := *set.Example("ex-002")
+		up.SQL = "OWNERSHIP_FLAG_COLUMN IN ('COC', 'JV')"
+		if err := set.UpdateExample(&up, "sme", "fb-5"); err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Revert(baseline); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if !bytes.Equal(mustJSON(t, hist), histJSON) || !bytes.Equal(mustJSON(t, cps), cpsJSON) {
+		t.Error("a captured history or checkpoint list changed under later mutation")
+	}
+	for _, set := range []*Set{s, clone} {
+		if got := mustJSON(t, set.History()[:len(hist)]); !bytes.Equal(got, histJSON) {
+			t.Errorf("history prefix changed:\n got %s\nwant %s", got, histJSON)
+		}
+		if got := mustJSON(t, set.Checkpoints()[:len(cps)]); !bytes.Equal(got, cpsJSON) {
+			t.Errorf("checkpoint prefix changed:\n got %s\nwant %s", got, cpsJSON)
+		}
+	}
+}
+
+// TestConcurrentReadsWhileClonesChange reads a live set from several
+// goroutines while clones of it — which share its entities, history and
+// checkpoints — are staged, merged, checkpointed and reverted. Run under
+// -race it shows that no clone writes memory the live set reads.
+func TestConcurrentReadsWhileClonesChange(t *testing.T) {
+	live := seedSet(t)
+	live.Checkpoint("baseline")
+	mutateAll(t, live)
+	want := mustJSON(t, live.State())
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, e := range live.Examples() {
+					if live.Example(e.ID) != e || e.Text() == "" {
+						t.Error("Examples() and Example() disagree")
+						return
+					}
+				}
+				if _, err := json.Marshal(live.State()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+
+	edits := []Edit{
+		{Op: EditUpdate, Kind: ExampleEntity, Example: &Example{ID: "ex-001", NL: "Compute revenue per view"}},
+		{Op: EditInsert, Kind: ExampleEntity, Example: &Example{NL: "Rank organisations by revenue", SQL: "ORDER BY REVENUE DESC"}},
+		{Op: EditDirective, Directive: "prefer ranking examples"},
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := live.Stage(edits, "sme", "fb-stage"); err != nil {
+			t.Fatal(err)
+		}
+		merged := live.CloneFull()
+		cp := merged.Checkpoint("before-merge")
+		for _, e := range edits {
+			if err := merged.Apply(e, "reviewer", "fb-merge"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := merged.CloneFull()
+		if err := next.DeleteExample("ex-002", "sme", "fb-delete"); err != nil {
+			t.Fatal(err)
+		}
+		if err := next.Revert(cp); err != nil {
+			t.Fatal(err)
+		}
+		if err := merged.Revert(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := mustJSON(t, live.State()); !bytes.Equal(got, want) {
+		t.Error("the live set changed while its clones were edited")
 	}
 }

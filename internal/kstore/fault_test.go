@@ -264,9 +264,11 @@ func mutate(t *testing.T, rng *rand.Rand, set *knowledge.Set, seed int64, i int)
 		set.AddDirective("directive "+tag, "sme", tag)
 	case 3:
 		if exs := set.Examples(); len(exs) > 0 {
-			ex := exs[rng.Intn(len(exs))]
+			// A copy: the set's entities are never written after they
+			// are logged, so an update hands it a new one.
+			ex := *exs[rng.Intn(len(exs))]
 			ex.NL = ex.NL + " (edited " + tag + ")"
-			if err := set.UpdateExample(ex, "sme", tag); err != nil {
+			if err := set.UpdateExample(&ex, "sme", tag); err != nil {
 				t.Fatalf("update example: %v", err)
 			}
 		} else {

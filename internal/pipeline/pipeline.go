@@ -140,7 +140,7 @@ type Engine struct {
 	insIndex *embed.Index
 	// intentOpts is the classification option list, derived from the
 	// knowledge set once at index-build time (the set is immutable while
-	// served, and Intents() deep-copies on every call).
+	// served, and Intents() lists it anew on every call).
 	intentOpts []llm.IntentOption
 	// The retrieval tables (retrieval.go): everything operators 3-4 read
 	// about a knowledge item, laid out by the item's position in its

@@ -284,7 +284,7 @@ func TestContextExpansionBoostsCoSelectedInstructions(t *testing.T) {
 
 func TestDirectivesAppearInContext(t *testing.T) {
 	engine, suite := testEngine(t, DefaultConfig())
-	kset := engine.KnowledgeSet().Clone()
+	kset := engine.KnowledgeSet().CloneFull()
 	kset.AddDirective("prefer quarterly pivot examples", "sme", "fb-1")
 	engine2 := engine.WithKnowledge(kset)
 	c := caseByID(t, suite, "sports_holdings-m-pivot")

@@ -92,14 +92,13 @@ func (e *Engine) buildIndices(parent *Engine) {
 	e.fullExs, e.fullVecs = nil, nil
 	srcSlotOf := make(map[string]int)
 	seenSQL := make(map[string]bool)
-	for _, listed := range listedEx {
+	for _, ex := range listedEx {
 		// The tables are addressed by index position, which is the listing
 		// rank as long as no ID is listed twice (a restored set is not
 		// checked for that); a repeat names the same live item.
-		if _, repeat := e.exIndex.Pos(listed.ID); repeat {
+		if _, repeat := e.exIndex.Pos(ex.ID); repeat {
 			continue
 		}
-		ex := e.kset.Example(listed.ID)
 		p := len(e.ex.items)
 		e.ex.items = append(e.ex.items, ex)
 
@@ -165,11 +164,10 @@ func (e *Engine) buildIndices(parent *Engine) {
 	listedIns := e.kset.Instructions()
 	e.insIndex = newIndex(len(listedIns), parentIns)
 	e.ins = instructionTable{}
-	for _, listed := range listedIns {
-		if _, repeat := e.insIndex.Pos(listed.ID); repeat {
+	for _, ins := range listedIns {
+		if _, repeat := e.insIndex.Pos(ins.ID); repeat {
 			continue
 		}
-		ins := e.kset.Instruction(listed.ID)
 		p := len(e.ins.items)
 		e.ins.items = append(e.ins.items, ins)
 

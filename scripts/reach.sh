@@ -8,8 +8,9 @@
 # and 1 s traced, every benchrunner table against the EX baseline, kbctl's
 # two demos and every -show view of the daemon's store, one genedit question
 # with -prompt -trace, and a scripted geneditd session (generate, batch,
-# databases, knowledge, stats, miner get and mine, /metrics, /healthz, and
-# one feedback session open → regenerate → submit → approve). `go tool
+# databases, knowledge, stats, miner get and mine, /metrics, /healthz, one
+# feedback session open → regenerate → submit → delete, which withdraws its
+# pending change, and one open → regenerate → submit → approve). `go tool
 # covdata func` then lists the functions the sweep left at 0%.
 #
 # The gate fails when
@@ -92,19 +93,31 @@ get /v1/miner/sports_holdings
 post /v1/miner/sports_holdings/mine '' > /dev/null
 get /metrics
 get /healthz
-# One SME session whose edit passes the regression gate and is merged.
-opened=$(post /v1/feedback/open '{"database":"sports_holdings","question":"'"$question"'"}')
-id=$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' <<<"$opened")
-if [ -z "$id" ]; then
-    echo "reach: feedback open returned no session id: $opened" >&2
+# Two SME sessions whose edits pass the regression gate: the first is
+# abandoned (DELETE withdraws its pending change), the second is merged.
+session() {
+    local opened id submitted
+    opened=$(post /v1/feedback/open '{"database":"sports_holdings","question":"'"$question"'"}')
+    id=$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' <<<"$opened")
+    if [ -z "$id" ]; then
+        echo "reach: feedback open returned no session id: $opened" >&2
+        exit 1
+    fi
+    post "/v1/feedback/$id/regenerate" '{"feedback":"The result does not answer \"'"$question"'\"; please revise the calculation."}' > /dev/null
+    submitted=$(post "/v1/feedback/$id/submit" '{}')
+    if ! grep -q '"pending": *true' <<<"$submitted"; then
+        echo "reach: feedback submit left nothing to approve: $submitted" >&2
+        exit 1
+    fi
+    echo "$id"
+}
+id=$(session)
+deleted=$(curl -fsS -X DELETE "http://$addr/v1/feedback/$id")
+if ! grep -q '"withdrawn": *true' <<<"$deleted"; then
+    echo "reach: feedback delete withdrew no pending change: $deleted" >&2
     exit 1
 fi
-post "/v1/feedback/$id/regenerate" '{"feedback":"The result does not answer \"'"$question"'\"; please revise the calculation."}' > /dev/null
-submitted=$(post "/v1/feedback/$id/submit" '{}')
-if ! grep -q '"pending": *true' <<<"$submitted"; then
-    echo "reach: feedback submit left nothing to approve: $submitted" >&2
-    exit 1
-fi
+id=$(session)
 post "/v1/feedback/$id/approve" '{"approver":"reviewer"}' > /dev/null
 # SIGINT drains the server and returns from main, which writes the counters.
 kill -INT "$daemon_pid"

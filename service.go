@@ -806,7 +806,7 @@ type KnowledgeInfo struct {
 	Intents      int
 	Directives   int
 	// HistoryLen is the total audit-log length; History holds the
-	// requested tail of it (defensive copy), oldest first.
+	// requested tail of it, oldest first.
 	HistoryLen int
 	History    []ChangeEvent
 	// Persisted reports whether a durable store backs this database;
