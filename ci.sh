@@ -82,10 +82,15 @@ go test -race -bench 'GenerationCache|GenerationCoalescing|StatementCacheParalle
 # standard suite and a 10x-knowledge suite while an approval hot-swaps the
 # engine mid-load, and checks that every retrieval search of the engines
 # before and after the swap scored each distinct text of its index exactly
-# once. The -race pass above runs them too; they rerun uncached here so the
-# gate reads as one unit.
-echo "== overload and stress-scale gates under -race (tiny token budget, hot-swap under load) =="
-go test -race -count=1 -run 'TestAdmissionOverloadParity|TestConcurrentGenerateHotSwapClose|TestDaemonGracefulShutdownUnderLoad' . ./cmd/geneditd
+# once. The two-writer contract: TestMinerAndSMEMergesShareOneLine has
+# several SME solvers and a mining round merge onto one database, one after
+# another and all at once, in memory and durable, with the generation cache
+# on and readers running; every approval must land, the served set must hold
+# every edit, the version must only rise, and no read after a merge may be
+# served a record made before it. The -race pass above runs them too; they
+# rerun uncached here so the gate reads as one unit.
+echo "== overload, stress-scale and two-writer gates under -race (tiny token budget, hot-swap under load, SME and miner merges on one database) =="
+go test -race -count=1 -run 'TestAdmissionOverloadParity|TestConcurrentGenerateHotSwapClose|TestMinerAndSMEMergesShareOneLine|TestDaemonGracefulShutdownUnderLoad' . ./cmd/geneditd
 
 echo "== kstore crash-fuzz (1000 injected-fault iterations, event-loss + lineage checks) =="
 KSTORE_FUZZ_ITERS=1000 go test -count=1 -run 'TestCrashFuzz|TestFaultSweepExhaustive' ./internal/kstore
@@ -186,12 +191,17 @@ bash scripts/reach.sh
 #   the knowledge set came to share its entities (its parent read 8775.7,
 #   8791.7, 8786.3: staging, each merge, every retained checkpoint and each
 #   compaction deep-copied the whole set). A change that copies entities on
-#   the SME write path again fails.
+#   the SME write path again fails. Tightened from 7776 when each database's
+#   served engine got one owner, whose one executor runs every regression
+#   gate on the database: read 6921.1, 6915.1, 6898.3 (its parent read
+#   7394, 7401, 7398 in 5-second runs: each SME cycle's solver opened a
+#   fresh executor and compiled the gold SQL again). A change that gives
+#   each solver its own executor again fails.
 exhibits_allocs_budget=462
 serve_scaled_alloc_kb_budget=39.4
 serve_cold_alloc_kb_budget=34.1
 serve_hot_allocs_budget=6.09
-edit_loop_allocs_budget=7776
+edit_loop_allocs_budget=7268
 
 # benchmark_budget <workload> <metric> <budget>
 benchmark_budget() {

@@ -2,10 +2,10 @@ package main
 
 // The online feedback surface: the continuous-improvement loop of §4.2
 // exposed over HTTP so SMEs can drive open → regenerate → submit → approve
-// against the live daemon. Approved merges flow through the service's
-// merge hook — persisted to the knowledge store (when -store is set) and
-// hot-swapped into serving — so the loop compounds across requests and
-// survives restarts.
+// against the live daemon. Approved merges flow through the database's one
+// live engine owner — persisted to the knowledge store (when -store is set)
+// and hot-swapped into serving, on top of every earlier merge, the miner's
+// included — so the loop compounds across requests and survives restarts.
 
 import (
 	"context"
@@ -19,13 +19,13 @@ import (
 )
 
 // goldenPerDB is the size of each database's golden regression suite: the
-// first cases of the database, mirroring the paper demo's "few selected
-// golden queries".
+// first cases of the database (workload.Suite.Golden), mirroring the paper
+// demo's "few selected golden queries".
 const goldenPerDB = 4
 
 // feedbackHub owns the daemon's SME sessions: one lazily built solver per
-// database (sharing the service's engines and merge hook) and the open
-// sessions keyed by a hub-global feedback ID.
+// database (a view on the service's live engine owner for it, shared with
+// the miner) and the open sessions keyed by a hub-global feedback ID.
 type feedbackHub struct {
 	svc   *genedit.Service
 	suite *genedit.Benchmark
@@ -66,17 +66,6 @@ func newFeedbackHub(svc *genedit.Service, suite *genedit.Benchmark, maxSessions 
 	}
 }
 
-// golden picks the database's regression suite.
-func (h *feedbackHub) golden(db string) []*genedit.Case {
-	var out []*genedit.Case
-	for _, c := range h.suite.Cases {
-		if c.DB == db && len(out) < goldenPerDB {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // solverFor returns the database's solver, building it on first use.
 func (h *feedbackHub) solverFor(ctx context.Context, db string) (*genedit.Solver, error) {
 	h.mu.Lock()
@@ -86,7 +75,7 @@ func (h *feedbackHub) solverFor(ctx context.Context, db string) (*genedit.Solver
 	}
 	h.mu.Unlock()
 	// Built outside the lock: Service.Solver may trigger an engine build.
-	s, err := h.svc.Solver(ctx, db, h.golden(db))
+	s, err := h.svc.Solver(ctx, db, h.suite.Golden(db, goldenPerDB))
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"genedit/internal/eval"
 	"genedit/internal/feedback"
 	"genedit/internal/task"
+	"genedit/internal/workload"
 )
 
 func getURL(t *testing.T, url string) (*http.Response, []byte) {
@@ -286,5 +287,133 @@ func TestKnowledgeEndpoint(t *testing.T) {
 				t.Errorf("n=%s: history tail = %d events, want %d", tc.n, len(got.History), tc.history)
 			}
 		}
+	}
+}
+
+// TestMinerAndSMEOnOneDatabase: an SME session opened before a mining
+// round on the same database is approved after it. The approval lands on
+// the mined engine — 200, with the store behind it or without — and the
+// full knowledge log lists the mined events and the SME's.
+func TestMinerAndSMEOnOneDatabase(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memory", true: "store"}[durable], func(t *testing.T) {
+			minerAndSMEOverHTTP(t, durable)
+		})
+	}
+}
+
+func minerAndSMEOverHTTP(t *testing.T, durable bool) {
+	suite, injected := workload.NewMinerSuite(1)
+	db := injected[0].DB
+	opts := []genedit.Option{genedit.WithModelSeed(42), genedit.WithGenerationCache(256), genedit.WithMiner()}
+	if durable {
+		opts = append(opts, genedit.WithStorePath(t.TempDir()))
+	}
+	svc := genedit.NewService(suite, testOpts(opts...)...)
+	t.Cleanup(func() { svc.Close() })
+	srv := httptest.NewServer(newMux(svc, suite, muxConfig{perReq: 30 * time.Second}))
+	t.Cleanup(srv.Close)
+
+	// The miner's input: the database's recurring exec failures.
+	for _, c := range injected {
+		if c.DB != db {
+			continue
+		}
+		body, _ := json.Marshal(generateRequest{Database: db, Question: c.Question, Evidence: c.Evidence})
+		if resp, raw := postJSON(t, srv.URL+"/v1/generate", string(body)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("generate %s = %d: %s", c.ID, resp.StatusCode, raw)
+		}
+	}
+
+	// SME sessions on the database's failing cases, opened and regenerated
+	// before the mining round. A twin service supplies the records the
+	// simulated SME critiques.
+	local := genedit.NewService(suite, testOpts(genedit.WithModelSeed(42))...)
+	runner := eval.NewRunner(suite.Databases)
+	sme := feedback.NewSimulatedSME(7)
+	var sessions []string
+	for _, c := range suite.Cases {
+		if c.DB != db || len(sessions) == 4 {
+			continue
+		}
+		resp, err := local.Generate(t.Context(), genedit.Request{Database: db, Question: c.Question, Evidence: c.Evidence})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, _ := runner.Evaluate(c, resp.SQL); ok {
+			continue
+		}
+		body, _ := json.Marshal(feedbackOpenRequest{Database: db, Question: c.Question, Evidence: c.Evidence})
+		hresp, raw := postJSON(t, srv.URL+"/v1/feedback/open", string(body))
+		if hresp.StatusCode != http.StatusOK {
+			t.Fatalf("open = %d: %s", hresp.StatusCode, raw)
+		}
+		id := decode[feedbackOpenResponse](t, raw).ID
+		fbText, _ := json.Marshal(regenerateRequest{Feedback: sme.FeedbackFor(c, resp.Record)})
+		hresp, raw = postJSON(t, srv.URL+"/v1/feedback/"+id+"/regenerate", string(fbText))
+		if hresp.StatusCode != http.StatusOK {
+			t.Fatalf("regenerate = %d: %s", hresp.StatusCode, raw)
+		}
+		if len(decode[regenerateResponse](t, raw).Edits) > 0 {
+			sessions = append(sessions, id)
+		}
+	}
+	if len(sessions) == 0 {
+		t.Fatal("no SME session staged an edit")
+	}
+
+	var mined mineResponse
+	for round := 0; round < 3 && mined.Report.Merged == 0; round++ {
+		resp, raw := postJSON(t, srv.URL+"/v1/miner/"+db+"/mine", `{}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("mine = %d: %s", resp.StatusCode, raw)
+		}
+		mined = decode[mineResponse](t, raw)
+	}
+	if mined.Report.Merged == 0 {
+		t.Fatal("three mining rounds merged nothing")
+	}
+
+	approved := ""
+	for _, id := range sessions {
+		hresp, raw := postJSON(t, srv.URL+"/v1/feedback/"+id+"/submit", `{}`)
+		if hresp.StatusCode != http.StatusOK {
+			t.Fatalf("submit = %d: %s", hresp.StatusCode, raw)
+		}
+		if !decode[submitResponse](t, raw).Passed {
+			continue
+		}
+		hresp, raw = postJSON(t, srv.URL+"/v1/feedback/"+id+"/approve", `{"approver":"reviewer"}`)
+		if hresp.StatusCode != http.StatusOK {
+			t.Fatalf("approve after a mining round = %d: %s", hresp.StatusCode, raw)
+		}
+		approved = id
+		break
+	}
+	if approved == "" {
+		t.Fatal("no SME submission passed the regression gate")
+	}
+
+	resp, raw := getURL(t, srv.URL+"/v1/knowledge/"+db+"?n=0")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("knowledge = %d: %s", resp.StatusCode, raw)
+	}
+	byFeedback := map[string]bool{}
+	smeEvents := 0
+	for _, ev := range decode[knowledgeResponse](t, raw).History {
+		if ev.Editor == genedit.MinerEditor {
+			byFeedback[ev.FeedbackID] = true
+		}
+		if ev.Editor == "reviewer" {
+			smeEvents++
+		}
+	}
+	for _, id := range mined.Report.MergedIDs {
+		if !byFeedback[id] {
+			t.Errorf("mined change %s is missing from the knowledge log", id)
+		}
+	}
+	if smeEvents == 0 {
+		t.Errorf("the SME's approved session %s left no event in the knowledge log", approved)
 	}
 }

@@ -41,13 +41,10 @@ func main() {
 	}
 	engine := pipeline.New(model, kset, suite.Databases["sports_holdings"], pipeline.DefaultConfig())
 
-	var golden []*task.Case
-	for _, c := range suite.Cases {
-		if c.DB == "sports_holdings" && len(golden) < 4 {
-			golden = append(golden, c)
-		}
-	}
-	solver := feedback.NewSolver(engine, feedback.NewRecommender(model), golden)
+	// The live owner serves the engine and runs every merge (in memory: no
+	// persist step); the solver drives SME sessions on it, gated by the
+	// database's first four cases.
+	solver := feedback.NewSolver(feedback.NewLive(engine, nil), feedback.NewRecommender(model), suite.Golden("sports_holdings", 4))
 
 	var c *task.Case
 	for _, cc := range suite.Cases {

@@ -79,10 +79,14 @@ type experimentHarness struct {
 	sme     *SimulatedSME
 }
 
+// goldenPerDB is the size of each database's regression suite: its first
+// cases, mirroring the demo's "few selected golden queries".
+const goldenPerDB = 4
+
 // newHarness builds solvers over every suite database. When degraded is
 // true, knowledge sets are built without the domain documents — no
 // instructions — the starting point of the improvement loop.
-func newHarness(suite *workload.Suite, seed uint64, degraded bool, golden map[string][]*task.Case) (*experimentHarness, error) {
+func newHarness(suite *workload.Suite, seed uint64, degraded bool) (*experimentHarness, error) {
 	model := simllm.New(simllm.GenEditProfile(), suite.Registry, seed)
 	recommender := NewRecommender(model)
 	h := &experimentHarness{
@@ -101,22 +105,9 @@ func newHarness(suite *workload.Suite, seed uint64, degraded bool, golden map[st
 			return nil, err
 		}
 		engine := pipeline.New(model, kset, suite.Databases[db], pipeline.DefaultConfig())
-		h.solvers[db] = NewSolver(engine, recommender, golden[db])
+		h.solvers[db] = NewSolver(NewLive(engine, nil), recommender, suite.Golden(db, goldenPerDB))
 	}
 	return h, nil
-}
-
-// goldenSubset picks a small per-database regression suite: the first few
-// cases of each database, mirroring the demo's "few selected golden
-// queries".
-func goldenSubset(suite *workload.Suite, perDB int) map[string][]*task.Case {
-	out := make(map[string][]*task.Case)
-	for _, c := range suite.Cases {
-		if len(out[c.DB]) < perDB {
-			out[c.DB] = append(out[c.DB], c)
-		}
-	}
-	return out
 }
 
 // evaluate scores the harness's current engines over the eval set.
@@ -147,8 +138,7 @@ func (h *experimentHarness) evaluate(ctx context.Context, cases []*task.Case) (f
 // the query), accepted-after-iteration, or abandoned.
 func RunAcceptanceExperiment(suite *workload.Suite, seed uint64, maxIter int) (*AcceptanceStats, error) {
 	ctx := context.Background()
-	golden := goldenSubset(suite, 4)
-	h, err := newHarness(suite, seed, false, golden)
+	h, err := newHarness(suite, seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -224,8 +214,7 @@ func RunAcceptanceExperiment(suite *workload.Suite, seed uint64, maxIter int) (*
 // absorbs the feedback.
 func RunImprovementExperiment(suite *workload.Suite, seed uint64, rounds, sessionsPerRound int) (*ImprovementResult, error) {
 	ctx := context.Background()
-	golden := goldenSubset(suite, 4)
-	h, err := newHarness(suite, seed, true, golden)
+	h, err := newHarness(suite, seed, true)
 	if err != nil {
 		return nil, err
 	}

@@ -30,13 +30,7 @@ func testSolver(t *testing.T, degraded bool) (*Solver, *workload.Suite) {
 		t.Fatal(err)
 	}
 	engine := pipeline.New(model, kset, suite.Databases["sports_holdings"], pipeline.DefaultConfig())
-	var golden []*task.Case
-	for _, c := range suite.Cases {
-		if c.DB == "sports_holdings" && len(golden) < 4 {
-			golden = append(golden, c)
-		}
-	}
-	return NewSolver(engine, NewRecommender(model), golden), suite
+	return NewSolver(NewLive(engine, nil), NewRecommender(model), suite.Golden("sports_holdings", goldenPerDB)), suite
 }
 
 // ourCase returns the sports "our organisations" jargon case.
@@ -355,12 +349,12 @@ func TestRegressionGateExecutesGoldOncePerGate(t *testing.T) {
 				improved++
 			}
 		}
-		h0, m0 := solver.exec.StatementCacheStats()
+		h0, m0 := solver.live.exec.StatementCacheStats()
 		passed, detail, err := solver.regressionTest(context.Background(), edits, "fb-gate", "sme")
 		if err != nil {
 			t.Fatal(err)
 		}
-		h1, m1 := solver.exec.StatementCacheStats()
+		h1, m1 := solver.live.exec.StatementCacheStats()
 		if lookups := (h1 + m1) - (h0 + m0); lookups != 3*g {
 			t.Errorf("gate %d looked %d statements up, want %d (one gold and two predictions per case)", i, lookups, 3*g)
 		}

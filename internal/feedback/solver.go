@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"genedit/internal/eval"
 	"genedit/internal/generr"
@@ -14,60 +15,93 @@ import (
 	"genedit/internal/task"
 )
 
-// Solver is the feedback-solver workflow of §4.2.1: it owns the live engine
-// for one database, opens feedback sessions, regression-tests submitted
-// edits and merges them on approval. Every merge checkpoints the knowledge
-// set first, so any prior state can be restored via the knowledge library.
+// Live is the one owner of a database's served engine. Every Solver on the
+// database is a view on it, so a merge approved through any of them — an SME
+// session, the failure miner, an experiment — builds on every merge before
+// it, and the knowledge versions form one line. Readers take the engine with
+// one atomic load; a merge holds mu from its clone of the served set to the
+// publish of the engine built over it, so no two merges branch from one
+// state.
+type Live struct {
+	engine atomic.Pointer[pipeline.Engine]
+	mu     sync.Mutex
+	// persist, when set, makes a merged set durable before it is served;
+	// an error aborts the merge with the old engine still served.
+	persist func(*knowledge.Set) error
+	// exec runs the regression gates' gold and predicted SQL. Merges never
+	// change the database, so one executor serves every gate on it, and
+	// later gates find the gold SQL already in its statement cache.
+	exec *sqlexec.Executor
+}
+
+// NewLive starts serving engine. persist, when non-nil, runs on every merged
+// knowledge set before the engine built over it is served (the serving
+// layer fsyncs the merge's events to the database's store there).
+func NewLive(engine *pipeline.Engine, persist func(*knowledge.Set) error) *Live {
+	l := &Live{persist: persist, exec: sqlexec.New(engine.Database())}
+	l.engine.Store(engine)
+	return l
+}
+
+// Engine returns the engine being served (it changes after merges).
+func (l *Live) Engine() *pipeline.Engine { return l.engine.Load() }
+
+// merge applies a pending change to a full clone (content, history and
+// checkpoints) of the served set, after a checkpoint so the change can be
+// reverted from the knowledge library, and serves the engine rebuilt over
+// it once persist has accepted the set. The served set is never written, so
+// in-flight generations keep their engine and knowledge snapshot.
+func (l *Live) merge(p *PendingChange, approver string) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	served := l.Engine()
+	merged := served.KnowledgeSet().CloneFull()
+	merged.Checkpoint("before-" + p.FeedbackID)
+	for _, e := range p.Edits {
+		if err := merged.Apply(e, approver, p.FeedbackID); err != nil {
+			return fmt.Errorf("merging %s: %w", e.Describe(), err)
+		}
+	}
+	next := served.WithKnowledge(merged)
+	if l.persist != nil {
+		if err := l.persist(merged); err != nil {
+			return fmt.Errorf("merge %s: %w", p.FeedbackID, err)
+		}
+	}
+	l.engine.Store(next)
+	return nil
+}
+
+// Solver is the feedback-solver workflow of §4.2.1 for one database: it
+// opens feedback sessions, regression-tests submitted edits and merges them
+// on approval. It is a view on the database's Live owner, which serves the
+// engine; a Solver keeps only its own sessions and pending queue, so any
+// number of solvers on one database see and build on each other's merges.
 //
 // Concurrency contract: Solver methods are safe for concurrent use (the
-// serving daemon drives many SME sessions against one solver). A merge
-// never mutates the currently served knowledge set: Approve applies the
-// edits to a full clone and atomically swaps the engine, so in-flight
-// generations keep reading their immutable snapshot. Session values are
-// NOT synchronized — each feedback session is single-user by design.
+// serving daemon drives many SME sessions against one solver). Session
+// values are NOT synchronized — each feedback session is single-user by
+// design.
 type Solver struct {
+	live        *Live
 	recommender *Recommender
 	golden      []*task.Case
-	// exec runs the regression gate's gold and predicted SQL. One executor
-	// for the solver's lifetime (merges never change the database), so a
-	// gate compiles each statement at most once and later gates find the
-	// gold SQL already in its statement cache.
-	exec *sqlexec.Executor
 
-	mu     sync.Mutex
-	engine *pipeline.Engine
+	mu sync.Mutex
 	// pending holds submitted changes awaiting human approval.
 	pending []*PendingChange
 	nextFB  int
-	// mergeHook, when set, runs after a merge is assembled but before it is
-	// adopted; the serving layer uses it to persist the merged events and
-	// hot-swap the service's engine. An error aborts the approval.
-	mergeHook func(*pipeline.Engine) error
 }
 
-// NewSolver builds a solver around a live engine. The golden cases are the
-// regression suite replayed before merges.
-func NewSolver(engine *pipeline.Engine, recommender *Recommender, golden []*task.Case) *Solver {
-	return &Solver{engine: engine, recommender: recommender, golden: golden, exec: sqlexec.New(engine.Database())}
+// NewSolver builds a solver on a database's live engine owner. The golden
+// cases are the regression suite replayed before merges.
+func NewSolver(live *Live, recommender *Recommender, golden []*task.Case) *Solver {
+	return &Solver{live: live, recommender: recommender, golden: golden}
 }
 
-// SetMergeHook installs fn to run on every approved merge with the new
-// live engine (rebuilt over the merged knowledge set) before the solver
-// adopts it. The serving layer hooks persistence (kstore.Commit) and
-// engine hot-swap here; if fn errors the approval fails and the previous
-// engine stays live.
-func (s *Solver) SetMergeHook(fn func(*pipeline.Engine) error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mergeHook = fn
-}
-
-// Engine returns the current live engine (it changes after merges).
-func (s *Solver) Engine() *pipeline.Engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine
-}
+// Engine returns the engine being served (it changes after merges, through
+// this solver or any other on the database).
+func (s *Solver) Engine() *pipeline.Engine { return s.live.Engine() }
 
 // Pending lists changes that passed regression and await approval.
 func (s *Solver) Pending() []*PendingChange {
@@ -282,13 +316,13 @@ func (s *Solver) runGolden(ctx context.Context, engine *pipeline.Engine, golds [
 			return nil, err
 		}
 		if golds[i] == nil {
-			gold, err := s.exec.Query(c.GoldSQL)
+			gold, err := s.live.exec.Query(c.GoldSQL)
 			if err != nil {
 				return nil, fmt.Errorf("golden case %s: gold SQL failed: %w", c.ID, err)
 			}
 			golds[i] = gold
 		}
-		pred, err := s.exec.Query(rec.FinalSQL)
+		pred, err := s.live.exec.Query(rec.FinalSQL)
 		if err != nil {
 			out[c.ID] = false
 			continue
@@ -298,45 +332,20 @@ func (s *Solver) runGolden(ctx context.Context, engine *pipeline.Engine, golds [
 	return out, nil
 }
 
-// Approve merges a pending change into the next generation of the
-// knowledge set. A checkpoint is recorded first so the change can be
-// reverted from the knowledge library.
-//
-// Engine-swap safety: the merge is applied to a full clone (content,
-// history and checkpoints) of the live set — the set reachable from the
-// currently served engine is never written. The rebuilt engine (indices
-// re-derived via WithKnowledge) is first offered to the merge hook, which
-// persists the new events and hot-swaps any external registry; only then
-// does the solver adopt it. In-flight generations keep their old engine
-// and knowledge snapshot throughout.
+// Approve merges a pending change into the next generation of the served
+// knowledge set (see Live.merge): it applies to the engine being served at
+// the time of the call, which may be newer than the one the regression
+// gate replayed. A failed merge leaves the change pending.
 func (s *Solver) Approve(p *PendingChange, approver string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	found := -1
-	for i, q := range s.pending {
-		if q == p {
-			found = i
-			break
-		}
-	}
+	found := slices.Index(s.pending, p)
 	if found < 0 {
 		return fmt.Errorf("change %s is not pending", p.FeedbackID)
 	}
-	merged := s.engine.KnowledgeSet().CloneFull()
-	merged.Checkpoint("before-" + p.FeedbackID)
-	for _, e := range p.Edits {
-		if err := merged.Apply(e, approver, p.FeedbackID); err != nil {
-			return fmt.Errorf("merging %s: %w", e.Describe(), err)
-		}
+	if err := s.live.merge(p, approver); err != nil {
+		return err
 	}
-	// Rebuild retrieval indices over the merged set.
-	next := s.engine.WithKnowledge(merged)
-	if s.mergeHook != nil {
-		if err := s.mergeHook(next); err != nil {
-			return fmt.Errorf("merge %s: %w", p.FeedbackID, err)
-		}
-	}
-	s.engine = next
-	s.pending = append(s.pending[:found], s.pending[found+1:]...)
+	s.pending = slices.Delete(s.pending, found, found+1)
 	return nil
 }

@@ -8,7 +8,7 @@ import (
 	"reflect"
 	"testing"
 
-	"genedit/internal/pipeline"
+	"genedit/internal/knowledge"
 )
 
 // submitOurCase drives a session to a passing pending change.
@@ -82,32 +82,41 @@ func TestApproveDoesNotMutateServedSet(t *testing.T) {
 	}
 }
 
-// TestMergeHookRunsAndCanVeto: the hook sees the new engine before the
-// solver adopts it, and a hook error aborts the approval atomically.
+// TestMergeHookRunsAndCanVeto: the owner's persist function sees the merged
+// set before its engine is served, and a persist error aborts the approval
+// atomically — the served engine and the pending change stay as they were.
 func TestMergeHookRunsAndCanVeto(t *testing.T) {
-	solver, _ := testSolver(t, true)
+	base, _ := testSolver(t, true)
+	boom := errors.New("store down")
+	persistErr := boom
+	var persisted *knowledge.Set
+	live := NewLive(base.Engine(), func(merged *knowledge.Set) error {
+		if persistErr != nil {
+			return persistErr
+		}
+		persisted = merged
+		return nil
+	})
+	solver := NewSolver(live, base.recommender, base.golden)
 	pending := submitOurCase(t, solver)
 
 	oldEngine := solver.Engine()
-	boom := errors.New("store down")
-	solver.SetMergeHook(func(*pipeline.Engine) error { return boom })
 	if err := solver.Approve(pending, "reviewer"); !errors.Is(err, boom) {
-		t.Fatalf("approve with failing hook = %v, want wrapped hook error", err)
+		t.Fatalf("approve with failing persist = %v, want wrapped persist error", err)
 	}
-	if solver.Engine() != oldEngine {
-		t.Error("failed hook must leave the old engine live")
+	if solver.Engine() != oldEngine || live.Engine() != oldEngine {
+		t.Error("failed persist must leave the old engine served")
 	}
 	if len(solver.Pending()) != 1 {
-		t.Error("failed hook must leave the change pending")
+		t.Error("failed persist must leave the change pending")
 	}
 
-	var hooked *pipeline.Engine
-	solver.SetMergeHook(func(e *pipeline.Engine) error { hooked = e; return nil })
+	persistErr = nil
 	if err := solver.Approve(pending, "reviewer"); err != nil {
 		t.Fatal(err)
 	}
-	if hooked == nil || hooked != solver.Engine() {
-		t.Error("hook must receive the engine the solver adopts")
+	if persisted == nil || persisted != solver.Engine().KnowledgeSet() {
+		t.Error("persist must receive the set of the engine the owner serves")
 	}
 	if len(solver.Pending()) != 0 {
 		t.Error("approved change should leave the pending queue")

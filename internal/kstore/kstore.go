@@ -280,9 +280,9 @@ func (s *Store) appendLocked(set *knowledge.Set) error {
 	}
 	// Lineage check: the committing set must contain the exact event the
 	// store persisted last at that seq. A set whose history forked from
-	// the durable log (e.g. a second solver that branched before another
-	// writer's merge landed) is refused instead of silently losing its
-	// edits or splicing incompatible events into the log.
+	// the durable log (e.g. one built by a second process writing the same
+	// directory) is refused instead of silently losing its edits or
+	// splicing incompatible events into the log.
 	if s.lastSeq > 0 {
 		tail := set.HistorySince(s.lastSeq - 1)
 		if len(tail) == 0 {

@@ -151,6 +151,21 @@ func (s *Suite) CasesByDifficulty(d task.Difficulty) []*task.Case {
 	return out
 }
 
+// Golden picks a database's regression suite: its first n cases in suite
+// order (fewer when the database has fewer).
+func (s *Suite) Golden(db string, n int) []*task.Case {
+	var out []*task.Case
+	for _, c := range s.Cases {
+		if len(out) == n {
+			break
+		}
+		if c.DB == db {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // BuildKnowledge runs the pre-processing phase for one database, returning
 // its company-specific knowledge set.
 func (s *Suite) BuildKnowledge(db string) (*knowledge.Set, error) {

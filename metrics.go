@@ -236,9 +236,16 @@ func (s *Service) initMetrics() {
 // a response (latency of a shed or failed request measures the shedding
 // path, not generation). db is always a known tenant — Generate rejects
 // unknown names before metrics, so garbage input cannot mint label values.
+// It is also the one place a cancellation reaches the failure ledger, so
+// FailureStats().Canceled and the canceled request outcome count the same
+// requests.
 func (s *Service) observeRequest(db string, resp *Response, err error, dur time.Duration) {
 	d := s.smetrics.forDB(db)
-	d.outcomes[outcomeOf(resp, err)].Inc()
+	outcome := outcomeOf(resp, err)
+	d.outcomes[outcome].Inc()
+	if outcome == "canceled" {
+		s.noteCanceled(db)
+	}
 	if err == nil {
 		d.latency.Observe(dur.Seconds())
 	}
@@ -258,7 +265,7 @@ func outcomeOf(resp *Response, err error) string {
 		return "rate_limited"
 	case errors.Is(err, ErrOverloaded):
 		return "overloaded"
-	case errCanceled(err):
+	case errors.Is(err, ErrCanceled):
 		return "canceled"
 	default:
 		return "error"

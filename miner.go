@@ -2,12 +2,10 @@ package genedit
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"genedit/internal/eval"
 	"genedit/internal/gencache"
-	"genedit/internal/generr"
 	"genedit/internal/miner"
 	"genedit/internal/pipeline"
 	"genedit/internal/task"
@@ -126,9 +124,10 @@ func (s *Service) FailureStats() map[string]FailureStats {
 }
 
 // minerFor returns (building on first use) the miner for one database. The
-// miner's solver shares the service's merge hook, so an approved mined
-// candidate is persisted (when durable) and hot-swapped exactly like an SME
-// merge — and refuses to splice if another writer committed first.
+// miner's solver is a view on the database's live owner, like every SME
+// solver, so an approved mined candidate merges onto the engine being
+// served — whatever SME merges landed since the miner was built — and is
+// persisted (when durable) and hot-swapped exactly like an SME merge.
 func (s *Service) minerFor(ctx context.Context, db string) (*miner.Miner, error) {
 	if !s.minerOn {
 		return nil, fmt.Errorf("genedit: miner is not enabled (WithMiner)")
@@ -139,7 +138,7 @@ func (s *Service) minerFor(ctx context.Context, db string) (*miner.Miner, error)
 	if ok {
 		return m, nil
 	}
-	solver, err := s.Solver(ctx, db, s.minerGolden(db))
+	solver, err := s.Solver(ctx, db, s.suite.Golden(db, minerGoldenCases))
 	if err != nil {
 		return nil, err
 	}
@@ -156,22 +155,10 @@ func (s *Service) minerFor(ctx context.Context, db string) (*miner.Miner, error)
 	return m, nil
 }
 
-// minerGolden picks the regression suite gating mined merges for one
-// database: its benchmark cases, capped. The cap keeps a mining round's
-// cost bounded — every candidate submission replays the suite twice.
-func (s *Service) minerGolden(db string) []*Case {
-	const cap = 6
-	var out []*Case
-	for _, c := range s.suite.Cases {
-		if c.DB == db {
-			out = append(out, c)
-			if len(out) == cap {
-				break
-			}
-		}
-	}
-	return out
-}
+// minerGoldenCases is the size of the regression suite gating mined merges:
+// a database's first benchmark cases. The cap keeps a mining round's cost
+// bounded — every candidate submission replays the suite twice.
+const minerGoldenCases = 6
 
 // MineRound runs one mining round for a database: drain the retained
 // failure ring, merge in the generation cache's retained failures for that
@@ -266,7 +253,9 @@ type MinerConvergenceRound struct {
 // families whose jargon no knowledge document defines) serves the failing
 // questions, mines each database, and re-serves — showing EX over the
 // injected families rising as gated auto-knowledge merges, with every merge
-// having passed the same regression bar as an SME edit.
+// having passed the regression gate SME edits pass. The miner's gate
+// replays a database's first six cases; the daemon's SME hub replays its
+// first four.
 func RunMinerConvergence(seed, modelSeed uint64, rounds int) ([]MinerConvergenceRound, error) {
 	suite, injected := workload.NewMinerSuite(seed)
 	svc := NewService(suite,
@@ -318,7 +307,3 @@ func RunMinerConvergence(seed, modelSeed uint64, rounds int) ([]MinerConvergence
 	}
 	return out, nil
 }
-
-// errCanceled reports whether err is a cancellation (shared helper for the
-// failure counters).
-func errCanceled(err error) bool { return errors.Is(err, generr.ErrCanceled) }

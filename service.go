@@ -212,11 +212,13 @@ func WithStoreFS(fs kstore.FS) Option { return func(s *Service) { s.storeFS = fs
 // contend on anything but the executor's internal sharded statement-cache
 // locks. The registry is guarded by an RWMutex: steady-state Generate calls
 // take only the read lock (and only briefly, to fetch a resolved promise),
-// so they never serialize behind engine builds, store opens or hot-swap
-// publications, which take the write lock. Approved feedback merges never
-// mutate a served engine: the solver's merge hook swaps a freshly built
-// engine into the registry atomically (swapEngine), so a request sees
-// either the old or the new knowledge version, never a half-rebuilt one.
+// so they never serialize behind engine builds or store opens, which take
+// the write lock. Each database's served engine has one owner, a
+// feedback.Live: every Solver on the database (SME hub, miner, any caller)
+// merges through it, one merge at a time, each onto the engine the last one
+// served. A merge publishes a freshly built engine with one atomic store, so
+// a request sees the old or the new knowledge version, never a half-rebuilt
+// one, and never waits on a merge.
 type Service struct {
 	suite        *Benchmark
 	modelSeed    uint64
@@ -267,11 +269,12 @@ type Service struct {
 }
 
 // enginePromise coalesces concurrent builds of one database's engine: the
-// first requester builds, everyone else waits on ready.
+// first requester builds, everyone else waits on ready. It resolves to the
+// database's live owner, which serves every engine from then on.
 type enginePromise struct {
-	ready  chan struct{}
-	engine *Engine
-	err    error
+	ready chan struct{}
+	live  *feedback.Live
+	err   error
 }
 
 // NewService wraps a benchmark suite in a serving facade. The suite is the
@@ -318,6 +321,16 @@ func (s *Service) Databases() []string {
 // and is cached for the next caller). The returned engine is shared — treat
 // it as read-only and use WithKnowledge for staging variants.
 func (s *Service) Engine(ctx context.Context, db string) (*Engine, error) {
+	live, err := s.live(ctx, db)
+	if err != nil {
+		return nil, err
+	}
+	return live.Engine(), nil
+}
+
+// live returns the owner of one database's served engine, building the
+// engine on first use (see Engine).
+func (s *Service) live(ctx context.Context, db string) (*feedback.Live, error) {
 	if _, ok := s.suite.Databases[db]; !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDatabase, db)
 	}
@@ -337,7 +350,7 @@ func (s *Service) Engine(ctx context.Context, db string) (*Engine, error) {
 			// an unresolved promise: the promise resolves as failed and is
 			// evicted for retry.
 			defer func() {
-				if p.err != nil || p.engine == nil {
+				if p.err != nil || p.live == nil {
 					if p.err == nil {
 						p.err = fmt.Errorf("genedit: engine build for %q panicked", db)
 					}
@@ -347,14 +360,14 @@ func (s *Service) Engine(ctx context.Context, db string) (*Engine, error) {
 				}
 				close(p.ready)
 			}()
-			p.engine, p.err = s.build(db)
-			return p.engine, p.err
+			p.live, p.err = s.build(db)
+			return p.live, p.err
 		}
 		s.mu.Unlock()
 	}
 	select {
 	case <-p.ready:
-		return p.engine, p.err
+		return p.live, p.err
 	case <-ctx.Done():
 		return nil, generr.Canceled(ctx.Err())
 	}
@@ -362,13 +375,19 @@ func (s *Service) Engine(ctx context.Context, db string) (*Engine, error) {
 
 // build runs the pre-processing phase for one database — or, when the
 // service is durable and the database's store already holds state, recovers
-// the knowledge set from disk instead and skips the seed build.
-func (s *Service) build(db string) (*Engine, error) {
+// the knowledge set from disk instead and skips the seed build — and hands
+// the engine to its live owner, which on a durable service commits every
+// merged set to the database's store before serving it.
+func (s *Service) build(db string) (*feedback.Live, error) {
 	kset, err := s.buildKnowledge(db)
 	if err != nil {
 		return nil, err
 	}
-	return pipeline.New(s.model, kset, s.suite.Databases[db], pipeline.DefaultConfig()), nil
+	var persist func(*knowledge.Set) error
+	if st := s.store(db); st != nil {
+		persist = st.Commit
+	}
+	return feedback.NewLive(pipeline.New(s.model, kset, s.suite.Databases[db], pipeline.DefaultConfig()), persist), nil
 }
 
 // buildKnowledge resolves the knowledge set for one database: straight from
@@ -455,19 +474,6 @@ func (s *Service) store(db string) *kstore.Store {
 	return s.stores[db]
 }
 
-// swapEngine atomically replaces the served engine for a database under the
-// registry lock. In-flight requests keep the engine (and its immutable
-// knowledge snapshot) they resolved earlier; requests arriving after the
-// swap see the new one. The promise is pre-resolved, so waiters never
-// block.
-func (s *Service) swapEngine(db string, engine *Engine) {
-	p := &enginePromise{ready: make(chan struct{}), engine: engine}
-	close(p.ready)
-	s.mu.Lock()
-	s.engines[db] = p
-	s.mu.Unlock()
-}
-
 // Close releases the service's durable stores (no-op for an in-memory
 // service). When admission control is enabled its queue is shed first —
 // queued requests fail with ErrOverloaded and new requests are refused —
@@ -528,7 +534,6 @@ func (s *Service) Generate(ctx context.Context, req Request) (*Response, error) 
 	start := time.Now()
 	if err := generr.FromContext(ctx); err != nil {
 		if _, ok := s.suite.Databases[req.Database]; ok {
-			s.noteCanceled(req.Database)
 			s.observeRequest(req.Database, nil, err, 0)
 		}
 		return nil, err
@@ -567,9 +572,6 @@ func (s *Service) generateHandler() handler {
 		}
 		rec, err := engine.GenerateContext(ctx, req.Question, req.Evidence)
 		if err != nil {
-			if errCanceled(err) {
-				s.noteCanceled(req.Database)
-			}
 			return nil, err
 		}
 		return s.respond(req, rec, false), nil
@@ -606,9 +608,6 @@ func (s *Service) coalesceMiddleware(next handler) handler {
 			return resp.Record, nil
 		})
 		if err != nil {
-			if errCanceled(err) {
-				s.noteCanceled(req.Database)
-			}
 			return nil, err
 		}
 		return s.respond(req, rec, cached), nil
@@ -644,8 +643,6 @@ func (s *Service) admitMiddleware(next handler) handler {
 				if resp, ok := s.staleResponse(req); ok {
 					return resp, nil
 				}
-			} else if errCanceled(err) {
-				s.noteCanceled(req.Database)
 			}
 			return nil, err
 		}
@@ -730,8 +727,8 @@ func (s *Service) RetrievalStats() map[string]RetrievalStats {
 	for db, p := range s.engines {
 		select {
 		case <-p.ready:
-			if p.engine != nil {
-				out[db] = p.engine.RetrievalStats()
+			if p.live != nil {
+				out[db] = p.live.Engine().RetrievalStats()
 			}
 		default:
 		}
@@ -765,33 +762,22 @@ func (s *Service) GenerateBatch(ctx context.Context, reqs []Request) ([]*Respons
 	return out, nil
 }
 
-// Solver builds the continuous-improvement workflow around a database's
-// shared engine. The golden cases form the regression suite gating merges.
+// Solver builds the continuous-improvement workflow on a database's served
+// engine. The golden cases form the regression suite gating merges.
 //
-// The solver is wired back into the service: approving a pending change
-// first persists the merged knowledge events to the database's store (when
-// the service is durable — the fsync happens before anything else observes
-// the merge) and then atomically hot-swaps the service's served engine, so
-// the next Generate call runs with the new knowledge version while
-// in-flight calls finish on their old immutable snapshot. Each call
-// returns a fresh Solver (own pending queue); share one solver across the
-// sessions that should see each other's pending changes.
+// The solver is a view on the database's live owner, shared with the
+// service and every other Solver on it: Solver.Engine is the served engine,
+// and an approval merges onto it, fsyncs the merged events to the store
+// (when durable) before anything observes them, then publishes the new
+// engine — the next Generate runs on it, in-flight ones finish on their old
+// immutable snapshot. Each call returns a fresh Solver (own pending queue);
+// share one across sessions that should see each other's pending changes.
 func (s *Service) Solver(ctx context.Context, db string, golden []*Case) (*Solver, error) {
-	engine, err := s.Engine(ctx, db)
+	live, err := s.live(ctx, db)
 	if err != nil {
 		return nil, err
 	}
-	solver := feedback.NewSolver(engine, feedback.NewRecommender(s.model), golden)
-	solver.SetMergeHook(func(next *Engine) error {
-		if st := s.store(db); st != nil {
-			if err := st.Commit(next.KnowledgeSet()); err != nil {
-				return err
-			}
-		}
-		s.swapEngine(db, next)
-		return nil
-	})
-	return solver, nil
+	return feedback.NewSolver(live, feedback.NewRecommender(s.model), golden), nil
 }
 
 // KnowledgeInfo reports the live knowledge state of one database for

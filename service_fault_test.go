@@ -63,7 +63,7 @@ func faultyFeedbackRound(t *testing.T, svc *genedit.Service, suite *genedit.Benc
 			continue
 		}
 		if err := solver.Approve(res.Pending, "reviewer"); err != nil {
-			// The merge hook commits to the store BEFORE hot-swapping the
+			// The live owner commits to the store BEFORE publishing the
 			// engine: a failed approval must leave the served version
 			// unchanged, never acknowledge-and-lose.
 			if !errors.Is(err, kstore.ErrInjected) && !isStoreWedged(err) {

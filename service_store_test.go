@@ -23,13 +23,7 @@ func dbCases(suite *genedit.Benchmark) []*task.Case {
 	return out
 }
 
-func goldenOf(suite *genedit.Benchmark) []*genedit.Case {
-	cs := dbCases(suite)
-	if len(cs) > 4 {
-		cs = cs[:4]
-	}
-	return cs
-}
+func goldenOf(suite *genedit.Benchmark) []*genedit.Case { return suite.Golden(storeDB, 4) }
 
 // runFeedbackRound drives one continuous-improvement round (§4.2.3) for
 // storeDB through the Service API: every failed case opens an SME session,

@@ -3,11 +3,14 @@ package genedit_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"genedit"
+	"genedit/internal/metrics"
 	"genedit/internal/pipeline"
 	"genedit/internal/simllm"
 )
@@ -278,5 +281,80 @@ func TestFailureTaxonomy(t *testing.T) {
 	ge = &genedit.GenerationError{Kind: "exec", Msg: "no such column"}
 	if !errors.Is(ge, genedit.ErrExecFailure) {
 		t.Error("exec failure should match ErrExecFailure")
+	}
+}
+
+// expiringContext is a request context whose deadline passes after its
+// first n checks: the n+1-th Err (and every later one) reports
+// DeadlineExceeded. Sweeping n cancels a request at each point of the
+// pipeline in turn, without depending on timing.
+type expiringContext struct {
+	context.Context
+	checks atomic.Int32
+	n      int32
+	done   chan struct{}
+	once   sync.Once
+}
+
+func newExpiringContext(n int) *expiringContext {
+	return &expiringContext{Context: context.Background(), n: int32(n), done: make(chan struct{})}
+}
+
+func (c *expiringContext) Err() error {
+	if c.checks.Add(1) <= c.n {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.DeadlineExceeded
+}
+
+func (c *expiringContext) Done() <-chan struct{} { return c.done }
+
+// TestCanceledRequestsCountedOnce: with the generation cache on, a request
+// whose deadline passes mid-pipeline counts once as canceled — the request
+// counter's canceled outcome, FailureStats().Canceled and the
+// genedit_failures_total canceled series agree for every database.
+func TestCanceledRequestsCountedOnce(t *testing.T) {
+	suite := genedit.NewBenchmark(1)
+	reg := metrics.NewRegistry()
+	svc := genedit.NewService(suite, genedit.WithModelSeed(42), genedit.WithGenerationCache(256), genedit.WithMetrics(reg))
+	defer svc.Close()
+	reqs := testRequests(t, suite, 4)
+	for _, req := range reqs {
+		if _, err := svc.Engine(context.Background(), req.Database); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	canceled := 0
+	for n := 0; n < 40; n++ {
+		for i, req := range reqs {
+			// A spelling of its own per request: every one is a cache miss
+			// that runs the pipeline.
+			req.Question = fmt.Sprintf("%s (check %d-%d)", req.Question, n, i)
+			if _, err := svc.Generate(newExpiringContext(n), req); errors.Is(err, genedit.ErrCanceled) {
+				canceled++
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if canceled <= len(reqs) {
+		t.Fatalf("%d requests canceled, want some canceled mid-pipeline as well as at the door", canceled)
+	}
+
+	snap := reg.Gather()
+	total := 0
+	for _, db := range svc.Databases() {
+		outcome := snap.CounterValue("genedit_requests_total", db, "canceled")
+		ledger := svc.FailureStats()[db].Canceled
+		series := snap.CounterValue("genedit_failures_total", db, "canceled")
+		if outcome != ledger || series != ledger {
+			t.Errorf("%s: canceled requests %d, FailureStats().Canceled %d, genedit_failures_total %d; want all equal", db, outcome, ledger, series)
+		}
+		total += int(outcome)
+	}
+	if total != canceled {
+		t.Errorf("request counter holds %d canceled requests, Generate returned %d", total, canceled)
 	}
 }
