@@ -87,10 +87,15 @@ go test -race -bench 'GenerationCache|GenerationCoalescing|StatementCacheParalle
 # another and all at once, in memory and durable, with the generation cache
 # on and readers running; every approval must land, the served set must hold
 # every edit, the version must only rise, and no read after a merge may be
-# served a record made before it. The -race pass above runs them too; they
-# rerun uncached here so the gate reads as one unit.
-echo "== overload, stress-scale and two-writer gates under -race (tiny token budget, hot-swap under load, SME and miner merges on one database) =="
-go test -race -count=1 -run 'TestAdmissionOverloadParity|TestConcurrentGenerateHotSwapClose|TestMinerAndSMEMergesShareOneLine|TestDaemonGracefulShutdownUnderLoad' . ./cmd/geneditd
+# served a record made before it. The request-path contracts of
+# Service.Generate: TestCanceledRequestsCountedOnce (a request whose
+# deadline passes anywhere on the path counts once as canceled),
+# TestAdmissionStaleServeOnShed (a shed request degrades onto the newest
+# cached answer) and TestCoalescedGenerateSharesOneRecord (concurrent
+# identical requests share one pipeline run). The -race pass above runs
+# them too; they rerun uncached here so the gate reads as one unit.
+echo "== overload, stress-scale, two-writer and request-path gates under -race (tiny token budget, hot-swap under load, SME and miner merges on one database, cancellation, stale serve, coalescing) =="
+go test -race -count=1 -run 'TestAdmissionOverloadParity|TestConcurrentGenerateHotSwapClose|TestMinerAndSMEMergesShareOneLine|TestDaemonGracefulShutdownUnderLoad|TestCanceledRequestsCountedOnce|TestAdmissionStaleServeOnShed|TestCoalescedGenerateSharesOneRecord' . ./cmd/geneditd
 
 echo "== kstore crash-fuzz (1000 injected-fault iterations, event-loss + lineage checks) =="
 KSTORE_FUZZ_ITERS=1000 go test -count=1 -run 'TestCrashFuzz|TestFaultSweepExhaustive' ./internal/kstore

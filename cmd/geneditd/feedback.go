@@ -88,11 +88,29 @@ func (h *feedbackHub) solverFor(ctx context.Context, db string) (*genedit.Solver
 	return s, nil
 }
 
+// fullLocked refuses a new session once -maxsessions are open; callers
+// hold mu.
+func (h *feedbackHub) fullLocked() error {
+	if len(h.sessions) >= h.maxSessions {
+		return fmt.Errorf("too many open feedback sessions (%d); submit, approve or abandon some first", len(h.sessions))
+	}
+	return nil
+}
+
+// full is fullLocked for callers that do not hold mu.
+func (h *feedbackHub) full() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.fullLocked()
+}
+
+// register files an opened session. It checks the cap again: opens that
+// passed the early check race each other to the last places.
 func (h *feedbackHub) register(db string, sess *feedback.Session) (*fbSession, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.sessions) >= h.maxSessions {
-		return nil, fmt.Errorf("too many open feedback sessions (%d); submit, approve or abandon some first", len(h.sessions))
+	if err := h.fullLocked(); err != nil {
+		return nil, err
 	}
 	// The API session ID embeds the solver's per-database FeedbackID (the
 	// value stamped into audit-history provenance), so GET /v1/knowledge
@@ -215,6 +233,12 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 		}
 		if req.Database == "" || req.Question == "" {
 			writeError(w, http.StatusBadRequest, "database and question are required")
+			return
+		}
+		// The cap is checked before any work: an open refused at the cap
+		// builds no engine and runs no generation.
+		if err := h.full(); err != nil {
+			writeError(w, http.StatusTooManyRequests, err.Error())
 			return
 		}
 		ctx, cancel := withTimeout(r.Context())

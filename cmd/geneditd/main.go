@@ -67,8 +67,8 @@
 // (opt out with -metrics=false) — request outcomes and latency histograms
 // per database, generation-cache and admission counters, WAL append/fsync
 // latency, compaction health, and miner progress; see DESIGN.md
-// "Observability" for the metric catalog. /v1/stats is derived from the
-// same registry snapshot, so the JSON stats and /metrics always agree.
+// "Observability" for the metric catalog. /v1/stats reads the same
+// subsystem counters the /metrics bridges copy, so the two always agree.
 // -tracesample N (default 64, 0 disables) feeds per-operator pipeline
 // timings (genedit_operator_duration_seconds) from every Nth request; a
 // sampled request bypasses the generation cache because operator timings
@@ -362,19 +362,18 @@ func newMux(svc *genedit.Service, suite *genedit.Benchmark, cfg muxConfig) *http
 		mux.Handle("GET /metrics", svc.Metrics().Handler())
 	}
 
-	// /v1/stats is derived from the same registry snapshot /metrics renders
-	// (the bridges run at Gather), so the JSON stats and the Prometheus
-	// exposition can never disagree.
+	// /v1/stats reads the subsystem counters the /metrics bridges copy at
+	// scrape time, so the JSON stats and the Prometheus exposition report
+	// the same values and the bridges hold the only metric-name mapping.
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		snap := svc.Metrics().Gather()
 		writeJSON(w, http.StatusOK, statsResponse{
 			GenerationCacheEnabled: svc.GenerationCacheEnabled(),
-			GenerationCache:        genedit.GenerationCacheStatsFromSnapshot(snap),
+			GenerationCache:        svc.GenerationCacheStats(),
 			AdmissionEnabled:       svc.AdmissionEnabled(),
-			Admission:              genedit.AdmissionStatsFromSnapshot(snap),
+			Admission:              svc.AdmissionStats(),
 			MinerEnabled:           svc.MinerEnabled(),
-			Failures:               genedit.FailureStatsFromSnapshot(snap),
-			Miner:                  genedit.MinerStatsFromSnapshot(snap),
+			Failures:               svc.FailureStats(),
+			Miner:                  svc.MinerStats(),
 		})
 	})
 

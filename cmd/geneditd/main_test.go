@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,8 +17,8 @@ import (
 
 // testOpts prefixes a fresh metrics registry onto the service options.
 // Without it every test service would report into the process-global
-// default registry, and tests asserting exact counter values (via /v1/stats,
-// which is derived from the registry) could see each other's bridges.
+// default registry, and tests asserting exact counter values (via /metrics)
+// could see each other's bridges.
 func testOpts(opts ...genedit.Option) []genedit.Option {
 	return append([]genedit.Option{genedit.WithMetrics(metrics.NewRegistry())}, opts...)
 }
@@ -242,6 +243,25 @@ func TestMinerEndpoints(t *testing.T) {
 	}
 	if stats.Failures[db].Exec == 0 {
 		t.Error("stats should carry the per-db failure counters")
+	}
+
+	// The failures and miner sections agree with /metrics series for series.
+	series := getMetrics(t, srv.URL)
+	fs, ms := stats.Failures[db], stats.Miner[db]
+	for kind, want := range map[string]uint64{"syntax": fs.Syntax, "exec": fs.Exec, "canceled": fs.Canceled} {
+		name := fmt.Sprintf("genedit_failures_total{db=%q,kind=%q}", db, kind)
+		if got, ok := series[name]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (present %v), /v1/stats says %d", name, got, ok, want)
+		}
+	}
+	for name, want := range map[string]int{
+		"rounds": ms.Rounds, "scanned": ms.Scanned, "clusters": ms.Clusters, "candidates": ms.Candidates,
+		"merged": ms.Merged, "rejected": ms.Rejected, "unactionable": ms.Unactionable,
+	} {
+		name = fmt.Sprintf("genedit_miner_%s_total{db=%q}", name, db)
+		if got, ok := series[name]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (present %v), /v1/stats says %d", name, got, ok, want)
+		}
 	}
 
 	if resp, _ := postJSON(t, srv.URL+"/v1/miner/nope/mine", `{}`); resp.StatusCode != http.StatusNotFound {

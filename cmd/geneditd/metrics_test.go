@@ -59,8 +59,8 @@ func getMetrics(t *testing.T, base string) map[string]float64 {
 // through the full serving repertoire — generate, cache hit, feedback
 // approve (a WAL commit), a stale serve and a rate-limit shed — then
 // asserts GET /metrics parses as text exposition with every counter moved
-// accordingly, and that GET /v1/stats (derived from the same registry
-// snapshot) agrees with it.
+// accordingly, and that GET /v1/stats (which reads the counters the
+// registry's bridges copy) agrees with it.
 func TestMetricsEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	suite := genedit.NewBenchmark(1)
@@ -207,7 +207,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /v1/stats derives from the same registry snapshot; with no traffic
+	// /v1/stats reads the counters the bridges copy; with no traffic
 	// between the two reads the JSON numbers must equal the exposition's.
 	var st statsResponse
 	stResp, stRaw := getURL(t, srv.URL+"/v1/stats")
@@ -284,7 +284,7 @@ func TestMetricsOptOut(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/metrics with noMetrics = %d, want 404", resp.StatusCode)
 	}
-	// /v1/stats still works — it reads the registry directly.
+	// /v1/stats still works — it reads the subsystem counters directly.
 	if resp, raw := getURL(t, srv.URL+"/v1/stats"); resp.StatusCode != 200 {
 		t.Fatalf("/v1/stats with noMetrics = %d: %s", resp.StatusCode, raw)
 	}

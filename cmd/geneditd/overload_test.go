@@ -133,6 +133,22 @@ func TestDaemonMaxSessionsCap(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second open with -maxsessions 1: status %d, want 429; body %s", resp.StatusCode, raw)
 	}
+	// An open refused at the cap costs nothing: on a database no earlier
+	// request touched, it gets 429 and no engine is built.
+	var fresh string
+	for _, name := range svc.Databases() {
+		if name != db {
+			fresh = name
+			break
+		}
+	}
+	freshBody, _ := json.Marshal(feedbackOpenRequest{Database: fresh, Question: q})
+	if resp, raw := postJSON(t, srv.URL+"/v1/feedback/open", string(freshBody)); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("open on %s at the cap: status %d, want 429; body %s", fresh, resp.StatusCode, raw)
+	}
+	if _, built := svc.RetrievalStats()[fresh]; built {
+		t.Errorf("an open refused at the cap built the engine of %s", fresh)
+	}
 
 	// Abandoning the first session frees its place.
 	del := func() int {

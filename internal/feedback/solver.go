@@ -132,6 +132,9 @@ type Session struct {
 	Iterations int
 	// LastRecommendation is the most recent operator output.
 	LastRecommendation *Recommendation
+	// pending is the session's latest passing submission; a new one
+	// replaces it in the solver's pending queue.
+	pending *PendingChange
 }
 
 // OpenContext generates the initial SQL for a question and starts a session.
@@ -215,14 +218,20 @@ type SubmitResult struct {
 
 // SubmitContext closes the session's iteration loop: the staged edits run
 // through the regression suite; on pass, a pending change is queued for
-// approval. The golden-suite replay checks ctx between cases and aborts
-// mid-generation once ctx is done, returning an error matching
-// generr.ErrCanceled.
+// approval and the session's earlier pending change, if any, is withdrawn —
+// a session has at most one change awaiting approval. The golden-suite
+// replay checks ctx between cases and aborts mid-generation once ctx is
+// done, returning an error matching generr.ErrCanceled.
 func (sess *Session) SubmitContext(ctx context.Context) (*SubmitResult, error) {
 	if len(sess.Staged) == 0 {
 		return nil, fmt.Errorf("nothing staged to submit")
 	}
-	return sess.solver.submitEdits(ctx, sess.FeedbackID, "sme", sess.Staged)
+	res, err := sess.solver.submitEdits(ctx, sess.FeedbackID, "sme", sess.Staged)
+	if err == nil && res.Pending != nil {
+		sess.solver.Withdraw(sess.pending)
+		sess.pending = res.Pending
+	}
+	return res, err
 }
 
 // SubmitCandidate runs programmatically assembled edits — auto-mined

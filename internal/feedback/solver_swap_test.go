@@ -141,3 +141,39 @@ func TestWithdrawDropsPendingChange(t *testing.T) {
 		t.Error("withdraw must not swap the engine")
 	}
 }
+
+// TestResubmitReplacesPendingChange: a session submitted twice leaves one
+// pending change, its latest; approving that one empties the queue.
+func TestResubmitReplacesPendingChange(t *testing.T) {
+	solver, suite := testSolver(t, true)
+	c := ourCase(t, suite)
+	sess, err := solver.OpenContext(context.Background(), c.Question, c.Evidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := sess.Feedback("This response queries all sports organisations but I only care about our organisations.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Stage(rec.Edits...)
+	var last *PendingChange
+	for i := 0; i < 2; i++ {
+		res, err := sess.SubmitContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Passed || res.Pending == nil {
+			t.Fatalf("submit %d did not pass: %+v", i, res)
+		}
+		last = res.Pending
+	}
+	if got := solver.Pending(); len(got) != 1 || got[0] != last {
+		t.Fatalf("pending after two submits = %d, want only the latest", len(got))
+	}
+	if err := solver.Approve(last, "reviewer"); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(solver.Pending()); got != 0 {
+		t.Fatalf("pending = %d, want 0", got)
+	}
+}

@@ -10,10 +10,8 @@ import (
 )
 
 // Snapshot is a point-in-time copy of every family in a registry, taken
-// after the OnScrape bridges have run. It is the single source of truth for
-// every read surface: WriteText renders it as Prometheus text exposition,
-// and JSON stats endpoints (geneditd's /v1/stats) derive their numbers from
-// the same snapshot so the two can never disagree.
+// after the OnScrape bridges have run. WriteText renders it as Prometheus
+// text exposition; Sample and CounterValue read single series from it.
 type Snapshot struct {
 	Families []FamilySnapshot
 }
@@ -84,14 +82,6 @@ func (s *Snapshot) Sample(name string, labelValues ...string) *Sample {
 func (s *Snapshot) CounterValue(name string, labelValues ...string) uint64 {
 	if smp := s.Sample(name, labelValues...); smp != nil {
 		return smp.Count
-	}
-	return 0
-}
-
-// GaugeValue returns the named gauge series' value (0 if absent).
-func (s *Snapshot) GaugeValue(name string, labelValues ...string) float64 {
-	if smp := s.Sample(name, labelValues...); smp != nil {
-		return smp.Value
 	}
 	return 0
 }

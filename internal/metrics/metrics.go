@@ -25,8 +25,8 @@
 //   - Subsystems that already maintain their own counters (the generation
 //     cache, admission control, the miner) are bridged at scrape time: an
 //     OnScrape hook reads their snapshot and Sets the registry's values, so
-//     the hot path is never instrumented twice and /metrics plus any
-//     JSON stats surface derived from Gather can never disagree.
+//     the hot path is never instrumented twice, and a JSON stats surface
+//     that reads the same subsystem snapshots agrees with /metrics.
 //
 // Exposition output is deterministic: families sort by name, series by
 // label-value tuple, so golden-file tests and scrape diffs are stable.

@@ -182,8 +182,8 @@ func TestSnapshotHelpers(t *testing.T) {
 	if got := snap.CounterValue("test_requests_total", "sports_holdings", "failed_sql"); got != 0 {
 		t.Errorf("CounterValue of an absent series = %d, want 0", got)
 	}
-	if got := snap.GaugeValue("test_queue_depth", "sports_holdings"); got != 6.5 {
-		t.Errorf("GaugeValue = %g, want 6.5", got)
+	if got := snap.Sample("test_queue_depth", "sports_holdings").Value; got != 6.5 {
+		t.Errorf("gauge sample = %g, want 6.5", got)
 	}
 	if snap.Family("nope") != nil || snap.Sample("nope") != nil {
 		t.Error("missing family lookups must return nil")
@@ -268,7 +268,7 @@ func TestConcurrentUse(t *testing.T) {
 		t.Errorf("histogram total = %d, want 8000", histTotal)
 	}
 	// Every goroutine's last Set is 999, so the last Set of all is too.
-	if got := snap.GaugeValue("conc_gauge"); got != 999 {
+	if got := snap.Sample("conc_gauge").Value; got != 999 {
 		t.Errorf("gauge = %g, want 999", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"genedit/internal/admission"
@@ -43,8 +44,9 @@ func WithOperatorSampling(n int) Option {
 }
 
 // Metrics returns the registry this service reports into (never nil).
-// geneditd exposes it on GET /metrics and derives /v1/stats from its
-// Gather snapshot.
+// geneditd exposes it on GET /metrics; its /v1/stats reads the subsystem
+// accessors (GenerationCacheStats, AdmissionStats, FailureStats,
+// MinerStats) whose values the registry's scrape bridges copy.
 func (s *Service) Metrics() *metrics.Registry { return s.mreg }
 
 // requestOutcomes is the closed outcome vocabulary of
@@ -71,10 +73,14 @@ type serviceMetrics struct {
 }
 
 // dbMetrics is one database's resolved children, outcome counters
-// pre-resolved for the whole closed vocabulary.
+// pre-resolved for the whole closed vocabulary, and its failure counts
+// (FailureStats). The failure counts are plain atomics of this service, not
+// registry children: services sharing a registry keep their own counts.
 type dbMetrics struct {
 	outcomes map[string]*metrics.Counter
 	latency  *metrics.Histogram
+
+	syntax, exec, canceled atomic.Uint64
 }
 
 func (m *serviceMetrics) forDB(db string) *dbMetrics {
@@ -99,11 +105,11 @@ func (m *serviceMetrics) forDB(db string) *dbMetrics {
 // contributes no series.
 //
 // Bridging (vs. double-instrumenting the hot paths): the generation cache,
-// admission controller, failure ledger and miner already keep their own
+// admission controller, failure counters and miner already keep their own
 // counters; an OnScrape hook copies their snapshot into the registry at
-// Gather time. Every read surface — the text exposition and the JSON
-// stats derivations below — reads the same Gather snapshot, so they can
-// never disagree.
+// Gather time. The bridges are the only place a metric name is paired with
+// a stats field: JSON surfaces read the same counters through the accessors
+// (GenerationCacheStats, AdmissionStats, FailureStats, MinerStats).
 func (s *Service) initMetrics() {
 	if s.mreg == nil {
 		s.mreg = metrics.Default()
@@ -236,15 +242,20 @@ func (s *Service) initMetrics() {
 // a response (latency of a shed or failed request measures the shedding
 // path, not generation). db is always a known tenant — Generate rejects
 // unknown names before metrics, so garbage input cannot mint label values.
-// It is also the one place a cancellation reaches the failure ledger, so
-// FailureStats().Canceled and the canceled request outcome count the same
-// requests.
+// It is the one place a request's outcome is counted: a failed_sql outcome
+// (never a stale replay of an old failure, which is an overload artifact)
+// is the failure the miner sees, and a canceled one is
+// FailureStats().Canceled, so the ledger and the outcome counter count the
+// same requests.
 func (s *Service) observeRequest(db string, resp *Response, err error, dur time.Duration) {
 	d := s.smetrics.forDB(db)
 	outcome := outcomeOf(resp, err)
 	d.outcomes[outcome].Inc()
-	if outcome == "canceled" {
-		s.noteCanceled(db)
+	switch outcome {
+	case "failed_sql":
+		s.noteFailure(db, d, resp)
+	case "canceled":
+		d.canceled.Add(1)
 	}
 	if err == nil {
 		d.latency.Observe(dur.Seconds())
@@ -310,108 +321,6 @@ func (s *Service) StoreHealth() map[string]error {
 	out := make(map[string]error, len(s.stores))
 	for db, st := range s.stores {
 		out[db] = st.Failed()
-	}
-	return out
-}
-
-// The FromSnapshot derivations rebuild the legacy JSON stats structures
-// from a registry Gather snapshot. geneditd's /v1/stats uses these instead
-// of calling the subsystems directly, which makes the registry the single
-// source of truth: /metrics and the JSON stats are two renderings of one
-// snapshot and cannot disagree.
-
-// GenerationCacheStatsFromSnapshot derives the generation-cache counters
-// from a registry snapshot.
-func GenerationCacheStatsFromSnapshot(snap *metrics.Snapshot) GenerationCacheStats {
-	return GenerationCacheStats{
-		Hits:        snap.CounterValue("genedit_gencache_hits_total"),
-		Misses:      snap.CounterValue("genedit_gencache_misses_total"),
-		Coalesced:   snap.CounterValue("genedit_gencache_coalesced_total"),
-		StaleServed: snap.CounterValue("genedit_gencache_stale_serves_total"),
-		Entries:     int(snap.GaugeValue("genedit_gencache_entries")),
-		Capacity:    int(snap.GaugeValue("genedit_gencache_capacity")),
-	}
-}
-
-// AdmissionStatsFromSnapshot derives the admission counters (including the
-// per-tenant breakdown) from a registry snapshot.
-func AdmissionStatsFromSnapshot(snap *metrics.Snapshot) AdmissionStats {
-	st := AdmissionStats{
-		Admitted:        snap.CounterValue("genedit_admission_admitted_total"),
-		RateLimited:     snap.CounterValue("genedit_admission_shed_total", "rate_limited"),
-		ShedQueueFull:   snap.CounterValue("genedit_admission_shed_total", "queue_full"),
-		ShedDeadline:    snap.CounterValue("genedit_admission_shed_total", "deadline"),
-		CanceledInQueue: snap.CounterValue("genedit_admission_shed_total", "canceled_in_queue"),
-		ShedShutdown:    snap.CounterValue("genedit_admission_shed_total", "shutdown"),
-		InFlight:        int(snap.GaugeValue("genedit_admission_in_flight")),
-		Queued:          int(snap.GaugeValue("genedit_admission_queued")),
-		MaxQueueDepth:   int(snap.GaugeValue("genedit_admission_queue_depth_peak")),
-		AvgServiceMS:    snap.GaugeValue("genedit_admission_avg_service_seconds") * 1000,
-	}
-	tenants := make(map[string]TenantStats)
-	if f := snap.Family("genedit_admission_tenant_admitted_total"); f != nil {
-		for i := range f.Series {
-			ts := tenants[f.Series[i].LabelValues[0]]
-			ts.Admitted = f.Series[i].Count
-			tenants[f.Series[i].LabelValues[0]] = ts
-		}
-	}
-	if f := snap.Family("genedit_admission_tenant_rate_limited_total"); f != nil {
-		for i := range f.Series {
-			ts := tenants[f.Series[i].LabelValues[0]]
-			ts.RateLimited = f.Series[i].Count
-			tenants[f.Series[i].LabelValues[0]] = ts
-		}
-	}
-	if len(tenants) > 0 {
-		st.Tenants = tenants
-	}
-	return st
-}
-
-// FailureStatsFromSnapshot derives the per-database failure-class counters
-// from a registry snapshot.
-func FailureStatsFromSnapshot(snap *metrics.Snapshot) map[string]FailureStats {
-	out := make(map[string]FailureStats)
-	f := snap.Family("genedit_failures_total")
-	if f == nil {
-		return out
-	}
-	for i := range f.Series {
-		db, kind := f.Series[i].LabelValues[0], f.Series[i].LabelValues[1]
-		fs := out[db]
-		switch kind {
-		case "syntax":
-			fs.Syntax = f.Series[i].Count
-		case "exec":
-			fs.Exec = f.Series[i].Count
-		case "canceled":
-			fs.Canceled = f.Series[i].Count
-		}
-		out[db] = fs
-	}
-	return out
-}
-
-// MinerStatsFromSnapshot derives the per-database miner counters from a
-// registry snapshot.
-func MinerStatsFromSnapshot(snap *metrics.Snapshot) map[string]MinerStats {
-	out := make(map[string]MinerStats)
-	rounds := snap.Family("genedit_miner_rounds_total")
-	if rounds == nil {
-		return out
-	}
-	for i := range rounds.Series {
-		db := rounds.Series[i].LabelValues[0]
-		out[db] = MinerStats{
-			Rounds:       int(rounds.Series[i].Count),
-			Scanned:      int(snap.CounterValue("genedit_miner_scanned_total", db)),
-			Clusters:     int(snap.CounterValue("genedit_miner_clusters_total", db)),
-			Candidates:   int(snap.CounterValue("genedit_miner_candidates_total", db)),
-			Merged:       int(snap.CounterValue("genedit_miner_merged_total", db)),
-			Rejected:     int(snap.CounterValue("genedit_miner_rejected_total", db)),
-			Unactionable: int(snap.CounterValue("genedit_miner_unactionable_total", db)),
-		}
 	}
 	return out
 }

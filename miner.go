@@ -57,69 +57,42 @@ type FailureStats struct {
 // usually still holds them).
 const failureRingCap = 256
 
-// dbFailures is one database's failure accounting (guarded by Service.failMu).
-type dbFailures struct {
-	stats FailureStats
-	// ring retains recent failed records for mining, newest last. Only
-	// populated when the miner is enabled.
-	ring []*pipeline.Record
-}
-
-// noteFailure records one failed generation for db.
-func (s *Service) noteFailure(db string, rec *pipeline.Record) {
-	f := rec.Failure()
-	if f == nil {
-		return
-	}
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	d := s.failureEntry(db)
-	switch f.Kind {
-	case "syntax":
-		d.stats.Syntax++
-	default:
-		d.stats.Exec++
+// noteFailure records one failed generation of a database: its syntax or
+// exec count and, with the miner on, its record in the database's ring.
+func (s *Service) noteFailure(db string, d *dbMetrics, resp *Response) {
+	if resp.Failure.Kind == "syntax" {
+		d.syntax.Add(1)
+	} else {
+		d.exec.Add(1)
 	}
 	if !s.minerOn {
 		return
 	}
-	if len(d.ring) >= failureRingCap {
-		copy(d.ring, d.ring[1:])
-		d.ring = d.ring[:failureRingCap-1]
-	}
-	d.ring = append(d.ring, rec)
-}
-
-// noteCanceled records one abandoned request for db.
-func (s *Service) noteCanceled(db string) {
 	s.failMu.Lock()
 	defer s.failMu.Unlock()
-	s.failureEntry(db).stats.Canceled++
-}
-
-// failureEntry returns (creating if needed) db's accounting; callers hold
-// failMu.
-func (s *Service) failureEntry(db string) *dbFailures {
-	if s.failures == nil {
-		s.failures = make(map[string]*dbFailures)
+	ring := s.failed[db]
+	if len(ring) >= failureRingCap {
+		copy(ring, ring[1:])
+		ring = ring[:failureRingCap-1]
 	}
-	d, ok := s.failures[db]
-	if !ok {
-		d = &dbFailures{}
-		s.failures[db] = d
+	if s.failed == nil {
+		s.failed = make(map[string][]*pipeline.Record)
 	}
-	return d
+	s.failed[db] = append(ring, resp.Record)
 }
 
 // FailureStats reports per-database failure counters for every database
 // that has recorded at least one failure or cancellation.
 func (s *Service) FailureStats() map[string]FailureStats {
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	out := make(map[string]FailureStats, len(s.failures))
-	for db, d := range s.failures {
-		out[db] = d.stats
-	}
+	out := make(map[string]FailureStats)
+	s.smetrics.perDB.Range(func(db, v any) bool {
+		d := v.(*dbMetrics)
+		fs := FailureStats{Syntax: d.syntax.Load(), Exec: d.exec.Load(), Canceled: d.canceled.Load()}
+		if fs != (FailureStats{}) {
+			out[db.(string)] = fs
+		}
+		return true
+	})
 	return out
 }
 
@@ -172,11 +145,8 @@ func (s *Service) MineRound(ctx context.Context, db string) (MinerRoundReport, e
 	}
 
 	s.failMu.Lock()
-	var drained []*pipeline.Record
-	if d, ok := s.failures[db]; ok {
-		drained = d.ring
-		d.ring = nil
-	}
+	drained := s.failed[db]
+	delete(s.failed, db)
 	s.failMu.Unlock()
 
 	seen := make(map[string]bool, len(drained))

@@ -170,11 +170,6 @@ func WithAdmission(cfg AdmissionConfig) Option {
 	return func(s *Service) { s.admCfg = &cfg }
 }
 
-// handler serves one generation request; it is the unit the service's
-// middleware stack composes. The innermost handler runs the pipeline; the
-// stack wraps it as admit → coalesce → generate.
-type handler func(ctx context.Context, req Request) (*Response, error)
-
 // WithTrace installs a service-level per-request trace hook: fn receives
 // per-operator timings for every Generate / GenerateBatch request. fn must
 // be safe for concurrent use.
@@ -238,11 +233,9 @@ type Service struct {
 	// gencache is nil when the generation cache is disabled.
 	gencache *gencache.Cache
 
-	// Admission control (nil when WithAdmission is absent) and the composed
-	// request chain.
+	// Admission control (nil when WithAdmission is absent).
 	admCfg    *AdmissionConfig
 	admission *admission.Controller
-	serve     handler
 
 	// Metrics (see metrics.go): the registry sink (metrics.Default() unless
 	// WithMetrics overrode it), the resolved instrument set, and the
@@ -259,13 +252,13 @@ type Service struct {
 	closed bool
 
 	// Background failure mining (see miner.go). minerOn is set by
-	// WithMiner; failures accumulates per-db failure counters (always) and
-	// retained failed records (miner only); miners holds the lazily built
-	// per-db miner.
-	minerOn  bool
-	failMu   sync.Mutex
-	failures map[string]*dbFailures
-	miners   map[string]*minerState
+	// WithMiner; failMu guards failed, each database's ring of retained
+	// failed records (miner only), and miners, the lazily built per-db
+	// miner. The failure counters live in the per-db metrics record.
+	minerOn bool
+	failMu  sync.Mutex
+	failed  map[string][]*pipeline.Record
+	miners  map[string]*minerState
 }
 
 // enginePromise coalesces concurrent builds of one database's engine: the
@@ -299,9 +292,6 @@ func NewService(b *Benchmark, opts ...Option) *Service {
 		s.admission = admission.New(*s.admCfg)
 	}
 	s.initMetrics()
-	// The request path is a middleware stack composed once at construction:
-	// admit → coalesce → generate.
-	s.serve = s.admitMiddleware(s.coalesceMiddleware(s.generateHandler()))
 	return s
 }
 
@@ -538,105 +528,30 @@ func (s *Service) Generate(ctx context.Context, req Request) (*Response, error) 
 		}
 		return nil, err
 	}
-	// The tenant check runs before the chain so admission never builds
-	// state (token buckets, queue slots) for garbage database names — and
-	// so metrics never mint label values from them.
+	// The tenant check runs before admission so it never builds state
+	// (token buckets, queue slots) for garbage database names — and so
+	// metrics never mint label values from them.
 	if _, ok := s.suite.Databases[req.Database]; !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDatabase, req.Database)
 	}
-	ctx = s.maybeTraceContext(ctx)
-	resp, err := s.serve(ctx, req)
+	resp, err := s.serve(s.maybeTraceContext(ctx), req)
 	if err != nil {
 		s.observeRequest(req.Database, nil, err, time.Since(start))
 		return nil, err
-	}
-	// Failure noting lives here, outside the stack, so it fires exactly once
-	// per request — cached, coalesced, or freshly generated. Stale responses
-	// are excluded: a shed request replaying an old failure is an overload
-	// artifact, not a new signal for the miner.
-	if resp.Record != nil && !resp.Record.OK && !resp.Stale {
-		s.noteFailure(req.Database, resp.Record)
 	}
 	resp.Duration = time.Since(start)
 	s.observeRequest(req.Database, resp, nil, resp.Duration)
 	return resp, nil
 }
 
-// generateHandler is the innermost layer of the middleware stack: resolve
-// the tenant's shared engine and run the pipeline.
-func (s *Service) generateHandler() handler {
-	return func(ctx context.Context, req Request) (*Response, error) {
-		engine, err := s.Engine(ctx, req.Database)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := engine.GenerateContext(ctx, req.Question, req.Evidence)
-		if err != nil {
-			return nil, err
-		}
-		return s.respond(req, rec, false), nil
-	}
-}
-
-// coalesceMiddleware is the generation-cache layer: serve completed records
-// from the versioned LRU and coalesce concurrent identical requests onto
-// one pipeline run. A pass-through when the cache is disabled; traced
-// requests bypass (their contract is timings of an actual run).
-func (s *Service) coalesceMiddleware(next handler) handler {
-	if s.gencache == nil {
-		return next
-	}
-	return func(ctx context.Context, req Request) (*Response, error) {
-		if pipeline.HasTrace(ctx) {
-			return next(ctx, req)
-		}
-		engine, err := s.Engine(ctx, req.Database)
-		if err != nil {
-			return nil, err
-		}
-		key := gencache.RequestKey{
-			Database: req.Database,
-			Version:  engine.KnowledgeSet().Version(),
-			Question: req.Question,
-			Evidence: req.Evidence,
-		}
-		rec, cached, err := s.gencache.DoVersioned(ctx, key, func() (*pipeline.Record, error) {
-			resp, err := next(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			return resp.Record, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s.respond(req, rec, cached), nil
-	}
-}
-
-// respond builds a Response around a completed record. Failure noting is
-// deliberately not done here — Generate notes once per request after the
-// stack returns, so cache hits and leaders count identically.
-func (s *Service) respond(req Request, rec *Record, cached bool) *Response {
-	return &Response{
-		Database: req.Database,
-		Record:   rec,
-		SQL:      rec.FinalSQL,
-		OK:       rec.OK,
-		Failure:  rec.Failure(),
-		Cached:   cached,
-	}
-}
-
-// admitMiddleware is the overload-defense layer: per-tenant token buckets
-// and the bounded deadline-aware queue. A pass-through when WithAdmission
-// is absent. On shed it degrades onto a stale cached answer when one is
-// available, else returns the typed overload error.
-func (s *Service) admitMiddleware(next handler) handler {
-	if s.admission == nil {
-		return next
-	}
-	return func(ctx context.Context, req Request) (*Response, error) {
+// serve is the request path past the tenant check, in order: admission (a
+// shed request degrades onto a stale cached answer when one exists, else
+// fails with its typed error), one read of the database's served engine,
+// and a pipeline run on that engine. The run goes through the generation
+// cache, keyed by that engine's knowledge version, unless the cache is off
+// or the request is traced (its contract is timings of an actual run).
+func (s *Service) serve(ctx context.Context, req Request) (*Response, error) {
+	if s.admission != nil {
 		release, err := s.admission.Admit(ctx, req.Database)
 		if err != nil {
 			if errors.Is(err, ErrRateLimited) || errors.Is(err, ErrOverloaded) {
@@ -647,7 +562,42 @@ func (s *Service) admitMiddleware(next handler) handler {
 			return nil, err
 		}
 		defer release()
-		return next(ctx, req)
+	}
+	engine, err := s.Engine(ctx, req.Database)
+	if err != nil {
+		return nil, err
+	}
+	if s.gencache == nil || pipeline.HasTrace(ctx) {
+		rec, err := engine.GenerateContext(ctx, req.Question, req.Evidence)
+		if err != nil {
+			return nil, err
+		}
+		return s.respond(req, rec, false), nil
+	}
+	key := gencache.RequestKey{
+		Database: req.Database,
+		Version:  engine.KnowledgeSet().Version(),
+		Question: req.Question,
+		Evidence: req.Evidence,
+	}
+	rec, cached, err := s.gencache.DoVersioned(ctx, key, func() (*pipeline.Record, error) {
+		return engine.GenerateContext(ctx, req.Question, req.Evidence)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s.respond(req, rec, cached), nil
+}
+
+// respond builds a Response around a completed record.
+func (s *Service) respond(req Request, rec *Record, cached bool) *Response {
+	return &Response{
+		Database: req.Database,
+		Record:   rec,
+		SQL:      rec.FinalSQL,
+		OK:       rec.OK,
+		Failure:  rec.Failure(),
+		Cached:   cached,
 	}
 }
 
