@@ -92,10 +92,17 @@ go test -race -bench 'GenerationCache|GenerationCoalescing|StatementCacheParalle
 # deadline passes anywhere on the path counts once as canceled),
 # TestAdmissionStaleServeOnShed (a shed request degrades onto the newest
 # cached answer) and TestCoalescedGenerateSharesOneRecord (concurrent
-# identical requests share one pipeline run). The -race pass above runs
-# them too; they rerun uncached here so the gate reads as one unit.
-echo "== overload, stress-scale, two-writer and request-path gates under -race (tiny token budget, hot-swap under load, SME and miner merges on one database, cancellation, stale serve, coalescing) =="
-go test -race -count=1 -run 'TestAdmissionOverloadParity|TestConcurrentGenerateHotSwapClose|TestMinerAndSMEMergesShareOneLine|TestDaemonGracefulShutdownUnderLoad|TestCanceledRequestsCountedOnce|TestAdmissionStaleServeOnShed|TestCoalescedGenerateSharesOneRecord' . ./cmd/geneditd
+# identical requests share one pipeline run). The feedback-lifecycle
+# contracts of a database's owner: TestSolverSessionsGetDistinctFeedbackIDs
+# (sessions opened at once through two solvers on one database get distinct
+# feedback IDs and their merges distinct checkpoints),
+# TestStaleBaseMergesKeepGoldenVerdicts (changes gated on one version and
+# approved in order: an approval on a moved version re-runs the gate, and no
+# merge loses a golden verdict) and TestApproveOnMovedVersionConflicts (the
+# daemon answers such a refusal with 409). The -race pass above runs them
+# too; they rerun uncached here so the gate reads as one unit.
+echo "== overload, stress-scale, two-writer, request-path and feedback-lifecycle gates under -race (tiny token budget, hot-swap under load, SME and miner merges on one database, cancellation, stale serve, coalescing, unique feedback IDs, re-gate on a moved version) =="
+go test -race -count=1 -run 'TestAdmissionOverloadParity|TestConcurrentGenerateHotSwapClose|TestMinerAndSMEMergesShareOneLine|TestDaemonGracefulShutdownUnderLoad|TestCanceledRequestsCountedOnce|TestAdmissionStaleServeOnShed|TestCoalescedGenerateSharesOneRecord|TestSolverSessionsGetDistinctFeedbackIDs|TestStaleBaseMergesKeepGoldenVerdicts|TestApproveOnMovedVersionConflicts' . ./cmd/geneditd ./internal/feedback
 
 echo "== kstore crash-fuzz (1000 injected-fault iterations, event-loss + lineage checks) =="
 KSTORE_FUZZ_ITERS=1000 go test -count=1 -run 'TestCrashFuzz|TestFaultSweepExhaustive' ./internal/kstore

@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -18,14 +19,10 @@ import (
 	"genedit/internal/feedback"
 )
 
-// goldenPerDB is the size of each database's golden regression suite: the
-// first cases of the database (workload.Suite.Golden), mirroring the paper
-// demo's "few selected golden queries".
-const goldenPerDB = 4
-
-// feedbackHub owns the daemon's SME sessions: one lazily built solver per
-// database (a view on the service's live engine owner for it, shared with
-// the miner) and the open sessions keyed by a hub-global feedback ID.
+// feedbackHub owns the daemon's SME sessions, keyed by database and
+// feedback ID. What sessions on one database share — the served engine,
+// the feedback-ID counter, the regression gate and the pending changes —
+// lives on the database's owner, so each session keeps its own solver.
 type feedbackHub struct {
 	svc   *genedit.Service
 	suite *genedit.Benchmark
@@ -35,7 +32,6 @@ type feedbackHub struct {
 	maxSessions int
 
 	mu       sync.Mutex
-	solvers  map[string]*genedit.Solver
 	sessions map[string]*fbSession
 }
 
@@ -43,11 +39,11 @@ type feedbackHub struct {
 // lifecycle (regenerate/submit/approve/delete); different sessions proceed
 // concurrently, and the solver underneath is itself concurrency-safe.
 type fbSession struct {
-	mu      sync.Mutex
-	id      string
-	db      string
-	sess    *feedback.Session
-	pending *feedback.PendingChange
+	mu     sync.Mutex
+	id     string
+	db     string
+	solver *genedit.Solver
+	sess   *feedback.Session
 	// done is set, under mu, once the session is approved or deleted; a
 	// request that found the session before its eviction then gets 409.
 	done bool
@@ -61,31 +57,8 @@ func newFeedbackHub(svc *genedit.Service, suite *genedit.Benchmark, maxSessions 
 		svc:         svc,
 		suite:       suite,
 		maxSessions: maxSessions,
-		solvers:     make(map[string]*genedit.Solver),
 		sessions:    make(map[string]*fbSession),
 	}
-}
-
-// solverFor returns the database's solver, building it on first use.
-func (h *feedbackHub) solverFor(ctx context.Context, db string) (*genedit.Solver, error) {
-	h.mu.Lock()
-	if s, ok := h.solvers[db]; ok {
-		h.mu.Unlock()
-		return s, nil
-	}
-	h.mu.Unlock()
-	// Built outside the lock: Service.Solver may trigger an engine build.
-	s, err := h.svc.Solver(ctx, db, h.suite.Golden(db, goldenPerDB))
-	if err != nil {
-		return nil, err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if prior, ok := h.solvers[db]; ok {
-		return prior, nil // lost the race; share the first solver
-	}
-	h.solvers[db] = s
-	return s, nil
 }
 
 // fullLocked refuses a new session once -maxsessions are open; callers
@@ -106,16 +79,16 @@ func (h *feedbackHub) full() error {
 
 // register files an opened session. It checks the cap again: opens that
 // passed the early check race each other to the last places.
-func (h *feedbackHub) register(db string, sess *feedback.Session) (*fbSession, error) {
+func (h *feedbackHub) register(db string, solver *genedit.Solver, sess *feedback.Session) (*fbSession, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if err := h.fullLocked(); err != nil {
 		return nil, err
 	}
-	// The API session ID embeds the solver's per-database FeedbackID (the
-	// value stamped into audit-history provenance), so GET /v1/knowledge
-	// entries trace back to the exact API session that produced them.
-	fs := &fbSession{id: db + "." + sess.FeedbackID, db: db, sess: sess}
+	// The API session ID embeds the per-database FeedbackID (the value
+	// stamped into audit-history provenance), so GET /v1/knowledge entries
+	// trace back to the exact API session that produced them.
+	fs := &fbSession{id: db + "." + sess.FeedbackID, db: db, solver: solver, sess: sess}
 	h.sessions[fs.id] = fs
 	return fs, nil
 }
@@ -192,7 +165,7 @@ type approveResponse struct {
 type deleteResponse struct {
 	ID string `json:"id"`
 	// Withdrawn reports that the session's passing submission, still
-	// awaiting approval, was dropped from the solver's pending list.
+	// awaiting approval, was withdrawn.
 	Withdrawn bool `json:"withdrawn"`
 }
 
@@ -243,7 +216,7 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 		}
 		ctx, cancel := withTimeout(r.Context())
 		defer cancel()
-		solver, err := h.solverFor(ctx, req.Database)
+		solver, err := h.svc.Solver(ctx, req.Database, h.suite.Golden(req.Database, feedback.GoldenPerDB))
 		if err != nil {
 			writeServiceError(w, err)
 			return
@@ -253,7 +226,7 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 			writeServiceError(w, err)
 			return
 		}
-		fs, err := h.register(req.Database, sess)
+		fs, err := h.register(req.Database, solver, sess)
 		if err != nil {
 			writeError(w, http.StatusTooManyRequests, err.Error())
 			return
@@ -327,9 +300,6 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 			writeServiceError(w, err)
 			return
 		}
-		if res.Pending != nil {
-			fs.pending = res.Pending
-		}
 		writeJSON(w, http.StatusOK, submitResponse{
 			ID: fs.id, Passed: res.Passed, Detail: res.Detail, Pending: res.Pending != nil,
 		})
@@ -356,17 +326,21 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 			writeError(w, http.StatusConflict, "session already closed")
 			return
 		}
-		if fs.pending == nil {
+		if fs.sess.Pending == nil {
 			writeError(w, http.StatusConflict, "no passing submission to approve")
 			return
 		}
-		solver, err := h.solverFor(ctx, fs.db)
-		if err != nil {
-			writeServiceError(w, err)
-			return
-		}
-		if err := solver.Approve(fs.pending, req.Approver); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
+		if err := fs.solver.Approve(fs.sess.Pending, req.Approver); err != nil {
+			// 409 when the change is no longer pending or regresses on the
+			// served knowledge version: the session may submit again. Any
+			// other failure — the merge or its persist — leaves the change
+			// pending.
+			status := http.StatusInternalServerError
+			var regressed *feedback.RegressionError
+			if errors.As(err, &regressed) || errors.Is(err, feedback.ErrNotPending) {
+				status = http.StatusConflict
+			}
+			writeError(w, status, err.Error())
 			return
 		}
 		fs.done = true
@@ -396,15 +370,9 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 			writeError(w, http.StatusNotFound, "unknown feedback session")
 			return
 		}
-		solver, err := h.solverFor(r.Context(), fs.db)
-		if err != nil {
-			writeServiceError(w, err)
-			return
-		}
 		fs.done = true
 		h.evict(fs.id)
-		solver.Withdraw(fs.pending) // a nil pending change is not pending: a no-op
-		writeJSON(w, http.StatusOK, deleteResponse{ID: fs.id, Withdrawn: fs.pending != nil})
+		writeJSON(w, http.StatusOK, deleteResponse{ID: fs.id, Withdrawn: fs.sess.Withdraw()})
 	})
 
 	mux.HandleFunc("GET /v1/knowledge/{db}", func(w http.ResponseWriter, r *http.Request) {

@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -415,5 +417,98 @@ func minerAndSMEOverHTTP(t *testing.T, durable bool) {
 	}
 	if smeEvents == 0 {
 		t.Errorf("the SME's approved session %s left no event in the knowledge log", approved)
+	}
+}
+
+// TestApproveOnMovedVersionConflicts: SME sessions on one database all
+// submit against the same knowledge version, then approve in order. An
+// approval whose edits regress golden cases on the version the earlier
+// merges made answers 409 naming both versions and leaves the served
+// version as it was; its change is withdrawn, so approving it again is 409
+// too, while the session stays open for a new submission.
+func TestApproveOnMovedVersionConflicts(t *testing.T) {
+	const db = "retail_chain"
+	srv := newTestServer(t, 30*time.Second)
+	suite := genedit.NewBenchmark(1)
+	local := genedit.NewService(suite, testOpts(genedit.WithModelSeed(42))...)
+	defer local.Close()
+	runner := eval.NewRunner(suite.Databases)
+	sme := feedback.NewSimulatedSME(7)
+	version := func() int {
+		resp, raw := getURL(t, srv.URL+"/v1/knowledge/"+db)
+		if resp.StatusCode != 200 {
+			t.Fatalf("GET knowledge = %d: %s", resp.StatusCode, raw)
+		}
+		return decode[knowledgeResponse](t, raw).Version
+	}
+
+	var ids []string
+	for _, c := range suite.Cases {
+		if c.DB != db || len(ids) == 3 {
+			continue
+		}
+		resp, err := local.Generate(t.Context(), genedit.Request{Database: db, Question: c.Question, Evidence: c.Evidence})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, _ := runner.Evaluate(c, resp.SQL); ok {
+			continue
+		}
+		body, _ := json.Marshal(feedbackOpenRequest{Database: db, Question: c.Question, Evidence: c.Evidence})
+		hresp, raw := postJSON(t, srv.URL+"/v1/feedback/open", string(body))
+		if hresp.StatusCode != 200 {
+			t.Fatalf("open = %d: %s", hresp.StatusCode, raw)
+		}
+		id := decode[feedbackOpenResponse](t, raw).ID
+		fbText, _ := json.Marshal(regenerateRequest{Feedback: sme.FeedbackFor(c, resp.Record)})
+		if hresp, raw := postJSON(t, srv.URL+"/v1/feedback/"+id+"/regenerate", string(fbText)); hresp.StatusCode != 200 {
+			t.Fatalf("regenerate = %d: %s", hresp.StatusCode, raw)
+		}
+		hresp, raw = postJSON(t, srv.URL+"/v1/feedback/"+id+"/submit", `{}`)
+		if hresp.StatusCode != 200 {
+			t.Fatalf("submit = %d: %s", hresp.StatusCode, raw)
+		}
+		if decode[submitResponse](t, raw).Passed {
+			ids = append(ids, id)
+		}
+	}
+
+	conflicts := 0
+	for i, id := range ids {
+		before := version()
+		hresp, raw := postJSON(t, srv.URL+"/v1/feedback/"+id+"/approve", `{"approver":"reviewer"}`)
+		switch hresp.StatusCode {
+		case http.StatusOK:
+			continue
+		case http.StatusConflict:
+		default:
+			t.Fatalf("approve %d = %d: %s", i, hresp.StatusCode, raw)
+		}
+		conflicts++
+		if i == 0 {
+			t.Errorf("the first approval, on the version its gate replayed, answered 409: %s", raw)
+		}
+		if msg := decode[map[string]string](t, raw)["error"]; !strings.Contains(msg, fmt.Sprintf("on served version %d", before)) {
+			t.Errorf("409 body %q does not name the served version %d", msg, before)
+		}
+		if after := version(); after != before {
+			t.Errorf("a refused approval moved the version %d -> %d", before, after)
+		}
+		if hresp, raw := postJSON(t, srv.URL+"/v1/feedback/"+id+"/approve", `{}`); hresp.StatusCode != http.StatusConflict {
+			t.Errorf("approving a refused change again = %d, want 409: %s", hresp.StatusCode, raw)
+		}
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/feedback/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		del, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || decode[deleteResponse](t, del).Withdrawn {
+			t.Errorf("delete of a refused session = %d %s, want 200 with nothing left to withdraw", resp.StatusCode, del)
+		}
+	}
+	if len(ids) < 2 || conflicts == 0 {
+		t.Fatalf("%d sessions approved with %d conflicts: the re-gate on a moved version was not exercised", len(ids), conflicts)
 	}
 }

@@ -41,10 +41,11 @@ func main() {
 	}
 	engine := pipeline.New(model, kset, suite.Databases["sports_holdings"], pipeline.DefaultConfig())
 
-	// The live owner serves the engine and runs every merge (in memory: no
+	// The live owner serves the engine, numbers the sessions, runs every
+	// regression gate and merge and holds each change's state (in memory: no
 	// persist step); the solver drives SME sessions on it, gated by the
-	// database's first four cases.
-	solver := feedback.NewSolver(feedback.NewLive(engine, nil), feedback.NewRecommender(model), suite.Golden("sports_holdings", 4))
+	// database's first cases.
+	solver := feedback.NewSolver(feedback.NewLive(engine, nil), feedback.NewRecommender(model), suite.Golden("sports_holdings", feedback.GoldenPerDB))
 
 	var c *task.Case
 	for _, cc := range suite.Cases {
@@ -95,7 +96,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("   passed=%v (%s)\n", res.Passed, res.Detail)
+	if !res.Passed {
+		log.Fatal("the regression gate rejected the staged edits")
+	}
+	fmt.Printf("   gated on knowledge version %d\n", res.Pending.GatedVersion)
 
+	// Had another merge moved the served version since the gate, approval
+	// would replay the gate on it first and refuse a regressing change.
 	fmt.Println("\n== 7. reviewer approves; edits merge into the knowledge set ==")
 	if err := solver.Approve(res.Pending, "reviewer"); err != nil {
 		log.Fatal(err)

@@ -79,10 +79,6 @@ type experimentHarness struct {
 	sme     *SimulatedSME
 }
 
-// goldenPerDB is the size of each database's regression suite: its first
-// cases, mirroring the demo's "few selected golden queries".
-const goldenPerDB = 4
-
 // newHarness builds solvers over every suite database. When degraded is
 // true, knowledge sets are built without the domain documents — no
 // instructions — the starting point of the improvement loop.
@@ -105,7 +101,7 @@ func newHarness(suite *workload.Suite, seed uint64, degraded bool) (*experimentH
 			return nil, err
 		}
 		engine := pipeline.New(model, kset, suite.Databases[db], pipeline.DefaultConfig())
-		h.solvers[db] = NewSolver(NewLive(engine, nil), recommender, suite.Golden(db, goldenPerDB))
+		h.solvers[db] = NewSolver(NewLive(engine, nil), recommender, suite.Golden(db, GoldenPerDB))
 	}
 	return h, nil
 }

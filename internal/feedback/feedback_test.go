@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -30,7 +31,7 @@ func testSolver(t *testing.T, degraded bool) (*Solver, *workload.Suite) {
 		t.Fatal(err)
 	}
 	engine := pipeline.New(model, kset, suite.Databases["sports_holdings"], pipeline.DefaultConfig())
-	return NewSolver(NewLive(engine, nil), NewRecommender(model), suite.Golden("sports_holdings", goldenPerDB)), suite
+	return NewSolver(NewLive(engine, nil), NewRecommender(model), suite.Golden("sports_holdings", GoldenPerDB)), suite
 }
 
 // ourCase returns the sports "our organisations" jargon case.
@@ -126,15 +127,18 @@ func TestSubmitRegressionAndApprove(t *testing.T) {
 	if !res.Passed {
 		t.Fatalf("regression gate failed: %s", res.Detail)
 	}
-	if len(solver.Pending()) != 1 {
-		t.Fatalf("pending changes = %d, want 1", len(solver.Pending()))
+	if res.Pending == nil || sess.Pending != res.Pending {
+		t.Fatal("a passing submission must leave the session one pending change")
 	}
 	versionBefore := solver.Engine().KnowledgeSet().Version()
+	if res.Pending.GatedVersion != versionBefore {
+		t.Errorf("gated version = %d, want the served %d", res.Pending.GatedVersion, versionBefore)
+	}
 	if err := solver.Approve(res.Pending, "reviewer"); err != nil {
 		t.Fatal(err)
 	}
-	if len(solver.Pending()) != 0 {
-		t.Error("pending change not consumed by approval")
+	if err := solver.Approve(res.Pending, "reviewer"); !errors.Is(err, ErrNotPending) {
+		t.Errorf("second approval = %v, want ErrNotPending: approval must consume the change", err)
 	}
 	live := solver.Engine().KnowledgeSet()
 	if live.Version() <= versionBefore {
@@ -166,8 +170,8 @@ func TestSubmitRegressionAndApprove(t *testing.T) {
 func TestApproveUnknownChangeFails(t *testing.T) {
 	solver, _ := testSolver(t, false)
 	err := solver.Approve(&PendingChange{FeedbackID: "fb-x"}, "reviewer")
-	if err == nil {
-		t.Error("approving a non-pending change should fail")
+	if !errors.Is(err, ErrNotPending) {
+		t.Errorf("approving a change never submitted = %v, want ErrNotPending", err)
 	}
 }
 
@@ -207,8 +211,8 @@ func TestRegressionGateBlocksHarmfulEdit(t *testing.T) {
 	if !strings.Contains(res.Detail, "regression") {
 		t.Errorf("detail = %q, want regression report", res.Detail)
 	}
-	if len(solver.Pending()) != 0 {
-		t.Error("failed submission must not queue a pending change")
+	if res.Pending != nil || sess.Pending != nil {
+		t.Error("failed submission must not leave a pending change")
 	}
 }
 
@@ -271,8 +275,8 @@ func TestAcceptanceExperimentShape(t *testing.T) {
 	}
 }
 
-// referenceGate is the regression gate as it ran before the solver kept one
-// executor: each pass opens its own executor and executes every case's gold
+// referenceGate is the regression gate as it ran before the owner kept one
+// runner: each pass opens its own executor and executes every case's gold
 // SQL itself. The production gate must reach the same verdicts and text.
 func referenceGate(t *testing.T, s *Solver, edits []knowledge.Edit) (before, after map[string]bool) {
 	t.Helper()
@@ -301,11 +305,12 @@ func referenceGate(t *testing.T, s *Solver, edits []knowledge.Edit) (before, aft
 	return pass(live), pass(live.WithKnowledge(staged))
 }
 
-// TestRegressionGateExecutesGoldOncePerGate: a gate over G golden cases
-// looks G gold statements and 2G predictions up in the solver's executor —
-// not 2G gold statements on two cold executors — the next gate finds every
-// gold statement compiled, and verdicts and detail text are those of the
-// two-executor gate for a passing and for a rejected edit.
+// TestRegressionGateExecutesGoldOncePerGate: the owner's runner executes a
+// golden case's gold SQL at most once — in the first gate that reaches the
+// case — so a later gate whose cases' gold SQL can no longer run still
+// scores against the results the first one cached; and verdicts and detail
+// text are those of the two-executor gate for a rejected and for a passing
+// edit.
 func TestRegressionGateExecutesGoldOncePerGate(t *testing.T) {
 	solver, suite := testSolver(t, false)
 	solver.golden = nil
@@ -314,7 +319,6 @@ func TestRegressionGateExecutesGoldOncePerGate(t *testing.T) {
 			solver.golden = append(solver.golden, c)
 		}
 	}
-	g := uint64(len(solver.golden))
 
 	// A harmful edit: the first instruction whose deletion the reference
 	// gate rejects.
@@ -349,20 +353,20 @@ func TestRegressionGateExecutesGoldOncePerGate(t *testing.T) {
 				improved++
 			}
 		}
-		h0, m0 := solver.live.exec.StatementCacheStats()
-		passed, detail, err := solver.regressionTest(context.Background(), edits, "fb-gate", "sme")
+		if i > 0 {
+			// Same IDs, unrunnable gold SQL: the gate must not execute it.
+			for j, c := range solver.golden {
+				broken := *c
+				broken.GoldSQL = "SELECT no_such_column FROM no_such_table"
+				solver.golden[j] = &broken
+			}
+		}
+		res, err := solver.SubmitCandidate(context.Background(), "fb-gate", "sme", edits)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("gate %d: %v", i, err)
 		}
-		h1, m1 := solver.live.exec.StatementCacheStats()
-		if lookups := (h1 + m1) - (h0 + m0); lookups != 3*g {
-			t.Errorf("gate %d looked %d statements up, want %d (one gold and two predictions per case)", i, lookups, 3*g)
-		}
-		if i > 0 && m1-m0 > g {
-			t.Errorf("gate %d compiled %d statements; the gold SQL was compiled by the first gate", i, m1-m0)
-		}
-		if passed != (len(regressed) == 0) {
-			t.Errorf("gate %d passed = %v, reference regressions %v", i, passed, regressed)
+		if res.Passed != (len(regressed) == 0) {
+			t.Errorf("gate %d passed = %v, reference regressions %v", i, res.Passed, regressed)
 		}
 		// With several regressions the listed order is a map's; the count
 		// prefix is still pinned.
@@ -373,8 +377,8 @@ func TestRegressionGateExecutesGoldOncePerGate(t *testing.T) {
 				want += fmt.Sprint(regressed)
 			}
 		}
-		if !strings.HasPrefix(detail, want) || (len(regressed) <= 1 && detail != want) {
-			t.Errorf("gate %d detail = %q, want %q", i, detail, want)
+		if !strings.HasPrefix(res.Detail, want) || (len(regressed) <= 1 && res.Detail != want) {
+			t.Errorf("gate %d detail = %q, want %q", i, res.Detail, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -11,34 +12,40 @@ import (
 	"genedit/internal/generr"
 	"genedit/internal/knowledge"
 	"genedit/internal/pipeline"
-	"genedit/internal/sqlexec"
+	"genedit/internal/sqldb"
 	"genedit/internal/task"
 )
 
-// Live is the one owner of a database's served engine. Every Solver on the
-// database is a view on it, so a merge approved through any of them — an SME
-// session, the failure miner, an experiment — builds on every merge before
-// it, and the knowledge versions form one line. Readers take the engine with
-// one atomic load; a merge holds mu from its clone of the served set to the
-// publish of the engine built over it, so no two merges branch from one
-// state.
+// Live is the one owner of a database's feedback loop. It serves the
+// engine, and every Solver on the database is a view on it, so a merge
+// approved through any of them — an SME session, the failure miner, an
+// experiment — builds on every merge before it, and the knowledge versions
+// form one line. Live also numbers the database's feedback sessions, runs
+// its regression gates and holds the state of every change they pass.
+// Readers take the engine with one atomic load; a merge holds mu from its
+// clone of the served set to the publish of the engine built over it, so no
+// two merges branch from one state.
 type Live struct {
 	engine atomic.Pointer[pipeline.Engine]
-	mu     sync.Mutex
+	// mu serializes merges and guards the state of every PendingChange on
+	// the database.
+	mu sync.Mutex
 	// persist, when set, makes a merged set durable before it is served;
 	// an error aborts the merge with the old engine still served.
 	persist func(*knowledge.Set) error
-	// exec runs the regression gates' gold and predicted SQL. Merges never
-	// change the database, so one executor serves every gate on it, and
-	// later gates find the gold SQL already in its statement cache.
-	exec *sqlexec.Executor
+	// runner scores the regression gates' predictions. Merges never change
+	// the database, so the gold results it caches serve every later gate.
+	runner *eval.Runner
+	// lastFB numbers the feedback sessions opened on the database.
+	lastFB atomic.Int64
 }
 
 // NewLive starts serving engine. persist, when non-nil, runs on every merged
 // knowledge set before the engine built over it is served (the serving
 // layer fsyncs the merge's events to the database's store there).
 func NewLive(engine *pipeline.Engine, persist func(*knowledge.Set) error) *Live {
-	l := &Live{persist: persist, exec: sqlexec.New(engine.Database())}
+	db := engine.Database()
+	l := &Live{persist: persist, runner: eval.NewRunner(map[string]*sqldb.Database{db.Name: db})}
 	l.engine.Store(engine)
 	return l
 }
@@ -46,14 +53,68 @@ func NewLive(engine *pipeline.Engine, persist func(*knowledge.Set) error) *Live 
 // Engine returns the engine being served (it changes after merges).
 func (l *Live) Engine() *pipeline.Engine { return l.engine.Load() }
 
+// gate replays the golden suite on base and on candidate; the candidate
+// passes when no case regresses from correct to incorrect. Cancellation is
+// checked between cases and inside each generation.
+func (l *Live) gate(ctx context.Context, golden []*task.Case, base, candidate *pipeline.Engine) (bool, string, error) {
+	before, err := l.replay(ctx, golden, base)
+	if err != nil {
+		return false, "", err
+	}
+	after, err := l.replay(ctx, golden, candidate)
+	if err != nil {
+		return false, "", err
+	}
+	var regressed []string
+	improved := 0
+	for id, ok := range before {
+		if ok && !after[id] {
+			regressed = append(regressed, id)
+		}
+		if !ok && after[id] {
+			improved++
+		}
+	}
+	if len(regressed) > 0 {
+		return false, fmt.Sprintf("regressions on %d golden case(s): %v", len(regressed), regressed), nil
+	}
+	return true, fmt.Sprintf("no regressions; %d golden case(s) improved", improved), nil
+}
+
+// replay evaluates the golden suite on one engine, returning per-case
+// correctness.
+func (l *Live) replay(ctx context.Context, golden []*task.Case, engine *pipeline.Engine) (map[string]bool, error) {
+	out := make(map[string]bool, len(golden))
+	for _, c := range golden {
+		if err := generr.FromContext(ctx); err != nil {
+			return nil, err
+		}
+		rec, err := engine.GenerateContext(ctx, c.Question, c.Evidence)
+		if err != nil {
+			return nil, err
+		}
+		if out[c.ID], err = l.runner.Evaluate(c, rec.FinalSQL); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // merge applies a pending change to a full clone (content, history and
 // checkpoints) of the served set, after a checkpoint so the change can be
 // reverted from the knowledge library, and serves the engine rebuilt over
 // it once persist has accepted the set. The served set is never written, so
 // in-flight generations keep their engine and knowledge snapshot.
+//
+// When the served version is no longer the one the change's gate replayed,
+// the gate runs again on the served engine and the one merge would serve; a
+// regression there withdraws the change and returns a *RegressionError.
 func (l *Live) merge(p *PendingChange, approver string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if p.live != l || p.state != changePending {
+		return fmt.Errorf("change %s: %w", p.FeedbackID, ErrNotPending)
+	}
 	served := l.Engine()
 	merged := served.KnowledgeSet().CloneFull()
 	merged.Checkpoint("before-" + p.FeedbackID)
@@ -63,34 +124,63 @@ func (l *Live) merge(p *PendingChange, approver string) error {
 		}
 	}
 	next := served.WithKnowledge(merged)
+	if v := served.KnowledgeSet().Version(); v != p.GatedVersion {
+		// Approve's signature carries no context to pass on.
+		passed, detail, err := l.gate(context.TODO(), p.golden, served, next)
+		if err != nil {
+			return fmt.Errorf("merge %s: %w", p.FeedbackID, err)
+		}
+		if !passed {
+			p.state = changeWithdrawn
+			return &RegressionError{FeedbackID: p.FeedbackID, Detail: detail, GatedVersion: p.GatedVersion, ServedVersion: v}
+		}
+	}
 	if l.persist != nil {
 		if err := l.persist(merged); err != nil {
 			return fmt.Errorf("merge %s: %w", p.FeedbackID, err)
 		}
 	}
 	l.engine.Store(next)
+	p.state = changeMerged
 	return nil
+}
+
+// ErrNotPending reports an approval of a change that is not pending: merged
+// already, withdrawn, or never submitted on the database.
+var ErrNotPending = errors.New("not pending")
+
+// RegressionError refuses the merge of a change whose gate replayed an older
+// knowledge version than the one served at approval: on the served version
+// the change regresses golden cases. The change is withdrawn; its session
+// may submit again against the served version.
+type RegressionError struct {
+	FeedbackID string
+	// Detail lists the regressed golden cases.
+	Detail string
+	// GatedVersion is the version the submit-time gate replayed;
+	// ServedVersion the one the approval found served.
+	GatedVersion, ServedVersion int
+}
+
+func (e *RegressionError) Error() string {
+	return fmt.Sprintf("change %s was gated on knowledge version %d; on served version %d: %s",
+		e.FeedbackID, e.GatedVersion, e.ServedVersion, e.Detail)
 }
 
 // Solver is the feedback-solver workflow of §4.2.1 for one database: it
 // opens feedback sessions, regression-tests submitted edits and merges them
-// on approval. It is a view on the database's Live owner, which serves the
-// engine; a Solver keeps only its own sessions and pending queue, so any
-// number of solvers on one database see and build on each other's merges.
+// on approval. It is a stateless view on the database's Live owner, which
+// serves the engine, numbers the sessions, runs the gates and holds every
+// change's state, so any number of solvers on one database see and build on
+// each other's merges.
 //
-// Concurrency contract: Solver methods are safe for concurrent use (the
-// serving daemon drives many SME sessions against one solver). Session
+// Concurrency contract: Solver methods are safe for concurrent use. Session
 // values are NOT synchronized — each feedback session is single-user by
 // design.
 type Solver struct {
 	live        *Live
 	recommender *Recommender
 	golden      []*task.Case
-
-	mu sync.Mutex
-	// pending holds submitted changes awaiting human approval.
-	pending []*PendingChange
-	nextFB  int
 }
 
 // NewSolver builds a solver on a database's live engine owner. The golden
@@ -99,24 +189,14 @@ func NewSolver(live *Live, recommender *Recommender, golden []*task.Case) *Solve
 	return &Solver{live: live, recommender: recommender, golden: golden}
 }
 
+// GoldenPerDB is the size of a database's regression suite in the feedback
+// experiments and on the daemon: its first cases (workload.Suite.Golden),
+// mirroring the paper demo's "few selected golden queries".
+const GoldenPerDB = 4
+
 // Engine returns the engine being served (it changes after merges, through
 // this solver or any other on the database).
 func (s *Solver) Engine() *pipeline.Engine { return s.live.Engine() }
-
-// Pending lists changes that passed regression and await approval.
-func (s *Solver) Pending() []*PendingChange {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*PendingChange(nil), s.pending...)
-}
-
-// Withdraw drops a pending change without merging it — its session was
-// abandoned. A change that is not pending is ignored.
-func (s *Solver) Withdraw(p *PendingChange) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pending = slices.DeleteFunc(s.pending, func(q *PendingChange) bool { return q == p })
-}
 
 // Session is one interactive feedback exchange on one question.
 type Session struct {
@@ -132,26 +212,23 @@ type Session struct {
 	Iterations int
 	// LastRecommendation is the most recent operator output.
 	LastRecommendation *Recommendation
-	// pending is the session's latest passing submission; a new one
-	// replaces it in the solver's pending queue.
-	pending *PendingChange
+	// Pending is the session's latest passing submission; it may since
+	// have been merged or withdrawn.
+	Pending *PendingChange
 }
 
 // OpenContext generates the initial SQL for a question and starts a session.
-// Cancellation propagates into the generation pipeline; a canceled ctx
-// returns an error matching generr.ErrCanceled.
+// Its FeedbackID is unique on the database. Cancellation propagates into the
+// generation pipeline; a canceled ctx returns an error matching
+// generr.ErrCanceled.
 func (s *Solver) OpenContext(ctx context.Context, question, evidence string) (*Session, error) {
 	rec, err := s.Engine().GenerateContext(ctx, question, evidence)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.nextFB++
-	id := fmt.Sprintf("fb-%03d", s.nextFB)
-	s.mu.Unlock()
 	return &Session{
 		solver:     s,
-		FeedbackID: id,
+		FeedbackID: fmt.Sprintf("fb-%03d", s.live.lastFB.Add(1)),
 		Question:   question,
 		Evidence:   evidence,
 		Record:     rec,
@@ -194,19 +271,47 @@ func (sess *Session) RegenerateContext(ctx context.Context) (*pipeline.Record, e
 	return rec, nil
 }
 
+// Withdraw drops the session's pending change without merging it — the
+// session is abandoned or submitted again — and reports whether a change
+// was pending.
+func (sess *Session) Withdraw() bool {
+	p := sess.Pending
+	if p == nil {
+		return false
+	}
+	p.live.mu.Lock()
+	defer p.live.mu.Unlock()
+	if p.state != changePending {
+		return false
+	}
+	p.state = changeWithdrawn
+	return true
+}
+
+// changeState is where a PendingChange is in its lifecycle.
+type changeState int
+
+const (
+	changePending changeState = iota
+	changeMerged
+	changeWithdrawn
+)
+
 // PendingChange is a submitted set of edits that passed regression testing
 // and awaits human approval (§4.2.1: "Currently, these staged edits require
-// human approval after passing regression testing").
+// human approval after passing regression testing"). It carries its owner
+// and the regression suite that passed it, so any Solver on the database can
+// approve it.
 type PendingChange struct {
 	FeedbackID string
-	// Editor identifies the submitting actor ("sme" for interactive
-	// sessions, "miner" for auto-mined candidates); it becomes the staged
-	// provenance tag during regression testing.
-	Editor string
-	Edits  []knowledge.Edit
-	// RegressionPassed and RegressionDetail record the gate outcome.
-	RegressionPassed bool
-	RegressionDetail string
+	Edits      []knowledge.Edit
+	// GatedVersion is the knowledge version the gate replayed.
+	GatedVersion int
+
+	live   *Live
+	golden []*task.Case
+	// state is guarded by live.mu.
+	state changeState
 }
 
 // SubmitResult reports the submission outcome.
@@ -217,7 +322,7 @@ type SubmitResult struct {
 }
 
 // SubmitContext closes the session's iteration loop: the staged edits run
-// through the regression suite; on pass, a pending change is queued for
+// through the regression suite; on pass, the pending change awaits
 // approval and the session's earlier pending change, if any, is withdrawn —
 // a session has at most one change awaiting approval. The golden-suite
 // replay checks ctx between cases and aborts mid-generation once ctx is
@@ -226,10 +331,10 @@ func (sess *Session) SubmitContext(ctx context.Context) (*SubmitResult, error) {
 	if len(sess.Staged) == 0 {
 		return nil, fmt.Errorf("nothing staged to submit")
 	}
-	res, err := sess.solver.submitEdits(ctx, sess.FeedbackID, "sme", sess.Staged)
+	res, err := sess.solver.submit(ctx, sess.FeedbackID, "sme", sess.Staged)
 	if err == nil && res.Pending != nil {
-		sess.solver.Withdraw(sess.pending)
-		sess.pending = res.Pending
+		sess.Withdraw()
+		sess.Pending = res.Pending
 	}
 	return res, err
 }
@@ -239,122 +344,46 @@ func (sess *Session) SubmitContext(ctx context.Context) (*SubmitResult, error) {
 // interactive SME sessions. The editor string tags the staged provenance
 // (and, via Approve, the merged events), so the audit trail distinguishes
 // mined knowledge from human edits while holding both to the same replay
-// bar. On pass the change is queued as pending under feedbackID.
+// bar. On pass the change awaits approval under feedbackID.
 func (s *Solver) SubmitCandidate(ctx context.Context, feedbackID, editor string, edits []knowledge.Edit) (*SubmitResult, error) {
 	if len(edits) == 0 {
 		return nil, fmt.Errorf("no edits to submit")
 	}
-	return s.submitEdits(ctx, feedbackID, editor, edits)
+	return s.submit(ctx, feedbackID, editor, edits)
 }
 
-// submitEdits is the shared submission path: regression-gate the edits and
-// queue a pending change when they pass.
-func (s *Solver) submitEdits(ctx context.Context, feedbackID, editor string, edits []knowledge.Edit) (*SubmitResult, error) {
-	passed, detail, err := s.regressionTest(ctx, edits, feedbackID, editor)
+// submit is the shared submission path: gate the served engine plus the
+// edits against the served engine, and return a pending change when they
+// pass.
+func (s *Solver) submit(ctx context.Context, feedbackID, editor string, edits []knowledge.Edit) (*SubmitResult, error) {
+	served := s.Engine()
+	staged, err := served.KnowledgeSet().Stage(edits, editor, feedbackID)
+	if err != nil {
+		return nil, err
+	}
+	passed, detail, err := s.live.gate(ctx, s.golden, served, served.WithKnowledge(staged))
 	if err != nil {
 		return nil, err
 	}
 	res := &SubmitResult{Passed: passed, Detail: detail}
 	if passed {
-		p := &PendingChange{
-			FeedbackID:       feedbackID,
-			Editor:           editor,
-			Edits:            append([]knowledge.Edit(nil), edits...),
-			RegressionPassed: true,
-			RegressionDetail: detail,
+		res.Pending = &PendingChange{
+			FeedbackID:   feedbackID,
+			Edits:        slices.Clone(edits),
+			GatedVersion: served.KnowledgeSet().Version(),
+			live:         s.live,
+			golden:       s.golden,
 		}
-		s.mu.Lock()
-		s.pending = append(s.pending, p)
-		s.mu.Unlock()
-		res.Pending = p
 	}
 	return res, nil
 }
 
-// regressionTest replays the golden suite on the live engine and on a
-// staged engine; edits pass when no golden case regresses from correct to
-// incorrect.
-func (s *Solver) regressionTest(ctx context.Context, edits []knowledge.Edit, feedbackID, editor string) (bool, string, error) {
-	live := s.Engine()
-	staged, err := live.KnowledgeSet().Stage(edits, editor, feedbackID)
-	if err != nil {
-		return false, "", err
-	}
-	// Each case's gold SQL executes once per gate: the live pass fills
-	// golds, the staged pass compares against the same results.
-	golds := make([]*sqlexec.Result, len(s.golden))
-	before, err := s.runGolden(ctx, live, golds)
-	if err != nil {
-		return false, "", err
-	}
-	after, err := s.runGolden(ctx, live.WithKnowledge(staged), golds)
-	if err != nil {
-		return false, "", err
-	}
-	var regressed []string
-	for id, ok := range before {
-		if ok && !after[id] {
-			regressed = append(regressed, id)
-		}
-	}
-	if len(regressed) > 0 {
-		return false, fmt.Sprintf("regressions on %d golden case(s): %v", len(regressed), regressed), nil
-	}
-	improved := 0
-	for id, ok := range after {
-		if ok && !before[id] {
-			improved++
-		}
-	}
-	return true, fmt.Sprintf("no regressions; %d golden case(s) improved", improved), nil
-}
-
-// runGolden evaluates the golden suite on one engine, returning per-case
-// correctness. golds, parallel to the suite, holds the gold results: a nil
-// entry is executed (and stored) at the point the case is reached, so a
-// failing gold statement surfaces exactly where it did when every pass ran
-// it. Cancellation is checked between cases and inside each generation.
-func (s *Solver) runGolden(ctx context.Context, engine *pipeline.Engine, golds []*sqlexec.Result) (map[string]bool, error) {
-	out := make(map[string]bool, len(s.golden))
-	for i, c := range s.golden {
-		if err := generr.FromContext(ctx); err != nil {
-			return nil, err
-		}
-		rec, err := engine.GenerateContext(ctx, c.Question, c.Evidence)
-		if err != nil {
-			return nil, err
-		}
-		if golds[i] == nil {
-			gold, err := s.live.exec.Query(c.GoldSQL)
-			if err != nil {
-				return nil, fmt.Errorf("golden case %s: gold SQL failed: %w", c.ID, err)
-			}
-			golds[i] = gold
-		}
-		pred, err := s.live.exec.Query(rec.FinalSQL)
-		if err != nil {
-			out[c.ID] = false
-			continue
-		}
-		out[c.ID] = eval.ResultsEqual(golds[i], pred)
-	}
-	return out, nil
-}
-
 // Approve merges a pending change into the next generation of the served
-// knowledge set (see Live.merge): it applies to the engine being served at
-// the time of the call, which may be newer than the one the regression
-// gate replayed. A failed merge leaves the change pending.
+// knowledge set (see Live.merge). The served engine may be newer than the
+// one the change's gate replayed; the gate then runs again on it, and a
+// regression refuses the merge with a *RegressionError and withdraws the
+// change. A change that is not pending on this solver's database is refused
+// with ErrNotPending. Any other failure leaves the change pending.
 func (s *Solver) Approve(p *PendingChange, approver string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	found := slices.Index(s.pending, p)
-	if found < 0 {
-		return fmt.Errorf("change %s is not pending", p.FeedbackID)
-	}
-	if err := s.live.merge(p, approver); err != nil {
-		return err
-	}
-	s.pending = slices.Delete(s.pending, found, found+1)
-	return nil
+	return s.live.merge(p, approver)
 }

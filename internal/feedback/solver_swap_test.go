@@ -12,7 +12,7 @@ import (
 )
 
 // submitOurCase drives a session to a passing pending change.
-func submitOurCase(t *testing.T, solver *Solver) *PendingChange {
+func submitOurCase(t *testing.T, solver *Solver) *Session {
 	t.Helper()
 	_, suite := testSolver(t, true) // only for the case lookup below
 	c := ourCase(t, suite)
@@ -35,7 +35,7 @@ func submitOurCase(t *testing.T, solver *Solver) *PendingChange {
 	if !res.Passed || res.Pending == nil {
 		t.Fatalf("submit did not pass: %+v", res)
 	}
-	return res.Pending
+	return sess
 }
 
 // TestApproveDoesNotMutateServedSet pins the engine-swap safety contract:
@@ -45,7 +45,7 @@ func submitOurCase(t *testing.T, solver *Solver) *PendingChange {
 // write through one would show on both sides of a State comparison.
 func TestApproveDoesNotMutateServedSet(t *testing.T) {
 	solver, _ := testSolver(t, true)
-	pending := submitOurCase(t, solver)
+	pending := submitOurCase(t, solver).Pending
 
 	oldEngine := solver.Engine()
 	before := oldEngine.KnowledgeSet().State()
@@ -98,7 +98,7 @@ func TestMergeHookRunsAndCanVeto(t *testing.T) {
 		return nil
 	})
 	solver := NewSolver(live, base.recommender, base.golden)
-	pending := submitOurCase(t, solver)
+	pending := submitOurCase(t, solver).Pending
 
 	oldEngine := solver.Engine()
 	if err := solver.Approve(pending, "reviewer"); !errors.Is(err, boom) {
@@ -107,35 +107,34 @@ func TestMergeHookRunsAndCanVeto(t *testing.T) {
 	if solver.Engine() != oldEngine || live.Engine() != oldEngine {
 		t.Error("failed persist must leave the old engine served")
 	}
-	if len(solver.Pending()) != 1 {
-		t.Error("failed persist must leave the change pending")
-	}
 
+	// Still pending: the retry merges it.
 	persistErr = nil
 	if err := solver.Approve(pending, "reviewer"); err != nil {
-		t.Fatal(err)
+		t.Fatalf("approve after a failed persist = %v; the change must stay pending", err)
 	}
 	if persisted == nil || persisted != solver.Engine().KnowledgeSet() {
 		t.Error("persist must receive the set of the engine the owner serves")
 	}
-	if len(solver.Pending()) != 0 {
-		t.Error("approved change should leave the pending queue")
+	if err := solver.Approve(pending, "reviewer"); !errors.Is(err, ErrNotPending) {
+		t.Errorf("approving a merged change = %v, want ErrNotPending", err)
 	}
 }
 
-// TestWithdrawDropsPendingChange: a withdrawn change leaves the pending
-// list and can no longer be approved; the served engine stays as it was.
+// TestWithdrawDropsPendingChange: a withdrawn change is no longer pending
+// and can no longer be approved; the served engine stays as it was.
 func TestWithdrawDropsPendingChange(t *testing.T) {
 	solver, _ := testSolver(t, true)
-	pending := submitOurCase(t, solver)
+	sess := submitOurCase(t, solver)
 	engine := solver.Engine()
-	solver.Withdraw(pending)
-	solver.Withdraw(pending) // no longer pending: ignored
-	if got := len(solver.Pending()); got != 0 {
-		t.Fatalf("pending after withdraw = %d, want 0", got)
+	if !sess.Withdraw() {
+		t.Fatal("withdraw of a pending change reported nothing pending")
 	}
-	if err := solver.Approve(pending, "reviewer"); err == nil {
-		t.Error("approving a withdrawn change should fail")
+	if sess.Withdraw() {
+		t.Error("a second withdraw found the change still pending")
+	}
+	if err := solver.Approve(sess.Pending, "reviewer"); !errors.Is(err, ErrNotPending) {
+		t.Errorf("approving a withdrawn change = %v, want ErrNotPending", err)
 	}
 	if solver.Engine() != engine {
 		t.Error("withdraw must not swap the engine")
@@ -143,7 +142,8 @@ func TestWithdrawDropsPendingChange(t *testing.T) {
 }
 
 // TestResubmitReplacesPendingChange: a session submitted twice leaves one
-// pending change, its latest; approving that one empties the queue.
+// pending change, its latest: the first is withdrawn, the latest merges
+// once.
 func TestResubmitReplacesPendingChange(t *testing.T) {
 	solver, suite := testSolver(t, true)
 	c := ourCase(t, suite)
@@ -156,7 +156,7 @@ func TestResubmitReplacesPendingChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Stage(rec.Edits...)
-	var last *PendingChange
+	var first, last *PendingChange
 	for i := 0; i < 2; i++ {
 		res, err := sess.SubmitContext(context.Background())
 		if err != nil {
@@ -165,15 +165,21 @@ func TestResubmitReplacesPendingChange(t *testing.T) {
 		if !res.Passed || res.Pending == nil {
 			t.Fatalf("submit %d did not pass: %+v", i, res)
 		}
+		if first == nil {
+			first = res.Pending
+		}
 		last = res.Pending
 	}
-	if got := solver.Pending(); len(got) != 1 || got[0] != last {
-		t.Fatalf("pending after two submits = %d, want only the latest", len(got))
+	if sess.Pending != last || first == last {
+		t.Fatal("the session's pending change is not its latest submission")
+	}
+	if err := solver.Approve(first, "reviewer"); !errors.Is(err, ErrNotPending) {
+		t.Fatalf("approving the replaced submission = %v, want ErrNotPending", err)
 	}
 	if err := solver.Approve(last, "reviewer"); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(solver.Pending()); got != 0 {
-		t.Fatalf("pending = %d, want 0", got)
+	if err := solver.Approve(last, "reviewer"); !errors.Is(err, ErrNotPending) {
+		t.Fatalf("approving the merged submission again = %v, want ErrNotPending", err)
 	}
 }

@@ -183,9 +183,6 @@ func TestMinerGateRejectionNeverMerges(t *testing.T) {
 	if res.Pending != nil {
 		t.Error("rejected candidate produced a pending change")
 	}
-	if len(solver.Pending()) != 0 {
-		t.Error("rejected candidate is queued for approval")
-	}
 	if got := solver.Engine().KnowledgeSet().Version(); got != versionBefore {
 		t.Errorf("knowledge version moved %d -> %d on a rejected candidate", versionBefore, got)
 	}

@@ -715,13 +715,15 @@ func (s *Service) GenerateBatch(ctx context.Context, reqs []Request) ([]*Respons
 // Solver builds the continuous-improvement workflow on a database's served
 // engine. The golden cases form the regression suite gating merges.
 //
-// The solver is a view on the database's live owner, shared with the
-// service and every other Solver on it: Solver.Engine is the served engine,
-// and an approval merges onto it, fsyncs the merged events to the store
-// (when durable) before anything observes them, then publishes the new
-// engine — the next Generate runs on it, in-flight ones finish on their old
-// immutable snapshot. Each call returns a fresh Solver (own pending queue);
-// share one across sessions that should see each other's pending changes.
+// The solver is a stateless view on the database's live owner, shared with
+// the service and every other Solver on it: Solver.Engine is the served
+// engine, session feedback IDs are unique on the database, and an approval
+// — through any Solver on it — merges onto the served engine (re-gated
+// first when the version moved since the change's gate), fsyncs the merged
+// events to the store (when durable) before anything observes them, then
+// publishes the new engine — the next Generate runs on it, in-flight ones
+// finish on their old immutable snapshot. Solvers are cheap: build one per
+// caller or per session.
 func (s *Service) Solver(ctx context.Context, db string, golden []*Case) (*Solver, error) {
 	live, err := s.live(ctx, db)
 	if err != nil {

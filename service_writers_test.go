@@ -289,3 +289,84 @@ func mustKnowledge(t *testing.T, svc *genedit.Service, db string) *genedit.Knowl
 	}
 	return info
 }
+
+// TestSolverSessionsGetDistinctFeedbackIDs: sessions opened at once through
+// two Service.Solvers on one database get distinct feedback IDs — the
+// database's owner numbers them — so their merges are audited apart: each
+// checkpoints under its own name and stamps its own ID on its edit.
+func TestSolverSessionsGetDistinctFeedbackIDs(t *testing.T) {
+	ctx := context.Background()
+	suite := genedit.NewBenchmark(1)
+	svc := genedit.NewService(suite, genedit.WithModelSeed(42))
+	defer svc.Close()
+	const db = "sports_holdings"
+	cases := suite.Golden(db, 2)
+
+	sessions := make([]*feedback.Session, len(cases))
+	solvers := make([]*genedit.Solver, len(cases))
+	var wg sync.WaitGroup
+	for k := range cases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := svc.Solver(ctx, db, suite.Golden(db, 4))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if sessions[k], err = s.OpenContext(ctx, cases[k].Question, cases[k].Evidence); err != nil {
+				t.Error(err)
+			}
+			solvers[k] = s
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if a, b := sessions[0].FeedbackID, sessions[1].FeedbackID; a == b {
+		t.Fatalf("two sessions on %s share feedback ID %s", db, a)
+	}
+
+	for k, sess := range sessions {
+		sess.Stage(knowledge.Edit{Op: knowledge.EditInsert, Kind: knowledge.InstructionEntity,
+			Instruction: &knowledge.Instruction{ID: writerInstruction(k), Text: fmt.Sprintf("Writer %d audit note: keep column aliases short.", k)}})
+		res, err := sess.SubmitContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Passed {
+			t.Fatalf("session %s: gate rejected a harmless instruction: %s", sess.FeedbackID, res.Detail)
+		}
+		if err := solvers[k].Approve(res.Pending, "reviewer"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	served, err := svc.Engine(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kset := served.KnowledgeSet()
+	names := map[string]bool{}
+	for _, cp := range kset.Checkpoints() {
+		names[cp.Name] = true
+	}
+	stamped := map[string]string{}
+	for _, ev := range kset.History() {
+		if ev.Op != knowledge.OpCheckpoint && ev.FeedbackID != "" {
+			stamped[ev.EntityID] = ev.FeedbackID
+		}
+	}
+	for k, sess := range sessions {
+		if !names["before-"+sess.FeedbackID] {
+			t.Errorf("no checkpoint before-%s among %v", sess.FeedbackID, names)
+		}
+		if got := stamped[writerInstruction(k)]; got != sess.FeedbackID {
+			t.Errorf("instruction %s is stamped %q, want %s", writerInstruction(k), got, sess.FeedbackID)
+		}
+	}
+	if len(names) != len(sessions) {
+		t.Errorf("%d merges left checkpoints %v, want %d distinct names", len(sessions), names, len(sessions))
+	}
+}
