@@ -98,11 +98,20 @@ go test -race -bench 'GenerationCache|GenerationCoalescing|StatementCacheParalle
 # feedback IDs and their merges distinct checkpoints),
 # TestStaleBaseMergesKeepGoldenVerdicts (changes gated on one version and
 # approved in order: an approval on a moved version re-runs the gate, and no
-# merge loses a golden verdict) and TestApproveOnMovedVersionConflicts (the
-# daemon answers such a refusal with 409). The -race pass above runs them
-# too; they rerun uncached here so the gate reads as one unit.
-echo "== overload, stress-scale, two-writer, request-path and feedback-lifecycle gates under -race (tiny token budget, hot-swap under load, SME and miner merges on one database, cancellation, stale serve, coalescing, unique feedback IDs, re-gate on a moved version) =="
-go test -race -count=1 -run 'TestAdmissionOverloadParity|TestConcurrentGenerateHotSwapClose|TestMinerAndSMEMergesShareOneLine|TestDaemonGracefulShutdownUnderLoad|TestCanceledRequestsCountedOnce|TestAdmissionStaleServeOnShed|TestCoalescedGenerateSharesOneRecord|TestSolverSessionsGetDistinctFeedbackIDs|TestStaleBaseMergesKeepGoldenVerdicts|TestApproveOnMovedVersionConflicts' . ./cmd/geneditd ./internal/feedback
+# merge loses a golden verdict), TestApproveOnMovedVersionConflicts (the
+# daemon answers such a refusal with 409), TestFeedbackIDsSurviveRestart (a
+# reopened durable service resumes feedback IDs after the merged ones),
+# TestDuplicateInsertIsWithdrawnOnApprove and
+# TestApproveOfDuplicateEditConflicts (an edit that no longer applies
+# withdraws its change, and the daemon answers 409). The build path of a
+# database's record: TestFailedDurableBuildRetriesFromDisk (a store fault at
+# each of the first 40 operations of a first durable build; the retry on the
+# same service and a fresh service over the directory serve the seed
+# version) and TestCloseRacingFirstBuildLeavesNoStoreOpen. The -race pass
+# above runs them too; they rerun uncached here so the gate reads as one
+# unit.
+echo "== overload, stress-scale, two-writer, request-path and feedback-lifecycle gates under -race (tiny token budget, hot-swap under load, SME and miner merges on one database, cancellation, stale serve, coalescing, unique feedback IDs across restarts, re-gate on a moved version, inapplicable edits, durable build retry and Close) =="
+go test -race -count=1 -run 'TestAdmissionOverloadParity|TestConcurrentGenerateHotSwapClose|TestMinerAndSMEMergesShareOneLine|TestDaemonGracefulShutdownUnderLoad|TestCanceledRequestsCountedOnce|TestAdmissionStaleServeOnShed|TestCoalescedGenerateSharesOneRecord|TestSolverSessionsGetDistinctFeedbackIDs|TestStaleBaseMergesKeepGoldenVerdicts|TestApproveOnMovedVersionConflicts|TestFeedbackIDsSurviveRestart|TestDuplicateInsertIsWithdrawnOnApprove|TestApproveOfDuplicateEditConflicts|TestFailedDurableBuildRetriesFromDisk|TestCloseRacingFirstBuildLeavesNoStoreOpen' . ./cmd/geneditd ./internal/feedback
 
 echo "== kstore crash-fuzz (1000 injected-fault iterations, event-loss + lineage checks) =="
 KSTORE_FUZZ_ITERS=1000 go test -count=1 -run 'TestCrashFuzz|TestFaultSweepExhaustive' ./internal/kstore

@@ -331,13 +331,13 @@ func (h *feedbackHub) registerRoutes(mux *http.ServeMux, withTimeout func(contex
 			return
 		}
 		if err := fs.solver.Approve(fs.sess.Pending, req.Approver); err != nil {
-			// 409 when the change is no longer pending or regresses on the
-			// served knowledge version: the session may submit again. Any
-			// other failure — the merge or its persist — leaves the change
-			// pending.
+			// 409 when the change is no longer pending, no longer applies to
+			// the served knowledge set or regresses on its version: the
+			// session may submit again. Any other failure — a re-gate or
+			// persist error — leaves the change pending.
 			status := http.StatusInternalServerError
 			var regressed *feedback.RegressionError
-			if errors.As(err, &regressed) || errors.Is(err, feedback.ErrNotPending) {
+			if errors.As(err, &regressed) || errors.Is(err, feedback.ErrNotPending) || errors.Is(err, feedback.ErrNoLongerApplies) {
 				status = http.StatusConflict
 			}
 			writeError(w, status, err.Error())

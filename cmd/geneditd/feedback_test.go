@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"genedit"
 	"genedit/internal/eval"
 	"genedit/internal/feedback"
+	"genedit/internal/knowledge"
 	"genedit/internal/task"
 	"genedit/internal/workload"
 )
@@ -510,5 +512,69 @@ func TestApproveOnMovedVersionConflicts(t *testing.T) {
 	}
 	if len(ids) < 2 || conflicts == 0 {
 		t.Fatalf("%d sessions approved with %d conflicts: the re-gate on a moved version was not exercised", len(ids), conflicts)
+	}
+}
+
+// TestApproveOfDuplicateEditConflicts: two SME sessions on one database
+// stage an insert of the same instruction ID and both pass their gate on
+// one version. The first approval merges; the second's edit no longer
+// applies to the served set, so it answers 409, leaves the version as it
+// was and withdraws the change: approving again is 409 and DELETE finds
+// nothing left to withdraw. (The simulated recommender lets the store pick
+// IDs for its inserts, so the test stages the colliding edit in-process.)
+func TestApproveOfDuplicateEditConflicts(t *testing.T) {
+	suite := genedit.NewBenchmark(1)
+	svc := genedit.NewService(suite, testOpts(genedit.WithModelSeed(42))...)
+	defer svc.Close()
+	hub := newFeedbackHub(svc, suite, 0)
+	mux := http.NewServeMux()
+	hub.registerRoutes(mux, func(ctx context.Context) (context.Context, context.CancelFunc) {
+		return context.WithTimeout(ctx, 30*time.Second)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	c := suite.Golden(fbDB, 1)[0]
+	var ids []string
+	for range 2 {
+		body, _ := json.Marshal(feedbackOpenRequest{Database: fbDB, Question: c.Question, Evidence: c.Evidence})
+		hresp, raw := postJSON(t, srv.URL+"/v1/feedback/open", string(body))
+		if hresp.StatusCode != 200 {
+			t.Fatalf("open = %d: %s", hresp.StatusCode, raw)
+		}
+		id := decode[feedbackOpenResponse](t, raw).ID
+		fs := hub.session(id)
+		fs.mu.Lock()
+		fs.sess.Stage(knowledge.Edit{Op: knowledge.EditInsert, Kind: knowledge.InstructionEntity,
+			Instruction: &knowledge.Instruction{ID: "ins-same", Text: "note"}})
+		fs.mu.Unlock()
+		hresp, raw = postJSON(t, srv.URL+"/v1/feedback/"+id+"/submit", `{}`)
+		if hresp.StatusCode != 200 || !decode[submitResponse](t, raw).Passed {
+			t.Fatalf("submit = %d: %s", hresp.StatusCode, raw)
+		}
+		ids = append(ids, id)
+	}
+	if hresp, raw := postJSON(t, srv.URL+"/v1/feedback/"+ids[0]+"/approve", `{}`); hresp.StatusCode != 200 {
+		t.Fatalf("first approve = %d: %s", hresp.StatusCode, raw)
+	}
+	before := getKnowledge(t, srv.URL).Version
+	if hresp, raw := postJSON(t, srv.URL+"/v1/feedback/"+ids[1]+"/approve", `{}`); hresp.StatusCode != http.StatusConflict {
+		t.Fatalf("approving the duplicate insert = %d, want 409: %s", hresp.StatusCode, raw)
+	}
+	if after := getKnowledge(t, srv.URL).Version; after != before {
+		t.Errorf("a refused approval moved the version %d -> %d", before, after)
+	}
+	if hresp, raw := postJSON(t, srv.URL+"/v1/feedback/"+ids[1]+"/approve", `{}`); hresp.StatusCode != http.StatusConflict {
+		t.Errorf("approving the refused change again = %d, want 409: %s", hresp.StatusCode, raw)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/feedback/"+ids[1], nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || decode[deleteResponse](t, del).Withdrawn {
+		t.Errorf("delete of the refused session = %d %s, want 200 with nothing left to withdraw", resp.StatusCode, del)
 	}
 }

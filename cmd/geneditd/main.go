@@ -16,7 +16,8 @@
 //	POST /v1/feedback/{id}/regenerate   critique -> staged edits -> regenerate
 //	POST /v1/feedback/{id}/submit       regression-test the staged edits
 //	POST /v1/feedback/{id}/approve      merge (persist + hot-swap the engine); 409 if a merge since
-//	                                    the submit makes the change regress golden cases
+//	                                    the submit makes the change regress golden cases or
+//	                                    leaves one of its edits inapplicable
 //	DELETE /v1/feedback/{id}            abandon a session, withdrawing its pending change
 //	GET  /v1/knowledge/{db}             knowledge version, counts, change history
 //	GET  /v1/miner/{db}                 failure counters + miner stats for one database

@@ -63,26 +63,23 @@ func ResultsEqual(a, b *sqlexec.Result) bool {
 	if len(a.Rows) != len(b.Rows) || len(a.Columns) != len(b.Columns) {
 		return false
 	}
+	// Rows are keyed by sqldb's length-prefixed composite key, the one the
+	// executor groups by: two rows share a key iff their values are pairwise
+	// Key-equal, whatever bytes the values hold.
 	counts := make(map[string]int, len(a.Rows))
+	var key []byte
 	for _, r := range a.Rows {
-		counts[rowKey(r)]++
+		key = sqldb.AppendCompositeKey(key[:0], r)
+		counts[string(key)]++
 	}
 	for _, r := range b.Rows {
-		k := rowKey(r)
-		counts[k]--
-		if counts[k] < 0 {
+		key = sqldb.AppendCompositeKey(key[:0], r)
+		if counts[string(key)] == 0 {
 			return false
 		}
+		counts[string(key)]--
 	}
 	return true
-}
-
-func rowKey(r sqldb.Row) string {
-	parts := make([]string, len(r))
-	for i, v := range r {
-		parts[i] = v.Key()
-	}
-	return strings.Join(parts, "\x1f")
 }
 
 // Runner evaluates systems over a fixed case set, caching gold results. A

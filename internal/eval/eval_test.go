@@ -56,6 +56,17 @@ func TestResultsEqualNumericKinds(t *testing.T) {
 	}
 }
 
+// TestResultsEqualNoDelimiterAliasing: string values that hold a delimiter
+// byte must not let two different rows share a key ("a\x1fsb","c" vs
+// "a","b\x1fsc" joined on \x1f with Key's "s" prefix are the same bytes).
+func TestResultsEqualNoDelimiterAliasing(t *testing.T) {
+	a := res([]string{"x", "y"}, []sqldb.Value{sqldb.Str("a\x1fsb"), sqldb.Str("c")})
+	b := res([]string{"x", "y"}, []sqldb.Value{sqldb.Str("a"), sqldb.Str("b\x1fsc")})
+	if ResultsEqual(a, b) {
+		t.Error("rows that differ only in where a delimiter byte falls compare equal")
+	}
+}
+
 func TestResultsEqualProperties(t *testing.T) {
 	gen := func(vals []int8) *sqlexec.Result {
 		r := &sqlexec.Result{Columns: []string{"v"}}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -42,11 +44,22 @@ type Live struct {
 
 // NewLive starts serving engine. persist, when non-nil, runs on every merged
 // knowledge set before the engine built over it is served (the serving
-// layer fsyncs the merge's events to the database's store there).
+// layer fsyncs the merge's events to the database's store there). Session
+// numbering resumes after the highest fb-NNN the set's history holds, so a
+// set recovered from disk never reuses a merged feedback ID.
 func NewLive(engine *pipeline.Engine, persist func(*knowledge.Set) error) *Live {
 	db := engine.Database()
 	l := &Live{persist: persist, runner: eval.NewRunner(map[string]*sqldb.Database{db.Name: db})}
 	l.engine.Store(engine)
+	var last int64
+	for _, ev := range engine.KnowledgeSet().History() {
+		if n, ok := strings.CutPrefix(ev.FeedbackID, "fb-"); ok {
+			if n, err := strconv.ParseInt(n, 10, 64); err == nil && n > last {
+				last = n
+			}
+		}
+	}
+	l.lastFB.Store(last)
 	return l
 }
 
@@ -106,9 +119,11 @@ func (l *Live) replay(ctx context.Context, golden []*task.Case, engine *pipeline
 // it once persist has accepted the set. The served set is never written, so
 // in-flight generations keep their engine and knowledge snapshot.
 //
-// When the served version is no longer the one the change's gate replayed,
-// the gate runs again on the served engine and the one merge would serve; a
-// regression there withdraws the change and returns a *RegressionError.
+// An edit that no longer applies to the served set withdraws the change and
+// returns an error matching ErrNoLongerApplies. When the served version is
+// no longer the one the change's gate replayed, the gate runs again on the
+// served engine and the one merge would serve; a regression there withdraws
+// the change and returns a *RegressionError.
 func (l *Live) merge(p *PendingChange, approver string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -120,7 +135,8 @@ func (l *Live) merge(p *PendingChange, approver string) error {
 	merged.Checkpoint("before-" + p.FeedbackID)
 	for _, e := range p.Edits {
 		if err := merged.Apply(e, approver, p.FeedbackID); err != nil {
-			return fmt.Errorf("merging %s: %w", e.Describe(), err)
+			p.state = changeWithdrawn
+			return fmt.Errorf("change %s: merging %s: %w: %w", p.FeedbackID, e.Describe(), ErrNoLongerApplies, err)
 		}
 	}
 	next := served.WithKnowledge(merged)
@@ -148,6 +164,12 @@ func (l *Live) merge(p *PendingChange, approver string) error {
 // ErrNotPending reports an approval of a change that is not pending: merged
 // already, withdrawn, or never submitted on the database.
 var ErrNotPending = errors.New("not pending")
+
+// ErrNoLongerApplies reports an approval of a change whose edits do not
+// apply to the served knowledge set — a merge since its gate inserted the
+// same entity, or deleted one it updates. The change is withdrawn; its
+// session may submit again against the served version.
+var ErrNoLongerApplies = errors.New("no longer applies to the served knowledge set")
 
 // RegressionError refuses the merge of a change whose gate replayed an older
 // knowledge version than the one served at approval: on the served version
@@ -382,8 +404,10 @@ func (s *Solver) submit(ctx context.Context, feedbackID, editor string, edits []
 // knowledge set (see Live.merge). The served engine may be newer than the
 // one the change's gate replayed; the gate then runs again on it, and a
 // regression refuses the merge with a *RegressionError and withdraws the
-// change. A change that is not pending on this solver's database is refused
-// with ErrNotPending. Any other failure leaves the change pending.
+// change, and so does an edit that no longer applies (ErrNoLongerApplies).
+// A change that is not pending on this solver's database is refused with
+// ErrNotPending. Any other failure — a failed re-gate or persist — leaves
+// the change pending.
 func (s *Solver) Approve(p *PendingChange, approver string) error {
 	return s.live.merge(p, approver)
 }

@@ -183,3 +183,48 @@ func TestResubmitReplacesPendingChange(t *testing.T) {
 		t.Fatalf("approving the merged submission again = %v, want ErrNotPending", err)
 	}
 }
+
+// TestDuplicateInsertIsWithdrawnOnApprove: two sessions gated on one
+// version insert the same instruction ID. The first approval merges; the
+// second no longer applies to the served set, so it is refused with
+// ErrNoLongerApplies and withdrawn rather than left pending for retries
+// that can never succeed. The served engine stays the first merge's.
+func TestDuplicateInsertIsWithdrawnOnApprove(t *testing.T) {
+	solver, suite := testSolver(t, false)
+	c := ourCase(t, suite)
+	ctx := context.Background()
+	var sessions []*Session
+	for i := 0; i < 2; i++ {
+		sess, err := solver.OpenContext(ctx, c.Question, c.Evidence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Stage(knowledge.Edit{Op: knowledge.EditInsert, Kind: knowledge.InstructionEntity,
+			Instruction: &knowledge.Instruction{ID: "ins-same", Text: "note"}})
+		res, err := sess.SubmitContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Passed || res.Pending == nil {
+			t.Fatalf("submit %d did not pass: %+v", i, res)
+		}
+		sessions = append(sessions, sess)
+	}
+	if err := solver.Approve(sessions[0].Pending, "reviewer"); err != nil {
+		t.Fatal(err)
+	}
+	engine := solver.Engine()
+	err := solver.Approve(sessions[1].Pending, "reviewer")
+	if !errors.Is(err, ErrNoLongerApplies) {
+		t.Fatalf("approving the duplicate insert = %v, want ErrNoLongerApplies", err)
+	}
+	if sessions[1].Withdraw() {
+		t.Error("the refused change is still pending")
+	}
+	if err := solver.Approve(sessions[1].Pending, "reviewer"); !errors.Is(err, ErrNotPending) {
+		t.Errorf("approving the refused change again = %v, want ErrNotPending", err)
+	}
+	if solver.Engine() != engine {
+		t.Error("a refused approval swapped the engine")
+	}
+}

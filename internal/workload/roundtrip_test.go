@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"genedit/internal/decompose"
+	"genedit/internal/eval"
 	"genedit/internal/sqlparse"
 )
 
@@ -53,7 +54,7 @@ func TestGoldComposeDecomposeEXEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: composed query failed: %v\n%s", c.ID, err, composed)
 		}
-		if !resultsEqual(want, got) {
+		if !eval.ResultsEqual(want, got) {
 			t.Errorf("%s: compose∘decompose changed the result", c.ID)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"genedit/internal/decompose"
+	"genedit/internal/eval"
 	"genedit/internal/knowledge"
 	"genedit/internal/schema"
 	"genedit/internal/sqldb"
@@ -210,7 +211,7 @@ func (s *Suite) ValidateGold() error {
 			if err != nil {
 				return fmt.Errorf("case %s: %s wrong variant failed to execute: %w", c.ID, kind, err)
 			}
-			if resultsEqual(gold, wrong) {
+			if eval.ResultsEqual(gold, wrong) {
 				return fmt.Errorf("case %s: %s wrong variant is indistinguishable from gold", c.ID, kind)
 			}
 			return nil
@@ -227,31 +228,4 @@ func (s *Suite) ValidateGold() error {
 		}
 	}
 	return nil
-}
-
-// resultsEqual compares results as multisets of stringified rows (the EX
-// comparison; duplicated in internal/eval which owns the public metric).
-func resultsEqual(a, b *sqlexec.Result) bool {
-	if len(a.Rows) != len(b.Rows) || len(a.Columns) != len(b.Columns) {
-		return false
-	}
-	counts := make(map[string]int, len(a.Rows))
-	for _, r := range a.Rows {
-		counts[rowKey(r)]++
-	}
-	for _, r := range b.Rows {
-		counts[rowKey(r)]--
-		if counts[rowKey(r)] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func rowKey(r sqldb.Row) string {
-	parts := make([]string, len(r))
-	for i, v := range r {
-		parts[i] = v.Key()
-	}
-	return strings.Join(parts, "\x1f")
 }

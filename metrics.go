@@ -3,8 +3,6 @@ package genedit
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"genedit/internal/admission"
@@ -62,40 +60,35 @@ var requestOutcomes = []string{
 	"error",        // everything else (engine build failure, operator error)
 }
 
-// serviceMetrics is the service's resolved instrument set. Per-db children
-// are cached in perDB so the steady-state Generate path is a map load plus
+// serviceMetrics is the service's resolved instrument set. Each tenant
+// caches its children (tenant.metrics), so the steady-state Generate path is
 // one atomic add (and one histogram observe on success).
 type serviceMetrics struct {
 	requests  *metrics.CounterVec   // genedit_requests_total{db,outcome}
 	latency   *metrics.HistogramVec // genedit_request_duration_seconds{db}
 	opLatency *metrics.HistogramVec // genedit_operator_duration_seconds{db,operator}
-	perDB     sync.Map              // db -> *dbMetrics
 }
 
 // dbMetrics is one database's resolved children, outcome counters
-// pre-resolved for the whole closed vocabulary, and its failure counts
-// (FailureStats). The failure counts are plain atomics of this service, not
-// registry children: services sharing a registry keep their own counts.
+// pre-resolved for the whole closed vocabulary.
 type dbMetrics struct {
 	outcomes map[string]*metrics.Counter
 	latency  *metrics.Histogram
-
-	syntax, exec, canceled atomic.Uint64
 }
 
-func (m *serviceMetrics) forDB(db string) *dbMetrics {
-	if v, ok := m.perDB.Load(db); ok {
-		return v.(*dbMetrics)
-	}
-	d := &dbMetrics{
-		outcomes: make(map[string]*metrics.Counter, len(requestOutcomes)),
-		latency:  m.latency.With(db),
-	}
-	for _, o := range requestOutcomes {
-		d.outcomes[o] = m.requests.With(db, o)
-	}
-	v, _ := m.perDB.LoadOrStore(db, d)
-	return v.(*dbMetrics)
+// metrics returns the tenant's metric children, resolving them on first
+// use.
+func (t *tenant) metrics(m *serviceMetrics) *dbMetrics {
+	t.obsOnce.Do(func() {
+		t.obs = &dbMetrics{
+			outcomes: make(map[string]*metrics.Counter, len(requestOutcomes)),
+			latency:  m.latency.With(t.name),
+		}
+		for _, o := range requestOutcomes {
+			t.obs.outcomes[o] = m.requests.With(t.name, o)
+		}
+	})
+	return t.obs
 }
 
 // initMetrics registers the service's metric catalog and scrape-time
@@ -231,7 +224,8 @@ func (s *Service) initMetrics() {
 
 	// Durable-store families: pre-registered whenever the service is durable
 	// so the catalog is visible before the first store opens (stores open
-	// lazily); per-store children attach in openStore via kstore.WithMetrics.
+	// lazily); per-store children attach in buildKnowledge via
+	// kstore.WithMetrics.
 	if s.storePath != "" {
 		kstore.RegisterMetrics(reg)
 	}
@@ -240,22 +234,22 @@ func (s *Service) initMetrics() {
 // observeRequest records one completed Generate on the metrics registry:
 // outcome counter always, latency histogram only for requests that returned
 // a response (latency of a shed or failed request measures the shedding
-// path, not generation). db is always a known tenant — Generate rejects
+// path, not generation). t is always a known tenant — Generate rejects
 // unknown names before metrics, so garbage input cannot mint label values.
 // It is the one place a request's outcome is counted: a failed_sql outcome
 // (never a stale replay of an old failure, which is an overload artifact)
 // is the failure the miner sees, and a canceled one is
 // FailureStats().Canceled, so the ledger and the outcome counter count the
 // same requests.
-func (s *Service) observeRequest(db string, resp *Response, err error, dur time.Duration) {
-	d := s.smetrics.forDB(db)
+func (s *Service) observeRequest(t *tenant, resp *Response, err error, dur time.Duration) {
+	d := t.metrics(s.smetrics)
 	outcome := outcomeOf(resp, err)
 	d.outcomes[outcome].Inc()
 	switch outcome {
 	case "failed_sql":
-		s.noteFailure(db, d, resp)
+		s.noteFailure(t, resp)
 	case "canceled":
-		d.canceled.Add(1)
+		t.canceled.Add(1)
 	}
 	if err == nil {
 		d.latency.Observe(dur.Seconds())
@@ -309,18 +303,18 @@ func (s *Service) observeTrace(tr *Trace) {
 	}
 }
 
-// StoreHealth reports each opened durable store's terminal failure state
-// (nil for healthy), keyed by database. Empty for an in-memory service and
-// for databases not yet served. CompactionErr is deliberately not included:
+// StoreHealth reports each built database's durable store's terminal
+// failure state (nil for healthy), keyed by database. Empty for an
+// in-memory service and for databases not yet served. CompactionErr is deliberately not included:
 // a store with failing compactions still commits durably, so it should not
 // fail a readiness probe — it is surfaced via
 // genedit_kstore_compaction_errors_total and KnowledgeInfo instead.
 func (s *Service) StoreHealth() map[string]error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]error, len(s.stores))
-	for db, st := range s.stores {
-		out[db] = st.Failed()
+	out := make(map[string]error)
+	for db, t := range s.tenants {
+		if t.live.Load() != nil && t.store != nil {
+			out[db] = t.store.Failed()
+		}
 	}
 	return out
 }

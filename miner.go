@@ -5,9 +5,9 @@ import (
 	"fmt"
 
 	"genedit/internal/eval"
+	"genedit/internal/feedback"
 	"genedit/internal/gencache"
 	"genedit/internal/miner"
-	"genedit/internal/pipeline"
 	"genedit/internal/task"
 	"genedit/internal/workload"
 )
@@ -24,10 +24,6 @@ type (
 // regression gate, merge events and the WAL ("miner", vs "sme" for
 // interactive sessions).
 const MinerEditor = miner.Editor
-
-// minerState is the per-database miner held in the Service registry
-// (declared here so service.go does not import internal/miner).
-type minerState = miner.Miner
 
 // WithMiner enables the background failure miner: per database, failed
 // generations are retained (a bounded ring plus whatever the generation
@@ -59,73 +55,35 @@ const failureRingCap = 256
 
 // noteFailure records one failed generation of a database: its syntax or
 // exec count and, with the miner on, its record in the database's ring.
-func (s *Service) noteFailure(db string, d *dbMetrics, resp *Response) {
+func (s *Service) noteFailure(t *tenant, resp *Response) {
 	if resp.Failure.Kind == "syntax" {
-		d.syntax.Add(1)
+		t.syntax.Add(1)
 	} else {
-		d.exec.Add(1)
+		t.exec.Add(1)
 	}
 	if !s.minerOn {
 		return
 	}
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	ring := s.failed[db]
-	if len(ring) >= failureRingCap {
-		copy(ring, ring[1:])
-		ring = ring[:failureRingCap-1]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.failed) >= failureRingCap {
+		copy(t.failed, t.failed[1:])
+		t.failed = t.failed[:failureRingCap-1]
 	}
-	if s.failed == nil {
-		s.failed = make(map[string][]*pipeline.Record)
-	}
-	s.failed[db] = append(ring, resp.Record)
+	t.failed = append(t.failed, resp.Record)
 }
 
 // FailureStats reports per-database failure counters for every database
 // that has recorded at least one failure or cancellation.
 func (s *Service) FailureStats() map[string]FailureStats {
 	out := make(map[string]FailureStats)
-	s.smetrics.perDB.Range(func(db, v any) bool {
-		d := v.(*dbMetrics)
-		fs := FailureStats{Syntax: d.syntax.Load(), Exec: d.exec.Load(), Canceled: d.canceled.Load()}
+	for db, t := range s.tenants {
+		fs := FailureStats{Syntax: t.syntax.Load(), Exec: t.exec.Load(), Canceled: t.canceled.Load()}
 		if fs != (FailureStats{}) {
-			out[db.(string)] = fs
+			out[db] = fs
 		}
-		return true
-	})
+	}
 	return out
-}
-
-// minerFor returns (building on first use) the miner for one database. The
-// miner's solver is a view on the database's live owner, like every SME
-// solver, so an approved mined candidate merges onto the engine being
-// served — whatever SME merges landed since the miner was built — and is
-// persisted (when durable) and hot-swapped exactly like an SME merge.
-func (s *Service) minerFor(ctx context.Context, db string) (*miner.Miner, error) {
-	if !s.minerOn {
-		return nil, fmt.Errorf("genedit: miner is not enabled (WithMiner)")
-	}
-	s.failMu.Lock()
-	m, ok := s.miners[db]
-	s.failMu.Unlock()
-	if ok {
-		return m, nil
-	}
-	solver, err := s.Solver(ctx, db, s.suite.Golden(db, minerGoldenCases))
-	if err != nil {
-		return nil, err
-	}
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	if m, ok := s.miners[db]; ok {
-		return m, nil
-	}
-	if s.miners == nil {
-		s.miners = make(map[string]*miner.Miner)
-	}
-	m = miner.New(solver)
-	s.miners[db] = m
-	return m, nil
 }
 
 // minerGoldenCases is the size of the regression suite gating mined merges:
@@ -138,16 +96,27 @@ const minerGoldenCases = 6
 // database (deduplicated by question), then cluster → distill → gate →
 // approve. Rejected candidates are counted and never merged. Safe to call
 // concurrently with serving; merges hot-swap like SME approvals.
+//
+// The database's miner is built on its first round. Its solver is a view on
+// the database's live owner, like every SME solver, so an approved mined
+// candidate merges onto the engine being served — whatever SME merges
+// landed since the miner was built — and is persisted (when durable) and
+// hot-swapped exactly like an SME merge.
 func (s *Service) MineRound(ctx context.Context, db string) (MinerRoundReport, error) {
-	m, err := s.minerFor(ctx, db)
+	if !s.minerOn {
+		return MinerRoundReport{}, fmt.Errorf("genedit: miner is not enabled (WithMiner)")
+	}
+	t, live, err := s.liveOf(ctx, db)
 	if err != nil {
 		return MinerRoundReport{}, err
 	}
-
-	s.failMu.Lock()
-	drained := s.failed[db]
-	delete(s.failed, db)
-	s.failMu.Unlock()
+	t.mu.Lock()
+	if t.miner == nil {
+		t.miner = miner.New(feedback.NewSolver(live, feedback.NewRecommender(s.model), s.suite.Golden(db, minerGoldenCases)))
+	}
+	m, drained := t.miner, t.failed
+	t.failed = nil
+	t.mu.Unlock()
 
 	seen := make(map[string]bool, len(drained))
 	for _, rec := range drained {
@@ -172,18 +141,16 @@ func (s *Service) MineRound(ctx context.Context, db string) (MinerRoundReport, e
 	// distill pointless refinements.
 	failed := drained
 	if s.gencache != nil {
-		if engine, eerr := s.Engine(ctx, db); eerr == nil {
-			version := engine.KnowledgeSet().Version()
-			failed = failed[:0]
-			for _, rec := range drained {
-				cur, ok := s.gencache.Peek(gencache.RequestKey{
-					Database: db, Version: version, Question: rec.Question, Evidence: rec.Evidence,
-				})
-				if ok && cur.OK {
-					continue
-				}
-				failed = append(failed, rec)
+		version := live.Engine().KnowledgeSet().Version()
+		failed = failed[:0]
+		for _, rec := range drained {
+			cur, ok := s.gencache.Peek(gencache.RequestKey{
+				Database: db, Version: version, Question: rec.Question, Evidence: rec.Evidence,
+			})
+			if ok && cur.OK {
+				continue
 			}
+			failed = append(failed, rec)
 		}
 	}
 	return m.Round(ctx, failed)
@@ -195,11 +162,14 @@ func (s *Service) MinerEnabled() bool { return s.minerOn }
 // MinerStats reports the per-database miner counters (databases whose miner
 // has been exercised at least once).
 func (s *Service) MinerStats() map[string]MinerStats {
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	out := make(map[string]MinerStats, len(s.miners))
-	for db, m := range s.miners {
-		out[db] = m.Stats()
+	out := make(map[string]MinerStats)
+	for db, t := range s.tenants {
+		t.mu.Lock()
+		m := t.miner
+		t.mu.Unlock()
+		if m != nil {
+			out[db] = m.Stats()
+		}
 	}
 	return out
 }
@@ -240,6 +210,7 @@ func RunMinerConvergence(seed, modelSeed uint64, rounds int) ([]MinerConvergence
 		dbs[c.DB] = true
 	}
 
+	runner := eval.NewRunner(suite.Databases)
 	var out []MinerConvergenceRound
 	for round := 1; round <= rounds; round++ {
 		correct := 0
@@ -248,18 +219,11 @@ func RunMinerConvergence(seed, modelSeed uint64, rounds int) ([]MinerConvergence
 			if err != nil {
 				return nil, fmt.Errorf("round %d case %s: %w", round, c.ID, err)
 			}
-			if !resp.OK {
-				continue
-			}
-			exec, err := suite.Executor(c.DB)
+			ok, err := runner.Evaluate(c, resp.SQL)
 			if err != nil {
 				return nil, err
 			}
-			gold, err := exec.Query(c.GoldSQL)
-			if err != nil {
-				return nil, fmt.Errorf("case %s gold: %w", c.ID, err)
-			}
-			if eval.ResultsEqual(gold, resp.Record.Result) {
+			if ok {
 				correct++
 			}
 		}

@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"genedit/internal/knowledge"
 	"genedit/internal/kstore"
 	"genedit/internal/metrics"
+	"genedit/internal/miner"
 	"genedit/internal/pipeline"
 	"genedit/internal/simllm"
 )
@@ -205,15 +207,16 @@ func WithStoreFS(fs kstore.FS) Option { return func(s *Service) { s.storeFS = fs
 // Concurrency contract: all Service methods are safe for concurrent use.
 // Engines are immutable once built (see pipeline.Engine), so requests never
 // contend on anything but the executor's internal sharded statement-cache
-// locks. The registry is guarded by an RWMutex: steady-state Generate calls
-// take only the read lock (and only briefly, to fetch a resolved promise),
-// so they never serialize behind engine builds or store opens, which take
-// the write lock. Each database's served engine has one owner, a
-// feedback.Live: every Solver on the database (SME hub, miner, any caller)
-// merges through it, one merge at a time, each onto the engine the last one
-// served. A merge publishes a freshly built engine with one atomic store, so
-// a request sees the old or the new knowledge version, never a half-rebuilt
-// one, and never waits on a merge.
+// locks. The tenant set is the suite's databases, fixed at NewService, so
+// finding a database's record takes no lock, and reading its served engine
+// is one atomic load; builds, store opens and failure bookkeeping take only
+// that database's own mutex, and no build runs under it. Each database's
+// served engine has one owner, a feedback.Live: every Solver on the
+// database (SME hub, miner, any caller) merges through it, one merge at a
+// time, each onto the engine the last one served. A merge publishes a
+// freshly built engine with one atomic store, so a request sees the old or
+// the new knowledge version, never a half-rebuilt one, and never waits on a
+// merge.
 type Service struct {
 	suite        *Benchmark
 	modelSeed    uint64
@@ -245,29 +248,51 @@ type Service struct {
 	opSampleEvery int
 	opSampleN     atomic.Uint64
 
-	mu      sync.RWMutex
-	engines map[string]*enginePromise
-	// stores holds the open kstore per database when WithStorePath is set.
-	stores map[string]*kstore.Store
-	closed bool
-
-	// Background failure mining (see miner.go). minerOn is set by
-	// WithMiner; failMu guards failed, each database's ring of retained
-	// failed records (miner only), and miners, the lazily built per-db
-	// miner. The failure counters live in the per-db metrics record.
+	// minerOn is set by WithMiner (see miner.go).
 	minerOn bool
-	failMu  sync.Mutex
-	failed  map[string][]*pipeline.Record
-	miners  map[string]*minerState
+
+	// tenants holds one record per suite database. It is written only by
+	// NewService, so reads take no lock.
+	tenants map[string]*tenant
+	closed  atomic.Bool
 }
 
-// enginePromise coalesces concurrent builds of one database's engine: the
-// first requester builds, everyone else waits on ready. It resolves to the
-// database's live owner, which serves every engine from then on.
-type enginePromise struct {
-	ready chan struct{}
-	live  *feedback.Live
-	err   error
+// tenant is everything the service holds for one database.
+type tenant struct {
+	name string
+	// live is the owner of the database's served engine, nil until the
+	// first build succeeds.
+	live atomic.Pointer[feedback.Live]
+	// store backs the database on a durable service. It is set under mu
+	// just before live is published and never replaced, so whoever has
+	// loaded a non-nil live may read it without mu.
+	store *kstore.Store
+
+	// mu guards the fields below. No build runs under it.
+	mu sync.Mutex
+	// building is the build in progress, if any; concurrent first requests
+	// wait on it instead of building again.
+	building *buildPromise
+	// failed is the ring of retained failed records the miner drains
+	// (miner only), and miner the database's miner, built on first use.
+	failed []*pipeline.Record
+	miner  *miner.Miner
+
+	// syntax, exec and canceled are the FailureStats counts: plain atomics
+	// of this service, not registry children, so services sharing a
+	// registry keep their own counts.
+	syntax, exec, canceled atomic.Uint64
+	// obs holds the database's metric children, resolved on its first
+	// request so /metrics mints no series for an unserved database.
+	obsOnce sync.Once
+	obs     *dbMetrics
+}
+
+// buildPromise is one build attempt of a database's engine: the first
+// requester builds, everyone else waits on done.
+type buildPromise struct {
+	done chan struct{}
+	err  error
 }
 
 // NewService wraps a benchmark suite in a serving facade. The suite is the
@@ -278,8 +303,10 @@ func NewService(b *Benchmark, opts ...Option) *Service {
 		suite:     b,
 		modelSeed: 42,
 		workers:   runtime.GOMAXPROCS(0),
-		engines:   make(map[string]*enginePromise),
-		stores:    make(map[string]*kstore.Store),
+		tenants:   make(map[string]*tenant, len(b.Databases)),
+	}
+	for name := range b.Databases {
+		s.tenants[name] = &tenant{name: name}
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -296,14 +323,7 @@ func NewService(b *Benchmark, opts ...Option) *Service {
 }
 
 // Databases lists the servable tenants in sorted order.
-func (s *Service) Databases() []string {
-	names := make([]string, 0, len(s.suite.Databases))
-	for name := range s.suite.Databases {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func (s *Service) Databases() []string { return slices.Sorted(maps.Keys(s.tenants)) }
 
 // Engine returns the shared engine for one database, building it on first
 // use. Concurrent callers for the same database coalesce onto a single
@@ -311,53 +331,50 @@ func (s *Service) Databases() []string {
 // and is cached for the next caller). The returned engine is shared — treat
 // it as read-only and use WithKnowledge for staging variants.
 func (s *Service) Engine(ctx context.Context, db string) (*Engine, error) {
-	live, err := s.live(ctx, db)
+	_, live, err := s.liveOf(ctx, db)
 	if err != nil {
 		return nil, err
 	}
 	return live.Engine(), nil
 }
 
-// live returns the owner of one database's served engine, building the
-// engine on first use (see Engine).
-func (s *Service) live(ctx context.Context, db string) (*feedback.Live, error) {
-	if _, ok := s.suite.Databases[db]; !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDatabase, db)
-	}
-	// Steady state is a read-locked map lookup of an already-resolved
-	// promise; only the first request for a database takes the write lock.
-	s.mu.RLock()
-	p, ok := s.engines[db]
-	s.mu.RUnlock()
+// liveOf returns a database's record and the owner of its served engine,
+// building the engine on first use.
+func (s *Service) liveOf(ctx context.Context, db string) (*tenant, *feedback.Live, error) {
+	t, ok := s.tenants[db]
 	if !ok {
-		s.mu.Lock()
-		if p, ok = s.engines[db]; !ok {
-			p = &enginePromise{ready: make(chan struct{})}
-			s.engines[db] = p
-			s.mu.Unlock()
-			// The cleanup is deferred so even a panicking build (recovered by
-			// e.g. net/http handlers) cannot leave waiters blocked forever on
-			// an unresolved promise: the promise resolves as failed and is
-			// evicted for retry.
-			defer func() {
-				if p.err != nil || p.live == nil {
-					if p.err == nil {
-						p.err = fmt.Errorf("genedit: engine build for %q panicked", db)
-					}
-					s.mu.Lock()
-					delete(s.engines, db)
-					s.mu.Unlock()
-				}
-				close(p.ready)
-			}()
-			p.live, p.err = s.build(db)
-			return p.live, p.err
-		}
-		s.mu.Unlock()
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownDatabase, db)
 	}
+	live, err := s.live(ctx, t)
+	return t, live, err
+}
+
+// live returns the owner of a database's served engine, building the engine
+// on first use (see Engine). A failed build leaves nothing behind, so the
+// next request builds again.
+func (s *Service) live(ctx context.Context, t *tenant) (*feedback.Live, error) {
+	if live := t.live.Load(); live != nil {
+		return live, nil
+	}
+	t.mu.Lock()
+	if live := t.live.Load(); live != nil {
+		t.mu.Unlock()
+		return live, nil
+	}
+	p := t.building
+	if p == nil {
+		p = &buildPromise{done: make(chan struct{})}
+		t.building = p
+		t.mu.Unlock()
+		return s.build(t, p)
+	}
+	t.mu.Unlock()
 	select {
-	case <-p.ready:
-		return p.live, p.err
+	case <-p.done:
+		if p.err != nil {
+			return nil, p.err
+		}
+		return t.live.Load(), nil
 	case <-ctx.Done():
 		return nil, generr.Canceled(ctx.Err())
 	}
@@ -367,101 +384,87 @@ func (s *Service) live(ctx context.Context, db string) (*feedback.Live, error) {
 // service is durable and the database's store already holds state, recovers
 // the knowledge set from disk instead and skips the seed build — and hands
 // the engine to its live owner, which on a durable service commits every
-// merged set to the database's store before serving it.
-func (s *Service) build(db string) (*feedback.Live, error) {
-	kset, err := s.buildKnowledge(db)
+// merged set to the database's store before serving it. It resolves p even
+// when the build panics (recovered by e.g. net/http handlers), so waiters
+// are never left blocked.
+func (s *Service) build(t *tenant, p *buildPromise) (live *feedback.Live, err error) {
+	var store *kstore.Store
+	defer func() {
+		if live == nil && err == nil {
+			err = fmt.Errorf("genedit: engine build for %q panicked", t.name)
+		}
+		t.mu.Lock()
+		// Close takes every tenant's mu after marking the service closed,
+		// so a store opened by a build it raced is closed here or there.
+		if err == nil && store != nil && s.closed.Load() {
+			err = errClosed
+		}
+		if err != nil {
+			if store != nil {
+				store.Close()
+			}
+			live = nil
+		} else {
+			t.store = store
+			t.live.Store(live)
+		}
+		t.building = nil
+		t.mu.Unlock()
+		p.err = err
+		close(p.done)
+	}()
+	var kset *knowledge.Set
+	kset, store, err = s.buildKnowledge(t.name)
 	if err != nil {
 		return nil, err
 	}
 	var persist func(*knowledge.Set) error
-	if st := s.store(db); st != nil {
-		persist = st.Commit
+	if store != nil {
+		persist = store.Commit
 	}
-	return feedback.NewLive(pipeline.New(s.model, kset, s.suite.Databases[db], pipeline.DefaultConfig()), persist), nil
+	return feedback.NewLive(pipeline.New(s.model, kset, s.suite.Databases[t.name], pipeline.DefaultConfig()), persist), nil
 }
+
+// errClosed refuses a durable build on a closed service.
+var errClosed = errors.New("genedit: service is closed")
 
 // buildKnowledge resolves the knowledge set for one database: straight from
 // the pre-processing inputs when the service is in-memory, through the
-// durable store when WithStorePath is set.
-func (s *Service) buildKnowledge(db string) (*knowledge.Set, error) {
+// durable store when WithStorePath is set. The store is opened for this
+// attempt only: on failure it is closed again, so the next attempt recovers
+// whatever this one left on disk.
+func (s *Service) buildKnowledge(db string) (*knowledge.Set, *kstore.Store, error) {
 	if s.storePath == "" {
-		return s.suite.BuildKnowledge(db)
+		kset, err := s.suite.BuildKnowledge(db)
+		return kset, nil, err
 	}
-	store, err := s.openStore(db)
+	if s.closed.Load() {
+		return nil, nil, errClosed
+	}
+	kopts := []kstore.Option{kstore.WithMetrics(s.mreg, db)}
+	if s.storeFS != nil {
+		kopts = append(kopts, kstore.WithFS(s.storeFS))
+	}
+	store, err := kstore.Open(filepath.Join(s.storePath, db), kopts...)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("genedit: opening knowledge store for %q: %w", db, err)
 	}
+	kset := store.Recovered()
 	if store.Empty() {
 		// First open: seed-build and persist. The seed goes straight to a
 		// snapshot (plus an empty WAL), so restarts load one file instead
 		// of replaying hundreds of build events.
-		kset, err := s.suite.BuildKnowledge(db)
+		if kset, err = s.suite.BuildKnowledge(db); err == nil {
+			if err = store.Compact(kset); err != nil {
+				err = fmt.Errorf("genedit: persisting seed knowledge for %q: %w", db, err)
+			}
+		}
 		if err != nil {
-			return nil, err
+			store.Close()
+			return nil, nil, err
 		}
-		if err := store.Compact(kset); err != nil {
-			return nil, fmt.Errorf("genedit: persisting seed knowledge for %q: %w", db, err)
-		}
-		return kset, nil
 	}
-	// Recovery path. The Open-time set is handed out once; if it is gone
-	// or stale relative to the log — a previous build attempt appended
-	// events after Open and then failed partway (e.g. the seed snapshot
-	// errored after its WAL append) — re-read the store from disk rather
-	// than serving an out-of-date set.
-	if kset := store.Recovered(); kset != nil && kset.LastSeq() == store.LastSeq() {
-		return kset, nil
-	}
-	store, err = s.reopenStore(db)
-	if err != nil {
-		return nil, err
-	}
-	if kset := store.Recovered(); kset != nil {
-		return kset, nil
-	}
-	return nil, fmt.Errorf("genedit: knowledge store for %q yielded no recovered set", db)
-}
-
-// reopenStore closes and reopens a database's store, forcing recovery from
-// disk.
-func (s *Service) reopenStore(db string) (*kstore.Store, error) {
-	s.mu.Lock()
-	if st, ok := s.stores[db]; ok {
-		st.Close()
-		delete(s.stores, db)
-	}
-	s.mu.Unlock()
-	return s.openStore(db)
-}
-
-// openStore opens (once) the kstore for a database.
-func (s *Service) openStore(db string) (*kstore.Store, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("genedit: service is closed")
-	}
-	if st, ok := s.stores[db]; ok {
-		return st, nil
-	}
-	var kopts []kstore.Option
-	if s.storeFS != nil {
-		kopts = append(kopts, kstore.WithFS(s.storeFS))
-	}
-	kopts = append(kopts, kstore.WithMetrics(s.mreg, db))
-	st, err := kstore.Open(filepath.Join(s.storePath, db), kopts...)
-	if err != nil {
-		return nil, fmt.Errorf("genedit: opening knowledge store for %q: %w", db, err)
-	}
-	s.stores[db] = st
-	return st, nil
-}
-
-// store returns the open store for a database, or nil for in-memory mode.
-func (s *Service) store(db string) *kstore.Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.stores[db]
+	return kset, store, nil
 }
 
 // Close releases the service's durable stores (no-op for an in-memory
@@ -469,22 +472,25 @@ func (s *Service) store(db string) *kstore.Store {
 // queued requests fail with ErrOverloaded and new requests are refused —
 // so stores close with no generation about to start. In-flight generations
 // are unaffected — engines are pure in-memory structures — but subsequent
-// approvals will fail to persist.
+// approvals will fail to persist, and a database not yet built fails to
+// build.
 func (s *Service) Close() error {
 	if s.admission != nil {
 		s.admission.Close()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closed = true
 	var errs []error
-	for db, st := range s.stores {
-		if err := st.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("closing store %q: %w", db, err))
+	for _, db := range s.Databases() {
+		t := s.tenants[db]
+		t.mu.Lock()
+		if t.store != nil {
+			if err := t.store.Close(); err != nil {
+				errs = append(errs, fmt.Errorf("closing store %q: %w", db, err))
+			}
 		}
+		t.mu.Unlock()
 	}
 	return errors.Join(errs...)
 }
@@ -522,25 +528,26 @@ func (s *Service) Prewarm(ctx context.Context, dbs ...string) error {
 // actual run.
 func (s *Service) Generate(ctx context.Context, req Request) (*Response, error) {
 	start := time.Now()
+	t, ok := s.tenants[req.Database]
 	if err := generr.FromContext(ctx); err != nil {
-		if _, ok := s.suite.Databases[req.Database]; ok {
-			s.observeRequest(req.Database, nil, err, 0)
+		if ok {
+			s.observeRequest(t, nil, err, 0)
 		}
 		return nil, err
 	}
 	// The tenant check runs before admission so it never builds state
 	// (token buckets, queue slots) for garbage database names — and so
 	// metrics never mint label values from them.
-	if _, ok := s.suite.Databases[req.Database]; !ok {
+	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDatabase, req.Database)
 	}
-	resp, err := s.serve(s.maybeTraceContext(ctx), req)
+	resp, err := s.serve(s.maybeTraceContext(ctx), t, req)
 	if err != nil {
-		s.observeRequest(req.Database, nil, err, time.Since(start))
+		s.observeRequest(t, nil, err, time.Since(start))
 		return nil, err
 	}
 	resp.Duration = time.Since(start)
-	s.observeRequest(req.Database, resp, nil, resp.Duration)
+	s.observeRequest(t, resp, nil, resp.Duration)
 	return resp, nil
 }
 
@@ -550,7 +557,7 @@ func (s *Service) Generate(ctx context.Context, req Request) (*Response, error) 
 // and a pipeline run on that engine. The run goes through the generation
 // cache, keyed by that engine's knowledge version, unless the cache is off
 // or the request is traced (its contract is timings of an actual run).
-func (s *Service) serve(ctx context.Context, req Request) (*Response, error) {
+func (s *Service) serve(ctx context.Context, t *tenant, req Request) (*Response, error) {
 	if s.admission != nil {
 		release, err := s.admission.Admit(ctx, req.Database)
 		if err != nil {
@@ -563,10 +570,11 @@ func (s *Service) serve(ctx context.Context, req Request) (*Response, error) {
 		}
 		defer release()
 	}
-	engine, err := s.Engine(ctx, req.Database)
+	live, err := s.live(ctx, t)
 	if err != nil {
 		return nil, err
 	}
+	engine := live.Engine()
 	if s.gencache == nil || pipeline.HasTrace(ctx) {
 		rec, err := engine.GenerateContext(ctx, req.Question, req.Evidence)
 		if err != nil {
@@ -671,16 +679,10 @@ type RetrievalStats = pipeline.RetrievalStats
 // to build) are absent. Safe to call concurrently with serving; an engine
 // hot-swapped by an approval starts from fresh counters.
 func (s *Service) RetrievalStats() map[string]RetrievalStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]RetrievalStats, len(s.engines))
-	for db, p := range s.engines {
-		select {
-		case <-p.ready:
-			if p.live != nil {
-				out[db] = p.live.Engine().RetrievalStats()
-			}
-		default:
+	out := make(map[string]RetrievalStats)
+	for db, t := range s.tenants {
+		if live := t.live.Load(); live != nil {
+			out[db] = live.Engine().RetrievalStats()
 		}
 	}
 	return out
@@ -725,7 +727,7 @@ func (s *Service) GenerateBatch(ctx context.Context, reqs []Request) ([]*Respons
 // finish on their old immutable snapshot. Solvers are cheap: build one per
 // caller or per session.
 func (s *Service) Solver(ctx context.Context, db string, golden []*Case) (*Solver, error) {
-	live, err := s.live(ctx, db)
+	_, live, err := s.liveOf(ctx, db)
 	if err != nil {
 		return nil, err
 	}
@@ -768,11 +770,11 @@ type KnowledgeInfo struct {
 // most recent events, 0 returns none, and a negative n returns the full
 // log.
 func (s *Service) Knowledge(ctx context.Context, db string, lastN int) (*KnowledgeInfo, error) {
-	engine, err := s.Engine(ctx, db)
+	t, live, err := s.liveOf(ctx, db)
 	if err != nil {
 		return nil, err
 	}
-	kset := engine.KnowledgeSet()
+	kset := live.Engine().KnowledgeSet()
 	st := kset.Stats()
 	info := &KnowledgeInfo{
 		Database:     db,
@@ -789,7 +791,7 @@ func (s *Service) Knowledge(ctx context.Context, db string, lastN int) (*Knowled
 	case lastN > 0:
 		info.History = kset.HistorySince(kset.LastSeq() - lastN)
 	}
-	if store := s.store(db); store != nil {
+	if store := t.store; store != nil {
 		info.Persisted = true
 		info.PersistedSeq = store.LastSeq()
 		info.SnapshotVersion = store.SnapshotVersion()
