@@ -107,11 +107,14 @@ go test -race -bench 'GenerationCache|GenerationCoalescing|StatementCacheParalle
 # database's record: TestFailedDurableBuildRetriesFromDisk (a store fault at
 # each of the first 40 operations of a first durable build; the retry on the
 # same service and a fresh service over the directory serve the seed
-# version) and TestCloseRacingFirstBuildLeavesNoStoreOpen. The -race pass
-# above runs them too; they rerun uncached here so the gate reads as one
-# unit.
-echo "== overload, stress-scale, two-writer, request-path and feedback-lifecycle gates under -race (tiny token budget, hot-swap under load, SME and miner merges on one database, cancellation, stale serve, coalescing, unique feedback IDs across restarts, re-gate on a moved version, inapplicable edits, durable build retry and Close) =="
-go test -race -count=1 -run 'TestAdmissionOverloadParity|TestConcurrentGenerateHotSwapClose|TestMinerAndSMEMergesShareOneLine|TestDaemonGracefulShutdownUnderLoad|TestCanceledRequestsCountedOnce|TestAdmissionStaleServeOnShed|TestCoalescedGenerateSharesOneRecord|TestSolverSessionsGetDistinctFeedbackIDs|TestStaleBaseMergesKeepGoldenVerdicts|TestApproveOnMovedVersionConflicts|TestFeedbackIDsSurviveRestart|TestDuplicateInsertIsWithdrawnOnApprove|TestApproveOfDuplicateEditConflicts|TestFailedDurableBuildRetriesFromDisk|TestCloseRacingFirstBuildLeavesNoStoreOpen' . ./cmd/geneditd ./internal/feedback
+# version) and TestCloseRacingFirstBuildLeavesNoStoreOpen. The generation
+# cache's one-entry-per-question contract:
+# TestOlderLeaderFinishingLateKeepsNewerEntry (a generation that read the
+# engine before a swap and finishes after the post-swap record was cached
+# leaves the newer record in place). The -race pass above runs them too;
+# they rerun uncached here so the gate reads as one unit.
+echo "== overload, stress-scale, two-writer, request-path and feedback-lifecycle gates under -race (tiny token budget, hot-swap under load, SME and miner merges on one database, cancellation, stale serve, coalescing, unique feedback IDs across restarts, re-gate on a moved version, inapplicable edits, durable build retry and Close, a pre-swap generation finishing late) =="
+go test -race -count=1 -run 'TestAdmissionOverloadParity|TestConcurrentGenerateHotSwapClose|TestMinerAndSMEMergesShareOneLine|TestDaemonGracefulShutdownUnderLoad|TestCanceledRequestsCountedOnce|TestAdmissionStaleServeOnShed|TestCoalescedGenerateSharesOneRecord|TestSolverSessionsGetDistinctFeedbackIDs|TestStaleBaseMergesKeepGoldenVerdicts|TestApproveOnMovedVersionConflicts|TestFeedbackIDsSurviveRestart|TestDuplicateInsertIsWithdrawnOnApprove|TestApproveOfDuplicateEditConflicts|TestFailedDurableBuildRetriesFromDisk|TestCloseRacingFirstBuildLeavesNoStoreOpen|TestOlderLeaderFinishingLateKeepsNewerEntry' . ./cmd/geneditd ./internal/feedback ./internal/gencache
 
 echo "== kstore crash-fuzz (1000 injected-fault iterations, event-loss + lineage checks) =="
 KSTORE_FUZZ_ITERS=1000 go test -count=1 -run 'TestCrashFuzz|TestFaultSweepExhaustive' ./internal/kstore

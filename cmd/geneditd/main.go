@@ -43,20 +43,25 @@
 // (default 1024) caps concurrently open feedback sessions; opens beyond
 // the cap get 429. Admission counters are reported on /v1/stats.
 //
-// -gencache (default 1024, 0 disables) caches completed generations per
-// (database, knowledge version, normalized question, evidence) with
-// concurrent duplicates coalesced onto one pipeline run; responses served
-// this way carry "cached": true. Approved feedback merges bump the
-// knowledge version, which invalidates by key — no flush. Note -trace
+// -gencache (default 1024, 0 disables) caches the newest completed
+// generation of each (database, normalized question, evidence), tagged with
+// its knowledge version, with concurrent duplicates coalesced onto one
+// pipeline run; responses served this way carry "cached": true. Approved
+// feedback merges bump the knowledge version, so a cached record of an
+// older version is never served as fresh — no flush. Note -trace
 // effectively bypasses the cache: traced requests must run the pipeline.
 //
-// -miner enables the background failure miner: recurring failed generations
-// are clustered, distilled into candidate instructions, and pushed through
-// the same regression gate -> approve -> persist -> hot-swap path SME edits
-// take. The flag's duration is the mining interval (e.g. -miner 5m); mining
-// can also be triggered per database via POST /v1/miner/{db}/mine. Without
-// the flag the serving path is byte-identical to a miner-less daemon — only
-// the always-on failure counters on /v1/stats remain.
+// -miner enables the background failure miner: the failed generations the
+// cache holds are clustered, distilled into candidate instructions, and
+// pushed through the same regression gate -> approve -> persist -> hot-swap
+// path SME edits take. The flag's duration is the mining interval (e.g.
+// -miner 5m); mining can also be triggered per database via POST
+// /v1/miner/{db}/mine. The miner mines the cache, so -miner with -gencache 0
+// is a usage error, and a failure seen only by a traced or sampled request
+// is mined once an untraced request caches it (under -trace every request is
+// traced, so none is). Without the flag the serving path is byte-identical
+// to a miner-less daemon — only the always-on failure counters on /v1/stats
+// remain.
 //
 // -store makes the continuous-improvement loop durable: each database's
 // knowledge set is backed by a WAL + snapshot store under <dir>/<database>.
@@ -484,7 +489,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	modelSeed := flag.Uint64("modelseed", 42, "simulated-model seed")
 	workers := flag.Int("workers", 0, "batch worker pool (0 = GOMAXPROCS)")
-	genCache := flag.Int("gencache", 1024, "generation-cache size: completed records cached per (database, knowledge version, question); 0 disables")
+	genCache := flag.Int("gencache", 1024, "generation-cache size: the newest completed record of each (database, question) is cached; 0 disables (and rules out -miner)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (0 = none)")
 	prewarm := flag.Bool("prewarm", false, "build all engines at startup (in the background; /readyz turns 200 when done) instead of lazily")
 	trace := flag.Bool("trace", false, "log per-operator timings for every request")
@@ -498,6 +503,10 @@ func main() {
 	maxInflight := flag.Int("maxinflight", 0, "max concurrently executing generations (0 = unbounded)")
 	maxQueue := flag.Int("maxqueue", 64, "max requests queued for an execution slot before shedding with 503")
 	flag.Parse()
+	if *minerIvl > 0 && *genCache <= 0 {
+		fmt.Fprintln(os.Stderr, "-miner mines the generation cache's failed records; it needs -gencache > 0")
+		os.Exit(2)
+	}
 
 	opts := []genedit.Option{genedit.WithModelSeed(*modelSeed)}
 	if *admitRate > 0 || *maxInflight > 0 {

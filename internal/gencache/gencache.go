@@ -1,15 +1,15 @@
 // Package gencache implements the versioned generation cache of the serving
-// layer: a bounded LRU of completed pipeline Records keyed by
-// (database, knowledge version, normalized question, evidence), with
-// singleflight coalescing so N concurrent identical requests run one
-// generation and share its result.
+// layer: a bounded LRU holding one completed pipeline Record per
+// (database, normalized question, evidence), tagged with the knowledge
+// version that produced it, with singleflight coalescing so N concurrent
+// identical requests run one generation and share its result.
 //
-// The knowledge version in the key is the invalidation contract. An
-// approved SME merge hot-swaps a freshly built engine whose knowledge set
-// carries a strictly greater version (every mutation bumps it, including
-// checkpoint reverts), so every post-swap request computes a new key and
-// misses — stale entries are never served and never need an explicit flush;
-// the LRU simply ages them out.
+// The knowledge version is the invalidation contract. An approved SME merge
+// hot-swaps a freshly built engine whose knowledge set carries a strictly
+// greater version (every mutation bumps it, including checkpoint reverts),
+// so a post-swap request misses the older record and its own replaces it —
+// no explicit flush. A generation finishing on an older version never
+// overwrites a newer entry, so each entry is its question's newest record.
 //
 // Two result classes are deliberately not cached:
 //
@@ -44,13 +44,8 @@ type Cache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recently used; values are *entry
-	items   map[entryKey]*list.Element
-	flights map[entryKey]*flight
-	// families maps a request's versionless identity to the newest cached
-	// element for that (database, question, evidence) across knowledge
-	// versions — the stale-serve index. Admission sheds consult it to
-	// degrade gracefully: a previous version's answer beats a 503.
-	families map[family]*list.Element
+	items   map[question]*list.Element
+	flights map[flightKey]*flight
 
 	hits        uint64 // LRU lookups that found a completed record
 	misses      uint64 // lookups that started a new generation (flight leaders)
@@ -58,8 +53,10 @@ type Cache struct {
 	staleServed uint64 // PeekStale lookups that found a record
 }
 
+// entry is a question's newest completed record, keyed by the version that
+// produced it.
 type entry struct {
-	key entryKey
+	key flightKey
 	rec *pipeline.Record
 }
 
@@ -78,11 +75,10 @@ func New(capacity int) *Cache {
 		panic("gencache: capacity must be positive")
 	}
 	return &Cache{
-		cap:      capacity,
-		order:    list.New(),
-		items:    make(map[entryKey]*list.Element, capacity),
-		flights:  make(map[entryKey]*flight),
-		families: make(map[family]*list.Element),
+		cap:     capacity,
+		order:   list.New(),
+		items:   make(map[question]*list.Element, capacity),
+		flights: make(map[flightKey]*flight),
 	}
 }
 
@@ -96,22 +92,22 @@ type RequestKey struct {
 	Evidence string
 }
 
-// family names a request across knowledge versions, the stale-serve lookup
-// key; entryKey adds the version, naming one cache entry. Both are comparable
+// question names a request across knowledge versions, the LRU key;
+// flightKey adds the version, naming one generation. Both are comparable
 // structs of the components, so no spelling of one tuple can alias
 // another and a lookup builds no string beyond the normalized question.
-type family struct {
+type question struct {
 	database, question, evidence string
 }
 
-type entryKey struct {
-	family
+type flightKey struct {
+	question
 	version int
 }
 
-// entryKey normalizes the question once.
-func (k RequestKey) entryKey() entryKey {
-	return entryKey{family{k.Database, NormalizeQuestion(k.Question), k.Evidence}, k.Version}
+// flightKey normalizes the question once.
+func (k RequestKey) flightKey() flightKey {
+	return flightKey{question{k.Database, NormalizeQuestion(k.Question), k.Evidence}, k.Version}
 }
 
 // NormalizeQuestion lower-cases a question and collapses runs of whitespace
@@ -127,13 +123,12 @@ func NormalizeQuestion(q string) string {
 	return task.QuestionKey(q)
 }
 
-// DoVersioned returns the cached record for key, joins an in-flight
-// generation for it, or — as the flight leader — runs generate and
-// publishes the result. The cached bool reports whether the record came
-// from the cache or a shared flight rather than this caller's own generate
-// run. A cached record is registered in the stale-serve family index under
-// its knowledge version, making it eligible for PeekStale after the
-// version moves on.
+// DoVersioned returns the question's cached record when it was produced at
+// key's knowledge version, joins an in-flight generation for key, or — as
+// the flight leader — runs generate and publishes the result. The cached
+// bool reports whether the record came from the cache or a shared flight
+// rather than this caller's own generate run. A published record replaces
+// its question's entry unless that entry is from a newer version.
 //
 // Error contract: a leader's error is returned to the leader and to every
 // waiter that joined its flight, and nothing is cached. The exception is a
@@ -142,13 +137,13 @@ func NormalizeQuestion(q string) string {
 // that was never theirs. A waiter whose own ctx expires stops waiting and
 // returns its cancellation; the flight keeps running for the others.
 func (c *Cache) DoVersioned(ctx context.Context, k RequestKey, generate func() (*pipeline.Record, error)) (*pipeline.Record, bool, error) {
-	return c.do(ctx, k.entryKey(), generate)
+	return c.do(ctx, k.flightKey(), generate)
 }
 
-func (c *Cache) do(ctx context.Context, k entryKey, generate func() (*pipeline.Record, error)) (*pipeline.Record, bool, error) {
+func (c *Cache) do(ctx context.Context, k flightKey, generate func() (*pipeline.Record, error)) (*pipeline.Record, bool, error) {
 	for {
 		c.mu.Lock()
-		if el, ok := c.items[k]; ok {
+		if el, ok := c.items[k.question]; ok && el.Value.(*entry).key.version == k.version {
 			c.hits++
 			c.order.MoveToFront(el)
 			rec := el.Value.(*entry).rec
@@ -205,7 +200,7 @@ func (c *Cache) do(ctx context.Context, k entryKey, generate func() (*pipeline.R
 
 // finishFlight retires a flight, caching successful records, and wakes its
 // waiters.
-func (c *Cache) finishFlight(k entryKey, f *flight) {
+func (c *Cache) finishFlight(k flightKey, f *flight) {
 	c.mu.Lock()
 	delete(c.flights, k)
 	if f.err == nil && f.rec != nil {
@@ -215,85 +210,58 @@ func (c *Cache) finishFlight(k entryKey, f *flight) {
 	close(f.done)
 }
 
-// insertLocked adds (or refreshes) one completed record under c.mu,
-// maintaining the family index: a family always points at its newest-version
-// cached element, and an evicted element's family pointer is cleared so the
-// index never outlives the LRU entries it references.
-func (c *Cache) insertLocked(k entryKey, rec *pipeline.Record) {
-	el, ok := c.items[k]
-	if ok {
-		el.Value.(*entry).rec = rec
-		c.order.MoveToFront(el)
-	} else {
-		el = c.order.PushFront(&entry{key: k, rec: rec})
-		c.items[k] = el
-	}
-	// Versions only move forward, so an older version overtaking a newer
-	// one only happens in odd interleavings; the guard keeps the index
-	// monotonic regardless.
-	if cur, ok := c.families[k.family]; !ok || cur.Value.(*entry).key.version <= k.version {
-		c.families[k.family] = el
-	}
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		old := oldest.Value.(*entry).key
-		delete(c.items, old)
-		if c.families[old.family] == oldest {
-			delete(c.families, old.family)
+// insertLocked publishes a completed record under c.mu as its question's
+// entry, unless that entry is from a newer version, and evicts the least
+// recently used entry when over capacity.
+func (c *Cache) insertLocked(k flightKey, rec *pipeline.Record) {
+	if el, ok := c.items[k.question]; ok {
+		if e := el.Value.(*entry); e.key.version <= k.version {
+			e.key, e.rec = k, rec
+			c.order.MoveToFront(el)
 		}
+		return
+	}
+	c.items[k.question] = c.order.PushFront(&entry{key: k, rec: rec})
+	if c.order.Len() > c.cap {
+		oldest := c.order.Remove(c.order.Back()).(*entry)
+		delete(c.items, oldest.key.question)
 	}
 }
 
-// PeekStale returns the newest cached record for the request's family,
-// regardless of knowledge version — the graceful-degradation path for shed
+// PeekStale returns the question's cached record whatever its knowledge
+// version (key.Version is ignored) — the graceful-degradation path for shed
 // requests. The returned version says which knowledge version produced the
 // record, so callers can tag the response as stale. A hit counts as a use:
 // the entry is promoted in the LRU (hot questions keep their stale answer
 // alive through an overload), and StaleServed is incremented.
 func (c *Cache) PeekStale(key RequestKey) (*pipeline.Record, int, bool) {
-	fam := key.entryKey().family
+	q := key.flightKey().question
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.families[fam]
+	el, ok := c.items[q]
 	if !ok {
 		return nil, 0, false
 	}
-	e := el.Value.(*entry)
 	c.order.MoveToFront(el)
 	c.staleServed++
+	e := el.Value.(*entry)
 	return e.rec, e.key.version, true
 }
 
-// FailedRecords returns the cached records whose final SQL failed, newest
-// (most recently used) first. The background failure miner scans these as
-// its live-traffic signal: failed records are cached by contract (see the
-// package comment), so the cache doubles as a bounded log of what live
-// questions the current knowledge version cannot answer. The returned
-// records are the shared cached values and must be treated as read-only.
-func (c *Cache) FailedRecords() []*pipeline.Record {
+// Failed returns database's cached records whose final SQL failed, least
+// recently used first, without promoting them: each is its question's
+// newest record, so this is the failure miner's signal. The records are the
+// shared cached values and must be treated as read-only.
+func (c *Cache) Failed(database string) []*pipeline.Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []*pipeline.Record
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		if rec := el.Value.(*entry).rec; rec != nil && !rec.OK {
-			out = append(out, rec)
+	for el := c.order.Back(); el != nil; el = el.Prev() {
+		if e := el.Value.(*entry); e.key.database == database && !e.rec.OK {
+			out = append(out, e.rec)
 		}
 	}
 	return out
-}
-
-// Peek returns the completed record cached under key without joining or
-// starting a flight and without promoting the entry in the LRU — a pure
-// read for inspection paths (the failure miner's staleness check).
-func (c *Cache) Peek(key RequestKey) (*pipeline.Record, bool) {
-	k := key.entryKey()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		return el.Value.(*entry).rec, true
-	}
-	return nil, false
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -308,7 +276,8 @@ type Stats struct {
 	// StaleServed counts PeekStale hits — shed requests degraded onto a
 	// previous knowledge version's cached record instead of failing.
 	StaleServed uint64 `json:"stale_served"`
-	// Entries and Capacity describe the LRU's current fill and bound.
+	// Entries and Capacity describe the LRU's current fill and bound: one
+	// entry per distinct question.
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
 }

@@ -20,14 +20,15 @@ func record(sql string) *pipeline.Record {
 // rk is the request key of question q at version 1 of database "db".
 func rk(q string) RequestKey { return RequestKey{Database: "db", Version: 1, Question: q} }
 
-// TestKeyComponentsDoNotAlias: distinct tuples must be distinct entries
-// however the components are spelled around one another.
+// TestKeyComponentsDoNotAlias: distinct (database, question, evidence)
+// tuples must be distinct entries however the components are spelled
+// around one another. Versions of one question share an entry; see
+// TestNewerVersionReplacesEntry.
 func TestKeyComponentsDoNotAlias(t *testing.T) {
 	keys := []RequestKey{
 		{"db", 1, "q", ""},
 		{"db", 1, "", "q"},
 		{"db1", 1, "q", ""},
-		{"db", 11, "q", ""},
 		{"db", 1, "q 1", ""},
 		{"d", 1, "bq", ""},
 		{"db", 1, "q", "e"},
@@ -45,9 +46,115 @@ func TestKeyComponentsDoNotAlias(t *testing.T) {
 		}
 	}
 	for i, k := range keys {
-		if rec, ok := c.Peek(k); !ok || rec.FinalSQL != fmt.Sprintf("SELECT %d", i) {
-			t.Errorf("%+v: Peek = (%v, %v), want its own record", k, rec, ok)
+		if rec, ver, ok := c.PeekStale(k); !ok || ver != k.Version || rec.FinalSQL != fmt.Sprintf("SELECT %d", i) {
+			t.Errorf("%+v: PeekStale = (%v, %d, %v), want its own record", k, rec, ver, ok)
 		}
+	}
+}
+
+// TestNewerVersionReplacesEntry: a question holds one entry, its newest
+// record. A newer version's record replaces it in place, an older version's
+// request misses rather than being served the newer record, and the version
+// never aliases a question spelled like "<question> <version>".
+func TestNewerVersionReplacesEntry(t *testing.T) {
+	c := New(8)
+	ctx := context.Background()
+	gen := func(sql string) func() (*pipeline.Record, error) {
+		return func() (*pipeline.Record, error) { return record(sql), nil }
+	}
+	v1 := RequestKey{Database: "db", Version: 1, Question: "q"}
+	v11 := v1
+	v11.Version = 11
+	c.DoVersioned(ctx, v1, gen("SELECT v1"))
+	if rec, cached, _ := c.DoVersioned(ctx, v11, gen("SELECT v11")); cached || rec.FinalSQL != "SELECT v11" {
+		t.Fatalf("v11 request = (%v, cached=%v), want its own generation", rec, cached)
+	}
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("Entries = %d, want 1: the v11 record replaces the v1 one", st.Entries)
+	}
+	c.DoVersioned(ctx, RequestKey{Database: "db", Version: 1, Question: "q 1"}, gen("SELECT q1"))
+	if rec, ver, ok := c.PeekStale(v1); !ok || ver != 11 || rec.FinalSQL != "SELECT v11" {
+		t.Fatalf("PeekStale = (%v, %d, %v), want the v11 record", rec, ver, ok)
+	}
+	if rec, cached, _ := c.DoVersioned(ctx, v1, gen("SELECT v1 again")); cached || rec.FinalSQL != "SELECT v1 again" {
+		t.Fatalf("v1 request after the swap = (%v, cached=%v), want a miss", rec, cached)
+	}
+	if rec, cached, _ := c.DoVersioned(ctx, v11, gen("unreachable")); !cached || rec.FinalSQL != "SELECT v11" {
+		t.Fatalf("v11 request = (%v, cached=%v), want the v11 record: an older completion must not overwrite it", rec, cached)
+	}
+	if rec, ver, ok := c.PeekStale(RequestKey{Database: "db", Question: "q 1"}); !ok || ver != 1 || rec.FinalSQL != "SELECT q1" {
+		t.Fatalf("question %q = (%v, %d, %v), want its own v1 record", "q 1", rec, ver, ok)
+	}
+}
+
+// TestOlderLeaderFinishingLateKeepsNewerEntry: a generation that read the
+// engine before a hot swap (v1) and finishes after the post-swap generation
+// (v2) was cached must leave v2 in place.
+func TestOlderLeaderFinishingLateKeepsNewerEntry(t *testing.T) {
+	c := New(8)
+	ctx := context.Background()
+	v1 := RequestKey{Database: "db", Version: 1, Question: "q"}
+	v2 := v1
+	v2.Version = 2
+	started := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.DoVersioned(ctx, v1, func() (*pipeline.Record, error) {
+			close(started)
+			<-release
+			return record("SELECT v1"), nil
+		})
+	}()
+	<-started
+	if rec, cached, err := c.DoVersioned(ctx, v2, func() (*pipeline.Record, error) { return record("SELECT v2"), nil }); err != nil || cached || rec.FinalSQL != "SELECT v2" {
+		t.Fatalf("v2 leader = (%v, cached=%v, %v), want its own generation", rec, cached, err)
+	}
+	close(release)
+	<-done
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("Entries = %d, want 1", st.Entries)
+	}
+	if rec, ver, ok := c.PeekStale(v1); !ok || ver != 2 || rec.FinalSQL != "SELECT v2" {
+		t.Fatalf("PeekStale = (%v, %d, %v), want the v2 record", rec, ver, ok)
+	}
+	if _, cached, _ := c.DoVersioned(ctx, v1, func() (*pipeline.Record, error) { return record("SELECT v1"), nil }); cached {
+		t.Fatal("a v1 request must miss once v2 holds the entry")
+	}
+	if rec, cached, _ := c.DoVersioned(ctx, v2, nil); !cached || rec.FinalSQL != "SELECT v2" {
+		t.Fatalf("v2 request = (%v, cached=%v), want a hit on the v2 record", rec, cached)
+	}
+}
+
+// TestFailedListsOldestFirstWithoutPromoting: Failed lists one database's
+// failed entries least recently used first and leaves the LRU order alone.
+func TestFailedListsOldestFirstWithoutPromoting(t *testing.T) {
+	c := New(4)
+	ctx := context.Background()
+	put := func(db, q string, ok bool) {
+		c.DoVersioned(ctx, RequestKey{Database: db, Version: 1, Question: q}, func() (*pipeline.Record, error) {
+			return &pipeline.Record{Question: q, FinalSQL: "SELECT " + q, OK: ok}, nil
+		})
+	}
+	put("db", "a", false)
+	put("db", "b", true)
+	put("other", "c", false)
+	put("db", "d", false)
+	var got []string
+	for _, rec := range c.Failed("db") {
+		got = append(got, rec.Question)
+	}
+	if fmt.Sprint(got) != "[a d]" {
+		t.Fatalf("Failed(db) = %v, want [a d]", got)
+	}
+	// Had Failed promoted a, inserting e would evict b instead.
+	put("db", "e", false)
+	if _, _, ok := c.PeekStale(RequestKey{Database: "db", Question: "a"}); ok {
+		t.Fatal("a should be the LRU victim: Failed must not promote")
+	}
+	if _, _, ok := c.PeekStale(RequestKey{Database: "db", Question: "b"}); !ok {
+		t.Fatal("b should have survived")
 	}
 }
 
@@ -62,7 +169,7 @@ func TestKeyNormalizesQuestion(t *testing.T) {
 	}
 	k.Version = 4
 	if _, cached, _ := c.DoVersioned(ctx, k, gen); cached {
-		t.Error("different knowledge versions must not share an entry")
+		t.Error("a request must not be served another knowledge version's record")
 	}
 }
 
@@ -329,7 +436,7 @@ func TestStaleFamilyIndex(t *testing.T) {
 		t.Fatal("PeekStale hit on empty cache")
 	}
 
-	// Cache a v1 record; a v2 request's family finds it.
+	// Cache a v1 record; a v2 request's stale lookup finds it.
 	if _, _, err := c.DoVersioned(ctx, k1, func() (*pipeline.Record, error) {
 		return record("SELECT v1"), nil
 	}); err != nil {
@@ -342,19 +449,19 @@ func TestStaleFamilyIndex(t *testing.T) {
 		t.Fatalf("stale lookup = (%v, %d, %v), want v1 record", rec, ver, ok)
 	}
 
-	// Question normalization applies to the family key too.
+	// Question normalization applies to the stale lookup too.
 	kNorm := RequestKey{Database: "db", Version: 9, Question: "  TOP   ORGS ", Evidence: "ev"}
 	if _, ver, ok := c.PeekStale(kNorm); !ok || ver != 1 {
-		t.Fatalf("normalized family lookup = (%d, %v), want hit at v1", ver, ok)
+		t.Fatalf("normalized stale lookup = (%d, %v), want hit at v1", ver, ok)
 	}
-	// Different evidence is a different family.
+	// Different evidence is a different question.
 	kEv := k2
 	kEv.Evidence = "other"
 	if _, _, ok := c.PeekStale(kEv); ok {
-		t.Fatal("different evidence must not share a family")
+		t.Fatal("different evidence must not share an entry")
 	}
 
-	// After v2 generates, the family points at the newest version.
+	// After v2 generates, the entry holds the newest version.
 	if _, _, err := c.DoVersioned(ctx, k2, func() (*pipeline.Record, error) {
 		return record("SELECT v2"), nil
 	}); err != nil {
@@ -384,10 +491,10 @@ func TestStaleIndexClearedOnEviction(t *testing.T) {
 	c.DoVersioned(ctx, kB, gen("b"))
 	c.DoVersioned(ctx, kC, gen("c")) // evicts a
 	if _, _, ok := c.PeekStale(RequestKey{Database: "db", Version: 5, Question: "a"}); ok {
-		t.Fatal("family index must not survive its entry's eviction")
+		t.Fatal("an evicted entry must not serve stale")
 	}
 	if _, ver, ok := c.PeekStale(RequestKey{Database: "db", Version: 5, Question: "b"}); !ok || ver != 1 {
-		t.Fatalf("family b should still hit at v1, got (%d, %v)", ver, ok)
+		t.Fatalf("b should still hit at v1, got (%d, %v)", ver, ok)
 	}
 	// A stale hit promotes: b is now MRU, so inserting d evicts c, not b.
 	c.DoVersioned(ctx, RequestKey{Database: "db", Version: 1, Question: "d"}, gen("d"))

@@ -1,12 +1,14 @@
 // Package miner implements the background failure miner: the self-improving
 // half of the serving loop. It scans the failed generation records the
 // versioned cache retains (failures are cached by contract — deterministic
-// for a fixed knowledge version), clusters recurring failures by failure
-// type and statement shape, distills each recurring cluster into candidate
-// clarification instructions, and submits them through the same
-// staging → regression-gate → approve path SME edits take. Nothing the
-// miner proposes reaches the live knowledge set without passing the golden
-// replay bar; rejected candidates are counted and never merged.
+// for a fixed knowledge version — and the cache holds each question's newest
+// record, so a question whose latest generation succeeded is not among
+// them), clusters recurring failures by failure type and statement shape,
+// distills each recurring cluster into candidate clarification instructions,
+// and submits them through the same staging → regression-gate → approve path
+// SME edits take. Nothing the miner proposes reaches the live knowledge set
+// without passing the golden replay bar; rejected candidates are counted and
+// never merged.
 //
 // The miner never writes SQL fixes. Its theory of failure is the paper's:
 // recurring errors are knowledge gaps — undefined jargon, unclarified
@@ -55,7 +57,9 @@ const Editor = "miner"
 type Stats struct {
 	// Rounds counts completed mining rounds.
 	Rounds int `json:"rounds"`
-	// Scanned counts failed records examined across all rounds.
+	// Scanned counts failed records examined across all rounds: each round
+	// scans the distinct failing questions the cache retains, so a question
+	// still failing is counted again every round.
 	Scanned int `json:"scanned"`
 	// Clusters counts recurring clusters (size >= minRecurrence) seen.
 	Clusters int `json:"clusters"`
@@ -119,6 +123,8 @@ func (m *Miner) Stats() Stats {
 
 // RoundReport summarizes one mining round.
 type RoundReport struct {
+	// Scanned counts the failed records the round examined: the distinct
+	// failing questions the generation cache retains for the database.
 	Scanned      int `json:"scanned"`
 	Clusters     int `json:"clusters"`
 	Submitted    int `json:"submitted"`
@@ -131,8 +137,8 @@ type RoundReport struct {
 
 // Round runs one mining pass over the supplied failed records: cluster,
 // distill, submit through the regression gate, approve what passes. The
-// records are typically drained from the serving layer's failure ring plus
-// the generation cache's retained failures.
+// serving layer supplies the generation cache's failed entries for the
+// database, one newest record per question, least recently used first.
 func (m *Miner) Round(ctx context.Context, failed []*pipeline.Record) (RoundReport, error) {
 	var rep RoundReport
 	rep.Scanned = len(failed)
@@ -301,12 +307,12 @@ type candidate struct {
 // distill converts one recurring exec-failure cluster into a candidate
 // change: per failing question, an instruction restating the question and
 // defining the acronym jargon it uses. Questions already covered by merged
-// mined knowledge are re-probed against the live engine — failure records
-// are not knowledge-version-tagged, so the miner confirms the gap is still
-// open before spending a refinement (a bounded number of them; beyond that
-// the cluster is unactionable). The candidate's feedback ID is a content
-// hash, so the same gap re-mined after a restart dedupes against the WAL
-// history.
+// mined knowledge are re-probed against the live engine — a question's
+// newest failure may predate the merges since, when nobody has asked it
+// again, so the miner confirms the gap is still open before spending a
+// refinement (a bounded number of them; beyond that the cluster is
+// unactionable). The candidate's feedback ID is a content hash, so the same
+// gap re-mined after a restart dedupes against the WAL history.
 func (m *Miner) distill(ctx context.Context, cl *Cluster, minedIDs map[string]bool) (candidate, bool) {
 	engine := m.solver.Engine()
 	kset := engine.KnowledgeSet()

@@ -238,7 +238,7 @@ func (s *Service) initMetrics() {
 // unknown names before metrics, so garbage input cannot mint label values.
 // It is the one place a request's outcome is counted: a failed_sql outcome
 // (never a stale replay of an old failure, which is an overload artifact)
-// is the failure the miner sees, and a canceled one is
+// is FailureStats().Syntax or Exec, and a canceled one is
 // FailureStats().Canceled, so the ledger and the outcome counter count the
 // same requests.
 func (s *Service) observeRequest(t *tenant, resp *Response, err error, dur time.Duration) {
@@ -247,7 +247,11 @@ func (s *Service) observeRequest(t *tenant, resp *Response, err error, dur time.
 	d.outcomes[outcome].Inc()
 	switch outcome {
 	case "failed_sql":
-		s.noteFailure(t, resp)
+		if resp.Failure.Kind == "syntax" {
+			t.syntax.Add(1)
+		} else {
+			t.exec.Add(1)
+		}
 	case "canceled":
 		t.canceled.Add(1)
 	}

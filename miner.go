@@ -6,9 +6,7 @@ import (
 
 	"genedit/internal/eval"
 	"genedit/internal/feedback"
-	"genedit/internal/gencache"
 	"genedit/internal/miner"
-	"genedit/internal/task"
 	"genedit/internal/workload"
 )
 
@@ -25,14 +23,14 @@ type (
 // interactive sessions).
 const MinerEditor = miner.Editor
 
-// WithMiner enables the background failure miner: per database, failed
-// generations are retained (a bounded ring plus whatever the generation
-// cache holds) and MineRound clusters them, distills candidate
-// instructions, and pushes each candidate through the same regression
-// gate → approve → persist → hot-swap path SME edits take. The miner is
-// strictly opt-in: without this option the service never retains failed
-// records beyond the cache and MineRound errors, so default serving
-// behavior is unchanged.
+// WithMiner enables the background failure miner: MineRound takes a
+// database's failed generations the generation cache holds (each its
+// question's newest record), clusters them, distills candidate
+// instructions, and pushes each candidate through the same regression gate
+// → approve → persist → hot-swap path SME edits take. The miner mines the
+// cache, so it needs WithGenerationCache; failures of traced requests,
+// which bypass the cache, are not mined. The miner is strictly opt-in:
+// without this option MineRound errors and serving behavior is unchanged.
 func WithMiner() Option { return func(s *Service) { s.minerOn = true } }
 
 // FailureStats counts one database's failed generations by class. Counters
@@ -46,31 +44,6 @@ type FailureStats struct {
 	// Canceled counts requests abandoned mid-pipeline (caller cancellation
 	// or deadline).
 	Canceled uint64 `json:"canceled"`
-}
-
-// failureRingCap bounds the per-database retained-failure ring the miner
-// drains; beyond it the oldest failures are dropped (the generation cache
-// usually still holds them).
-const failureRingCap = 256
-
-// noteFailure records one failed generation of a database: its syntax or
-// exec count and, with the miner on, its record in the database's ring.
-func (s *Service) noteFailure(t *tenant, resp *Response) {
-	if resp.Failure.Kind == "syntax" {
-		t.syntax.Add(1)
-	} else {
-		t.exec.Add(1)
-	}
-	if !s.minerOn {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.failed) >= failureRingCap {
-		copy(t.failed, t.failed[1:])
-		t.failed = t.failed[:failureRingCap-1]
-	}
-	t.failed = append(t.failed, resp.Record)
 }
 
 // FailureStats reports per-database failure counters for every database
@@ -91,11 +64,12 @@ func (s *Service) FailureStats() map[string]FailureStats {
 // bounded — every candidate submission replays the suite twice.
 const minerGoldenCases = 6
 
-// MineRound runs one mining round for a database: drain the retained
-// failure ring, merge in the generation cache's retained failures for that
-// database (deduplicated by question), then cluster → distill → gate →
-// approve. Rejected candidates are counted and never merged. Safe to call
-// concurrently with serving; merges hot-swap like SME approvals.
+// MineRound runs one mining round for a database over its failed records
+// in the generation cache (gencache.Cache.Failed): cluster → distill → gate
+// → approve. Each entry is its question's newest record, so a question
+// whose latest generation succeeded is not mined again. Rejected candidates
+// are counted and never merged. Safe to call concurrently with serving;
+// merges hot-swap like SME approvals.
 //
 // The database's miner is built on its first round. Its solver is a view on
 // the database's live owner, like every SME solver, so an approved mined
@@ -106,6 +80,9 @@ func (s *Service) MineRound(ctx context.Context, db string) (MinerRoundReport, e
 	if !s.minerOn {
 		return MinerRoundReport{}, fmt.Errorf("genedit: miner is not enabled (WithMiner)")
 	}
+	if s.gencache == nil {
+		return MinerRoundReport{}, fmt.Errorf("genedit: the miner mines the generation cache, which is disabled (WithGenerationCache)")
+	}
 	t, live, err := s.liveOf(ctx, db)
 	if err != nil {
 		return MinerRoundReport{}, err
@@ -114,46 +91,9 @@ func (s *Service) MineRound(ctx context.Context, db string) (MinerRoundReport, e
 	if t.miner == nil {
 		t.miner = miner.New(feedback.NewSolver(live, feedback.NewRecommender(s.model), s.suite.Golden(db, minerGoldenCases)))
 	}
-	m, drained := t.miner, t.failed
-	t.failed = nil
+	m := t.miner
 	t.mu.Unlock()
-
-	seen := make(map[string]bool, len(drained))
-	for _, rec := range drained {
-		seen[task.QuestionKey(rec.Question)] = true
-	}
-	if s.gencache != nil {
-		for _, rec := range s.gencache.FailedRecords() {
-			if rec.Context.DB != db {
-				continue
-			}
-			if k := task.QuestionKey(rec.Question); !seen[k] {
-				seen[k] = true
-				drained = append(drained, rec)
-			}
-		}
-	}
-
-	// Staleness filter: retained failures are not version-tagged, and a
-	// failure observed under an older knowledge version may already be fixed
-	// by a merge. When the cache holds a successful record for the question
-	// at the CURRENT version, the gap is closed — mining it again would only
-	// distill pointless refinements.
-	failed := drained
-	if s.gencache != nil {
-		version := live.Engine().KnowledgeSet().Version()
-		failed = failed[:0]
-		for _, rec := range drained {
-			cur, ok := s.gencache.Peek(gencache.RequestKey{
-				Database: db, Version: version, Question: rec.Question, Evidence: rec.Evidence,
-			})
-			if ok && cur.OK {
-				continue
-			}
-			failed = append(failed, rec)
-		}
-	}
-	return m.Round(ctx, failed)
+	return m.Round(ctx, s.gencache.Failed(db))
 }
 
 // MinerEnabled reports whether WithMiner configured this service.
@@ -188,6 +128,11 @@ type MinerConvergenceRound struct {
 	Unactionable int
 }
 
+// minerConvergenceCacheSize bounds the convergence exhibit's generation
+// cache, the miner's failure signal: far above the injected questions it
+// serves, so no failure is evicted before its round mines it.
+const minerConvergenceCacheSize = 256
+
 // RunMinerConvergence is the miner's end-to-end exhibit: a service over the
 // miner workload (the standard suite plus injected recurring exec-failure
 // families whose jargon no knowledge document defines) serves the failing
@@ -200,7 +145,7 @@ func RunMinerConvergence(seed, modelSeed uint64, rounds int) ([]MinerConvergence
 	suite, injected := workload.NewMinerSuite(seed)
 	svc := NewService(suite,
 		WithModelSeed(modelSeed),
-		WithGenerationCache(failureRingCap),
+		WithGenerationCache(minerConvergenceCacheSize),
 		WithMiner())
 	defer svc.Close()
 	ctx := context.Background()

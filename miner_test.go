@@ -31,8 +31,8 @@ func TestMinerConvergenceRaisesEX(t *testing.T) {
 		t.Errorf("final EX = %.1f, want >= 80 after mined knowledge merges", last.EX)
 	}
 	// Quiescence: once the exec-failure gaps are covered, the miner must
-	// stop merging rather than thrash (the staleness filter drops failures
-	// already fixed at the current knowledge version).
+	// stop merging rather than thrash (a re-served question's newest cached
+	// record is its success, so its old failure is no longer mined).
 	if last.Merged != 0 {
 		t.Errorf("round %d still merged %d candidates after convergence", last.Round, last.Merged)
 	}
@@ -83,7 +83,7 @@ func TestMinerProvenanceAndAudit(t *testing.T) {
 	}
 
 	// A second round over the same (now stale) failures must not re-merge:
-	// the WAL-history dedupe plus the staleness filter make mining
+	// the WAL-history dedupe plus distill's live-engine probe make mining
 	// idempotent.
 	rep2, err := svc.MineRound(ctx, db)
 	if err != nil {
@@ -91,6 +91,92 @@ func TestMinerProvenanceAndAudit(t *testing.T) {
 	}
 	if rep2.Merged != 0 {
 		t.Errorf("second round re-merged %d candidates", rep2.Merged)
+	}
+}
+
+// TestMinerSkipsQuestionsFixedAtAnEarlierVersion: a question whose failure
+// a mining round fixed, re-served successfully, is not mined again after a
+// later, unrelated merge moves the knowledge version on — its newest record
+// is the success, whatever version produced it.
+func TestMinerSkipsQuestionsFixedAtAnEarlierVersion(t *testing.T) {
+	suite, injected := workload.NewMinerSuite(1)
+	svc := NewService(suite, WithGenerationCache(64), WithMiner())
+	defer svc.Close()
+	ctx := context.Background()
+
+	db := injected[0].DB
+	var cases []*Case
+	for _, c := range injected {
+		if c.DB == db {
+			cases = append(cases, c)
+		}
+	}
+	serve := func() (ok int) {
+		for _, c := range cases {
+			resp, err := svc.Generate(ctx, Request{Database: db, Question: c.Question, Evidence: c.Evidence})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.OK {
+				ok++
+			}
+		}
+		return ok
+	}
+	if ok := serve(); ok != 0 {
+		t.Fatalf("%d injected questions succeeded before mining, want 0", ok)
+	}
+	rep, err := svc.MineRound(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Merged != 2 {
+		t.Fatalf("round 1 merged %d, want 2: %+v", rep.Merged, rep)
+	}
+	if ok := serve(); ok != len(cases) {
+		t.Fatalf("after mining %d of %d questions succeed, want all", ok, len(cases))
+	}
+
+	// An unrelated SME merge moves the version past the one that fixed them.
+	solver, err := svc.Solver(ctx, db, suite.Golden(db, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := suite.Golden(db, 1)[0]
+	sess, err := solver.OpenContext(ctx, c.Question, c.Evidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Stage(knowledge.Edit{Op: knowledge.EditInsert, Kind: knowledge.InstructionEntity,
+		Instruction: &knowledge.Instruction{ID: "ins-unrelated", Text: "Audit note: keep column aliases short."}})
+	res, err := sess.SubmitContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed {
+		t.Fatalf("gate rejected a harmless instruction: %s", res.Detail)
+	}
+	if err := solver.Approve(res.Pending, "sme"); err != nil {
+		t.Fatal(err)
+	}
+
+	rep2, err := svc.MineRound(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.Scanned != 0 || rep2.Merged != 0 {
+		t.Errorf("round 2 after an unrelated merge = %+v, want 0 scanned: every question's newest record succeeded", rep2)
+	}
+}
+
+// TestMinerRequiresGenerationCache: the miner's only failure signal is the
+// generation cache, so a miner without one refuses to run a round.
+func TestMinerRequiresGenerationCache(t *testing.T) {
+	svc := NewService(NewBenchmark(1), WithMiner())
+	defer svc.Close()
+	_, err := svc.MineRound(context.Background(), "sports_holdings")
+	if err == nil || !strings.Contains(err.Error(), "WithGenerationCache") {
+		t.Fatalf("MineRound without a cache: err = %v, want one naming WithGenerationCache", err)
 	}
 }
 

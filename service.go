@@ -129,18 +129,20 @@ func WithWorkers(n int) Option {
 }
 
 // WithGenerationCache enables the versioned generation cache: a bounded LRU
-// of completed Records keyed by (database, knowledge version, normalized
-// question, evidence), with singleflight coalescing so concurrent identical
-// requests share one pipeline run. Enterprise traffic is highly repetitive —
-// the same questions recur across users — so the hit path skips the whole
-// compounding-operator pipeline.
+// holding the newest completed Record of each (database, normalized
+// question, evidence), tagged with its knowledge version, with singleflight
+// coalescing so concurrent identical requests share one pipeline run.
+// Enterprise traffic is highly repetitive — the same questions recur across
+// users — so the hit path skips the whole compounding-operator pipeline.
+// The cache is also the miner's failure signal (WithMiner needs it), and
+// the answer a shed request degrades onto (WithAdmission).
 //
-// Hot-swap safety comes from the key, not from flushing: an approved merge
-// installs an engine whose knowledge version is strictly greater, so
-// post-swap requests compute new keys and always regenerate; stale entries
-// age out of the LRU. Requests carrying a trace hook bypass the cache (a
-// per-operator timing trace requires an actual pipeline run), and errors are
-// never cached.
+// Hot-swap safety comes from the version, not from flushing: an approved
+// merge installs an engine whose knowledge version is strictly greater, so
+// a post-swap request never hits an older record; it regenerates, and its
+// record replaces the older one. Requests carrying a trace hook bypass the
+// cache (a per-operator timing trace requires an actual pipeline run), and
+// errors are never cached.
 //
 // size <= 0 disables the cache (the default), reproducing uncached serving
 // behavior exactly. Cached Records are shared across responses and must be
@@ -209,8 +211,8 @@ func WithStoreFS(fs kstore.FS) Option { return func(s *Service) { s.storeFS = fs
 // contend on anything but the executor's internal sharded statement-cache
 // locks. The tenant set is the suite's databases, fixed at NewService, so
 // finding a database's record takes no lock, and reading its served engine
-// is one atomic load; builds, store opens and failure bookkeeping take only
-// that database's own mutex, and no build runs under it. Each database's
+// is one atomic load; builds, store opens and the miner's creation take
+// only that database's own mutex, and no build runs under it. Each database's
 // served engine has one owner, a feedback.Live: every Solver on the
 // database (SME hub, miner, any caller) merges through it, one merge at a
 // time, each onto the engine the last one served. A merge publishes a
@@ -268,15 +270,15 @@ type tenant struct {
 	// loaded a non-nil live may read it without mu.
 	store *kstore.Store
 
-	// mu guards the fields below. No build runs under it.
+	// mu guards building and miner. No build runs under it, and a request
+	// to a built database never takes it: its failures are counted in the
+	// atomics below.
 	mu sync.Mutex
 	// building is the build in progress, if any; concurrent first requests
 	// wait on it instead of building again.
 	building *buildPromise
-	// failed is the ring of retained failed records the miner drains
-	// (miner only), and miner the database's miner, built on first use.
-	failed []*pipeline.Record
-	miner  *miner.Miner
+	// miner is the database's miner, built on its first round.
+	miner *miner.Miner
 
 	// syntax, exec and canceled are the FailureStats counts: plain atomics
 	// of this service, not registry children, so services sharing a
@@ -519,9 +521,9 @@ func (s *Service) Prewarm(ctx context.Context, dbs ...string) error {
 // error — the Response carries a typed Failure instead, so serving layers
 // distinguish "the model produced bad SQL" from "the service broke".
 //
-// With WithGenerationCache enabled, a request whose (database, knowledge
-// version, normalized question, evidence) key has a completed Record is
-// served from the cache, and concurrent identical requests coalesce onto
+// With WithGenerationCache enabled, a request whose (database, normalized
+// question, evidence) has a completed Record from the served knowledge
+// version is served from the cache, and concurrent identical requests coalesce onto
 // one pipeline run; Response.Cached reports which path served the request.
 // Traced requests (a WithTrace hook, or one WithOperatorSampling picks)
 // bypass the cache — the hook's contract is per-operator timings of an
