@@ -30,7 +30,8 @@
 // Engines are built lazily per database (coalesced across concurrent
 // requests) unless -prewarm front-loads them. -timeout bounds each request;
 // a deadline that expires mid-pipeline returns 504 with the cancellation
-// error. -trace logs per-operator timings for every request. A JSON body
+// error. -trace logs per-operator timings for every request that runs the
+// pipeline (with the generation cache on, every miss). A JSON body
 // over 1 MiB gets 413.
 //
 // Overload behavior: -admitrate / -admitburst put a per-database token
@@ -48,8 +49,8 @@
 // its knowledge version, with concurrent duplicates coalesced onto one
 // pipeline run; responses served this way carry "cached": true. Approved
 // feedback merges bump the knowledge version, so a cached record of an
-// older version is never served as fresh — no flush. Note -trace
-// effectively bypasses the cache: traced requests must run the pipeline.
+// older version is never served as fresh — no flush. Traced requests
+// (-trace, -tracesample) are served through the cache like any other.
 //
 // -miner enables the background failure miner: the failed generations the
 // cache holds are clustered, distilled into candidate instructions, and
@@ -57,9 +58,7 @@
 // path SME edits take. The flag's duration is the mining interval (e.g.
 // -miner 5m); mining can also be triggered per database via POST
 // /v1/miner/{db}/mine. The miner mines the cache, so -miner with -gencache 0
-// is a usage error, and a failure seen only by a traced or sampled request
-// is mined once an untraced request caches it (under -trace every request is
-// traced, so none is). Without the flag the serving path is byte-identical
+// is a usage error. Without the flag the serving path is byte-identical
 // to a miner-less daemon — only the always-on failure counters on /v1/stats
 // remain.
 //
@@ -77,9 +76,9 @@
 // "Observability" for the metric catalog. /v1/stats reads the same
 // subsystem counters the /metrics bridges copy, so the two always agree.
 // -tracesample N (default 64, 0 disables) feeds per-operator pipeline
-// timings (genedit_operator_duration_seconds) from every Nth request; a
-// sampled request bypasses the generation cache because operator timings
-// require an actual pipeline run. With -prewarm the engine builds run in
+// timings (genedit_operator_duration_seconds) from every Nth request that
+// runs the pipeline: a sampled request that hits the generation cache runs
+// no operators and records none. With -prewarm the engine builds run in
 // the background: the daemon accepts connections immediately but GET
 // /readyz returns 503 until every engine is built, so a load balancer can
 // hold traffic without the listener staying dark for the whole build.
@@ -492,9 +491,9 @@ func main() {
 	genCache := flag.Int("gencache", 1024, "generation-cache size: the newest completed record of each (database, question) is cached; 0 disables (and rules out -miner)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (0 = none)")
 	prewarm := flag.Bool("prewarm", false, "build all engines at startup (in the background; /readyz turns 200 when done) instead of lazily")
-	trace := flag.Bool("trace", false, "log per-operator timings for every request")
+	trace := flag.Bool("trace", false, "log per-operator timings for every request that runs the pipeline")
 	metricsOn := flag.Bool("metrics", true, "expose Prometheus text exposition on GET /metrics")
-	traceSample := flag.Int("tracesample", 64, "feed per-operator timing histograms from every Nth request (sampled requests bypass the generation cache; 0 disables)")
+	traceSample := flag.Int("tracesample", 64, "feed per-operator timing histograms from every Nth request (a sampled cache hit records no timings; 0 disables)")
 	store := flag.String("store", "", "directory for durable per-database knowledge stores (empty = in-memory)")
 	minerIvl := flag.Duration("miner", 0, "background failure-mining interval (0 = miner disabled)")
 	maxSessions := flag.Int("maxsessions", defaultMaxOpenSessions, "max concurrently open feedback sessions; opens beyond it get 429")

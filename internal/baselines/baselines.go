@@ -126,12 +126,7 @@ func (b *Baseline) Generate(c *task.Case) (string, error) {
 		linked := make([]schema.Element, 0, len(els))
 		linked = append(linked, els...)
 		ctx.LinkedElements = linked
-		sub := sch.Subset(linked)
-		if sub.ColumnCount() == 0 {
-			ctx.SchemaDDL = sch.DDL()
-		} else {
-			ctx.SchemaDDL = sub.DDL()
-		}
+		ctx.SchemaDDL = sch.LinkedDDL(linked)
 	} else {
 		ctx.SchemaDDL = sch.DDL()
 	}

@@ -11,14 +11,11 @@
 // no explicit flush. A generation finishing on an older version never
 // overwrites a newer entry, so each entry is its question's newest record.
 //
-// Two result classes are deliberately not cached:
-//
-//   - errors (cancellation, operator failures): they describe one request's
-//     fate, not the question's answer, and must not poison later requests;
-//   - traced requests are expected to bypass the cache entirely (the caller
-//     checks, since the trace hook rides on its context): a per-operator
-//     timing hook observes an actual pipeline run, and a cache hit runs no
-//     operators.
+// Errors (cancellation, operator failures) are deliberately not cached:
+// they describe one request's fate, not the question's answer, and must not
+// poison later requests. A trace hook on a request's context changes
+// nothing here: the leader's generate runs with it, and a hit or a waiter
+// runs no operators for it to time.
 //
 // Records whose final SQL failed ARE cached: generation is deterministic
 // for a fixed knowledge version, so the same question reproduces the same

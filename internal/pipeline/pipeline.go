@@ -307,12 +307,7 @@ func (e *Engine) GenerateContext(ctx context.Context, question, evidence string)
 		linked := make([]schema.Element, len(els))
 		copy(linked, els)
 		promptCtx.LinkedElements = linked
-		sub := e.sch.Subset(linked)
-		if sub.ColumnCount() == 0 {
-			promptCtx.SchemaDDL = e.sch.DDL()
-		} else {
-			promptCtx.SchemaDDL = sub.DDL()
-		}
+		promptCtx.SchemaDDL = e.sch.LinkedDDL(linked)
 	}
 	if err := generr.FromContext(ctx); err != nil {
 		return nil, err

@@ -49,10 +49,6 @@ func traceFrom(ctx context.Context) TraceFunc {
 	return fn
 }
 
-// HasTrace reports whether ctx carries a trace hook. The service layer uses
-// it to send traced requests past the generation cache.
-func HasTrace(ctx context.Context) bool { return traceFrom(ctx) != nil }
-
 // traceRecorder accumulates operator timings for one Generate call. A nil
 // recorder (no hook on the context) is valid and makes every method a no-op,
 // keeping the un-traced hot path allocation-free.

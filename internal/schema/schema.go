@@ -1,10 +1,11 @@
 // Package schema provides the prompt-facing database schema representation
 // of §2.1: tables and columns augmented with the top-5 most frequent values
-// per attribute, plus the element/subset machinery schema linking needs.
+// per attribute, and its rendering as annotated DDL. Schema linking picks
+// elements; LinkedDDL renders just those columns straight from the full
+// schema, with no intermediate subset, into one exactly sized string.
 package schema
 
 import (
-	"fmt"
 	"strings"
 
 	"genedit/internal/sqldb"
@@ -76,29 +77,6 @@ func (s *Schema) HasElement(e Element) bool {
 	return false
 }
 
-// Subset returns a schema containing only the given elements (whole tables
-// are retained in original column order; tables with no selected columns are
-// dropped). Unknown elements are ignored.
-func (s *Schema) Subset(elements []Element) *Schema {
-	want := make(map[string]bool, len(elements))
-	for _, e := range elements {
-		want[strings.ToUpper(e.Table)+"."+strings.ToUpper(e.Column)] = true
-	}
-	out := &Schema{DatabaseID: s.DatabaseID}
-	for _, t := range s.Tables {
-		var cols []Column
-		for _, c := range t.Columns {
-			if want[strings.ToUpper(t.Name)+"."+strings.ToUpper(c.Name)] {
-				cols = append(cols, c)
-			}
-		}
-		if len(cols) > 0 {
-			out.Tables = append(out.Tables, Table{Name: t.Name, Columns: cols})
-		}
-	}
-	return out
-}
-
 // ColumnCount reports the total number of columns.
 func (s *Schema) ColumnCount() int {
 	n := 0
@@ -110,31 +88,103 @@ func (s *Schema) ColumnCount() int {
 
 // DDL renders the schema as annotated CREATE TABLE statements, the form
 // embedded in generation prompts.
-func (s *Schema) DDL() string {
-	var sb strings.Builder
-	for i, t := range s.Tables {
-		if i > 0 {
-			sb.WriteString("\n")
-		}
-		fmt.Fprintf(&sb, "CREATE TABLE %s (\n", t.Name)
-		for j, c := range t.Columns {
-			fmt.Fprintf(&sb, "  %s %s", c.Name, c.Type)
-			if j < len(t.Columns)-1 {
-				sb.WriteString(",")
-			}
-			var notes []string
-			if c.Description != "" {
-				notes = append(notes, c.Description)
-			}
-			if len(c.TopValues) > 0 {
-				notes = append(notes, "top values: "+strings.Join(c.TopValues, ", "))
-			}
-			if len(notes) > 0 {
-				sb.WriteString(" -- " + strings.Join(notes, "; "))
-			}
-			sb.WriteString("\n")
-		}
-		sb.WriteString(");\n")
+func (s *Schema) DDL() string { return s.render(nil, true) }
+
+// LinkedDDL renders the DDL of only the given elements, as DDL would render
+// a schema holding just them: tables keep their order and the selected
+// columns theirs, tables with no selected column are dropped, and unknown
+// elements are ignored. Names match case-insensitively. When no element
+// matches, it renders the full DDL, so a prompt never goes without a
+// schema.
+func (s *Schema) LinkedDDL(elements []Element) string {
+	if ddl := s.render(elements, false); ddl != "" {
+		return ddl
 	}
+	return s.DDL()
+}
+
+// render writes the DDL of every column (all) or of the linked ones. It
+// walks the schema twice, first only counting, so the one builder it writes
+// into is grown to the exact length: a prompt's schema costs one
+// allocation, the string it returns.
+func (s *Schema) render(elements []Element, all bool) string {
+	n := s.walk(nil, elements, all)
+	if n == 0 {
+		return ""
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	s.walk(&sb, elements, all)
 	return sb.String()
+}
+
+// walk renders the picked columns into sb, or only counts when sb is nil,
+// and returns the length rendered.
+func (s *Schema) walk(sb *strings.Builder, elements []Element, all bool) int {
+	n := 0
+	put := func(str string) {
+		n += len(str)
+		if sb != nil {
+			sb.WriteString(str)
+		}
+	}
+	picked := func(t *Table, c *Column) bool {
+		if all {
+			return true
+		}
+		for _, e := range elements {
+			if strings.EqualFold(e.Column, c.Name) && strings.EqualFold(e.Table, t.Name) {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range s.Tables {
+		t := &s.Tables[i]
+		// The last picked column alone goes without a trailing comma.
+		last := len(t.Columns) - 1
+		for last >= 0 && !picked(t, &t.Columns[last]) {
+			last--
+		}
+		if last < 0 {
+			continue
+		}
+		if n > 0 {
+			put("\n")
+		}
+		put("CREATE TABLE ")
+		put(t.Name)
+		put(" (\n")
+		for j := 0; j <= last; j++ {
+			c := &t.Columns[j]
+			if j != last && !picked(t, c) {
+				continue
+			}
+			put("  ")
+			put(c.Name)
+			put(" ")
+			put(c.Type)
+			if j != last {
+				put(",")
+			}
+			if c.Description != "" || len(c.TopValues) > 0 {
+				put(" -- ")
+				put(c.Description)
+				if c.Description != "" && len(c.TopValues) > 0 {
+					put("; ")
+				}
+				for k, v := range c.TopValues {
+					if k == 0 {
+						put("top values: ")
+					} else {
+						put(", ")
+					}
+					put(v)
+				}
+			}
+			put("\n")
+		}
+		put(");\n")
+	}
+	return n
 }

@@ -112,6 +112,12 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 		}, xc)
 
 	case *sqlparse.Binary:
+		verdict := comparisonVerdict(x.Op)
+		if verdict != nil {
+			if prog, isConst, ok := compileToCharCompare(x, verdict, cols); ok {
+				return prog, isConst
+			}
+		}
 		lp, lc := compileExpr(x.L, cols)
 		rp, rc := compileExpr(x.R, cols)
 		op := x.Op
@@ -165,21 +171,6 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 		// stay those of applyBinary.
 		switch op {
 		case "=", "<>", "<", "<=", ">", ">=":
-			var verdict func(int) bool
-			switch op {
-			case "=":
-				verdict = func(c int) bool { return c == 0 }
-			case "<>":
-				verdict = func(c int) bool { return c != 0 }
-			case "<":
-				verdict = func(c int) bool { return c < 0 }
-			case "<=":
-				verdict = func(c int) bool { return c <= 0 }
-			case ">":
-				verdict = func(c int) bool { return c > 0 }
-			default:
-				verdict = func(c int) bool { return c >= 0 }
-			}
 			return foldConst(func(env *rowEnv) (sqldb.Value, error) {
 				l, err := lp(env)
 				if err != nil {
@@ -262,6 +253,9 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 	case *sqlparse.InExpr:
 		if x.Select != nil {
 			return delegate(x), false
+		}
+		if prog, isConst, ok := compileToCharIn(x, cols); ok {
+			return prog, isConst
 		}
 		xp, xc := compileExpr(x.X, cols)
 		items := make([]program, len(x.List))
@@ -426,6 +420,106 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 		return delegate(e), false
 	}
 	return delegate(e), false
+}
+
+// comparisonVerdict maps a comparison operator to the test its
+// sqldb.Compare result must pass, nil for any other operator.
+func comparisonVerdict(op string) func(int) bool {
+	switch op {
+	case "=":
+		return func(c int) bool { return c == 0 }
+	case "<>":
+		return func(c int) bool { return c != 0 }
+	case "<":
+		return func(c int) bool { return c < 0 }
+	case "<=":
+		return func(c int) bool { return c <= 0 }
+	case ">":
+		return func(c int) bool { return c > 0 }
+	case ">=":
+		return func(c int) bool { return c >= 0 }
+	}
+	return nil
+}
+
+// toCharOf matches TO_CHAR(x, 'format') with a string-literal format,
+// returning x and the format.
+func toCharOf(e sqlparse.Expr) (sqlparse.Expr, string, bool) {
+	fc, ok := e.(*sqlparse.FuncCall)
+	if !ok || fc.Name != "TO_CHAR" || fc.Over != nil || len(fc.Args) != 2 {
+		return nil, "", false
+	}
+	format, ok := fc.Args[1].(*sqlparse.StringLit)
+	if !ok {
+		return nil, "", false
+	}
+	return fc.Args[0], format.Val, true
+}
+
+// compileToCharCompare specializes TO_CHAR(x, 'format') <cmp> 'literal',
+// the shape of date bucketing filters and CASE pivots: the date is
+// formatted on the stack and compared as bytes (toCharCompare), so a row
+// costs no string. The interpreter's order stands: x, then TO_CHAR's NULL
+// and error, then the comparison; a literal is never NULL and never fails.
+// ok is false for any other shape.
+func compileToCharCompare(b *sqlparse.Binary, verdict func(int) bool, cols []bindCol) (prog program, isConst, ok bool) {
+	arg, format, ok := toCharOf(b.L)
+	lit, isLit := b.R.(*sqlparse.StringLit)
+	if !ok || !isLit {
+		return nil, false, false
+	}
+	xp, xc := compileExpr(arg, cols)
+	want := []byte(lit.Val)
+	prog, isConst = foldConst(func(env *rowEnv) (sqldb.Value, error) {
+		xv, err := xp(env)
+		if err != nil {
+			return sqldb.Null(), err
+		}
+		if xv.IsNull() {
+			return sqldb.Null(), nil
+		}
+		c, err := toCharCompare(xv.String(), format, want)
+		if err != nil {
+			return sqldb.Null(), err
+		}
+		return sqldb.Bool(verdict(c)), nil
+	}, xc)
+	return prog, isConst, true
+}
+
+// compileToCharIn specializes TO_CHAR(x, 'format') [NOT] IN ('a', ...)
+// with string-literal items the same way: no item is NULL or fails, so the
+// verdict is whether one equals the formatted bytes (toCharIn).
+func compileToCharIn(in *sqlparse.InExpr, cols []bindCol) (prog program, isConst, ok bool) {
+	arg, format, ok := toCharOf(in.X)
+	if !ok {
+		return nil, false, false
+	}
+	lits := make([][]byte, len(in.List))
+	for i, item := range in.List {
+		lit, isLit := item.(*sqlparse.StringLit)
+		if !isLit {
+			return nil, false, false
+		}
+		lits[i] = []byte(lit.Val)
+	}
+	xp, xc := compileExpr(arg, cols)
+	not := in.Not
+	prog, isConst = foldConst(func(env *rowEnv) (sqldb.Value, error) {
+		xv, err := xp(env)
+		if err != nil {
+			return sqldb.Null(), err
+		}
+		if xv.IsNull() {
+			return sqldb.Null(), nil
+		}
+		found, err := toCharIn(xv.String(), format, lits)
+		if err != nil {
+			return sqldb.Null(), err
+		}
+		return sqldb.Bool(found != not), nil
+	}, xc)
+	return prog, isConst, true
 }
 
 // compileFuncCall lowers window, aggregate and scalar calls.

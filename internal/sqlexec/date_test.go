@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"genedit/internal/sqldb"
+	"genedit/internal/sqlparse"
 )
 
 // The date kernels' oracle is the code they replaced. parseDate's former
@@ -57,8 +58,11 @@ func errText(err error) string {
 }
 
 // checkDateKernels asserts parseDate and toChar agree with their oracles on
-// one input: same parts, same output, same error text.
-func checkDateKernels(t *testing.T, date, format string) {
+// one input: same parts, same output, same error text. toCharCompare and
+// toCharIn, which compare without making the string, must agree with what
+// the interpreter does — toChar, then sqldb.Compare or Equal against the
+// literal (lit, and for IN the items of lit split at commas).
+func checkDateKernels(t *testing.T, date, format, lit string) {
 	t.Helper()
 	got, gotErr := parseDate(date)
 	want, wantErr := parseDateLoose(date)
@@ -69,6 +73,24 @@ func checkDateKernels(t *testing.T, date, format string) {
 	wantS, wantErr := oracleToChar(date, format)
 	if gotS != wantS || errText(gotErr) != errText(wantErr) {
 		t.Errorf("toChar(%q, %q) = %q, %q; oracle %q, %q", date, format, gotS, errText(gotErr), wantS, errText(wantErr))
+	}
+
+	wantC := 0
+	if gotErr == nil {
+		wantC, _ = sqldb.Compare(sqldb.Str(gotS), sqldb.Str(lit))
+	}
+	if c, err := toCharCompare(date, format, []byte(lit)); c != wantC || errText(err) != errText(gotErr) {
+		t.Errorf("toCharCompare(%q, %q, %q) = %d, %q; toChar+Compare %d, %q", date, format, lit, c, errText(err), wantC, errText(gotErr))
+	}
+	items := strings.Split(lit, ",")
+	lits := make([][]byte, len(items))
+	wantIn := false
+	for i, item := range items {
+		lits[i] = []byte(item)
+		wantIn = wantIn || (gotErr == nil && sqldb.Str(gotS).Equal(sqldb.Str(item)))
+	}
+	if in, err := toCharIn(date, format, lits); in != wantIn || errText(err) != errText(gotErr) {
+		t.Errorf("toCharIn(%q, %q, %q) = %v, %q; toChar+Equal %v, %q", date, format, items, in, errText(err), wantIn, errText(gotErr))
 	}
 }
 
@@ -128,7 +150,7 @@ func TestDateShapes(t *testing.T) {
 			}
 		}
 		for _, format := range []string{"YYYY-MM-DD", `YYYY"Q"Q`} {
-			checkDateKernels(t, tc.in, format)
+			checkDateKernels(t, tc.in, format, "2024-05-17,2024Q2")
 		}
 	}
 }
@@ -148,26 +170,31 @@ func TestToCharFormats(t *testing.T) {
 		if got != tc.want || errText(err) != tc.err {
 			t.Errorf("toChar(%q, %q) = %q, %q; want %q, %q", tc.date, tc.format, got, errText(err), tc.want, tc.err)
 		}
-		checkDateKernels(t, tc.date, tc.format)
+		checkDateKernels(t, tc.date, tc.format, tc.want)
+		checkDateKernels(t, tc.date, tc.format, tc.want+"0,"+tc.date)
 	}
 }
 
 // FuzzDateKernels is the differential check behind the table above: for any
-// (date, format) the allocation-free kernels and their oracles return the
-// same parts, the same TO_CHAR output and the same error text. The seed
-// corpus in testdata/fuzz/FuzzDateKernels holds the odd shapes.
+// (date, format, literal) the allocation-free kernels and their oracles
+// return the same parts, the same TO_CHAR output, the same comparison and
+// IN verdicts against the literal, and the same error text. The seed corpus
+// in testdata/fuzz/FuzzDateKernels holds the odd shapes.
 func FuzzDateKernels(f *testing.F) {
-	for _, tc := range dateShapes {
-		f.Add(tc.in, `YYYY"Q"Q-MM-DD`)
+	for i, tc := range dateShapes {
+		lit := []string{"2024Q2-05-17", "2024Q2", "", "2024Q2-05-17,2024Q2-05-18"}[i%4]
+		f.Add(tc.in, `YYYY"Q"Q-MM-DD`, lit)
 	}
-	f.Fuzz(func(t *testing.T, date, format string) {
-		checkDateKernels(t, date, format)
+	f.Fuzz(func(t *testing.T, date, format, lit string) {
+		checkDateKernels(t, date, format, lit)
 	})
 }
 
 // TestDateKernelsDoNotAllocate pins the point of the kernels: a date
-// function over a canonical stored value costs no allocation per row, and
-// TO_CHAR costs exactly its result string.
+// function over a canonical stored value costs no allocation per row,
+// TO_CHAR costs exactly its result string, and TO_CHAR compared with or
+// matched against literals costs nothing, whether called directly or as the
+// compiled program of a filter.
 func TestDateKernelsDoNotAllocate(t *testing.T) {
 	canonical := []string{"2024-05", "2024-05-17", "2024-05-17 10:30:00"}
 	var sink dateParts
@@ -197,5 +224,92 @@ func TestDateKernelsDoNotAllocate(t *testing.T) {
 	}
 	if out.S != "2024Q2" {
 		t.Errorf("TO_CHAR = %q, want 2024Q2", out.S)
+	}
+
+	lit, lits := []byte("2024Q2"), [][]byte{[]byte("2024Q1"), []byte("2024Q2")}
+	var c int
+	var in bool
+	if n := testing.AllocsPerRun(100, func() {
+		for _, s := range canonical {
+			c, _ = toCharCompare(s, `YYYY"Q"Q`, lit)
+			in, _ = toCharIn(s, `YYYY"Q"Q`, lits)
+		}
+	}); n != 0 {
+		t.Errorf("toCharCompare and toCharIn: %v allocs per run, want 0", n)
+	}
+	if c != 0 || !in {
+		t.Errorf("2024-05-17 10:30:00 as YYYY\"Q\"Q: compare %d, in %v; want 0, true", c, in)
+	}
+
+	cols := []bindCol{{name: "D"}}
+	env := &rowEnv{row: sqldb.Row{sqldb.Str("2024-05-17")}}
+	for _, src := range []string{
+		`TO_CHAR(D, 'YYYY"Q"Q') = '2024Q2'`,
+		`TO_CHAR(D, 'YYYY-MM') >= '2024-06'`,
+		`TO_CHAR(D, 'YYYY"Q"Q') NOT IN ('2023Q4', '2024Q1')`,
+		`CASE WHEN TO_CHAR(D, 'YYYY"Q"Q') = '2024Q2' THEN 1 ELSE 0 END`,
+	} {
+		stmt, err := sqlparse.Parse("SELECT " + src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, _ := compileExpr(stmt.Core.Items[0].Expr, cols)
+		if n := testing.AllocsPerRun(100, func() { out, _ = prog(env) }); n != 0 {
+			t.Errorf("compiled %s: %v allocs per row, want 0", src, n)
+		}
+	}
+}
+
+// TestToCharKernelParity runs the shapes the TO_CHAR kernels specialize,
+// and the near misses they must leave alone, on both engines over dates
+// that are NULL, malformed, not strings, or fine: rows, NULLs and error
+// text must agree.
+func TestToCharKernelParity(t *testing.T) {
+	db := sqldb.NewDatabase("dates")
+	tbl := sqldb.NewTable("SALES",
+		sqldb.Column{Name: "ID", Type: "INTEGER"},
+		sqldb.Column{Name: "D", Type: "TEXT"},
+		sqldb.Column{Name: "BAD", Type: "TEXT"},
+		sqldb.Column{Name: "AMT", Type: "INTEGER"})
+	for i := 0; i < 30; i++ {
+		d := sqldb.Value(sqldb.Str(fmt.Sprintf("202%d-%02d-%02d", 3+i%2, 1+i%12, 1+i%28)))
+		switch i % 10 {
+		case 3:
+			d = sqldb.Null()
+		case 7:
+			d = sqldb.Str(fmt.Sprintf("2024-%02d", 1+i%12))
+		}
+		bad := sqldb.Value(sqldb.Str("2024-01-01"))
+		if i == 17 {
+			bad = sqldb.Str("not a date")
+		}
+		tbl.MustAppend(sqldb.Int(int64(i)), d, bad, sqldb.Int(int64(i*10)))
+	}
+	db.AddTable(tbl)
+	for _, sql := range []string{
+		`SELECT ID FROM SALES WHERE TO_CHAR(D, 'YYYY"Q"Q') = '2024Q2'`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(D, 'YYYY-MM') <> '2024-05'`,
+		`SELECT ID, TO_CHAR(D, 'YYYY-MM') < '2023-07', TO_CHAR(D, 'YYYY-MM') <= '2023-07', TO_CHAR(D, 'MM') > '06', TO_CHAR(D, 'DD') >= '15' FROM SALES`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(D, 'YYYY"Q"Q') IN ('2023Q1', '2024Q4')`,
+		`SELECT ID, TO_CHAR(D, 'YYYY"Q"Q') NOT IN ('2023Q1', '2024Q4') FROM SALES`,
+		`SELECT SUM(CASE WHEN TO_CHAR(D, 'YYYY"Q"Q') = '2023Q1' THEN AMT ELSE 0 END), SUM(CASE WHEN TO_CHAR(D, 'YYYY"Q"Q') = '2023Q2' THEN AMT ELSE 0 END) FROM SALES`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(BAD, 'YYYY') = '2024'`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(BAD, 'YYYY') IN ('2024')`,
+		`SELECT ID FROM SALES WHERE ID < 10 AND TO_CHAR(BAD, 'YYYY') = '2024'`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(D, 'YYYY"Q') = '2024'`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(D, 'YYYY"Q') IN ('2024')`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(AMT, 'YYYY') = '2024'`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(NULL, 'YYYY') = '2024'`,
+		`SELECT ID FROM SALES WHERE TO_CHAR('2024-02-03', 'YYYY') = '2024'`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(D, 'YYYY') = 2024`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(D, 'YYYY') IN ('2024', NULL)`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(D, 'YYYY') IN ('2023', ID)`,
+		`SELECT ID FROM SALES WHERE '2024Q2' = TO_CHAR(D, 'YYYY"Q"Q')`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(D, BAD) = '2024-01-01'`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(D) = '2024'`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(D, 'YYYY', 'MM') = '2024'`,
+		`SELECT ID FROM SALES WHERE TO_CHAR(D, 'YYYY-MM-DD "and a format longer than the stack buffer"') > '2024'`,
+	} {
+		runBothExec(t, db, sql)
 	}
 }

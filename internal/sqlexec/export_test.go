@@ -36,6 +36,13 @@ var RunBothExec = runBothExec
 // the external test package, which runs it over the workload's gold SQL.
 var CheckResultSurvives = checkResultSurvives
 
+// SnapshotResult and IdenticalResults hand the lifetime check's deep copy
+// and bitwise comparison to the external test package.
+var (
+	SnapshotResult   = snapshot
+	IdenticalResults = identical
+)
+
 // Fallback is one part of a compiled statement that runs on the
 // interpreter instead of the compiled engine.
 type Fallback struct {

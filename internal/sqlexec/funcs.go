@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -366,54 +367,91 @@ func parseDateLoose(s string) (dateParts, error) {
 // Supported tokens: YYYY, MM, DD, Q, and double-quoted literal runs — enough
 // for the paper's 'YYYY"Q"Q' quarter bucketing and common variants.
 func toChar(dateStr, format string) (string, error) {
-	d, err := parseDate(dateStr)
+	// No token renders wider than it is written (a year is at most 9999),
+	// so a format that fits the stack buffer costs only the result string.
+	var buf [32]byte
+	out, err := appendToChar(buf[:0], dateStr, format)
 	if err != nil {
 		return "", err
 	}
-	var sb strings.Builder
-	// No token renders wider than it is written (a year is at most 9999),
-	// so the output fits in one allocation of len(format).
-	sb.Grow(len(format))
+	return string(out), nil
+}
+
+// appendToChar appends TO_CHAR(dateStr, format) to dst. On error what it
+// appended is undefined and the caller drops it.
+func appendToChar(dst []byte, dateStr, format string) ([]byte, error) {
+	d, err := parseDate(dateStr)
+	if err != nil {
+		return dst, err
+	}
 	i := 0
 	for i < len(format) {
 		switch {
 		case strings.HasPrefix(format[i:], "YYYY"):
-			writeZeroPadded(&sb, d.year, 4)
+			dst = appendZeroPadded(dst, d.year, 4)
 			i += 4
 		case strings.HasPrefix(format[i:], "MM"):
-			writeZeroPadded(&sb, d.month, 2)
+			dst = appendZeroPadded(dst, d.month, 2)
 			i += 2
 		case strings.HasPrefix(format[i:], "DD"):
-			writeZeroPadded(&sb, d.day, 2)
+			dst = appendZeroPadded(dst, d.day, 2)
 			i += 2
 		case format[i] == 'Q':
-			writeZeroPadded(&sb, (d.month-1)/3+1, 1)
+			dst = appendZeroPadded(dst, (d.month-1)/3+1, 1)
 			i++
 		case format[i] == '"':
 			end := strings.IndexByte(format[i+1:], '"')
 			if end < 0 {
-				return "", execErrf("unterminated literal in TO_CHAR format %q", format)
+				return dst, execErrf("unterminated literal in TO_CHAR format %q", format)
 			}
-			sb.WriteString(format[i+1 : i+1+end])
+			dst = append(dst, format[i+1:i+1+end]...)
 			i += end + 2
 		default:
-			sb.WriteByte(format[i])
+			dst = append(dst, format[i])
 			i++
 		}
 	}
-	return sb.String(), nil
+	return dst, nil
 }
 
-// writeZeroPadded writes v zero-padded to width digits, as fmt's %0<width>d
+// appendZeroPadded appends v zero-padded to width digits, as fmt's %0<width>d
 // renders a value that is not negative. No date part is: a "-" before the
 // year would have split off an empty first field.
-func writeZeroPadded(sb *strings.Builder, v, width int) {
+func appendZeroPadded(dst []byte, v, width int) []byte {
 	var buf [20]byte
 	digits := strconv.AppendInt(buf[:0], int64(v), 10)
 	for n := len(digits); n < width; n++ {
-		sb.WriteByte('0')
+		dst = append(dst, '0')
 	}
-	sb.Write(digits)
+	return append(dst, digits...)
+}
+
+// toCharCompare is sqldb.Compare(TO_CHAR(dateStr, format), lit) for a
+// string literal lit, formatted on the stack instead of into a string.
+// Compare orders two strings bytewise, as bytes.Compare does.
+func toCharCompare(dateStr, format string, lit []byte) (int, error) {
+	var buf [32]byte
+	out, err := appendToChar(buf[:0], dateStr, format)
+	if err != nil {
+		return 0, err
+	}
+	return bytes.Compare(out, lit), nil
+}
+
+// toCharIn reports whether TO_CHAR(dateStr, format) equals one of lits,
+// string literals (never NULL), without making the string.
+func toCharIn(dateStr, format string, lits [][]byte) (bool, error) {
+	var buf [32]byte
+	out, err := appendToChar(buf[:0], dateStr, format)
+	if err != nil {
+		return false, err
+	}
+	for _, lit := range lits {
+		if bytes.Equal(out, lit) {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // evalAggregate computes a non-windowed aggregate over a group of rows.

@@ -374,20 +374,19 @@ func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []b
 		rightMatched = make([]bool, len(right.rows))
 	}
 
-	// Joined rows are slab memory (never reused once emitted): a later
-	// clause may copy their values into the Result. A pair the residual
-	// rejects was never emitted, so its row serves the next pair. joined
-	// lays out a, pad NULLs, then b — a matched pair, or one side with the
-	// other NULL-extended.
-	var slab rowSlab
-	slab.expect(most * (len(left.cols) + len(right.cols)))
+	// Joined rows are scratch too: the enclosing core (runCore,
+	// evalCoreFull) copies what it keeps into its projected output rows
+	// before it releases the scratch, so no Result holds a joined row. A
+	// pair the residual rejects was never emitted, so its row serves the
+	// next pair. joined lays out a, pad NULLs, then b — a matched pair, or
+	// one side with the other NULL-extended.
 	var spare sqldb.Row
 	joined := func(a sqldb.Row, pad int, b sqldb.Row) sqldb.Row {
 		n := len(a) + pad + len(b)
 		row := spare
 		spare = nil
 		if row == nil || len(row) != n {
-			row = slab.take(n)
+			row = scr.vals.take(n)
 		}
 		copy(row, a)
 		clear(row[len(a) : len(a)+pad])

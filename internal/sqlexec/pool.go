@@ -19,12 +19,15 @@ import (
 //     key-to-group map and the row backing cut into groups (runGroupBy) —
 //     the HAVING survivors, aggregate argument buffers
 //     (collectAggregateArgs, both engines), hash-join key slots, match
-//     chains and the joined relation's row headers (joinKeys, hashJoin),
-//     and the candidates of a non-constant IN list. One scratch is taken
-//     from scratchPool when Query starts, reaches every clause through the
-//     scope chain, and goes back when Query returns.
-//   - rowSlab chunk-allocates the value slots of projected output rows and
-//     of joined rows. Rows DO escape (into Results and, through the
+//     chains and the joined relation — its row headers and the values of
+//     its rows (joinKeys, hashJoin) — and the candidates of a non-constant
+//     IN list. Joined rows die with their core: runCore and evalCoreFull
+//     copy what they keep into projected output rows before releasing the
+//     scratch. One scratch is taken from scratchPool when Query starts,
+//     reaches every clause through the scope chain, and goes back when
+//     Query returns.
+//   - rowSlab chunk-allocates the value slots of projected output rows,
+//     and only those. They DO escape (into Results and, through the
 //     generation cache, into long-lived Records), so they are never pooled
 //     or reused — the slab only amortizes allocation count by carving many
 //     rows out of one backing array. A slab is per-query-scope state, never
@@ -109,10 +112,11 @@ func (a *arena[T]) reset() {
 // past scratchRetainSlots — the counterpart of putKeyBuf's rule, so one
 // large query does not pin its buffers in the pool. Over every statement the
 // benchmark workloads execute at seed 1 (gold SQL and model-written SQL;
-// tables of 8–144 rows) the largest buffers a scratch ended with were 768
-// ints, 576 rows, 288 values, 64 groups and 12 keys, so 8192 keeps every
-// scratch those workloads grow with a tenfold margin; at 48 bytes a Value
-// the largest retained arena is 384 KB.
+// tables of 8–144 rows) the largest buffers a scratch ended with were 576
+// ints, 576 rows, 2,304 values (288 before joined rows moved into the
+// scratch), 64 groups and 12 keys, so 8192 keeps every scratch those
+// workloads grow — values with a 3.5x margin, the rest tenfold or more; at
+// 48 bytes a Value the largest retained arena is 384 KB.
 const (
 	arenaMinSlots      = 64
 	scratchRetainSlots = 8192

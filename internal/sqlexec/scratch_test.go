@@ -265,8 +265,11 @@ func TestQueryConcurrentSharedExecutor(t *testing.T) {
 // (tables of 100-144 rows), so the next regression fails here rather than
 // in a benchmark budget. What is left is what escapes or must be fresh: the
 // Result and its rows, the environment, one interned key per group or join
-// bucket, one child environment per aggregate per group. Before the
-// scratch: 23, 284 and 677.
+// bucket, one child environment per aggregate per group. Joined rows are
+// scratch, not a slab of their own. A TO_CHAR filter compared with
+// literals formats on the stack, so its count is the same at 576 rows as
+// at 144. Before the scratch: 23, 284 and 677; before joined rows moved
+// into it, 117; before the TO_CHAR kernels, 150 and 582.
 func TestQueryWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -279,7 +282,11 @@ func TestQueryWarmAllocs(t *testing.T) {
 	}{
 		{"filtered scan", exprBenchDB(144), "SELECT A, B, AMT FROM T WHERE B < 24 AND AMT > 100.0", 5},
 		{"group by", exprBenchDB(144), "SELECT D, COUNT(*), SUM(AMT), MAX(B) FROM T WHERE A % 3 <> 0 GROUP BY D", 26},
-		{"hash join", joinBenchDB(100, 10), "SELECT COUNT(*), SUM(AMOUNT) FROM PARENTS JOIN CHILDREN ON PARENTS.ID = CHILDREN.PARENT_ID", 117},
+		{"hash join", joinBenchDB(100, 10), "SELECT COUNT(*), SUM(AMOUNT) FROM PARENTS JOIN CHILDREN ON PARENTS.ID = CHILDREN.PARENT_ID", 116},
+		{"to_char compare", dateBenchDB(144), `SELECT COUNT(*), SUM(AMT) FROM SALES WHERE TO_CHAR(D, 'YYYY"Q"Q') = '2024Q2'`, 6},
+		{"to_char in", dateBenchDB(144), `SELECT COUNT(*), SUM(AMT) FROM SALES WHERE TO_CHAR(D, 'YYYY-MM') IN ('2024-01', '2024-05')`, 7},
+		{"to_char compare x4", dateBenchDB(576), `SELECT COUNT(*), SUM(AMT) FROM SALES WHERE TO_CHAR(D, 'YYYY"Q"Q') = '2024Q2'`, 6},
+		{"to_char in x4", dateBenchDB(576), `SELECT COUNT(*), SUM(AMT) FROM SALES WHERE TO_CHAR(D, 'YYYY-MM') IN ('2024-01', '2024-05')`, 7},
 	} {
 		exec := New(c.db)
 		if _, err := exec.Query(c.sql); err != nil {
@@ -294,4 +301,16 @@ func TestQueryWarmAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocations per warm Query, want at most %v", c.name, got, c.most)
 		}
 	}
+}
+
+// dateBenchDB is a sales table whose D column holds canonical stored dates
+// across 2023 and 2024, the input of the quarter-bucketing filters.
+func dateBenchDB(n int) *sqldb.Database {
+	db := sqldb.NewDatabase("datebench")
+	t := sqldb.NewTable("SALES", sqldb.Column{Name: "D"}, sqldb.Column{Name: "AMT"})
+	for i := 0; i < n; i++ {
+		t.MustAppend(sqldb.Str(fmt.Sprintf("%d-%02d-%02d", 2023+i%2, 1+i%12, 1+i%28)), sqldb.Int(int64(i%50)))
+	}
+	db.AddTable(t)
+	return db
 }

@@ -1,12 +1,15 @@
 package sqlexec_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
+	"genedit/internal/pipeline"
+	"genedit/internal/simllm"
 	"genedit/internal/sqldb"
 	"genedit/internal/sqlexec"
 	"genedit/internal/workload"
@@ -42,6 +45,60 @@ func TestGoldResultsSurviveLaterQueries(t *testing.T) {
 			churn := []string{stmts[(i+1)%len(stmts)], stmts[(i+2)%len(stmts)], stmts[(i+3)%len(stmts)]}
 			sqlexec.CheckResultSurvives(t, paritySuite.Databases[db], sql, churn)
 		}
+	}
+}
+
+// TestWorkloadResultsSurviveScratchReuse is the poison test for the
+// per-query scratch, whose joined rows, survivors and group partitions the
+// next Query on the goroutine overwrites. It keeps the Result of every gold
+// statement of the suite and every SQL the model writes for its cases (each
+// attempt, as serving runs it), runs all of them again in reverse order —
+// every later Query reuses and clears the pooled scratch — and then
+// requires each kept Result to be bitwise what it was when returned. A
+// joined row or any other scratch slot that reached a Result fails here.
+func TestWorkloadResultsSurviveScratchReuse(t *testing.T) {
+	model := simllm.New(simllm.GenEditProfile(), paritySuite.Registry, 42)
+	type kept struct {
+		db, sql   string
+		res, want *sqlexec.Result
+	}
+	var all []kept
+	execs := map[string]*sqlexec.Executor{}
+	engines := map[string]*pipeline.Engine{}
+	run := func(db, sql string) {
+		res, err := execs[db].Query(sql)
+		if err == nil {
+			all = append(all, kept{db, sql, res, sqlexec.SnapshotResult(res)})
+		}
+	}
+	for _, c := range paritySuite.Cases {
+		if engines[c.DB] == nil {
+			kset, err := paritySuite.BuildKnowledge(c.DB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines[c.DB] = pipeline.New(model, kset, paritySuite.Databases[c.DB], pipeline.DefaultConfig())
+			execs[c.DB] = sqlexec.New(paritySuite.Databases[c.DB])
+		}
+		run(c.DB, c.GoldSQL)
+		rec, err := engines[c.DB].GenerateContext(context.Background(), c.Question, c.Evidence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range rec.Attempts {
+			run(c.DB, a.SQL)
+		}
+	}
+	for i := len(all) - 1; i >= 0; i-- {
+		execs[all[i].db].Query(all[i].sql) //nolint:errcheck // only its use of the scratch matters
+	}
+	for _, k := range all {
+		if err := sqlexec.IdenticalResults(k.res, k.want); err != nil {
+			t.Errorf("%s: result of %q changed after later queries: %v", k.db, k.sql, err)
+		}
+	}
+	if len(all) < len(paritySuite.Cases) {
+		t.Fatalf("only %d statements succeeded over %d cases", len(all), len(paritySuite.Cases))
 	}
 }
 

@@ -30,13 +30,11 @@ func WithMetrics(reg *metrics.Registry) Option {
 // a trace hook that feeds the operator histograms. n <= 0 (the default)
 // disables sampling.
 //
-// Sampling is deliberately opt-in and sparse because tracing is not free at
-// the caching layer: the generation cache's contract is that a traced
-// request reports timings of an actual pipeline run, so traced requests
-// bypass the cache and are not inserted into it. A sampled request
-// therefore always pays full pipeline cost. Requests already traced via
-// WithTrace feed the same histograms at no extra cost (they bypass the cache
-// anyway).
+// A sampled request takes the same path as any other: with the generation
+// cache on, only a sampled request that misses runs the pipeline, so the
+// histograms time misses; a sampled hit or coalesced request records
+// nothing. Requests already traced via WithTrace feed the same histograms
+// at no extra cost.
 func WithOperatorSampling(n int) Option {
 	return func(s *Service) { s.opSampleEvery = n }
 }
@@ -282,9 +280,10 @@ func outcomeOf(resp *Response, err error) string {
 }
 
 // maybeTraceContext decides a request's trace hook. A service-level
-// WithTrace hook is wrapped so the operator histograms ride along for free
-// (the request bypasses the cache either way); otherwise every
-// opSampleEvery-th request is sampled into the histograms.
+// WithTrace hook is wrapped so the operator histograms ride along for free;
+// otherwise every opSampleEvery-th request is sampled into the histograms.
+// Either way the hook only observes: the request is served as it would be
+// untraced, and the hook runs only if the request runs the pipeline.
 func (s *Service) maybeTraceContext(ctx context.Context) context.Context {
 	if s.trace != nil {
 		user := s.trace

@@ -28,8 +28,8 @@ const MinerEditor = miner.Editor
 // question's newest record), clusters them, distills candidate
 // instructions, and pushes each candidate through the same regression gate
 // → approve → persist → hot-swap path SME edits take. The miner mines the
-// cache, so it needs WithGenerationCache; failures of traced requests,
-// which bypass the cache, are not mined. The miner is strictly opt-in:
+// cache, so it needs WithGenerationCache; traced and sampled requests are
+// cached, and so mined, like any other. The miner is strictly opt-in:
 // without this option MineRound errors and serving behavior is unchanged.
 func WithMiner() Option { return func(s *Service) { s.minerOn = true } }
 

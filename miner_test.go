@@ -2,7 +2,9 @@ package genedit
 
 import (
 	"context"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"genedit/internal/knowledge"
@@ -271,5 +273,84 @@ func TestMinerGateRejectionNeverMerges(t *testing.T) {
 	}
 	if got := solver.Engine().KnowledgeSet().Version(); got != versionBefore {
 		t.Errorf("knowledge version moved %d -> %d on a rejected candidate", versionBefore, got)
+	}
+}
+
+// TestTracedRequestsAreMined: a trace hook observes a request and does not
+// choose its path. Under WithTrace, and under WithOperatorSampling(1),
+// which traces every request, the injected failures of one database are
+// cached like untraced ones, so a mining round scans all six and merges
+// two, as it does untraced. The hook runs once per pipeline run: the
+// misses, not a repeat of a question already cached.
+func TestTracedRequestsAreMined(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		trace func(calls *atomic.Int64) Option
+	}{
+		{"WithTrace", func(calls *atomic.Int64) Option {
+			return WithTrace(func(*Trace) { calls.Add(1) })
+		}},
+		{"WithOperatorSampling", func(*atomic.Int64) Option { return WithOperatorSampling(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			suite, injected := workload.NewMinerSuite(1)
+			var calls atomic.Int64
+			svc := NewService(suite, WithGenerationCache(64), WithMiner(), tc.trace(&calls))
+			defer svc.Close()
+			ctx := context.Background()
+			db := injected[0].DB
+			served := 0
+			for round := 0; round < 2; round++ {
+				for _, c := range injected {
+					if c.DB != db {
+						continue
+					}
+					resp, err := svc.Generate(ctx, Request{Database: db, Question: c.Question})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if resp.Cached != (round == 1) {
+						t.Errorf("round %d: %q served with Cached = %v", round, c.Question, resp.Cached)
+					}
+					served++
+				}
+			}
+			if tc.name == "WithTrace" && calls.Load() != int64(served/2) {
+				t.Errorf("trace hook called %d times for %d misses and %d hits", calls.Load(), served/2, served/2)
+			}
+			rep, err := svc.MineRound(ctx, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Scanned != 6 || rep.Merged != 2 {
+				t.Errorf("traced serving then MineRound: scanned %d, merged %d; want 6 and 2", rep.Scanned, rep.Merged)
+			}
+		})
+	}
+}
+
+// TestTraceHookDoesNotChangeRecords pins that the hook only observes: for
+// every case of the standard suite, the record a traced request gets is
+// deeply equal to the untraced one.
+func TestTraceHookDoesNotChangeRecords(t *testing.T) {
+	suite := workload.NewSuite(1)
+	plain := NewService(suite)
+	defer plain.Close()
+	traced := NewService(suite, WithTrace(func(*Trace) {}))
+	defer traced.Close()
+	ctx := context.Background()
+	for _, c := range suite.Cases {
+		req := Request{Database: c.DB, Question: c.Question, Evidence: c.Evidence}
+		want, err := plain.Generate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := traced.Generate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Record, want.Record) {
+			t.Errorf("%s: the traced record differs from the untraced one", c.ID)
+		}
 	}
 }

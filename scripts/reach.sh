@@ -6,8 +6,8 @@
 # genedit) are built with statement coverage of every package of the module,
 # then driven through a fixed sweep: each benchmark workload for 1 s untraced
 # and 1 s traced, every benchrunner table against the EX baseline, kbctl's
-# two demos and every -show view of the daemon's store, one genedit question
-# with -prompt -trace, and a scripted geneditd session (generate, batch,
+# two demos and every -show view of the daemon's store, genedit's -list and
+# one genedit question with -prompt -trace, and a scripted geneditd session (generate, batch,
 # databases, knowledge, stats, miner get and mine, /metrics, /healthz, one
 # feedback session open → regenerate → submit → delete, which withdraws its
 # pending change, and one open → regenerate → submit → approve). `go tool
@@ -66,6 +66,7 @@ question='top 5 sports organisations by total revenue in Canada for 2023'
 "$bin/benchrunner" -table all -baseline "$repo/BENCH_7.json" > /dev/null
 "$bin/kbctl" -demo-mine > /dev/null
 "$bin/kbctl" -demo-revert > /dev/null
+"$bin/genedit" -list > /dev/null
 "$bin/genedit" -q "$question" -prompt -trace > /dev/null
 
 echo "reach: geneditd session on $addr"

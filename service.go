@@ -140,9 +140,10 @@ func WithWorkers(n int) Option {
 // Hot-swap safety comes from the version, not from flushing: an approved
 // merge installs an engine whose knowledge version is strictly greater, so
 // a post-swap request never hits an older record; it regenerates, and its
-// record replaces the older one. Requests carrying a trace hook bypass the
-// cache (a per-operator timing trace requires an actual pipeline run), and
-// errors are never cached.
+// record replaces the older one. Errors are never cached. A traced request
+// (WithTrace, WithOperatorSampling) takes the same path: its hook sees
+// operator timings only when it leads a miss, and its record is cached and
+// mined like any other.
 //
 // size <= 0 disables the cache (the default), reproducing uncached serving
 // behavior exactly. Cached Records are shared across responses and must be
@@ -175,8 +176,11 @@ func WithAdmission(cfg AdmissionConfig) Option {
 }
 
 // WithTrace installs a service-level per-request trace hook: fn receives
-// per-operator timings for every Generate / GenerateBatch request. fn must
-// be safe for concurrent use.
+// per-operator timings for every Generate / GenerateBatch request that runs
+// the pipeline. With WithGenerationCache that is a request leading a miss;
+// a hit or a coalesced request runs no operators and fn is not called. The
+// hook only observes: traced requests are served, cached and mined as
+// untraced ones are. fn must be safe for concurrent use.
 func WithTrace(fn TraceFunc) Option { return func(s *Service) { s.trace = fn } }
 
 // WithStorePath makes the service durable: each database's knowledge set is
@@ -525,9 +529,9 @@ func (s *Service) Prewarm(ctx context.Context, dbs ...string) error {
 // question, evidence) has a completed Record from the served knowledge
 // version is served from the cache, and concurrent identical requests coalesce onto
 // one pipeline run; Response.Cached reports which path served the request.
-// Traced requests (a WithTrace hook, or one WithOperatorSampling picks)
-// bypass the cache — the hook's contract is per-operator timings of an
-// actual run.
+// A traced request (a WithTrace hook, or one WithOperatorSampling picks)
+// goes through the cache too: the hook is called when the request leads a
+// miss and so runs the pipeline, not when it hits or joins another's run.
 func (s *Service) Generate(ctx context.Context, req Request) (*Response, error) {
 	start := time.Now()
 	t, ok := s.tenants[req.Database]
@@ -557,8 +561,8 @@ func (s *Service) Generate(ctx context.Context, req Request) (*Response, error) 
 // shed request degrades onto a stale cached answer when one exists, else
 // fails with its typed error), one read of the database's served engine,
 // and a pipeline run on that engine. The run goes through the generation
-// cache, keyed by that engine's knowledge version, unless the cache is off
-// or the request is traced (its contract is timings of an actual run).
+// cache, keyed by that engine's knowledge version, unless the cache is off.
+// A trace hook on ctx rides along into the run a miss leads.
 func (s *Service) serve(ctx context.Context, t *tenant, req Request) (*Response, error) {
 	if s.admission != nil {
 		release, err := s.admission.Admit(ctx, req.Database)
@@ -577,7 +581,7 @@ func (s *Service) serve(ctx context.Context, t *tenant, req Request) (*Response,
 		return nil, err
 	}
 	engine := live.Engine()
-	if s.gencache == nil || pipeline.HasTrace(ctx) {
+	if s.gencache == nil {
 		rec, err := engine.GenerateContext(ctx, req.Question, req.Evidence)
 		if err != nil {
 			return nil, err
