@@ -3,8 +3,9 @@
 # the concurrent packages, a live-daemon /metrics scrape checked against the
 # required-family manifest, a 1-iteration benchmark sweep so every benchmark
 # stays runnable, the overload and stress-scale gates under -race, a bounded
-# kstore crash-fuzz run, a bounded differential fuzz of the SQL date kernels
-# and of the retrieval dot kernel, the EX-parity gate, the production-reach
+# kstore crash-fuzz run, a bounded differential fuzz of the SQL date kernels,
+# of the compiled SQL engine against its interpreter oracle and of the
+# retrieval dot kernel, the EX-parity gate, the production-reach
 # gate (scripts/reach.sh: every non-test function is reached by a fixed sweep
 # of the five programs or allowlisted with a reason), and short runs of the
 # repo benchmark's exhibits, serve_scaled, serve_cold, serve_hot and edit_loop
@@ -149,6 +150,18 @@ fuzz_step() {
 # corpus of odd shapes (internal/sqlexec/testdata/fuzz/FuzzDateKernels).
 echo "== date-kernel differential fuzz (10 s, kernels vs their fmt-based oracles) =="
 fuzz_step FuzzDateKernels ./internal/sqlexec
+
+# The compiled plans are the only way Executor.Query runs a statement; the
+# tree-walking interpreter survives in the tests as their oracle. The target
+# runs any SQL text on both over the workload databases and the parity
+# tables' database and requires the same columns, the same rows in order, or
+# the same error text, from every gold statement of NewSuite(1), the parity
+# tables' SQL and the committed corpus
+# (internal/sqlexec/testdata/fuzz/FuzzEngines). Inputs that could join
+# more than two tables in one FROM clause, read more than three in all, or
+# nest REPLACE are skipped: they only cost time and memory.
+echo "== engine differential fuzz (10 s, compiled plans vs the interpreter oracle) =="
+fuzz_step FuzzEngines ./internal/sqlexec
 
 # The retrieval kernels score stored (sparse) vectors and promise each
 # result the bits of the dense one-vector loop, for any floats and any mix

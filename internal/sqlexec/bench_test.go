@@ -101,8 +101,7 @@ func compiledBenchModes(b *testing.B, db *sqldb.Database, sql string) {
 		compiled bool
 	}{{"interpreted", false}, {"compiled", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			exec := New(db)
-			exec.SetCompiledExec(mode.compiled)
+			exec := engine(db, mode.compiled)
 			if _, err := exec.Query(sql); err != nil { // warm the statement cache
 				b.Fatal(err)
 			}

@@ -8,20 +8,22 @@ import (
 )
 
 // Expression compilation: a one-time pass that lowers an expression tree
-// into a closure-based eval program. Column references are bound to ordinal
-// indexes against the relation's column layout at compile time (no per-row
-// name lookup), constant subexpressions are folded once, and the resulting
-// programs run against a reusable row environment (no per-row allocation).
+// into a closure-based eval program. Column references are bound at compile
+// time to a (depth, ordinal) pair — depth 0 is the relation the expression
+// runs over, depth k the k-th enclosing row of a correlated subquery — in
+// the interpreter's search order, so no row resolves a name. Constant
+// subexpressions are folded once, and the programs run against a reusable
+// row environment (no per-row allocation). Scalar, EXISTS and IN subqueries
+// compile to statement plans of their own (plan.go).
 //
-// Parity with the tree-walking interpreter is exact — values, NULL
-// semantics, short-circuit order and error text — because every non-trivial
-// value operation goes through the same helpers the interpreter uses
-// (applyUnary, applyBinary, applyScalarFunc, finishAggregate, likeMatch,
-// sqldb.Compare/Cast), and nodes the compiler does not specialize
-// (subqueries, EXISTS, IN-subquery) delegate to evalExpr on the same
-// environment. Constant folding never surfaces an error early: a constant
-// subexpression that fails evaluation becomes a thunk returning that error,
-// raised only if and when the interpreter would have evaluated it.
+// Values, NULL semantics, short-circuit order and error text are the
+// tree-walking interpreter's, which the tests keep as the oracle
+// (interp_test.go): every non-trivial value operation goes through helpers
+// both share (applyUnary, applyBinary, applyScalarFunc, finishAggregate,
+// likeMatch, sqldb.Compare/Cast). Constant folding never surfaces an error
+// early: a constant subexpression that fails evaluation becomes a thunk
+// returning that error, raised only if and when the interpreter would have
+// evaluated it.
 
 // program is a compiled expression, evaluated against a (reusable) row
 // environment. Programs are stateless closures over immutable compile-time
@@ -43,16 +45,35 @@ func foldConst(prog program, isConst bool) (program, bool) {
 	return constProgram(v, err), true
 }
 
-// delegate wraps a node the compiler does not specialize; the interpreter
-// evaluates it against the same environment, so semantics are identical by
-// construction.
-func delegate(e sqlparse.Expr) program {
-	return func(env *rowEnv) (sqldb.Value, error) { return evalExpr(e, env) }
+// binder is the compile-time shape of a row environment: the columns of
+// the relation an expression runs over, the binder of the row enclosing it
+// (a correlated subquery's outer query), the database and CTE layouts a
+// subquery compiles against, and the core's window calls in the order
+// runCore computes them. A nil binder binds nothing (staticInt).
+type binder struct {
+	db      *sqldb.Database
+	ss      *staticScope
+	cols    []bindCol
+	outer   *binder
+	windows []*sqlparse.FuncCall
 }
 
-// bindColumn resolves a column reference against a column layout, using
-// exactly resolveColumn's search order (first match wins). It returns -1
-// when the reference does not bind.
+// bind resolves a column reference as the oracle's resolveColumn does per
+// row: the current layout first, then each enclosing one. ord is -1 when
+// nothing binds.
+func (b *binder) bind(cr *sqlparse.ColumnRef) (depth, ord int) {
+	for ; b != nil; b = b.outer {
+		if ord := bindColumn(cr, b.cols); ord >= 0 {
+			return depth, ord
+		}
+		depth++
+	}
+	return 0, -1
+}
+
+// bindColumn resolves a column reference against one column layout, in the
+// oracle's search order (first match wins). It returns -1 when the
+// reference does not bind.
 func bindColumn(cr *sqlparse.ColumnRef, cols []bindCol) int {
 	for i, c := range cols {
 		if cr.Table != "" && !strings.EqualFold(cr.Table, c.qual) {
@@ -65,11 +86,11 @@ func bindColumn(cr *sqlparse.ColumnRef, cols []bindCol) int {
 	return -1
 }
 
-// compileExpr lowers e into a program bound to cols. The second result
+// compileExpr lowers e into a program bound under b. The second result
 // reports whether the program is a compile-time constant (already folded).
 // Compilation always succeeds; it is evaluation that may error, exactly as
 // under the interpreter.
-func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
+func compileExpr(e sqlparse.Expr, b *binder) (program, bool) {
 	switch x := e.(type) {
 	case *sqlparse.NumberLit:
 		v, err := parseNumber(x.Text)
@@ -82,18 +103,28 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 		return constProgram(sqldb.Bool(x.Val), nil), true
 
 	case *sqlparse.ColumnRef:
-		ord := bindColumn(x, cols)
+		depth, ord := b.bind(x)
 		if ord < 0 {
 			name := x.Name
 			if x.Table != "" {
 				name = x.Table + "." + name
 			}
-			// Compiled statements always run with no enclosing query (inner
-			// subqueries stay interpreted), so an unbound name here is the
-			// same per-row error resolveColumn raises.
+			// The oracle's resolveColumn raises this per row, after
+			// searching every enclosing row.
 			return constProgram(sqldb.Null(), execErrf("unknown column %q", name)), false
 		}
+		if depth == 0 {
+			return func(env *rowEnv) (sqldb.Value, error) {
+				if ord < len(env.row) {
+					return env.row[ord], nil
+				}
+				return sqldb.Null(), nil
+			}, false
+		}
 		return func(env *rowEnv) (sqldb.Value, error) {
+			for d := 0; d < depth; d++ {
+				env = env.outer
+			}
 			if ord < len(env.row) {
 				return env.row[ord], nil
 			}
@@ -101,7 +132,7 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 		}, false
 
 	case *sqlparse.Unary:
-		xp, xc := compileExpr(x.X, cols)
+		xp, xc := compileExpr(x.X, b)
 		op := x.Op
 		return foldConst(func(env *rowEnv) (sqldb.Value, error) {
 			v, err := xp(env)
@@ -114,12 +145,12 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 	case *sqlparse.Binary:
 		verdict := comparisonVerdict(x.Op)
 		if verdict != nil {
-			if prog, isConst, ok := compileToCharCompare(x, verdict, cols); ok {
+			if prog, isConst, ok := compileToCharCompare(x, verdict, b); ok {
 				return prog, isConst
 			}
 		}
-		lp, lc := compileExpr(x.L, cols)
-		rp, rc := compileExpr(x.R, cols)
+		lp, lc := compileExpr(x.L, b)
+		rp, rc := compileExpr(x.R, b)
 		op := x.Op
 		switch op {
 		case "AND":
@@ -167,7 +198,7 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 		}
 		// Operator dispatch is hoisted to compile time: comparisons bind a
 		// verdict function over sqldb.Compare, arithmetic goes straight to
-		// evalArith — no per-row string switch. Semantics and error text
+		// applyArith — no per-row string switch. Semantics and error text
 		// stay those of applyBinary.
 		switch op {
 		case "=", "<>", "<", "<=", ">", ">=":
@@ -214,7 +245,7 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 				if err != nil {
 					return sqldb.Null(), err
 				}
-				return evalArith(op, l, r)
+				return applyArith(op, l, r)
 			}, lc && rc)
 		}
 		return foldConst(func(env *rowEnv) (sqldb.Value, error) {
@@ -230,13 +261,13 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 		}, lc && rc)
 
 	case *sqlparse.FuncCall:
-		return compileFuncCall(x, cols)
+		return compileFuncCall(x, b)
 
 	case *sqlparse.CaseExpr:
-		return compileCase(x, cols)
+		return compileCase(x, b)
 
 	case *sqlparse.CastExpr:
-		xp, xc := compileExpr(x.X, cols)
+		xp, xc := compileExpr(x.X, b)
 		typ := x.Type
 		return foldConst(func(env *rowEnv) (sqldb.Value, error) {
 			v, err := xp(env)
@@ -252,39 +283,23 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 
 	case *sqlparse.InExpr:
 		if x.Select != nil {
-			return delegate(x), false
+			return compileInSubquery(x, b), false
 		}
-		if prog, isConst, ok := compileToCharIn(x, cols); ok {
+		if prog, isConst, ok := compileToCharIn(x, b); ok {
 			return prog, isConst
 		}
-		xp, xc := compileExpr(x.X, cols)
+		xp, xc := compileExpr(x.X, b)
 		items := make([]program, len(x.List))
 		listConst := true
 		for i, item := range x.List {
 			var ic bool
-			items[i], ic = compileExpr(item, cols)
+			items[i], ic = compileExpr(item, b)
 			listConst = listConst && ic
 		}
 		not := x.Not
 		// The interpreter evaluates X, stops on a NULL X, then evaluates
 		// every list item (its errors surface) before the membership
 		// verdict; both forms below keep that order.
-		verdict := func(xv sqldb.Value, candidates []sqldb.Value) sqldb.Value {
-			sawNull := false
-			for _, c := range candidates {
-				if c.IsNull() {
-					sawNull = true
-					continue
-				}
-				if xv.Equal(c) {
-					return sqldb.Bool(!not)
-				}
-			}
-			if sawNull {
-				return sqldb.Null()
-			}
-			return sqldb.Bool(not)
-		}
 		if listConst {
 			// A constant list is evaluated once, here, up to its first
 			// error — which a row raises only after its X evaluated clean
@@ -310,7 +325,7 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 				if listErr != nil {
 					return sqldb.Null(), listErr
 				}
-				return verdict(xv, candidates), nil
+				return inVerdict(xv, candidates, not), nil
 			}, xc)
 		}
 		// A list with a non-constant item is never constant, so env (and
@@ -334,13 +349,13 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 				}
 				candidates[i] = v
 			}
-			return verdict(xv, candidates), nil
+			return inVerdict(xv, candidates, not), nil
 		}, false
 
 	case *sqlparse.BetweenExpr:
-		xp, xc := compileExpr(x.X, cols)
-		lop, loc := compileExpr(x.Lo, cols)
-		hip, hic := compileExpr(x.Hi, cols)
+		xp, xc := compileExpr(x.X, b)
+		lop, loc := compileExpr(x.Lo, b)
+		hip, hic := compileExpr(x.Hi, b)
 		not := x.Not
 		return foldConst(func(env *rowEnv) (sqldb.Value, error) {
 			xv, err := xp(env)
@@ -368,8 +383,8 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 		}, xc && loc && hic)
 
 	case *sqlparse.LikeExpr:
-		xp, xc := compileExpr(x.X, cols)
-		pp, pc := compileExpr(x.Pattern, cols)
+		xp, xc := compileExpr(x.X, b)
+		pp, pc := compileExpr(x.Pattern, b)
 		not := x.Not
 		if pc && !xc {
 			// Constant pattern: analyze it once. Plain equality, prefix,
@@ -406,7 +421,7 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 		}, xc && pc)
 
 	case *sqlparse.IsNullExpr:
-		xp, xc := compileExpr(x.X, cols)
+		xp, xc := compileExpr(x.X, b)
 		not := x.Not
 		return foldConst(func(env *rowEnv) (sqldb.Value, error) {
 			v, err := xp(env)
@@ -416,10 +431,103 @@ func compileExpr(e sqlparse.Expr, cols []bindCol) (program, bool) {
 			return sqldb.Bool(v.IsNull() != not), nil
 		}, xc)
 
-	case *sqlparse.ExistsExpr, *sqlparse.SubqueryExpr:
-		return delegate(e), false
+	case *sqlparse.ExistsExpr:
+		run := compileSubquery(x.Select, b)
+		not := x.Not
+		return func(env *rowEnv) (sqldb.Value, error) {
+			res, err := run(env)
+			if err != nil {
+				return sqldb.Null(), err
+			}
+			return sqldb.Bool((len(res.Rows) > 0) != not), nil
+		}, false
+
+	case *sqlparse.SubqueryExpr:
+		run := compileSubquery(x.Select, b)
+		return func(env *rowEnv) (sqldb.Value, error) {
+			res, err := run(env)
+			if err != nil {
+				return sqldb.Null(), err
+			}
+			if len(res.Columns) != 1 {
+				return sqldb.Null(), execErrf("scalar subquery must return one column, got %d", len(res.Columns))
+			}
+			if len(res.Rows) == 0 {
+				return sqldb.Null(), nil
+			}
+			if len(res.Rows) > 1 {
+				return sqldb.Null(), execErrf("scalar subquery returned %d rows", len(res.Rows))
+			}
+			return res.Rows[0][0], nil
+		}, false
 	}
-	return delegate(e), false
+	return constProgram(sqldb.Null(), execErrf("unsupported expression %T", e)), false
+}
+
+// compileSubquery compiles a subquery's statement under b, whose row
+// becomes the statement's enclosing row. The plan runs on every
+// evaluation, as the interpreter runs the statement.
+func compileSubquery(sel *sqlparse.SelectStmt, b *binder) func(*rowEnv) (*Result, error) {
+	if b == nil {
+		// Only staticInt compiles without a binder, and it rejects any
+		// non-constant expression before running one.
+		return func(*rowEnv) (*Result, error) { return nil, execErrf("subquery outside a statement") }
+	}
+	sp, _ := compileStmtIn(b.db, sel, b.ss, b)
+	return func(env *rowEnv) (*Result, error) {
+		return env.exec.runStmt(sp, &scope{parent: env.sc, scr: env.sc.scr, outer: env})
+	}
+}
+
+// compileInSubquery lowers x [NOT] IN (SELECT ...): X first, NULL without
+// running the subquery, then the subquery's one column as the candidates.
+func compileInSubquery(in *sqlparse.InExpr, b *binder) program {
+	xp, _ := compileExpr(in.X, b)
+	run := compileSubquery(in.Select, b)
+	not := in.Not
+	return func(env *rowEnv) (sqldb.Value, error) {
+		xv, err := xp(env)
+		if err != nil {
+			return sqldb.Null(), err
+		}
+		if xv.IsNull() {
+			return sqldb.Null(), nil
+		}
+		res, err := run(env)
+		if err != nil {
+			return sqldb.Null(), err
+		}
+		if len(res.Columns) != 1 {
+			return sqldb.Null(), execErrf("IN subquery must return one column, got %d", len(res.Columns))
+		}
+		scr := env.sc.scr
+		mark := scr.vals.mark()
+		defer scr.vals.release(mark)
+		candidates := scr.vals.take(len(res.Rows))
+		for i, r := range res.Rows {
+			candidates[i] = r[0]
+		}
+		return inVerdict(xv, candidates, not), nil
+	}
+}
+
+// inVerdict is x [NOT] IN candidates for a non-NULL x: a match decides,
+// otherwise a NULL candidate makes the verdict NULL.
+func inVerdict(xv sqldb.Value, candidates []sqldb.Value, not bool) sqldb.Value {
+	sawNull := false
+	for _, c := range candidates {
+		if c.IsNull() {
+			sawNull = true
+			continue
+		}
+		if xv.Equal(c) {
+			return sqldb.Bool(!not)
+		}
+	}
+	if sawNull {
+		return sqldb.Null()
+	}
+	return sqldb.Bool(not)
 }
 
 // comparisonVerdict maps a comparison operator to the test its
@@ -462,13 +570,13 @@ func toCharOf(e sqlparse.Expr) (sqlparse.Expr, string, bool) {
 // costs no string. The interpreter's order stands: x, then TO_CHAR's NULL
 // and error, then the comparison; a literal is never NULL and never fails.
 // ok is false for any other shape.
-func compileToCharCompare(b *sqlparse.Binary, verdict func(int) bool, cols []bindCol) (prog program, isConst, ok bool) {
-	arg, format, ok := toCharOf(b.L)
-	lit, isLit := b.R.(*sqlparse.StringLit)
+func compileToCharCompare(x *sqlparse.Binary, verdict func(int) bool, b *binder) (prog program, isConst, ok bool) {
+	arg, format, ok := toCharOf(x.L)
+	lit, isLit := x.R.(*sqlparse.StringLit)
 	if !ok || !isLit {
 		return nil, false, false
 	}
-	xp, xc := compileExpr(arg, cols)
+	xp, xc := compileExpr(arg, b)
 	want := []byte(lit.Val)
 	prog, isConst = foldConst(func(env *rowEnv) (sqldb.Value, error) {
 		xv, err := xp(env)
@@ -490,7 +598,7 @@ func compileToCharCompare(b *sqlparse.Binary, verdict func(int) bool, cols []bin
 // compileToCharIn specializes TO_CHAR(x, 'format') [NOT] IN ('a', ...)
 // with string-literal items the same way: no item is NULL or fails, so the
 // verdict is whether one equals the formatted bytes (toCharIn).
-func compileToCharIn(in *sqlparse.InExpr, cols []bindCol) (prog program, isConst, ok bool) {
+func compileToCharIn(in *sqlparse.InExpr, b *binder) (prog program, isConst, ok bool) {
 	arg, format, ok := toCharOf(in.X)
 	if !ok {
 		return nil, false, false
@@ -503,7 +611,7 @@ func compileToCharIn(in *sqlparse.InExpr, cols []bindCol) (prog program, isConst
 		}
 		lits[i] = []byte(lit.Val)
 	}
-	xp, xc := compileExpr(arg, cols)
+	xp, xc := compileExpr(arg, b)
 	not := in.Not
 	prog, isConst = foldConst(func(env *rowEnv) (sqldb.Value, error) {
 		xv, err := xp(env)
@@ -523,27 +631,35 @@ func compileToCharIn(in *sqlparse.InExpr, cols []bindCol) (prog program, isConst
 }
 
 // compileFuncCall lowers window, aggregate and scalar calls.
-func compileFuncCall(fc *sqlparse.FuncCall, cols []bindCol) (program, bool) {
+func compileFuncCall(fc *sqlparse.FuncCall, b *binder) (program, bool) {
 	if fc.Over != nil {
-		// Cores whose SELECT items or ORDER BY contain window calls run
-		// through the interpreter, so in compiled cores a window call can
-		// only appear in an invalid position (WHERE, GROUP BY, HAVING) —
-		// reproduce the interpreter's diagnostics exactly.
+		// runCore computes the core's window calls after HAVING and hands
+		// them to its projection, ORDER BY and later window calls; anywhere
+		// else (WHERE, GROUP BY, HAVING, an aggregate's argument) the
+		// environment carries none, and a call nested in an earlier one's
+		// arguments is not computed yet.
+		k := -1
+		if b != nil {
+			for i, w := range b.windows {
+				if w == fc {
+					k = i
+				}
+			}
+		}
 		return func(env *rowEnv) (sqldb.Value, error) {
-			if env.windows == nil {
+			if env.win == nil {
 				return sqldb.Null(), execErrf("window function %s used outside SELECT or ORDER BY", fc.Name)
 			}
-			vals, ok := env.windows[fc]
-			if !ok {
+			if k < 0 || k >= len(env.win) {
 				return sqldb.Null(), execErrf("window function %s was not precomputed", fc.Name)
 			}
-			return vals[env.idx], nil
+			return env.win[k][env.idx], nil
 		}, false
 	}
 	if isAggregateName(fc.Name) {
 		var argProg program
 		if !fc.Star && len(fc.Args) == 1 {
-			argProg, _ = compileExpr(fc.Args[0], cols)
+			argProg, _ = compileExpr(fc.Args[0], b)
 		}
 		return func(env *rowEnv) (sqldb.Value, error) {
 			if env.group == nil {
@@ -561,7 +677,7 @@ func compileFuncCall(fc *sqlparse.FuncCall, cols []bindCol) (program, bool) {
 			// One child environment per aggregate evaluation (per group),
 			// reused across the group's rows — not one per row as the
 			// interpreter allocates.
-			child := &rowEnv{exec: env.exec, sc: env.sc, cols: env.cols, outer: env.outer}
+			child := &rowEnv{exec: env.exec, sc: env.sc, outer: env.outer}
 			return aggregateOver(env.sc.scr, fc.Name, env.group, fc.Distinct, func(row sqldb.Row) (sqldb.Value, error) {
 				child.row = row
 				return argProg(child)
@@ -572,7 +688,7 @@ func compileFuncCall(fc *sqlparse.FuncCall, cols []bindCol) (program, bool) {
 	allConst := true
 	for i, a := range fc.Args {
 		var ac bool
-		args[i], ac = compileExpr(a, cols)
+		args[i], ac = compileExpr(a, b)
 		allConst = allConst && ac
 	}
 	name := fc.Name
@@ -623,26 +739,26 @@ func compileLikeMatcher(p string) func(string) bool {
 	return func(s string) bool { return likeMatch(s, p) }
 }
 
-func compileCase(ce *sqlparse.CaseExpr, cols []bindCol) (program, bool) {
+func compileCase(ce *sqlparse.CaseExpr, b *binder) (program, bool) {
 	allConst := true
 	var operand program
 	if ce.Operand != nil {
 		var oc bool
-		operand, oc = compileExpr(ce.Operand, cols)
+		operand, oc = compileExpr(ce.Operand, b)
 		allConst = allConst && oc
 	}
 	conds := make([]program, len(ce.Whens))
 	thens := make([]program, len(ce.Whens))
 	for i, w := range ce.Whens {
 		var cc, tc bool
-		conds[i], cc = compileExpr(w.Cond, cols)
-		thens[i], tc = compileExpr(w.Then, cols)
+		conds[i], cc = compileExpr(w.Cond, b)
+		thens[i], tc = compileExpr(w.Then, b)
 		allConst = allConst && cc && tc
 	}
 	var elseProg program
 	if ce.Else != nil {
 		var ec bool
-		elseProg, ec = compileExpr(ce.Else, cols)
+		elseProg, ec = compileExpr(ce.Else, b)
 		allConst = allConst && ec
 	}
 	return foldConst(func(env *rowEnv) (sqldb.Value, error) {
@@ -678,9 +794,9 @@ func compileCase(ce *sqlparse.CaseExpr, cols []bindCol) (program, bool) {
 	}, allConst)
 }
 
-// staticInt folds a LIMIT/OFFSET expression to an integer. Both execution
-// paths use it (the interpreter at apply time, the compiler at plan time),
-// so non-constant and non-integer limits are rejected identically.
+// staticInt folds a LIMIT/OFFSET expression to an integer at plan time
+// (the oracle calls it at apply time), so non-constant and non-integer
+// limits are rejected identically.
 func staticInt(expr sqlparse.Expr) (int64, error) {
 	prog, isConst := compileExpr(expr, nil)
 	if !isConst {

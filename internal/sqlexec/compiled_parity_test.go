@@ -18,12 +18,8 @@ import (
 // parity: error presence and text, column names, row-for-row values.
 func runBothExec(t *testing.T, db *sqldb.Database, sql string) {
 	t.Helper()
-	compiled := New(db)
-	interp := New(db)
-	interp.SetCompiledExec(false)
-
-	cres, cerr := compiled.Query(sql)
-	ires, ierr := interp.Query(sql)
+	cres, cerr := engine(db, true).Query(sql)
+	ires, ierr := engine(db, false).Query(sql)
 	if (cerr == nil) != (ierr == nil) {
 		t.Fatalf("error parity broken for %q:\n  compiled:    %v\n  interpreted: %v", sql, cerr, ierr)
 	}
@@ -90,74 +86,98 @@ func compiledTestDB() *sqldb.Database {
 	return db
 }
 
+// compiledShapeStmts is the table of TestCompiledParityCoreShapes, which
+// FuzzEngines also seeds from.
+var compiledShapeStmts = []string{
+	"SELECT * FROM EMP",
+	"SELECT NAME, SALARY * 2 + 1 AS D FROM EMP WHERE SALARY > 60 ORDER BY D DESC",
+	"SELECT DEPT, COUNT(*), SUM(SALARY), AVG(SALARY), MIN(NAME), MAX(SALARY) FROM EMP GROUP BY DEPT ORDER BY DEPT",
+	"SELECT DEPT, COUNT(*) FROM EMP GROUP BY DEPT HAVING COUNT(*) > 1 ORDER BY 2 DESC, 1",
+	"SELECT DISTINCT DEPT FROM EMP ORDER BY DEPT",
+	"SELECT COUNT(DISTINCT DEPT) FROM EMP",
+	"SELECT NAME FROM EMP WHERE DEPT IN ('eng', 'ops') ORDER BY NAME",
+	"SELECT NAME FROM EMP WHERE SALARY BETWEEN 60 AND 90 ORDER BY 1",
+	"SELECT NAME FROM EMP WHERE NAME LIKE 'a%' OR NAME LIKE '%t'",
+	"SELECT NAME, CASE WHEN SALARY > 75 THEN 'hi' WHEN SALARY IS NULL THEN 'none' ELSE 'lo' END FROM EMP",
+	"SELECT CASE DEPT WHEN 'eng' THEN 1 WHEN 'sales' THEN 2 END, NAME FROM EMP ORDER BY NAME",
+	"SELECT UPPER(NAME) || '-' || DEPT, LENGTH(NAME), SUBSTR(NAME, 1, 2) FROM EMP",
+	"SELECT YEAR(HIRED), QUARTER(HIRED), COUNT(*) FROM EMP GROUP BY YEAR(HIRED), QUARTER(HIRED) ORDER BY 1, 2",
+	"SELECT CAST(SALARY AS FLOAT) / 3 FROM EMP WHERE SALARY IS NOT NULL",
+	"SELECT e.NAME, d.REGION FROM EMP e JOIN DEPT d ON e.DEPT = d.DEPT ORDER BY e.NAME",
+	"SELECT e.NAME, d.REGION FROM EMP e LEFT JOIN DEPT d ON e.DEPT = d.DEPT ORDER BY e.NAME",
+	"SELECT e.NAME, d.DEPT FROM EMP e RIGHT JOIN DEPT d ON e.DEPT = d.DEPT ORDER BY d.DEPT, e.NAME",
+	"SELECT e.NAME, d.DEPT FROM EMP e FULL JOIN DEPT d ON e.DEPT = d.DEPT ORDER BY 2, 1",
+	"WITH RICH AS (SELECT NAME, SALARY FROM EMP WHERE SALARY >= 80) SELECT COUNT(*), SUM(SALARY) FROM RICH",
+	"WITH R(N, S) AS (SELECT NAME, SALARY FROM EMP) SELECT N FROM R WHERE S > 70 ORDER BY N",
+	"SELECT T.NAME FROM (SELECT NAME, SALARY FROM EMP WHERE SALARY > 60) T ORDER BY T.NAME",
+	"SELECT DEPT FROM EMP UNION SELECT DEPT FROM DEPT ORDER BY DEPT",
+	"SELECT DEPT FROM EMP UNION ALL SELECT DEPT FROM DEPT",
+	"SELECT DEPT FROM DEPT EXCEPT SELECT DEPT FROM EMP",
+	"SELECT DEPT FROM DEPT INTERSECT SELECT DEPT FROM EMP ORDER BY 1 LIMIT 1",
+	"SELECT NAME FROM EMP WHERE SALARY > (SELECT AVG(SALARY) FROM EMP)",
+	"SELECT NAME FROM EMP e WHERE EXISTS (SELECT 1 FROM DEPT d WHERE d.DEPT = e.DEPT)",
+	"SELECT NAME, (SELECT REGION FROM DEPT d WHERE d.DEPT = e.DEPT) FROM EMP e ORDER BY NAME",
+	"SELECT NAME FROM EMP WHERE DEPT IN (SELECT DEPT FROM DEPT WHERE REGION <> 'north')",
+	"SELECT 1 + 2 * 3, 'a' || 'b', NOT TRUE, -(4), NULLIF(1, 1), COALESCE(NULL, 'x')",
+	"SELECT NAME, ROW_NUMBER() OVER (PARTITION BY DEPT ORDER BY SALARY DESC) FROM EMP ORDER BY NAME",
+	"SELECT NAME, RANK() OVER (ORDER BY SALARY DESC), SUM(SALARY) OVER () FROM EMP ORDER BY NAME",
+	// A correlated subquery inside a join's ON: a residual after the
+	// hash key, and the whole ON of a nested loop.
+	"SELECT e.NAME, d.REGION FROM EMP e JOIN DEPT d ON e.DEPT = d.DEPT AND d.REGION = (SELECT MAX(d2.REGION) FROM DEPT d2 WHERE d2.DEPT = e.DEPT AND e.SALARY > 60) ORDER BY e.NAME",
+	"SELECT e.NAME, d.REGION FROM EMP e LEFT JOIN DEPT d ON EXISTS (SELECT 1 FROM EMP x WHERE x.DEPT = d.DEPT AND x.SALARY > e.SALARY) ORDER BY 1, 2",
+	// A window over a grouped core, a window only in ORDER BY, and
+	// LAG/LEAD with a default.
+	"SELECT DEPT, SUM(SALARY), RANK() OVER (ORDER BY SUM(SALARY) DESC) FROM EMP GROUP BY DEPT ORDER BY DEPT",
+	"SELECT NAME FROM EMP ORDER BY ROW_NUMBER() OVER (ORDER BY SALARY DESC, NAME) DESC",
+	"SELECT NAME, LAG(SALARY, 1, ID * 10) OVER (ORDER BY ID), LEAD(NAME, 1, DEPT || '-') OVER (PARTITION BY DEPT ORDER BY ID) FROM EMP ORDER BY ID",
+}
+
 func TestCompiledParityCoreShapes(t *testing.T) {
 	db := compiledTestDB()
-	for _, sql := range []string{
-		"SELECT * FROM EMP",
-		"SELECT NAME, SALARY * 2 + 1 AS D FROM EMP WHERE SALARY > 60 ORDER BY D DESC",
-		"SELECT DEPT, COUNT(*), SUM(SALARY), AVG(SALARY), MIN(NAME), MAX(SALARY) FROM EMP GROUP BY DEPT ORDER BY DEPT",
-		"SELECT DEPT, COUNT(*) FROM EMP GROUP BY DEPT HAVING COUNT(*) > 1 ORDER BY 2 DESC, 1",
-		"SELECT DISTINCT DEPT FROM EMP ORDER BY DEPT",
-		"SELECT COUNT(DISTINCT DEPT) FROM EMP",
-		"SELECT NAME FROM EMP WHERE DEPT IN ('eng', 'ops') ORDER BY NAME",
-		"SELECT NAME FROM EMP WHERE SALARY BETWEEN 60 AND 90 ORDER BY 1",
-		"SELECT NAME FROM EMP WHERE NAME LIKE 'a%' OR NAME LIKE '%t'",
-		"SELECT NAME, CASE WHEN SALARY > 75 THEN 'hi' WHEN SALARY IS NULL THEN 'none' ELSE 'lo' END FROM EMP",
-		"SELECT CASE DEPT WHEN 'eng' THEN 1 WHEN 'sales' THEN 2 END, NAME FROM EMP ORDER BY NAME",
-		"SELECT UPPER(NAME) || '-' || DEPT, LENGTH(NAME), SUBSTR(NAME, 1, 2) FROM EMP",
-		"SELECT YEAR(HIRED), QUARTER(HIRED), COUNT(*) FROM EMP GROUP BY YEAR(HIRED), QUARTER(HIRED) ORDER BY 1, 2",
-		"SELECT CAST(SALARY AS FLOAT) / 3 FROM EMP WHERE SALARY IS NOT NULL",
-		"SELECT e.NAME, d.REGION FROM EMP e JOIN DEPT d ON e.DEPT = d.DEPT ORDER BY e.NAME",
-		"SELECT e.NAME, d.REGION FROM EMP e LEFT JOIN DEPT d ON e.DEPT = d.DEPT ORDER BY e.NAME",
-		"SELECT e.NAME, d.DEPT FROM EMP e RIGHT JOIN DEPT d ON e.DEPT = d.DEPT ORDER BY d.DEPT, e.NAME",
-		"SELECT e.NAME, d.DEPT FROM EMP e FULL JOIN DEPT d ON e.DEPT = d.DEPT ORDER BY 2, 1",
-		"WITH RICH AS (SELECT NAME, SALARY FROM EMP WHERE SALARY >= 80) SELECT COUNT(*), SUM(SALARY) FROM RICH",
-		"WITH R(N, S) AS (SELECT NAME, SALARY FROM EMP) SELECT N FROM R WHERE S > 70 ORDER BY N",
-		"SELECT T.NAME FROM (SELECT NAME, SALARY FROM EMP WHERE SALARY > 60) T ORDER BY T.NAME",
-		"SELECT DEPT FROM EMP UNION SELECT DEPT FROM DEPT ORDER BY DEPT",
-		"SELECT DEPT FROM EMP UNION ALL SELECT DEPT FROM DEPT",
-		"SELECT DEPT FROM DEPT EXCEPT SELECT DEPT FROM EMP",
-		"SELECT DEPT FROM DEPT INTERSECT SELECT DEPT FROM EMP ORDER BY 1 LIMIT 1",
-		"SELECT NAME FROM EMP WHERE SALARY > (SELECT AVG(SALARY) FROM EMP)",
-		"SELECT NAME FROM EMP e WHERE EXISTS (SELECT 1 FROM DEPT d WHERE d.DEPT = e.DEPT)",
-		"SELECT NAME, (SELECT REGION FROM DEPT d WHERE d.DEPT = e.DEPT) FROM EMP e ORDER BY NAME",
-		"SELECT NAME FROM EMP WHERE DEPT IN (SELECT DEPT FROM DEPT WHERE REGION <> 'north')",
-		"SELECT 1 + 2 * 3, 'a' || 'b', NOT TRUE, -(4), NULLIF(1, 1), COALESCE(NULL, 'x')",
-		"SELECT NAME, ROW_NUMBER() OVER (PARTITION BY DEPT ORDER BY SALARY DESC) FROM EMP ORDER BY NAME",
-		"SELECT NAME, RANK() OVER (ORDER BY SALARY DESC), SUM(SALARY) OVER () FROM EMP ORDER BY NAME",
-	} {
+	for _, sql := range compiledShapeStmts {
 		runBothExec(t, db, sql)
 	}
 }
 
+// compiledErrorStmts is the table of TestCompiledParityErrors, which
+// FuzzEngines also seeds from.
+var compiledErrorStmts = []string{
+	"SELECT * FROM MISSING",
+	"SELECT NOPE FROM EMP",
+	"SELECT x.NAME FROM EMP",
+	"SELECT UNKNOWN_FUNC(NAME) FROM EMP",
+	"SELECT SUM(SALARY, 2) FROM EMP",
+	"SELECT AVG(*) FROM EMP",
+	"SELECT NAME FROM EMP ORDER BY 9",
+	"SELECT CAST(NAME AS INTEGER) FROM EMP",
+	"SELECT NAME + 1 FROM EMP",
+	"SELECT -NAME FROM EMP",
+	"SELECT YEAR(NAME) FROM EMP",
+	"SELECT SQRT(0 - SALARY) FROM EMP",
+	"SELECT NAME FROM EMP WHERE CAST(NAME AS INTEGER) > 0",
+	"SELECT DEPT, COUNT(*) FROM EMP GROUP BY DEPT HAVING SUM(CAST(NAME AS INTEGER)) > 0",
+	"SELECT DEPT FROM EMP GROUP BY CAST(NAME AS INTEGER)",
+	"SELECT NAME FROM EMP ORDER BY CAST(NAME AS INTEGER)",
+	"SELECT (SELECT NAME, DEPT FROM EMP) FROM EMP",
+	"SELECT (SELECT NAME FROM EMP) FROM DEPT",
+	"SELECT NAME FROM EMP WHERE SALARY IN (SELECT SALARY, ID FROM EMP)",
+	"WITH C(A) AS (SELECT NAME, DEPT FROM EMP) SELECT A FROM C",
+	"SELECT SUM(SALARY) FROM EMP WHERE SUM(SALARY) > 0",
+	"SELECT ROW_NUMBER() OVER () FROM EMP WHERE ROW_NUMBER() OVER () > 1",
+	"SELECT 1 UNION SELECT 1, 2",
+	"SELECT 'x' + 1",
+	// Errors the plan records and raises where the interpreter does:
+	// an unknown table after the left input's error, a star over an
+	// unknown qualifier after WHERE's, an ORDER BY position out of
+	// range after a window call's.
+	"SELECT * FROM (SELECT CAST(NAME AS INTEGER) AS X FROM EMP) a JOIN MISSING m ON a.X = m.X",
+	"SELECT x.* FROM EMP WHERE CAST(NAME AS INTEGER) > 0",
+	"SELECT NAME, LAG(SALARY, 1, 2, 3) OVER (ORDER BY ID) FROM EMP ORDER BY 9",
+}
+
 func TestCompiledParityErrors(t *testing.T) {
 	db := compiledTestDB()
-	for _, sql := range []string{
-		"SELECT * FROM MISSING",
-		"SELECT NOPE FROM EMP",
-		"SELECT x.NAME FROM EMP",
-		"SELECT UNKNOWN_FUNC(NAME) FROM EMP",
-		"SELECT SUM(SALARY, 2) FROM EMP",
-		"SELECT AVG(*) FROM EMP",
-		"SELECT NAME FROM EMP ORDER BY 9",
-		"SELECT CAST(NAME AS INTEGER) FROM EMP",
-		"SELECT NAME + 1 FROM EMP",
-		"SELECT -NAME FROM EMP",
-		"SELECT YEAR(NAME) FROM EMP",
-		"SELECT SQRT(0 - SALARY) FROM EMP",
-		"SELECT NAME FROM EMP WHERE CAST(NAME AS INTEGER) > 0",
-		"SELECT DEPT, COUNT(*) FROM EMP GROUP BY DEPT HAVING SUM(CAST(NAME AS INTEGER)) > 0",
-		"SELECT DEPT FROM EMP GROUP BY CAST(NAME AS INTEGER)",
-		"SELECT NAME FROM EMP ORDER BY CAST(NAME AS INTEGER)",
-		"SELECT (SELECT NAME, DEPT FROM EMP) FROM EMP",
-		"SELECT (SELECT NAME FROM EMP) FROM DEPT",
-		"SELECT NAME FROM EMP WHERE SALARY IN (SELECT SALARY, ID FROM EMP)",
-		"WITH C(A) AS (SELECT NAME, DEPT FROM EMP) SELECT A FROM C",
-		"SELECT SUM(SALARY) FROM EMP WHERE SUM(SALARY) > 0",
-		"SELECT ROW_NUMBER() OVER () FROM EMP WHERE ROW_NUMBER() OVER () > 1",
-		"SELECT 1 UNION SELECT 1, 2",
-		"SELECT 'x' + 1",
-	} {
+	for _, sql := range compiledErrorStmts {
 		runBothExec(t, db, sql)
 	}
 }
@@ -182,8 +202,7 @@ func TestGroupKeyDelimiterInjection(t *testing.T) {
 	db.AddTable(tbl)
 
 	for _, mode := range []bool{true, false} {
-		exec := New(db)
-		exec.SetCompiledExec(mode)
+		exec := engine(db, mode)
 		res, err := exec.Query("SELECT A, B, COUNT(*) FROM T GROUP BY A, B")
 		if err != nil {
 			t.Fatal(err)
@@ -239,8 +258,7 @@ func TestLimitOffsetFolding(t *testing.T) {
 		runBothExec(t, db, sql)
 	}
 	for _, mode := range []bool{true, false} {
-		exec := New(db)
-		exec.SetCompiledExec(mode)
+		exec := engine(db, mode)
 		_, err := exec.Query("SELECT NAME FROM EMP LIMIT SALARY")
 		if err == nil || !strings.Contains(err.Error(), "constant") {
 			t.Errorf("compiled=%v: non-constant LIMIT error = %v, want constant-expression rejection", mode, err)
@@ -341,28 +359,6 @@ func TestPredicatePushdownParity(t *testing.T) {
 	errDB.AddTable(bt)
 	runBothExec(t, errDB, "SELECT A.S FROM A JOIN B ON A.N + B.M = 2 WHERE A.S = 'keep'")
 	runBothExec(t, errDB, "SELECT A.S FROM A JOIN B ON CAST(A.N AS INTEGER) = B.M WHERE A.S = 'keep'")
-}
-
-// TestCompiledEngagesOnWorkloadShapes pins the compiler's coverage: the
-// representative statement shapes the workload templates generate must
-// compile without statement- or core-level fallback (window-function cores
-// excepted — those intentionally fall back).
-func TestCompiledEngagesOnWorkloadShapes(t *testing.T) {
-	db := compiledTestDB()
-	for _, sql := range []string{
-		"SELECT DEPT, SUM(SALARY) AS TOTAL FROM EMP WHERE DEPT = 'eng' AND SALARY > 0 GROUP BY DEPT ORDER BY TOTAL DESC LIMIT 5",
-		"SELECT YEAR(HIRED) AS Y, SUM(SALARY) AS TOTAL FROM EMP WHERE SALARY > 0 GROUP BY YEAR(HIRED) ORDER BY TOTAL DESC LIMIT 1",
-		"WITH TOTALS AS (SELECT DEPT AS ENTITY, SUM(SALARY) AS TOTAL FROM EMP WHERE SALARY > 0 GROUP BY DEPT) SELECT ENTITY, TOTAL FROM TOTALS ORDER BY TOTAL DESC",
-		"SELECT e.DEPT, d.REGION, COUNT(*) FROM EMP e JOIN DEPT d ON e.DEPT = d.DEPT WHERE e.SALARY > 50 GROUP BY e.DEPT, d.REGION ORDER BY 3 DESC",
-	} {
-		stmt, err := sqlparse.Parse(sql)
-		if err != nil {
-			t.Fatalf("parse %q: %v", sql, err)
-		}
-		if fbs := stmtFallbacks(compileStmt(db, stmt), nil); len(fbs) > 0 {
-			t.Errorf("workload shape fell back to the interpreter: %s", sql)
-		}
-	}
 }
 
 // TestCompiledConstantFolding pins folding behaviour: constant expressions

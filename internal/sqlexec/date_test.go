@@ -241,7 +241,7 @@ func TestDateKernelsDoNotAllocate(t *testing.T) {
 		t.Errorf("2024-05-17 10:30:00 as YYYY\"Q\"Q: compare %d, in %v; want 0, true", c, in)
 	}
 
-	cols := []bindCol{{name: "D"}}
+	b := &binder{cols: []bindCol{{name: "D"}}}
 	env := &rowEnv{row: sqldb.Row{sqldb.Str("2024-05-17")}}
 	for _, src := range []string{
 		`TO_CHAR(D, 'YYYY"Q"Q') = '2024Q2'`,
@@ -253,7 +253,7 @@ func TestDateKernelsDoNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, _ := compileExpr(stmt.Core.Items[0].Expr, cols)
+		prog, _ := compileExpr(stmt.Core.Items[0].Expr, b)
 		if n := testing.AllocsPerRun(100, func() { out, _ = prog(env) }); n != 0 {
 			t.Errorf("compiled %s: %v allocs per row, want 0", src, n)
 		}

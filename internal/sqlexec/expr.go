@@ -7,61 +7,9 @@ import (
 	"genedit/internal/sqlparse"
 )
 
-// evalExpr evaluates an expression in a row environment, following SQL
-// three-valued logic: comparisons and arithmetic with NULL yield NULL.
-func evalExpr(e sqlparse.Expr, env *rowEnv) (sqldb.Value, error) {
-	switch x := e.(type) {
-	case *sqlparse.NumberLit:
-		return parseNumber(x.Text)
-	case *sqlparse.StringLit:
-		return sqldb.Str(x.Val), nil
-	case *sqlparse.NullLit:
-		return sqldb.Null(), nil
-	case *sqlparse.BoolLit:
-		return sqldb.Bool(x.Val), nil
-	case *sqlparse.ColumnRef:
-		return resolveColumn(x, env)
-	case *sqlparse.Unary:
-		return evalUnary(x, env)
-	case *sqlparse.Binary:
-		return evalBinary(x, env)
-	case *sqlparse.FuncCall:
-		return evalFuncCall(x, env)
-	case *sqlparse.CaseExpr:
-		return evalCase(x, env)
-	case *sqlparse.CastExpr:
-		v, err := evalExpr(x.X, env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		cv, err := sqldb.Cast(v, x.Type)
-		if err != nil {
-			return sqldb.Null(), &ExecError{Msg: err.Error()}
-		}
-		return cv, nil
-	case *sqlparse.InExpr:
-		return evalIn(x, env)
-	case *sqlparse.BetweenExpr:
-		return evalBetween(x, env)
-	case *sqlparse.LikeExpr:
-		return evalLike(x, env)
-	case *sqlparse.IsNullExpr:
-		v, err := evalExpr(x.X, env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		return sqldb.Bool(v.IsNull() != x.Not), nil
-	case *sqlparse.ExistsExpr:
-		res, err := env.exec.evalStmt(x.Select, env.sc, env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		return sqldb.Bool((len(res.Rows) > 0) != x.Not), nil
-	case *sqlparse.SubqueryExpr:
-		return evalScalarSubquery(x.Select, env)
-	}
-	return sqldb.Null(), execErrf("unsupported expression %T", e)
-}
+// Value-level semantics of literals, operators and predicates: the compiled
+// programs and the test oracle call these same helpers, so the two engines
+// cannot disagree on a value, only on which values they compute.
 
 func parseNumber(text string) (sqldb.Value, error) {
 	if !strings.ContainsAny(text, ".eE") {
@@ -78,39 +26,8 @@ func parseNumber(text string) (sqldb.Value, error) {
 	return sqldb.Float(f), nil
 }
 
-// resolveColumn finds a column binding, searching the current environment
-// then enclosing query environments (correlation).
-func resolveColumn(cr *sqlparse.ColumnRef, env *rowEnv) (sqldb.Value, error) {
-	for cur := env; cur != nil; cur = cur.outer {
-		for i, c := range cur.cols {
-			if cr.Table != "" && !strings.EqualFold(cr.Table, c.qual) {
-				continue
-			}
-			if strings.EqualFold(cr.Name, c.name) {
-				if i < len(cur.row) {
-					return cur.row[i], nil
-				}
-				return sqldb.Null(), nil
-			}
-		}
-	}
-	name := cr.Name
-	if cr.Table != "" {
-		name = cr.Table + "." + name
-	}
-	return sqldb.Null(), execErrf("unknown column %q", name)
-}
-
-func evalUnary(u *sqlparse.Unary, env *rowEnv) (sqldb.Value, error) {
-	v, err := evalExpr(u.X, env)
-	if err != nil {
-		return sqldb.Null(), err
-	}
-	return applyUnary(u.Op, v)
-}
-
 // applyUnary is the value-level semantics of a prefix operator, shared by
-// the interpreter and the compiled path.
+// the compiled programs and the oracle (interp_test.go).
 func applyUnary(op string, v sqldb.Value) (sqldb.Value, error) {
 	switch op {
 	case "-":
@@ -136,62 +53,8 @@ func applyUnary(op string, v sqldb.Value) (sqldb.Value, error) {
 	return sqldb.Null(), execErrf("unsupported unary operator %q", op)
 }
 
-func evalBinary(b *sqlparse.Binary, env *rowEnv) (sqldb.Value, error) {
-	// AND/OR use three-valued logic with short-circuiting.
-	switch b.Op {
-	case "AND":
-		l, err := evalExpr(b.L, env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		if !l.IsNull() && !truthy(l) {
-			return sqldb.Bool(false), nil
-		}
-		r, err := evalExpr(b.R, env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		if !r.IsNull() && !truthy(r) {
-			return sqldb.Bool(false), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return sqldb.Null(), nil
-		}
-		return sqldb.Bool(true), nil
-	case "OR":
-		l, err := evalExpr(b.L, env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		if !l.IsNull() && truthy(l) {
-			return sqldb.Bool(true), nil
-		}
-		r, err := evalExpr(b.R, env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		if !r.IsNull() && truthy(r) {
-			return sqldb.Bool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return sqldb.Null(), nil
-		}
-		return sqldb.Bool(false), nil
-	}
-
-	l, err := evalExpr(b.L, env)
-	if err != nil {
-		return sqldb.Null(), err
-	}
-	r, err := evalExpr(b.R, env)
-	if err != nil {
-		return sqldb.Null(), err
-	}
-	return applyBinary(b.Op, l, r)
-}
-
 // applyBinary is the value-level semantics of a non-AND/OR infix operator,
-// shared by the interpreter and the compiled path.
+// shared by the compiled programs and the oracle (interp_test.go).
 func applyBinary(op string, l, r sqldb.Value) (sqldb.Value, error) {
 	switch op {
 	case "=", "<>", "<", "<=", ">", ">=":
@@ -222,12 +85,14 @@ func applyBinary(op string, l, r sqldb.Value) (sqldb.Value, error) {
 		}
 		return sqldb.Str(l.String() + r.String()), nil
 	case "+", "-", "*", "/", "%":
-		return evalArith(op, l, r)
+		return applyArith(op, l, r)
 	}
 	return sqldb.Null(), execErrf("unsupported operator %q", op)
 }
 
-func evalArith(op string, l, r sqldb.Value) (sqldb.Value, error) {
+// applyArith is the arithmetic of + - * / %: integer when both operands
+// are, float otherwise, NULL on a NULL operand or a zero divisor.
+func applyArith(op string, l, r sqldb.Value) (sqldb.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return sqldb.Null(), nil
 	}
@@ -270,130 +135,14 @@ func evalArith(op string, l, r sqldb.Value) (sqldb.Value, error) {
 		}
 		return sqldb.Float(lf / rf), nil
 	case "%":
-		if rf == 0 {
+		// The float remainder is taken on the truncated operands, so a
+		// divisor in (-1, 1) is a zero divisor too.
+		if int64(rf) == 0 {
 			return sqldb.Null(), nil
 		}
 		return sqldb.Float(float64(int64(lf) % int64(rf))), nil
 	}
 	return sqldb.Null(), execErrf("unsupported arithmetic operator %q", op)
-}
-
-func evalCase(ce *sqlparse.CaseExpr, env *rowEnv) (sqldb.Value, error) {
-	if ce.Operand != nil {
-		op, err := evalExpr(ce.Operand, env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		for _, w := range ce.Whens {
-			cv, err := evalExpr(w.Cond, env)
-			if err != nil {
-				return sqldb.Null(), err
-			}
-			if !op.IsNull() && !cv.IsNull() && op.Equal(cv) {
-				return evalExpr(w.Then, env)
-			}
-		}
-	} else {
-		for _, w := range ce.Whens {
-			cv, err := evalExpr(w.Cond, env)
-			if err != nil {
-				return sqldb.Null(), err
-			}
-			if truthy(cv) {
-				return evalExpr(w.Then, env)
-			}
-		}
-	}
-	if ce.Else != nil {
-		return evalExpr(ce.Else, env)
-	}
-	return sqldb.Null(), nil
-}
-
-func evalIn(in *sqlparse.InExpr, env *rowEnv) (sqldb.Value, error) {
-	x, err := evalExpr(in.X, env)
-	if err != nil {
-		return sqldb.Null(), err
-	}
-	if x.IsNull() {
-		return sqldb.Null(), nil
-	}
-	var candidates []sqldb.Value
-	if in.Select != nil {
-		res, err := env.exec.evalStmt(in.Select, env.sc, env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		if len(res.Columns) != 1 {
-			return sqldb.Null(), execErrf("IN subquery must return one column, got %d", len(res.Columns))
-		}
-		for _, r := range res.Rows {
-			candidates = append(candidates, r[0])
-		}
-	} else {
-		for _, item := range in.List {
-			v, err := evalExpr(item, env)
-			if err != nil {
-				return sqldb.Null(), err
-			}
-			candidates = append(candidates, v)
-		}
-	}
-	sawNull := false
-	for _, c := range candidates {
-		if c.IsNull() {
-			sawNull = true
-			continue
-		}
-		if x.Equal(c) {
-			return sqldb.Bool(!in.Not), nil
-		}
-	}
-	if sawNull {
-		return sqldb.Null(), nil
-	}
-	return sqldb.Bool(in.Not), nil
-}
-
-func evalBetween(b *sqlparse.BetweenExpr, env *rowEnv) (sqldb.Value, error) {
-	x, err := evalExpr(b.X, env)
-	if err != nil {
-		return sqldb.Null(), err
-	}
-	lo, err := evalExpr(b.Lo, env)
-	if err != nil {
-		return sqldb.Null(), err
-	}
-	hi, err := evalExpr(b.Hi, env)
-	if err != nil {
-		return sqldb.Null(), err
-	}
-	if x.IsNull() || lo.IsNull() || hi.IsNull() {
-		return sqldb.Null(), nil
-	}
-	c1, ok1 := sqldb.Compare(x, lo)
-	c2, ok2 := sqldb.Compare(x, hi)
-	if !ok1 || !ok2 {
-		return sqldb.Null(), nil
-	}
-	in := c1 >= 0 && c2 <= 0
-	return sqldb.Bool(in != b.Not), nil
-}
-
-func evalLike(l *sqlparse.LikeExpr, env *rowEnv) (sqldb.Value, error) {
-	x, err := evalExpr(l.X, env)
-	if err != nil {
-		return sqldb.Null(), err
-	}
-	p, err := evalExpr(l.Pattern, env)
-	if err != nil {
-		return sqldb.Null(), err
-	}
-	if x.IsNull() || p.IsNull() {
-		return sqldb.Null(), nil
-	}
-	matched := likeMatch(strings.ToLower(x.String()), strings.ToLower(p.String()))
-	return sqldb.Bool(matched != l.Not), nil
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (single char)
@@ -424,23 +173,6 @@ func likeMatch(s, pattern string) bool {
 		prev, curr = curr, prev
 	}
 	return prev[n]
-}
-
-func evalScalarSubquery(sel *sqlparse.SelectStmt, env *rowEnv) (sqldb.Value, error) {
-	res, err := env.exec.evalStmt(sel, env.sc, env)
-	if err != nil {
-		return sqldb.Null(), err
-	}
-	if len(res.Columns) != 1 {
-		return sqldb.Null(), execErrf("scalar subquery must return one column, got %d", len(res.Columns))
-	}
-	if len(res.Rows) == 0 {
-		return sqldb.Null(), nil
-	}
-	if len(res.Rows) > 1 {
-		return sqldb.Null(), execErrf("scalar subquery returned %d rows", len(res.Rows))
-	}
-	return res.Rows[0][0], nil
 }
 
 // truthy maps a value to filter acceptance: NULL and FALSE reject.

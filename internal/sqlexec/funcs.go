@@ -8,45 +8,10 @@ import (
 	"strings"
 
 	"genedit/internal/sqldb"
-	"genedit/internal/sqlparse"
 )
 
-// evalFuncCall dispatches window, aggregate and scalar function calls.
-func evalFuncCall(fc *sqlparse.FuncCall, env *rowEnv) (sqldb.Value, error) {
-	if fc.Over != nil {
-		if env.windows == nil {
-			return sqldb.Null(), execErrf("window function %s used outside SELECT or ORDER BY", fc.Name)
-		}
-		vals, ok := env.windows[fc]
-		if !ok {
-			return sqldb.Null(), execErrf("window function %s was not precomputed", fc.Name)
-		}
-		return vals[env.idx], nil
-	}
-	if isAggregateName(fc.Name) {
-		if env.group == nil {
-			return sqldb.Null(), execErrf("aggregate %s used outside an aggregation context", fc.Name)
-		}
-		return evalAggregate(fc, env, env.group)
-	}
-	return evalScalarFunc(fc, env)
-}
-
-// evalScalarFunc evaluates the scalar function library.
-func evalScalarFunc(fc *sqlparse.FuncCall, env *rowEnv) (sqldb.Value, error) {
-	args := make([]sqldb.Value, len(fc.Args))
-	for i, a := range fc.Args {
-		v, err := evalExpr(a, env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		args[i] = v
-	}
-	return applyScalarFunc(fc.Name, args)
-}
-
 // applyScalarFunc is the value-level semantics of the scalar function
-// library, shared by the interpreter and the compiled path.
+// library, shared by the compiled programs and the oracle (interp_test.go).
 func applyScalarFunc(name string, args []sqldb.Value) (sqldb.Value, error) {
 	need := func(n int) error {
 		if len(args) != n {
@@ -454,24 +419,6 @@ func toCharIn(dateStr, format string, lits [][]byte) (bool, error) {
 	return false, nil
 }
 
-// evalAggregate computes a non-windowed aggregate over a group of rows.
-func evalAggregate(fc *sqlparse.FuncCall, env *rowEnv, group []sqldb.Row) (sqldb.Value, error) {
-	// COUNT(*) needs no argument evaluation.
-	if fc.Star {
-		if fc.Name != "COUNT" {
-			return sqldb.Null(), execErrf("%s(*) is not a valid aggregate", fc.Name)
-		}
-		return sqldb.Int(int64(len(group))), nil
-	}
-	if len(fc.Args) != 1 {
-		return sqldb.Null(), execErrf("aggregate %s expects exactly 1 argument", fc.Name)
-	}
-	return aggregateOver(env.sc.scr, fc.Name, group, fc.Distinct, func(row sqldb.Row) (sqldb.Value, error) {
-		child := &rowEnv{exec: env.exec, sc: env.sc, cols: env.cols, row: row, outer: env.outer}
-		return evalExpr(fc.Args[0], child)
-	})
-}
-
 // aggregateOver collects an aggregate's argument values over a group into a
 // scratch buffer and reduces them. The buffer is released before returning:
 // finishAggregate's result is a value, never a view of its input. Both
@@ -520,7 +467,7 @@ func collectAggregateArgs(vals []sqldb.Value, group []sqldb.Row, distinct bool,
 }
 
 // finishAggregate reduces the collected non-NULL argument values of an
-// aggregate call, shared by the interpreter and the compiled path.
+// aggregate call, shared by the compiled programs and the oracle (interp_test.go).
 func finishAggregate(name string, vals []sqldb.Value) (sqldb.Value, error) {
 	switch name {
 	case "COUNT":

@@ -3,18 +3,19 @@ package sqlexec
 import (
 	"math"
 	"strconv"
-	"strings"
 
 	"genedit/internal/sqldb"
 	"genedit/internal/sqlparse"
 )
 
-// Hash equi-join. evalJoin detects equality conjuncts in the ON clause whose
-// two sides bind entirely to the left and right inputs, builds a hash table
-// on the smaller side, and probes with the other — turning the O(n·m)
-// nested-loop scan into O(n+m) for the FK joins that dominate the workload.
-// Non-equi conjuncts are kept as a residual filter on hash matches, and any
-// condition the analysis cannot prove safe falls back to the nested loop.
+// Joins. compileJoin splits the ON clause once per plan: equality conjuncts
+// whose two sides bind entirely to the left and right inputs become hash
+// keys, compiled against each input's layout; the conjuncts after them stay
+// a residual over the joined row; and the whole ON is compiled too, for the
+// nested loop. runJoin hashes the smaller input and probes with the other —
+// turning the O(n·m) nested-loop scan into O(n+m) for the FK joins that
+// dominate the workload — and runs the nested loop for a join without keys
+// or whenever the hash plan is unsound for its inputs.
 //
 // Parity with the nested loop is exact: a pair of rows matches the ON clause
 // iff every AND-conjunct is truthy, NULL keys never match (SQL three-valued
@@ -55,18 +56,6 @@ const (
 	sideMixed        // refs from both sides, outer refs, or unsupported nodes
 )
 
-func refMatchesAny(cr *sqlparse.ColumnRef, cols []bindCol) bool {
-	for _, c := range cols {
-		if cr.Table != "" && !strings.EqualFold(cr.Table, c.qual) {
-			continue
-		}
-		if strings.EqualFold(cr.Name, c.name) {
-			return true
-		}
-	}
-	return false
-}
-
 func mergeSide(a, b int) int {
 	switch {
 	case a == sideMixed || b == sideMixed:
@@ -99,9 +88,9 @@ func exprSide(e sqlparse.Expr, left, right []bindCol) int {
 			}
 		case *sqlparse.ColumnRef:
 			switch {
-			case refMatchesAny(n, left):
+			case bindColumn(n, left) >= 0:
 				side = mergeSide(side, sideLeft)
-			case refMatchesAny(n, right):
+			case bindColumn(n, right) >= 0:
 				side = mergeSide(side, sideRight)
 			default:
 				side = sideMixed
@@ -201,28 +190,93 @@ func appendCanonicalKey(dst []byte, v sqldb.Value, class int) []byte {
 	}
 }
 
-// joinKeys evaluates the per-row key expressions for one input. keys[i] is
+// joinPlan is a join's compiled ON clause.
+type joinPlan struct {
+	kind        sqlparse.JoinKind
+	left, right *fromPlan
+	on          []program // ON as one conjunct over the joined row; empty without ON
+	leftKeys    []program // the hashable prefix of ON's conjuncts, per side
+	rightKeys   []program
+	residual    []program // the conjuncts after it, over the joined row
+}
+
+// compileJoin compiles j's ON clause; b binds the joined row.
+func compileJoin(j *sqlparse.JoinExpr, left, right *fromPlan, b *binder) *joinPlan {
+	jp := &joinPlan{kind: j.Kind, left: left, right: right}
+	if j.On == nil {
+		return jp
+	}
+	on, _ := compileExpr(j.On, b)
+	jp.on = []program{on}
+	conds, residual := analyzeJoinOn(j.On, left.cols, right.cols)
+	if len(conds) == 0 {
+		return jp
+	}
+	side := func(cols []bindCol) *binder { return &binder{db: b.db, ss: b.ss, cols: cols, outer: b.outer} }
+	for _, c := range conds {
+		lp, _ := compileExpr(c.leftKey, side(left.cols))
+		rp, _ := compileExpr(c.rightKey, side(right.cols))
+		jp.leftKeys = append(jp.leftKeys, lp)
+		jp.rightKeys = append(jp.rightKeys, rp)
+	}
+	for _, r := range residual {
+		p, _ := compileExpr(r, b)
+		jp.residual = append(jp.residual, p)
+	}
+	return jp
+}
+
+// runJoin joins two materialized inputs: by hash when the plan has keys
+// and both inputs have rows, else — or when the hash plan is unsound for
+// these inputs — by the nested loop, which is hash emission with one bucket
+// holding every right row.
+func (e *Executor) runJoin(fp *fromPlan, left, right relation, sc *scope) (relation, error) {
+	jp := fp.join
+	if !e.noHashJoin && len(jp.leftKeys) > 0 && len(left.rows) > 0 && len(right.rows) > 0 {
+		if out, handled, err := e.hashJoin(jp, left, right, fp.cols, sc); handled {
+			return out, err
+		}
+	}
+	scr := sc.scr
+	first := scr.ints.take(len(left.rows))
+	next := scr.ints.take(len(right.rows))
+	head := -1
+	if len(right.rows) > 0 {
+		head = 0
+	}
+	for li := range first {
+		first[li] = head
+	}
+	for ri := range next {
+		next[ri] = ri + 1
+	}
+	if len(next) > 0 {
+		next[len(next)-1] = -1
+	}
+	return e.emitJoin(jp.kind, left, right, fp.cols, sc, first, next, jp.on, len(left.rows))
+}
+
+// joinKeys evaluates the per-row key programs for one input. keys[i] is
 // nil when any key value of row i is NULL (the row can never hash-match).
-// Every expression is evaluated for every row — no early exit on NULL — so
+// Every program is evaluated for every row — no early exit on NULL — so
 // an evaluation error in a later key conjunct is detected (and triggers the
 // nested-loop fallback) exactly as the nested loop, which does not
 // short-circuit AND on NULL, would have surfaced it. hasNull reports
-// whether any row carried a NULL key. keys and its slots are scratch.
-func (e *Executor) joinKeys(rows []sqldb.Row, cols []bindCol, exprs []sqlparse.Expr,
-	sc *scope, outer *rowEnv) (keys []sqldb.Row, classes []int, hasNull bool, err error) {
-
-	keys = sc.scr.rows.take(len(rows))
-	classes = make([]int, len(exprs))
-	env := &rowEnv{exec: e, sc: sc, cols: cols, outer: outer}
+// whether any row carried a NULL key. keys and its slots are scratch; key
+// programs bind no enclosing row, so env carries none.
+func joinKeys(rows []sqldb.Row, progs []program, env *rowEnv) (keys []sqldb.Row, classes []int, hasNull bool, err error) {
+	scr := env.sc.scr
+	keys = scr.rows.take(len(rows))
+	classes = make([]int, len(progs))
 	// One backing array feeds every row's key slots. Slots of NULL-keyed
 	// rows go unused, which costs nothing.
-	backing := sc.scr.vals.take(len(rows) * len(exprs))
+	backing := scr.vals.take(len(rows) * len(progs))
 	for i, row := range rows {
 		env.row = row
-		vals := backing[i*len(exprs) : (i+1)*len(exprs) : (i+1)*len(exprs)]
+		vals := backing[i*len(progs) : (i+1)*len(progs) : (i+1)*len(progs)]
 		rowNull := false
-		for j, ex := range exprs {
-			v, err := evalExpr(ex, env)
+		for j, p := range progs {
+			v, err := p(env)
 			if err != nil {
 				return nil, nil, false, err
 			}
@@ -246,24 +300,17 @@ func (e *Executor) joinKeys(rows []sqldb.Row, cols []bindCol, exprs []sqlparse.E
 // (with no side effects) when a sound hash plan is unavailable — a key
 // evaluation error, or a key column mixing comparison classes — in which
 // case the caller runs the nested loop.
-func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []bindCol,
-	conds []equiCond, residual []sqlparse.Expr, sc *scope, outer *rowEnv) (relation, bool, error) {
-
-	leftExprs := make([]sqlparse.Expr, len(conds))
-	rightExprs := make([]sqlparse.Expr, len(conds))
-	for i, c := range conds {
-		leftExprs[i] = c.leftKey
-		rightExprs[i] = c.rightKey
-	}
+func (e *Executor) hashJoin(jp *joinPlan, left, right relation, cols []bindCol, sc *scope) (relation, bool, error) {
 	// A key-evaluation error falls back rather than failing: the nested loop
 	// may legitimately never evaluate that conjunct for the erroring row
 	// (AND short-circuits on false, and unmatched pairs skip later
 	// conjuncts).
-	leftKeys, leftClasses, leftNull, err := e.joinKeys(left.rows, left.cols, leftExprs, sc, outer)
+	env := &rowEnv{exec: e, sc: sc}
+	leftKeys, leftClasses, leftNull, err := joinKeys(left.rows, jp.leftKeys, env)
 	if err != nil {
 		return relation{}, false, nil
 	}
-	rightKeys, rightClasses, rightNull, err := e.joinKeys(right.rows, right.cols, rightExprs, sc, outer)
+	rightKeys, rightClasses, rightNull, err := joinKeys(right.rows, jp.rightKeys, env)
 	if err != nil {
 		return relation{}, false, nil
 	}
@@ -272,11 +319,11 @@ func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []b
 	// errors must surface. The hash path never visits NULL-keyed pairs, so
 	// with residuals present and any NULL key it cannot reproduce that —
 	// fall back.
-	if len(residual) > 0 && (leftNull || rightNull) {
+	if len(jp.residual) > 0 && (leftNull || rightNull) {
 		return relation{}, false, nil
 	}
-	classes := make([]int, len(conds))
-	for i := range conds {
+	classes := make([]int, len(jp.leftKeys))
+	for i := range classes {
 		classes[i] = mergeKeyClass(leftClasses[i], rightClasses[i])
 		if classes[i] == classMixed {
 			return relation{}, false, nil
@@ -299,8 +346,8 @@ func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []b
 	// left row are the right rows of its bucket, chained in input order
 	// (head[b] is the bucket's first right row, next[ri] the one after ri,
 	// -1 ends a chain), so emission order is identical to the nested loop
-	// (left-major, right rows in input order). Buckets, chains and the
-	// joined relation's row headers are scratch.
+	// (left-major, right rows in input order). Buckets and chains are
+	// scratch.
 	scr := sc.scr
 	buckets := scr.takeIDs()
 	leftBucket := scr.ints.take(len(left.rows))
@@ -355,16 +402,39 @@ func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []b
 	}
 	scr.putIDs(buckets)
 
-	leftOuter := j.Kind == sqlparse.LeftJoin || j.Kind == sqlparse.FullJoin
-	rightOuter := j.Kind == sqlparse.RightJoin || j.Kind == sqlparse.FullJoin
-	// The most rows the join can emit: every candidate pair, plus the
-	// NULL-extended rows of the outer sides.
+	// Each left row's first candidate replaces its bucket; most is the
+	// number of candidate pairs, every one of which may match.
 	most := 0
-	for _, b := range leftBucket {
+	for li, b := range leftBucket {
+		leftBucket[li] = -1
 		if b >= 0 {
 			most += pairs[b]
+			leftBucket[li] = head[b]
 		}
 	}
+	out, err := e.emitJoin(jp.kind, left, right, cols, sc, leftBucket, next, jp.residual, most)
+	return out, true, err
+}
+
+// emitJoin emits a join's rows in nested-loop order: left-major, each left
+// row's candidate right rows in input order (first[li], then next[ri] until
+// -1), then the NULL-extended rows of the outer sides. A candidate pair
+// matches when every conjunct is truthy, evaluated as SQL AND over the
+// conjuncts in tree order: an error stops the join, a definite false stops
+// the pair, and a NULL rejects it while later conjuncts still run (their
+// errors surface). most sizes the output; the rows of candidate pairs and
+// outer rows past it grow it.
+//
+// Joined rows are scratch: the enclosing core copies what it keeps into its
+// projected output rows before it releases the scratch, so no Result holds
+// a joined row. A pair the conjuncts reject was never emitted, so its row
+// serves the next pair.
+func (e *Executor) emitJoin(kind sqlparse.JoinKind, left, right relation, cols []bindCol, sc *scope,
+	first, next []int, conj []program, most int) (relation, error) {
+
+	scr := sc.scr
+	leftOuter := kind == sqlparse.LeftJoin || kind == sqlparse.FullJoin
+	rightOuter := kind == sqlparse.RightJoin || kind == sqlparse.FullJoin
 	if leftOuter {
 		most += len(left.rows)
 	}
@@ -373,13 +443,8 @@ func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []b
 		most += len(right.rows)
 		rightMatched = make([]bool, len(right.rows))
 	}
-
-	// Joined rows are scratch too: the enclosing core (runCore,
-	// evalCoreFull) copies what it keeps into its projected output rows
-	// before it releases the scratch, so no Result holds a joined row. A
-	// pair the residual rejects was never emitted, so its row serves the
-	// next pair. joined lays out a, pad NULLs, then b — a matched pair, or
-	// one side with the other NULL-extended.
+	// joined lays out a, pad NULLs, then b — a candidate pair, or one side
+	// with the other NULL-extended.
 	var spare sqldb.Row
 	joined := func(a sqldb.Row, pad int, b sqldb.Row) sqldb.Row {
 		n := len(a) + pad + len(b)
@@ -395,26 +460,19 @@ func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []b
 	}
 
 	out := relation{cols: cols, rows: scr.rows.take(most)[:0]}
-	env := &rowEnv{exec: e, sc: sc, cols: cols, outer: outer}
+	env := &rowEnv{exec: e, sc: sc, outer: sc.outer}
 	for li, lr := range left.rows {
 		leftMatched := false
-		ri := -1
-		if b := leftBucket[li]; b >= 0 {
-			ri = head[b]
-		}
-		for ; ri >= 0; ri = next[ri] {
-			combined := joined(lr, 0, right.rows[ri])
+		for ri := first[li]; ri >= 0; ri = next[ri] {
+			row := joined(lr, 0, right.rows[ri])
 			ok := true
-			env.row = combined
-			for _, rexpr := range residual {
-				v, err := evalExpr(rexpr, env)
+			env.row = row
+			for _, p := range conj {
+				v, err := p(env)
 				if err != nil {
-					return relation{}, true, err
+					return relation{}, err
 				}
 				if v.IsNull() {
-					// AND continues past NULL: the pair cannot match, but
-					// later conjuncts are still evaluated (their errors
-					// surface) — only a definite false stops the chain.
 					ok = false
 					continue
 				}
@@ -424,14 +482,14 @@ func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []b
 				}
 			}
 			if !ok {
-				spare = combined
+				spare = row
 				continue
 			}
 			leftMatched = true
 			if rightMatched != nil {
 				rightMatched[ri] = true
 			}
-			out.rows = append(out.rows, combined)
+			out.rows = append(out.rows, row)
 		}
 		if !leftMatched && leftOuter {
 			out.rows = append(out.rows, joined(lr, len(right.cols), nil))
@@ -444,5 +502,5 @@ func (e *Executor) hashJoin(j *sqlparse.JoinExpr, left, right relation, cols []b
 			}
 		}
 	}
-	return out, true, nil
+	return out, nil
 }

@@ -41,7 +41,7 @@ func parityDB(r *rand.Rand, leftN, rightN, keySpace int, nullRate float64) *sqld
 }
 
 // runBoth executes sql with the hash path enabled and disabled and asserts
-// row-for-row (ordered) equality.
+// the same error text, or row-for-row (ordered) equality.
 func runBoth(t *testing.T, db *sqldb.Database, sql string) {
 	t.Helper()
 	hashExec := New(db)
@@ -54,6 +54,9 @@ func runBoth(t *testing.T, db *sqldb.Database, sql string) {
 		t.Fatalf("error parity broken for %q:\n  hash:   %v\n  nested: %v", sql, herr, nerr)
 	}
 	if herr != nil {
+		if herr.Error() != nerr.Error() {
+			t.Fatalf("error text drift for %q:\n  hash:   %q\n  nested: %q", sql, herr, nerr)
+		}
 		return
 	}
 	if len(hres.Rows) != len(nres.Rows) {

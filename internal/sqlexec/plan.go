@@ -9,24 +9,25 @@ import (
 )
 
 // Statement plans: the compile-once layer above the expression programs in
-// compile.go. A plan binds every clause of a statement against statically
-// known relation layouts (base tables, CTEs, derived tables) and runs the
-// clauses in the interpreter's order — WHERE after the join, a stable sort
-// before LIMIT — adding one plan-level optimization the interpreter does
-// not perform: hash DISTINCT and GROUP BY keyed by length-prefixed
-// composite keys.
+// compile.go, and the only way a statement runs. A plan binds every clause
+// of a statement against statically known relation layouts (base tables,
+// CTEs, derived tables, the rows enclosing a subquery) and runs the clauses
+// in the interpreter's order — FROM, WHERE, star expansion, GROUP BY and
+// HAVING, window calls, ORDER BY targets, projection, DISTINCT, a stable
+// sort, OFFSET and LIMIT — so errors surface in the same order with the same
+// text. DISTINCT and GROUP BY hash length-prefixed composite keys.
 //
-// Anything the compiler cannot bind statically — window functions in the
-// projection, star expansion over unknown layouts, unknown tables, ORDER BY
-// targets that do not resolve — falls back to the tree-walking interpreter
-// at statement or core granularity, so error timing and text stay exact.
+// Compilation never fails. What the interpreter raises when it reaches a
+// clause — an unknown table, a star over an unknown qualifier, an ORDER BY
+// position out of range — is recorded in the plan and raised at that point;
+// the layout of a part that always errors is empty, since nothing after it
+// runs.
 
 type stmtPlan struct {
-	stmt     *sqlparse.SelectStmt // source AST, for fallback
-	fallback bool                 // run the whole statement through the interpreter
 	ctes     []ctePlan
 	core     *corePlan
 	compound []compoundPlan
+	orderBy  []sqlparse.OrderItem // a compound statement's, over its output columns
 	limit    *foldedInt
 	offset   *foldedInt
 }
@@ -57,19 +58,15 @@ func foldLimit(e sqlparse.Expr) *foldedInt {
 }
 
 type corePlan struct {
-	// Source clauses, kept for core-granularity interpreter fallback.
-	src                 *sqlparse.SelectCore
-	srcOrderBy          []sqlparse.OrderItem
-	srcLimit, srcOffset sqlparse.Expr
-	fallback            bool
-
 	from       *fromPlan
 	where      program // nil without a WHERE clause
-	items      []sqlparse.SelectItem
+	starErr    error   // star expansion's error, raised after WHERE
 	outCols    []string
 	aggregated bool
 	groupBy    []program
 	having     program
+	windows    []*windowPlan // window calls, computed after HAVING
+	orderErr   error         // an ORDER BY position out of range, raised after the windows
 	projs      []program
 	orderBy    []sqlparse.OrderItem
 	orderProgs []program // per ORDER BY item; nil where orderIdx[i] >= 0
@@ -90,11 +87,7 @@ type leafPlan struct {
 	table  string    // base table name ("" when CTE or derived)
 	cte    string    // CTE name ("" when not a CTE)
 	sub    *stmtPlan // derived table
-}
-
-type joinPlan struct {
-	src         *sqlparse.JoinExpr
-	left, right *fromPlan
+	err    error     // an unknown table, raised when the leaf is reached
 }
 
 // staticScope tracks CTE column layouts during compilation, mirroring the
@@ -118,37 +111,28 @@ func (s *staticScope) child() *staticScope {
 	return &staticScope{parent: s, ctes: make(map[string][]string)}
 }
 
-// compileStmt lowers a parsed statement into an executable plan. It never
-// fails: parts the compiler cannot bind are marked for interpreter
-// fallback, which reproduces results and error timing exactly.
+// compileStmt lowers a parsed top-level statement into an executable plan.
 func compileStmt(db *sqldb.Database, stmt *sqlparse.SelectStmt) *stmtPlan {
-	sp, _, _ := compileStmtScoped(db, stmt, nil)
+	sp, _ := compileStmtIn(db, stmt, nil, nil)
 	return sp
 }
 
-// compileStmtScoped compiles one statement under a static CTE scope. The
-// returned columns are the statement's output layout; ok reports whether
-// that layout is statically known (required when the statement feeds a CTE
-// without a declared column list, or a derived table).
-func compileStmtScoped(db *sqldb.Database, stmt *sqlparse.SelectStmt, ss *staticScope) (*stmtPlan, []string, bool) {
-	sp := &stmtPlan{stmt: stmt}
+// compileStmtIn compiles one statement under a static CTE scope, for the
+// enclosing row outer binds (nil outside a subquery). It returns the
+// statement's output layout, which a CTE without a declared column list or
+// a derived table takes.
+func compileStmtIn(db *sqldb.Database, stmt *sqlparse.SelectStmt, ss *staticScope, outer *binder) (*stmtPlan, []string) {
+	sp := &stmtPlan{}
 	if len(stmt.With) > 0 {
 		ss = ss.child()
 		for i := range stmt.With {
 			cte := &stmt.With[i]
-			sub, subCols, subOK := compileStmtScoped(db, cte.Select, ss)
-			cols := subCols
-			colsOK := subOK
+			sub, cols := compileStmtIn(db, cte.Select, ss, outer)
 			if len(cte.Columns) > 0 {
 				// A declared arity that does not match the select's is
 				// raised by runStmt after the CTE's select has run, where
 				// the interpreter raises it.
 				cols = cte.Columns
-				colsOK = true
-			}
-			if !colsOK {
-				sp.fallback = true
-				return sp, nil, false
 			}
 			ss.ctes[strings.ToUpper(cte.Name)] = cols
 			sp.ctes = append(sp.ctes, ctePlan{src: cte, sub: sub})
@@ -156,193 +140,133 @@ func compileStmtScoped(db *sqldb.Database, stmt *sqlparse.SelectStmt, ss *static
 	}
 
 	if len(stmt.Compound) == 0 {
-		core, cols, ok := compileCore(db, stmt.Core, ss, stmt.OrderBy, stmt.Limit, stmt.Offset)
+		core, cols := compileCore(db, stmt.Core, ss, outer, stmt.OrderBy, stmt.Limit, stmt.Offset)
 		sp.core = core
-		return sp, cols, ok
+		return sp, cols
 	}
 
-	core, cols, ok := compileCore(db, stmt.Core, ss, nil, nil, nil)
+	core, cols := compileCore(db, stmt.Core, ss, outer, nil, nil, nil)
 	sp.core = core
 	for _, part := range stmt.Compound {
-		pc, _, _ := compileCore(db, part.Core, ss, nil, nil, nil)
+		pc, _ := compileCore(db, part.Core, ss, outer, nil, nil, nil)
 		sp.compound = append(sp.compound, compoundPlan{op: part.Op, core: pc})
 	}
+	sp.orderBy = stmt.OrderBy
 	sp.limit = foldLimit(stmt.Limit)
 	sp.offset = foldLimit(stmt.Offset)
-	return sp, cols, ok
+	return sp, cols
 }
 
-// compileCore compiles one select core (plus the statement-level ORDER BY /
-// LIMIT / OFFSET that evalCoreFull owns). The returned columns are the
-// core's output names; ok reports whether they are statically known.
-func compileCore(db *sqldb.Database, core *sqlparse.SelectCore, ss *staticScope,
-	orderBy []sqlparse.OrderItem, limit, offset sqlparse.Expr) (*corePlan, []string, bool) {
+// compileCore compiles one select core, plus the statement-level ORDER BY /
+// LIMIT / OFFSET of a statement without compound arms. It returns the
+// core's output names.
+func compileCore(db *sqldb.Database, core *sqlparse.SelectCore, ss *staticScope, outer *binder,
+	orderBy []sqlparse.OrderItem, limit, offset sqlparse.Expr) (*corePlan, []string) {
 
-	cp := &corePlan{src: core, srcOrderBy: orderBy, srcLimit: limit, srcOffset: offset}
-	bail := func() (*corePlan, []string, bool) {
-		cp.fallback = true
-		return cp, nil, false
+	cp := &corePlan{distinct: core.Distinct, orderBy: orderBy, limit: foldLimit(limit), offset: foldLimit(offset)}
+	cp.from = compileFrom(db, core.From, ss, outer)
+	b := &binder{db: db, ss: ss, cols: cp.from.cols, outer: outer}
+	if core.Where != nil {
+		cp.where, _ = compileExpr(core.Where, b)
 	}
-
-	from, ok := compileFrom(db, core.From, ss)
-	if !ok {
-		return bail()
-	}
-	items, err := expandStars(core.Items, from.cols)
+	items, err := expandStars(core.Items, cp.from.cols)
 	if err != nil {
-		return bail()
+		cp.starErr = err
+		return cp, nil
 	}
-	outCols := outputColumns(items)
+	cp.outCols = outputColumns(items)
 
-	// Window calls in the projection or ORDER BY need the interpreter's
-	// per-output-row environments; fall back (output layout stays known).
+	cp.aggregated = len(core.GroupBy) > 0 || core.Having != nil
 	for _, item := range items {
-		if hasWindowCall(item.Expr) {
-			cp.fallback = true
-			return cp, outCols, true
-		}
+		cp.aggregated = cp.aggregated || containsAggregate(item.Expr)
 	}
 	for _, o := range orderBy {
-		if hasWindowCall(o.Expr) {
-			cp.fallback = true
-			return cp, outCols, true
-		}
+		cp.aggregated = cp.aggregated || containsAggregate(o.Expr)
+	}
+
+	for _, ge := range core.GroupBy {
+		p, _ := compileExpr(ge, b)
+		cp.groupBy = append(cp.groupBy, p)
+	}
+	if core.Having != nil {
+		cp.having, _ = compileExpr(core.Having, b)
+	}
+	b.windows = collectWindowCalls(items, orderBy)
+	for _, fc := range b.windows {
+		cp.windows = append(cp.windows, compileWindow(fc, b))
 	}
 
 	orderExprs, orderIdx, err := resolveOrderTargets(orderBy, items)
 	if err != nil {
-		cp.fallback = true
-		return cp, outCols, true
-	}
-
-	cp.from = from
-	cp.items = items
-	cp.outCols = outCols
-	cp.distinct = core.Distinct
-	cp.limit = foldLimit(limit)
-	cp.offset = foldLimit(offset)
-
-	cp.aggregated = len(core.GroupBy) > 0 || core.Having != nil
-	if !cp.aggregated {
-		for _, item := range items {
-			if containsAggregate(item.Expr) {
-				cp.aggregated = true
-				break
-			}
-		}
-	}
-	if !cp.aggregated {
-		for _, o := range orderBy {
-			if containsAggregate(o.Expr) {
-				cp.aggregated = true
-				break
-			}
-		}
-	}
-
-	if core.Where != nil {
-		cp.where, _ = compileExpr(core.Where, from.cols)
-	}
-
-	for _, ge := range core.GroupBy {
-		p, _ := compileExpr(ge, from.cols)
-		cp.groupBy = append(cp.groupBy, p)
-	}
-	if core.Having != nil {
-		cp.having, _ = compileExpr(core.Having, from.cols)
+		cp.orderErr = err
+		return cp, cp.outCols
 	}
 	cp.projs = make([]program, len(items))
 	for i, item := range items {
-		cp.projs[i], _ = compileExpr(item.Expr, from.cols)
+		cp.projs[i], _ = compileExpr(item.Expr, b)
 	}
-	cp.orderBy = orderBy
 	cp.orderIdx = orderIdx
 	cp.orderProgs = make([]program, len(orderBy))
 	for i := range orderBy {
 		if orderIdx[i] < 0 {
-			cp.orderProgs[i], _ = compileExpr(orderExprs[i], from.cols)
+			cp.orderProgs[i], _ = compileExpr(orderExprs[i], b)
 		}
 	}
-	return cp, outCols, true
-}
-
-func hasWindowCall(e sqlparse.Expr) bool {
-	found := false
-	sqlparse.WalkExprs(e, func(x sqlparse.Expr) {
-		if fc, ok := x.(*sqlparse.FuncCall); ok && fc.Over != nil {
-			found = true
-		}
-	})
-	return found
+	return cp, cp.outCols
 }
 
 // compileFrom lowers a FROM clause into a scan/join tree with statically
-// bound column layouts. ok=false means the layout could not be determined
-// (unknown table, derived table with unknown output) and the core must fall
-// back.
-func compileFrom(db *sqldb.Database, from sqlparse.TableExpr, ss *staticScope) (*fromPlan, bool) {
-	if from == nil {
-		return &fromPlan{leaf: &leafPlan{noFrom: true}}, true
-	}
+// bound column layouts. Derived tables run for the core's enclosing row,
+// as the oracle's evalFrom runs them.
+func compileFrom(db *sqldb.Database, from sqlparse.TableExpr, ss *staticScope, outer *binder) *fromPlan {
 	switch x := from.(type) {
+	case nil:
+		return &fromPlan{leaf: &leafPlan{noFrom: true}}
 	case *sqlparse.TableName:
 		qual := x.Alias
 		if qual == "" {
 			qual = x.Name
 		}
-		if cteCols, ok := ss.lookup(x.Name); ok {
-			cols := make([]bindCol, len(cteCols))
-			for i, c := range cteCols {
-				cols[i] = bindCol{qual: strings.ToUpper(qual), name: c}
+		names, ok := ss.lookup(x.Name)
+		leaf := &leafPlan{cte: x.Name}
+		if !ok {
+			leaf = &leafPlan{table: x.Name}
+			if tbl := db.Table(x.Name); tbl != nil {
+				names = make([]string, len(tbl.Columns))
+				for i, c := range tbl.Columns {
+					names[i] = c.Name
+				}
+			} else {
+				leaf.err = execErrf("unknown table %q", x.Name)
 			}
-			return &fromPlan{cols: cols, leaf: &leafPlan{cte: x.Name}}, true
 		}
-		tbl := db.Table(x.Name)
-		if tbl == nil {
-			return nil, false
-		}
-		cols := make([]bindCol, len(tbl.Columns))
-		for i, c := range tbl.Columns {
-			cols[i] = bindCol{qual: strings.ToUpper(qual), name: c.Name}
-		}
-		return &fromPlan{cols: cols, leaf: &leafPlan{table: x.Name}}, true
-
+		return &fromPlan{cols: qualify(qual, names), leaf: leaf}
 	case *sqlparse.SubqueryTable:
-		sub, subCols, ok := compileStmtScoped(db, x.Select, ss)
-		if !ok {
-			return nil, false
-		}
-		qual := strings.ToUpper(x.Alias)
-		cols := make([]bindCol, len(subCols))
-		for i, c := range subCols {
-			cols[i] = bindCol{qual: qual, name: c}
-		}
-		return &fromPlan{cols: cols, leaf: &leafPlan{sub: sub}}, true
-
+		sub, cols := compileStmtIn(db, x.Select, ss, outer)
+		return &fromPlan{cols: qualify(x.Alias, cols), leaf: &leafPlan{sub: sub}}
 	case *sqlparse.JoinExpr:
-		left, ok := compileFrom(db, x.Left, ss)
-		if !ok {
-			return nil, false
-		}
-		right, ok := compileFrom(db, x.Right, ss)
-		if !ok {
-			return nil, false
-		}
+		left := compileFrom(db, x.Left, ss, outer)
+		right := compileFrom(db, x.Right, ss, outer)
 		cols := append(append([]bindCol{}, left.cols...), right.cols...)
-		return &fromPlan{cols: cols, join: &joinPlan{src: x, left: left, right: right}}, true
+		return &fromPlan{cols: cols, join: compileJoin(x, left, right, &binder{db: db, ss: ss, cols: cols, outer: outer})}
 	}
-	return nil, false
+	return &fromPlan{leaf: &leafPlan{err: execErrf("unsupported FROM clause")}}
+}
+
+// qualify is the layout of a relation named qual with the given columns.
+func qualify(qual string, names []string) []bindCol {
+	cols := make([]bindCol, len(names))
+	for i, c := range names {
+		cols[i] = bindCol{qual: strings.ToUpper(qual), name: c}
+	}
+	return cols
 }
 
 // ---- runtime ----
 
-// runStmt executes a compiled statement plan. The scope carries CTE rows
-// and is shared with interpreter fallbacks, so the two paths interleave
-// freely within one statement.
+// runStmt executes a compiled statement plan; sc carries the CTE rows, the
+// scratch, and for a subquery its enclosing row.
 func (e *Executor) runStmt(sp *stmtPlan, sc *scope) (*Result, error) {
-	if sp.fallback {
-		return e.evalStmt(sp.stmt, sc, nil)
-	}
 	if len(sp.ctes) > 0 {
 		sc = sc.child()
 		for i := range sp.ctes {
@@ -363,12 +287,9 @@ func (e *Executor) runStmt(sp *stmtPlan, sc *scope) (*Result, error) {
 		}
 	}
 
-	if len(sp.compound) == 0 {
-		return e.runCore(sp.core, sc)
-	}
 	res, err := e.runCore(sp.core, sc)
-	if err != nil {
-		return nil, err
+	if err != nil || len(sp.compound) == 0 {
+		return res, err
 	}
 	for _, part := range sp.compound {
 		next, err := e.runCore(part.core, sc)
@@ -380,7 +301,7 @@ func (e *Executor) runStmt(sp *stmtPlan, sc *scope) (*Result, error) {
 			return nil, err
 		}
 	}
-	if err := orderResultByOutput(res, sp.stmt.OrderBy); err != nil {
+	if err := orderResultByOutput(res, sp.orderBy); err != nil {
 		return nil, err
 	}
 	return applyFolded(res, sp.limit, sp.offset)
@@ -424,18 +345,46 @@ type projRow struct {
 	keys sqldb.Row
 }
 
-// runCore executes one compiled select core, mirroring evalCoreFull's
-// clause order (and therefore its error order) exactly: FROM, WHERE,
-// grouping + HAVING over all groups, projection over all survivors,
-// DISTINCT, ORDER BY, LIMIT/OFFSET.
-func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
-	if cp.fallback {
-		return e.evalCoreFull(cp.src, sc, nil, cp.srcOrderBy, cp.srcLimit, cp.srcOffset)
+// outputs are the rows a core projects: the rows WHERE kept, or the groups
+// HAVING kept when the core aggregates. at points env at output i — a
+// group's first row stands for its columns, an empty group reads as a row
+// of NULLs — and sets the index its window values are read at.
+type outputs struct {
+	rows   []sqldb.Row
+	groups [][]sqldb.Row // nil unless the core aggregates
+	empty  sqldb.Row
+}
+
+func (o *outputs) len() int {
+	if o.groups != nil {
+		return len(o.groups)
 	}
+	return len(o.rows)
+}
+
+func (o *outputs) at(env *rowEnv, i int) {
+	env.idx = i
+	if o.groups == nil {
+		env.row = o.rows[i]
+		return
+	}
+	g := o.groups[i]
+	env.group = g
+	env.row = o.empty
+	if len(g) > 0 {
+		env.row = g[0]
+	}
+}
+
+// runCore executes one compiled select core in the interpreter's clause
+// order (and therefore its error order): FROM, WHERE, star expansion,
+// grouping + HAVING over all groups, window calls, ORDER BY targets,
+// projection over all survivors, DISTINCT, ORDER BY, LIMIT/OFFSET.
+func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 	// Everything the core takes from the Query's scratch — survivors, the
-	// group partition, join intermediates under runFrom — is dead once the
-	// projected rows exist; those are slab memory and the only thing the
-	// Result keeps.
+	// group partition, window values, join intermediates under runFrom — is
+	// dead once the projected rows exist; those are slab memory and the
+	// only thing the Result keeps.
 	scr := sc.scr
 	mark := scr.mark()
 	defer scr.release(mark)
@@ -445,7 +394,7 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 		return nil, err
 	}
 
-	env := &rowEnv{exec: e, sc: sc, cols: rel.cols}
+	env := &rowEnv{exec: e, sc: sc, outer: sc.outer}
 
 	if cp.where != nil {
 		kept := scr.rows.take(len(rel.rows))[:0]
@@ -461,72 +410,24 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 		}
 		rel.rows = kept
 	}
-
-	// Output rows are carved out of slab chunks: they escape into the
-	// Result, so they are never pooled, but chunking cuts the two
-	// allocations per projected row down to one per query — the number of
-	// projection calls is known before the first (begin), so the slab's
-	// first chunk and outs are made at their final size. projected counts
-	// projection calls so the survivors can be compacted off the slab when
-	// DISTINCT or LIMIT/OFFSET discard most of them (see below).
-	var slab rowSlab
-	var outs []projRow
-	projected := 0
-	begin := func(n int) {
-		slab.expect(n * (len(cp.projs) + len(cp.orderBy)))
-		outs = make([]projRow, 0, n)
-	}
-	project := func() error {
-		projected++
-		row := slab.take(len(cp.projs))
-		for i, p := range cp.projs {
-			v, err := p(env)
-			if err != nil {
-				return err
-			}
-			row[i] = v
-		}
-		keys := slab.take(len(cp.orderBy))
-		for i := range cp.orderBy {
-			if cp.orderIdx[i] >= 0 {
-				keys[i] = row[cp.orderIdx[i]]
-				continue
-			}
-			v, err := cp.orderProgs[i](env)
-			if err != nil {
-				return err
-			}
-			keys[i] = v
-		}
-		outs = append(outs, projRow{row: row, keys: keys})
-		return nil
+	if cp.starErr != nil {
+		return nil, cp.starErr
 	}
 
+	out := outputs{rows: rel.rows}
 	if cp.aggregated {
 		groups, err := e.runGroupBy(cp, rel, env)
 		if err != nil {
 			return nil, err
 		}
-		emptyRow := sqldb.Row(nil)
-		setGroup := func(g []sqldb.Row) {
-			env.group = g
-			if len(g) > 0 {
-				env.row = g[0]
-			} else {
-				if emptyRow == nil {
-					emptyRow = make(sqldb.Row, len(rel.cols))
-				}
-				env.row = emptyRow
-			}
-		}
 		// HAVING over every group first, projection second — the
 		// interpreter builds all group environments (evaluating HAVING)
 		// before its projection loop, and error order must match.
-		kept := groups
+		out = outputs{groups: groups, empty: scr.vals.take(len(rel.cols))}
 		if cp.having != nil {
-			kept = scr.groups.take(len(groups))[:0]
-			for _, g := range groups {
-				setGroup(g)
+			kept := scr.groups.take(len(groups))[:0]
+			for i, g := range groups {
+				out.at(env, i)
 				v, err := cp.having(env)
 				if err != nil {
 					return nil, err
@@ -535,25 +436,59 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 					kept = append(kept, g)
 				}
 			}
-		}
-		begin(len(kept))
-		for _, g := range kept {
-			setGroup(g)
-			if err := project(); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		begin(len(rel.rows))
-		for _, row := range rel.rows {
-			env.row = row
-			if err := project(); err != nil {
-				return nil, err
-			}
+			out.groups = kept
 		}
 	}
 
-	return finishCore(cp, outs, projected)
+	if len(cp.windows) > 0 {
+		env.win = make([][]sqldb.Value, 0, len(cp.windows))
+		for _, wp := range cp.windows {
+			vals, err := wp.values(&out, env)
+			if err != nil {
+				return nil, err
+			}
+			env.win = append(env.win, vals)
+		}
+	}
+	if cp.orderErr != nil {
+		return nil, cp.orderErr
+	}
+
+	// Output rows are carved out of slab chunks: they escape into the
+	// Result, so they are never pooled, but chunking cuts the two
+	// allocations per projected row down to one per query, and the first
+	// chunk is made at its final size. n is the number of projections, so
+	// the survivors can be compacted off the slab when DISTINCT or
+	// LIMIT/OFFSET discard most of them (see finishCore).
+	n := out.len()
+	var slab rowSlab
+	slab.expect(n * (len(cp.projs) + len(cp.orderBy)))
+	outs := make([]projRow, 0, n)
+	for i := 0; i < n; i++ {
+		out.at(env, i)
+		row := slab.take(len(cp.projs))
+		for j, p := range cp.projs {
+			v, err := p(env)
+			if err != nil {
+				return nil, err
+			}
+			row[j] = v
+		}
+		keys := slab.take(len(cp.orderBy))
+		for j := range cp.orderBy {
+			if cp.orderIdx[j] >= 0 {
+				keys[j] = row[cp.orderIdx[j]]
+				continue
+			}
+			v, err := cp.orderProgs[j](env)
+			if err != nil {
+				return nil, err
+			}
+			keys[j] = v
+		}
+		outs = append(outs, projRow{row: row, keys: keys})
+	}
+	return finishCore(cp, outs, n)
 }
 
 // finishCore applies a core's post-projection stages — DISTINCT, the
@@ -620,12 +555,11 @@ func compactResultRows(res *Result, projected, width int) {
 	res.Rows = rows
 }
 
-// runGroupBy partitions the relation by the compiled GROUP BY programs
-// using length-prefixed composite keys, preserving first-occurrence order.
-// The partition lives in the Query's scratch: one pass gives every row its
-// group's id (ids in first-occurrence order, through the scratch's key map)
-// and every group its row count, a second cuts one backing array into
-// exact-capacity groups and deals the rows into them in input order.
+// runGroupBy partitions the relation by the compiled GROUP BY programs,
+// preserving first-occurrence order. The partition lives in the Query's
+// scratch: partition gives every row its group's id and every group its row
+// count, then one backing array is cut into exact-capacity groups and the
+// rows are dealt into them in input order.
 func (e *Executor) runGroupBy(cp *corePlan, rel relation, env *rowEnv) ([][]sqldb.Row, error) {
 	scr := env.sc.scr
 	if len(cp.groupBy) == 0 {
@@ -636,36 +570,10 @@ func (e *Executor) runGroupBy(cp *corePlan, rel relation, env *rowEnv) ([][]sqld
 		}
 		return groups, nil
 	}
-	gids := scr.ints.take(len(rel.rows))
-	counts := scr.ints.take(len(rel.rows))[:0]
-	ids := scr.takeIDs()
-	kbp := getKeyBuf()
-	kb := *kbp
-	for i, row := range rel.rows {
-		env.row = row
-		kb = kb[:0]
-		for _, p := range cp.groupBy {
-			v, err := p(env)
-			if err != nil {
-				*kbp = kb
-				putKeyBuf(kbp)
-				return nil, err
-			}
-			kb = sqldb.AppendValueKey(kb, v)
-		}
-		gid, ok := ids[string(kb)]
-		if !ok {
-			gid = len(counts)
-			ids[string(kb)] = gid
-			counts = append(counts, 0)
-		}
-		gids[i] = gid
-		counts[gid]++
+	gids, counts, err := partition(&outputs{rows: rel.rows}, cp.groupBy, env)
+	if err != nil {
+		return nil, err
 	}
-	*kbp = kb
-	putKeyBuf(kbp)
-	scr.putIDs(ids)
-
 	backing := scr.rows.take(len(rel.rows))
 	groups := scr.groups.take(len(counts))
 	off := 0
@@ -677,6 +585,46 @@ func (e *Executor) runGroupBy(cp *corePlan, rel relation, env *rowEnv) ([][]sqld
 		groups[gids[i]] = append(groups[gids[i]], row)
 	}
 	return groups, nil
+}
+
+// partition evaluates progs at each output of out and gives every output
+// the id of its key, ids in first-occurrence order (through the scratch's
+// key map); counts[id] is the number of outputs with that id. Keys are
+// length-prefixed (sqldb.AppendValueKey), so values containing delimiter
+// bytes cannot alias across columns. ids and counts are scratch.
+func partition(out *outputs, progs []program, env *rowEnv) (ids, counts []int, err error) {
+	scr := env.sc.scr
+	n := out.len()
+	ids = scr.ints.take(n)
+	counts = scr.ints.take(n)[:0]
+	keys := scr.takeIDs()
+	kbp := getKeyBuf()
+	kb := *kbp
+	defer func() {
+		*kbp = kb
+		putKeyBuf(kbp)
+	}()
+	for i := 0; i < n; i++ {
+		out.at(env, i)
+		kb = kb[:0]
+		for _, p := range progs {
+			v, err := p(env)
+			if err != nil {
+				return nil, nil, err
+			}
+			kb = sqldb.AppendValueKey(kb, v)
+		}
+		id, ok := keys[string(kb)]
+		if !ok {
+			id = len(counts)
+			keys[string(kb)] = id
+			counts = append(counts, 0)
+		}
+		ids[i] = id
+		counts[id]++
+	}
+	scr.putIDs(keys)
+	return ids, counts, nil
 }
 
 // runFrom materializes a compiled FROM tree.
@@ -692,13 +640,15 @@ func (e *Executor) runFrom(fp *fromPlan, sc *scope) (relation, error) {
 	if err != nil {
 		return relation{}, err
 	}
-	return e.joinRelations(fp.join.src, left, right, fp.cols, sc, nil)
+	return e.runJoin(fp, left, right, sc)
 }
 
 func (e *Executor) runLeaf(fp *fromPlan, sc *scope) (relation, error) {
 	lp := fp.leaf
 	var rows []sqldb.Row
 	switch {
+	case lp.err != nil:
+		return relation{}, lp.err
 	case lp.noFrom:
 		rows = []sqldb.Row{{}}
 	case lp.cte != "":

@@ -18,14 +18,14 @@ import (
 //     survivors (runCore), the GROUP BY partition — group ids, counts, the
 //     key-to-group map and the row backing cut into groups (runGroupBy) —
 //     the HAVING survivors, aggregate argument buffers
-//     (collectAggregateArgs, both engines), hash-join key slots, match
-//     chains and the joined relation — its row headers and the values of
-//     its rows (joinKeys, hashJoin) — and the candidates of a non-constant
-//     IN list. Joined rows die with their core: runCore and evalCoreFull
-//     copy what they keep into projected output rows before releasing the
-//     scratch. One scratch is taken from scratchPool when Query starts,
-//     reaches every clause through the scope chain, and goes back when
-//     Query returns.
+//     (collectAggregateArgs), window values, partitions and sort keys
+//     (windowPlan.values), join key slots, match chains and the joined
+//     relation — its row headers and the values of its rows (joinKeys,
+//     hashJoin, emitJoin) — and the candidates of a non-constant IN list.
+//     Joined rows die with their core: runCore copies what it keeps into
+//     projected output rows before releasing the scratch. One scratch is
+//     taken from scratchPool when Query starts, reaches every clause
+//     through the scope chain, and goes back when Query returns.
 //   - rowSlab chunk-allocates the value slots of projected output rows,
 //     and only those. They DO escape (into Results and, through the
 //     generation cache, into long-lived Records), so they are never pooled

@@ -7,130 +7,124 @@ import (
 	"genedit/internal/sqlparse"
 )
 
-// evalWindow computes the per-row values of one windowed function call over
-// the ordered list of output environments. Supported functions: ROW_NUMBER,
-// RANK, DENSE_RANK, NTILE-free aggregates (SUM/COUNT/AVG/MIN/MAX over the
-// whole partition), and LAG/LEAD with optional offset and default.
-func (e *Executor) evalWindow(fc *sqlparse.FuncCall, envs []*rowEnv) ([]sqldb.Value, error) {
-	n := len(envs)
-	out := make([]sqldb.Value, n)
+// Window calls. Supported functions: ROW_NUMBER, RANK, DENSE_RANK, the
+// aggregates SUM/COUNT/AVG/MIN/MAX over the whole partition (no frames),
+// and LAG/LEAD with optional offset and default. runCore computes a core's
+// window calls after HAVING, one after another in collectWindowCalls'
+// order, over the rows or groups it is about to project; the projection,
+// ORDER BY and the arguments of later window calls read the values.
 
-	// Partition (length-prefixed keys: values containing delimiter bytes
-	// must not alias across partition columns).
-	partKeys := make([]string, n)
-	var kb []byte
-	for i, env := range envs {
-		kb = kb[:0]
-		for _, pe := range fc.Over.PartitionBy {
-			v, err := evalExpr(pe, env)
-			if err != nil {
-				return nil, err
-			}
-			kb = sqldb.AppendValueKey(kb, v)
-		}
-		partKeys[i] = string(kb)
+// windowPlan is one window call compiled against its core's rows.
+type windowPlan struct {
+	fc        *sqlparse.FuncCall
+	partition []program
+	order     []program
+	args      []program
+}
+
+func compileWindow(fc *sqlparse.FuncCall, b *binder) *windowPlan {
+	wp := &windowPlan{fc: fc}
+	for _, pe := range fc.Over.PartitionBy {
+		p, _ := compileExpr(pe, b)
+		wp.partition = append(wp.partition, p)
 	}
-	partitions := make(map[string][]int)
-	var order []string
-	for i, key := range partKeys {
-		if _, ok := partitions[key]; !ok {
-			order = append(order, key)
-		}
-		partitions[key] = append(partitions[key], i)
+	for _, item := range fc.Over.OrderBy {
+		p, _ := compileExpr(item.Expr, b)
+		wp.order = append(wp.order, p)
+	}
+	for _, a := range fc.Args {
+		p, _ := compileExpr(a, b)
+		wp.args = append(wp.args, p)
+	}
+	return wp
+}
+
+// values computes the call's value for each output of out, in the
+// interpreter's evaluation order: every output's partition key, then
+// partition by partition in first-occurrence order the ORDER BY keys of its
+// members, a stable sort, and the function over the sorted members. The
+// values are scratch, read by the core's projection.
+func (wp *windowPlan) values(out *outputs, env *rowEnv) ([]sqldb.Value, error) {
+	scr := env.sc.scr
+	n := out.len()
+	vals := scr.vals.take(n)
+
+	// Partitions in first-occurrence order, their members dealt into one
+	// backing array in output order.
+	part, counts, err := partition(out, wp.partition, env)
+	if err != nil {
+		return nil, err
+	}
+	members := scr.ints.take(n)
+	starts := scr.ints.take(len(counts) + 1)
+	for p, c := range counts {
+		starts[p+1] = starts[p] + c
+	}
+	fill := scr.ints.take(len(counts))
+	copy(fill, starts)
+	for i, p := range part {
+		members[fill[p]] = i
+		fill[p]++
 	}
 
-	for _, key := range order {
-		idxs := partitions[key]
-
-		// Order within the partition.
-		var sortKeys [][]sqldb.Value
-		if len(fc.Over.OrderBy) > 0 {
-			sortKeys = make([][]sqldb.Value, len(idxs))
-			for pi, ri := range idxs {
-				keys := make([]sqldb.Value, len(fc.Over.OrderBy))
-				for ki, item := range fc.Over.OrderBy {
-					v, err := evalExpr(item.Expr, envs[ri])
+	k := len(wp.order)
+	for p := range counts {
+		rows := members[starts[p]:starts[p+1]]
+		var keys []sqldb.Value
+		if k > 0 {
+			keys = scr.vals.take(len(rows) * k)
+			for pi, ri := range rows {
+				out.at(env, ri)
+				for ki, prog := range wp.order {
+					v, err := prog(env)
 					if err != nil {
 						return nil, err
 					}
-					keys[ki] = v
+					keys[pi*k+ki] = v
 				}
-				sortKeys[pi] = keys
 			}
-			perm := make([]int, len(idxs))
-			for i := range perm {
-				perm[i] = i
-			}
-			sort.SliceStable(perm, func(a, b int) bool {
-				for ki, item := range fc.Over.OrderBy {
-					c := sqldb.CompareForSort(sortKeys[perm[a]][ki], sortKeys[perm[b]][ki])
-					if c == 0 {
-						continue
-					}
-					if item.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-				return false
-			})
-			reordered := make([]int, len(idxs))
-			reorderedKeys := make([][]sqldb.Value, len(idxs))
-			for i, p := range perm {
-				reordered[i] = idxs[p]
-				reorderedKeys[i] = sortKeys[p]
-			}
-			idxs = reordered
-			sortKeys = reorderedKeys
+			sort.Stable(&partitionSort{rows: rows, keys: keys, orderBy: wp.fc.Over.OrderBy})
 		}
-
-		if err := e.applyWindowFunc(fc, envs, idxs, sortKeys, out); err != nil {
+		if err := wp.apply(rows, keys, vals, out, env); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return vals, nil
 }
 
-func (e *Executor) applyWindowFunc(fc *sqlparse.FuncCall, envs []*rowEnv,
-	idxs []int, sortKeys [][]sqldb.Value, out []sqldb.Value) error {
-
-	sameKeys := func(a, b []sqldb.Value) bool {
-		for i := range a {
-			if sqldb.CompareForSort(a[i], b[i]) != 0 {
-				return false
-			}
-		}
-		return true
+// apply computes the function over one partition's members, sorted, with
+// their ORDER BY keys (nil without ORDER BY), into vals.
+func (wp *windowPlan) apply(rows []int, keys, vals []sqldb.Value, out *outputs, env *rowEnv) error {
+	fc := wp.fc
+	k := len(wp.order)
+	tied := func(pos int) bool { // sorted positions pos-1 and pos have equal keys
+		return keys == nil || compareOrderKeys(keys[(pos-1)*k:pos*k], keys[pos*k:(pos+1)*k], fc.Over.OrderBy) == 0
 	}
-
 	switch fc.Name {
 	case "ROW_NUMBER":
-		for pos, ri := range idxs {
-			out[ri] = sqldb.Int(int64(pos + 1))
+		for pos, ri := range rows {
+			vals[ri] = sqldb.Int(int64(pos + 1))
 		}
-	case "RANK":
+	case "RANK", "DENSE_RANK":
 		rank := 1
-		for pos, ri := range idxs {
-			if pos > 0 && sortKeys != nil && !sameKeys(sortKeys[pos-1], sortKeys[pos]) {
-				rank = pos + 1
+		for pos, ri := range rows {
+			if pos > 0 && !tied(pos) {
+				if fc.Name == "RANK" {
+					rank = pos + 1
+				} else {
+					rank++
+				}
 			}
-			out[ri] = sqldb.Int(int64(rank))
-		}
-	case "DENSE_RANK":
-		rank := 1
-		for pos, ri := range idxs {
-			if pos > 0 && sortKeys != nil && !sameKeys(sortKeys[pos-1], sortKeys[pos]) {
-				rank++
-			}
-			out[ri] = sqldb.Int(int64(rank))
+			vals[ri] = sqldb.Int(int64(rank))
 		}
 	case "LAG", "LEAD":
-		if len(fc.Args) < 1 || len(fc.Args) > 3 {
+		if len(wp.args) < 1 || len(wp.args) > 3 {
 			return execErrf("%s expects 1 to 3 arguments", fc.Name)
 		}
 		offset := int64(1)
-		if len(fc.Args) >= 2 {
-			v, err := evalExpr(fc.Args[1], envs[idxs[0]])
+		if len(wp.args) >= 2 {
+			out.at(env, rows[0])
+			v, err := wp.args[1](env)
 			if err != nil {
 				return err
 			}
@@ -138,90 +132,86 @@ func (e *Executor) applyWindowFunc(fc *sqlparse.FuncCall, envs []*rowEnv,
 				offset = o
 			}
 		}
-		for pos, ri := range idxs {
-			var src int
+		for pos, ri := range rows {
+			src := pos + int(offset)
 			if fc.Name == "LAG" {
 				src = pos - int(offset)
-			} else {
-				src = pos + int(offset)
 			}
-			if src < 0 || src >= len(idxs) {
-				if len(fc.Args) == 3 {
-					v, err := evalExpr(fc.Args[2], envs[ri])
-					if err != nil {
-						return err
-					}
-					out[ri] = v
-				} else {
-					out[ri] = sqldb.Null()
+			arg := 0
+			if src < 0 || src >= len(rows) {
+				vals[ri] = sqldb.Null()
+				if len(wp.args) < 3 {
+					continue
 				}
-				continue
+				arg, src = 2, pos
 			}
-			v, err := evalExpr(fc.Args[0], envs[idxs[src]])
+			out.at(env, rows[src])
+			v, err := wp.args[arg](env)
 			if err != nil {
 				return err
 			}
-			out[ri] = v
+			vals[ri] = v
 		}
 	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		// Aggregate over the whole partition (no frame support).
-		var vals []sqldb.Value
 		if fc.Star {
 			if fc.Name != "COUNT" {
 				return execErrf("%s(*) is not a valid window aggregate", fc.Name)
 			}
-			for _, ri := range idxs {
-				out[ri] = sqldb.Int(int64(len(idxs)))
+			for _, ri := range rows {
+				vals[ri] = sqldb.Int(int64(len(rows)))
 			}
 			return nil
 		}
-		if len(fc.Args) != 1 {
+		if len(wp.args) != 1 {
 			return execErrf("window aggregate %s expects 1 argument", fc.Name)
 		}
-		for _, ri := range idxs {
-			v, err := evalExpr(fc.Args[0], envs[ri])
+		// Over the whole partition, in sorted order; DISTINCT is not
+		// applied to window aggregates.
+		args := env.sc.scr.vals.take(len(rows))[:0]
+		for _, ri := range rows {
+			out.at(env, ri)
+			v, err := wp.args[0](env)
 			if err != nil {
 				return err
 			}
 			if !v.IsNull() {
-				vals = append(vals, v)
+				args = append(args, v)
 			}
 		}
-		var agg sqldb.Value
-		switch fc.Name {
-		case "COUNT":
-			agg = sqldb.Int(int64(len(vals)))
-		case "SUM":
-			if len(vals) == 0 {
-				agg = sqldb.Null()
-			} else {
-				s, err := sumValues(vals)
-				if err != nil {
-					return err
-				}
-				agg = s
-			}
-		case "AVG":
-			if len(vals) == 0 {
-				agg = sqldb.Null()
-			} else {
-				s, err := sumValues(vals)
-				if err != nil {
-					return err
-				}
-				f, _ := s.AsFloat()
-				agg = sqldb.Float(f / float64(len(vals)))
-			}
-		case "MIN":
-			agg = extremum(vals, -1)
-		case "MAX":
-			agg = extremum(vals, 1)
+		agg, err := finishAggregate(fc.Name, args)
+		if err != nil {
+			return err
 		}
-		for _, ri := range idxs {
-			out[ri] = agg
+		for _, ri := range rows {
+			vals[ri] = agg
 		}
 	default:
 		return execErrf("unsupported window function %s", fc.Name)
 	}
 	return nil
+}
+
+// partitionSort orders a partition's members by their ORDER BY keys (k per
+// member, moved with it); sort.Stable makes the same comparisons and swaps
+// sort.SliceStable makes, so ties and incomparable keys settle as in the
+// interpreter.
+type partitionSort struct {
+	rows    []int
+	keys    []sqldb.Value
+	orderBy []sqlparse.OrderItem
+}
+
+func (s *partitionSort) Len() int { return len(s.rows) }
+
+func (s *partitionSort) Less(a, b int) bool {
+	k := len(s.orderBy)
+	return compareOrderKeys(s.keys[a*k:(a+1)*k], s.keys[b*k:(b+1)*k], s.orderBy) < 0
+}
+
+func (s *partitionSort) Swap(a, b int) {
+	s.rows[a], s.rows[b] = s.rows[b], s.rows[a]
+	k := len(s.orderBy)
+	for i := 0; i < k; i++ {
+		s.keys[a*k+i], s.keys[b*k+i] = s.keys[b*k+i], s.keys[a*k+i]
+	}
 }

@@ -102,50 +102,6 @@ func TestWorkloadResultsSurviveScratchReuse(t *testing.T) {
 	}
 }
 
-// TestWorkloadStatementsCompile pins where serving runs the interpreter.
-// Across every gold statement and every knowledge-set source query of the
-// suite — CTEs, derived tables and compound arms included — the only parts
-// that fall back are select cores with a window call in their projection
-// or ORDER BY; no whole statement falls back. (Subqueries inside
-// expressions always run on the interpreter and are not counted.)
-func TestWorkloadStatementsCompile(t *testing.T) {
-	stmts, cores := 0, 0
-	check := func(db, sql string) {
-		t.Helper()
-		fbs, err := sqlexec.StatementFallsBack(paritySuite.Databases[db], sql)
-		if err != nil {
-			t.Fatalf("%s: %q does not parse: %v", db, sql, err)
-		}
-		for _, fb := range fbs {
-			switch {
-			case !fb.Core:
-				t.Errorf("%s: %q falls back to the interpreter as a whole", db, sql)
-			case !fb.Window:
-				t.Errorf("%s: %q has a core without a window call that falls back", db, sql)
-			}
-		}
-		stmts++
-		cores += len(fbs)
-	}
-	for _, c := range paritySuite.Cases {
-		check(c.DB, c.GoldSQL)
-	}
-	gold := cores
-	for db := range paritySuite.Databases {
-		kset, err := paritySuite.BuildKnowledge(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ex := range kset.Examples() {
-			if ex.SourceSQL != "" {
-				check(db, ex.SourceSQL)
-			}
-		}
-	}
-	t.Logf("%d statements: %d window cores fall back, %d of them in the %d gold statements",
-		stmts, cores, gold, len(paritySuite.Cases))
-}
-
 // sqlGen generates random SELECTs against one database's schema. The
 // generator leans toward valid queries but deliberately produces a share of
 // semantically failing ones (bad casts, arithmetic on text, unknown
