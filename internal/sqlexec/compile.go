@@ -14,16 +14,26 @@ import (
 // the interpreter's search order, so no row resolves a name. Constant
 // subexpressions are folded once, and the programs run against a reusable
 // row environment (no per-row allocation). Scalar, EXISTS and IN subqueries
-// compile to statement plans of their own (plan.go).
+// compile to statement plans of their own (plan.go); one that reads no
+// enclosing row runs once per scope, on first use.
+//
+// Conditions — WHERE, HAVING, join ON, CASE WHEN, and AND, OR, NOT,
+// comparisons and IN anywhere — compile to predicates, which return a
+// three-valued verdict: nested AND/OR chains are flat short-circuit lists,
+// and the common leaves are typed kernels (a column against a literal,
+// YEAR/MONTH/QUARTER/DAY against a number, TO_CHAR against string
+// literals, constant IN lists). In a value context the same predicate is
+// read back as TRUE, FALSE or NULL.
 //
 // Values, NULL semantics, short-circuit order and error text are the
 // tree-walking interpreter's, which the tests keep as the oracle
 // (interp_test.go): every non-trivial value operation goes through helpers
 // both share (applyUnary, applyBinary, applyScalarFunc, finishAggregate,
-// likeMatch, sqldb.Compare/Cast). Constant folding never surfaces an error
-// early: a constant subexpression that fails evaluation becomes a thunk
-// returning that error, raised only if and when the interpreter would have
-// evaluated it.
+// likeMatch, sqldb.Compare/Cast), and a kernel takes the shared helper's
+// path for any value it does not specialize. Constant folding never
+// surfaces an error early: a constant subexpression that fails evaluation
+// becomes a thunk returning that error, raised only if and when the
+// interpreter would have evaluated it.
 
 // program is a compiled expression, evaluated against a (reusable) row
 // environment. Programs are stateless closures over immutable compile-time
@@ -50,20 +60,27 @@ func foldConst(prog program, isConst bool) (program, bool) {
 // (a correlated subquery's outer query), the database and CTE layouts a
 // subquery compiles against, and the core's window calls in the order
 // runCore computes them. A nil binder binds nothing (staticInt).
+// innerReads counts the references from inside a subquery that bound here
+// or further out: compileSubquery reads it to tell a correlated subquery
+// from one that reads no enclosing row.
 type binder struct {
-	db      *sqldb.Database
-	ss      *staticScope
-	cols    []bindCol
-	outer   *binder
-	windows []*sqlparse.FuncCall
+	db         *sqldb.Database
+	ss         *staticScope
+	cols       []bindCol
+	outer      *binder
+	windows    []*sqlparse.FuncCall
+	innerReads int
 }
 
 // bind resolves a column reference as the oracle's resolveColumn does per
 // row: the current layout first, then each enclosing one. ord is -1 when
 // nothing binds.
 func (b *binder) bind(cr *sqlparse.ColumnRef) (depth, ord int) {
-	for ; b != nil; b = b.outer {
-		if ord := bindColumn(cr, b.cols); ord >= 0 {
+	for x := b; x != nil; x = x.outer {
+		if ord := bindColumn(cr, x.cols); ord >= 0 {
+			for y := b; y != x; y = y.outer {
+				y.outer.innerReads++
+			}
 			return depth, ord
 		}
 		depth++
@@ -114,24 +131,19 @@ func compileExpr(e sqlparse.Expr, b *binder) (program, bool) {
 			return constProgram(sqldb.Null(), execErrf("unknown column %q", name)), false
 		}
 		if depth == 0 {
-			return func(env *rowEnv) (sqldb.Value, error) {
-				if ord < len(env.row) {
-					return env.row[ord], nil
-				}
-				return sqldb.Null(), nil
-			}, false
+			return func(env *rowEnv) (sqldb.Value, error) { return env.col(ord), nil }, false
 		}
 		return func(env *rowEnv) (sqldb.Value, error) {
 			for d := 0; d < depth; d++ {
 				env = env.outer
 			}
-			if ord < len(env.row) {
-				return env.row[ord], nil
-			}
-			return sqldb.Null(), nil
+			return env.col(ord), nil
 		}, false
 
 	case *sqlparse.Unary:
+		if x.Op == "NOT" {
+			return predProgram(compilePred(x, b))
+		}
 		xp, xc := compileExpr(x.X, b)
 		op := x.Op
 		return foldConst(func(env *rowEnv) (sqldb.Value, error) {
@@ -143,98 +155,16 @@ func compileExpr(e sqlparse.Expr, b *binder) (program, bool) {
 		}, xc)
 
 	case *sqlparse.Binary:
-		verdict := comparisonVerdict(x.Op)
-		if verdict != nil {
-			if prog, isConst, ok := compileToCharCompare(x, verdict, b); ok {
-				return prog, isConst
-			}
+		if x.Op == "AND" || x.Op == "OR" || comparisonMasks[x.Op] != 0 {
+			return predProgram(compilePred(x, b))
 		}
 		lp, lc := compileExpr(x.L, b)
 		rp, rc := compileExpr(x.R, b)
 		op := x.Op
-		switch op {
-		case "AND":
-			return foldConst(func(env *rowEnv) (sqldb.Value, error) {
-				l, err := lp(env)
-				if err != nil {
-					return sqldb.Null(), err
-				}
-				if !l.IsNull() && !truthy(l) {
-					return sqldb.Bool(false), nil
-				}
-				r, err := rp(env)
-				if err != nil {
-					return sqldb.Null(), err
-				}
-				if !r.IsNull() && !truthy(r) {
-					return sqldb.Bool(false), nil
-				}
-				if l.IsNull() || r.IsNull() {
-					return sqldb.Null(), nil
-				}
-				return sqldb.Bool(true), nil
-			}, lc && rc)
-		case "OR":
-			return foldConst(func(env *rowEnv) (sqldb.Value, error) {
-				l, err := lp(env)
-				if err != nil {
-					return sqldb.Null(), err
-				}
-				if !l.IsNull() && truthy(l) {
-					return sqldb.Bool(true), nil
-				}
-				r, err := rp(env)
-				if err != nil {
-					return sqldb.Null(), err
-				}
-				if !r.IsNull() && truthy(r) {
-					return sqldb.Bool(true), nil
-				}
-				if l.IsNull() || r.IsNull() {
-					return sqldb.Null(), nil
-				}
-				return sqldb.Bool(false), nil
-			}, lc && rc)
-		}
-		// Operator dispatch is hoisted to compile time: comparisons bind a
-		// verdict function over sqldb.Compare, arithmetic goes straight to
-		// applyArith — no per-row string switch. Semantics and error text
+		// Arithmetic dispatch is hoisted to compile time: it goes straight
+		// to applyArith — no per-row string switch. Semantics and error text
 		// stay those of applyBinary.
 		switch op {
-		case "=", "<>", "<", "<=", ">", ">=":
-			return foldConst(func(env *rowEnv) (sqldb.Value, error) {
-				l, err := lp(env)
-				if err != nil {
-					return sqldb.Null(), err
-				}
-				r, err := rp(env)
-				if err != nil {
-					return sqldb.Null(), err
-				}
-				if l.IsNull() || r.IsNull() {
-					return sqldb.Null(), nil
-				}
-				c, ok := sqldb.Compare(l, r)
-				if !ok {
-					return sqldb.Null(), nil
-				}
-				return sqldb.Bool(verdict(c)), nil
-			}, lc && rc)
-		case "||":
-			return foldConst(func(env *rowEnv) (sqldb.Value, error) {
-				l, err := lp(env)
-				if err != nil {
-					return sqldb.Null(), err
-				}
-				r, err := rp(env)
-				if err != nil {
-					return sqldb.Null(), err
-				}
-				if l.IsNull() || r.IsNull() {
-					return sqldb.Null(), nil
-				}
-				return sqldb.Str(l.String() + r.String()), nil
-			}, lc && rc)
 		case "+", "-", "*", "/", "%":
 			return foldConst(func(env *rowEnv) (sqldb.Value, error) {
 				l, err := lp(env)
@@ -282,75 +212,7 @@ func compileExpr(e sqlparse.Expr, b *binder) (program, bool) {
 		}, xc)
 
 	case *sqlparse.InExpr:
-		if x.Select != nil {
-			return compileInSubquery(x, b), false
-		}
-		if prog, isConst, ok := compileToCharIn(x, b); ok {
-			return prog, isConst
-		}
-		xp, xc := compileExpr(x.X, b)
-		items := make([]program, len(x.List))
-		listConst := true
-		for i, item := range x.List {
-			var ic bool
-			items[i], ic = compileExpr(item, b)
-			listConst = listConst && ic
-		}
-		not := x.Not
-		// The interpreter evaluates X, stops on a NULL X, then evaluates
-		// every list item (its errors surface) before the membership
-		// verdict; both forms below keep that order.
-		if listConst {
-			// A constant list is evaluated once, here, up to its first
-			// error — which a row raises only after its X evaluated clean
-			// and non-NULL, exactly where the interpreter reaches it.
-			candidates := make([]sqldb.Value, 0, len(items))
-			var listErr error
-			for _, p := range items {
-				v, err := p(nil)
-				if err != nil {
-					listErr = err
-					break
-				}
-				candidates = append(candidates, v)
-			}
-			return foldConst(func(env *rowEnv) (sqldb.Value, error) {
-				xv, err := xp(env)
-				if err != nil {
-					return sqldb.Null(), err
-				}
-				if xv.IsNull() {
-					return sqldb.Null(), nil
-				}
-				if listErr != nil {
-					return sqldb.Null(), listErr
-				}
-				return inVerdict(xv, candidates, not), nil
-			}, xc)
-		}
-		// A list with a non-constant item is never constant, so env (and
-		// its scratch) is there.
-		return func(env *rowEnv) (sqldb.Value, error) {
-			xv, err := xp(env)
-			if err != nil {
-				return sqldb.Null(), err
-			}
-			if xv.IsNull() {
-				return sqldb.Null(), nil
-			}
-			scr := env.sc.scr
-			mark := scr.vals.mark()
-			defer scr.vals.release(mark)
-			candidates := scr.vals.take(len(items))
-			for i, p := range items {
-				v, err := p(env)
-				if err != nil {
-					return sqldb.Null(), err
-				}
-				candidates[i] = v
-			}
-			return inVerdict(xv, candidates, not), nil
-		}, false
+		return predProgram(compilePred(x, b))
 
 	case *sqlparse.BetweenExpr:
 		xp, xc := compileExpr(x.X, b)
@@ -373,11 +235,9 @@ func compileExpr(e sqlparse.Expr, b *binder) (program, bool) {
 			if xv.IsNull() || lo.IsNull() || hi.IsNull() {
 				return sqldb.Null(), nil
 			}
-			c1, ok1 := sqldb.Compare(xv, lo)
-			c2, ok2 := sqldb.Compare(xv, hi)
-			if !ok1 || !ok2 {
-				return sqldb.Null(), nil
-			}
+			// Two non-NULL values always compare.
+			c1, _ := sqldb.Compare(xv, lo)
+			c2, _ := sqldb.Compare(xv, hi)
 			in := c1 >= 0 && c2 <= 0
 			return sqldb.Bool(in != not), nil
 		}, xc && loc && hic)
@@ -465,55 +325,358 @@ func compileExpr(e sqlparse.Expr, b *binder) (program, bool) {
 }
 
 // compileSubquery compiles a subquery's statement under b, whose row
-// becomes the statement's enclosing row. The plan runs on every
-// evaluation, as the interpreter runs the statement.
+// becomes the statement's enclosing row. A correlated plan runs on every
+// evaluation, as the interpreter runs the statement. One that reads no
+// enclosing row gives the same result or error for every row, so it runs
+// once per scope — one run of the enclosing statement — on first use: a
+// core with no rows never raises its error.
 func compileSubquery(sel *sqlparse.SelectStmt, b *binder) func(*rowEnv) (*Result, error) {
 	if b == nil {
 		// Only staticInt compiles without a binder, and it rejects any
 		// non-constant expression before running one.
 		return func(*rowEnv) (*Result, error) { return nil, execErrf("subquery outside a statement") }
 	}
+	reads := b.innerReads
 	sp, _ := compileStmtIn(b.db, sel, b.ss, b)
+	correlated := b.innerReads != reads
 	return func(env *rowEnv) (*Result, error) {
-		return env.exec.runStmt(sp, &scope{parent: env.sc, scr: env.sc.scr, outer: env})
+		sc := env.sc
+		if correlated {
+			return env.exec.runStmt(sp, &scope{parent: sc, scr: sc.scr, outer: env})
+		}
+		for _, m := range sc.memos {
+			if m.sp == sp {
+				return m.res, m.err
+			}
+		}
+		res, err := env.exec.runStmt(sp, &scope{parent: sc, scr: sc.scr, outer: env})
+		sc.memos = append(sc.memos, subqueryMemo{sp: sp, res: res, err: err})
+		return res, err
 	}
 }
 
-// compileInSubquery lowers x [NOT] IN (SELECT ...): X first, NULL without
-// running the subquery, then the subquery's one column as the candidates.
-func compileInSubquery(in *sqlparse.InExpr, b *binder) program {
-	xp, _ := compileExpr(in.X, b)
-	run := compileSubquery(in.Select, b)
+// verdict is a condition's three-valued outcome.
+type verdict uint8
+
+const (
+	vFalse verdict = iota
+	vTrue
+	vNull
+)
+
+// predicate is a compiled condition, stateless like a program; on error
+// the verdict is meaningless.
+type predicate func(env *rowEnv) (verdict, error)
+
+// value is the verdict as a value: NULL, TRUE or FALSE.
+func (v verdict) value() sqldb.Value {
+	if v == vNull {
+		return sqldb.Null()
+	}
+	return sqldb.Bool(v == vTrue)
+}
+
+func boolVerdict(b bool) verdict {
+	if b {
+		return vTrue
+	}
+	return vFalse
+}
+
+// foldPred evaluates a constant predicate once at compile time, as
+// foldConst does a program.
+func foldPred(p predicate, isConst bool) (predicate, bool) {
+	if !isConst {
+		return p, false
+	}
+	v, err := p(nil)
+	return func(*rowEnv) (verdict, error) { return v, err }, true
+}
+
+// predProgram reads a predicate back as a value program.
+func predProgram(p predicate, isConst bool) (program, bool) {
+	return foldConst(func(env *rowEnv) (sqldb.Value, error) {
+		v, err := p(env)
+		if err != nil {
+			return sqldb.Null(), err
+		}
+		return v.value(), nil
+	}, isConst)
+}
+
+// cmpMask is a comparison operator as the set of sqldb.Compare results
+// that pass it: bit c+1 for result c. comparisonMasks has no other
+// operator, so its zero mask means "not a comparison".
+type cmpMask uint8
+
+var comparisonMasks = map[string]cmpMask{"=": 0b010, "<>": 0b101, "<": 0b001, "<=": 0b011, ">": 0b100, ">=": 0b110}
+
+func (m cmpMask) test(c int) verdict { return verdict(m >> uint(c+1) & 1) }
+
+// flip is the operator with its operands swapped: a < b is b > a.
+func (m cmpMask) flip() cmpMask { return m&0b010 | m&0b001<<2 | m>>2&0b001 }
+
+// compareVerdict is l <cmp> r under sqldb.Compare, NULL when either side
+// is.
+func compareVerdict(l, r sqldb.Value, m cmpMask) verdict {
+	if l.IsNull() || r.IsNull() {
+		return vNull
+	}
+	c, ok := sqldb.Compare(l, r)
+	if !ok {
+		return vNull
+	}
+	return m.test(c)
+}
+
+// cmpFloat orders two floats as sqldb.Compare orders two numbers: a NaN
+// compares equal to everything.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// compilePred lowers a condition into a predicate bound under b. AND, OR,
+// NOT, comparisons and IN compile natively; any other expression is its
+// value program's verdict.
+func compilePred(e sqlparse.Expr, b *binder) (predicate, bool) {
+	switch x := e.(type) {
+	case *sqlparse.Binary:
+		if x.Op == "AND" || x.Op == "OR" {
+			chain := splitChain(x, x.Op, nil)
+			terms := make([]predicate, len(chain))
+			allConst := true
+			for i, t := range chain {
+				var c bool
+				terms[i], c = compilePred(t, b)
+				allConst = allConst && c
+			}
+			return foldPred(logicList(x.Op == "AND", terms), allConst)
+		}
+		if m := comparisonMasks[x.Op]; m != 0 {
+			return compileComparison(x, m, b)
+		}
+	case *sqlparse.Unary:
+		if x.Op == "NOT" {
+			p, c := compilePred(x.X, b)
+			return foldPred(func(env *rowEnv) (verdict, error) {
+				v, err := p(env)
+				if v == vNull || err != nil {
+					return vNull, err
+				}
+				return v ^ 1, nil
+			}, c)
+		}
+	case *sqlparse.InExpr:
+		return compileIn(x, b)
+	}
+	prog, c := compileExpr(e, b)
+	return foldPred(func(env *rowEnv) (verdict, error) {
+		v, err := prog(env)
+		if v.IsNull() || err != nil {
+			return vNull, err
+		}
+		return boolVerdict(truthy(v)), nil
+	}, c)
+}
+
+// splitChain flattens a tree of one associative operator (AND or OR) into
+// its operands, in tree order.
+func splitChain(e sqlparse.Expr, op string, out []sqlparse.Expr) []sqlparse.Expr {
+	if b, ok := e.(*sqlparse.Binary); ok && b.Op == op {
+		out = splitChain(b.L, op, out)
+		return splitChain(b.R, op, out)
+	}
+	return append(out, e)
+}
+
+// logicList is SQL AND (and) or OR over terms as one flat list, the
+// nested operators' semantics exactly: terms run in order, an error stops
+// the list, the deciding verdict (FALSE for AND, TRUE for OR) returns at
+// once, and otherwise any NULL term makes the verdict NULL.
+func logicList(and bool, terms []predicate) predicate {
+	if len(terms) == 1 {
+		return terms[0]
+	}
+	decide, rest := vTrue, vFalse
+	if and {
+		decide, rest = vFalse, vTrue
+	}
+	return func(env *rowEnv) (verdict, error) {
+		out := rest
+		for _, t := range terms {
+			v, err := t(env)
+			if err != nil {
+				return vNull, err
+			}
+			if v == decide {
+				return v, nil
+			}
+			if v == vNull {
+				out = vNull
+			}
+		}
+		return out, nil
+	}
+}
+
+// compileComparison lowers l <cmp> r: a typed kernel where one matches,
+// else both sides' programs and sqldb.Compare. Either way l is evaluated
+// before r, and a NULL side makes the verdict NULL.
+func compileComparison(x *sqlparse.Binary, m cmpMask, b *binder) (predicate, bool) {
+	if p, c, ok := compileDateCompare(x, m, b); ok {
+		return p, c
+	}
+	if p, ok := compileColumnCompare(x, m, b); ok {
+		return p, false
+	}
+	lp, lc := compileExpr(x.L, b)
+	rp, rc := compileExpr(x.R, b)
+	return foldPred(func(env *rowEnv) (verdict, error) {
+		l, err := lp(env)
+		if err != nil {
+			return vNull, err
+		}
+		r, err := rp(env)
+		if err != nil {
+			return vNull, err
+		}
+		return compareVerdict(l, r, m), nil
+	}, lc && rc)
+}
+
+// compileColumnCompare specializes a column of the current row compared
+// with a string or number constant, on either side (neither can fail, so
+// the order is moot). A string column against a string compares the
+// strings, an Int or Float column against a number compares floats; any
+// other pairing is sqldb.Compare's.
+func compileColumnCompare(x *sqlparse.Binary, m cmpMask, b *binder) (predicate, bool) {
+	col, lit := x.L, x.R
+	if _, ok := col.(*sqlparse.ColumnRef); !ok {
+		col, lit, m = x.R, x.L, m.flip()
+	}
+	cr, ok := col.(*sqlparse.ColumnRef)
+	lp, isConst := compileExpr(lit, nil)
+	if !ok || !isConst {
+		return nil, false
+	}
+	lv, err := lp(nil)
+	depth, ord := b.bind(cr)
+	if err != nil || (lv.K != sqldb.KindString && !lv.IsNumeric()) || ord < 0 || depth != 0 {
+		return nil, false
+	}
+	if lv.K == sqldb.KindString {
+		s := lv.S
+		return func(env *rowEnv) (verdict, error) {
+			v := env.col(ord)
+			if v.K == sqldb.KindString {
+				return m.test(strings.Compare(v.S, s)), nil
+			}
+			return compareVerdict(v, lv, m), nil
+		}, true
+	}
+	f, _ := lv.AsFloat()
+	return func(env *rowEnv) (verdict, error) {
+		v := env.col(ord)
+		switch v.K {
+		case sqldb.KindInt:
+			return m.test(cmpFloat(float64(v.I), f)), nil
+		case sqldb.KindFloat:
+			return m.test(cmpFloat(v.F, f)), nil
+		}
+		return compareVerdict(v, lv, m), nil
+	}, true
+}
+
+// compileIn lowers x [NOT] IN (...). The interpreter evaluates X, stops on
+// a NULL X, then evaluates every list item (its errors surface) — or runs
+// the subquery and takes its one column — before the membership verdict;
+// every form keeps that order.
+func compileIn(in *sqlparse.InExpr, b *binder) (predicate, bool) {
+	if p, isConst, ok := compileToCharIn(in, b); ok {
+		return p, isConst
+	}
+	xp, xc := compileExpr(in.X, b)
+	items := make([]program, len(in.List))
+	listConst := in.Select == nil
+	for i, item := range in.List {
+		var ic bool
+		items[i], ic = compileExpr(item, b)
+		listConst = listConst && ic
+	}
 	not := in.Not
-	return func(env *rowEnv) (sqldb.Value, error) {
+	if listConst {
+		// A constant list is evaluated once, here, up to its first error —
+		// which a row raises only after its X evaluated clean and non-NULL,
+		// exactly where the interpreter reaches it.
+		candidates := make([]sqldb.Value, 0, len(items))
+		var listErr error
+		for _, p := range items {
+			v, err := p(nil)
+			if err != nil {
+				listErr = err
+				break
+			}
+			candidates = append(candidates, v)
+		}
+		return foldPred(func(env *rowEnv) (verdict, error) {
+			xv, err := xp(env)
+			if xv.IsNull() || err != nil {
+				return vNull, err
+			}
+			if listErr != nil {
+				return vNull, listErr
+			}
+			return inVerdict(xv, candidates, not), nil
+		}, xc)
+	}
+	var run func(*rowEnv) (*Result, error)
+	if in.Select != nil {
+		run = compileSubquery(in.Select, b)
+	}
+	// Neither a subquery nor a list with a non-constant item is constant,
+	// so env (and its scratch) is there.
+	return func(env *rowEnv) (verdict, error) {
 		xv, err := xp(env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		if xv.IsNull() {
-			return sqldb.Null(), nil
-		}
-		res, err := run(env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		if len(res.Columns) != 1 {
-			return sqldb.Null(), execErrf("IN subquery must return one column, got %d", len(res.Columns))
+		if xv.IsNull() || err != nil {
+			return vNull, err
 		}
 		scr := env.sc.scr
 		mark := scr.vals.mark()
 		defer scr.vals.release(mark)
-		candidates := scr.vals.take(len(res.Rows))
-		for i, r := range res.Rows {
-			candidates[i] = r[0]
+		var candidates []sqldb.Value
+		if run != nil {
+			res, err := run(env)
+			if err != nil {
+				return vNull, err
+			}
+			if len(res.Columns) != 1 {
+				return vNull, execErrf("IN subquery must return one column, got %d", len(res.Columns))
+			}
+			candidates = scr.vals.take(len(res.Rows))
+			for i, r := range res.Rows {
+				candidates[i] = r[0]
+			}
+		} else {
+			candidates = scr.vals.take(len(items))
+			for i, p := range items {
+				if candidates[i], err = p(env); err != nil {
+					return vNull, err
+				}
+			}
 		}
 		return inVerdict(xv, candidates, not), nil
-	}
+	}, false
 }
 
 // inVerdict is x [NOT] IN candidates for a non-NULL x: a match decides,
 // otherwise a NULL candidate makes the verdict NULL.
-func inVerdict(xv sqldb.Value, candidates []sqldb.Value, not bool) sqldb.Value {
+func inVerdict(xv sqldb.Value, candidates []sqldb.Value, not bool) verdict {
 	sawNull := false
 	for _, c := range candidates {
 		if c.IsNull() {
@@ -521,33 +684,13 @@ func inVerdict(xv sqldb.Value, candidates []sqldb.Value, not bool) sqldb.Value {
 			continue
 		}
 		if xv.Equal(c) {
-			return sqldb.Bool(!not)
+			return boolVerdict(!not)
 		}
 	}
 	if sawNull {
-		return sqldb.Null()
+		return vNull
 	}
-	return sqldb.Bool(not)
-}
-
-// comparisonVerdict maps a comparison operator to the test its
-// sqldb.Compare result must pass, nil for any other operator.
-func comparisonVerdict(op string) func(int) bool {
-	switch op {
-	case "=":
-		return func(c int) bool { return c == 0 }
-	case "<>":
-		return func(c int) bool { return c != 0 }
-	case "<":
-		return func(c int) bool { return c < 0 }
-	case "<=":
-		return func(c int) bool { return c <= 0 }
-	case ">":
-		return func(c int) bool { return c > 0 }
-	case ">=":
-		return func(c int) bool { return c >= 0 }
-	}
-	return nil
+	return boolVerdict(not)
 }
 
 // toCharOf matches TO_CHAR(x, 'format') with a string-literal format,
@@ -564,43 +707,62 @@ func toCharOf(e sqlparse.Expr) (sqlparse.Expr, string, bool) {
 	return fc.Args[0], format.Val, true
 }
 
-// compileToCharCompare specializes TO_CHAR(x, 'format') <cmp> 'literal',
-// the shape of date bucketing filters and CASE pivots: the date is
-// formatted on the stack and compared as bytes (toCharCompare), so a row
-// costs no string. The interpreter's order stands: x, then TO_CHAR's NULL
-// and error, then the comparison; a literal is never NULL and never fails.
-// ok is false for any other shape.
-func compileToCharCompare(x *sqlparse.Binary, verdict func(int) bool, b *binder) (prog program, isConst, ok bool) {
-	arg, format, ok := toCharOf(x.L)
-	lit, isLit := x.R.(*sqlparse.StringLit)
-	if !ok || !isLit {
+// compileDateCompare specializes a date function compared with a literal,
+// the shape of date filters and CASE pivots: TO_CHAR(x, 'format') <cmp>
+// 'string' formats the date on the stack and compares bytes
+// (toCharCompare), so a row costs no string, and YEAR, MONTH, QUARTER or
+// DAY(x) <cmp> number compares the part parseDate reads as a number. The interpreter's order stands: x, then the
+// function's NULL and error, then the comparison; a literal is never NULL
+// and never fails. ok is false for any other shape.
+func compileDateCompare(x *sqlparse.Binary, m cmpMask, b *binder) (p predicate, isConst, ok bool) {
+	var arg sqlparse.Expr
+	var cmp func(v sqldb.Value) (int, error)
+	switch lit := x.R.(type) {
+	case *sqlparse.StringLit:
+		a, format, isToChar := toCharOf(x.L)
+		if !isToChar {
+			return nil, false, false
+		}
+		arg = a
+		want := []byte(lit.Val)
+		cmp = func(v sqldb.Value) (int, error) { return toCharCompare(v.String(), format, want) }
+	case *sqlparse.NumberLit:
+		fc, isCall := x.L.(*sqlparse.FuncCall)
+		n, err := parseNumber(lit.Text)
+		if !isCall || fc.Over != nil || fc.Star || len(fc.Args) != 1 || dateField(fc.Name) == nil || err != nil {
+			return nil, false, false
+		}
+		arg = fc.Args[0]
+		field := dateField(fc.Name)
+		f, _ := n.AsFloat()
+		cmp = func(v sqldb.Value) (int, error) {
+			d, err := parseDate(v.String())
+			return cmpFloat(float64(field(d)), f), err
+		}
+	default:
 		return nil, false, false
 	}
 	xp, xc := compileExpr(arg, b)
-	want := []byte(lit.Val)
-	prog, isConst = foldConst(func(env *rowEnv) (sqldb.Value, error) {
+	p, isConst = foldPred(func(env *rowEnv) (verdict, error) {
 		xv, err := xp(env)
+		if xv.IsNull() || err != nil {
+			return vNull, err
+		}
+		c, err := cmp(xv)
 		if err != nil {
-			return sqldb.Null(), err
+			return vNull, err
 		}
-		if xv.IsNull() {
-			return sqldb.Null(), nil
-		}
-		c, err := toCharCompare(xv.String(), format, want)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		return sqldb.Bool(verdict(c)), nil
+		return m.test(c), nil
 	}, xc)
-	return prog, isConst, true
+	return p, isConst, true
 }
 
 // compileToCharIn specializes TO_CHAR(x, 'format') [NOT] IN ('a', ...)
 // with string-literal items the same way: no item is NULL or fails, so the
 // verdict is whether one equals the formatted bytes (toCharIn).
-func compileToCharIn(in *sqlparse.InExpr, b *binder) (prog program, isConst, ok bool) {
+func compileToCharIn(in *sqlparse.InExpr, b *binder) (p predicate, isConst, ok bool) {
 	arg, format, ok := toCharOf(in.X)
-	if !ok {
+	if !ok || in.Select != nil {
 		return nil, false, false
 	}
 	lits := make([][]byte, len(in.List))
@@ -613,21 +775,18 @@ func compileToCharIn(in *sqlparse.InExpr, b *binder) (prog program, isConst, ok 
 	}
 	xp, xc := compileExpr(arg, b)
 	not := in.Not
-	prog, isConst = foldConst(func(env *rowEnv) (sqldb.Value, error) {
+	p, isConst = foldPred(func(env *rowEnv) (verdict, error) {
 		xv, err := xp(env)
-		if err != nil {
-			return sqldb.Null(), err
-		}
-		if xv.IsNull() {
-			return sqldb.Null(), nil
+		if xv.IsNull() || err != nil {
+			return vNull, err
 		}
 		found, err := toCharIn(xv.String(), format, lits)
 		if err != nil {
-			return sqldb.Null(), err
+			return vNull, err
 		}
-		return sqldb.Bool(found != not), nil
+		return boolVerdict(found != not), nil
 	}, xc)
-	return prog, isConst, true
+	return p, isConst, true
 }
 
 // compileFuncCall lowers window, aggregate and scalar calls.
@@ -747,11 +906,18 @@ func compileCase(ce *sqlparse.CaseExpr, b *binder) (program, bool) {
 		operand, oc = compileExpr(ce.Operand, b)
 		allConst = allConst && oc
 	}
+	// A CASE with an operand compares it with each WHEN value; a searched
+	// CASE takes the first WHEN whose condition is TRUE.
 	conds := make([]program, len(ce.Whens))
+	preds := make([]predicate, len(ce.Whens))
 	thens := make([]program, len(ce.Whens))
 	for i, w := range ce.Whens {
 		var cc, tc bool
-		conds[i], cc = compileExpr(w.Cond, b)
+		if operand != nil {
+			conds[i], cc = compileExpr(w.Cond, b)
+		} else {
+			preds[i], cc = compilePred(w.Cond, b)
+		}
 		thens[i], tc = compileExpr(w.Then, b)
 		allConst = allConst && cc && tc
 	}
@@ -777,12 +943,12 @@ func compileCase(ce *sqlparse.CaseExpr, b *binder) (program, bool) {
 				}
 			}
 		} else {
-			for i, cond := range conds {
-				cv, err := cond(env)
+			for i, pred := range preds {
+				v, err := pred(env)
 				if err != nil {
 					return sqldb.Null(), err
 				}
-				if truthy(cv) {
+				if v == vTrue {
 					return thens[i](env)
 				}
 			}

@@ -12,7 +12,7 @@ package sqlexec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -57,24 +57,29 @@ func execErrf(format string, args ...any) error {
 	return &ExecError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// Query parses and executes sql. Compiled plans are cached (LRU, keyed by
-// the raw SQL text), so the regeneration loop, gold evaluation and
-// regression suite re-execute repeated SQL without re-lexing, re-parsing or
-// re-compiling it.
+// Query parses and executes sql. Compiled plans and parse failures are
+// cached (LRU, keyed by the raw SQL text), so the regeneration loop, gold
+// evaluation and regression suite re-execute repeated SQL without
+// re-lexing, re-parsing or re-compiling it.
 func (e *Executor) Query(sql string) (*Result, error) {
 	var plan *stmtPlan
 	if e.stmts != nil {
 		plan, _ = e.stmts.get(sql)
 	}
 	if plan == nil {
-		stmt, err := sqlparse.Parse(sql)
-		if err != nil {
-			return nil, err
+		// A statement that does not parse is cached as its SyntaxError, so
+		// a repeated bad statement is not lexed and parsed again.
+		if stmt, err := sqlparse.Parse(sql); err != nil {
+			plan = &stmtPlan{parseErr: err}
+		} else {
+			plan = compileStmt(e.db, stmt)
 		}
-		plan = compileStmt(e.db, stmt)
 		if e.stmts != nil {
 			e.stmts.put(sql, plan)
 		}
+	}
+	if plan.parseErr != nil {
+		return nil, plan.parseErr
 	}
 	// Intermediates that die inside this call come from a pooled scratch
 	// (pool.go); the Result never references it.
@@ -84,12 +89,20 @@ func (e *Executor) Query(sql string) (*Result, error) {
 }
 
 // scope carries CTE visibility, the enclosing row of a correlated subquery
-// and the Query's scratch; scopes chain lexically.
+// and the Query's scratch; scopes chain lexically. memos holds the results
+// of the uncorrelated subqueries run under this scope (compileSubquery).
 type scope struct {
 	parent *scope
 	ctes   map[string]*namedRelation
 	scr    *queryScratch
 	outer  *rowEnv // the row a subquery runs for; nil at the top level
+	memos  []subqueryMemo
+}
+
+type subqueryMemo struct {
+	sp  *stmtPlan
+	res *Result
+	err error
 }
 
 type namedRelation struct {
@@ -133,6 +146,14 @@ type rowEnv struct {
 	outer *rowEnv         // enclosing query's row for correlated subqueries
 	win   [][]sqldb.Value // computed window calls, in the core's order; nil before they are
 	idx   int             // this row's index into the window values
+}
+
+// col is column ord of the row, NULL past its end.
+func (env *rowEnv) col(ord int) sqldb.Value {
+	if ord < len(env.row) {
+		return env.row[ord]
+	}
+	return sqldb.Null()
 }
 
 // expandStars replaces * and table.* items with explicit column references.
@@ -249,52 +270,35 @@ func combine(op sqlparse.CompoundOp, a, b *Result) (*Result, error) {
 		*kbp = kb
 		putKeyBuf(kbp)
 	}()
+	// UNION keeps the first of each distinct row of a then b; EXCEPT and
+	// INTERSECT keep the first of each distinct row of a that b lacks or
+	// holds.
+	arms := [][]sqldb.Row{a.Rows}
+	var inB map[string]bool
 	switch op {
 	case sqlparse.UnionOp:
-		seen := make(map[string]bool)
-		out := &Result{Columns: a.Columns}
-		for _, rows := range [][]sqldb.Row{a.Rows, b.Rows} {
-			for _, r := range rows {
-				k := key(r)
-				if !seen[k] {
-					seen[k] = true
-					out.Rows = append(out.Rows, r)
-				}
-			}
-		}
-		return out, nil
-	case sqlparse.ExceptOp:
-		drop := make(map[string]bool)
+		arms = append(arms, b.Rows)
+	case sqlparse.ExceptOp, sqlparse.IntersectOp:
+		inB = make(map[string]bool)
 		for _, r := range b.Rows {
-			drop[key(r)] = true
+			inB[key(r)] = true
 		}
-		seen := make(map[string]bool)
-		out := &Result{Columns: a.Columns}
-		for _, r := range a.Rows {
-			k := key(r)
-			if !drop[k] && !seen[k] {
-				seen[k] = true
-				out.Rows = append(out.Rows, r)
-			}
-		}
-		return out, nil
-	case sqlparse.IntersectOp:
-		keep := make(map[string]bool)
-		for _, r := range b.Rows {
-			keep[key(r)] = true
-		}
-		seen := make(map[string]bool)
-		out := &Result{Columns: a.Columns}
-		for _, r := range a.Rows {
-			k := key(r)
-			if keep[k] && !seen[k] {
-				seen[k] = true
-				out.Rows = append(out.Rows, r)
-			}
-		}
-		return out, nil
+	default:
+		return nil, execErrf("unsupported compound operator")
 	}
-	return nil, execErrf("unsupported compound operator")
+	seen := make(map[string]bool)
+	out := &Result{Columns: a.Columns}
+	for _, rows := range arms {
+		for _, r := range rows {
+			k := key(r)
+			if seen[k] || (op == sqlparse.ExceptOp && inB[k]) || (op == sqlparse.IntersectOp && !inB[k]) {
+				continue
+			}
+			seen[k] = true
+			out.Rows = append(out.Rows, r)
+		}
+	}
+	return out, nil
 }
 
 // orderResultByOutput sorts a compound result; ORDER BY may reference output
@@ -325,18 +329,18 @@ func orderResultByOutput(res *Result, orderBy []sqlparse.OrderItem) error {
 			return execErrf("compound ORDER BY must reference output columns")
 		}
 	}
-	sort.SliceStable(res.Rows, func(a, b int) bool {
+	slices.SortStableFunc(res.Rows, func(a, b sqldb.Row) int {
 		for k, item := range orderBy {
-			c := sqldb.CompareForSort(res.Rows[a][idx[k]], res.Rows[b][idx[k]])
+			c := sqldb.CompareForSort(a[idx[k]], b[idx[k]])
 			if c == 0 {
 				continue
 			}
 			if item.Desc {
-				return c > 0
+				return -c
 			}
-			return c < 0
+			return c
 		}
-		return false
+		return 0
 	})
 	return nil
 }

@@ -58,27 +58,7 @@ func applyUnary(op string, v sqldb.Value) (sqldb.Value, error) {
 func applyBinary(op string, l, r sqldb.Value) (sqldb.Value, error) {
 	switch op {
 	case "=", "<>", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return sqldb.Null(), nil
-		}
-		c, ok := sqldb.Compare(l, r)
-		if !ok {
-			return sqldb.Null(), nil
-		}
-		switch op {
-		case "=":
-			return sqldb.Bool(c == 0), nil
-		case "<>":
-			return sqldb.Bool(c != 0), nil
-		case "<":
-			return sqldb.Bool(c < 0), nil
-		case "<=":
-			return sqldb.Bool(c <= 0), nil
-		case ">":
-			return sqldb.Bool(c > 0), nil
-		case ">=":
-			return sqldb.Bool(c >= 0), nil
-		}
+		return compareVerdict(l, r, comparisonMasks[op]).value(), nil
 	case "||":
 		if l.IsNull() || r.IsNull() {
 			return sqldb.Null(), nil

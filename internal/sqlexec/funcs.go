@@ -76,38 +76,23 @@ func applyScalarFunc(name string, args []sqldb.Value) (sqldb.Value, error) {
 		}
 		scale := math.Pow(10, float64(digits))
 		return sqldb.Float(math.Round(f*scale) / scale), nil
-	case "UPPER":
+	case "UPPER", "LOWER", "LENGTH", "LEN", "TRIM":
 		if err := need(1); err != nil {
 			return sqldb.Null(), err
 		}
 		if args[0].IsNull() {
 			return sqldb.Null(), nil
 		}
-		return sqldb.Str(strings.ToUpper(args[0].String())), nil
-	case "LOWER":
-		if err := need(1); err != nil {
-			return sqldb.Null(), err
+		s := args[0].String()
+		switch name {
+		case "UPPER":
+			return sqldb.Str(strings.ToUpper(s)), nil
+		case "LOWER":
+			return sqldb.Str(strings.ToLower(s)), nil
+		case "TRIM":
+			return sqldb.Str(strings.TrimSpace(s)), nil
 		}
-		if args[0].IsNull() {
-			return sqldb.Null(), nil
-		}
-		return sqldb.Str(strings.ToLower(args[0].String())), nil
-	case "LENGTH", "LEN":
-		if err := need(1); err != nil {
-			return sqldb.Null(), err
-		}
-		if args[0].IsNull() {
-			return sqldb.Null(), nil
-		}
-		return sqldb.Int(int64(len(args[0].String()))), nil
-	case "TRIM":
-		if err := need(1); err != nil {
-			return sqldb.Null(), err
-		}
-		if args[0].IsNull() {
-			return sqldb.Null(), nil
-		}
-		return sqldb.Str(strings.TrimSpace(args[0].String())), nil
+		return sqldb.Int(int64(len(s))), nil
 	case "REPLACE":
 		if err := need(3); err != nil {
 			return sqldb.Null(), err
@@ -168,14 +153,8 @@ func applyScalarFunc(name string, args []sqldb.Value) (sqldb.Value, error) {
 			return sqldb.Null(), err
 		}
 		return sqldb.Str(out), nil
-	case "YEAR":
-		return datePart(name, args, func(d dateParts) int { return d.year })
-	case "MONTH":
-		return datePart(name, args, func(d dateParts) int { return d.month })
-	case "DAY":
-		return datePart(name, args, func(d dateParts) int { return d.day })
-	case "QUARTER":
-		return datePart(name, args, func(d dateParts) int { return (d.month-1)/3 + 1 })
+	case "YEAR", "MONTH", "DAY", "QUARTER":
+		return datePart(name, args, dateField(name))
 	case "SIGN":
 		if err := need(1); err != nil {
 			return sqldb.Null(), err
@@ -236,6 +215,22 @@ func datePart(name string, args []sqldb.Value, get func(dateParts) int) (sqldb.V
 		return sqldb.Null(), err
 	}
 	return sqldb.Int(int64(get(d))), nil
+}
+
+// dateField is the part of a date the function name extracts, nil for a
+// name that is not a date part.
+func dateField(name string) func(dateParts) int {
+	switch name {
+	case "YEAR":
+		return func(d dateParts) int { return d.year }
+	case "MONTH":
+		return func(d dateParts) int { return d.month }
+	case "DAY":
+		return func(d dateParts) int { return d.day }
+	case "QUARTER":
+		return func(d dateParts) int { return (d.month-1)/3 + 1 }
+	}
+	return nil
 }
 
 // dateParts is a calendar date extracted from a stored string.

@@ -34,15 +34,6 @@ type equiCond struct {
 	rightKey sqlparse.Expr
 }
 
-// splitConjuncts flattens an AND tree into its conjuncts, in tree order.
-func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
-	if b, ok := e.(*sqlparse.Binary); ok && b.Op == "AND" {
-		out = splitConjuncts(b.L, out)
-		return splitConjuncts(b.R, out)
-	}
-	return append(out, e)
-}
-
 // Expression side classification. A conjunct side is usable as a hash key
 // only if evaluating it against just its own input produces the same value
 // as evaluating it against the combined row, so a column ref that matches
@@ -109,7 +100,7 @@ func exprSide(e sqlparse.Expr, left, right []bindCol) int {
 // earlier residuals) passed, never skipped because an equi conjunct *after*
 // it in the AND tree failed first under hashing.
 func analyzeJoinOn(on sqlparse.Expr, left, right []bindCol) (conds []equiCond, residual []sqlparse.Expr) {
-	for _, conj := range splitConjuncts(on, nil) {
+	for _, conj := range splitChain(on, "AND", nil) {
 		if len(residual) == 0 {
 			if b, ok := conj.(*sqlparse.Binary); ok && b.Op == "=" {
 				ls := exprSide(b.L, left, right)
@@ -167,37 +158,44 @@ func mergeKeyClass(a, b int) int {
 	}
 }
 
-// appendCanonicalKey appends the length-prefixed canonical rendering of v:
-// two values within the same class share it iff sqldb.Compare orders them
-// equal. NULL has no key (never matches). Numbers are formatted into a
-// stack buffer, so building a key allocates nothing.
-func appendCanonicalKey(dst []byte, v sqldb.Value, class int) []byte {
+// canonicalValue is v's join key within its class: two values of one
+// class share it iff sqldb.Compare orders them equal. A number is a Float
+// (-0 folded into +0, which Compare orders equal), a boolean or a string
+// itself. NULL has no key (never matches).
+func canonicalValue(v sqldb.Value, class int) sqldb.Value {
 	switch class {
 	case classNumeric:
 		f, _ := v.AsFloat()
 		if f == 0 {
-			f = 0 // fold -0 into +0: Compare orders them equal
+			f = 0
 		}
-		var num [32]byte
-		return sqldb.AppendLengthPrefixed(dst, string(strconv.AppendFloat(num[:0], f, 'g', -1, 64)))
+		return sqldb.Float(f)
 	case classBool:
-		if v.B {
-			return sqldb.AppendLengthPrefixed(dst, "1")
-		}
-		return sqldb.AppendLengthPrefixed(dst, "0")
-	default:
-		return sqldb.AppendLengthPrefixed(dst, v.String())
+		return sqldb.Bool(v.B)
 	}
+	return sqldb.Str(v.S)
+}
+
+// appendCanonicalKey appends the length-prefixed canonical value of v, a
+// number formatted into a stack buffer, so building a key allocates
+// nothing.
+func appendCanonicalKey(dst []byte, v sqldb.Value, class int) []byte {
+	c := canonicalValue(v, class)
+	if c.K != sqldb.KindFloat {
+		return sqldb.AppendValueKey(dst, c)
+	}
+	var num [32]byte
+	return sqldb.AppendLengthPrefixed(dst, string(strconv.AppendFloat(num[:0], c.F, 'g', -1, 64)))
 }
 
 // joinPlan is a join's compiled ON clause.
 type joinPlan struct {
 	kind        sqlparse.JoinKind
 	left, right *fromPlan
-	on          []program // ON as one conjunct over the joined row; empty without ON
+	on          predicate // ON over the joined row; nil without ON
 	leftKeys    []program // the hashable prefix of ON's conjuncts, per side
 	rightKeys   []program
-	residual    []program // the conjuncts after it, over the joined row
+	residual    predicate // the AND of the conjuncts after it, over the joined row; nil if none
 }
 
 // compileJoin compiles j's ON clause; b binds the joined row.
@@ -206,8 +204,7 @@ func compileJoin(j *sqlparse.JoinExpr, left, right *fromPlan, b *binder) *joinPl
 	if j.On == nil {
 		return jp
 	}
-	on, _ := compileExpr(j.On, b)
-	jp.on = []program{on}
+	jp.on, _ = compilePred(j.On, b)
 	conds, residual := analyzeJoinOn(j.On, left.cols, right.cols)
 	if len(conds) == 0 {
 		return jp
@@ -219,9 +216,12 @@ func compileJoin(j *sqlparse.JoinExpr, left, right *fromPlan, b *binder) *joinPl
 		jp.leftKeys = append(jp.leftKeys, lp)
 		jp.rightKeys = append(jp.rightKeys, rp)
 	}
-	for _, r := range residual {
-		p, _ := compileExpr(r, b)
-		jp.residual = append(jp.residual, p)
+	if len(residual) > 0 {
+		terms := make([]predicate, len(residual))
+		for i, r := range residual {
+			terms[i], _ = compilePred(r, b)
+		}
+		jp.residual = logicList(true, terms)
 	}
 	return jp
 }
@@ -319,7 +319,7 @@ func (e *Executor) hashJoin(jp *joinPlan, left, right relation, cols []bindCol, 
 	// errors must surface. The hash path never visits NULL-keyed pairs, so
 	// with residuals present and any NULL key it cannot reproduce that —
 	// fall back.
-	if len(jp.residual) > 0 && (leftNull || rightNull) {
+	if jp.residual != nil && (leftNull || rightNull) {
 		return relation{}, false, nil
 	}
 	classes := make([]int, len(jp.leftKeys))
@@ -330,11 +330,13 @@ func (e *Executor) hashJoin(jp *joinPlan, left, right relation, cols []bindCol, 
 		}
 	}
 
-	// Length-prefixed encoding (sqldb.AppendLengthPrefixed): a bare
+	// One key column buckets on its canonical value, which builds nothing.
+	// Several are length-prefixed (sqldb.AppendLengthPrefixed): a bare
 	// delimiter would let key components containing the delimiter byte alias
-	// across columns ("a\x1f"+"b" vs "a"+"\x1fb") and fabricate matches the
-	// nested loop never produces. One pooled scratch buffer serves every
-	// build and probe key; only the strings the bucket map interns escape.
+	// across columns ("a\x1f"+"b" vs "a"+"\x1fb"). One pooled scratch buffer
+	// serves every build and probe key; only the strings the map interns
+	// escape.
+	one := len(classes) == 1
 	kbp := getKeyBuf()
 	kb := *kbp
 	defer func() {
@@ -349,7 +351,13 @@ func (e *Executor) hashJoin(jp *joinPlan, left, right relation, cols []bindCol, 
 	// (left-major, right rows in input order). Buckets and chains are
 	// scratch.
 	scr := sc.scr
-	buckets := scr.takeIDs()
+	var buckets map[string]int
+	var valueBuckets map[sqldb.Value]int
+	if one {
+		valueBuckets = takeMap(&scr.valueIDs)
+	} else {
+		buckets = takeMap(&scr.ids)
+	}
 	leftBucket := scr.ints.take(len(left.rows))
 	next := scr.ints.take(len(right.rows))
 	head := scr.ints.take(min(len(left.rows), len(right.rows)))[:0]
@@ -357,17 +365,29 @@ func (e *Executor) hashJoin(jp *joinPlan, left, right relation, cols []bindCol, 
 	// bucketOf is the bucket of a key: -1 for a key the smaller input does
 	// not hold, a new bucket when it is the smaller input asking.
 	bucketOf := func(vals sqldb.Row, smaller bool) int {
-		kb = kb[:0]
-		for i, v := range vals {
-			kb = appendCanonicalKey(kb, v, classes[i])
+		var vk sqldb.Value
+		var b int
+		var ok bool
+		if one {
+			vk = canonicalValue(vals[0], classes[0])
+			b, ok = valueBuckets[vk]
+		} else {
+			kb = kb[:0]
+			for i, v := range vals {
+				kb = appendCanonicalKey(kb, v, classes[i])
+			}
+			b, ok = buckets[string(kb)]
 		}
-		b, ok := buckets[string(kb)]
 		if !ok {
 			if !smaller {
 				return -1
 			}
 			b = len(head)
-			buckets[string(kb)] = b
+			if one {
+				valueBuckets[vk] = b
+			} else {
+				buckets[string(kb)] = b
+			}
 			head = append(head, -1)
 			pairs = append(pairs, 0)
 		}
@@ -400,7 +420,8 @@ func (e *Executor) hashJoin(jp *joinPlan, left, right relation, cols []bindCol, 
 		chainRight(true)
 		assignLeft(false)
 	}
-	scr.putIDs(buckets)
+	putMap(&scr.ids, buckets)
+	putMap(&scr.valueIDs, valueBuckets)
 
 	// Each left row's first candidate replaces its bucket; most is the
 	// number of candidate pairs, every one of which may match.
@@ -419,18 +440,16 @@ func (e *Executor) hashJoin(jp *joinPlan, left, right relation, cols []bindCol, 
 // emitJoin emits a join's rows in nested-loop order: left-major, each left
 // row's candidate right rows in input order (first[li], then next[ri] until
 // -1), then the NULL-extended rows of the outer sides. A candidate pair
-// matches when every conjunct is truthy, evaluated as SQL AND over the
-// conjuncts in tree order: an error stops the join, a definite false stops
-// the pair, and a NULL rejects it while later conjuncts still run (their
-// errors surface). most sizes the output; the rows of candidate pairs and
-// outer rows past it grow it.
+// matches when cond (nil: always) is TRUE; an error stops the join. most
+// sizes the output; the rows of candidate pairs and outer rows past it
+// grow it.
 //
 // Joined rows are scratch: the enclosing core copies what it keeps into its
 // projected output rows before it releases the scratch, so no Result holds
 // a joined row. A pair the conjuncts reject was never emitted, so its row
 // serves the next pair.
 func (e *Executor) emitJoin(kind sqlparse.JoinKind, left, right relation, cols []bindCol, sc *scope,
-	first, next []int, conj []program, most int) (relation, error) {
+	first, next []int, cond predicate, most int) (relation, error) {
 
 	scr := sc.scr
 	leftOuter := kind == sqlparse.LeftJoin || kind == sqlparse.FullJoin
@@ -465,25 +484,16 @@ func (e *Executor) emitJoin(kind sqlparse.JoinKind, left, right relation, cols [
 		leftMatched := false
 		for ri := first[li]; ri >= 0; ri = next[ri] {
 			row := joined(lr, 0, right.rows[ri])
-			ok := true
-			env.row = row
-			for _, p := range conj {
-				v, err := p(env)
+			if cond != nil {
+				env.row = row
+				v, err := cond(env)
 				if err != nil {
 					return relation{}, err
 				}
-				if v.IsNull() {
-					ok = false
+				if v != vTrue {
+					spare = row
 					continue
 				}
-				if !truthy(v) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				spare = row
-				continue
 			}
 			leftMatched = true
 			if rightMatched != nil {

@@ -1,7 +1,7 @@
 package sqlexec
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"genedit/internal/sqldb"
@@ -24,6 +24,7 @@ import (
 // runs.
 
 type stmtPlan struct {
+	parseErr error // a statement that did not parse: only the cache holds such a plan
 	ctes     []ctePlan
 	core     *corePlan
 	compound []compoundPlan
@@ -59,12 +60,12 @@ func foldLimit(e sqlparse.Expr) *foldedInt {
 
 type corePlan struct {
 	from       *fromPlan
-	where      program // nil without a WHERE clause
-	starErr    error   // star expansion's error, raised after WHERE
+	where      predicate // nil without a WHERE clause
+	starErr    error     // star expansion's error, raised after WHERE
 	outCols    []string
 	aggregated bool
 	groupBy    []program
-	having     program
+	having     predicate
 	windows    []*windowPlan // window calls, computed after HAVING
 	orderErr   error         // an ORDER BY position out of range, raised after the windows
 	projs      []program
@@ -167,7 +168,7 @@ func compileCore(db *sqldb.Database, core *sqlparse.SelectCore, ss *staticScope,
 	cp.from = compileFrom(db, core.From, ss, outer)
 	b := &binder{db: db, ss: ss, cols: cp.from.cols, outer: outer}
 	if core.Where != nil {
-		cp.where, _ = compileExpr(core.Where, b)
+		cp.where, _ = compilePred(core.Where, b)
 	}
 	items, err := expandStars(core.Items, cp.from.cols)
 	if err != nil {
@@ -189,7 +190,7 @@ func compileCore(db *sqldb.Database, core *sqlparse.SelectCore, ss *staticScope,
 		cp.groupBy = append(cp.groupBy, p)
 	}
 	if core.Having != nil {
-		cp.having, _ = compileExpr(core.Having, b)
+		cp.having, _ = compilePred(core.Having, b)
 	}
 	b.windows = collectWindowCalls(items, orderBy)
 	for _, fc := range b.windows {
@@ -314,11 +315,7 @@ func applyFolded(res *Result, limit, offset *foldedInt) (*Result, error) {
 		if offset.err != nil {
 			return nil, offset.err
 		}
-		n := offset.n
-		if n < 0 {
-			n = 0
-		}
-		if int(n) >= len(res.Rows) {
+		if n := int(max(offset.n, 0)); n >= len(res.Rows) {
 			res.Rows = nil
 		} else {
 			res.Rows = res.Rows[n:]
@@ -328,11 +325,7 @@ func applyFolded(res *Result, limit, offset *foldedInt) (*Result, error) {
 		if limit.err != nil {
 			return nil, limit.err
 		}
-		n := limit.n
-		if n < 0 {
-			n = 0
-		}
-		if int(n) < len(res.Rows) {
+		if n := int(max(limit.n, 0)); n < len(res.Rows) {
 			res.Rows = res.Rows[:n]
 		}
 	}
@@ -404,7 +397,7 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if truthy(v) {
+			if v == vTrue {
 				kept = append(kept, row)
 			}
 		}
@@ -432,7 +425,7 @@ func (e *Executor) runCore(cp *corePlan, sc *scope) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				if truthy(v) {
+				if v == vTrue {
 					kept = append(kept, g)
 				}
 			}
@@ -513,8 +506,8 @@ func finishCore(cp *corePlan, outs []projRow, projected int) (*Result, error) {
 	}
 
 	if len(cp.orderBy) > 0 {
-		sort.SliceStable(outs, func(i, j int) bool {
-			return compareOrderKeys(outs[i].keys, outs[j].keys, cp.orderBy) < 0
+		slices.SortStableFunc(outs, func(a, b projRow) int {
+			return compareOrderKeys(a.keys, b.keys, cp.orderBy)
 		})
 	}
 
@@ -597,7 +590,7 @@ func partition(out *outputs, progs []program, env *rowEnv) (ids, counts []int, e
 	n := out.len()
 	ids = scr.ints.take(n)
 	counts = scr.ints.take(n)[:0]
-	keys := scr.takeIDs()
+	keys := takeMap(&scr.ids)
 	kbp := getKeyBuf()
 	kb := *kbp
 	defer func() {
@@ -623,7 +616,7 @@ func partition(out *outputs, progs []program, env *rowEnv) (ids, counts []int, e
 		ids[i] = id
 		counts[id]++
 	}
-	scr.putIDs(keys)
+	putMap(&scr.ids, keys)
 	return ids, counts, nil
 }
 

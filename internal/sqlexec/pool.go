@@ -131,9 +131,11 @@ type queryScratch struct {
 	ints   arena[int]
 	groups arena[[]sqldb.Row]
 	// ids maps a composite key to a dense id (GROUP BY groups, hash-join
-	// buckets). One user at a time: takeIDs hands it over and leaves nil
-	// behind, so a subquery evaluated meanwhile makes its own.
-	ids map[string]int
+	// buckets), valueIDs a single-column join key. One user at a time:
+	// takeMap hands a map over and leaves nil behind, so a subquery
+	// evaluated meanwhile makes its own.
+	ids      map[string]int
+	valueIDs map[sqldb.Value]int
 }
 
 // scratchMark is the state of all four arenas.
@@ -152,21 +154,23 @@ func (s *queryScratch) release(m scratchMark) {
 	s.groups.release(m.groups)
 }
 
-func (s *queryScratch) takeIDs() map[string]int {
-	m := s.ids
-	s.ids = nil
+func takeMap[K comparable](slot *map[K]int) map[K]int {
+	m := *slot
+	*slot = nil
 	if m == nil {
-		m = make(map[string]int)
+		m = make(map[K]int)
 	}
 	return m
 }
 
-func (s *queryScratch) putIDs(m map[string]int) {
-	if len(m) > scratchRetainSlots {
+// putMap gives a map back to its slot, emptied; a nil one, or one grown
+// past scratchRetainSlots, is dropped.
+func putMap[K comparable](slot *map[K]int, m map[K]int) {
+	if m == nil || len(m) > scratchRetainSlots {
 		return
 	}
 	clear(m)
-	s.ids = m
+	*slot = m
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}

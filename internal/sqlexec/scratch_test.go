@@ -91,7 +91,7 @@ func TestScratchDropsOversizedArenas(t *testing.T) {
 	for i := 0; i <= scratchRetainSlots; i++ {
 		big[fmt.Sprint(i)] = i
 	}
-	s.putIDs(big)
+	putMap(&s.ids, big)
 	if s.ids != nil {
 		t.Error("a key map past the retention cap was kept")
 	}
@@ -286,13 +286,15 @@ func TestQueryWarmAllocs(t *testing.T) {
 	}{
 		{"filtered scan", exprBenchDB(144), "SELECT A, B, AMT FROM T WHERE B < 24 AND AMT > 100.0", 5},
 		{"group by", exprBenchDB(144), "SELECT D, COUNT(*), SUM(AMT), MAX(B) FROM T WHERE A % 3 <> 0 GROUP BY D", 26},
-		{"hash join", joinBenchDB(100, 10), "SELECT COUNT(*), SUM(AMOUNT) FROM PARENTS JOIN CHILDREN ON PARENTS.ID = CHILDREN.PARENT_ID", 111},
+		{"hash join", joinBenchDB(100, 10), "SELECT COUNT(*), SUM(AMOUNT) FROM PARENTS JOIN CHILDREN ON PARENTS.ID = CHILDREN.PARENT_ID", 11},
 		{"nested-loop join", joinBenchDB(100, 10), "SELECT COUNT(*), SUM(AMOUNT) FROM PARENTS JOIN CHILDREN ON PARENTS.ID < CHILDREN.PARENT_ID", 10},
-		{"window", dateBenchDB(144), "SELECT D, AMT, RANK() OVER (PARTITION BY SUBSTR(D, 1, 4) ORDER BY AMT DESC) FROM SALES ORDER BY 3, 1", 13},
+		{"window", dateBenchDB(144), "SELECT D, AMT, RANK() OVER (PARTITION BY SUBSTR(D, 1, 4) ORDER BY AMT DESC) FROM SALES ORDER BY 3, 1", 10},
 		{"to_char compare", dateBenchDB(144), `SELECT COUNT(*), SUM(AMT) FROM SALES WHERE TO_CHAR(D, 'YYYY"Q"Q') = '2024Q2'`, 6},
 		{"to_char in", dateBenchDB(144), `SELECT COUNT(*), SUM(AMT) FROM SALES WHERE TO_CHAR(D, 'YYYY-MM') IN ('2024-01', '2024-05')`, 7},
 		{"to_char compare x4", dateBenchDB(576), `SELECT COUNT(*), SUM(AMT) FROM SALES WHERE TO_CHAR(D, 'YYYY"Q"Q') = '2024Q2'`, 6},
 		{"to_char in x4", dateBenchDB(576), `SELECT COUNT(*), SUM(AMT) FROM SALES WHERE TO_CHAR(D, 'YYYY-MM') IN ('2024-01', '2024-05')`, 7},
+		{"year filter", dateBenchDB(144), "SELECT COUNT(*), SUM(AMT) FROM SALES WHERE YEAR(D) = 2024 AND AMT > 10", 6},
+		{"uncorrelated subquery", dateBenchDB(144), "SELECT COUNT(*) FROM SALES WHERE AMT > (SELECT AVG(AMT) FROM SALES)", 13},
 	} {
 		exec := New(c.db)
 		if _, err := exec.Query(c.sql); err != nil {

@@ -113,18 +113,6 @@ func (c *stmtCache) stats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// entries reports the total number of cached statements across shards.
-func (c *stmtCache) entries() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.order.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // StatementCacheStats reports cache hits and misses since construction; both
 // are zero when caching is disabled.
 func (e *Executor) StatementCacheStats() (hits, misses uint64) {

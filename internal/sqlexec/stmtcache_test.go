@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"genedit/internal/sqldb"
+	"genedit/internal/sqlparse"
 )
 
 func cacheTestExecutor() *Executor {
@@ -189,5 +190,41 @@ func TestStmtCacheConcurrentQuery(t *testing.T) {
 	hits, misses := e.StatementCacheStats()
 	if hits == 0 || misses == 0 {
 		t.Fatalf("expected both hits and misses, got hits=%d misses=%d", hits, misses)
+	}
+}
+
+// entries reports the total number of cached statements across shards.
+func (c *stmtCache) entries() int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n += sh.order.Len()
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// TestStmtCacheKeepsParseFailures checks that a statement that does not
+// parse is cached too: the second Query of it is a cache hit and returns
+// the same SyntaxError, kind and text, which the syntax-repair branch of
+// the pipeline reads.
+func TestStmtCacheKeepsParseFailures(t *testing.T) {
+	e := cacheTestExecutor()
+	const bad = "SELECT (V FROM T"
+	_, first := e.Query(bad)
+	hits, misses := e.StatementCacheStats()
+	_, second := e.Query(bad)
+	hits2, misses2 := e.StatementCacheStats()
+	if hits2 != hits+1 || misses2 != misses {
+		t.Errorf("second Query of a bad statement: hits %d -> %d, misses %d -> %d; want one hit", hits, hits2, misses, misses2)
+	}
+	for _, err := range []error{first, second} {
+		if _, ok := err.(*sqlparse.SyntaxError); !ok {
+			t.Fatalf("got %T %v, want a *sqlparse.SyntaxError", err, err)
+		}
+	}
+	if first.Error() != second.Error() {
+		t.Errorf("cached parse error %q, first %q", second, first)
 	}
 }
